@@ -13,7 +13,7 @@ use crate::acf::{Autocorrelation, HillParams};
 use crate::budget::{BudgetSpec, ExecBudget};
 use crate::gmm::{select_gmm_budgeted, Gmm, GmmConfig};
 use crate::periodogram::Periodogram;
-use crate::permutation::{permutation_threshold_budgeted, PermutationConfig};
+use crate::permutation::{permutation_filter, PermutationConfig};
 use crate::prune::{prune_candidates, PruneConfig, PruneDecision};
 use crate::series::{intervals_of, TimeSeries};
 use crate::workspace::{with_thread_workspace, SpectralWorkspace};
@@ -84,13 +84,19 @@ pub struct CandidatePeriod {
 }
 
 /// The outcome of running the detector on one communication pair.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct DetectionReport {
     /// Verified candidate periods, strongest ACF score first.
     pub candidates: Vec<CandidatePeriod>,
-    /// The permutation power threshold `p_T` used in Step 1.
+    /// The permutation power threshold `p_T` used in Step 1. On a pair
+    /// rejected at Step 1 (`raw_candidates == 0`) the shuffle rounds stop
+    /// as soon as the verdict is certain, and this is a lower bound on
+    /// `p_T` that no spectral line exceeds — see
+    /// [`PermutationThreshold::threshold`](crate::permutation::PermutationThreshold::threshold).
     pub power_threshold: f64,
-    /// Number of spectral lines that exceeded `p_T` before pruning.
+    /// Number of spectral lines that exceeded `p_T` before pruning. Zero
+    /// means the pair left Step 1 with no candidate: no ACF, pruning or
+    /// GMM ran and the fields below are empty.
     pub raw_candidates: usize,
     /// Pruning decisions for each raw candidate (diagnostics / Fig. 6).
     pub prune_decisions: Vec<PruneDecision>,
@@ -310,6 +316,9 @@ impl PeriodicityDetector {
             obs.series_bins.observe(series.len() as u64);
             match &result {
                 Ok(report) => {
+                    if report.raw_candidates == 0 {
+                        obs.permutation_rejected.inc();
+                    }
                     obs.raw_candidates.add(report.raw_candidates as u64);
                     obs.prune_survivors.add(
                         report
@@ -358,11 +367,18 @@ impl PeriodicityDetector {
                 .observe(obs.clock.now_nanos().saturating_sub(t0));
         }
         let t0 = self.obs.as_ref().map(|o| o.clock.now_nanos());
-        let threshold =
-            permutation_threshold_budgeted(ws, series, &self.config.permutation, budget)?;
+        let threshold = permutation_filter(
+            ws,
+            series,
+            &self.config.permutation,
+            periodogram.max_power(),
+            budget,
+        )?;
         if let (Some(obs), Some(t0)) = (&self.obs, t0) {
             obs.permutation_nanos
                 .observe(obs.clock.now_nanos().saturating_sub(t0));
+            obs.permutation_rounds
+                .add(threshold.shuffled_maxima.len() as u64);
         }
         let mut raw = periodogram.lines_above(threshold.threshold);
         let overflow = if raw.len() > self.config.max_candidates {
@@ -370,6 +386,11 @@ impl PeriodicityDetector {
         } else {
             Vec::new()
         };
+        let min_interval = intervals
+            .iter()
+            .copied()
+            .filter(|&i| i > 0.0)
+            .fold(f64::INFINITY, f64::min);
 
         // ---- Step 1a: harmonic-crowding guard. ----
         // A clean impulse train whose observation span is not an integer
@@ -383,20 +404,24 @@ impl PeriodicityDetector {
         // (≥ the minimum positive interval, within the pruning tolerance),
         // retain the strongest dropped line that is plausible; Step 2
         // pruning and Step 3 ACF verification still gate it.
-        if !overflow.is_empty() {
-            let min_interval = intervals
-                .iter()
-                .copied()
-                .filter(|&i| i > 0.0)
-                .fold(f64::INFINITY, f64::min);
-            if min_interval.is_finite() {
-                let floor = min_interval * (1.0 - self.config.prune.mean_tolerance);
-                if !raw.iter().any(|l| l.period >= floor) {
-                    if let Some(&fundamental) = overflow.iter().find(|l| l.period >= floor) {
-                        raw.push(fundamental);
-                    }
+        if !overflow.is_empty() && min_interval.is_finite() {
+            let floor = min_interval * (1.0 - self.config.prune.mean_tolerance);
+            if !raw.iter().any(|l| l.period >= floor) {
+                if let Some(&fundamental) = overflow.iter().find(|l| l.period >= floor) {
+                    raw.push(fundamental);
                 }
             }
+        }
+
+        // No candidate survived the permutation filter: Steps 1b and 1c
+        // only refine a non-empty set, so the pair is non-periodic and
+        // nothing downstream (ACF, pruning, GMM) could change that.
+        if raw.is_empty() {
+            return Ok(DetectionReport {
+                power_threshold: threshold.threshold,
+                intervals,
+                ..Default::default()
+            });
         }
 
         let span = series.span_seconds() as f64;
@@ -414,45 +439,38 @@ impl PeriodicityDetector {
         // peaks unambiguously at the fundamental. Only consulted when the
         // permutation filter already confirmed non-random structure, so
         // false-positive control is unchanged.
-        if !raw.is_empty() {
-            let scale = series.scale() as f64;
-            let min_interval = intervals
+        let scale = series.scale() as f64;
+        let min_lag = if min_interval.is_finite() {
+            ((min_interval / scale).floor() as usize).max(2)
+        } else {
+            2
+        };
+        let max_lag = (series.len() as f64 / self.config.prune.min_cycles) as usize;
+        if let Some(hill) =
+            acf.strongest_hill_budgeted(min_lag, max_lag, &self.config.hill, budget)?
+        {
+            let already = raw
                 .iter()
-                .copied()
-                .filter(|&i| i > 0.0)
-                .fold(f64::INFINITY, f64::min);
-            let min_lag = if min_interval.is_finite() {
-                ((min_interval / scale).floor() as usize).max(2)
-            } else {
-                2
-            };
-            let max_lag = (series.len() as f64 / self.config.prune.min_cycles) as usize;
-            if let Some(hill) =
-                acf.strongest_hill_budgeted(min_lag, max_lag, &self.config.hill, budget)?
-            {
-                let already = raw
+                .any(|l| (l.period - hill.period).abs() <= scale.max(0.02 * hill.period));
+            if !already {
+                let frequency = 1.0 / hill.period;
+                // Attribute the periodogram power of the nearest bin.
+                let power = periodogram
+                    .lines()
                     .iter()
-                    .any(|l| (l.period - hill.period).abs() <= scale.max(0.02 * hill.period));
-                if !already {
-                    let frequency = 1.0 / hill.period;
-                    // Attribute the periodogram power of the nearest bin.
-                    let power = periodogram
-                        .lines()
-                        .iter()
-                        .min_by(|a, b| {
-                            (a.frequency - frequency)
-                                .abs()
-                                .total_cmp(&(b.frequency - frequency).abs())
-                        })
-                        .map(|l| l.power)
-                        .unwrap_or(0.0);
-                    raw.push(crate::periodogram::SpectralLine {
-                        bin: 0,
-                        frequency,
-                        period: hill.period,
-                        power,
-                    });
-                }
+                    .min_by(|a, b| {
+                        (a.frequency - frequency)
+                            .abs()
+                            .total_cmp(&(b.frequency - frequency).abs())
+                    })
+                    .map(|l| l.power)
+                    .unwrap_or(0.0);
+                raw.push(crate::periodogram::SpectralLine {
+                    bin: 0,
+                    frequency,
+                    period: hill.period,
+                    power,
+                });
             }
         }
 
@@ -464,7 +482,7 @@ impl PeriodicityDetector {
         // list is tight (CV < 0.35, i.e. genuinely quasi-periodic), the
         // interval median is a sound period hypothesis;
         // pruning and (spread-widened) ACF verification still gate it.
-        if !raw.is_empty() && intervals.len() >= 4 {
+        if intervals.len() >= 4 {
             let mut sorted = intervals.clone();
             sorted.sort_by(f64::total_cmp);
             let median = sorted[sorted.len() / 2];
@@ -497,11 +515,7 @@ impl PeriodicityDetector {
         }
 
         // ---- Step 2: pruning. ----
-        let prune_decisions = if raw.is_empty() {
-            Vec::new()
-        } else {
-            prune_candidates(&raw, &intervals, span, &self.config.prune)?
-        };
+        let prune_decisions = prune_candidates(&raw, &intervals, span, &self.config.prune)?;
 
         // ---- Step 3: ACF verification. ----
         let mut candidates: Vec<CandidatePeriod> = Vec::new();
@@ -546,9 +560,14 @@ impl PeriodicityDetector {
         candidates.sort_by(|a, b| b.acf_score.total_cmp(&a.acf_score));
 
         // ---- Multi-period analysis (GMM over intervals). ----
-        let t0 = self.obs.as_ref().map(|o| o.clock.now_nanos());
         let (interval_gmm, gmm_bics) = if self.config.fit_gmm && intervals.len() >= 8 {
-            match select_gmm_budgeted(&intervals, &self.config.gmm, budget) {
+            let t0 = self.obs.as_ref().map(|o| o.clock.now_nanos());
+            let fit = select_gmm_budgeted(&intervals, &self.config.gmm, budget);
+            if let (Some(obs), Some(t0)) = (&self.obs, t0) {
+                obs.gmm_nanos
+                    .observe(obs.clock.now_nanos().saturating_sub(t0));
+            }
+            match fit {
                 Ok((g, bics)) => (Some(g), bics),
                 // A timed-out pair must surface as `Timeout`, not be
                 // silently reported with its GMM missing.
@@ -560,12 +579,6 @@ impl PeriodicityDetector {
         } else {
             (None, Vec::new())
         };
-        if let (Some(obs), Some(t0)) = (&self.obs, t0) {
-            if interval_gmm.is_some() {
-                obs.gmm_nanos
-                    .observe(obs.clock.now_nanos().saturating_sub(t0));
-            }
-        }
         let (gmm_iterations, gmm_converged) = match &interval_gmm {
             Some(g) => (g.iterations(), Some(g.converged())),
             None => (0, None),
@@ -609,6 +622,8 @@ pub struct DetectorObs {
     pairs_analyzed: Counter,
     pairs_periodic: Counter,
     budget_exhausted: Counter,
+    permutation_rejected: Counter,
+    permutation_rounds: Counter,
     raw_candidates: Counter,
     prune_survivors: Counter,
     acf_verified: Counter,
@@ -631,6 +646,8 @@ impl DetectorObs {
             pairs_analyzed: registry.counter("detector.pairs_analyzed"),
             pairs_periodic: registry.counter("detector.pairs_periodic"),
             budget_exhausted: registry.counter("detector.budget_exhausted"),
+            permutation_rejected: registry.counter("detector.permutation.rejected"),
+            permutation_rounds: registry.counter("detector.permutation.rounds"),
             raw_candidates: registry.counter("detector.periodogram.raw_candidates"),
             prune_survivors: registry.counter("detector.prune.survivors"),
             acf_verified: registry.counter("detector.acf.verified"),
@@ -673,6 +690,18 @@ mod tests {
         out
     }
 
+    /// 250 arrivals with uniform 1–239 s gaps: no periodic structure.
+    fn memoryless(seed: u64) -> Vec<u64> {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut t = 0u64;
+        (0..250)
+            .map(|_| {
+                t += rng.random_range(1..240);
+                t
+            })
+            .collect()
+    }
+
     #[test]
     fn clean_beacon_detected() {
         let ts = jittered_beacon(120, 60.0, 0.0, 1);
@@ -709,14 +738,7 @@ mod tests {
 
     #[test]
     fn random_traffic_not_periodic() {
-        let mut rng = StdRng::seed_from_u64(4);
-        let mut t = 0u64;
-        let mut ts = Vec::new();
-        for _ in 0..250 {
-            t += rng.random_range(1..240);
-            ts.push(t);
-        }
-        let r = detector().detect(&ts).unwrap();
+        let r = detector().detect(&memoryless(4)).unwrap();
         assert!(
             !r.is_periodic() || r.best().unwrap().acf_score < 0.25,
             "random traffic verified with {:?}",
@@ -1124,9 +1146,72 @@ mod tests {
         assert_eq!(snap.counters["detector.budget_exhausted"], 0);
         assert!(snap.counters["detector.periodogram.raw_candidates"] >= 1);
         assert_eq!(snap.histograms["detector.series_bins"].total, 2);
+        // The beacon ran all 20 shuffle rounds; the ACF only ran for pairs
+        // that left Step 1 with a candidate.
+        let rejected = snap.counters["detector.permutation.rejected"];
+        assert!(snap.counters["detector.permutation.rounds"] >= 20 + 2);
+        assert_eq!(snap.timings["detector.acf.nanos"].total, 2 - rejected);
         // Stage timings exist but stay out of the deterministic export.
         assert_eq!(snap.timings["detector.periodogram.nanos"].total, 2);
         assert!(!snap.to_json().contains("nanos"));
+    }
+
+    #[test]
+    fn gmm_timing_covers_failed_fits() {
+        // A fit that was attempted and failed still spent its time in the
+        // GMM stage, not in "other".
+        let registry = MetricsRegistry::new();
+        let clock = Arc::new(baywatch_obs::ManualClock::new());
+        let cfg = DetectorConfig {
+            gmm: GmmConfig {
+                max_components: 0,
+                ..Default::default()
+            },
+            ..Default::default()
+        };
+        let det = PeriodicityDetector::new(cfg).with_obs(DetectorObs::new(&registry, clock));
+        let r = det.detect(&jittered_beacon(120, 60.0, 0.0, 1)).unwrap();
+        assert!(r.is_periodic() && r.interval_gmm.is_none());
+        let snap = registry.snapshot();
+        assert_eq!(snap.counters["detector.gmm.fitted"], 0);
+        assert_eq!(snap.timings["detector.gmm.nanos"].total, 1);
+    }
+
+    #[test]
+    fn rejected_pair_stops_after_step_one_and_charges_the_rounds_it_ran() {
+        let registry = MetricsRegistry::new();
+        let clock = Arc::new(baywatch_obs::ManualClock::new());
+        let det = detector().with_obs(DetectorObs::new(&registry, clock));
+        let ts = memoryless(4);
+        let n = TimeSeries::from_timestamps(&ts, 1).unwrap().len() as u64;
+
+        let budget = ExecBudget::new(None, Some(u64::MAX));
+        let report = det.detect_budgeted(&ts, &budget).unwrap();
+        assert_eq!(report.raw_candidates, 0);
+        assert!(!report.is_periodic());
+        assert!(report.prune_decisions.is_empty() && report.interval_gmm.is_none());
+        assert_eq!(report.intervals.len(), ts.len() - 1);
+
+        let snap = registry.snapshot();
+        let rounds = snap.counters["detector.permutation.rounds"];
+        assert!((2..20).contains(&rounds), "rounds = {rounds}");
+        assert_eq!(snap.counters["detector.permutation.rejected"], 1);
+        assert_eq!(snap.timings["detector.acf.nanos"].total, 0);
+        // One periodogram plus the rounds actually run — no ACF, no EM.
+        assert_eq!(budget.ops_used(), n + rounds * n);
+
+        // That charge is also the exact ceiling the pair fits under, and
+        // neither an armed nor an unlimited budget changes the report.
+        let exact = ExecBudget::new(None, Some(n + rounds * n));
+        assert_eq!(det.detect_budgeted(&ts, &exact).unwrap(), report);
+        let short = ExecBudget::new(None, Some(n + rounds * n - 1));
+        assert_eq!(
+            det.detect_budgeted(&ts, &short),
+            Err(TimeSeriesError::BudgetExhausted)
+        );
+        let unlimited = det.detect_budgeted(&ts, &ExecBudget::unlimited()).unwrap();
+        assert_eq!(unlimited, report);
+        assert_eq!(det.detect(&ts).unwrap(), report);
     }
 
     #[test]

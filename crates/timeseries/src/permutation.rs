@@ -65,9 +65,14 @@ impl PermutationConfig {
 /// Result of the permutation thresholding procedure.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PermutationThreshold {
-    /// The power threshold `p_T`.
+    /// The power threshold `p_T` — exact when all `m` rounds ran. When
+    /// [`permutation_filter`] rejected early it is the `(m − rank + 1)`-th
+    /// largest shuffle maximum seen so far: a lower bound on `p_T` that is
+    /// already `>=` the observed maximum, so no spectral line exceeds it.
     pub threshold: f64,
-    /// Maximum periodogram power of each shuffled copy (ascending order).
+    /// Maximum periodogram power of each shuffle round that ran (ascending
+    /// order). Its length is the number of rounds run: `m`, or fewer after
+    /// an early reject.
     pub shuffled_maxima: Vec<f64>,
 }
 
@@ -99,19 +104,6 @@ pub fn permutation_threshold(
 }
 
 /// Like [`permutation_threshold`] with an explicit [`SpectralWorkspace`].
-///
-/// The `m` rounds are *batched*: each round shuffles one rolling sample
-/// buffer in place (a single `StdRng` stream, exactly as the unbatched
-/// loop did, so row contents — and hence `shuffled_maxima` — are
-/// bit-identical) and appends it to a contiguous `m × n` matrix recycled
-/// through the workspace arena. One planned pass then transforms the whole
-/// matrix — two rounds per FFT in the workspace's default
-/// [`RealHalf`](crate::workspace::SpectralMode::RealHalf) mode, halving
-/// the transform count of the detection hot loop; in
-/// [`ComplexFull`](crate::workspace::SpectralMode::ComplexFull) mode the
-/// per-round maxima are bit-for-bit those of the legacy loop. Only the
-/// per-shuffle *maximum* power is kept, since that is all the order
-/// statistic needs.
 pub fn permutation_threshold_in(
     ws: &SpectralWorkspace,
     series: &TimeSeries,
@@ -120,12 +112,9 @@ pub fn permutation_threshold_in(
     permutation_threshold_budgeted(ws, series, config, &ExecBudget::unlimited())
 }
 
-/// Like [`permutation_threshold_in`] under an [`ExecBudget`]: each of the
-/// `m` rounds first charges `n` work units (one shuffle + one `n`-bin
-/// transform) and aborts with [`TimeSeriesError::BudgetExhausted`] once the
-/// budget is spent. With an unlimited budget the checkpoint never fires and
-/// the result — including the RNG stream — is byte-identical to
-/// [`permutation_threshold_in`].
+/// Like [`permutation_threshold_in`] under an [`ExecBudget`]: the exact
+/// `p_T` over all `m` rounds, i.e. [`permutation_filter`] against an
+/// observed maximum of `+∞`, which no shuffle can meet.
 ///
 /// # Errors
 ///
@@ -136,68 +125,104 @@ pub fn permutation_threshold_budgeted(
     config: &PermutationConfig,
     budget: &ExecBudget,
 ) -> Result<PermutationThreshold, TimeSeriesError> {
+    permutation_filter(ws, series, config, f64::INFINITY, budget)
+}
+
+/// The permutation filter with an exact early reject: runs shuffle rounds
+/// until `p_T` is known or `observed_max` (the original series'
+/// [`max_power`](crate::periodogram::Periodogram::max_power)) provably
+/// cannot exceed it.
+///
+/// `p_T` is the `rank = ⌈C·m⌉`-th smallest of the `m` shuffle maxima and
+/// the filter keeps lines with power strictly `> p_T`, so the candidate
+/// set is empty iff `observed_max <= p_T`, iff at least `m − rank + 1`
+/// maxima are `>= observed_max` (ties reject). Once that many are seen
+/// the remaining rounds cannot change the verdict and are skipped; the
+/// rounds that do run draw from the same single `StdRng` stream, paired
+/// `(1,2), (3,4), …` per packed FFT, so their maxima are bit-identical to
+/// the first rounds of the full run. See [`PermutationThreshold`] for what
+/// the result carries after an early reject.
+///
+/// Each round first charges `n` work units (one shuffle + one `n`-bin
+/// transform) and aborts with [`TimeSeriesError::BudgetExhausted`] once
+/// the budget is spent. With an unlimited budget the checkpoint never
+/// fires and the result — including the RNG stream — is byte-identical to
+/// the unbudgeted entry points.
+///
+/// # Errors
+///
+/// Propagates configuration validation errors and budget exhaustion.
+pub fn permutation_filter(
+    ws: &SpectralWorkspace,
+    series: &TimeSeries,
+    config: &PermutationConfig,
+    observed_max: f64,
+    budget: &ExecBudget,
+) -> Result<PermutationThreshold, TimeSeriesError> {
     config.validate()?;
-    let mut samples = series.centered();
-    let n = samples.len();
     let m = config.permutations;
-    let mut rng = StdRng::seed_from_u64(config.seed);
-
-    // Degenerate series (< 4 bins) have an empty spectrum: max power 0 per
-    // round, matching `Periodogram::from_samples` on the same input. The
-    // budget and RNG stream are still consumed round-by-round so the
-    // degenerate path stays charge- and stream-identical to the full one.
-    if n < 4 {
-        let mut maxima = Vec::with_capacity(m);
-        for _ in 0..m {
-            budget.checkpoint(n as u64)?;
-            samples.shuffle(&mut rng);
-            maxima.push(0.0);
-        }
-        let threshold = maxima[quantile_rank(config.confidence, m) - 1];
-        return Ok(PermutationThreshold {
-            threshold,
-            shuffled_maxima: maxima,
-        });
-    }
-
-    // Fill the batched round matrix: each round charges its budget
-    // checkpoint, shuffles the rolling buffer (one RNG stream across all
-    // rounds — bit-identical rows to the unbatched loop), and appends it.
-    let mut rows = ws.take_rows();
-    rows.clear();
-    rows.reserve(m * n);
-    let mut exhausted = None;
-    for _ in 0..m {
-        if let Err(e) = budget.checkpoint(n as u64) {
-            exhausted = Some(e);
-            break;
-        }
-        samples.shuffle(&mut rng);
-        rows.extend_from_slice(&samples);
-    }
-    if let Some(e) = exhausted {
-        ws.put_rows(rows);
-        return Err(e);
-    }
-
-    // One planned pass over the matrix (two rounds per FFT in RealHalf
-    // mode), then one division by n per round. Dividing the unnormalized
-    // maximum is bit-identical to maximizing over per-bin `norm_sqr()/n`:
-    // division by a positive constant is monotone under IEEE
-    // round-to-nearest, so the same bin wins and the same quotient comes
-    // out.
-    let mut maxima = ws.shuffled_half_power_maxima(&rows, n);
-    ws.put_rows(rows);
-    for v in &mut maxima {
-        *v /= n as f64;
-    }
+    let to_reject = m - quantile_rank(config.confidence, m) + 1;
+    let mut maxima = ws.with_rows(|rows| {
+        round_maxima(ws, series, config, observed_max, to_reject, budget, rows)
+    })?;
     maxima.sort_by(f64::total_cmp);
-
-    let threshold = maxima[quantile_rank(config.confidence, m) - 1];
+    // All m rounds: index m − to_reject = rank − 1, the order statistic.
+    // Early reject: the to_reject-th largest of the rounds run.
+    let threshold = maxima[maxima.len() - to_reject];
     Ok(PermutationThreshold {
         threshold,
         shuffled_maxima: maxima,
     })
+}
+
+/// Per-round shuffle maxima in round order, stopping after the batch in
+/// which `to_reject` of them have met `observed_max`. `rows` is the
+/// two-round arena recycled through the workspace.
+fn round_maxima(
+    ws: &SpectralWorkspace,
+    series: &TimeSeries,
+    config: &PermutationConfig,
+    observed_max: f64,
+    to_reject: usize,
+    budget: &ExecBudget,
+    rows: &mut Vec<f64>,
+) -> Result<Vec<f64>, TimeSeriesError> {
+    let mut samples = series.centered();
+    let n = samples.len();
+    let m = config.permutations;
+    let mut rng = StdRng::seed_from_u64(config.seed);
+    let mut maxima = Vec::with_capacity(m);
+    let mut met = 0;
+    while maxima.len() < m && met < to_reject {
+        // Two rounds ride one packed FFT; each charges its checkpoint and
+        // shuffles the rolling buffer (one RNG stream across all rounds).
+        let rounds = (m - maxima.len()).min(2);
+        rows.clear();
+        for _ in 0..rounds {
+            budget.checkpoint(n as u64)?;
+            samples.shuffle(&mut rng);
+            rows.extend_from_slice(&samples);
+        }
+        if n < 4 {
+            // Degenerate series have an empty spectrum: max power 0 per
+            // round, matching `Periodogram::from_samples`; budget and RNG
+            // are still consumed round-by-round.
+            maxima.resize(maxima.len() + rounds, 0.0);
+        } else {
+            // One division by n per round. Dividing the unnormalized
+            // maximum is bit-identical to maximizing over per-bin
+            // `norm_sqr()/n`: division by a positive constant is monotone
+            // under IEEE round-to-nearest, so the same bin wins and the
+            // same quotient comes out.
+            let batch = ws.shuffled_half_power_maxima(rows, n);
+            maxima.extend(batch.into_iter().map(|v| v / n as f64));
+        }
+        met += maxima[maxima.len() - rounds..]
+            .iter()
+            .filter(|&&v| v >= observed_max)
+            .count();
+    }
+    Ok(maxima)
 }
 
 /// 1-based rank of the `⌈C·m⌉`-th smallest order statistic, robust to
@@ -312,10 +337,23 @@ mod tests {
         let a = permutation_threshold_in(&ws, &series, &cfg).unwrap();
         let b = permutation_threshold(&series, &cfg).unwrap();
         assert_eq!(a, b);
-        // One plan for the series length; the batched RealHalf pass rides
-        // two rounds per physical FFT.
+        // One plan for the series length; the full threshold runs every
+        // round, two per physical FFT.
         assert_eq!(ws.plans_built(), 1);
         assert_eq!(ws.transforms_run(), cfg.permutations.div_ceil(2));
+
+        // Against the beacon's own peak no shuffle comes close: all m
+        // rounds again. Against a maximum every shuffle meets, the first
+        // packed FFT (2 rounds = m − rank + 1 exceedances) settles it.
+        let peak = Periodogram::compute(&series).max_power();
+        let unlimited = ExecBudget::unlimited();
+        let kept = permutation_filter(&ws, &series, &cfg, peak, &unlimited).unwrap();
+        assert_eq!(kept, a);
+        let before = ws.transforms_run();
+        let rejected = permutation_filter(&ws, &series, &cfg, 0.0, &unlimited).unwrap();
+        assert_eq!(ws.transforms_run() - before, 1);
+        assert_eq!(rejected.shuffled_maxima.len(), 2);
+        assert_eq!(rejected.threshold, rejected.shuffled_maxima[0]);
     }
 
     #[test]
@@ -456,23 +494,143 @@ mod tests {
 
     #[test]
     fn budget_stops_rounds_deterministically() {
-        use crate::budget::ExecBudget;
         let series = beacon_series(80, 15);
         let cfg = PermutationConfig::default();
         let n = series.len() as u64;
         let ws = crate::workspace::SpectralWorkspace::new();
 
-        // Enough for exactly 3 rounds: the 4th checkpoint exceeds the cap.
+        // Enough for exactly 3 rounds: the 4th checkpoint exceeds the cap,
+        // after the first two rounds' packed FFT already ran.
         let budget = ExecBudget::new(None, Some(3 * n));
         let err = permutation_threshold_budgeted(&ws, &series, &cfg, &budget);
         assert_eq!(err, Err(TimeSeriesError::BudgetExhausted));
         assert_eq!(budget.ops_used(), 4 * n, "charged through the 4th round");
+        assert_eq!(ws.transforms_run(), 1);
+
+        // The charge follows the work: an early reject pays for the rounds
+        // it ran, so the same ceiling that starves the full threshold is
+        // ample for a pair rejected after one packed FFT.
+        let budget = ExecBudget::new(None, Some(3 * n));
+        let rejected = permutation_filter(&ws, &series, &cfg, 0.0, &budget).unwrap();
+        assert_eq!(budget.ops_used(), rejected.shuffled_maxima.len() as u64 * n);
 
         // Unlimited budget is byte-identical to the unbudgeted entry point.
         let unlimited = ExecBudget::unlimited();
         let a = permutation_threshold_budgeted(&ws, &series, &cfg, &unlimited).unwrap();
         let b = permutation_threshold_in(&ws, &series, &cfg).unwrap();
         assert_eq!(a, b);
+    }
+
+    /// Series shapes the exactness argument must hold on: beacon, random
+    /// arrivals, constant, degenerate (n < 4), odd and even n.
+    fn exactness_corpus() -> Vec<TimeSeries> {
+        let mut rng = StdRng::seed_from_u64(11);
+        let mut t = 0u64;
+        let random: Vec<u64> = (0..80)
+            .map(|_| {
+                t += rng.random_range(1..30);
+                t
+            })
+            .collect();
+        vec![
+            beacon_series(40, 17), // n = 664, even
+            beacon_series(41, 17), // n = 681, odd
+            TimeSeries::from_timestamps(&random, 1).unwrap(),
+            TimeSeries::from_timestamps(&random[..79], 1).unwrap(),
+            TimeSeries::from_values(0, 1, vec![1.0; 64]).unwrap(),
+            TimeSeries::from_values(0, 1, vec![2.0, 0.0, 1.0]).unwrap(),
+            TimeSeries::from_values(0, 1, vec![3.0]).unwrap(),
+        ]
+    }
+
+    #[test]
+    fn early_reject_is_exact_and_a_prefix_of_the_full_run() {
+        let ws = crate::workspace::SpectralWorkspace::new();
+        let unlimited = ExecBudget::unlimited();
+        for series in exactness_corpus() {
+            let own_max = Periodogram::compute(&series).max_power();
+            for m in [1usize, 2, 19, 20, 21] {
+                for confidence in [0.5, 0.95, 1.0] {
+                    let cfg = PermutationConfig {
+                        permutations: m,
+                        confidence,
+                        ..Default::default()
+                    };
+                    let to_reject = m - quantile_rank(confidence, m) + 1;
+                    let mut rows = Vec::new();
+                    let mut rounds = |observed: f64| {
+                        round_maxima(
+                            &ws, &series, &cfg, observed, to_reject, &unlimited, &mut rows,
+                        )
+                        .unwrap()
+                    };
+                    let full = rounds(f64::INFINITY);
+                    assert_eq!(full.len(), m);
+                    let p_t = permutation_threshold_in(&ws, &series, &cfg)
+                        .unwrap()
+                        .threshold;
+                    // The series' own maximum, plus every shuffle maximum
+                    // as an exact tie and its two neighbours.
+                    let mut observed = vec![own_max];
+                    for &v in &full {
+                        observed.extend([v, f64::from_bits(v.to_bits() + 1)]);
+                        if v > 0.0 {
+                            observed.push(f64::from_bits(v.to_bits() - 1));
+                        }
+                    }
+                    for x in observed {
+                        let early = rounds(x);
+                        let tag = format!("n={} m={m} C={confidence} x={x}", series.len());
+                        // Unsorted per-round maxima: a bit-identical prefix,
+                        // ending with the first batch that settles it.
+                        let mut met = 0;
+                        let stop = full.chunks(2).position(|batch| {
+                            met += batch.iter().filter(|&&v| v >= x).count();
+                            met >= to_reject
+                        });
+                        let expect = stop.map_or(m, |i| (2 * (i + 1)).min(m));
+                        assert_eq!(early.len(), expect, "{tag}");
+                        for (a, b) in early.iter().zip(&full) {
+                            assert_eq!(a.to_bits(), b.to_bits(), "{tag}");
+                        }
+                        let result = permutation_filter(&ws, &series, &cfg, x, &unlimited).unwrap();
+                        assert_eq!(result.shuffled_maxima.len(), early.len(), "{tag}");
+                        // Rejects iff x <= p_T; `lines_above` is the strict
+                        // `power > threshold`, so a reject needs x <= the
+                        // reported bound and a pass needs the exact p_T.
+                        if x <= p_t {
+                            assert!(x <= result.threshold && result.threshold <= p_t, "{tag}");
+                        } else {
+                            assert_eq!(early.len(), m, "{tag}");
+                            assert_eq!(result.threshold.to_bits(), p_t.to_bits(), "{tag}");
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn tie_with_a_shuffle_maximum_counts_as_an_exceedance() {
+        // C = 1: p_T is the largest maximum, one exceedance rejects. An
+        // observed maximum exactly equal to the first batch's larger one
+        // is `<= p_T`, so the strict filter keeps nothing — that batch
+        // must settle it. One ULP higher and it no longer does.
+        let series = exactness_corpus().swap_remove(2);
+        let cfg = PermutationConfig {
+            confidence: 1.0,
+            ..Default::default()
+        };
+        let ws = crate::workspace::SpectralWorkspace::new();
+        let unlimited = ExecBudget::unlimited();
+        let first = permutation_filter(&ws, &series, &cfg, 0.0, &unlimited).unwrap();
+        assert_eq!(first.shuffled_maxima.len(), 2);
+        let tie = first.shuffled_maxima[1];
+        let tied = permutation_filter(&ws, &series, &cfg, tie, &unlimited).unwrap();
+        assert_eq!(tied, first);
+        let above = f64::from_bits(tie.to_bits() + 1);
+        let kept = permutation_filter(&ws, &series, &cfg, above, &unlimited).unwrap();
+        assert!(kept.shuffled_maxima.len() > 2);
     }
 
     #[test]

@@ -193,16 +193,12 @@ impl TimeSeries {
 
     /// Clips the series to at most `max_bins` bins (keeping the earliest
     /// bins); used to bound the FFT cost on pathologically long spans.
-    pub fn truncated(&self, max_bins: usize) -> TimeSeries {
-        if self.values.len() <= max_bins {
-            return self.clone();
+    pub fn truncated(mut self, max_bins: usize) -> TimeSeries {
+        if self.values.len() > max_bins {
+            self.values.truncate(max_bins);
+            self.event_count = self.values.iter().map(|&v| v as usize).sum();
         }
-        TimeSeries {
-            start: self.start,
-            scale: self.scale,
-            values: self.values[..max_bins].to_vec(),
-            event_count: self.values[..max_bins].iter().map(|&v| v as usize).sum(),
-        }
+        self
     }
 }
 
@@ -338,7 +334,7 @@ mod tests {
     #[test]
     fn truncated_caps_length() {
         let ts = TimeSeries::from_values(0, 1, vec![1.0; 100]).unwrap();
-        assert_eq!(ts.truncated(10).len(), 10);
+        assert_eq!(ts.clone().truncated(10).len(), 10);
         assert_eq!(ts.truncated(200).len(), 100);
     }
 

@@ -113,7 +113,7 @@ struct Inner {
     half: Vec<Complex<f64>>,
     /// Recycled real sample buffer (r2c input / c2r output).
     real: Vec<f64>,
-    /// Recycled matrix arena for batched permutation rounds.
+    /// Recycled two-round (`2·n`) arena for the permutation filter.
     rows: Vec<f64>,
     plans_built: usize,
     plans_built_c2c: usize,
@@ -668,18 +668,17 @@ impl SpectralWorkspace {
         }
     }
 
-    /// Detaches the recycled permutation-matrix arena (see
-    /// [`shuffled_half_power_maxima`](Self::shuffled_half_power_maxima)).
-    pub(crate) fn take_rows(&self) -> Vec<f64> {
-        std::mem::take(&mut self.inner.borrow_mut().rows)
-    }
-
-    /// Returns the permutation-matrix arena for reuse.
-    pub(crate) fn put_rows(&self, rows: Vec<f64>) {
+    /// Lends the recycled two-round arena of the permutation filter (see
+    /// [`shuffled_half_power_maxima`](Self::shuffled_half_power_maxima))
+    /// to `f`, detached like the other buffers so `f` may use the workspace.
+    pub(crate) fn with_rows<R>(&self, f: impl FnOnce(&mut Vec<f64>) -> R) -> R {
+        let mut rows = std::mem::take(&mut self.inner.borrow_mut().rows);
+        let out = f(&mut rows);
         let mut inner = self.inner.borrow_mut();
         if rows.capacity() >= inner.rows.capacity() {
             inner.rows = rows;
         }
+        out
     }
 }
 

@@ -3,9 +3,12 @@
 use baywatch_timeseries::acf::Autocorrelation;
 use baywatch_timeseries::gmm::{fit_gmm, select_gmm, GmmConfig};
 use baywatch_timeseries::periodogram::Periodogram;
-use baywatch_timeseries::permutation::{permutation_threshold, PermutationConfig};
+use baywatch_timeseries::permutation::{
+    permutation_filter, permutation_threshold, permutation_threshold_in, PermutationConfig,
+};
 use baywatch_timeseries::series::TimeSeries;
 use baywatch_timeseries::symbolize::{match_fraction, ngram_histogram, symbolize};
+use baywatch_timeseries::{ExecBudget, SpectralWorkspace};
 use proptest::prelude::*;
 
 fn sorted_timestamps() -> impl Strategy<Value = Vec<u64>> {
@@ -15,8 +18,93 @@ fn sorted_timestamps() -> impl Strategy<Value = Vec<u64>> {
     })
 }
 
+/// Series shapes the early-reject exactness argument must hold on: clean
+/// and jittered beacons, memoryless gaps, a constant series and degenerate
+/// (n < 4) ones; the drawn gaps make n odd and even alike.
+fn filter_series() -> impl Strategy<Value = TimeSeries> {
+    let from_gaps = |gaps: Vec<u64>| {
+        let ts: Vec<u64> = gaps
+            .iter()
+            .scan(0u64, |t, g| {
+                *t += g;
+                Some(*t)
+            })
+            .collect();
+        TimeSeries::from_timestamps(&ts, 1).unwrap()
+    };
+    prop_oneof![
+        (2u64..40, 8usize..60).prop_map(move |(period, count)| from_gaps(vec![period; count])),
+        (5u64..40, prop::collection::vec(0u64..4, 8..60)).prop_map(move |(period, jitter)| {
+            from_gaps(jitter.into_iter().map(|j| period + j).collect())
+        }),
+        prop::collection::vec(1u64..40, 8..120).prop_map(from_gaps),
+        (4usize..200, 1u32..5).prop_map(|(n, c)| TimeSeries::from_values(
+            0,
+            1,
+            vec![f64::from(c); n]
+        )
+        .unwrap()),
+        prop::collection::vec(0u32..4, 1..4).prop_map(|v| TimeSeries::from_values(
+            0,
+            1,
+            v.into_iter().map(f64::from).collect()
+        )
+        .unwrap()),
+    ]
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// The early-reject filter is exact: it rejects iff the observed
+    /// maximum is `<= p_T` of the full m-round run (ties reject), passes
+    /// carry the exact `p_T`, and the rounds it ran are the first rounds
+    /// of the full run, bit for bit.
+    #[test]
+    fn early_reject_is_exact(
+        series in filter_series(),
+        m in prop::sample::select(vec![1usize, 2, 19, 20, 21]),
+        confidence in prop::sample::select(vec![0.5, 0.95, 1.0]),
+        seed in 0u64..1_000,
+    ) {
+        let cfg = PermutationConfig { permutations: m, confidence, seed };
+        let ws = SpectralWorkspace::new();
+        let unlimited = ExecBudget::unlimited();
+        let full = permutation_threshold_in(&ws, &series, &cfg).unwrap();
+        let periodogram = Periodogram::compute_in(&ws, &series);
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+
+        // The series' own maximum, and an exact tie with a shuffle maximum.
+        for observed in [periodogram.max_power(), full.threshold] {
+            let early = permutation_filter(&ws, &series, &cfg, observed, &unlimited).unwrap();
+            prop_assert_eq!(observed <= early.threshold, observed <= full.threshold);
+            prop_assert_eq!(
+                periodogram.lines_above(early.threshold).is_empty(),
+                periodogram.lines_above(full.threshold).is_empty()
+            );
+            if observed > full.threshold {
+                prop_assert_eq!(&early, &full);
+            } else {
+                prop_assert!(early.threshold <= full.threshold);
+            }
+            // Same seed, same (1,2),(3,4)… pairing: the first r rounds of
+            // the m-round run are an r-round run.
+            let rounds = early.shuffled_maxima.len();
+            prop_assert!(rounds == m || rounds & 1 == 0);
+            let prefix = permutation_threshold_in(
+                &ws,
+                &series,
+                &PermutationConfig { permutations: rounds, ..cfg },
+            )
+            .unwrap();
+            prop_assert_eq!(bits(&early.shuffled_maxima), bits(&prefix.shuffled_maxima));
+            // … and each of them is one of the full run's maxima.
+            let mut rest = full.shuffled_maxima.iter();
+            for v in &early.shuffled_maxima {
+                prop_assert!(rest.any(|f| f.to_bits() == v.to_bits()));
+            }
+        }
+    }
 
     /// ACF values are bounded by 1 in magnitude and ACF(0) = 1 for any
     /// non-degenerate series.

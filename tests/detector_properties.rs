@@ -1,8 +1,10 @@
 //! Property-based tests on the core detection invariants, spanning the
 //! timeseries and netsim crates.
 
-use baywatch::netsim::synth::{random_arrivals, SyntheticBeacon};
+use baywatch::netsim::synth::{multi_period_burst, random_arrivals, SyntheticBeacon};
 use baywatch::timeseries::detector::{DetectorConfig, PeriodicityDetector};
+use baywatch::timeseries::periodogram::{Periodogram, SpectralLine};
+use baywatch::timeseries::permutation::permutation_threshold;
 use baywatch::timeseries::series::{intervals_of, TimeSeries};
 use baywatch::timeseries::ExecBudget;
 use proptest::prelude::*;
@@ -43,8 +45,68 @@ fn regression_clean_beacon_period_83_seed_6() {
     }
 }
 
+/// Step 1 evaluated in full from its public pieces — every shuffle round,
+/// the exact `p_T`, the strongest-k cut — as the reference the detector's
+/// early reject must agree with.
+fn full_step_one(ts: &[u64], cfg: &DetectorConfig) -> (f64, Vec<SpectralLine>) {
+    let series = TimeSeries::from_timestamps(ts, cfg.time_scale).unwrap();
+    let p_t = permutation_threshold(&series, &cfg.permutation)
+        .unwrap()
+        .threshold;
+    let mut raw = Periodogram::compute(&series).lines_above(p_t);
+    raw.truncate(cfg.max_candidates);
+    (p_t, raw)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// Over a corpus shaped like pipebench's `detect_mix` (mostly
+    /// memoryless pairs, some clean and noisy beacons, some two-scale
+    /// bursts) the detector's verdict equals the full evaluation's: a
+    /// pair leaves Step 1 empty-handed exactly when no line exceeds the
+    /// full `p_T`, and a pair that passes carries that `p_T` and those
+    /// lines, in that order, into pruning.
+    #[test]
+    fn early_reject_never_changes_the_verdict(
+        kind in 0usize..10,
+        count in 20usize..160,
+        gap in 10u64..120,
+        seed in 0u64..1_000,
+    ) {
+        let period = gap as f64;
+        let ts = match kind {
+            0..=5 => random_arrivals(1_000_000, count, period, seed),
+            6 => SyntheticBeacon { period, count, ..Default::default() }.generate(seed),
+            7 | 8 => SyntheticBeacon {
+                period,
+                gaussian_sigma: 0.03 * period,
+                p_miss: 0.1,
+                add_rate: 0.1,
+                count,
+                ..Default::default()
+            }
+            .generate(seed),
+            _ => multi_period_burst(1_000_000, 2 + count / 20, 12, period / 4.0, 20.0 * period, 0.5, seed),
+        };
+        let cfg = DetectorConfig::default();
+        let report = PeriodicityDetector::new(cfg.clone()).detect(&ts).unwrap();
+        let (p_t, raw) = full_step_one(&ts, &cfg);
+        prop_assert_eq!(report.is_periodic(), !report.candidates.is_empty());
+        if raw.is_empty() {
+            prop_assert_eq!(report.raw_candidates, 0);
+            prop_assert!(report.candidates.is_empty() && report.prune_decisions.is_empty());
+            prop_assert!(report.power_threshold <= p_t);
+        } else {
+            prop_assert_eq!(report.power_threshold.to_bits(), p_t.to_bits());
+            // Steps 1a–1c add at most one line each, after these.
+            prop_assert!((raw.len()..=raw.len() + 3).contains(&report.raw_candidates));
+            prop_assert_eq!(report.prune_decisions.len(), report.raw_candidates);
+            let carried: Vec<SpectralLine> =
+                report.prune_decisions.iter().take(raw.len()).map(|d| d.line).collect();
+            prop_assert_eq!(carried, raw);
+        }
+    }
 
     /// Any clean periodic train with a sane period and enough events is
     /// detected, and the recovered period is within 10% of the truth.

@@ -150,6 +150,18 @@ fn every_stage_appears_with_real_counts() {
     assert!(counter(&exported, "detector.acf.verified") > 0);
     assert!(counter(&exported, "detector.gmm.fitted") > 0);
 
+    // Step 1 accounts for every analyzed pair: it either left with no
+    // candidate (as few as 2 shuffle rounds) or passed on all m = 20, and
+    // only pairs that passed reach the GMM. No budget is armed here.
+    let analyzed = counter(&exported, "detector.pairs_analyzed");
+    let rejected = counter(&exported, "detector.permutation.rejected");
+    let rounds = counter(&exported, "detector.permutation.rounds");
+    assert_eq!(counter(&exported, "detector.budget_exhausted"), 0);
+    assert!(rejected <= analyzed);
+    let passed = analyzed - rejected;
+    assert!((20 * passed + 2 * rejected..=20 * analyzed).contains(&rounds));
+    assert!(counter(&exported, "detector.gmm.fitted") <= passed);
+
     // MapReduce ran at least extract + detect jobs.
     assert!(counter(&exported, "mapreduce.jobs") >= 2);
 
