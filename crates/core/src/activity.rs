@@ -34,19 +34,48 @@ impl ActivitySummary {
     ///
     /// Records may arrive unsorted (MapReduce shuffle order) and may carry
     /// duplicate timestamps (retransmissions, log replays, clock skew
-    /// folding two events onto one second); raw timestamps are sorted and
-    /// deduplicated here before quantization, so degraded input yields the
-    /// same summary as its clean equivalent. All records must belong to the
-    /// same pair — only the first record's pair is consulted.
+    /// folding two events onto one second); see [`Self::from_events`], which
+    /// this delegates to. All records must belong to the same pair — only
+    /// the first record's pair is consulted.
     ///
     /// # Errors
     ///
     /// Returns [`CoreError::InvalidConfig`] if `records` is empty or
     /// `scale == 0`.
     pub fn from_records(records: &[LogRecord], scale: u64) -> Result<Self, CoreError> {
-        if records.is_empty() {
+        let Some(first) = records.first() else {
             return Err(CoreError::InvalidConfig {
                 name: "records",
+                constraint: "must be non-empty",
+            });
+        };
+        let pair = CommunicationPair::new(&first.source, &first.domain);
+        let events: Vec<(u64, &str)> = records
+            .iter()
+            .map(|r| (r.timestamp, r.url_token.as_str()))
+            .collect();
+        Self::from_events(pair, &events, scale)
+    }
+
+    /// Builds the summary of `pair` from its `(timestamp, url token)`
+    /// events — what the data-extraction job shuffles per log line.
+    ///
+    /// Raw timestamps are sorted and deduplicated here before quantization,
+    /// so unsorted or degraded input yields the same summary as its clean
+    /// equivalent. Empty tokens (sources without a URL path) are skipped.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`CoreError::InvalidConfig`] if `events` is empty or
+    /// `scale == 0`.
+    pub fn from_events(
+        pair: CommunicationPair,
+        events: &[(u64, &str)],
+        scale: u64,
+    ) -> Result<Self, CoreError> {
+        if events.is_empty() {
+            return Err(CoreError::InvalidConfig {
+                name: "events",
                 constraint: "must be non-empty",
             });
         }
@@ -56,22 +85,23 @@ impl ActivitySummary {
                 constraint: "must be at least 1",
             });
         }
-        let pair = CommunicationPair::new(&records[0].source, &records[0].domain);
         // Sort and dedupe *raw* timestamps first: an exact duplicate is one
         // event observed twice and must collapse, while two distinct raw
         // timestamps landing in the same coarse bin remain a genuine
         // zero-interval (mapped to `y` by downstream symbolization).
-        let mut raw: Vec<u64> = records.iter().map(|r| r.timestamp).collect();
+        let mut raw: Vec<u64> = events.iter().map(|&(t, _)| t).collect();
         raw.sort_unstable();
         raw.dedup();
         let timestamps: Vec<u64> = raw.into_iter().map(|t| t / scale * scale).collect();
         let first_timestamp = timestamps[0];
         let intervals = timestamps.windows(2).map(|w| w[1] - w[0]).collect();
-        let url_tokens = records
+        // Dedupe borrowed, then own: one `String` per distinct token.
+        let distinct: BTreeSet<&str> = events
             .iter()
-            .filter(|r| !r.url_token.is_empty())
-            .map(|r| r.url_token.clone())
+            .map(|&(_, token)| token)
+            .filter(|token| !token.is_empty())
             .collect();
+        let url_tokens = distinct.into_iter().map(str::to_owned).collect();
         Ok(Self {
             pair,
             scale,
@@ -265,6 +295,38 @@ mod tests {
     fn errors_on_bad_input() {
         assert!(ActivitySummary::from_records(&[], 1).is_err());
         assert!(ActivitySummary::from_records(&records(("s", "d"), &[1]), 0).is_err());
+    }
+
+    #[test]
+    fn from_events_and_from_records_agree_on_degraded_input() {
+        // Unsorted, duplicate timestamps, empty and repeated tokens:
+        // 100, 160, 161, 220 quantize to 60, 120, 120, 180.
+        let rows = [
+            (220, "b"),
+            (100, ""),
+            (160, "a"),
+            (100, "b"),
+            (220, ""),
+            (161, "a"),
+        ];
+        let expected = ActivitySummary {
+            pair: CommunicationPair::new("s", "d.com"),
+            scale: 60,
+            first_timestamp: 60,
+            intervals: vec![60, 0, 60],
+            url_tokens: ["a", "b"].into_iter().map(String::from).collect(),
+        };
+        let from_events = ActivitySummary::from_events(expected.pair.clone(), &rows, 60).unwrap();
+        assert_eq!(from_events, expected);
+        let rs: Vec<LogRecord> = rows
+            .iter()
+            .map(|&(t, token)| LogRecord::new(t, "s", "d.com", token))
+            .collect();
+        assert_eq!(ActivitySummary::from_records(&rs, 60).unwrap(), expected);
+
+        let pair = || CommunicationPair::new("s", "d.com");
+        assert!(ActivitySummary::from_events(pair(), &[], 1).is_err());
+        assert!(ActivitySummary::from_events(pair(), &rows, 0).is_err());
     }
 
     #[test]

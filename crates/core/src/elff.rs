@@ -17,7 +17,7 @@
 
 use std::io::BufRead;
 
-use crate::io::{ParseLineError, ReadOutcome};
+use crate::io::{for_each_line, ParseLineError, ReadOutcome};
 use crate::record::LogRecord;
 
 /// Column roles the pipeline needs.
@@ -124,27 +124,22 @@ pub fn read_elff<R: BufRead>(reader: R) -> std::io::Result<ReadOutcome> {
     let mut outcome = ReadOutcome::default();
     let mut parser = ElffParser::new();
 
-    // Byte-wise line splitting so invalid UTF-8 degrades to a malformed
-    // line (via the lossy conversion) instead of killing the whole stream.
-    for (i, raw) in reader.split(b'\n').enumerate() {
-        let raw = raw?;
-        let line = String::from_utf8_lossy(&raw);
-        let trimmed = line.trim();
+    for_each_line(reader, |trimmed, line_number| {
         if trimmed.is_empty() {
-            continue;
+            return;
         }
         if let Some(fields) = trimmed.strip_prefix("#Fields:") {
             parser.set_schema(fields);
-            continue;
+            return;
         }
         if trimmed.starts_with('#') {
-            continue;
+            return;
         }
-        match parser.parse_data_line(trimmed, i + 1) {
+        match parser.parse_data_line(trimmed, line_number) {
             Ok(r) => outcome.records.push(r),
             Err(e) => outcome.note_error(e),
         }
-    }
+    })?;
     Ok(outcome)
 }
 

@@ -126,21 +126,36 @@ impl ReadOutcome {
 /// ```
 pub fn read_records<R: BufRead>(reader: R) -> std::io::Result<ReadOutcome> {
     let mut outcome = ReadOutcome::default();
-    // Byte-wise line splitting so invalid UTF-8 degrades to a malformed
-    // line (via the lossy conversion) instead of killing the whole stream.
-    for (i, raw) in reader.split(b'\n').enumerate() {
-        let raw = raw?;
-        let line = String::from_utf8_lossy(&raw);
-        let trimmed = line.trim();
+    for_each_line(reader, |trimmed, line_number| {
         if trimmed.is_empty() || trimmed.starts_with('#') {
-            continue;
+            return;
         }
-        match parse_line(trimmed, i + 1) {
+        match parse_line(trimmed, line_number) {
             Ok(r) => outcome.records.push(r),
             Err(e) => outcome.note_error(e),
         }
-    }
+    })?;
     Ok(outcome)
+}
+
+/// The one line loop of every reader: calls `visit` with each line of
+/// `reader`, trimmed, and its 1-based line number.
+///
+/// Lines are split byte-wise on `\n` into a single reused buffer, so
+/// invalid UTF-8 degrades to a malformed line (via the lossy conversion)
+/// instead of killing the whole stream.
+pub(crate) fn for_each_line<R: BufRead>(
+    mut reader: R,
+    mut visit: impl FnMut(&str, usize),
+) -> std::io::Result<()> {
+    let mut raw = Vec::new();
+    let mut line_number = 0;
+    while reader.read_until(b'\n', &mut raw)? > 0 {
+        line_number += 1;
+        visit(String::from_utf8_lossy(&raw).trim(), line_number);
+        raw.clear();
+    }
+    Ok(())
 }
 
 /// Writes records in the on-disk format. A `&mut` reference works as the
@@ -313,24 +328,21 @@ impl IngestGuard {
             .entry(source.to_string())
             .or_insert_with(|| CircuitBreaker::new(self.config, self.clock.clone()));
         let mut guarded = GuardedReadOutcome::default();
-        for (i, raw) in reader.split(b'\n').enumerate() {
-            let raw = raw?;
-            let line = String::from_utf8_lossy(&raw);
-            let trimmed = line.trim();
+        for_each_line(reader, |trimmed, line_number| {
             if !format.classify(trimmed) {
-                continue;
+                return;
             }
             guarded.offered_lines += 1;
             let probing = breaker.state() != BreakerState::Closed;
             if !breaker.allow() {
                 guarded.rejected_lines += 1;
-                continue;
+                return;
             }
             guarded.admitted_lines += 1;
             if probing {
                 guarded.probe_lines += 1;
             }
-            match format.parse(trimmed, i + 1) {
+            match format.parse(trimmed, line_number) {
                 Ok(r) => {
                     guarded.outcome.records.push(r);
                     breaker.record_success();
@@ -340,7 +352,7 @@ impl IngestGuard {
                     breaker.record_failure();
                 }
             }
-        }
+        })?;
         guarded.transitions = breaker.take_transitions();
         guarded.final_state = breaker.state();
         Ok(guarded)

@@ -4,11 +4,15 @@
 //! without reprocessing raw logs:
 //!
 //! * **Data extraction** (§VII-A): `⟨k, l⟩ → ⟨H(s,d), (s,d,ts)⟩` then
-//!   reduce to per-pair [`ActivitySummary`]s,
+//!   reduce to per-pair [`ActivitySummary`]s — the shuffle carries keys and
+//!   values *borrowed* from the window's records (a private `PairKey` and
+//!   `(timestamp, url token)`), so a log line costs no `String` and a pair
+//!   is owned once, in the reducer,
 //! * **Rescaling & merging** (§VII-B): coarsen summaries and merge
 //!   per-pair histories,
 //! * **Beaconing detection** (§VII-D): run the periodicity detector per
-//!   pair in the reduce step.
+//!   pair in the reduce step; summaries are shuffled by reference and
+//!   cloned only into a [`DetectRow::Hit`].
 //!
 //! (Destination popularity, §VII-C, lives in [`crate::popularity`]; ranking,
 //! §VII-E, in [`crate::rank`].)
@@ -37,8 +41,9 @@ use crate::record::LogRecord;
 /// Data-extraction job: raw records → one [`ActivitySummary`] per
 /// communication pair at time scale `scale`.
 ///
-/// MAP emits `(s, d)`-keyed records; REDUCE sorts each group's timestamps
-/// and produces the summary. Output order is deterministic (partition, then
+/// MAP emits each record's `(timestamp, url token)` keyed by `(s, d)`, all
+/// borrowed from `records`; REDUCE sorts each group's timestamps and
+/// produces the summary. Output order is deterministic (partition, then
 /// pair).
 pub fn extract_summaries(
     engine: &MapReduce,
@@ -72,27 +77,54 @@ pub fn extract_summaries_ft_with_policy(
     policy: &FaultPolicy,
 ) -> (Vec<ActivitySummary>, FaultReport) {
     engine.run_fault_tolerant_with_policy(
-        records,
-        |record, emit| {
+        records.iter().collect(),
+        |&record: &&LogRecord, emit| {
             if let Some(plan) = plan {
                 plan.map_checkpoint(record);
             }
-            let key = CommunicationPair::new(&record.source, &record.domain);
-            emit(key, record.clone());
+            let key = PairKey {
+                source: &record.source,
+                destination: &record.domain,
+            };
+            emit(key, (record.timestamp, record.url_token.as_str()));
         },
-        move |pair, group| {
+        move |key: &PairKey<'_>, events: &[(u64, &str)]| {
             if let Some(plan) = plan {
-                plan.reduce_checkpoint(pair);
+                plan.reduce_checkpoint(key);
             }
+            let pair = CommunicationPair::new(key.source, key.destination);
             // Groups are non-empty by construction and `scale` is validated
             // upstream, but a degenerate group is skipped, not fatal.
-            match ActivitySummary::from_records(group, scale) {
+            match ActivitySummary::from_events(pair, events, scale) {
                 Ok(summary) => vec![summary],
                 Err(_) => Vec::new(),
             }
         },
         policy,
     )
+}
+
+/// Shuffle key of the data-extraction job: a [`CommunicationPair`] borrowed
+/// from the window's records.
+///
+/// The engine partitions by `Hash`, orders reduce groups by `Ord` and
+/// samples quarantined keys (and matches [`FaultPlan`] poison keys) by
+/// `Debug`. All three agree with `CommunicationPair` — same field order
+/// for the derives, same struct name for `Debug` — so summary order and
+/// fault reports are those of the owned key.
+#[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
+struct PairKey<'a> {
+    source: &'a str,
+    destination: &'a str,
+}
+
+impl std::fmt::Debug for PairKey<'_> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("CommunicationPair")
+            .field("source", &self.source)
+            .field("destination", &self.destination)
+            .finish()
+    }
 }
 
 /// Rescaling & merging job: coarsens every summary to `new_scale` and
@@ -130,19 +162,9 @@ pub fn rescale_and_merge_ft(
                 Ok(s) => Some(s),
                 Err(_) => {
                     // Mixed scales: rebuild from quantized timestamps.
-                    let records: Vec<LogRecord> = summary
-                        .timestamps()
-                        .into_iter()
-                        .map(|t| {
-                            LogRecord::new(
-                                t,
-                                summary.pair.source.clone(),
-                                summary.pair.destination.clone(),
-                                "",
-                            )
-                        })
-                        .collect();
-                    ActivitySummary::from_records(&records, new_scale)
+                    let events: Vec<(u64, &str)> =
+                        summary.timestamps().into_iter().map(|t| (t, "")).collect();
+                    ActivitySummary::from_events(summary.pair.clone(), &events, new_scale)
                         .ok()
                         .map(|mut rebuilt| {
                             rebuilt.url_tokens = summary.url_tokens.clone();
@@ -265,15 +287,15 @@ pub fn detect_beaconing_budgeted_ft(
     policy: &FaultPolicy,
 ) -> (Vec<DetectRow>, FaultReport) {
     engine.run_fault_tolerant_with_policy(
-        summaries,
-        |summary: &ActivitySummary, emit| {
+        summaries.iter().collect(),
+        |&summary: &&ActivitySummary, emit| {
             if let Some(plan) = plan {
                 plan.map_checkpoint(&summary.pair);
             }
-            emit(summary.pair.clone(), summary.clone());
+            emit(&summary.pair, summary);
         },
-        move |pair, group: &[ActivitySummary]| {
-            detect_group(detector, &pair_budget, plan, pair, group)
+        move |pair: &&CommunicationPair, group: &[&ActivitySummary]| {
+            detect_group(detector, &pair_budget, plan, pair, group.iter().copied())
         },
         policy,
     )
@@ -281,12 +303,12 @@ pub fn detect_beaconing_budgeted_ft(
 
 /// Detection reduce step shared by the budgeted and checkpointed jobs: run
 /// every summary of one pair's group under a fresh budget.
-fn detect_group(
+fn detect_group<'s>(
     detector: &PeriodicityDetector,
     pair_budget: &BudgetSpec,
     plan: Option<&FaultPlan>,
     pair: &CommunicationPair,
-    group: &[ActivitySummary],
+    group: impl Iterator<Item = &'s ActivitySummary>,
 ) -> Vec<DetectRow> {
     if let Some(plan) = plan {
         plan.reduce_checkpoint(pair);
@@ -361,7 +383,7 @@ pub fn detect_beaconing_checkpointed_ft(
             emit(summary.pair.clone(), summary.clone());
         },
         move |pair, group: &[ActivitySummary]| {
-            detect_group(detector, &pair_budget, plan, pair, group)
+            detect_group(detector, &pair_budget, plan, pair, group.iter())
         },
         |rows: &[DetectRow]| crate::checkpoint::encode_rows(rows),
         |payload: &str| crate::checkpoint::decode_rows(payload),
@@ -438,8 +460,9 @@ fn dlq_entries_for_shard(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use baywatch_mapreduce::JobConfig;
+    use baywatch_mapreduce::{partition_of, JobConfig};
     use baywatch_timeseries::detector::DetectorConfig;
+    use proptest::prelude::*;
 
     fn engine() -> MapReduce {
         MapReduce::new(JobConfig {
@@ -467,6 +490,122 @@ mod tests {
             .unwrap();
         assert_eq!(ax.request_count(), 10);
         assert!(ax.intervals.iter().all(|&i| i == 60));
+    }
+
+    fn key_and_pair(names: &(String, String)) -> (PairKey<'_>, CommunicationPair) {
+        let key = PairKey {
+            source: &names.0,
+            destination: &names.1,
+        };
+        (key, CommunicationPair::new(&names.0, &names.1))
+    }
+
+    /// Everything the engine asks of a shuffle key — partition, order,
+    /// equality, `Debug` — answered alike by the borrowed and the owned key.
+    fn assert_key_mirrors_pair(a: &(String, String), b: &(String, String)) {
+        let ((ka, pa), (kb, pb)) = (key_and_pair(a), key_and_pair(b));
+        for partitions in [1, 8, 32] {
+            assert_eq!(partition_of(&ka, partitions), partition_of(&pa, partitions));
+        }
+        assert_eq!(ka.cmp(&kb), pa.cmp(&pb));
+        assert_eq!(ka == kb, pa == pb);
+        assert_eq!(format!("{ka:?}"), format!("{pa:?}"));
+        assert_eq!(format!("{ka:#?}"), format!("{pa:#?}"));
+    }
+
+    #[test]
+    fn pair_key_mirrors_communication_pair() {
+        // Field boundaries, shared prefixes, escapes and empty strings.
+        let names = [
+            ("ab", "c"),
+            ("a", "bc"),
+            ("a", "b"),
+            ("a", "b.com"),
+            ("", ""),
+            ("", "a"),
+            ("02:00:\"aa\"", "evil\\.com\n"),
+            ("höst", "日本.example"),
+        ]
+        .map(|(s, d)| (s.to_owned(), d.to_owned()));
+        for a in &names {
+            for b in &names {
+                assert_key_mirrors_pair(a, b);
+            }
+        }
+    }
+
+    proptest! {
+        #[test]
+        fn pair_key_mirrors_communication_pair_for_any_strings(
+            a in (any::<String>(), any::<String>()),
+            b in (any::<String>(), any::<String>()),
+        ) {
+            assert_key_mirrors_pair(&a, &b);
+            // Same source, so the destination decides.
+            assert_key_mirrors_pair(&a, &(a.0.clone(), b.1.clone()));
+        }
+    }
+
+    #[test]
+    fn extraction_matches_grouping_by_hand() {
+        use std::collections::BTreeMap;
+        // Five pairs interleaved out of time order, with duplicate
+        // timestamps, repeated and empty tokens.
+        let mut records = Vec::new();
+        for i in 0..40u64 {
+            let t = 10_000 - (i * 7919) % 5_000;
+            let token = ["", "a", "b"][(i % 3) as usize];
+            records.push(LogRecord::new(t, "h1", "x.com", token));
+            records.push(LogRecord::new(t + i % 2, "h2", "x.com", "a"));
+            records.push(LogRecord::new(t / 2, "h1", "y.org", ""));
+            if i % 4 == 0 {
+                records.push(LogRecord::new(t, "h3", "z.net", token));
+                records.push(LogRecord::new(t, "h3", "z.net", token));
+            }
+            if i == 17 {
+                records.push(LogRecord::new(t, "h4", "once.io", "only"));
+            }
+        }
+        let mut by_pair: BTreeMap<CommunicationPair, Vec<LogRecord>> = BTreeMap::new();
+        for r in &records {
+            by_pair
+                .entry(CommunicationPair::new(&r.source, &r.domain))
+                .or_default()
+                .push(r.clone());
+        }
+        // Engine order: partition index, then pair.
+        let mut expected: Vec<(usize, ActivitySummary)> = by_pair
+            .iter()
+            .map(|(pair, group)| {
+                let summary = ActivitySummary::from_records(group, 60).unwrap();
+                (partition_of(pair, 8), summary)
+            })
+            .collect();
+        expected.sort_by_key(|(partition, _)| *partition);
+        let expected: Vec<ActivitySummary> = expected.into_iter().map(|(_, s)| s).collect();
+        assert_eq!(expected.len(), 5);
+        assert_eq!(extract_summaries(&engine(), records, 60), expected);
+    }
+
+    #[test]
+    fn quarantine_samples_render_like_the_owned_types() {
+        let mut records = beacon_records("a", "x.com", 60, 10);
+        records.extend(beacon_records("bad", "evil.com", 30, 5));
+        records.push(LogRecord::new(7, "odd \"host\"", "p.com", "t"));
+        let key = r#"CommunicationPair { source: "bad", destination: "evil.com" }"#;
+        let input = concat!(
+            r#"LogRecord { timestamp: 7, source: "odd \"host\"", "#,
+            r#"domain: "p.com", url_token: "t" }"#
+        );
+        let plan = FaultPlan::new().poison_key(key).poison_input(input);
+        let (summaries, report) = extract_summaries_ft(&engine(), records, 1, Some(&plan));
+        assert_eq!(summaries.len(), 1);
+        assert_eq!(summaries[0].pair, CommunicationPair::new("a", "x.com"));
+        assert_eq!(report.key_samples, [key]);
+        assert_eq!(report.input_samples, [input]);
+        assert_eq!(report.quarantined_keys, 1);
+        assert_eq!(report.quarantined_inputs, 1);
+        assert_eq!(report.lost_values, 5);
     }
 
     #[test]

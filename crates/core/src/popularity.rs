@@ -30,22 +30,23 @@ impl PopularityStats {
         if total_sources == 0 {
             return Self::default();
         }
-        // MAP: record -> (domain, source); REDUCE: count distinct sources.
+        // MAP: record -> (domain, source), borrowed from the window;
+        // REDUCE: count distinct sources. Only a distinct domain is owned.
         let inputs: Vec<(&str, &str)> = records
             .iter()
             .map(|r| (r.domain.as_str(), r.source.as_str()))
             .collect();
         let pairs = engine.run(
             inputs,
-            |(d, s), emit| emit(d.to_owned(), s.to_owned()),
+            |(d, s), emit| emit(d, s),
             |d, sources| {
-                let distinct: HashSet<&String> = sources.iter().collect();
-                vec![(d.clone(), distinct.len())]
+                let distinct: HashSet<&str> = sources.into_iter().collect();
+                vec![(*d, distinct.len())]
             },
         );
         let per_domain = pairs
             .into_iter()
-            .map(|(d, n)| (d, n as f64 / total_sources as f64))
+            .map(|(d, n)| (d.to_owned(), n as f64 / total_sources as f64))
             .collect();
         Self {
             per_domain,
@@ -108,6 +109,31 @@ mod tests {
         assert_eq!(stats.distinct_destinations(), 2);
         assert_eq!(stats.source_count("popular.com"), 3);
         assert_eq!(stats.source_count("niche.com"), 1);
+    }
+
+    #[test]
+    fn repeated_lines_match_a_hand_count() {
+        use std::collections::BTreeMap;
+        // Every (source, domain) line appears one to three times.
+        let mut records = Vec::new();
+        for i in 0..60usize {
+            let s = format!("host{}", i % 12);
+            let d = format!("site{}.com", (i * i) % 7);
+            for _ in 0..=i % 3 {
+                records.push(record(&s, &d));
+            }
+        }
+        let mut by_domain: BTreeMap<&str, HashSet<&str>> = BTreeMap::new();
+        for r in &records {
+            by_domain.entry(&r.domain).or_default().insert(&r.source);
+        }
+        let stats = PopularityStats::compute(&engine(), &records);
+        assert_eq!(stats.total_sources(), 12);
+        assert_eq!(stats.distinct_destinations(), by_domain.len());
+        for (domain, sources) in by_domain {
+            assert_eq!(stats.popularity(domain), sources.len() as f64 / 12.0);
+            assert_eq!(stats.source_count(domain), sources.len());
+        }
     }
 
     #[test]

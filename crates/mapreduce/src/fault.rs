@@ -392,8 +392,7 @@ impl FaultPlan {
     pub fn save_checkpoint(&self) -> std::io::Result<()> {
         if self.save_fail_all.load(Ordering::SeqCst) {
             self.injected.fetch_add(1, Ordering::Relaxed);
-            return Err(std::io::Error::new(
-                std::io::ErrorKind::Other,
+            return Err(std::io::Error::other(
                 "injected fault: persistent checkpoint write failure",
             ));
         }
@@ -403,8 +402,7 @@ impl FaultPlan {
             .is_ok();
         if fired {
             self.injected.fetch_add(1, Ordering::Relaxed);
-            return Err(std::io::Error::new(
-                std::io::ErrorKind::Other,
+            return Err(std::io::Error::other(
                 "injected fault: transient checkpoint write failure",
             ));
         }

@@ -70,8 +70,11 @@ pub struct JobConfig {
     /// hash, e.g. 5 bits → 32 reduce tasks; [`JobConfig::with_hash_bits`]
     /// mirrors that.
     pub partitions: usize,
-    /// Number of worker threads for both the map and reduce phases.
-    /// Defaults to the available parallelism.
+    /// Number of map workers: the input is split into at most `threads`
+    /// contiguous chunks, one OS thread each. Defaults to the available
+    /// parallelism. The reduce phase is *not* bounded by this field — it
+    /// spawns one OS thread per partition ([`JobConfig::partitions`]) and
+    /// leaves scheduling them to the OS.
     pub threads: usize,
 }
 

@@ -152,6 +152,7 @@ fn arb_fault_report() -> impl Strategy<Value = FaultReport> {
                 map_elapsed: Duration::from_micros(map_us),
                 shuffle_elapsed: Duration::from_micros(shuffle_us),
                 reduce_elapsed: Duration::from_micros(reduce_us),
+                ..FaultReport::default()
             },
         )
 }

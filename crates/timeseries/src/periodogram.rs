@@ -180,7 +180,7 @@ impl Periodogram {
     /// (odd-length spectra have no self-conjugate top bin), `None` for odd
     /// `n` or a degenerate (`n < 4`) spectrum.
     pub fn nyquist_power(&self) -> Option<f64> {
-        if self.n % 2 == 0 {
+        if self.n.is_multiple_of(2) {
             self.lines.last().map(|l| l.power)
         } else {
             None

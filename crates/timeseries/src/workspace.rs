@@ -146,7 +146,7 @@ pub struct R2cPlan {
 
 impl R2cPlan {
     fn new(n: usize, half_fft: Arc<dyn Fft<f64>>) -> Self {
-        debug_assert!(n >= 2 && n % 2 == 0, "r2c requires even n >= 2");
+        debug_assert!(n >= 2 && n.is_multiple_of(2), "r2c requires even n >= 2");
         Self {
             n,
             half_fft,
@@ -218,7 +218,7 @@ pub struct C2rPlan {
 
 impl C2rPlan {
     fn new(n: usize, half_inv: Arc<dyn Fft<f64>>) -> Self {
-        debug_assert!(n >= 2 && n % 2 == 0, "c2r requires even n >= 2");
+        debug_assert!(n >= 2 && n.is_multiple_of(2), "c2r requires even n >= 2");
         Self {
             n,
             half_inv,
@@ -463,7 +463,7 @@ impl SpectralWorkspace {
         if n == 0 {
             return f(&[]);
         }
-        if self.mode == SpectralMode::ComplexFull || n % 2 != 0 {
+        if self.mode == SpectralMode::ComplexFull || !n.is_multiple_of(2) {
             return self.with_spectrum(samples, |spectrum| f(&spectrum[..n / 2 + 1]));
         }
         let plan = self.r2c(n);
@@ -552,7 +552,7 @@ impl SpectralWorkspace {
     ///
     /// Panics when `rows.len()` is not a multiple of `n` (debug builds).
     pub fn shuffled_half_power_maxima(&self, rows: &[f64], n: usize) -> Vec<f64> {
-        debug_assert!(n > 0 && rows.len() % n == 0);
+        debug_assert!(n > 0 && rows.len().is_multiple_of(n));
         let m = rows.len() / n;
         let mut maxima = Vec::with_capacity(m);
         if n < 2 {
