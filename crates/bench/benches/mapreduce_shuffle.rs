@@ -3,7 +3,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 
-use baywatch_mapreduce::{JobConfig, MapReduce};
+use baywatch_mapreduce::{FaultPolicy, JobConfig, MapReduce};
 
 fn bench_shuffle(c: &mut Criterion) {
     let inputs: Vec<u64> = (0..200_000).collect();
@@ -20,57 +20,17 @@ fn bench_shuffle(c: &mut Criterion) {
             BenchmarkId::from_parameter(format!("p{partitions}_t{threads}")),
             &engine,
             |b, engine| {
-                b.iter_batched(
-                    || inputs.clone(),
-                    |inputs| {
-                        engine.run(
-                            inputs,
-                            |n, emit| emit(n % 5_000, 1u64),
-                            |k, vs| vec![(*k, vs.len() as u64)],
-                        )
-                    },
-                    criterion::BatchSize::LargeInput,
-                )
+                b.iter(|| {
+                    engine.run(
+                        &inputs,
+                        |n, emit| emit(n % 5_000, 1u64),
+                        |k, vs| vec![(*k, vs.len() as u64)],
+                        &FaultPolicy::default(),
+                    )
+                })
             },
         );
     }
-    group.finish();
-
-    // Combiner ablation: associative aggregation with and without map-side
-    // combining.
-    let mut group = c.benchmark_group("mapreduce_combiner_ablation");
-    group.sample_size(10);
-    let engine = MapReduce::new(JobConfig {
-        partitions: 32,
-        threads: 8,
-    });
-    group.bench_function("plain", |b| {
-        b.iter_batched(
-            || inputs.clone(),
-            |inputs| {
-                engine.run(
-                    inputs,
-                    |n, emit| emit(n % 100, 1u64),
-                    |k, vs| vec![(*k, vs.iter().sum::<u64>())],
-                )
-            },
-            criterion::BatchSize::LargeInput,
-        )
-    });
-    group.bench_function("with_combiner", |b| {
-        b.iter_batched(
-            || inputs.clone(),
-            |inputs| {
-                engine.run_with_combiner(
-                    inputs,
-                    |n: u64, emit: &mut dyn FnMut(u64, u64)| emit(n % 100, 1u64),
-                    |a, b| a + b,
-                    |k, vs| vec![(*k, vs.iter().sum::<u64>())],
-                )
-            },
-            criterion::BatchSize::LargeInput,
-        )
-    });
     group.finish();
 }
 

@@ -6,7 +6,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Through
 use baywatch_core::jobs;
 use baywatch_core::pipeline::{Baywatch, BaywatchConfig};
 use baywatch_core::record::LogRecord;
-use baywatch_mapreduce::{JobConfig, MapReduce};
+use baywatch_mapreduce::{FaultPolicy, JobConfig, MapReduce};
 use baywatch_netsim::enterprise::{EnterpriseConfig, EnterpriseSimulator};
 use baywatch_timeseries::detector::{DetectorConfig, PeriodicityDetector};
 
@@ -112,18 +112,18 @@ fn bench_detection_job(c: &mut Criterion) {
             partitions: 8,
             threads: 4,
         });
-        let summaries = jobs::extract_summaries(&engine, records, 1);
+        let policy = FaultPolicy::default();
+        let (summaries, _faults) = jobs::extract_summaries(&engine, &records, 1, None, &policy);
         let detector = PeriodicityDetector::new(DetectorConfig::default());
+        let budget = detector.config().budget;
         group.throughput(Throughput::Elements(pairs as u64));
         group.bench_with_input(
             BenchmarkId::from_parameter(pairs),
             &summaries,
             |b, summaries| {
-                b.iter_batched(
-                    || summaries.clone(),
-                    |summaries| jobs::detect_beaconing(&engine, summaries, &detector),
-                    criterion::BatchSize::LargeInput,
-                )
+                b.iter(|| {
+                    jobs::detect_beaconing(&engine, summaries, &detector, budget, None, &policy)
+                })
             },
         );
     }

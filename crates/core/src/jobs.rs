@@ -3,35 +3,37 @@
 //! Each phase is a modularized job so long windows can be re-analyzed
 //! without reprocessing raw logs:
 //!
-//! * **Data extraction** (§VII-A): `⟨k, l⟩ → ⟨H(s,d), (s,d,ts)⟩` then
-//!   reduce to per-pair [`ActivitySummary`]s — the shuffle carries keys and
-//!   values *borrowed* from the window's records (a private `PairKey` and
+//! * **Data extraction** (§VII-A), [`extract_summaries`]:
+//!   `⟨k, l⟩ → ⟨H(s,d), (s,d,ts)⟩` then reduce to per-pair
+//!   [`ActivitySummary`]s — the shuffle carries keys and values *borrowed*
+//!   from the window's records (a private `PairKey` and
 //!   `(timestamp, url token)`), so a log line costs no `String` and a pair
 //!   is owned once, in the reducer,
-//! * **Rescaling & merging** (§VII-B): coarsen summaries and merge
-//!   per-pair histories,
-//! * **Beaconing detection** (§VII-D): run the periodicity detector per
-//!   pair in the reduce step; summaries are shuffled by reference and
-//!   cloned only into a [`DetectRow::Hit`].
+//! * **Rescaling & merging** (§VII-B), [`rescale_and_merge`]: coarsen
+//!   summaries and merge per-pair histories,
+//! * **Beaconing detection** (§VII-D), [`detect_beaconing`] and its
+//!   durable form [`detect_beaconing_checkpointed`]: run the periodicity
+//!   detector per pair in the reduce step; summaries are shuffled by
+//!   reference and cloned only into a [`DetectRow::Hit`].
 //!
 //! (Destination popularity, §VII-C, lives in [`crate::popularity`]; ranking,
 //! §VII-E, in [`crate::rank`].)
 //!
-//! Every job runs on the fault-tolerant engine
-//! ([`MapReduce::run_fault_tolerant`]): a panicking mapper or reducer is
-//! retried, bisected, and quarantined instead of tearing down the window,
-//! and each `*_ft` variant returns a [`FaultReport`] alongside its results
-//! so the pipeline can record what was dropped. The plain-named wrappers
-//! keep the original infallible signatures for callers that don't need the
-//! report. An optional [`FaultPlan`] threads the deterministic
-//! fault-injection checkpoints through each phase for the robustness tests.
+//! Every job is one call of the engine's single execution body
+//! ([`MapReduce::run`]), so a panicking or straggling mapper or reducer is
+//! retried, bisected and quarantined instead of tearing down the window.
+//! Each job borrows its inputs, takes the [`FaultPolicy`] to run under and
+//! an optional [`FaultPlan`] (the robustness tests' deterministic
+//! fault-injection checkpoints; `None` outside the harness), and returns
+//! its [`FaultReport`] so the caller can record what was dropped.
+
+use std::collections::BTreeMap;
 
 use baywatch_mapreduce::{
     CheckpointedRun, DlqEntry, DlqReason, FaultPlan, FaultPolicy, FaultReport, MapReduce,
     ShardedOutcome,
 };
 use baywatch_timeseries::detector::{DetectionReport, PeriodicityDetector};
-use baywatch_timeseries::workspace::with_thread_workspace;
 use baywatch_timeseries::{BudgetSpec, TimeSeriesError};
 
 use crate::activity::ActivitySummary;
@@ -44,41 +46,18 @@ use crate::record::LogRecord;
 /// MAP emits each record's `(timestamp, url token)` keyed by `(s, d)`, all
 /// borrowed from `records`; REDUCE sorts each group's timestamps and
 /// produces the summary. Output order is deterministic (partition, then
-/// pair).
+/// pair). Poison records are quarantined and poison pairs dropped, per
+/// `policy`.
 pub fn extract_summaries(
     engine: &MapReduce,
-    records: Vec<LogRecord>,
-    scale: u64,
-) -> Vec<ActivitySummary> {
-    extract_summaries_ft(engine, records, scale, None).0
-}
-
-/// Fault-tolerant data extraction: like [`extract_summaries`], but survives
-/// panicking tasks (poison records are quarantined, poison pairs dropped)
-/// and reports what was lost. `plan` arms deterministic fault-injection
-/// checkpoints; pass `None` outside the harness.
-pub fn extract_summaries_ft(
-    engine: &MapReduce,
-    records: Vec<LogRecord>,
-    scale: u64,
-    plan: Option<&FaultPlan>,
-) -> (Vec<ActivitySummary>, FaultReport) {
-    extract_summaries_ft_with_policy(engine, records, scale, plan, &FaultPolicy::default())
-}
-
-/// Like [`extract_summaries_ft`] with an explicit fault policy, so the
-/// pipeline can arm per-task straggler deadlines
-/// ([`FaultPolicy::task_deadline`]) on the extraction phase.
-pub fn extract_summaries_ft_with_policy(
-    engine: &MapReduce,
-    records: Vec<LogRecord>,
+    records: &[LogRecord],
     scale: u64,
     plan: Option<&FaultPlan>,
     policy: &FaultPolicy,
 ) -> (Vec<ActivitySummary>, FaultReport) {
-    engine.run_fault_tolerant_with_policy(
-        records.iter().collect(),
-        |&record: &&LogRecord, emit| {
+    engine.run(
+        records,
+        |record, emit| {
             if let Some(plan) = plan {
                 plan.map_checkpoint(record);
             }
@@ -88,7 +67,7 @@ pub fn extract_summaries_ft_with_policy(
             };
             emit(key, (record.timestamp, record.url_token.as_str()));
         },
-        move |key: &PairKey<'_>, events: &[(u64, &str)]| {
+        |key: &PairKey<'_>, events: &[(u64, &str)]| {
             if let Some(plan) = plan {
                 plan.reduce_checkpoint(key);
             }
@@ -133,28 +112,18 @@ impl std::fmt::Debug for PairKey<'_> {
 ///
 /// Summaries whose scale does not divide `new_scale` are passed through a
 /// timestamp-level rebuild instead of failing, so mixed-scale input is
-/// tolerated.
+/// tolerated. A summary that cannot be rescaled *or* rebuilt is dropped
+/// (not fatal) and one that cannot be merged is skipped from its group.
 pub fn rescale_and_merge(
     engine: &MapReduce,
-    summaries: Vec<ActivitySummary>,
-    new_scale: u64,
-) -> Vec<ActivitySummary> {
-    rescale_and_merge_ft(engine, summaries, new_scale, None).0
-}
-
-/// Fault-tolerant rescaling & merging: like [`rescale_and_merge`], but a
-/// summary that cannot be rescaled *or* rebuilt is dropped (not fatal), a
-/// summary that cannot be merged is skipped from its group, and panicking
-/// tasks are quarantined per the engine's policy.
-pub fn rescale_and_merge_ft(
-    engine: &MapReduce,
-    summaries: Vec<ActivitySummary>,
+    summaries: &[ActivitySummary],
     new_scale: u64,
     plan: Option<&FaultPlan>,
+    policy: &FaultPolicy,
 ) -> (Vec<ActivitySummary>, FaultReport) {
-    engine.run_fault_tolerant(
+    engine.run(
         summaries,
-        move |summary: &ActivitySummary, emit| {
+        |summary, emit| {
             if let Some(plan) = plan {
                 plan.map_checkpoint(&summary.pair);
             }
@@ -173,7 +142,7 @@ pub fn rescale_and_merge_ft(
                 }
             };
             if let Some(rescaled) = rescaled {
-                emit(rescaled.pair.clone(), rescaled);
+                emit(&summary.pair, rescaled);
             }
         },
         |pair, group: &[ActivitySummary]| {
@@ -191,59 +160,40 @@ pub fn rescale_and_merge_ft(
             }
             acc.into_iter().collect()
         },
+        policy,
     )
 }
 
-/// Beaconing-detection job: runs the periodicity detector on each summary
-/// in parallel; yields `(summary, report)` for pairs with at least one
-/// verified candidate period (the paper's `⟨AS, CP⟩` output).
-///
-/// Each reduce invocation runs through its worker thread's
-/// [`SpectralWorkspace`](baywatch_timeseries::workspace::SpectralWorkspace),
-/// so FFT plans are built once per thread per window and reused across
-/// every pair and every permutation round that thread processes.
-pub fn detect_beaconing(
-    engine: &MapReduce,
-    summaries: Vec<ActivitySummary>,
-    detector: &PeriodicityDetector,
-) -> Vec<(ActivitySummary, DetectionReport)> {
-    detect_beaconing_ft(engine, summaries, detector, None).0
+/// What one budgeted detection run concluded about a pair's series.
+#[derive(Debug)]
+pub(crate) enum Verdict {
+    /// At least one verified candidate period.
+    Periodic(DetectionReport),
+    /// Analyzed and not periodic — including series the detector refuses
+    /// outright (too few events, zero span, …): "not a beacon candidate".
+    Quiet,
+    /// The per-pair execution budget ran out before a verdict.
+    TimedOut,
 }
 
-/// Fault-tolerant beaconing detection: like [`detect_beaconing`], but a
-/// pair whose detection panics is quarantined (costing that pair, not the
-/// window) and counted in the returned [`FaultReport`].
-///
-/// Runs each pair under the detector's own configured execution budget
-/// ([`DetectorConfig::budget`](baywatch_timeseries::detector::DetectorConfig));
-/// pairs that exhaust it are silently dropped here — use
-/// [`detect_beaconing_budgeted_ft`] to observe them.
-pub fn detect_beaconing_ft(
-    engine: &MapReduce,
-    summaries: Vec<ActivitySummary>,
+/// Runs the detector over one series under a fresh budget armed from
+/// `pair_budget`, through the calling thread's spectral workspace. The one
+/// place a detector outcome becomes a funnel verdict: the batch jobs and
+/// the streaming engine both come through here.
+pub(crate) fn detect_verdict(
     detector: &PeriodicityDetector,
-    plan: Option<&FaultPlan>,
-) -> (Vec<(ActivitySummary, DetectionReport)>, FaultReport) {
-    let budget = detector.config().budget;
-    let (rows, report) = detect_beaconing_budgeted_ft(
-        engine,
-        summaries,
-        detector,
-        budget,
-        plan,
-        &FaultPolicy::default(),
-    );
-    let hits = rows
-        .into_iter()
-        .filter_map(|row| match row {
-            DetectRow::Hit(hit) => Some(*hit),
-            DetectRow::TimedOut(_) | DetectRow::Quiet(_) => None,
-        })
-        .collect();
-    (hits, report)
+    timestamps: &[u64],
+    pair_budget: &BudgetSpec,
+) -> Verdict {
+    match detector.detect_budgeted(timestamps, &pair_budget.start()) {
+        Ok(report) if report.is_periodic() => Verdict::Periodic(report),
+        Ok(_) => Verdict::Quiet,
+        Err(TimeSeriesError::BudgetExhausted) => Verdict::TimedOut,
+        Err(_) => Verdict::Quiet,
+    }
 }
 
-/// One output row of [`detect_beaconing_budgeted_ft`].
+/// One output row of the detection jobs.
 #[derive(Debug, Clone, PartialEq)]
 pub enum DetectRow {
     /// A pair with at least one verified candidate period.
@@ -268,151 +218,148 @@ impl DetectRow {
     }
 }
 
-/// Budget-aware fault-tolerant beaconing detection: each pair runs under a
-/// fresh [`ExecBudget`](baywatch_timeseries::ExecBudget) armed from
-/// `pair_budget`, so one pathological series is cut off at a kernel
-/// checkpoint and surfaced as [`DetectRow::TimedOut`] instead of stalling
-/// the window. `policy` additionally arms MapReduce-level straggler
-/// deadlines ([`FaultPolicy::task_deadline`]).
+/// Detection map step, shared by [`detect_beaconing`] and
+/// [`detect_beaconing_checkpointed`]: key each summary by its pair.
+fn detect_map<'a>(
+    plan: Option<&FaultPlan>,
+    summary: &'a ActivitySummary,
+    emit: &mut dyn FnMut(&'a CommunicationPair, &'a ActivitySummary),
+) {
+    if let Some(plan) = plan {
+        plan.map_checkpoint(&summary.pair);
+    }
+    emit(&summary.pair, summary);
+}
+
+/// Detection reduce step, shared like [`detect_map`]: run every summary of
+/// one pair's group under a fresh budget.
+fn detect_group(
+    detector: &PeriodicityDetector,
+    pair_budget: &BudgetSpec,
+    plan: Option<&FaultPlan>,
+    pair: &CommunicationPair,
+    group: &[&ActivitySummary],
+) -> Vec<DetectRow> {
+    if let Some(plan) = plan {
+        plan.reduce_checkpoint(pair);
+    }
+    let mut out = Vec::new();
+    // A group holds every summary keyed to one pair (several when upstream
+    // produced per-window summaries of the same pair); emit at most one
+    // TimedOut row for the whole group so the funnel counts pairs, not
+    // summaries.
+    let mut timed_out = false;
+    for summary in group {
+        match detect_verdict(detector, &summary.timestamps(), pair_budget) {
+            Verdict::Periodic(report) => {
+                out.push(DetectRow::Hit(Box::new(((*summary).clone(), report))));
+            }
+            Verdict::TimedOut if !timed_out => {
+                out.push(DetectRow::TimedOut(pair.clone()));
+                timed_out = true;
+            }
+            Verdict::TimedOut | Verdict::Quiet => {}
+        }
+    }
+    if out.is_empty() {
+        out.push(DetectRow::Quiet(pair.clone()));
+    }
+    out
+}
+
+/// Beaconing-detection job: runs the periodicity detector on each summary
+/// in parallel and yields one or more [`DetectRow`]s per pair — a
+/// [`DetectRow::Hit`] carries the paper's `⟨AS, CP⟩` output.
 ///
-/// With an unlimited `pair_budget` and default `policy` this is
-/// byte-identical to [`detect_beaconing_ft`]: the budget checkpoints only
-/// ever early-return and never perturb RNG streams or numerical state.
-pub fn detect_beaconing_budgeted_ft(
+/// Each pair runs under a fresh [`ExecBudget`](baywatch_timeseries::ExecBudget)
+/// armed from `pair_budget`, so one pathological series is cut off at a
+/// kernel checkpoint and surfaced as [`DetectRow::TimedOut`] instead of
+/// stalling the window; the budget checkpoints only ever early-return and
+/// never perturb RNG streams or numerical state. A pair whose detection
+/// panics or overruns `policy`'s task deadline costs that pair, not the
+/// window: it is counted in the [`FaultReport`] and has no row at all.
+///
+/// Each reduce invocation runs through its worker thread's
+/// [`SpectralWorkspace`](baywatch_timeseries::workspace::SpectralWorkspace),
+/// so FFT plans are built once per thread per window and reused across
+/// every pair and every permutation round that thread processes.
+pub fn detect_beaconing(
     engine: &MapReduce,
-    summaries: Vec<ActivitySummary>,
+    summaries: &[ActivitySummary],
     detector: &PeriodicityDetector,
     pair_budget: BudgetSpec,
     plan: Option<&FaultPlan>,
     policy: &FaultPolicy,
 ) -> (Vec<DetectRow>, FaultReport) {
-    engine.run_fault_tolerant_with_policy(
-        summaries.iter().collect(),
-        |&summary: &&ActivitySummary, emit| {
-            if let Some(plan) = plan {
-                plan.map_checkpoint(&summary.pair);
-            }
-            emit(&summary.pair, summary);
-        },
-        move |pair: &&CommunicationPair, group: &[&ActivitySummary]| {
-            detect_group(detector, &pair_budget, plan, pair, group.iter().copied())
-        },
+    engine.run(
+        summaries,
+        |summary, emit| detect_map(plan, summary, emit),
+        |pair, group| detect_group(detector, &pair_budget, plan, pair, group),
         policy,
     )
 }
 
-/// Detection reduce step shared by the budgeted and checkpointed jobs: run
-/// every summary of one pair's group under a fresh budget.
-fn detect_group<'s>(
-    detector: &PeriodicityDetector,
-    pair_budget: &BudgetSpec,
-    plan: Option<&FaultPlan>,
-    pair: &CommunicationPair,
-    group: impl Iterator<Item = &'s ActivitySummary>,
-) -> Vec<DetectRow> {
-    if let Some(plan) = plan {
-        plan.reduce_checkpoint(pair);
-    }
-    with_thread_workspace(|ws| {
-        let mut out = Vec::new();
-        // A group holds every summary keyed to one pair (several
-        // when upstream produced per-window summaries of the same
-        // pair); emit at most one TimedOut row for the whole group
-        // so the funnel counts pairs, not summaries.
-        let mut timed_out = false;
-        for summary in group {
-            let timestamps = summary.timestamps();
-            match detector.detect_budgeted_in(ws, &timestamps, &pair_budget.start()) {
-                Ok(report) if report.is_periodic() => {
-                    out.push(DetectRow::Hit(Box::new((summary.clone(), report))));
-                }
-                Ok(_) => {}
-                Err(TimeSeriesError::BudgetExhausted) => {
-                    if !timed_out {
-                        out.push(DetectRow::TimedOut(summary.pair.clone()));
-                        timed_out = true;
-                    }
-                }
-                // Validation errors (too few events, zero span, …)
-                // simply mean "not a beacon candidate".
-                Err(_) => {}
-            }
-        }
-        if out.is_empty() {
-            out.push(DetectRow::Quiet(pair.clone()));
-        }
-        out
-    })
-}
-
-/// Checkpointed beaconing detection: the budgeted job run shard-by-shard
-/// through [`MapReduce::run_sharded_checkpointed`], persisting each
-/// completed shard (rows, fault report, metric deltas) to `run`'s
-/// [`CheckpointStore`](baywatch_mapreduce::CheckpointStore) and classifying
-/// pairs that never completed into dead-letter-queue entries with failure
-/// provenance.
+/// Checkpointed beaconing detection: [`detect_beaconing`] run
+/// shard-by-shard through [`MapReduce::run_sharded_checkpointed`],
+/// persisting each completed shard (rows, fault report, metric deltas) to
+/// `run`'s [`CheckpointStore`](baywatch_mapreduce::CheckpointStore) and
+/// classifying pairs that never completed into dead-letter-queue entries
+/// with failure provenance.
 ///
 /// DLQ classification per input pair of a shard:
 /// * a [`DetectRow::TimedOut`] row → [`DlqReason::BudgetExhausted`] (the
 ///   per-pair kernel budget was exhausted; the pair is replayable under a
 ///   larger budget),
-/// * no row at all and the pair's key appears in the shard's
-///   `timeout_samples` → [`DlqReason::TimedOut`] (a straggler task hit the
-///   MapReduce deadline),
+/// * no row at all and the engine dropped the pair's key for overrunning
+///   the task deadline → [`DlqReason::TimedOut`],
 /// * no row at all otherwise → [`DlqReason::Poison`] (the engine
 ///   quarantined it after `policy.max_task_retries` retries).
-pub fn detect_beaconing_checkpointed_ft(
+///
+/// # Errors
+///
+/// Propagates checkpoint-store I/O errors from
+/// [`MapReduce::run_sharded_checkpointed`].
+pub fn detect_beaconing_checkpointed(
     engine: &MapReduce,
-    shards: Vec<Vec<ActivitySummary>>,
+    shards: &[Vec<ActivitySummary>],
     detector: &PeriodicityDetector,
     pair_budget: BudgetSpec,
     plan: Option<&FaultPlan>,
     policy: &FaultPolicy,
     run: &CheckpointedRun<'_>,
 ) -> std::io::Result<ShardedOutcome<DetectRow>> {
-    let sample_limit = policy.sample_limit;
-    let max_retries = policy.max_task_retries;
     engine.run_sharded_checkpointed(
         shards,
         run,
         policy,
-        |summary: &ActivitySummary, emit| {
-            if let Some(plan) = plan {
-                plan.map_checkpoint(&summary.pair);
-            }
-            emit(summary.pair.clone(), summary.clone());
-        },
-        move |pair, group: &[ActivitySummary]| {
-            detect_group(detector, &pair_budget, plan, pair, group.iter())
-        },
-        |rows: &[DetectRow]| crate::checkpoint::encode_rows(rows),
-        |payload: &str| crate::checkpoint::decode_rows(payload),
-        move |shard_id, inputs: &[ActivitySummary], outputs: &[DetectRow], faults: &FaultReport| {
-            dlq_entries_for_shard(shard_id, inputs, outputs, faults, sample_limit, max_retries)
+        |summary, emit| detect_map(plan, summary, emit),
+        |pair, group| detect_group(detector, &pair_budget, plan, pair, group),
+        crate::checkpoint::encode_rows,
+        crate::checkpoint::decode_rows,
+        |shard_id, inputs, outputs, faults, timed_out_keys| {
+            dlq_entries_for_shard(shard_id, inputs, outputs, faults, timed_out_keys, policy)
         },
     )
 }
 
 /// Classifies a completed shard's losses into DLQ entries (see
-/// [`detect_beaconing_checkpointed_ft`] for the provenance rules). Entries
-/// carry the pair's summaries as a replayable payload.
+/// [`detect_beaconing_checkpointed`] for the provenance rules).
+/// `timed_out_keys` is the engine's exact list of deadline-dropped keys —
+/// `faults.timeout_samples` is bounded and may be empty. Entries carry the
+/// pair's summaries as a replayable payload.
 fn dlq_entries_for_shard(
     shard_id: usize,
     inputs: &[ActivitySummary],
     outputs: &[DetectRow],
     faults: &FaultReport,
-    sample_limit: usize,
-    max_retries: usize,
+    timed_out_keys: &[String],
+    policy: &FaultPolicy,
 ) -> Vec<DlqEntry> {
-    use std::collections::{BTreeMap, BTreeSet};
-    let completed: BTreeSet<&CommunicationPair> = outputs.iter().map(DetectRow::pair).collect();
-    let budget_exhausted: BTreeSet<&CommunicationPair> = outputs
-        .iter()
-        .filter_map(|row| match row {
-            DetectRow::TimedOut(pair) => Some(pair),
-            _ => None,
-        })
-        .collect();
+    // Pairs that produced a row → whether any of them was verdictless.
+    let mut budget_exhausted: BTreeMap<&CommunicationPair, bool> = BTreeMap::new();
+    for row in outputs {
+        *budget_exhausted.entry(row.pair()).or_default() |= matches!(row, DetectRow::TimedOut(_));
+    }
     let mut by_pair: BTreeMap<&CommunicationPair, Vec<ActivitySummary>> = BTreeMap::new();
     for summary in inputs {
         by_pair
@@ -423,27 +370,22 @@ fn dlq_entries_for_shard(
     let mut entries = Vec::new();
     for (pair, summaries) in by_pair {
         let key = format!("{pair:?}");
-        let (reason, retries, samples) = if budget_exhausted.contains(pair) {
+        let (reason, retries, samples) = match budget_exhausted.get(pair) {
             // The pair *completed* the shard with a verdictless row; it is
             // queued for replay under a larger budget, not lost.
-            (DlqReason::BudgetExhausted, 0, Vec::new())
-        } else if !completed.contains(pair) {
-            if faults.timeout_samples.iter().any(|s| s == &key) {
-                (DlqReason::TimedOut, 0, vec![key.clone()])
-            } else {
-                (
-                    DlqReason::Poison,
-                    max_retries,
-                    faults
-                        .panic_samples
-                        .iter()
-                        .take(sample_limit)
-                        .cloned()
-                        .collect(),
-                )
-            }
-        } else {
-            continue;
+            Some(true) => (DlqReason::BudgetExhausted, 0, Vec::new()),
+            Some(false) => continue,
+            None if timed_out_keys.contains(&key) => (DlqReason::TimedOut, 0, vec![key.clone()]),
+            None => (
+                DlqReason::Poison,
+                policy.max_task_retries,
+                faults
+                    .panic_samples
+                    .iter()
+                    .take(policy.sample_limit)
+                    .cloned()
+                    .collect(),
+            ),
         };
         entries.push(DlqEntry {
             key,
@@ -460,7 +402,7 @@ fn dlq_entries_for_shard(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use baywatch_mapreduce::{partition_of, JobConfig};
+    use baywatch_mapreduce::{partition_of, BudgetSnapshot, CheckpointStore, JobConfig};
     use baywatch_timeseries::detector::DetectorConfig;
     use proptest::prelude::*;
 
@@ -477,12 +419,44 @@ mod tests {
             .collect()
     }
 
+    /// Extraction of clean input under the default policy.
+    fn extract(records: &[LogRecord], scale: u64) -> Vec<ActivitySummary> {
+        let (summaries, report) =
+            extract_summaries(&engine(), records, scale, None, &FaultPolicy::default());
+        assert!(report.is_clean());
+        summaries
+    }
+
+    /// Detection under the detector's own budget and the default policy.
+    fn detect(
+        summaries: &[ActivitySummary],
+        plan: Option<&FaultPlan>,
+    ) -> (Vec<(ActivitySummary, DetectionReport)>, FaultReport) {
+        let detector = PeriodicityDetector::new(DetectorConfig::default());
+        let (rows, report) = detect_beaconing(
+            &engine(),
+            summaries,
+            &detector,
+            detector.config().budget,
+            plan,
+            &FaultPolicy::default(),
+        );
+        let hits = rows
+            .into_iter()
+            .filter_map(|row| match row {
+                DetectRow::Hit(hit) => Some(*hit),
+                DetectRow::TimedOut(_) | DetectRow::Quiet(_) => None,
+            })
+            .collect();
+        (hits, report)
+    }
+
     #[test]
     fn extraction_groups_by_pair() {
         let mut records = beacon_records("a", "x.com", 60, 10);
         records.extend(beacon_records("a", "y.com", 30, 5));
         records.extend(beacon_records("b", "x.com", 45, 7));
-        let summaries = extract_summaries(&engine(), records, 1);
+        let summaries = extract(&records, 1);
         assert_eq!(summaries.len(), 3);
         let ax = summaries
             .iter()
@@ -584,7 +558,7 @@ mod tests {
         expected.sort_by_key(|(partition, _)| *partition);
         let expected: Vec<ActivitySummary> = expected.into_iter().map(|(_, s)| s).collect();
         assert_eq!(expected.len(), 5);
-        assert_eq!(extract_summaries(&engine(), records, 60), expected);
+        assert_eq!(extract(&records, 60), expected);
     }
 
     #[test]
@@ -598,7 +572,8 @@ mod tests {
             r#"domain: "p.com", url_token: "t" }"#
         );
         let plan = FaultPlan::new().poison_key(key).poison_input(input);
-        let (summaries, report) = extract_summaries_ft(&engine(), records, 1, Some(&plan));
+        let (summaries, report) =
+            extract_summaries(&engine(), &records, 1, Some(&plan), &FaultPolicy::default());
         assert_eq!(summaries.len(), 1);
         assert_eq!(summaries[0].pair, CommunicationPair::new("a", "x.com"));
         assert_eq!(report.key_samples, [key]);
@@ -611,26 +586,30 @@ mod tests {
     #[test]
     fn extraction_deterministic() {
         let records = beacon_records("a", "x.com", 60, 20);
-        let s1 = extract_summaries(&engine(), records.clone(), 1);
-        let s2 = extract_summaries(&engine(), records, 1);
-        assert_eq!(s1, s2);
+        assert_eq!(extract(&records, 1), extract(&records, 1));
+    }
+
+    fn merge(summaries: &[ActivitySummary], new_scale: u64) -> Vec<ActivitySummary> {
+        rescale_and_merge(
+            &engine(),
+            summaries,
+            new_scale,
+            None,
+            &FaultPolicy::default(),
+        )
+        .0
     }
 
     #[test]
     fn rescale_and_merge_combines_days() {
         // Same pair split across two "days".
-        let day1 = extract_summaries(&engine(), beacon_records("a", "x.com", 600, 10), 1);
-        let day2: Vec<ActivitySummary> = extract_summaries(
-            &engine(),
-            (0..10)
-                .map(|i| LogRecord::new(100_000 + i * 600, "a", "x.com", "tok"))
-                .collect(),
-            1,
-        );
-        let mut all = day1;
-        all.extend(day2);
+        let day2: Vec<LogRecord> = (0..10)
+            .map(|i| LogRecord::new(100_000 + i * 600, "a", "x.com", "tok"))
+            .collect();
+        let mut all = extract(&beacon_records("a", "x.com", 600, 10), 1);
+        all.extend(extract(&day2, 1));
         assert_eq!(all.len(), 2);
-        let merged = rescale_and_merge(&engine(), all, 60);
+        let merged = merge(&all, 60);
         assert_eq!(merged.len(), 1);
         assert_eq!(merged[0].scale, 60);
         assert_eq!(merged[0].request_count(), 20);
@@ -638,12 +617,10 @@ mod tests {
 
     #[test]
     fn rescale_handles_mixed_scales() {
-        let fine = extract_summaries(&engine(), beacon_records("a", "x.com", 600, 8), 1);
-        let coarse = extract_summaries(&engine(), beacon_records("b", "y.com", 600, 8), 7);
-        let mut all = fine;
-        all.extend(coarse);
+        let mut all = extract(&beacon_records("a", "x.com", 600, 8), 1);
+        all.extend(extract(&beacon_records("b", "y.com", 600, 8), 7));
         // 60 is not a multiple of 7: the 7-scale summary is rebuilt.
-        let out = rescale_and_merge(&engine(), all, 60);
+        let out = merge(&all, 60);
         assert_eq!(out.len(), 2);
         assert!(out.iter().all(|s| s.scale == 60));
     }
@@ -660,9 +637,8 @@ mod tests {
                 "index",
             ));
         }
-        let summaries = extract_summaries(&engine(), records, 1);
-        let detector = PeriodicityDetector::new(DetectorConfig::default());
-        let hits = detect_beaconing(&engine(), summaries, &detector);
+        let (hits, report) = detect(&extract(&records, 1), None);
+        assert!(report.is_clean());
         assert_eq!(hits.len(), 1);
         assert_eq!(hits[0].0.pair.destination, "evil.com");
         assert!((hits[0].1.best().unwrap().period - 60.0).abs() < 3.0);
@@ -671,9 +647,7 @@ mod tests {
     #[test]
     fn detection_job_skips_tiny_pairs() {
         let records = beacon_records("a", "x.com", 60, 3); // below min_events
-        let summaries = extract_summaries(&engine(), records, 1);
-        let detector = PeriodicityDetector::new(DetectorConfig::default());
-        let hits = detect_beaconing(&engine(), summaries, &detector);
+        let (hits, _) = detect(&extract(&records, 1), None);
         assert!(hits.is_empty());
     }
 
@@ -683,7 +657,8 @@ mod tests {
         records.extend(beacon_records("bad", "evil.com", 30, 5));
         let poison = format!("{:?}", CommunicationPair::new("bad", "evil.com"));
         let plan = FaultPlan::new().poison_key(&poison);
-        let (summaries, report) = extract_summaries_ft(&engine(), records, 1, Some(&plan));
+        let (summaries, report) =
+            extract_summaries(&engine(), &records, 1, Some(&plan), &FaultPolicy::default());
         assert_eq!(summaries.len(), 1);
         assert_eq!(summaries[0].pair, CommunicationPair::new("a", "x.com"));
         assert_eq!(report.quarantined_keys, 1);
@@ -695,9 +670,9 @@ mod tests {
     fn extraction_survives_transient_map_fault_without_loss() {
         let records = beacon_records("a", "x.com", 60, 10);
         let plan = FaultPlan::new().panic_on_map_call(3);
-        let clean = extract_summaries(&engine(), records.clone(), 1);
-        let (summaries, report) = extract_summaries_ft(&engine(), records, 1, Some(&plan));
-        assert_eq!(summaries, clean);
+        let (summaries, report) =
+            extract_summaries(&engine(), &records, 1, Some(&plan), &FaultPolicy::default());
+        assert_eq!(summaries, extract(&records, 1));
         assert!(report.map_retries >= 1);
         assert_eq!(report.quarantined_inputs, 0);
     }
@@ -706,14 +681,32 @@ mod tests {
     fn detection_quarantines_poison_pair_and_keeps_the_rest() {
         let mut records = beacon_records("infected", "evil.com", 60, 100);
         records.extend(beacon_records("other", "beacon.net", 45, 100));
-        let summaries = extract_summaries(&engine(), records, 1);
-        let detector = PeriodicityDetector::new(DetectorConfig::default());
         let poison = format!("{:?}", CommunicationPair::new("other", "beacon.net"));
         let plan = FaultPlan::new().poison_key(&poison);
-        let (hits, report) = detect_beaconing_ft(&engine(), summaries, &detector, Some(&plan));
+        let (hits, report) = detect(&extract(&records, 1), Some(&plan));
         assert_eq!(hits.len(), 1);
         assert_eq!(hits[0].0.pair.destination, "evil.com");
         assert_eq!(report.quarantined_keys, 1);
+    }
+
+    /// Rows of an unplanned detection run under `max_ops` and the default
+    /// policy.
+    fn rows_under_ops_ceiling(summaries: &[ActivitySummary], max_ops: u64) -> Vec<DetectRow> {
+        let detector = PeriodicityDetector::new(DetectorConfig::default());
+        let budget = BudgetSpec {
+            max_ops: Some(max_ops),
+            ..Default::default()
+        };
+        let (rows, report) = detect_beaconing(
+            &engine(),
+            summaries,
+            &detector,
+            budget,
+            None,
+            &FaultPolicy::default(),
+        );
+        assert!(report.is_clean(), "a timeout is not a fault: {report:?}");
+        rows
     }
 
     #[test]
@@ -724,24 +717,9 @@ mod tests {
         records.extend(
             (0..300u64).map(|i| LogRecord::new(50_000 + i * 2_333, "slowpoke", "weird.biz", "x")),
         );
-        let summaries = extract_summaries(&engine(), records, 1);
-        let detector = PeriodicityDetector::new(DetectorConfig::default());
-        let budget = BudgetSpec {
-            max_ops: Some(500_000),
-            ..Default::default()
-        };
-        let (rows, report) = detect_beaconing_budgeted_ft(
-            &engine(),
-            summaries,
-            &detector,
-            budget,
-            None,
-            &FaultPolicy::default(),
-        );
-        assert!(report.is_clean(), "a timeout is not a fault: {report:?}");
         let mut hits = 0;
         let mut timed_out = Vec::new();
-        for row in rows {
+        for row in rows_under_ops_ceiling(&extract(&records, 1), 500_000) {
             match row {
                 DetectRow::Hit(hit) => {
                     hits += 1;
@@ -772,21 +750,7 @@ mod tests {
             ActivitySummary::from_records(&window(50_000), 1).unwrap(),
             ActivitySummary::from_records(&window(5_000_000), 1).unwrap(),
         ];
-        let detector = PeriodicityDetector::new(DetectorConfig::default());
-        let budget = BudgetSpec {
-            max_ops: Some(500_000),
-            ..Default::default()
-        };
-        let (rows, report) = detect_beaconing_budgeted_ft(
-            &engine(),
-            summaries,
-            &detector,
-            budget,
-            None,
-            &FaultPolicy::default(),
-        );
-        assert!(report.is_clean(), "a timeout is not a fault: {report:?}");
-        let timed_out: Vec<_> = rows
+        let timed_out: Vec<_> = rows_under_ops_ceiling(&summaries, 500_000)
             .into_iter()
             .filter_map(|row| match row {
                 DetectRow::TimedOut(pair) => Some(pair),
@@ -800,31 +764,69 @@ mod tests {
         );
     }
 
-    #[test]
-    fn unlimited_budgeted_detection_matches_plain_detection() {
-        let mut records = beacon_records("infected", "evil.com", 60, 100);
-        records.extend(beacon_records("other", "beacon.net", 45, 100));
-        let summaries = extract_summaries(&engine(), records, 1);
+    fn scratch_dir(tag: &str) -> std::path::PathBuf {
+        let dir = std::env::temp_dir().join(format!("baywatch-jobs-{tag}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        dir
+    }
+
+    /// The checkpointed job over `shards` with a fresh store under `dir`.
+    fn detect_checkpointed(
+        dir: &std::path::Path,
+        shards: &[Vec<ActivitySummary>],
+        pair_budget: BudgetSpec,
+        plan: Option<&FaultPlan>,
+        policy: &FaultPolicy,
+    ) -> ShardedOutcome<DetectRow> {
+        let store = CheckpointStore::create(dir).unwrap();
+        let run = CheckpointedRun {
+            store: &store,
+            fingerprint: 1,
+            rng_seed: 0,
+            budget: BudgetSnapshot::default(),
+            resume: false,
+            io_faults: None,
+            abort_after_shards: None,
+        };
         let detector = PeriodicityDetector::new(DetectorConfig::default());
-        let plain = detect_beaconing(&engine(), summaries.clone(), &detector);
-        let (rows, report) = detect_beaconing_budgeted_ft(
+        detect_beaconing_checkpointed(
             &engine(),
-            summaries,
+            shards,
             &detector,
-            BudgetSpec::UNLIMITED,
-            None,
-            &FaultPolicy::default(),
+            pair_budget,
+            plan,
+            policy,
+            &run,
+        )
+        .unwrap()
+    }
+
+    #[test]
+    fn checkpointed_detection_of_one_shard_matches_plain_detection() {
+        // A hit, a budget-exhausted pair and two quiet pairs.
+        let mut records = beacon_records("infected", "evil.com", 60, 100);
+        records.extend(beacon_records("tiny", "x.com", 60, 3));
+        records.extend(
+            (0..300u64).map(|i| LogRecord::new(50_000 + i * 2_333, "slowpoke", "weird.biz", "x")),
         );
-        assert!(report.is_clean());
-        let hits: Vec<(ActivitySummary, DetectionReport)> = rows
-            .into_iter()
-            .filter_map(|row| match row {
-                DetectRow::Hit(hit) => Some(*hit),
-                DetectRow::TimedOut(pair) => panic!("unexpected timeout for {pair}"),
-                DetectRow::Quiet(_) => None,
-            })
-            .collect();
-        assert_eq!(hits, plain);
+        records.extend(
+            (0..50u64).map(|i| LogRecord::new(1_000 + (i * i * 37) % 50_000, "clean", "n.com", "")),
+        );
+        let summaries = extract(&records, 1);
+        let plain = rows_under_ops_ceiling(&summaries, 500_000);
+        assert_eq!(plain.len(), 4);
+
+        let dir = scratch_dir("one-shard");
+        let budget = BudgetSpec {
+            max_ops: Some(500_000),
+            ..Default::default()
+        };
+        let policy = FaultPolicy::default();
+        let outcome = detect_checkpointed(&dir, &[summaries], budget, None, &policy);
+        assert_eq!(outcome.outputs, plain);
+        assert!(outcome.faults.is_clean());
+        assert_eq!(outcome.executed_shards, 1);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
@@ -850,8 +852,15 @@ mod tests {
         ];
         let mut faults = FaultReport::default();
         faults.panic_samples.push("panicked: boom".to_string());
-        faults.timeout_samples.push(format!("{:?}", straggler.pair));
-        let entries = dlq_entries_for_shard(3, &inputs, &outputs, &faults, 8, 2);
+        let timed_out_keys = [format!("{:?}", straggler.pair)];
+        let entries = dlq_entries_for_shard(
+            3,
+            &inputs,
+            &outputs,
+            &faults,
+            &timed_out_keys,
+            &FaultPolicy::default(),
+        );
         // Entries come out pair-sorted; `fine.test` produced no entry.
         let by_dst: Vec<(&str, DlqReason, usize)> = entries
             .iter()
@@ -870,21 +879,5 @@ mod tests {
         // Every payload replays: it decodes back to the pair's summaries.
         let replayed = crate::checkpoint::decode_summaries(&entries[1].payload).unwrap();
         assert_eq!(replayed, vec![exhausted]);
-    }
-
-    #[test]
-    fn ft_jobs_with_no_plan_match_plain_jobs() {
-        let mut records = beacon_records("a", "x.com", 60, 30);
-        records.extend(beacon_records("b", "y.com", 90, 30));
-        let plain = extract_summaries(&engine(), records.clone(), 1);
-        let (ft, report) = extract_summaries_ft(&engine(), records, 1, None);
-        assert_eq!(ft, plain);
-        assert!(report.is_clean());
-
-        let detector = PeriodicityDetector::new(DetectorConfig::default());
-        let plain_hits = detect_beaconing(&engine(), plain.clone(), &detector);
-        let (ft_hits, report) = detect_beaconing_ft(&engine(), plain, &detector, None);
-        assert_eq!(ft_hits, plain_hits);
-        assert!(report.is_clean());
     }
 }

@@ -22,6 +22,7 @@ use crate::checkpoint::{self, CheckpointOutcome, CheckpointSpec};
 use crate::io::ReadOutcome;
 use crate::jobs;
 use crate::novelty::NoveltyStore;
+use crate::pair::CommunicationPair;
 use crate::popularity::PopularityStats;
 use crate::rank::{rank_cases, BeaconCase, RankConfig, RankedCase};
 use crate::record::LogRecord;
@@ -333,10 +334,11 @@ impl Baywatch {
 
     /// Analyzes one window of records through filters 1–7.
     ///
-    /// Every MapReduce job runs on the fault-tolerant engine: a poison
-    /// record or pair is quarantined (recorded in `stats.skipped_events` /
-    /// `stats.quarantined_pairs` and the aggregate `faults` report) and
-    /// the analysis completes on the surviving pairs instead of panicking.
+    /// Every MapReduce job — popularity, extraction, detection — is one
+    /// `MapReduce::run`: a poison record or pair is quarantined (recorded in
+    /// `stats.skipped_events` / `stats.quarantined_pairs` and the aggregate
+    /// `faults` report) and the analysis completes on the surviving pairs
+    /// instead of panicking.
     ///
     /// Filter 8 (bootstrap classification) is separate — see
     /// [`crate::investigate`] — because it needs manual labels.
@@ -406,22 +408,26 @@ impl Baywatch {
             .add(stats.events as u64);
 
         // ---- Popularity statistics (input to filter 2 & ranking). ----
-        let popularity = {
+        let (popularity, popularity_faults) = {
             let _span = tracer.span("popularity");
-            PopularityStats::compute(&self.engine, &records)
+            PopularityStats::compute(&self.engine, &records, &policy)
         };
+        faults.absorb(&popularity_faults);
 
         // ---- Data extraction (§VII-A). ----
         let (summaries, extract_faults) = {
             let _span = tracer.span("extract");
-            jobs::extract_summaries_ft_with_policy(
+            jobs::extract_summaries(
                 &self.engine,
-                records,
+                &records,
                 self.config.time_scale,
                 plan,
                 &policy,
             )
         };
+        // Everything downstream works on summaries; free the window's raw
+        // records before detection's working set is built.
+        drop(records);
         stats.pairs = summaries.len();
         stats.skipped_events = extract_faults.skipped_records();
         stats.quarantined_pairs += extract_faults.quarantined_keys;
@@ -657,55 +663,19 @@ impl Baywatch {
         faults: &mut FaultReport,
     ) -> Vec<(ActivitySummary, DetectionReport)> {
         let pair_budget = self.config.detector.budget;
-        let mut detections = Vec::new();
-        // Pairs already counted in `timed_out_pairs` via a TimedOut row.
-        // A pair may reach detection through several summaries (one per
-        // reduce group upstream, or duplicated input); the funnel must
-        // count it once — and never again as shed.
-        let mut timed_out_rows: BTreeSet<crate::pair::CommunicationPair> = BTreeSet::new();
-        let run_wave =
-            |batch: Vec<ActivitySummary>,
-             wave_budget: BudgetSpec,
-             detections: &mut Vec<(ActivitySummary, DetectionReport)>,
-             stats: &mut FilterStats,
-             faults: &mut FaultReport,
-             timed_out_rows: &mut BTreeSet<crate::pair::CommunicationPair>| {
-                let (rows, detect_faults) = jobs::detect_beaconing_budgeted_ft(
-                    &self.engine,
-                    batch,
-                    &self.detector,
-                    wave_budget,
-                    plan,
-                    policy,
-                );
-                stats.quarantined_pairs +=
-                    detect_faults.quarantined_keys + detect_faults.quarantined_inputs;
-                stats.timed_out_pairs +=
-                    detect_faults.timed_out_inputs + detect_faults.timed_out_keys;
-                faults.absorb(&detect_faults);
-                for row in rows {
-                    match row {
-                        jobs::DetectRow::Hit(hit) => detections.push(*hit),
-                        jobs::DetectRow::TimedOut(pair) => {
-                            if timed_out_rows.insert(pair) {
-                                stats.timed_out_pairs += 1;
-                            }
-                        }
-                        jobs::DetectRow::Quiet(_) => {}
-                    }
-                }
-            };
+        let mut detected = Detected::default();
+        let mut run_wave = |batch: &[ActivitySummary],
+                            budget,
+                            detected: &mut Detected,
+                            stats: &mut FilterStats| {
+            let job =
+                jobs::detect_beaconing(&self.engine, batch, &self.detector, budget, plan, policy);
+            detected.absorb(job, stats, faults);
+        };
 
         let Some(window_millis) = self.config.budget.window_millis else {
-            run_wave(
-                summaries,
-                pair_budget,
-                &mut detections,
-                stats,
-                faults,
-                &mut timed_out_rows,
-            );
-            return detections;
+            run_wave(&summaries, pair_budget, &mut detected, stats);
+            return detected.hits;
         };
 
         let window_budget = BudgetSpec {
@@ -727,10 +697,8 @@ impl Baywatch {
         // window rejects the remainder outright.
         let mut admission = AdmissionController::new(AdmissionConfig::default());
         while idx < pending.len() {
-            let decision = admission.decide(
-                window_budget.utilization(),
-                window_budget.is_exhausted(),
-            );
+            let decision =
+                admission.decide(window_budget.utilization(), window_budget.is_exhausted());
             for change in admission.take_changes() {
                 // Zero-length span marking the transition instant; folded
                 // into the operational `span.*` timings with the stage
@@ -746,7 +714,7 @@ impl Baywatch {
                 // summaries) must not be double-counted as shed.
                 stats.shed_pairs = pending[idx..]
                     .iter()
-                    .filter(|s| !timed_out_rows.contains(&s.pair))
+                    .filter(|s| !detected.timed_out.contains(&s.pair))
                     .count();
                 break;
             }
@@ -757,14 +725,7 @@ impl Baywatch {
             } else {
                 pair_budget
             };
-            run_wave(
-                pending[idx..end].to_vec(),
-                wave_budget,
-                &mut detections,
-                stats,
-                faults,
-                &mut timed_out_rows,
-            );
+            run_wave(&pending[idx..end], wave_budget, &mut detected, stats);
             idx = end;
         }
         // Gated like `dlq.*`: a window that only ever accepted leaves the
@@ -784,7 +745,7 @@ impl Baywatch {
                 .counter("resilience.admission.transitions")
                 .add(admitted.transitions);
         }
-        detections
+        detected.hits
     }
 
     /// Runs the detection job through the durable checkpoint machinery
@@ -819,32 +780,17 @@ impl Baywatch {
             io_faults: plan,
             abort_after_shards: spec.abort_after_shards,
         };
-        let outcome = jobs::detect_beaconing_checkpointed_ft(
+        let outcome = jobs::detect_beaconing_checkpointed(
             &self.engine,
-            shards,
+            &shards,
             &self.detector,
             pair_budget,
             plan,
             policy,
             &run,
         )?;
-        stats.quarantined_pairs +=
-            outcome.faults.quarantined_keys + outcome.faults.quarantined_inputs;
-        stats.timed_out_pairs += outcome.faults.timed_out_inputs + outcome.faults.timed_out_keys;
-        faults.absorb(&outcome.faults);
-        let mut detections = Vec::new();
-        let mut timed_out_rows: BTreeSet<crate::pair::CommunicationPair> = BTreeSet::new();
-        for row in outcome.outputs {
-            match row {
-                jobs::DetectRow::Hit(hit) => detections.push(*hit),
-                jobs::DetectRow::TimedOut(pair) => {
-                    if timed_out_rows.insert(pair) {
-                        stats.timed_out_pairs += 1;
-                    }
-                }
-                jobs::DetectRow::Quiet(_) => {}
-            }
-        }
+        let mut detected = Detected::default();
+        detected.absorb((outcome.outputs, outcome.faults), stats, faults);
 
         let mut manifest = outcome.manifest;
         let dlq_entries = manifest.dlq.len();
@@ -855,8 +801,8 @@ impl Baywatch {
                 replay_budget,
                 plan,
                 policy,
+                &mut detected,
                 stats,
-                &mut detections,
             )?,
             _ => (0, 0),
         };
@@ -878,7 +824,7 @@ impl Baywatch {
         }
 
         Ok((
-            detections,
+            detected.hits,
             CheckpointOutcome {
                 resumed_shards: outcome.resumed_shards,
                 executed_shards: outcome.executed_shards,
@@ -896,14 +842,14 @@ impl Baywatch {
     /// Replays the manifest's dead-letter queue under `replay_budget`.
     ///
     /// Each entry's payload (the pair's activity summaries) is re-run
-    /// through the budgeted detection job; an entry whose pair now
-    /// *completes* — any row at all, hit or quiet — is recovered: the
-    /// funnel count its failure originally landed in is decremented,
-    /// verified hits join `detections`, and the entry leaves the persisted
-    /// queue. Entries that still fail (or whose payload no longer decodes)
-    /// stay queued for a later pass. Replay faults are deliberately not
-    /// absorbed into the window's report: the original failure is already
-    /// accounted there, and a failed replay changes nothing.
+    /// through the detection job; an entry whose pair now *completes* —
+    /// any row at all, hit or quiet — is recovered: the funnel count its
+    /// failure originally landed in is decremented, verified hits join
+    /// `window.hits`, and the entry leaves the persisted queue. Entries
+    /// that still fail (or whose payload no longer decodes) stay queued for
+    /// a later pass. A replay is accounted against a scratch funnel and
+    /// fault report: the original failure is already counted in the
+    /// window's, and a failed replay changes nothing.
     #[allow(clippy::too_many_arguments)]
     fn replay_dlq(
         &self,
@@ -912,8 +858,8 @@ impl Baywatch {
         replay_budget: BudgetSpec,
         plan: Option<&FaultPlan>,
         policy: &FaultPolicy,
+        window: &mut Detected,
         stats: &mut FilterStats,
-        detections: &mut Vec<(ActivitySummary, DetectionReport)>,
     ) -> std::io::Result<(usize, usize)> {
         let mut replayed = 0usize;
         let mut recovered = 0usize;
@@ -924,42 +870,81 @@ impl Baywatch {
                 continue;
             };
             replayed += 1;
-            let (rows, _replay_faults) = jobs::detect_beaconing_budgeted_ft(
+            let job = jobs::detect_beaconing(
                 &self.engine,
-                summaries,
+                &summaries,
                 &self.detector,
                 replay_budget,
                 plan,
                 policy,
             );
-            let mut completed = false;
-            for row in rows {
-                match row {
-                    jobs::DetectRow::Hit(hit) => {
-                        completed = true;
-                        detections.push(*hit);
-                    }
-                    jobs::DetectRow::Quiet(_) => completed = true,
-                    jobs::DetectRow::TimedOut(_) => {}
-                }
-            }
-            if completed {
-                recovered += 1;
-                match entry.reason {
-                    DlqReason::Poison => {
-                        stats.quarantined_pairs = stats.quarantined_pairs.saturating_sub(1);
-                    }
-                    DlqReason::TimedOut | DlqReason::BudgetExhausted => {
-                        stats.timed_out_pairs = stats.timed_out_pairs.saturating_sub(1);
-                    }
-                }
-            } else {
+            let mut replay = Detected::default();
+            let verdicts = replay.absorb(
+                job,
+                &mut FilterStats::default(),
+                &mut FaultReport::default(),
+            );
+            if verdicts == 0 {
                 still_failed.push(entry);
+                continue;
+            }
+            recovered += 1;
+            window.hits.append(&mut replay.hits);
+            match entry.reason {
+                DlqReason::Poison => {
+                    stats.quarantined_pairs = stats.quarantined_pairs.saturating_sub(1);
+                }
+                DlqReason::TimedOut | DlqReason::BudgetExhausted => {
+                    stats.timed_out_pairs = stats.timed_out_pairs.saturating_sub(1);
+                }
             }
         }
         manifest.dlq = still_failed;
         store.save_manifest(manifest)?;
         Ok((replayed, recovered))
+    }
+}
+
+/// The detection phase's running result across one or more detection jobs.
+#[derive(Default)]
+struct Detected {
+    hits: Vec<(ActivitySummary, DetectionReport)>,
+    /// Pairs already counted in `timed_out_pairs` via a TimedOut row. A
+    /// pair may reach detection through several summaries (one per reduce
+    /// group upstream, or duplicated input); the funnel must count it once
+    /// — and never again as shed.
+    timed_out: BTreeSet<CommunicationPair>,
+}
+
+impl Detected {
+    /// Folds one detection job's rows and fault counts into the window's
+    /// funnel and fault report; returns how many rows reached a verdict
+    /// (hit or quiet).
+    fn absorb(
+        &mut self,
+        (rows, job_faults): (Vec<jobs::DetectRow>, FaultReport),
+        stats: &mut FilterStats,
+        faults: &mut FaultReport,
+    ) -> usize {
+        stats.quarantined_pairs += job_faults.quarantined_keys + job_faults.quarantined_inputs;
+        stats.timed_out_pairs += job_faults.timed_out_inputs + job_faults.timed_out_keys;
+        faults.absorb(&job_faults);
+        let mut verdicts = 0;
+        for row in rows {
+            match row {
+                jobs::DetectRow::Hit(hit) => {
+                    verdicts += 1;
+                    self.hits.push(*hit);
+                }
+                jobs::DetectRow::Quiet(_) => verdicts += 1,
+                jobs::DetectRow::TimedOut(pair) => {
+                    if self.timed_out.insert(pair) {
+                        stats.timed_out_pairs += 1;
+                    }
+                }
+            }
+        }
+        verdicts
     }
 }
 
@@ -1363,6 +1348,91 @@ mod tests {
             "one pair must be counted once, not per summary"
         );
         assert_eq!(stats.shed_pairs, 0);
+    }
+
+    #[test]
+    fn deadline_dropped_pairs_replay_as_timed_out_past_the_sample_cap() {
+        // Regression: the DLQ reason used to be read off the *bounded*
+        // `timeout_samples`, so a straggler past the cap — or any straggler
+        // under `sample_limit: 0` — was filed as `Poison`, and its replay
+        // decremented `quarantined_pairs` instead of `timed_out_pairs`.
+        let summary = |dst: &str| {
+            let records: Vec<LogRecord> = (0..5)
+                .map(|i| LogRecord::new(1_000 + i * 60, "h", dst, "tok"))
+                .collect();
+            ActivitySummary::from_records(&records, 1).unwrap()
+        };
+        let base = std::env::temp_dir().join(format!("baywatch-dlq-cap-{}", std::process::id()));
+        for (sample_limit, stragglers) in [(0usize, 1usize), (2, 2 * 2 + 1)] {
+            // Honest pairs here finish in microseconds (too few events to
+            // analyze); only the injected sleeps overrun the deadline.
+            let policy = FaultPolicy {
+                sample_limit,
+                task_deadline: Some(Duration::from_millis(250)),
+                ..FaultPolicy::default()
+            };
+            let mut plan = FaultPlan::new();
+            let mut summaries = vec![summary("fine.test")];
+            for i in 0..stragglers {
+                let slow = summary(&format!("slow{i}.test"));
+                plan = plan.delay_key(&format!("{:?}", slow.pair), 600);
+                summaries.push(slow);
+            }
+            // One shard holds every pair (default shard size 32).
+            let run = |plan: Option<&FaultPlan>, spec: &CheckpointSpec| {
+                let engine = Baywatch::new(quiet_config());
+                let (mut stats, mut faults) = (FilterStats::default(), FaultReport::default());
+                let (hits, outcome) = engine
+                    .detect_checkpointed(
+                        summaries.clone(),
+                        plan,
+                        &policy,
+                        &mut stats,
+                        &mut faults,
+                        spec,
+                    )
+                    .unwrap();
+                assert!(hits.is_empty());
+                (stats, outcome)
+            };
+            let (clean, _) = run(None, &CheckpointSpec::new(base.join("clean")));
+            assert_eq!(clean, FilterStats::default());
+
+            let dir = base.join(format!("limit-{sample_limit}"));
+            let (first, outcome) = run(Some(&plan), &CheckpointSpec::new(&dir));
+            assert_eq!(first.timed_out_pairs, stragglers);
+            assert_eq!(first.quarantined_pairs, 0);
+            assert_eq!(outcome.dlq_entries, stragglers);
+            let manifest = std::fs::read_to_string(dir.join("run_manifest.json")).unwrap();
+            let manifest = RunManifest::from_json(&manifest).unwrap();
+            assert_eq!(manifest.dlq.len(), stragglers);
+            for entry in &manifest.dlq {
+                assert_eq!(entry.reason, DlqReason::TimedOut, "{}", entry.key);
+                assert_eq!(entry.retries, 0);
+            }
+
+            // A later pass, nothing sleeping: every entry recovers and the
+            // funnel is the clean run's again.
+            let (replayed, outcome) = run(
+                None,
+                &CheckpointSpec {
+                    resume: true,
+                    replay_budget: Some(BudgetSpec::UNLIMITED),
+                    ..CheckpointSpec::new(&dir)
+                },
+            );
+            assert_eq!(outcome.resumed_shards, 1);
+            assert_eq!(outcome.dlq_recovered, stragglers);
+            assert_eq!(
+                replayed,
+                FilterStats {
+                    dlq_replayed: stragglers,
+                    dlq_recovered: stragglers,
+                    ..clean
+                }
+            );
+        }
+        std::fs::remove_dir_all(&base).ok();
     }
 
     #[test]

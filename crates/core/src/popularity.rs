@@ -7,7 +7,7 @@
 
 use std::collections::{HashMap, HashSet};
 
-use baywatch_mapreduce::MapReduce;
+use baywatch_mapreduce::{FaultPolicy, FaultReport, MapReduce};
 
 use crate::record::LogRecord;
 
@@ -19,39 +19,43 @@ pub struct PopularityStats {
 }
 
 impl PopularityStats {
-    /// Computes popularity from a window of records using the given
-    /// MapReduce engine.
-    pub fn compute(engine: &MapReduce, records: &[LogRecord]) -> Self {
+    /// Computes popularity from a window of records as one job of the given
+    /// MapReduce engine, run under `policy`. A destination the engine had
+    /// to drop reads as never seen (popularity 0, so never whitelisted);
+    /// the returned [`FaultReport`] says so.
+    pub fn compute(
+        engine: &MapReduce,
+        records: &[LogRecord],
+        policy: &FaultPolicy,
+    ) -> (Self, FaultReport) {
         let total_sources = records
             .iter()
             .map(|r| r.source.as_str())
             .collect::<HashSet<_>>()
             .len();
         if total_sources == 0 {
-            return Self::default();
+            return (Self::default(), FaultReport::default());
         }
         // MAP: record -> (domain, source), borrowed from the window;
         // REDUCE: count distinct sources. Only a distinct domain is owned.
-        let inputs: Vec<(&str, &str)> = records
-            .iter()
-            .map(|r| (r.domain.as_str(), r.source.as_str()))
-            .collect();
-        let pairs = engine.run(
-            inputs,
-            |(d, s), emit| emit(d, s),
+        let (pairs, faults) = engine.run(
+            records,
+            |r, emit| emit(r.domain.as_str(), r.source.as_str()),
             |d, sources| {
-                let distinct: HashSet<&str> = sources.into_iter().collect();
+                let distinct: HashSet<&str> = sources.iter().copied().collect();
                 vec![(*d, distinct.len())]
             },
+            policy,
         );
         let per_domain = pairs
             .into_iter()
             .map(|(d, n)| (d.to_owned(), n as f64 / total_sources as f64))
             .collect();
-        Self {
+        let stats = Self {
             per_domain,
             total_sources,
-        }
+        };
+        (stats, faults)
     }
 
     /// Popularity of a destination (0 when never seen).
@@ -80,11 +84,14 @@ mod tests {
     use super::*;
     use baywatch_mapreduce::JobConfig;
 
-    fn engine() -> MapReduce {
-        MapReduce::new(JobConfig {
+    fn compute(records: &[LogRecord]) -> PopularityStats {
+        let engine = MapReduce::new(JobConfig {
             partitions: 4,
             threads: 2,
-        })
+        });
+        let (stats, faults) = PopularityStats::compute(&engine, records, &FaultPolicy::default());
+        assert!(faults.is_clean());
+        stats
     }
 
     fn record(s: &str, d: &str) -> LogRecord {
@@ -101,7 +108,7 @@ mod tests {
             // duplicate requests don't double-count sources
             record("a", "popular.com"),
         ];
-        let stats = PopularityStats::compute(&engine(), &records);
+        let stats = compute(&records);
         assert_eq!(stats.total_sources(), 3);
         assert!((stats.popularity("popular.com") - 1.0).abs() < 1e-12);
         assert!((stats.popularity("niche.com") - 1.0 / 3.0).abs() < 1e-12);
@@ -127,7 +134,7 @@ mod tests {
         for r in &records {
             by_domain.entry(&r.domain).or_default().insert(&r.source);
         }
-        let stats = PopularityStats::compute(&engine(), &records);
+        let stats = compute(&records);
         assert_eq!(stats.total_sources(), 12);
         assert_eq!(stats.distinct_destinations(), by_domain.len());
         for (domain, sources) in by_domain {
@@ -138,7 +145,7 @@ mod tests {
 
     #[test]
     fn empty_window() {
-        let stats = PopularityStats::compute(&engine(), &[]);
+        let stats = compute(&[]);
         assert_eq!(stats.total_sources(), 0);
         assert_eq!(stats.popularity("x.com"), 0.0);
     }
@@ -154,7 +161,7 @@ mod tests {
                 records.push(record(&s, "shared.com"));
             }
         }
-        let stats = PopularityStats::compute(&engine(), &records);
+        let stats = compute(&records);
         assert_eq!(stats.total_sources(), 100);
         assert!((stats.popularity("shared.com") - 0.25).abs() < 1e-12);
         assert!((stats.popularity("base.com") - 1.0).abs() < 1e-12);

@@ -242,7 +242,9 @@ impl MultiScaleScheduler {
     /// tagged with the tier that found them.
     pub fn ingest_day(&mut self, records: Vec<LogRecord>) -> Vec<TierDetection> {
         // Summarize the day once at the finest granularity.
-        let day_summaries = jobs::extract_summaries(&self.engine, records, 1);
+        let policy = FaultPolicy::default();
+        let (day_summaries, _faults) =
+            jobs::extract_summaries(&self.engine, &records, 1, None, &policy);
         self.history.push(day_summaries);
         self.days_ingested += 1;
 
@@ -270,7 +272,8 @@ impl MultiScaleScheduler {
                 .cloned()
                 .collect();
             // Merge per-pair across days and re-bin to the tier's scale.
-            let merged = jobs::rescale_and_merge(&self.engine, window, tier.scale);
+            let (merged, _faults) =
+                jobs::rescale_and_merge(&self.engine, &window, tier.scale, None, &policy);
 
             // Run the detector at the tier's scale.
             let detector_config = DetectorConfig {
@@ -278,13 +281,13 @@ impl MultiScaleScheduler {
                 ..self.detector_config.clone()
             };
             let detector = PeriodicityDetector::new(detector_config);
-            let (rows, _faults) = jobs::detect_beaconing_budgeted_ft(
+            let (rows, _faults) = jobs::detect_beaconing(
                 &self.engine,
-                merged,
+                &merged,
                 &detector,
                 tier.pair_budget,
                 None,
-                &FaultPolicy::default(),
+                &policy,
             );
             for row in rows {
                 match row {

@@ -55,9 +55,9 @@ use baywatch_langmodel::{corpus, DomainScorer};
 use baywatch_obs::{Clock, ManualClock, MetricsRegistry, MetricsSnapshot};
 use baywatch_resilience::{AdmissionConfig, AdmissionController, AdmissionDecision};
 use baywatch_timeseries::detector::PeriodicityDetector;
-use baywatch_timeseries::workspace::with_thread_workspace;
-use baywatch_timeseries::{CandidatePeriod, TimeSeriesError, TimestampRing};
+use baywatch_timeseries::{CandidatePeriod, TimestampRing};
 
+use crate::jobs::{self, Verdict};
 use crate::pair::CommunicationPair;
 use crate::pipeline::{AnalysisReport, Baywatch, BaywatchConfig, FilterStats};
 use crate::rank::{rank_cases, BeaconCase};
@@ -950,8 +950,8 @@ impl StreamingHunt {
         }
 
         // Filter 3: periodicity, cached by ring version. The detector
-        // runs on this thread, so `with_thread_workspace` reuses FFT
-        // plans across pairs *and* across ticks.
+        // runs on this thread, so its thread-local spectral workspace
+        // reuses FFT plans across pairs *and* across ticks.
         let mut runs = 0u64;
         let mut cached = 0u64;
         let scale = self.config.pipeline.time_scale;
@@ -1032,9 +1032,9 @@ impl StreamingHunt {
     }
 }
 
-/// One detection run over a pair's ring, replicating the batch job's
-/// call exactly: quantized timestamps, a fresh per-pair budget, a
-/// thread-local spectral workspace, and the same verdict mapping.
+/// One detection run over a pair's ring: quantized timestamps through the
+/// batch jobs' own [`jobs::detect_verdict`], so the streaming verdict *is*
+/// the batch verdict.
 fn detect_pair(
     detector: &PeriodicityDetector,
     pipeline: &BaywatchConfig,
@@ -1045,17 +1045,11 @@ fn detect_pair(
         .entries()
         .map(|e| e.timestamp / scale * scale)
         .collect();
-    let budget = pipeline.detector.budget;
-    with_thread_workspace(|ws| {
-        match detector.detect_budgeted_in(ws, &timestamps, &budget.start()) {
-            Ok(report) if report.is_periodic() => PairVerdict::Periodic(report.candidates),
-            Ok(_) => PairVerdict::Quiet,
-            Err(TimeSeriesError::BudgetExhausted) => PairVerdict::TimedOut,
-            // Validation errors (too few events, zero span, …) mean "not
-            // a beacon candidate", exactly as in the batch job.
-            Err(_) => PairVerdict::Quiet,
-        }
-    })
+    match jobs::detect_verdict(detector, &timestamps, &pipeline.detector.budget) {
+        Verdict::Periodic(report) => PairVerdict::Periodic(report.candidates),
+        Verdict::Quiet => PairVerdict::Quiet,
+        Verdict::TimedOut => PairVerdict::TimedOut,
+    }
 }
 
 /// FNV-1a 64-bit fingerprint of a pair key (source NUL destination).
@@ -1390,6 +1384,71 @@ mod tests {
         hunt.commit_reported([CommunicationPair::new("beacon", "qwzkrvbplm.test")]);
         let after = hunt.finish().unwrap();
         assert_eq!(after.stats.after_novelty, 0, "committed pair is not novel");
+    }
+
+    #[test]
+    fn batch_and_stream_share_one_verdict_mapping() {
+        use crate::activity::ActivitySummary;
+        use crate::jobs::DetectRow;
+        use baywatch_mapreduce::{FaultPolicy, MapReduce};
+        use baywatch_timeseries::BudgetSpec;
+
+        let beacon: Vec<u64> = (0..100).map(|i| 10_000 + i * 60).collect();
+        let too_few = beacon[..3].to_vec();
+        let one_op = BudgetSpec {
+            max_ops: Some(1),
+            ..Default::default()
+        };
+        for (timestamps, budget) in [
+            (&beacon, BudgetSpec::UNLIMITED),
+            (&too_few, BudgetSpec::UNLIMITED),
+            (&beacon, one_op),
+        ] {
+            let mut pipeline = BaywatchConfig::default();
+            pipeline.detector.budget = budget;
+            let detector = PeriodicityDetector::new(pipeline.detector.clone());
+
+            let direct = jobs::detect_verdict(&detector, timestamps, &budget);
+
+            let mut ring = TimestampRing::new(timestamps.len());
+            let batch: Vec<(u64, u32)> = timestamps.iter().map(|&t| (t, 1)).collect();
+            ring.append_batch(&batch);
+            let streamed = detect_pair(&detector, &pipeline, &ring);
+
+            let records: Vec<LogRecord> = timestamps
+                .iter()
+                .map(|&t| record(t, "h", "d.test"))
+                .collect();
+            let summary = ActivitySummary::from_records(&records, 1).unwrap();
+            let (rows, faults) = jobs::detect_beaconing(
+                &MapReduce::default(),
+                &[summary],
+                &detector,
+                budget,
+                None,
+                &FaultPolicy::default(),
+            );
+            assert!(faults.is_clean());
+            assert_eq!(rows.len(), 1);
+
+            let expect_timeout = budget == one_op;
+            let expect_periodic = !expect_timeout && timestamps.len() == beacon.len();
+            match (direct, streamed, &rows[0]) {
+                (
+                    Verdict::Periodic(report),
+                    PairVerdict::Periodic(candidates),
+                    DetectRow::Hit(hit),
+                ) if expect_periodic => {
+                    assert_eq!(candidates, report.candidates);
+                    assert_eq!(hit.1, report);
+                }
+                (Verdict::Quiet, PairVerdict::Quiet, DetectRow::Quiet(_))
+                    if !expect_periodic && !expect_timeout => {}
+                (Verdict::TimedOut, PairVerdict::TimedOut, DetectRow::TimedOut(_))
+                    if expect_timeout => {}
+                other => panic!("callers disagree or verdict unexpected: {other:?}"),
+            }
+        }
     }
 
     #[test]

@@ -5,8 +5,8 @@
 //! The paper runs over ~30 B proxy events where pathological records are
 //! the norm; production MapReduce systems (Dean & Ghemawat) treat task
 //! failure and bad-record skipping as first-class for exactly that reason.
-//! [`MapReduce::run_fault_tolerant`](crate::MapReduce::run_fault_tolerant)
-//! follows the same model: every map chunk and reduce partition runs under
+//! [`MapReduce::run`](crate::MapReduce::run) follows the same model: every
+//! map chunk and reduce partition runs under
 //! `catch_unwind` with bounded retries, repeated failures are bisected down
 //! to the poison record or key, the poison unit is quarantined (counted and
 //! sampled, not propagated), and the run completes in degraded mode.
@@ -18,7 +18,9 @@ use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::Duration;
 
-/// Retry and quarantine policy for a fault-tolerant run.
+/// Retry, sampling and straggler-deadline policy of a run: how hard the
+/// engine tries before it drops a unit. The default is what "plain"
+/// execution means.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FaultPolicy {
     /// Additional attempts granted to a failing task (map slice or reduce
@@ -50,11 +52,11 @@ impl Default for FaultPolicy {
     }
 }
 
-/// What the fault-tolerant engine had to do to complete a run.
+/// What the engine had to do to complete a run.
 ///
 /// Returned alongside the results by
-/// [`MapReduce::run_fault_tolerant`](crate::MapReduce::run_fault_tolerant);
-/// a clean run has all counters at zero ([`FaultReport::is_clean`]).
+/// [`MapReduce::run`](crate::MapReduce::run); a clean run has all counters
+/// at zero ([`FaultReport::is_clean`]).
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct FaultReport {
     /// Map-side task attempts beyond the first (transient faults absorbed).
@@ -136,7 +138,8 @@ impl FaultReport {
     /// while under the sample bound.
     pub fn note_checkpoint_corruption(&mut self, sample: String, sample_limit: usize) {
         self.checkpoint_corruptions += 1;
-        if self.corruption_samples.len() < sample_limit && !self.corruption_samples.contains(&sample)
+        if self.corruption_samples.len() < sample_limit
+            && !self.corruption_samples.contains(&sample)
         {
             self.corruption_samples.push(sample);
         }
@@ -197,7 +200,9 @@ pub(crate) struct PhaseFaults {
     pub retries: usize,
     pub quarantined: usize,
     pub bisections: usize,
-    pub timed_out: usize,
+    /// `Debug` rendering of every unit dropped for overrunning the task
+    /// deadline — exact, unlike the bounded `timeout_samples`.
+    pub timed_out: Vec<String>,
     pub lost_values: usize,
     pub backoff_waits: usize,
     pub backoff_nanos: u64,
@@ -225,18 +230,18 @@ impl PhaseFaults {
     /// Records a unit dropped for overrunning the task deadline — the
     /// straggler analogue of [`PhaseFaults::quarantine`].
     pub fn quarantine_timeout(&mut self, unit: String, lost_values: usize, policy: &FaultPolicy) {
-        self.timed_out += 1;
         self.lost_values += lost_values;
         if self.timeout_samples.len() < policy.sample_limit {
-            self.timeout_samples.push(unit);
+            self.timeout_samples.push(unit.clone());
         }
+        self.timed_out.push(unit);
     }
 
     pub fn merge(&mut self, other: PhaseFaults) {
         self.retries += other.retries;
         self.quarantined += other.quarantined;
         self.bisections += other.bisections;
-        self.timed_out += other.timed_out;
+        self.timed_out.extend(other.timed_out);
         self.lost_values += other.lost_values;
         self.backoff_waits += other.backoff_waits;
         self.backoff_nanos = self.backoff_nanos.saturating_add(other.backoff_nanos);
@@ -257,15 +262,15 @@ impl PhaseFaults {
 /// # Example
 ///
 /// ```
-/// use baywatch_mapreduce::fault::FaultPlan;
+/// use baywatch_mapreduce::fault::{FaultPlan, FaultPolicy};
 /// use baywatch_mapreduce::{JobConfig, MapReduce};
 ///
 /// let plan = FaultPlan::new()
 ///     .panic_on_map_call(1)      // one transient map fault, absorbed by retry
 ///     .poison_key("\"bad\"");    // this key always fails → quarantined
 /// let engine = MapReduce::new(JobConfig { partitions: 4, threads: 2 });
-/// let (out, report) = engine.run_fault_tolerant(
-///     vec!["ok bad ok", "ok"],
+/// let (out, report) = engine.run(
+///     &["ok bad ok", "ok"],
 ///     |doc, emit| {
 ///         plan.map_checkpoint(doc);
 ///         for w in doc.split_whitespace() {
@@ -276,6 +281,7 @@ impl PhaseFaults {
 ///         plan.reduce_checkpoint(word);
 ///         vec![(word.clone(), ones.len())]
 ///     },
+///     &FaultPolicy::default(),
 /// );
 /// assert_eq!(out, vec![("ok".to_owned(), 3)]);
 /// assert_eq!(report.quarantined_keys, 1);

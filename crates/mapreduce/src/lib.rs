@@ -12,31 +12,36 @@
 //! The engine is deliberately synchronous and in-memory — the paper's
 //! contribution is the *decomposition into modular jobs*, not HDFS — but it
 //! preserves the semantics that matter: deterministic partitioning by key
-//! hash, grouped-and-sorted reduce input, and optional map-side combining.
+//! hash and grouped-and-sorted reduce input.
+//!
+//! There is one execution body, [`MapReduce::run`]. Daily log mining meets
+//! dirty records as a matter of course, so every job runs fault-tolerantly:
+//! a panicking or straggling task is retried, bisected and quarantined
+//! (see the [`fault`] module) and the [`FaultReport`] says what was
+//! dropped. "Plain" execution is `&FaultPolicy::default()` on clean input,
+//! not a second function. [`MapReduce::run_sharded_checkpointed`] is the
+//! persistence layer: the same body once per shard, checkpoints between.
 //!
 //! ```
-//! use baywatch_mapreduce::{JobConfig, MapReduce};
+//! use baywatch_mapreduce::{FaultPolicy, JobConfig, MapReduce};
 //!
-//! // Classic word count.
-//! let docs = vec!["to be or not to be", "be fast"];
+//! // Classic word count. Inputs are borrowed, so keys may point into them.
+//! let docs = ["to be or not to be", "be fast"];
 //! let engine = MapReduce::new(JobConfig::default());
-//! let counts = engine.run(
-//!     docs,
+//! let (counts, faults) = engine.run(
+//!     &docs,
 //!     |doc, emit| {
 //!         for w in doc.split_whitespace() {
-//!             emit(w.to_owned(), 1usize);
+//!             emit(w, 1usize);
 //!         }
 //!     },
-//!     |word, ones| vec![(word.clone(), ones.len())],
+//!     |word, ones| vec![(*word, ones.len())],
+//!     &FaultPolicy::default(),
 //! );
-//! let be = counts.iter().find(|(w, _)| w == "be").unwrap();
+//! let be = counts.iter().find(|(w, _)| *w == "be").unwrap();
 //! assert_eq!(be.1, 3);
+//! assert!(faults.is_clean());
 //! ```
-//!
-//! For inputs where a pathological record or key may panic a task, the
-//! fault-tolerant entry point [`MapReduce::run_fault_tolerant`] completes
-//! the run in degraded mode (retry → bisect → quarantine) and reports what
-//! it had to drop — see the [`fault`] module.
 
 #![warn(clippy::unwrap_used)]
 #![cfg_attr(test, allow(clippy::unwrap_used))]
@@ -49,7 +54,6 @@ use std::collections::HashMap;
 use std::fmt::Debug;
 use std::hash::{Hash, Hasher};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -104,30 +108,6 @@ impl JobConfig {
     }
 }
 
-/// Counters accumulated during a run (observability, in the spirit of
-/// Hadoop's job counters).
-#[derive(Debug, Default)]
-pub struct JobStats {
-    map_output_records: AtomicUsize,
-    reduce_groups: AtomicUsize,
-    output_records: AtomicUsize,
-}
-
-impl JobStats {
-    /// Records emitted by all mappers.
-    pub fn map_output_records(&self) -> usize {
-        self.map_output_records.load(Ordering::Relaxed)
-    }
-    /// Distinct keys seen by reducers.
-    pub fn reduce_groups(&self) -> usize {
-        self.reduce_groups.load(Ordering::Relaxed)
-    }
-    /// Records produced by all reducers.
-    pub fn output_records(&self) -> usize {
-        self.output_records.load(Ordering::Relaxed)
-    }
-}
-
 /// The MapReduce engine.
 #[derive(Debug, Clone)]
 pub struct MapReduce {
@@ -154,8 +134,8 @@ impl MapReduce {
         }
     }
 
-    /// Attaches a metrics registry; fault-tolerant runs record job and
-    /// fault counters (`mapreduce.*`) into it. All recorded values are
+    /// Attaches a metrics registry; every run records job and fault
+    /// counters (`mapreduce.*`) into it. All recorded values are
     /// order-independent sums, so they stay deterministic under threading.
     #[must_use]
     pub fn with_metrics(mut self, metrics: Arc<MetricsRegistry>) -> Self {
@@ -194,287 +174,95 @@ impl MapReduce {
 
     /// Runs a job: `mapper(input, emit)` produces keyed records,
     /// `reducer(key, values)` consumes each group. Output is ordered by
-    /// partition index, then by key within the partition — fully
-    /// deterministic for a fixed configuration.
-    pub fn run<I, K, V, O, M, R>(&self, inputs: Vec<I>, mapper: M, reducer: R) -> Vec<O>
-    where
-        I: Send,
-        K: Hash + Eq + Ord + Send,
-        V: Send,
-        O: Send,
-        M: Fn(I, &mut dyn FnMut(K, V)) + Sync,
-        R: Fn(&K, Vec<V>) -> Vec<O> + Sync,
-    {
-        self.run_with_stats(inputs, mapper, reducer).0
-    }
-
-    /// Like [`MapReduce::run`], also returning job counters.
-    pub fn run_with_stats<I, K, V, O, M, R>(
-        &self,
-        inputs: Vec<I>,
-        mapper: M,
-        reducer: R,
-    ) -> (Vec<O>, JobStats)
-    where
-        I: Send,
-        K: Hash + Eq + Ord + Send,
-        V: Send,
-        O: Send,
-        M: Fn(I, &mut dyn FnMut(K, V)) + Sync,
-        R: Fn(&K, Vec<V>) -> Vec<O> + Sync,
-    {
-        let stats = JobStats::default();
-        let n_partitions = self.config.partitions;
-        let n_threads = self.config.threads.max(1);
-
-        // ---- Map phase ----
-        // Each worker owns a vector of per-partition buckets; no locking on
-        // the hot path.
-        let chunks = split_into(inputs, n_threads);
-        let mut all_buckets: Vec<Vec<Vec<(K, V)>>> = Vec::with_capacity(chunks.len());
-
-        crossbeam::thread::scope(|scope| {
-            let mut handles = Vec::new();
-            for chunk in chunks {
-                let mapper = &mapper;
-                let stats = &stats;
-                handles.push(scope.spawn(move |_| {
-                    let mut buckets: Vec<Vec<(K, V)>> =
-                        (0..n_partitions).map(|_| Vec::new()).collect();
-                    let mut emitted = 0usize;
-                    for input in chunk {
-                        let mut emit = |k: K, v: V| {
-                            emitted += 1;
-                            let p = partition_of(&k, n_partitions);
-                            buckets[p].push((k, v));
-                        };
-                        mapper(input, &mut emit);
-                    }
-                    stats
-                        .map_output_records
-                        .fetch_add(emitted, Ordering::Relaxed);
-                    buckets
-                }));
-            }
-            for h in handles {
-                all_buckets.push(h.join().expect("map worker panicked"));
-            }
-        })
-        .expect("map scope panicked");
-
-        // ---- Shuffle: merge per-worker buckets per partition. ----
-        let mut partitions: Vec<Vec<(K, V)>> = (0..n_partitions).map(|_| Vec::new()).collect();
-        for worker_buckets in all_buckets {
-            for (p, bucket) in worker_buckets.into_iter().enumerate() {
-                partitions[p].extend(bucket);
-            }
-        }
-
-        // ---- Reduce phase: partitions processed in parallel. ----
-        let mut results: Vec<(usize, Vec<O>)> = Vec::with_capacity(n_partitions);
-        crossbeam::thread::scope(|scope| {
-            let mut handles = Vec::new();
-            for (p, records) in partitions.into_iter().enumerate() {
-                let reducer = &reducer;
-                let stats = &stats;
-                handles.push(scope.spawn(move |_| {
-                    // Group by key, then sort keys for deterministic output.
-                    let mut groups: HashMap<K, Vec<V>> = HashMap::new();
-                    for (k, v) in records {
-                        groups.entry(k).or_default().push(v);
-                    }
-                    let mut keyed: Vec<(K, Vec<V>)> = groups.into_iter().collect();
-                    keyed.sort_by(|a, b| a.0.cmp(&b.0));
-                    stats
-                        .reduce_groups
-                        .fetch_add(keyed.len(), Ordering::Relaxed);
-                    let mut out = Vec::new();
-                    for (k, vs) in keyed {
-                        out.extend(reducer(&k, vs));
-                    }
-                    stats.output_records.fetch_add(out.len(), Ordering::Relaxed);
-                    (p, out)
-                }));
-            }
-            for h in handles {
-                results.push(h.join().expect("reduce worker panicked"));
-            }
-        })
-        .expect("reduce scope panicked");
-
-        results.sort_by_key(|(p, _)| *p);
-        let output = results.into_iter().flat_map(|(_, o)| o).collect();
-        (output, stats)
-    }
-
-    /// Runs a job with a map-side *combiner*: values for the same key are
-    /// pre-aggregated inside each map worker before the shuffle, cutting
-    /// shuffle volume for associative reductions — the same overhead
-    /// concern the paper addresses by bounding REDUCE task counts.
-    pub fn run_with_combiner<I, K, V, O, M, C, R>(
-        &self,
-        inputs: Vec<I>,
-        mapper: M,
-        combiner: C,
-        reducer: R,
-    ) -> Vec<O>
-    where
-        I: Send,
-        K: Hash + Eq + Ord + Clone + Send,
-        V: Send,
-        O: Send,
-        M: Fn(I, &mut dyn FnMut(K, V)) + Sync,
-        C: Fn(V, V) -> V + Sync,
-        R: Fn(&K, Vec<V>) -> Vec<O> + Sync,
-    {
-        // Phase A: map + local combine inside each worker.
-        let n_threads = self.config.threads.max(1);
-        let chunks = split_into(inputs, n_threads);
-        let mut pre_combined: Vec<(K, V)> = Vec::new();
-        crossbeam::thread::scope(|scope| {
-            let mut handles = Vec::new();
-            for chunk in chunks {
-                let mapper = &mapper;
-                let combiner = &combiner;
-                handles.push(scope.spawn(move |_| {
-                    let mut local: HashMap<K, V> = HashMap::new();
-                    for input in chunk {
-                        let mut emit = |k: K, v: V| {
-                            if let Some(existing) = local.remove(&k) {
-                                local.insert(k, combiner(existing, v));
-                            } else {
-                                local.insert(k, v);
-                            }
-                        };
-                        mapper(input, &mut emit);
-                    }
-                    local.into_iter().collect::<Vec<(K, V)>>()
-                }));
-            }
-            for h in handles {
-                pre_combined.extend(h.join().expect("combine worker panicked"));
-            }
-        })
-        .expect("combine scope panicked");
-
-        // Phase B: shuffle + reduce over the pre-combined records, folding
-        // the per-worker partials with the combiner first.
-        self.run(
-            pre_combined,
-            |(k, v), emit| emit(k, v),
-            |k, vs| {
-                let mut it = vs.into_iter();
-                // The shuffle never emits an empty group; if one ever
-                // appears, hand the reducer the empty group rather than
-                // panicking mid-job.
-                let Some(first) = it.next() else {
-                    return reducer(k, Vec::new());
-                };
-                let folded = it.fold(first, &combiner);
-                reducer(k, vec![folded])
-            },
-        )
-    }
-
-    /// Runs a job that survives panicking mappers and reducers, with the
-    /// default [`FaultPolicy`].
+    /// partition index ([`partition_of`]), then by key within the
+    /// partition — fully deterministic for a fixed configuration. Inputs
+    /// are borrowed for the whole run, so keys and values may point into
+    /// them instead of copying.
     ///
-    /// Semantics match [`MapReduce::run`] — same partitioning, same
-    /// grouped-and-sorted reduce input, same deterministic output order —
-    /// except that every map slice and reduce key executes under
-    /// `catch_unwind` with a bounded retry budget. A map slice that keeps
-    /// failing is bisected down to the single poison record; a reduce key
-    /// that keeps failing is quarantined together with its values. The run
-    /// always completes; the returned [`FaultReport`] says what was
-    /// retried, what was dropped, and how long each phase took. A run with
-    /// no faults produces output identical to [`MapReduce::run`].
+    /// Every map slice and reduce key executes under `catch_unwind` with
+    /// the retry budget of `policy`. A map slice that keeps failing is
+    /// bisected down to the single poison record; a reduce key that keeps
+    /// failing is quarantined together with its values; with
+    /// [`FaultPolicy::task_deadline`] armed, stragglers are isolated and
+    /// dropped the same way. The run always completes; the returned
+    /// [`FaultReport`] says what was retried, what was dropped, and how
+    /// long each phase took.
     ///
-    /// Signature differences from [`MapReduce::run`], forced by retries:
-    /// the mapper borrows its input (`&I`) and the reducer borrows the
-    /// value group (`&[V]`), because a failed attempt must leave the data
-    /// available for the next one; `I` and `K` must be `Debug` so
-    /// quarantined units can be sampled into the report. Mappers and
-    /// reducers may therefore run more than once for the same unit — they
-    /// must be idempotent with respect to external side effects.
-    pub fn run_fault_tolerant<I, K, V, O, M, R>(
+    /// Retries shape the signature: the reducer borrows the value group
+    /// (`&[V]`) because a failed attempt must leave the data available for
+    /// the next one, and `I` and `K` must be `Debug` so quarantined units
+    /// can be sampled into the report. Mappers and reducers may run more
+    /// than once for the same unit — they must be idempotent with respect
+    /// to external side effects.
+    pub fn run<'a, I, K, V, O, M, R>(
         &self,
-        inputs: Vec<I>,
-        mapper: M,
-        reducer: R,
-    ) -> (Vec<O>, FaultReport)
-    where
-        I: Send + Debug,
-        K: Hash + Eq + Ord + Send + Debug,
-        V: Send,
-        O: Send,
-        M: Fn(&I, &mut dyn FnMut(K, V)) + Sync,
-        R: Fn(&K, &[V]) -> Vec<O> + Sync,
-    {
-        self.run_fault_tolerant_with_policy(inputs, mapper, reducer, &FaultPolicy::default())
-    }
-
-    /// Like [`MapReduce::run_fault_tolerant`] with an explicit retry /
-    /// quarantine policy.
-    pub fn run_fault_tolerant_with_policy<I, K, V, O, M, R>(
-        &self,
-        inputs: Vec<I>,
+        inputs: &'a [I],
         mapper: M,
         reducer: R,
         policy: &FaultPolicy,
     ) -> (Vec<O>, FaultReport)
     where
-        I: Send + Debug,
+        I: Sync + Debug,
         K: Hash + Eq + Ord + Send + Debug,
         V: Send,
         O: Send,
-        M: Fn(&I, &mut dyn FnMut(K, V)) + Sync,
+        M: Fn(&'a I, &mut dyn FnMut(K, V)) + Sync,
+        R: Fn(&K, &[V]) -> Vec<O> + Sync,
+    {
+        let (output, report, _) = self.run_job(inputs, mapper, reducer, policy);
+        (output, report)
+    }
+
+    /// [`MapReduce::run`], also returning the `Debug` rendering of *every*
+    /// reduce key dropped for overrunning the deadline — exact, where
+    /// [`FaultReport::timeout_samples`] is a bounded sample.
+    fn run_job<'a, I, K, V, O, M, R>(
+        &self,
+        inputs: &'a [I],
+        mapper: M,
+        reducer: R,
+        policy: &FaultPolicy,
+    ) -> (Vec<O>, FaultReport, Vec<String>)
+    where
+        I: Sync + Debug,
+        K: Hash + Eq + Ord + Send + Debug,
+        V: Send,
+        O: Send,
+        M: Fn(&'a I, &mut dyn FnMut(K, V)) + Sync,
         R: Fn(&K, &[V]) -> Vec<O> + Sync,
     {
         let mut report = FaultReport::default();
         let n_partitions = self.config.partitions;
-        let n_threads = self.config.threads.max(1);
-        let retry = self.retry;
+        let retry = &self.retry;
 
         // ---- Map phase: per-worker chunks, each slice resilient. ----
+        // Each worker owns a vector of per-partition buckets; no locking on
+        // the hot path.
         let map_started = Instant::now();
-        let chunks = split_into(inputs, n_threads);
-        let mut all_buckets: Vec<Vec<Vec<(K, V)>>> = Vec::with_capacity(chunks.len());
+        let mut all_buckets: Vec<Vec<Vec<(K, V)>>> = Vec::new();
         let mut map_faults = PhaseFaults::default();
-
-        crossbeam::thread::scope(|scope| {
-            let mut handles = Vec::new();
-            for (chunk_idx, chunk) in chunks.into_iter().enumerate() {
-                let mapper = &mapper;
-                let retry = &retry;
-                handles.push(scope.spawn(move |_| {
-                    let mut buckets: Vec<Vec<(K, V)>> =
-                        (0..n_partitions).map(|_| Vec::new()).collect();
-                    let mut faults = PhaseFaults::default();
-                    map_slice(
-                        &chunk,
-                        mapper,
-                        policy,
-                        retry,
-                        chunk_idx as u64,
-                        n_partitions,
-                        &mut buckets,
-                        &mut faults,
-                    );
-                    (buckets, faults)
-                }));
-            }
+        std::thread::scope(|scope| {
+            let handles: Vec<_> = split(inputs, self.config.threads)
+                .into_iter()
+                .enumerate()
+                .map(|(chunk_idx, chunk)| {
+                    let mapper = &mapper;
+                    let stream = chunk_idx as u64;
+                    scope.spawn(move || {
+                        map_chunk(chunk, mapper, policy, retry, stream, n_partitions)
+                    })
+                })
+                .collect();
             for h in handles {
                 let (buckets, faults) = h.join().expect("map worker panicked");
                 all_buckets.push(buckets);
                 map_faults.merge(faults);
             }
-        })
-        .expect("map scope panicked");
-        let map_backoff = (map_faults.backoff_waits, map_faults.backoff_nanos);
+        });
         report.map_retries = map_faults.retries;
         report.map_bisections = map_faults.bisections;
         report.quarantined_inputs = map_faults.quarantined;
-        report.timed_out_inputs = map_faults.timed_out;
+        report.timed_out_inputs = map_faults.timed_out.len();
         report.input_samples = map_faults.unit_samples;
         report.timeout_samples = map_faults.timeout_samples;
         report.panic_samples = map_faults.panic_samples;
@@ -491,34 +279,35 @@ impl MapReduce {
         report.shuffle_elapsed = shuffle_started.elapsed();
 
         // ---- Reduce phase: partitions in parallel, keys resilient. ----
+        // Handles are joined in partition order, which is the output order.
         let reduce_started = Instant::now();
-        let mut results: Vec<(usize, Vec<O>)> = Vec::with_capacity(n_partitions);
+        let mut output = Vec::new();
         let mut reduce_faults = PhaseFaults::default();
-        crossbeam::thread::scope(|scope| {
-            let mut handles = Vec::new();
-            for (p, records) in partitions.into_iter().enumerate() {
-                let reducer = &reducer;
-                let retry = &retry;
-                handles.push(scope.spawn(move |_| {
+        std::thread::scope(|scope| {
+            let handles: Vec<_> = partitions
+                .into_iter()
+                .enumerate()
+                .map(|(p, records)| {
+                    let reducer = &reducer;
                     // Reduce streams sit above every possible map-chunk
                     // stream so the two phases draw independent jitter.
                     let stream = (1u64 << 32) | p as u64;
-                    let (out, faults) = reduce_partition(records, reducer, policy, retry, stream);
-                    (p, out, faults)
-                }));
-            }
+                    scope.spawn(move || reduce_partition(records, reducer, policy, retry, stream))
+                })
+                .collect();
             for h in handles {
-                let (p, out, faults) = h.join().expect("reduce worker panicked");
-                results.push((p, out));
+                let (out, faults) = h.join().expect("reduce worker panicked");
+                output.extend(out);
                 reduce_faults.merge(faults);
             }
-        })
-        .expect("reduce scope panicked");
-        let backoff_waits = map_backoff.0 + reduce_faults.backoff_waits;
-        let backoff_nanos = map_backoff.1.saturating_add(reduce_faults.backoff_nanos);
+        });
+        let backoff_waits = map_faults.backoff_waits + reduce_faults.backoff_waits;
+        let backoff_nanos = map_faults
+            .backoff_nanos
+            .saturating_add(reduce_faults.backoff_nanos);
         report.reduce_retries = reduce_faults.retries;
         report.quarantined_keys = reduce_faults.quarantined;
-        report.timed_out_keys = reduce_faults.timed_out;
+        report.timed_out_keys = reduce_faults.timed_out.len();
         report.lost_values = reduce_faults.lost_values;
         report.key_samples = reduce_faults.unit_samples;
         for unit in reduce_faults.timeout_samples {
@@ -551,15 +340,12 @@ impl MapReduce {
             }
         }
 
-        results.sort_by_key(|(p, _)| *p);
-        let output = results.into_iter().flat_map(|(_, o)| o).collect();
-        (output, report)
+        (output, report, reduce_faults.timed_out)
     }
 
     /// Runs a shard plan under durable checkpoint/resume.
     ///
-    /// Each shard executes through
-    /// [`MapReduce::run_fault_tolerant_with_policy`]; after every shard
+    /// Each shard executes through [`MapReduce::run`]; after every shard
     /// the outputs (via `encode`), the shard's [`FaultReport`], and the
     /// deterministic metrics delta it contributed are persisted
     /// atomically, and the [`RunManifest`] — completed shard digests plus
@@ -574,10 +360,13 @@ impl MapReduce {
     /// shard's map/reduce phases) — that is what makes the per-shard
     /// metrics delta exact and the checkpoint boundary well-defined.
     ///
-    /// `dlq_hook(shard_id, inputs, outputs, faults)` inspects a freshly
-    /// completed shard and returns the replayable dead-letter entries it
-    /// produced; `decode` must invert `encode` (`None` signals a corrupt
-    /// payload, re-executing the shard).
+    /// `dlq_hook(shard_id, inputs, outputs, faults, timed_out_keys)`
+    /// inspects a freshly completed shard and returns the replayable
+    /// dead-letter entries it produced; `timed_out_keys` holds the `Debug`
+    /// rendering of every reduce key the shard dropped for overrunning
+    /// [`FaultPolicy::task_deadline`] (exact — `faults.timeout_samples` is
+    /// only a bounded sample). `decode` must invert `encode` (`None`
+    /// signals a corrupt payload, re-executing the shard).
     ///
     /// Checkpoint persistence degrades instead of aborting: every write
     /// goes through a circuit breaker (see
@@ -592,9 +381,9 @@ impl MapReduce {
     /// current implementation completes with warnings instead of
     /// returning `Err`.
     #[allow(clippy::too_many_arguments)]
-    pub fn run_sharded_checkpointed<I, K, V, O, M, R, Enc, Dec, DlqF>(
+    pub fn run_sharded_checkpointed<'a, I, K, V, O, M, R, Enc, Dec, DlqF>(
         &self,
-        shards: Vec<Vec<I>>,
+        shards: &'a [Vec<I>],
         run: &CheckpointedRun<'_>,
         policy: &FaultPolicy,
         mapper: M,
@@ -604,15 +393,15 @@ impl MapReduce {
         dlq_hook: DlqF,
     ) -> std::io::Result<ShardedOutcome<O>>
     where
-        I: Send + Debug + Clone,
+        I: Sync + Debug,
         K: Hash + Eq + Ord + Send + Debug,
         V: Send,
         O: Send,
-        M: Fn(&I, &mut dyn FnMut(K, V)) + Sync,
+        M: Fn(&'a I, &mut dyn FnMut(K, V)) + Sync,
         R: Fn(&K, &[V]) -> Vec<O> + Sync,
         Enc: Fn(&[O]) -> String,
         Dec: Fn(&str) -> Option<Vec<O>>,
-        DlqF: Fn(usize, &[I], &[O], &FaultReport) -> Vec<DlqEntry>,
+        DlqF: Fn(usize, &[I], &[O], &FaultReport, &[String]) -> Vec<DlqEntry>,
     {
         let total_shards = shards.len();
         let mut load_warnings = 0usize;
@@ -625,24 +414,20 @@ impl MapReduce {
             ),
         };
         let mut faults = FaultReport::default();
-        let mut manifest = if run.resume {
+        let mut resumed = None;
+        if run.resume {
             match run.store.load_manifest(run.fingerprint, total_shards) {
-                ManifestLoad::Resumed(m) => m,
-                ManifestLoad::Fresh { warning } => {
-                    if let Some(warning) = warning {
-                        load_warnings += 1;
-                        faults.note_checkpoint_corruption(warning, policy.sample_limit);
-                    }
-                    RunManifest::new(
-                        run.fingerprint,
-                        total_shards,
-                        run.rng_seed,
-                        *policy,
-                        run.budget,
-                    )
+                ManifestLoad::Resumed(manifest) => resumed = Some(manifest),
+                ManifestLoad::Fresh { warning: None } => {}
+                ManifestLoad::Fresh {
+                    warning: Some(warning),
+                } => {
+                    load_warnings += 1;
+                    faults.note_checkpoint_corruption(warning, policy.sample_limit);
                 }
             }
-        } else {
+        }
+        let mut manifest = resumed.unwrap_or_else(|| {
             RunManifest::new(
                 run.fingerprint,
                 total_shards,
@@ -650,14 +435,14 @@ impl MapReduce {
                 *policy,
                 run.budget,
             )
-        };
+        });
 
         let mut outcome_outputs: Vec<O> = Vec::new();
         let mut resumed_shards = 0usize;
         let mut executed_shards = 0usize;
         let mut interrupted = false;
 
-        for (shard_id, inputs) in shards.into_iter().enumerate() {
+        for (shard_id, inputs) in shards.iter().enumerate() {
             // ---- Resume path: restore the shard from its checkpoint. ----
             if let Some(record) = manifest.shards.get(&shard_id).copied() {
                 match self.restore_shard(run, shard_id, record, &decode) {
@@ -688,16 +473,20 @@ impl MapReduce {
                 break;
             }
             let before = self.metrics.as_ref().map(|m| m.snapshot());
-            let (outputs, shard_faults) =
-                self.run_fault_tolerant_with_policy(inputs.clone(), &mapper, &reducer, policy);
+            let (outputs, shard_faults, timed_out_keys) =
+                self.run_job(inputs, &mapper, &reducer, policy);
             let metrics_delta = match (&self.metrics, before) {
                 (Some(m), Some(before)) => m.snapshot().delta_since(&before),
                 _ => baywatch_obs::MetricsSnapshot::default(),
             };
             let payload = encode(&outputs);
-            manifest
-                .dlq
-                .extend(dlq_hook(shard_id, &inputs, &outputs, &shard_faults));
+            manifest.dlq.extend(dlq_hook(
+                shard_id,
+                inputs,
+                &outputs,
+                &shard_faults,
+                &timed_out_keys,
+            ));
             let shard_saved = guarded_checkpoint_write(&mut breaker, run.io_faults, || {
                 run.store.save_shard(
                     shard_id,
@@ -869,13 +658,13 @@ fn record_fault_metrics(metrics: &MetricsRegistry, report: &FaultReport) {
         .add(report.lost_values as u64);
 }
 
-/// Maps `slice` into `out`, retrying whole-slice failures up to the policy
-/// budget and bisecting persistent failures down to the poison record.
+/// Maps one worker's chunk into per-partition buckets, retrying a failing
+/// slice up to the policy budget and bisecting persistent failures down to
+/// the poison record. `stream` keys the backoff jitter drawn for the chunk.
 ///
 /// Each attempt emits into fresh buckets so a mid-slice panic cannot leave
 /// duplicate partial output behind; only a fully successful attempt is
-/// merged into `out`, which keeps a fault-free run byte-identical to
-/// [`MapReduce::run`].
+/// merged, so faults never reorder or duplicate the surviving records.
 ///
 /// When [`FaultPolicy::task_deadline`] is armed, a *successful* attempt
 /// that overran the deadline is treated as a straggler: its output is
@@ -883,84 +672,82 @@ fn record_fault_metrics(metrics: &MetricsRegistry, report: &FaultReport) {
 /// slow record is isolated (and quarantined as `timed_out` once singled
 /// out) while its fast neighbours are re-mapped within budget. Timeouts do
 /// not consume panic retries — a deterministic overrun would overrun again.
-#[allow(clippy::too_many_arguments)]
-fn map_slice<I, K, V, M>(
-    slice: &[I],
+fn map_chunk<'a, I, K, V, M>(
+    chunk: &'a [I],
     mapper: &M,
     policy: &FaultPolicy,
     retry: &RetryPolicy,
     stream: u64,
     n_partitions: usize,
-    out: &mut [Vec<(K, V)>],
-    faults: &mut PhaseFaults,
-) where
+) -> (Vec<Vec<(K, V)>>, PhaseFaults)
+where
     I: Debug,
     K: Hash,
-    M: Fn(&I, &mut dyn FnMut(K, V)),
+    M: Fn(&'a I, &mut dyn FnMut(K, V)),
 {
-    if slice.is_empty() {
-        return;
-    }
-    for attempt in 0..=policy.max_task_retries {
-        let started = Instant::now();
-        let result = catch_unwind(AssertUnwindSafe(|| {
-            let mut local: Vec<Vec<(K, V)>> = (0..n_partitions).map(|_| Vec::new()).collect();
-            for input in slice {
-                let mut emit = |k: K, v: V| {
-                    let p = partition_of(&k, n_partitions);
-                    local[p].push((k, v));
-                };
-                mapper(input, &mut emit);
-            }
-            local
-        }));
-        match result {
-            Ok(local) => {
-                let overran = policy
-                    .task_deadline
-                    .is_some_and(|deadline| started.elapsed() > deadline);
-                if !overran {
+    let mut out: Vec<Vec<(K, V)>> = (0..n_partitions).map(|_| Vec::new()).collect();
+    let mut faults = PhaseFaults::default();
+    // Slices still to map, the next one last: a slice that keeps failing is
+    // replaced by its halves, so records are always mapped left to right.
+    let mut pending = vec![chunk];
+    'slices: while let Some(slice) = pending.pop() {
+        let mut overran = false;
+        for attempt in 0..=policy.max_task_retries {
+            let started = Instant::now();
+            let result = catch_unwind(AssertUnwindSafe(|| {
+                let mut local: Vec<Vec<(K, V)>> = (0..n_partitions).map(|_| Vec::new()).collect();
+                for input in slice {
+                    let mut emit = |k: K, v: V| {
+                        let p = partition_of(&k, n_partitions);
+                        local[p].push((k, v));
+                    };
+                    mapper(input, &mut emit);
+                }
+                local
+            }));
+            match result {
+                Ok(local) => {
+                    overran = policy
+                        .task_deadline
+                        .is_some_and(|deadline| started.elapsed() > deadline);
+                    if overran {
+                        break;
+                    }
                     for (p, bucket) in local.into_iter().enumerate() {
                         out[p].extend(bucket);
                     }
-                    return;
+                    continue 'slices;
                 }
-                if slice.len() == 1 {
-                    faults.quarantine_timeout(format!("{:?}", slice[0]), 0, policy);
-                    return;
-                }
-                // Over-deadline slice: discard the late output, count the
-                // re-execution as a retry (speculative re-run in Dean &
-                // Ghemawat's terms), and bisect to isolate the straggler.
-                faults.retries += 1;
-                faults.bisections += 1;
-                let mid = slice.len() / 2;
-                #[rustfmt::skip]
-                map_slice(&slice[..mid], mapper, policy, retry, stream, n_partitions, out, faults);
-                #[rustfmt::skip]
-                map_slice(&slice[mid..], mapper, policy, retry, stream, n_partitions, out, faults);
-                return;
-            }
-            Err(payload) => {
-                faults.note_panic(payload, policy);
-                if attempt < policy.max_task_retries {
-                    faults.retries += 1;
-                    backoff_between_attempts(retry, attempt + 1, stream, faults);
+                Err(payload) => {
+                    faults.note_panic(payload, policy);
+                    if attempt < policy.max_task_retries {
+                        faults.retries += 1;
+                        backoff_between_attempts(retry, attempt + 1, stream, &mut faults);
+                    }
                 }
             }
         }
+        // Over deadline or retries exhausted: isolate the straggler or
+        // poison record by bisection.
+        if let [unit] = slice {
+            let unit = format!("{unit:?}");
+            if overran {
+                faults.quarantine_timeout(unit, 0, policy);
+            } else {
+                faults.quarantine(unit, 0, policy);
+            }
+            continue;
+        }
+        if overran {
+            // The late output was discarded; re-mapping the halves counts
+            // as a retry (speculative re-run in Dean & Ghemawat's terms).
+            faults.retries += 1;
+        }
+        faults.bisections += 1;
+        let (left, right) = slice.split_at(slice.len() / 2);
+        pending.extend([right, left]);
     }
-    // Retries exhausted: isolate the poison record by bisection.
-    if slice.len() == 1 {
-        faults.quarantine(format!("{:?}", slice[0]), 0, policy);
-        return;
-    }
-    faults.bisections += 1;
-    let mid = slice.len() / 2;
-    #[rustfmt::skip]
-    map_slice(&slice[..mid], mapper, policy, retry, stream, n_partitions, out, faults);
-    #[rustfmt::skip]
-    map_slice(&slice[mid..], mapper, policy, retry, stream, n_partitions, out, faults);
+    (out, faults)
 }
 
 /// Sleeps out the seeded backoff delay before retry attempt `attempt`
@@ -1003,6 +790,7 @@ where
     K: Hash + Eq + Ord + Debug,
     R: Fn(&K, &[V]) -> Vec<O>,
 {
+    // Group by key, then sort keys for deterministic output.
     let mut groups: HashMap<K, Vec<V>> = HashMap::new();
     for (k, v) in records {
         groups.entry(k).or_default().push(v);
@@ -1011,85 +799,62 @@ where
     keyed.sort_by(|a, b| a.0.cmp(&b.0));
 
     let mut faults = PhaseFaults::default();
-    if let Some(deadline) = policy.task_deadline {
-        let mut out = Vec::new();
-        for (k, vs) in &keyed {
-            let mut done = false;
-            for attempt in 0..=policy.max_task_retries {
-                let started = Instant::now();
-                match catch_unwind(AssertUnwindSafe(|| reducer(k, vs))) {
-                    Ok(mut o) => {
-                        if started.elapsed() > deadline {
-                            // The key finished, but too late: drop its
-                            // output and account for the straggler. No
-                            // retry — a deterministic overrun would only
-                            // overrun again.
-                            faults.quarantine_timeout(format!("{k:?}"), vs.len(), policy);
-                        } else {
-                            out.append(&mut o);
-                        }
-                        done = true;
-                        break;
-                    }
-                    Err(payload) => {
-                        faults.note_panic(payload, policy);
-                        if attempt < policy.max_task_retries {
-                            faults.retries += 1;
-                            backoff_between_attempts(retry, attempt + 1, stream, &mut faults);
-                        }
-                    }
-                }
-            }
-            if !done {
-                faults.quarantine(format!("{k:?}"), vs.len(), policy);
-            }
-        }
-        return (out, faults);
-    }
-    let whole = catch_unwind(AssertUnwindSafe(|| {
-        let mut out = Vec::new();
-        for (k, vs) in &keyed {
-            out.extend(reducer(k, vs));
-        }
-        out
-    }));
-    match whole {
-        Ok(out) => (out, faults),
-        Err(payload) => {
-            faults.note_panic(payload, policy);
-            // The per-key fallback re-executes the partition, so it counts
-            // as a retry even when every key then succeeds first try (a
-            // transient fault consumed by the fast-path attempt).
-            faults.retries += 1;
-            backoff_between_attempts(retry, 1, stream, &mut faults);
-            // Degraded path: every key gets its own retry budget; output
-            // order stays sorted-by-key, minus quarantined keys.
+    if policy.task_deadline.is_none() {
+        let whole = catch_unwind(AssertUnwindSafe(|| {
             let mut out = Vec::new();
             for (k, vs) in &keyed {
-                let mut done = false;
-                for attempt in 0..=policy.max_task_retries {
-                    match catch_unwind(AssertUnwindSafe(|| reducer(k, vs))) {
-                        Ok(mut o) => {
-                            out.append(&mut o);
-                            done = true;
-                            break;
-                        }
-                        Err(payload) => {
-                            faults.note_panic(payload, policy);
-                            if attempt < policy.max_task_retries {
-                                faults.retries += 1;
-                                backoff_between_attempts(retry, attempt + 1, stream, &mut faults);
-                            }
-                        }
-                    }
-                }
-                if !done {
-                    faults.quarantine(format!("{k:?}"), vs.len(), policy);
-                }
+                out.extend(reducer(k, vs));
             }
-            (out, faults)
+            out
+        }));
+        match whole {
+            Ok(out) => return (out, faults),
+            Err(payload) => {
+                faults.note_panic(payload, policy);
+                // The per-key fallback re-executes the partition, so it
+                // counts as a retry even when every key then succeeds first
+                // try (a transient fault consumed by the fast-path attempt).
+                faults.retries += 1;
+                backoff_between_attempts(retry, 1, stream, &mut faults);
+            }
         }
     }
+    // Every key gets its own retry budget; output order stays
+    // sorted-by-key, minus dropped keys.
+    let mut out = Vec::new();
+    for (k, vs) in &keyed {
+        let mut attempt = 0;
+        loop {
+            let started = Instant::now();
+            match catch_unwind(AssertUnwindSafe(|| reducer(k, vs))) {
+                Ok(mut o) => {
+                    let overran = policy
+                        .task_deadline
+                        .is_some_and(|deadline| started.elapsed() > deadline);
+                    if overran {
+                        // The key finished, but too late: drop its output
+                        // and account for the straggler. No retry — a
+                        // deterministic overrun would only overrun again.
+                        faults.quarantine_timeout(format!("{k:?}"), vs.len(), policy);
+                    } else {
+                        out.append(&mut o);
+                    }
+                    break;
+                }
+                Err(payload) => {
+                    faults.note_panic(payload, policy);
+                    if attempt == policy.max_task_retries {
+                        faults.quarantine(format!("{k:?}"), vs.len(), policy);
+                        break;
+                    }
+                    attempt += 1;
+                    faults.retries += 1;
+                    backoff_between_attempts(retry, attempt, stream, &mut faults);
+                }
+            }
+        }
+    }
+    (out, faults)
 }
 
 impl Default for MapReduce {
@@ -1105,33 +870,34 @@ pub fn partition_of<K: Hash>(key: &K, partitions: usize) -> usize {
     (h.finish() % partitions as u64) as usize
 }
 
-/// Splits a vector into at most `n` contiguous chunks of near-equal size.
-fn split_into<T>(mut items: Vec<T>, n: usize) -> Vec<Vec<T>> {
-    let len = items.len();
-    if len == 0 {
+/// Splits a slice into at most `n` contiguous chunks of near-equal size:
+/// the first `len % n` chunks are one longer than the rest.
+fn split<T>(items: &[T], n: usize) -> Vec<&[T]> {
+    let n = n.min(items.len());
+    if n == 0 {
         return Vec::new();
     }
-    let n = n.min(len);
-    let base = len / n;
-    let extra = len % n;
-    let mut chunks = Vec::with_capacity(n);
-    // Draining from the back keeps this O(len); reverse sizes so the final
-    // chunk order matches the input order.
-    let mut sizes: Vec<usize> = (0..n).map(|i| base + usize::from(i < extra)).collect();
-    sizes.reverse();
-    for size in sizes {
-        let tail = items.split_off(items.len() - size);
-        chunks.push(tail);
-    }
-    chunks.reverse();
-    chunks
+    let (base, extra) = (items.len() / n, items.len() % n);
+    let mut rest = items;
+    (0..n)
+        .map(|i| {
+            let (chunk, tail) = rest.split_at(base + usize::from(i < extra));
+            rest = tail;
+            chunk
+        })
+        .collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::BTreeMap;
 
-    fn word_count(engine: &MapReduce, docs: Vec<&str>) -> Vec<(String, usize)> {
+    fn word_count<'a>(
+        engine: &MapReduce,
+        docs: &'a [&'a str],
+        policy: &FaultPolicy,
+    ) -> (Vec<(String, usize)>, FaultReport) {
         engine.run(
             docs,
             |doc, emit| {
@@ -1139,14 +905,34 @@ mod tests {
                     emit(w.to_owned(), 1usize);
                 }
             },
-            |word, ones| vec![(word.clone(), ones.len())],
+            |k, vs| vec![(k.clone(), vs.len())],
+            policy,
         )
+    }
+
+    fn plain_word_count(engine: &MapReduce, docs: &[&str]) -> Vec<(String, usize)> {
+        let (out, report) = word_count(engine, docs, &FaultPolicy::default());
+        assert!(report.is_clean());
+        out
+    }
+
+    /// The engine's output contract, computed sequentially by hand: one
+    /// row per key, ordered by partition index and then by key.
+    fn word_count_by_hand(docs: &[&str], partitions: usize) -> Vec<(String, usize)> {
+        let mut counts: BTreeMap<String, usize> = BTreeMap::new();
+        for w in docs.iter().flat_map(|doc| doc.split_whitespace()) {
+            *counts.entry(w.to_owned()).or_default() += 1;
+        }
+        let mut rows: Vec<(String, usize)> = counts.into_iter().collect();
+        // Stable: keys stay sorted within a partition.
+        rows.sort_by_key(|(w, _)| partition_of(w, partitions));
+        rows
     }
 
     #[test]
     fn word_count_basic() {
         let engine = MapReduce::default();
-        let out = word_count(&engine, vec!["a b a", "b a"]);
+        let out = plain_word_count(&engine, &["a b a", "b a"]);
         let get = |w: &str| out.iter().find(|(x, _)| x == w).map(|(_, c)| *c);
         assert_eq!(get("a"), Some(3));
         assert_eq!(get("b"), Some(2));
@@ -1156,8 +942,7 @@ mod tests {
     #[test]
     fn empty_input_empty_output() {
         let engine = MapReduce::default();
-        let out = word_count(&engine, vec![]);
-        assert!(out.is_empty());
+        assert!(plain_word_count(&engine, &[]).is_empty());
     }
 
     #[test]
@@ -1166,29 +951,18 @@ mod tests {
             .map(|i| format!("w{} w{} w{}", i % 17, i % 5, i % 31))
             .collect();
         let refs: Vec<&str> = docs.iter().map(String::as_str).collect();
-        let a = word_count(
-            &MapReduce::new(JobConfig {
+        let expected = word_count_by_hand(&refs, 8);
+        for threads in [1, 8, 3] {
+            let engine = MapReduce::new(JobConfig {
                 partitions: 8,
-                threads: 1,
-            }),
-            refs.clone(),
-        );
-        let b = word_count(
-            &MapReduce::new(JobConfig {
-                partitions: 8,
-                threads: 8,
-            }),
-            refs.clone(),
-        );
-        let c = word_count(
-            &MapReduce::new(JobConfig {
-                partitions: 8,
-                threads: 3,
-            }),
-            refs,
-        );
-        assert_eq!(a, b);
-        assert_eq!(a, c);
+                threads,
+            });
+            assert_eq!(
+                plain_word_count(&engine, &refs),
+                expected,
+                "{threads} threads"
+            );
+        }
     }
 
     #[test]
@@ -1197,61 +971,9 @@ mod tests {
             partitions: 1,
             threads: 4,
         });
-        let out = word_count(&engine, vec!["delta alpha charlie bravo"]);
+        let out = plain_word_count(&engine, &["delta alpha charlie bravo"]);
         let words: Vec<&str> = out.iter().map(|(w, _)| w.as_str()).collect();
         assert_eq!(words, vec!["alpha", "bravo", "charlie", "delta"]);
-    }
-
-    #[test]
-    fn stats_counters() {
-        let engine = MapReduce::new(JobConfig {
-            partitions: 4,
-            threads: 2,
-        });
-        let (out, stats) = engine.run_with_stats(
-            vec!["x y", "x z"],
-            |doc: &str, emit| {
-                for w in doc.split_whitespace() {
-                    emit(w.to_owned(), 1usize);
-                }
-            },
-            |w: &String, ones| vec![(w.clone(), ones.len())],
-        );
-        assert_eq!(stats.map_output_records(), 4);
-        assert_eq!(stats.reduce_groups(), 3);
-        assert_eq!(stats.output_records(), out.len());
-    }
-
-    #[test]
-    fn combiner_matches_plain_run() {
-        let docs: Vec<String> = (0..200).map(|i| format!("k{} k{}", i % 7, i % 3)).collect();
-        let refs: Vec<&str> = docs.iter().map(String::as_str).collect();
-        let engine = MapReduce::new(JobConfig {
-            partitions: 4,
-            threads: 4,
-        });
-        let mut plain = engine.run(
-            refs.clone(),
-            |doc, emit| {
-                for w in doc.split_whitespace() {
-                    emit(w.to_owned(), 1usize);
-                }
-            },
-            |w, ones| vec![(w.clone(), ones.iter().sum::<usize>())],
-        );
-        let mut combined = engine.run_with_combiner(
-            refs,
-            |doc: &str, emit: &mut dyn FnMut(String, usize)| {
-                for w in doc.split_whitespace() {
-                    emit(w.to_owned(), 1usize);
-                }
-            },
-            |a, b| a + b,
-            |w, vs| vec![(w.clone(), vs.iter().sum::<usize>())],
-        );
-        plain.sort();
-        combined.sort();
-        assert_eq!(plain, combined);
     }
 
     #[test]
@@ -1285,14 +1007,22 @@ mod tests {
     }
 
     #[test]
-    fn split_into_covers_all_items_in_order() {
+    fn split_puts_the_remainder_on_the_leading_chunks() {
+        // `FaultPlan` call counts, bisection counts and backoff streams all
+        // hang off these boundaries.
         for n in [1usize, 2, 3, 7, 100] {
-            let items: Vec<usize> = (0..23).collect();
-            let chunks = split_into(items.clone(), n);
-            let flat: Vec<usize> = chunks.into_iter().flatten().collect();
-            assert_eq!(flat, items, "n = {n}");
+            for len in [0, 1, n - 1, n, n + 1, 3 * n + 2] {
+                let items: Vec<usize> = (0..len).collect();
+                let chunks = split(&items, n);
+                let k = n.min(len);
+                assert_eq!(chunks.len(), k, "len {len}, n {n}");
+                let sizes: Vec<usize> = chunks.iter().map(|c| c.len()).collect();
+                let expected: Vec<usize> =
+                    (0..k).map(|i| len / k + usize::from(i < len % k)).collect();
+                assert_eq!(sizes, expected, "len {len}, n {n}");
+                assert_eq!(chunks.concat(), items, "len {len}, n {n}");
+            }
         }
-        assert!(split_into(Vec::<u8>::new(), 4).is_empty());
     }
 
     #[test]
@@ -1301,19 +1031,41 @@ mod tests {
             partitions: 2,
             threads: 2,
         });
-        let out = engine.run(
-            vec![1u64, 2, 3, 4, 5, 6],
-            |n, emit| emit(n % 2, n),
+        let (out, _) = engine.run(
+            &[1u64, 2, 3, 4, 5, 6],
+            |n, emit| emit(n % 2, *n),
             |parity, values| {
-                let mut v = values.clone();
+                let mut v = values.to_vec();
                 v.sort();
                 vec![(*parity, v)]
             },
+            &FaultPolicy::default(),
         );
         let evens = out.iter().find(|(p, _)| *p == 0).unwrap();
         assert_eq!(evens.1, vec![2, 4, 6]);
         let odds = out.iter().find(|(p, _)| *p == 1).unwrap();
         assert_eq!(odds.1, vec![1, 3, 5]);
+    }
+
+    #[test]
+    fn keys_and_values_may_borrow_from_the_inputs() {
+        let engine = MapReduce::new(JobConfig {
+            partitions: 4,
+            threads: 2,
+        });
+        let docs = vec!["a b a".to_owned(), "b a".to_owned()];
+        let (mut out, _) = engine.run(
+            &docs,
+            |doc, emit| {
+                for w in doc.split_whitespace() {
+                    emit(w, doc.as_str());
+                }
+            },
+            |word: &&str, docs: &[&str]| vec![(*word, docs.len())],
+            &FaultPolicy::default(),
+        );
+        out.sort();
+        assert_eq!(out, vec![("a", 3), ("b", 2)]);
     }
 
     #[test]
@@ -1323,11 +1075,13 @@ mod tests {
             threads: 8,
         });
         let inputs: Vec<u64> = (0..100_000).collect();
-        let out = engine.run(
-            inputs,
+        let (out, report) = engine.run(
+            &inputs,
             |n, emit| emit(n % 1000, 1u64),
             |k, vs| vec![(*k, vs.len() as u64)],
+            &FaultPolicy::default(),
         );
+        assert!(report.is_clean());
         assert_eq!(out.len(), 1000);
         assert!(out.iter().all(|(_, c)| *c == 100));
     }
@@ -1341,12 +1095,12 @@ mod tests {
             partitions: 4,
             threads: 4,
         });
-        let docs = vec!["a a a a b b c", "a b", "c"];
-        let counts = word_count(&engine, docs); // a=5, b=3, c=2
-        let buckets = engine.run(
-            counts,
-            |(_, c), emit| emit(if c >= 3 { "hot" } else { "cold" }, 1usize),
+        let counts = plain_word_count(&engine, &["a a a a b b c", "a b", "c"]); // a=5, b=3, c=2
+        let (buckets, _) = engine.run(
+            &counts,
+            |(_, c), emit| emit(if *c >= 3 { "hot" } else { "cold" }, 1usize),
             |k, vs| vec![(*k, vs.len())],
+            &FaultPolicy::default(),
         );
         let hot = buckets.iter().find(|(k, _)| *k == "hot").unwrap().1;
         let cold = buckets.iter().find(|(k, _)| *k == "cold").unwrap().1;
@@ -1354,41 +1108,18 @@ mod tests {
         assert_eq!(cold, 1); // c
     }
 
-    // ---- fault-tolerant execution ----
+    // ---- fault handling ----
 
-    fn ft_word_count(
-        engine: &MapReduce,
-        docs: Vec<&'static str>,
-    ) -> (Vec<(String, usize)>, FaultReport) {
-        engine.run_fault_tolerant(
-            docs,
-            |doc, emit| {
-                for w in doc.split_whitespace() {
-                    emit(w.to_owned(), 1usize);
-                }
-            },
-            |k, vs| vec![(k.clone(), vs.len())],
-        )
-    }
+    const DOCS: [&str; 3] = ["the quick brown fox", "jumps over the lazy dog", "the end"];
 
     #[test]
-    fn fault_free_run_matches_plain_run() {
+    fn fault_free_run_matches_grouping_by_hand() {
         let engine = MapReduce::new(JobConfig {
             partitions: 8,
             threads: 4,
         });
-        let docs = vec!["the quick brown fox", "jumps over the lazy dog", "the end"];
-        let plain = engine.run(
-            docs.clone(),
-            |doc: &'static str, emit| {
-                for w in doc.split_whitespace() {
-                    emit(w.to_owned(), 1usize);
-                }
-            },
-            |k, vs| vec![(k.clone(), vs.len())],
-        );
-        let (ft, report) = ft_word_count(&engine, docs);
-        assert_eq!(ft, plain);
+        let (out, report) = word_count(&engine, &DOCS, &FaultPolicy::default());
+        assert_eq!(out, word_count_by_hand(&DOCS, 8));
         assert!(report.is_clean());
         assert_eq!(report.quarantined_units(), 0);
     }
@@ -1400,13 +1131,14 @@ mod tests {
             threads: 2,
         });
         let inputs: Vec<i64> = (0..64).collect();
-        let (out, report) = engine.run_fault_tolerant(
-            inputs,
+        let (out, report) = engine.run(
+            &inputs,
             |n, emit| {
                 assert!(*n != 37, "poison record");
                 emit(n % 2, 1usize);
             },
             |k, vs| vec![(*k, vs.len())],
+            &FaultPolicy::default(),
         );
         // Exactly one record lost; everything else mapped.
         assert_eq!(report.quarantined_inputs, 1);
@@ -1425,13 +1157,14 @@ mod tests {
         });
         let plan = FaultPlan::new().panic_on_map_call(2);
         let inputs: Vec<i64> = (0..16).collect();
-        let (out, report) = engine.run_fault_tolerant(
-            inputs,
+        let (out, report) = engine.run(
+            &inputs,
             |n, emit| {
                 plan.map_checkpoint(n);
                 emit((), *n)
             },
             |_, vs| vec![vs.iter().sum::<i64>()],
+            &FaultPolicy::default(),
         );
         assert_eq!(plan.injected_faults(), 1);
         assert_eq!(out, vec![(0..16).sum::<i64>()]);
@@ -1445,10 +1178,9 @@ mod tests {
             partitions: 4,
             threads: 2,
         });
-        let docs = vec!["a bad a", "bad b bad"];
-        let (out, report) = engine.run_fault_tolerant(
-            docs,
-            |doc: &&str, emit| {
+        let (out, report) = engine.run(
+            &["a bad a", "bad b bad"],
+            |doc, emit| {
                 for w in doc.split_whitespace() {
                     emit(w.to_owned(), 1usize);
                 }
@@ -1457,6 +1189,7 @@ mod tests {
                 assert!(k != "bad", "poison key");
                 vec![(k.clone(), vs.len())]
             },
+            &FaultPolicy::default(),
         );
         let mut out = out;
         out.sort();
@@ -1468,25 +1201,20 @@ mod tests {
     }
 
     #[test]
-    fn ft_deterministic_across_thread_counts() {
-        let docs = vec![
+    fn fault_free_deterministic_across_thread_counts() {
+        let docs = [
             "lorem ipsum dolor sit amet",
             "consectetur adipiscing elit sed",
             "do eiusmod tempor incididunt",
             "ut labore et dolore magna",
         ];
-        let mut outputs = Vec::new();
+        let expected = word_count_by_hand(&docs, 16);
         for threads in [1, 2, 4, 8] {
             let engine = MapReduce::new(JobConfig {
                 partitions: 16,
                 threads,
             });
-            let (out, report) = ft_word_count(&engine, docs.clone());
-            assert!(report.is_clean());
-            outputs.push(out);
-        }
-        for w in outputs.windows(2) {
-            assert_eq!(w[0], w[1]);
+            assert_eq!(plain_word_count(&engine, &docs), expected);
         }
     }
 
@@ -1497,10 +1225,9 @@ mod tests {
             threads: 1,
         });
         let plan = FaultPlan::new().fail_key("\"flaky\"", 1);
-        let docs = vec!["flaky steady flaky"];
-        let (out, report) = engine.run_fault_tolerant(
-            docs,
-            |doc: &&str, emit| {
+        let (out, report) = engine.run(
+            &["flaky steady flaky"],
+            |doc, emit| {
                 for w in doc.split_whitespace() {
                     emit(w.to_owned(), 1usize);
                 }
@@ -1509,6 +1236,7 @@ mod tests {
                 plan.reduce_checkpoint(k);
                 vec![(k.clone(), vs.len())]
             },
+            &FaultPolicy::default(),
         );
         let mut out = out;
         out.sort();
@@ -1519,8 +1247,6 @@ mod tests {
 
     // ---- deadline / straggler handling ----
 
-    use std::time::Duration;
-
     fn deadline_policy(millis: u64) -> FaultPolicy {
         FaultPolicy {
             task_deadline: Some(Duration::from_millis(millis)),
@@ -1529,34 +1255,15 @@ mod tests {
     }
 
     #[test]
-    fn deadline_armed_fault_free_run_matches_plain_run() {
+    fn deadline_armed_fault_free_run_matches_grouping_by_hand() {
         let engine = MapReduce::new(JobConfig {
             partitions: 8,
             threads: 4,
         });
-        let docs = vec!["the quick brown fox", "jumps over the lazy dog", "the end"];
-        let plain = engine.run(
-            docs.clone(),
-            |doc: &str, emit: &mut dyn FnMut(String, usize)| {
-                for w in doc.split_whitespace() {
-                    emit(w.to_owned(), 1usize);
-                }
-            },
-            |k: &String, vs: Vec<usize>| vec![(k.clone(), vs.len())],
-        );
         // A generous deadline no task comes close to: the per-key reduce
         // path must produce byte-identical output to the fast path.
-        let (ft, report) = engine.run_fault_tolerant_with_policy(
-            docs,
-            |doc: &&str, emit| {
-                for w in doc.split_whitespace() {
-                    emit(w.to_owned(), 1usize);
-                }
-            },
-            |k: &String, vs: &[usize]| vec![(k.clone(), vs.len())],
-            &deadline_policy(60_000),
-        );
-        assert_eq!(ft, plain);
+        let (out, report) = word_count(&engine, &DOCS, &deadline_policy(60_000));
+        assert_eq!(out, word_count_by_hand(&DOCS, 8));
         assert!(report.is_clean());
         assert_eq!(report.timed_out_units(), 0);
     }
@@ -1569,8 +1276,8 @@ mod tests {
         });
         let plan = FaultPlan::new().delay_input("37", 40);
         let inputs: Vec<i64> = (0..64).collect();
-        let (out, report) = engine.run_fault_tolerant_with_policy(
-            inputs,
+        let (out, report) = engine.run(
+            &inputs,
             |n, emit| {
                 plan.map_checkpoint(n);
                 emit(n % 2, 1usize);
@@ -1598,8 +1305,8 @@ mod tests {
         // fast because the call counter has advanced past it.
         let plan = FaultPlan::new().delay_map_call(2, 40);
         let inputs: Vec<i64> = (0..16).collect();
-        let (out, report) = engine.run_fault_tolerant_with_policy(
-            inputs,
+        let (out, report) = engine.run(
+            &inputs,
             |n, emit| {
                 plan.map_checkpoint(n);
                 emit((), *n)
@@ -1621,10 +1328,9 @@ mod tests {
             threads: 2,
         });
         let plan = FaultPlan::new().delay_key("\"slow\"", 40);
-        let docs = vec!["a slow a", "slow b slow"];
-        let (out, report) = engine.run_fault_tolerant_with_policy(
-            docs,
-            |doc: &&str, emit| {
+        let (out, report) = engine.run(
+            &["a slow a", "slow b slow"],
+            |doc, emit| {
                 for w in doc.split_whitespace() {
                     emit(w.to_owned(), 1usize);
                 }
@@ -1663,7 +1369,7 @@ mod tests {
     /// round-trip exactly through the checkpoint store.
     fn ckpt_run(
         engine: &MapReduce,
-        shards: Vec<Vec<&'static str>>,
+        shards: &[Vec<&'static str>],
         run: &CheckpointedRun<'_>,
     ) -> ShardedOutcome<(String, usize)> {
         engine
@@ -1692,7 +1398,7 @@ mod tests {
                     }
                     Some(rows)
                 },
-                |_, _, _, _| Vec::new(),
+                |_, _, _, _, _| Vec::new(),
             )
             .expect("checkpoint I/O")
     }
@@ -1722,7 +1428,7 @@ mod tests {
             io_faults: None,
             abort_after_shards: None,
         };
-        let full = ckpt_run(&engine, word_shards(), &base);
+        let full = ckpt_run(&engine, &word_shards(), &base);
         assert!(!full.interrupted);
         assert_eq!(full.executed_shards, 3);
         assert_eq!(full.manifest.shards.len(), 3);
@@ -1734,7 +1440,7 @@ mod tests {
         let store_b = CheckpointStore::create(&dir_b).unwrap();
         let killed = ckpt_run(
             &engine,
-            word_shards(),
+            &word_shards(),
             &CheckpointedRun {
                 store: &store_b,
                 abort_after_shards: Some(1),
@@ -1746,7 +1452,7 @@ mod tests {
 
         let resumed = ckpt_run(
             &engine,
-            word_shards(),
+            &word_shards(),
             &CheckpointedRun {
                 store: &store_b,
                 resume: true,
@@ -1789,7 +1495,7 @@ mod tests {
             let store = CheckpointStore::create(dir).unwrap();
             let outcome = ckpt_run(
                 &engine,
-                shards.clone(),
+                &shards,
                 &CheckpointedRun {
                     store: &store,
                     fingerprint: 5,
@@ -1840,7 +1546,7 @@ mod tests {
             io_faults: None,
             abort_after_shards: None,
         };
-        let full = ckpt_run(&engine, word_shards(), &base);
+        let full = ckpt_run(&engine, &word_shards(), &base);
 
         // Tamper with shard 1's payload on disk; its digest no longer
         // matches the manifest, so resume must re-execute it.
@@ -1857,7 +1563,7 @@ mod tests {
 
         let resumed = ckpt_run(
             &engine,
-            word_shards(),
+            &word_shards(),
             &CheckpointedRun {
                 resume: true,
                 ..base.clone()
@@ -1908,7 +1614,7 @@ mod tests {
         let plan = FaultPlan::new().fail_all_saves();
         let outcome = ckpt_run(
             &engine,
-            word_shards(),
+            &word_shards(),
             &CheckpointedRun {
                 store: &store,
                 fingerprint: 13,
@@ -1926,7 +1632,7 @@ mod tests {
         let baseline_store = CheckpointStore::create(&baseline_dir).unwrap();
         let baseline = ckpt_run(
             &engine,
-            word_shards(),
+            &word_shards(),
             &CheckpointedRun {
                 store: &baseline_store,
                 fingerprint: 13,
@@ -1967,7 +1673,7 @@ mod tests {
             io_faults: Some(&plan),
             abort_after_shards: None,
         };
-        let outcome = ckpt_run(&engine, word_shards(), &base);
+        let outcome = ckpt_run(&engine, &word_shards(), &base);
         assert_eq!(outcome.write_warnings, 1);
         assert_eq!(outcome.executed_shards, 3);
         // Shard 0's write failed, so only shards 1 and 2 earned manifest
@@ -1975,7 +1681,7 @@ mod tests {
         assert_eq!(outcome.manifest.shards.len(), 2);
         let resumed = ckpt_run(
             &engine,
-            word_shards(),
+            &word_shards(),
             &CheckpointedRun {
                 resume: true,
                 io_faults: None,
@@ -2004,15 +1710,16 @@ mod tests {
             ..RetryPolicy::default()
         });
         let plan = FaultPlan::new().panic_on_map_call(0);
-        let (out, report) = engine.run_fault_tolerant(
-            vec!["a b", "c"],
-            |doc: &&str, emit| {
+        let (out, report) = engine.run(
+            &["a b", "c"],
+            |doc, emit| {
                 plan.map_checkpoint(doc);
                 for w in doc.split_whitespace() {
                     emit(w.to_owned(), 1usize);
                 }
             },
             |w: &String, ones: &[usize]| vec![(w.clone(), ones.len())],
+            &FaultPolicy::default(),
         );
         assert_eq!(out.len(), 3);
         assert_eq!(report.quarantined_inputs, 0, "fault absorbed by retry");
@@ -2031,15 +1738,16 @@ mod tests {
         })
         .with_metrics(Arc::clone(&metrics));
         let plan = FaultPlan::new().panic_on_map_call(0);
-        let (_, report) = engine.run_fault_tolerant(
-            vec!["a b", "c"],
-            |doc: &&str, emit| {
+        let (_, report) = engine.run(
+            &["a b", "c"],
+            |doc, emit| {
                 plan.map_checkpoint(doc);
                 for w in doc.split_whitespace() {
                     emit(w.to_owned(), 1usize);
                 }
             },
             |w: &String, ones: &[usize]| vec![(w.clone(), ones.len())],
+            &FaultPolicy::default(),
         );
         assert!(report.map_retries >= 1);
         let snap = metrics.snapshot();

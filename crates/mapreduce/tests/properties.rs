@@ -1,26 +1,34 @@
 //! Property-based tests of the MapReduce engine: results must equal a
-//! sequential reference computation regardless of partitioning/threading.
+//! sequential by-hand computation regardless of partitioning/threading.
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
+use std::hash::Hash;
 
-use baywatch_mapreduce::{partition_of, JobConfig, MapReduce};
+use baywatch_mapreduce::{partition_of, FaultPolicy, JobConfig, MapReduce};
 use proptest::prelude::*;
 
-fn reference_word_count(docs: &[String]) -> HashMap<String, usize> {
-    let mut m = HashMap::new();
-    for d in docs {
-        for w in d.split_whitespace() {
-            *m.entry(w.to_owned()).or_insert(0) += 1;
-        }
+/// The engine's output contract, computed sequentially by hand: one group
+/// per key with its values in emission order, groups ordered by partition
+/// index and then by key.
+fn grouped_by_hand<K: Ord + Hash, V>(
+    records: impl IntoIterator<Item = (K, V)>,
+    partitions: usize,
+) -> Vec<(K, Vec<V>)> {
+    let mut groups: BTreeMap<K, Vec<V>> = BTreeMap::new();
+    for (k, v) in records {
+        groups.entry(k).or_default().push(v);
     }
-    m
+    let mut rows: Vec<(K, Vec<V>)> = groups.into_iter().collect();
+    // Stable: keys stay sorted within a partition.
+    rows.sort_by_key(|(k, _)| partition_of(k, partitions));
+    rows
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
-    /// Word count equals the sequential reference for any corpus and any
-    /// engine configuration.
+    /// Word count equals the by-hand reference, row for row, for any corpus
+    /// and any engine configuration.
     #[test]
     fn equals_sequential_reference(
         docs in prop::collection::vec("[a-c ]{0,30}", 0..60),
@@ -28,57 +36,40 @@ proptest! {
         threads in 1usize..9,
     ) {
         let engine = MapReduce::new(JobConfig { partitions, threads });
-        let out = engine.run(
-            docs.clone(),
-            |doc: String, emit| {
+        let (out, report) = engine.run(
+            &docs,
+            |doc, emit| {
                 for w in doc.split_whitespace() {
-                    emit(w.to_owned(), 1usize);
+                    emit(w, 1usize);
                 }
             },
-            |w, ones| vec![(w.clone(), ones.len())],
+            |w, ones| vec![(*w, ones.len())],
+            &FaultPolicy::default(),
         );
-        let reference = reference_word_count(&docs);
-        let as_map: HashMap<String, usize> = out.into_iter().collect();
-        prop_assert_eq!(as_map, reference);
+        prop_assert!(report.is_clean());
+        let words = docs.iter().flat_map(|doc| doc.split_whitespace());
+        let reference: Vec<(&str, usize)> = grouped_by_hand(words.map(|w| (w, 1usize)), partitions)
+            .into_iter()
+            .map(|(w, ones)| (w, ones.len()))
+            .collect();
+        prop_assert_eq!(out, reference);
     }
 
-    /// The combiner path computes identical sums to the plain path.
-    #[test]
-    fn combiner_equivalence(
-        keys in prop::collection::vec(0u64..20, 0..400),
-        partitions in 1usize..16,
-    ) {
-        let engine = MapReduce::new(JobConfig { partitions, threads: 4 });
-        let mut plain = engine.run(
-            keys.clone(),
-            |k, emit| emit(k, 1u64),
-            |k, vs| vec![(*k, vs.iter().sum::<u64>())],
-        );
-        let mut combined = engine.run_with_combiner(
-            keys,
-            |k: u64, emit: &mut dyn FnMut(u64, u64)| emit(k, 1u64),
-            |a, b| a + b,
-            |k, vs| vec![(*k, vs.iter().sum::<u64>())],
-        );
-        plain.sort();
-        combined.sort();
-        prop_assert_eq!(plain, combined);
-    }
-
-    /// Output is invariant to thread count (determinism).
+    /// Groups, value order within a group and row order are invariant to
+    /// thread count (determinism).
     #[test]
     fn thread_count_invariance(values in prop::collection::vec(0u32..1000, 0..300)) {
         let run_with = |threads: usize| {
             MapReduce::new(JobConfig { partitions: 8, threads }).run(
-                values.clone(),
-                |v, emit| emit(v % 13, v as u64),
-                |k, mut vs| {
-                    vs.sort();
-                    vec![(*k, vs)]
-                },
-            )
+                &values,
+                |v, emit| emit(v % 13, u64::from(*v)),
+                |k, vs| vec![(*k, vs.to_vec())],
+                &FaultPolicy::default(),
+            ).0
         };
-        prop_assert_eq!(run_with(1), run_with(7));
+        let reference = grouped_by_hand(values.iter().map(|v| (v % 13, u64::from(*v))), 8);
+        prop_assert_eq!(run_with(1), reference.clone());
+        prop_assert_eq!(run_with(7), reference);
     }
 
     /// Partition assignment is total and stable.
@@ -94,14 +85,15 @@ proptest! {
     #[test]
     fn no_record_loss(values in prop::collection::vec(any::<u16>(), 0..500)) {
         let engine = MapReduce::new(JobConfig { partitions: 16, threads: 4 });
-        let (out, stats) = engine.run_with_stats(
-            values.clone(),
-            |v, emit| emit(v % 31, v),
+        let (out, report) = engine.run(
+            &values,
+            |v, emit| emit(v % 31, *v),
             |k, vs| vec![(*k, vs.len())],
+            &FaultPolicy::default(),
         );
         let reduced_total: usize = out.iter().map(|(_, n)| n).sum();
         prop_assert_eq!(reduced_total, values.len());
-        prop_assert_eq!(stats.map_output_records(), values.len());
+        prop_assert_eq!(report.skipped_records(), 0);
     }
 }
 

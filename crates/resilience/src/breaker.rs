@@ -23,10 +23,9 @@
 //!                                     └──────────┘
 //! ```
 //!
-//! Time is read exclusively through the injected
-//! [`Clock`](baywatch_obs::Clock), so a test driving a
-//! [`ManualClock`](baywatch_obs::ManualClock) observes byte-identical
-//! transition sequences on every run.
+//! Time is read exclusively through the injected [`Clock`], so a test
+//! driving a [`ManualClock`] observes byte-identical transition sequences
+//! on every run.
 
 use std::sync::Arc;
 
@@ -601,6 +600,10 @@ mod tests {
         clock.advance(1_000);
         assert!(b.allow(), "probe budget is clamped to ≥ 1");
         b.record_success();
-        assert_eq!(b.state(), BreakerState::Closed, "close budget clamped to ≥ 1");
+        assert_eq!(
+            b.state(),
+            BreakerState::Closed,
+            "close budget clamped to ≥ 1"
+        );
     }
 }
