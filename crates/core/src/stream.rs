@@ -48,6 +48,7 @@
 //! late + shed; admitted equal resident + retired + capacity-dropped +
 //! evicted; admitted pairs equal live + evicted.
 
+use std::collections::btree_map::Entry;
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
@@ -525,8 +526,12 @@ impl StreamingHunt {
     /// split of the same trace yields identical state and reports.
     pub fn ingest(&mut self, records: &[LogRecord]) -> Vec<TickReport> {
         let mut reports = Vec::new();
+        if !records.is_empty() {
+            self.metrics
+                .counter("stream.events.offered")
+                .add(records.len() as u64);
+        }
         for record in records {
-            self.metrics.counter("stream.events.offered").inc();
             let tick = self.config.schedule.tick_of(record.timestamp);
             match self.current_tick {
                 None => {
@@ -646,18 +651,18 @@ impl StreamingHunt {
         bytes as f64 / self.config.state_budget_bytes as f64
     }
 
-    fn remove_pair(&mut self, pair: &CommunicationPair) {
-        if let Some(state) = self.pairs.remove(pair) {
-            self.lru.remove(&(state.last_seen_tick, pair.clone()));
-            self.resident_bytes -= state.cost_bytes;
-            let resident = state.ring.events();
-            if resident > 0 {
-                self.ledger.evict_events(resident);
-            }
-            self.ledger.evict_pair();
-            self.evicted_fingerprints.insert(fingerprint(pair));
-            self.metrics.counter("stream.pairs.evicted").inc();
+    /// Drops `pair`'s state, moving it and any events still in its ring
+    /// through the ledger; returns the tick its LRU entry is filed under.
+    fn forget_pair(&mut self, pair: &CommunicationPair) -> Option<u64> {
+        let state = self.pairs.remove(pair)?;
+        self.resident_bytes -= state.cost_bytes;
+        let resident = state.ring.events();
+        if resident > 0 {
+            self.ledger.evict_events(resident);
         }
+        self.ledger.evict_pair();
+        self.evicted_fingerprints.insert(fingerprint(pair));
+        Some(state.last_seen_tick)
     }
 
     /// Folds the tick buffer into per-pair sorted (timestamp,
@@ -669,7 +674,7 @@ impl StreamingHunt {
         }
         let mut folded: BTreeMap<CommunicationPair, Fold> = BTreeMap::new();
         for record in buffer {
-            let pair = CommunicationPair::new(&record.source, &record.domain);
+            let pair = CommunicationPair::new(record.source, record.domain);
             let fold = folded.entry(pair).or_insert_with(|| Fold {
                 stamps: BTreeMap::new(),
                 tokens: BTreeSet::new(),
@@ -679,6 +684,7 @@ impl StreamingHunt {
                 fold.tokens.insert(record.url_token);
             }
         }
+        let (mut pairs_admitted, mut events_admitted) = (0u64, 0u64);
         for (pair, fold) in folded {
             let mut overflow = 0u64;
             let batch: Vec<(u64, u32)> = fold
@@ -693,54 +699,72 @@ impl StreamingHunt {
                     (ts, kept as u32)
                 })
                 .collect();
-            if !self.pairs.contains_key(&pair) {
-                let readmitted = self.evicted_fingerprints.contains(&fingerprint(&pair));
-                let whitelisted = self.global_whitelist.contains(&pair.destination);
-                let state = PairState::new(&pair, self.config.ring_capacity, whitelisted, tick);
-                self.resident_bytes += state.cost_bytes;
-                self.lru.insert((tick, pair.clone()));
-                self.pairs.insert(pair.clone(), state);
-                self.ledger.admit_pair(readmitted);
-                self.metrics.counter("stream.pairs.admitted").inc();
-                if readmitted {
-                    self.metrics.counter("stream.pairs.readmitted").inc();
-                }
-            }
-            if let Some(state) = self.pairs.get_mut(&pair) {
-                let total: u64 = batch.iter().map(|&(_, n)| u64::from(n)).sum::<u64>() + overflow;
-                let before = state.ring.events();
-                state.ring.append_batch(&batch);
-                // Whatever was offered or previously resident but is not
-                // resident now was lost to the capacity bound (including
-                // the u32 overflow, which never reached the ring).
-                let lost = before + total - state.ring.events();
-                self.ledger.admit(total);
-                if lost > 0 {
-                    self.ledger.drop_capacity(lost);
-                    // Gated: only a capacity overflow registers it.
-                    self.metrics
-                        .counter("stream.events.dropped_capacity")
-                        .add(lost);
-                }
-                self.metrics.counter("stream.events.admitted").add(total);
-                state.version += 1;
-                let token_cost: u64 = fold
-                    .tokens
-                    .iter()
-                    .filter(|t| !state.tokens.contains_key(*t))
-                    .map(|t| TOKEN_BASE_BYTES + t.len() as u64)
-                    .sum();
-                for token in fold.tokens {
-                    state.tokens.insert(token, tick);
-                }
-                state.cost_bytes += token_cost;
-                self.resident_bytes += token_cost;
-                if state.last_seen_tick != tick {
-                    self.lru.remove(&(state.last_seen_tick, pair.clone()));
+            // One map walk and one key clone (the LRU's) per pair.
+            let state = match self.pairs.entry(pair) {
+                Entry::Vacant(slot) => {
+                    let pair = slot.key();
+                    let readmitted = self.evicted_fingerprints.contains(&fingerprint(pair));
+                    let whitelisted = self.global_whitelist.contains(&pair.destination);
+                    let state = PairState::new(pair, self.config.ring_capacity, whitelisted, tick);
+                    self.resident_bytes += state.cost_bytes;
                     self.lru.insert((tick, pair.clone()));
-                    state.last_seen_tick = tick;
+                    self.ledger.admit_pair(readmitted);
+                    pairs_admitted += 1;
+                    if readmitted {
+                        self.metrics.counter("stream.pairs.readmitted").inc();
+                    }
+                    slot.insert(state)
                 }
+                Entry::Occupied(slot) => {
+                    let last_seen = slot.get().last_seen_tick;
+                    if last_seen != tick {
+                        let stale = (last_seen, slot.key().clone());
+                        self.lru.remove(&stale);
+                        self.lru.insert((tick, stale.1));
+                    }
+                    slot.into_mut()
+                }
+            };
+            state.last_seen_tick = tick;
+            let total: u64 = batch.iter().map(|&(_, n)| u64::from(n)).sum::<u64>() + overflow;
+            let before = state.ring.events();
+            state.ring.append_batch(&batch);
+            // Whatever was offered or previously resident but is not
+            // resident now was lost to the capacity bound (including
+            // the u32 overflow, which never reached the ring).
+            let lost = before + total - state.ring.events();
+            self.ledger.admit(total);
+            if lost > 0 {
+                self.ledger.drop_capacity(lost);
+                // Gated: only a capacity overflow registers it.
+                self.metrics
+                    .counter("stream.events.dropped_capacity")
+                    .add(lost);
             }
+            events_admitted += total;
+            state.version += 1;
+            let token_cost: u64 = fold
+                .tokens
+                .iter()
+                .filter(|t| !state.tokens.contains_key(*t))
+                .map(|t| TOKEN_BASE_BYTES + t.len() as u64)
+                .sum();
+            for token in fold.tokens {
+                state.tokens.insert(token, tick);
+            }
+            state.cost_bytes += token_cost;
+            self.resident_bytes += token_cost;
+        }
+        // Per tick, not per pair; never registered at zero.
+        if pairs_admitted > 0 {
+            self.metrics
+                .counter("stream.pairs.admitted")
+                .add(pairs_admitted);
+        }
+        if events_admitted > 0 {
+            self.metrics
+                .counter("stream.events.admitted")
+                .add(events_admitted);
         }
     }
 
@@ -787,7 +811,9 @@ impl StreamingHunt {
         for pair in &expired {
             // An expired pair's ring is already empty, so this moves no
             // events — only the pair itself — through the ledger.
-            self.remove_pair(pair);
+            if let Some(last_seen) = self.forget_pair(pair) {
+                self.lru.remove(&(last_seen, pair.clone()));
+            }
         }
         expired
     }
@@ -797,10 +823,10 @@ impl StreamingHunt {
     fn evict_to(&mut self, target_bytes: u64) -> Vec<CommunicationPair> {
         let mut evicted = Vec::new();
         while self.resident_bytes > target_bytes {
-            let Some((_, pair)) = self.lru.first().cloned() else {
+            let Some((_, pair)) = self.lru.pop_first() else {
                 break;
             };
-            self.remove_pair(&pair);
+            self.forget_pair(&pair);
             evicted.push(pair);
         }
         evicted
@@ -859,6 +885,11 @@ impl StreamingHunt {
             }
         };
         removed.extend(self.evict_to(eviction_target));
+        if !removed.is_empty() {
+            self.metrics
+                .counter("stream.pairs.evicted")
+                .add(removed.len() as u64);
+        }
 
         // Detection coarsening: while elevated, re-detect only every
         // N-th tick (stale verdicts stand in between); a forced close
@@ -906,48 +937,42 @@ impl StreamingHunt {
 
         // Popularity over live pairs — bit-identical to
         // `PopularityStats::compute` over the window's records: distinct
-        // sources per destination divided by total distinct sources.
-        let mut all_sources: BTreeSet<&str> = BTreeSet::new();
-        let mut per_domain: BTreeMap<&str, BTreeSet<&str>> = BTreeMap::new();
+        // sources per destination divided by total distinct sources. Keys
+        // are unique and ordered source-first: distinct sources are runs of
+        // equal `source`, a destination's sources are the pairs naming it.
+        let mut total_sources = 0usize;
+        let mut last_source = None;
+        let mut per_domain: BTreeMap<&str, usize> = BTreeMap::new();
         for pair in self.pairs.keys() {
-            all_sources.insert(pair.source.as_str());
-            per_domain
-                .entry(pair.destination.as_str())
-                .or_default()
-                .insert(pair.source.as_str());
+            if last_source != Some(pair.source.as_str()) {
+                last_source = Some(pair.source.as_str());
+                total_sources += 1;
+            }
+            *per_domain.entry(pair.destination.as_str()).or_insert(0) += 1;
         }
-        let total_sources = all_sources.len();
 
+        // Filters 1–2; one slot per pair, a survivor's holds its popularity.
         let mut stats = FilterStats::default();
         let mut events = 0u64;
-        for state in self.pairs.values() {
-            events += state.ring.events();
-        }
-        stats.events = events as usize;
-        stats.pairs = self.pairs.len();
-
-        // Filters 1–2 over pair keys; survivors carry their popularity.
-        let mut survivors: Vec<(CommunicationPair, f64)> = Vec::new();
+        let mut survivors: Vec<Option<f64>> = Vec::with_capacity(self.pairs.len());
         for (pair, state) in &self.pairs {
+            events += state.ring.events();
             if state.whitelisted {
+                survivors.push(None);
                 continue;
             }
             stats.after_global_whitelist += 1;
             let sources = per_domain
                 .get(pair.destination.as_str())
-                .map(|s| s.len())
+                .copied()
                 .unwrap_or(0);
-            let popularity = if total_sources == 0 {
-                0.0
-            } else {
-                sources as f64 / total_sources as f64
-            };
-            if self.local_whitelist.is_whitelisted(popularity) {
-                continue;
-            }
-            stats.after_local_whitelist += 1;
-            survivors.push((pair.clone(), popularity));
+            let popularity = sources as f64 / total_sources as f64;
+            let survives = !self.local_whitelist.is_whitelisted(popularity);
+            stats.after_local_whitelist += usize::from(survives);
+            survivors.push(survives.then_some(popularity));
         }
+        stats.events = events as usize;
+        stats.pairs = self.pairs.len();
 
         // Filter 3: periodicity, cached by ring version. The detector
         // runs on this thread, so its thread-local spectral workspace
@@ -956,8 +981,8 @@ impl StreamingHunt {
         let mut cached = 0u64;
         let scale = self.config.pipeline.time_scale;
         let mut periodic: Vec<(CommunicationPair, Vec<CandidatePeriod>, f64)> = Vec::new();
-        for (pair, popularity) in &survivors {
-            let Some(state) = self.pairs.get_mut(pair) else {
+        for ((pair, state), popularity) in self.pairs.iter_mut().zip(&survivors) {
+            let Some(popularity) = popularity else {
                 continue;
             };
             let fresh = matches!(&state.verdict, Some((v, _)) if *v == state.version);
@@ -1399,10 +1424,10 @@ mod tests {
             max_ops: Some(1),
             ..Default::default()
         };
-        for (timestamps, budget) in [
-            (&beacon, BudgetSpec::UNLIMITED),
-            (&too_few, BudgetSpec::UNLIMITED),
-            (&beacon, one_op),
+        for (timestamps, budget, expect_periodic, expect_timeout) in [
+            (&beacon, BudgetSpec::UNLIMITED, true, false),
+            (&too_few, BudgetSpec::UNLIMITED, false, false),
+            (&beacon, one_op, false, true),
         ] {
             let mut pipeline = BaywatchConfig::default();
             pipeline.detector.budget = budget;
@@ -1431,15 +1456,11 @@ mod tests {
             assert!(faults.is_clean());
             assert_eq!(rows.len(), 1);
 
-            let expect_timeout = budget == one_op;
-            let expect_periodic = !expect_timeout && timestamps.len() == beacon.len();
             match (direct, streamed, &rows[0]) {
-                (
-                    Verdict::Periodic(report),
-                    PairVerdict::Periodic(candidates),
-                    DetectRow::Hit(hit),
-                ) if expect_periodic => {
-                    assert_eq!(candidates, report.candidates);
+                (Verdict::Periodic(report), PairVerdict::Periodic(found), DetectRow::Hit(hit))
+                    if expect_periodic =>
+                {
+                    assert_eq!(found, report.candidates);
                     assert_eq!(hit.1, report);
                 }
                 (Verdict::Quiet, PairVerdict::Quiet, DetectRow::Quiet(_))
