@@ -347,7 +347,9 @@ mod tests {
     fn incremental_parser_matches_streaming_reader() {
         let mut parser = ElffParser::new();
         assert!(!parser.has_schema());
-        let err = parser.parse_data_line("1000 10.0.0.1 a.com", 1).unwrap_err();
+        let err = parser
+            .parse_data_line("1000 10.0.0.1 a.com", 1)
+            .unwrap_err();
         assert!(err.reason.contains("#Fields"));
         parser.set_schema(" x-timestamp c-ip cs-host");
         assert!(parser.has_schema());

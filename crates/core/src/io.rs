@@ -598,7 +598,10 @@ mod tests {
             assert_eq!(guard.state("noisy"), Some(BreakerState::Open));
             let good = good_lines(3);
             let out = guard.read_source("quiet", good.as_bytes()).unwrap();
-            assert_eq!(out.admitted_lines, 3, "one bad source must not starve another");
+            assert_eq!(
+                out.admitted_lines, 3,
+                "one bad source must not starve another"
+            );
             assert_eq!(guard.state("quiet"), Some(BreakerState::Closed));
             assert_eq!(guard.sources().collect::<Vec<_>>(), vec!["noisy", "quiet"]);
         }
@@ -681,7 +684,9 @@ mod tests {
             for i in 0..5u64 {
                 log.push_str(&format!("{} 10.0.0.1 a.com /x\n", 1000 + i * 60));
             }
-            let out = guard.read_elff_source("late-schema", log.as_bytes()).unwrap();
+            let out = guard
+                .read_elff_source("late-schema", log.as_bytes())
+                .unwrap();
             assert_eq!(out.final_state, BreakerState::Closed, "recovered in-stream");
             assert_eq!(out.outcome.records.len(), 5);
             assert_eq!(out.probe_lines, 2, "probes until the close threshold");

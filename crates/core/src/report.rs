@@ -72,7 +72,10 @@ pub fn render_funnel(report: &AnalysisReport) -> String {
     row("after URL-token filter", s.after_token_filter);
     row("after novelty analysis", s.after_novelty);
     row("reported (percentile)", s.reported);
-    if !report.faults.is_clean() || s.timed_out_pairs > 0 || s.shed_pairs > 0 || s.degraded_pairs > 0
+    if !report.faults.is_clean()
+        || s.timed_out_pairs > 0
+        || s.shed_pairs > 0
+        || s.degraded_pairs > 0
     {
         let mut banner = format!(
             "degraded mode: {} map / {} reduce retries, {} quarantined unit(s)",

@@ -273,7 +273,10 @@ mod tests {
             assert_eq!(w.burst, (w.index + 1) % 4 == 0, "window {}", w.index);
             let expected = if w.burst { 500 } else { 50 };
             assert_eq!(w.events.len(), expected);
-            assert!(w.events.windows(2).all(|p| p[0].timestamp <= p[1].timestamp));
+            assert!(w
+                .events
+                .windows(2)
+                .all(|p| p[0].timestamp <= p[1].timestamp));
         }
         let burst = windows.iter().find(|w| w.burst).unwrap();
         let domains: std::collections::HashSet<&str> =

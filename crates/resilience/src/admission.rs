@@ -263,8 +263,16 @@ mod tests {
     fn reject_recovery_passes_through_degraded() {
         let mut c = AdmissionController::new(AdmissionConfig::default());
         assert_eq!(c.decide(1.2, false), AdmissionDecision::Reject);
-        assert_eq!(c.decide(0.95, false), AdmissionDecision::Reject, "above reject_exit");
-        assert_eq!(c.decide(0.8, false), AdmissionDecision::Degrade, "in the degrade band");
+        assert_eq!(
+            c.decide(0.95, false),
+            AdmissionDecision::Reject,
+            "above reject_exit"
+        );
+        assert_eq!(
+            c.decide(0.8, false),
+            AdmissionDecision::Degrade,
+            "in the degrade band"
+        );
         assert_eq!(c.decide(0.1, false), AdmissionDecision::Accept);
         assert_eq!(c.stats().transitions, 3);
     }

@@ -68,8 +68,8 @@ impl Model {
         match state {
             BreakerState::HalfOpen => self.half_open_failure,
             BreakerState::Closed => {
-                let count = config.failure_threshold > 0
-                    && self.consecutive >= config.failure_threshold;
+                let count =
+                    config.failure_threshold > 0 && self.consecutive >= config.failure_threshold;
                 let rate = config.failure_rate > 0.0
                     && self.window_total >= u64::from(config.min_samples)
                     && (self.window_failures as f64)

@@ -329,14 +329,14 @@ fn run_stream_scenario(args: &[String], emit_json: bool) {
         while std::io::BufRead::read_line(&mut std::io::stdin().lock(), &mut line).unwrap_or(0) > 0
         {
             let mut fields = line.split_whitespace();
-            let record = match (fields.next().and_then(|t| t.parse().ok()), fields.next(), fields.next())
-            {
-                (Some(timestamp), Some(source), Some(domain)) => LogRecord::new(
-                    timestamp,
-                    source,
-                    domain,
-                    fields.next().unwrap_or(""),
-                ),
+            let record = match (
+                fields.next().and_then(|t| t.parse().ok()),
+                fields.next(),
+                fields.next(),
+            ) {
+                (Some(timestamp), Some(source), Some(domain)) => {
+                    LogRecord::new(timestamp, source, domain, fields.next().unwrap_or(""))
+                }
                 _ => {
                     if !line.trim().is_empty() {
                         malformed += 1;
@@ -416,7 +416,12 @@ fn run_stream_scenario(args: &[String], emit_json: bool) {
 fn print_backoff_schedule(retry: &RetryPolicy) {
     println!(
         "backoff schedule: base={} multiplier={} cap={} seed={:#x} jitter={} max_retries={}",
-        retry.base_nanos, retry.multiplier, retry.cap_nanos, retry.seed, retry.jitter, retry.max_retries
+        retry.base_nanos,
+        retry.multiplier,
+        retry.cap_nanos,
+        retry.seed,
+        retry.jitter,
+        retry.max_retries
     );
     let attempts = retry.max_retries.max(4);
     for stream in 0..4u64 {

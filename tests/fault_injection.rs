@@ -626,10 +626,7 @@ fn flapping_source_recovers_with_exact_accounting() {
 
     let run = || {
         let clock = Arc::new(ManualClock::new());
-        let mut guard = IngestGuard::new(
-            BreakerConfig::default(),
-            clock.clone() as Arc<dyn Clock>,
-        );
+        let mut guard = IngestGuard::new(BreakerConfig::default(), clock.clone() as Arc<dyn Clock>);
         let mut ledger = Vec::new();
         let mut records = 0usize;
         for window in flapping_source(&config, 42) {
