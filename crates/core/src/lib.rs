@@ -18,7 +18,9 @@
 //! | 8 | Bootstrap classification & uncertainty triage | Investigation | [`investigate`] |
 //!
 //! Each phase is also expressible as a MapReduce job ([`jobs`]) mirroring
-//! §VII of the paper; [`pipeline::Baywatch`] wires everything together:
+//! §VII of the paper. Filters 1, 2 and 4–7 live once in the crate-private
+//! `funnel` module; [`pipeline::Baywatch`] (one window at a time) and
+//! [`stream::StreamingHunt`] (one tick at a time) both call it:
 //!
 //! ```
 //! use baywatch_core::pipeline::{Baywatch, BaywatchConfig};
@@ -52,6 +54,7 @@
 pub mod activity;
 pub mod checkpoint;
 pub mod elff;
+mod funnel;
 pub mod investigate;
 pub mod io;
 pub mod jobs;

@@ -68,6 +68,13 @@ impl NoveltyStore {
         }
     }
 
+    /// Whether exactly this pair has been reported before (read-only).
+    pub fn is_reported(&self, pair: &CommunicationPair) -> bool {
+        self.reported
+            .get(&pair.destination)
+            .is_some_and(|sources| sources.contains(&pair.source))
+    }
+
     /// Whether a destination has been reported before (read-only).
     pub fn destination_known(&self, destination: &str) -> bool {
         self.reported.contains_key(destination)
@@ -129,6 +136,25 @@ mod tests {
         // Run 2 (same store): the pair is a duplicate, a new pair is not.
         assert_eq!(store.observe(&pair("a", "x.com")), Novelty::Duplicate);
         assert_eq!(store.observe(&pair("a", "y.com")), Novelty::NewDestination);
+    }
+
+    #[test]
+    fn is_reported_answers_without_recording() {
+        let mut store = NoveltyStore::new();
+        store.observe(&pair("a", "x.com"));
+        store.observe(&pair("a", "x.com"));
+        let before = (store.known_destinations(), store.suppressed().len());
+        // A hit, a new source for a known destination, a new destination.
+        assert!(store.is_reported(&pair("a", "x.com")));
+        assert!(!store.is_reported(&pair("b", "x.com")));
+        assert!(!store.is_reported(&pair("a", "y.com")));
+        assert_eq!(
+            (store.known_destinations(), store.suppressed().len()),
+            before
+        );
+        // The misses really were not recorded: both are still novel.
+        assert!(store.observe(&pair("b", "x.com")).is_novel());
+        assert!(store.observe(&pair("a", "y.com")).is_novel());
     }
 
     #[test]

@@ -1,33 +1,33 @@
 //! The end-to-end BAYWATCH engine: all eight filters wired together
 //! (Fig. 3 of the paper).
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
+use std::convert::Infallible;
 use std::sync::Arc;
 use std::time::Duration;
 
-use baywatch_langmodel::{corpus, DomainScorer};
+use baywatch_langmodel::DomainScorer;
 use baywatch_mapreduce::{
     BudgetSnapshot, CheckpointStore, CheckpointedRun, DlqReason, FaultPlan, FaultPolicy,
     FaultReport, JobConfig, MapReduce, RunManifest,
 };
 use baywatch_obs::{Buckets, Clock, MetricsRegistry, MetricsSnapshot, MonotonicClock, StageTracer};
 use baywatch_resilience::{AdmissionConfig, AdmissionController, AdmissionDecision, RetryPolicy};
-use baywatch_timeseries::detector::{
-    DetectionReport, DetectorConfig, DetectorObs, PeriodicityDetector,
-};
+use baywatch_timeseries::detector::{DetectorConfig, DetectorObs, PeriodicityDetector};
 use baywatch_timeseries::BudgetSpec;
 
 use crate::activity::ActivitySummary;
 use crate::checkpoint::{self, CheckpointOutcome, CheckpointSpec};
+use crate::funnel::{Funnel, Hits};
 use crate::io::ReadOutcome;
 use crate::jobs;
 use crate::novelty::NoveltyStore;
 use crate::pair::CommunicationPair;
 use crate::popularity::PopularityStats;
-use crate::rank::{rank_cases, BeaconCase, RankConfig, RankedCase};
+use crate::rank::{RankConfig, RankedCase};
 use crate::record::LogRecord;
 use crate::tokens::TokenFilter;
-use crate::whitelist::{GlobalWhitelist, LocalWhitelist};
+use crate::whitelist::GlobalWhitelist;
 
 /// Configuration of the full pipeline.
 #[derive(Debug, Clone)]
@@ -209,9 +209,7 @@ pub struct Baywatch {
     config: BaywatchConfig,
     engine: MapReduce,
     detector: PeriodicityDetector,
-    scorer: DomainScorer,
-    global_whitelist: GlobalWhitelist,
-    local_whitelist: LocalWhitelist,
+    funnel: Funnel,
     novelty: NoveltyStore,
     fault_plan: Option<Arc<FaultPlan>>,
     metrics: Arc<MetricsRegistry>,
@@ -239,25 +237,16 @@ impl Baywatch {
     pub fn with_clock(config: BaywatchConfig, clock: Arc<dyn Clock>) -> Self {
         let metrics = Arc::new(MetricsRegistry::new());
         let tracer = StageTracer::new(clock.clone());
-        let scorer = DomainScorer::train(corpus::training_corpus(), config.lm_order);
-        let global_whitelist = if config.use_builtin_whitelist {
-            GlobalWhitelist::from_seed_corpus()
-        } else {
-            GlobalWhitelist::default()
-        };
-        let local_whitelist = LocalWhitelist::new(config.local_tau);
         let engine = MapReduce::new(config.mapreduce)
             .with_retry_policy(config.retry)
             .with_metrics(metrics.clone());
         let detector = PeriodicityDetector::new(config.detector.clone())
             .with_obs(DetectorObs::new(&metrics, clock));
         Self {
+            funnel: Funnel::new(&config),
             config,
             engine,
             detector,
-            scorer,
-            global_whitelist,
-            local_whitelist,
             novelty: NoveltyStore::new(),
             fault_plan: None,
             metrics,
@@ -305,7 +294,7 @@ impl Baywatch {
     /// Mutable access to the global whitelist (e.g. to add
     /// organization-specific entries).
     pub fn global_whitelist_mut(&mut self) -> &mut GlobalWhitelist {
-        &mut self.global_whitelist
+        &mut self.funnel.global_whitelist
     }
 
     /// The novelty store (persists across [`Baywatch::analyze`] calls —
@@ -316,7 +305,7 @@ impl Baywatch {
 
     /// The trained domain scorer.
     pub fn scorer(&self) -> &DomainScorer {
-        &self.scorer
+        &self.funnel.scorer
     }
 
     /// Analyzes one window of pre-parsed log lines: like
@@ -343,21 +332,14 @@ impl Baywatch {
     /// Filter 8 (bootstrap classification) is separate — see
     /// [`crate::investigate`] — because it needs manual labels.
     pub fn analyze(&mut self, records: Vec<LogRecord>) -> AnalysisReport {
-        match self.analyze_with(records, None) {
-            Ok(report) => report,
-            // Unreachable in practice: without a checkpoint spec the
-            // analysis performs no filesystem I/O. Degrade to an empty
-            // report rather than panic if it ever is reached.
-            Err(_) => AnalysisReport {
-                stats: FilterStats::default(),
-                ranked: Vec::new(),
-                report_cutoff: 0,
-                popularity_total_sources: 0,
-                faults: FaultReport::default(),
-                malformed_samples: Vec::new(),
-                checkpoint: None,
-            },
-        }
+        // Without a checkpoint the detection step touches no file, so the
+        // analysis cannot fail — and the type says so.
+        let plain = self.analyze_with(records, |engine, pairs, plan, policy, stats, faults| {
+            let hits = engine.detect_with_budget(pairs, plan, policy, stats, faults);
+            Ok::<_, Infallible>((hits, None))
+        });
+        let Ok(report) = plain;
+        report
     }
 
     /// Analyzes one window like [`Baywatch::analyze`], but runs the
@@ -385,14 +367,27 @@ impl Baywatch {
         records: Vec<LogRecord>,
         spec: &CheckpointSpec,
     ) -> std::io::Result<AnalysisReport> {
-        self.analyze_with(records, Some(spec))
+        self.analyze_with(records, |engine, pairs, plan, policy, stats, faults| {
+            engine
+                .detect_checkpointed(pairs, plan, policy, stats, faults, spec)
+                .map(|(hits, outcome)| (hits, Some(outcome)))
+        })
     }
 
-    fn analyze_with(
+    /// One window through the whole funnel; `detect` is filter 3 — plain
+    /// or checkpointed — and the only step that can fail.
+    fn analyze_with<E>(
         &mut self,
         records: Vec<LogRecord>,
-        checkpoint: Option<&CheckpointSpec>,
-    ) -> std::io::Result<AnalysisReport> {
+        detect: impl FnOnce(
+            &Self,
+            Vec<ActivitySummary>,
+            Option<&FaultPlan>,
+            &FaultPolicy,
+            &mut FilterStats,
+            &mut FaultReport,
+        ) -> Result<(Hits, Option<CheckpointOutcome>), E>,
+    ) -> Result<AnalysisReport, E> {
         let mut stats = FilterStats {
             events: records.len(),
             ..Default::default()
@@ -447,13 +442,12 @@ impl Baywatch {
         );
 
         // ---- Filter 1: global whitelist. ----
+        let funnel = &self.funnel;
         let input = summaries.len();
         let summaries: Vec<_> = {
             let _span = tracer.span("whitelist.global");
-            summaries
-                .into_iter()
-                .filter(|s| !self.global_whitelist.contains(&s.pair.destination))
-                .collect()
+            let listed = |s: &ActivitySummary| funnel.globally_whitelisted(&s.pair.destination);
+            summaries.into_iter().filter(|s| !listed(s)).collect()
         };
         stats.after_global_whitelist = summaries.len();
         self.admit_drop("02_global_whitelist", input, summaries.len());
@@ -462,13 +456,10 @@ impl Baywatch {
         let input = summaries.len();
         let summaries: Vec<_> = {
             let _span = tracer.span("whitelist.local");
+            let listed = |d: &str| funnel.locally_whitelisted(popularity.popularity(d));
             summaries
                 .into_iter()
-                .filter(|s| {
-                    !self
-                        .local_whitelist
-                        .is_whitelisted(popularity.popularity(&s.pair.destination))
-                })
+                .filter(|s| !listed(&s.pair.destination))
                 .collect()
         };
         stats.after_local_whitelist = summaries.len();
@@ -483,106 +474,37 @@ impl Baywatch {
         let quarantined_before = stats.quarantined_pairs;
         let (detections, checkpoint_outcome) = {
             let _span = tracer.span("detect");
-            match checkpoint {
-                None => (
-                    self.detect_with_budget(summaries, plan, &policy, &mut stats, &mut faults),
-                    None,
-                ),
-                Some(spec) => {
-                    let (detections, outcome) = self.detect_checkpointed(
-                        summaries,
-                        plan,
-                        &policy,
-                        &mut stats,
-                        &mut faults,
-                        spec,
-                    )?;
-                    (detections, Some(outcome))
-                }
-            }
+            detect(self, summaries, plan, &policy, &mut stats, &mut faults)?
         };
         stats.periodic = detections.len();
         let timed_out = stats.timed_out_pairs - timed_out_before;
         let quarantined = stats.quarantined_pairs - quarantined_before;
+        let dropped =
+            input.saturating_sub(stats.periodic + timed_out + quarantined + stats.shed_pairs);
         self.stage_counters(
             "04_periodicity",
             stats.periodic,
             &[
-                (
-                    "dropped",
-                    input.saturating_sub(
-                        stats.periodic + timed_out + quarantined + stats.shed_pairs,
-                    ),
-                ),
+                ("dropped", dropped),
                 ("timed_out", timed_out),
                 ("quarantined", quarantined),
                 ("shed", stats.shed_pairs),
             ],
         );
 
-        // Similar-source counts among the candidate destinations. A
-        // BTreeMap keeps any future iteration over the counts ordered by
-        // destination; lookups below are point queries either way.
-        let mut similar: BTreeMap<&str, usize> = BTreeMap::new();
-        for (summary, _) in &detections {
-            *similar
-                .entry(summary.pair.destination.as_str())
-                .or_insert(0) += 1;
-        }
-        let similar: BTreeMap<String, usize> = similar
-            .into_iter()
-            .map(|(k, v)| (k.to_owned(), v))
-            .collect();
-
-        // ---- Filter 4: URL-token filter (§V-A). ----
-        let input = detections.len();
-        let detections: Vec<_> = {
-            let _span = tracer.span("token_filter");
-            detections
-                .into_iter()
-                .filter(|(summary, _)| !self.config.token_filter.is_benign(&summary.url_tokens))
-                .collect()
-        };
-        stats.after_token_filter = detections.len();
-        self.admit_drop("05_token_filter", input, detections.len());
-
-        // ---- Filter 5: novelty analysis (§V-B). ----
-        let input = detections.len();
-        let detections: Vec<_> = {
-            let _span = tracer.span("novelty");
-            detections
-                .into_iter()
-                .filter(|(summary, _)| self.novelty.observe(&summary.pair).is_novel())
-                .collect()
-        };
-        stats.after_novelty = detections.len();
-        self.admit_drop("06_novelty", input, detections.len());
-
-        // ---- Filter 6: language-model scoring + case assembly (§V-C). ----
-        // ---- Filter 7: weighted ranking + percentile threshold (§V-D). ----
-        let (ranked, report_cutoff) = {
-            let _span = tracer.span("lm_rank");
-            let cases: Vec<BeaconCase> = detections
-                .into_iter()
-                .map(|(summary, report)| {
-                    let lm_score = self.scorer.score_per_char(&summary.pair.destination);
-                    BeaconCase {
-                        popularity: popularity.popularity(&summary.pair.destination),
-                        lm_score,
-                        similar_sources: similar
-                            .get(summary.pair.destination.as_str())
-                            .copied()
-                            .unwrap_or(1),
-                        intervals: summary.intervals_f64(),
-                        url_tokens: summary.url_tokens.clone(),
-                        pair: summary.pair,
-                        candidates: report.candidates,
-                    }
-                })
-                .collect();
-            rank_cases(&cases, &self.config.rank)
-        };
+        // ---- Filters 4–7: token filter, novelty, LM score, ranking. ----
+        let novelty = &mut self.novelty;
+        let (after_token_filter, after_novelty, ranked, report_cutoff) = funnel.rank(
+            detections,
+            |destination| popularity.popularity(destination),
+            |pair| novelty.observe(pair).is_novel(),
+            Some(&tracer),
+        );
+        stats.after_token_filter = after_token_filter;
+        stats.after_novelty = after_novelty;
         stats.reported = report_cutoff;
+        self.admit_drop("05_token_filter", stats.periodic, after_token_filter);
+        self.admit_drop("06_novelty", after_token_filter, after_novelty);
         self.stage_counters(
             "07_lm_rank",
             stats.reported,
@@ -661,7 +583,7 @@ impl Baywatch {
         policy: &FaultPolicy,
         stats: &mut FilterStats,
         faults: &mut FaultReport,
-    ) -> Vec<(ActivitySummary, DetectionReport)> {
+    ) -> Hits {
         let pair_budget = self.config.detector.budget;
         let mut detected = Detected::default();
         let mut run_wave = |batch: &[ActivitySummary],
@@ -758,7 +680,7 @@ impl Baywatch {
         stats: &mut FilterStats,
         faults: &mut FaultReport,
         spec: &CheckpointSpec,
-    ) -> std::io::Result<(Vec<(ActivitySummary, DetectionReport)>, CheckpointOutcome)> {
+    ) -> std::io::Result<(Hits, CheckpointOutcome)> {
         let pair_budget = self.config.detector.budget;
         let shards = checkpoint::plan_shards(summaries, spec.shard_size);
         let store = CheckpointStore::create(&spec.dir)?;
@@ -908,7 +830,7 @@ impl Baywatch {
 /// The detection phase's running result across one or more detection jobs.
 #[derive(Default)]
 struct Detected {
-    hits: Vec<(ActivitySummary, DetectionReport)>,
+    hits: Hits,
     /// Pairs already counted in `timed_out_pairs` via a TimedOut row. A
     /// pair may reach detection through several summaries (one per reduce
     /// group upstream, or duplicated input); the funnel must count it once
@@ -934,7 +856,7 @@ impl Detected {
             match row {
                 jobs::DetectRow::Hit(hit) => {
                     verdicts += 1;
-                    self.hits.push(*hit);
+                    self.hits.push((hit.0, hit.1.candidates));
                 }
                 jobs::DetectRow::Quiet(_) => verdicts += 1,
                 jobs::DetectRow::TimedOut(pair) => {

@@ -94,8 +94,15 @@ impl ScheduleSpec {
     /// saturating at time zero when fewer than `window_ticks` ticks have
     /// elapsed.
     pub fn window_start(&self, current_tick: u64) -> u64 {
-        let first_tick = (current_tick + 1).saturating_sub(self.window_ticks);
-        self.tick_start(first_tick)
+        self.tick_start(self.first_window_tick(current_tick))
+    }
+
+    /// First tick still inside the window while `current_tick` is the
+    /// newest tick (saturating at both ends of `u64`).
+    pub(crate) fn first_window_tick(&self, current_tick: u64) -> u64 {
+        current_tick
+            .saturating_add(1)
+            .saturating_sub(self.window_ticks)
     }
 
     /// Exclusive upper edge of the window while `current_tick` is the

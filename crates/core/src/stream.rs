@@ -12,8 +12,8 @@
 //!   multiplicities (plus its interval sketch), the pair's URL tokens
 //!   tagged with the last tick each was seen, a cached detection verdict
 //!   keyed to the ring's mutation version, and bookkeeping (last-seen
-//!   tick, byte cost). All maps are `BTreeMap`/`BTreeSet` — iteration
-//!   order is part of the determinism contract.
+//!   tick, byte cost). Every map that is iterated is a `BTreeMap` or
+//!   `BTreeSet` — iteration order is part of the determinism contract.
 //! * **Tick semantics** — time advances in fixed ticks
 //!   ([`ScheduleSpec`]); events are buffered within the current tick
 //!   (intra-tick arrival order is irrelevant: the buffer is folded and
@@ -21,7 +21,10 @@
 //!   identical state). The sliding window covers the most recent
 //!   `window_ticks` ticks with a **closed lower edge**: an event landing
 //!   exactly on the window start is in the window, on both the schedule
-//!   side and the ring-retention side.
+//!   side and the ring-retention side. A gap in the feed closes its empty
+//!   ticks one by one only until one of them is idle (nothing aged,
+//!   nothing live, admission at `Accept`); the all-zero repeats after
+//!   that are skipped, so one wild timestamp costs O(`window_ticks`).
 //! * **Eviction policy** — a global byte budget over resident pair state.
 //!   When it overflows, cold pairs are evicted strictly LRU by last-seen
 //!   tick, ties broken by pair key ascending — a deterministic total
@@ -30,18 +33,20 @@
 //!   fresh ring and is counted under `stream.pairs.readmitted`.
 //! * **Degradation before shedding** — the byte budget feeds pressure to
 //!   an [`AdmissionController`]: `Degrade` coarsens the effective
-//!   detection tick (re-detection only every
-//!   [`StreamConfig::degrade_detect_stride`] ticks) and widens eviction
-//!   (down to [`StreamConfig::degrade_target`] of the budget); `Reject`
-//!   sheds the tick's buffered events with exact accounting.
-//! * **Equivalence guarantees** — as long as nothing was shed, dropped by
-//!   ring capacity, or evicted with live in-window events, the retained
-//!   state is *lossless*: [`StreamingHunt::final_report`] reconstructs
-//!   the final window's records and produces a report **byte-identical**
-//!   (via [`crate::report::export_json`]) to the batch pipeline run over
-//!   that window, and the per-tick funnel levels telescope exactly to the
-//!   batch funnel. The test battery (`tests/stream_equivalence.rs`,
-//!   `tests/stream_soak.rs`) locks both.
+//!   detection tick (re-detection only every `DEGRADE_DETECT_STRIDE`-th
+//!   tick) and widens eviction (down to `DEGRADE_TARGET` of the budget);
+//!   `Reject` sheds the tick's buffered events with exact accounting.
+//! * **Equivalence with batch** — by construction for filters 1–2 and 4–7
+//!   (both engines call the crate's one `funnel`) and for the filter-3
+//!   verdict (`jobs::detect_verdict`); still policed by tests for the
+//!   funnel's inputs, which each engine produces itself: popularity (live
+//!   pair keys here, a MapReduce job in batch) and the window's events
+//!   (ring retention here, extraction in batch). While nothing was shed,
+//!   dropped by ring capacity, or evicted with in-window events the state
+//!   is *lossless*: [`StreamingHunt::final_report`] rebuilds the final
+//!   window's records and its [`crate::report::export_json`] is
+//!   **byte-identical** to a batch run over that window, and the per-tick
+//!   funnel levels telescope to the batch funnel (`tests/stream_*.rs`).
 //!
 //! Every [`StreamLedger`] movement is exact integer arithmetic (enforced
 //! by the `L7-ledger-arith` lint rule): offered events equal admitted +
@@ -52,19 +57,19 @@ use std::collections::btree_map::Entry;
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
-use baywatch_langmodel::{corpus, DomainScorer};
 use baywatch_obs::{Clock, ManualClock, MetricsRegistry, MetricsSnapshot};
 use baywatch_resilience::{AdmissionConfig, AdmissionController, AdmissionDecision};
 use baywatch_timeseries::detector::PeriodicityDetector;
 use baywatch_timeseries::{CandidatePeriod, TimestampRing};
 
+use crate::activity::ActivitySummary;
+use crate::funnel::{Funnel, Hits};
 use crate::jobs::{self, Verdict};
+use crate::novelty::NoveltyStore;
 use crate::pair::CommunicationPair;
 use crate::pipeline::{AnalysisReport, Baywatch, BaywatchConfig, FilterStats};
-use crate::rank::{rank_cases, BeaconCase};
 use crate::record::LogRecord;
 use crate::schedule::ScheduleSpec;
-use crate::whitelist::{GlobalWhitelist, LocalWhitelist};
 use crate::CoreError;
 
 /// Fixed per-pair overhead charged against the state budget (struct,
@@ -77,6 +82,11 @@ const PAIR_BASE_BYTES: u64 = 192;
 const RING_ENTRY_BYTES: u64 = 16;
 /// Fixed cost of one retained URL token (map node + string header).
 const TOKEN_BASE_BYTES: u64 = 56;
+/// While degraded or rejecting, evict down to this fraction of the budget
+/// instead of stopping exactly at it, so pressure actually recedes.
+const DEGRADE_TARGET: f64 = 0.7;
+/// While degraded or rejecting, re-detect only on every N-th tick.
+const DEGRADE_DETECT_STRIDE: u64 = 4;
 
 /// Configuration of the streaming engine.
 #[derive(Debug, Clone)]
@@ -88,12 +98,6 @@ pub struct StreamConfig {
     /// Global budget (bytes, under the model constants above) for all
     /// resident pair state. `u64::MAX` disables eviction pressure.
     pub state_budget_bytes: u64,
-    /// While degraded, evict down to this fraction of the budget instead
-    /// of stopping exactly at it (wider eviction). Must be in `(0, 1]`.
-    pub degrade_target: f64,
-    /// While degraded, run re-detection only on every N-th tick (coarser
-    /// effective detection tick). Must be ≥ 1.
-    pub degrade_detect_stride: u64,
     /// Hysteresis thresholds for the pressure controller.
     pub admission: AdmissionConfig,
     /// The batch-pipeline configuration the stream must stay equivalent
@@ -109,8 +113,6 @@ impl StreamConfig {
             schedule,
             ring_capacity: 4096,
             state_budget_bytes: u64::MAX,
-            degrade_target: 0.7,
-            degrade_detect_stride: 4,
             admission: AdmissionConfig::default(),
             pipeline: BaywatchConfig::default(),
         }
@@ -287,6 +289,19 @@ impl PairState {
         }
     }
 
+    /// The pair's window as batch extraction would summarize it: ring
+    /// timestamps on the pipeline's time scale plus the in-window tokens.
+    fn summary(&self, pair: &CommunicationPair, scale: u64, first_tick: u64) -> ActivitySummary {
+        let timestamps = quantized(&self.ring, scale);
+        ActivitySummary {
+            pair: pair.clone(),
+            scale,
+            first_timestamp: timestamps.first().copied().unwrap_or(0),
+            intervals: timestamps.windows(2).map(|w| w[1] - w[0]).collect(),
+            url_tokens: self.window_tokens(first_tick),
+        }
+    }
+
     /// The pair's URL tokens still inside the window that starts at
     /// `first_window_tick`.
     fn window_tokens(&self, first_window_tick: u64) -> BTreeSet<String> {
@@ -381,9 +396,7 @@ pub struct StreamingHunt {
     config: StreamConfig,
     metrics: Arc<MetricsRegistry>,
     detector: PeriodicityDetector,
-    scorer: DomainScorer,
-    global_whitelist: GlobalWhitelist,
-    local_whitelist: LocalWhitelist,
+    funnel: Funnel,
     admission: AdmissionController,
     pairs: BTreeMap<CommunicationPair, PairState>,
     /// LRU index: (last-seen tick, pair) ascending — pop-first is the
@@ -392,10 +405,10 @@ pub struct StreamingHunt {
     /// FNV-1a fingerprints of every pair ever removed, for readmission
     /// accounting without retaining the evicted keys themselves.
     evicted_fingerprints: BTreeSet<u64>,
-    /// Read-only novelty memory: destination → sources already reported.
-    /// Populated only by [`StreamingHunt::commit_reported`], so by
-    /// default it matches a fresh batch engine (everything novel).
-    novelty_reported: BTreeMap<String, BTreeSet<String>>,
+    /// Novelty memory, read-only per tick: written only by
+    /// [`StreamingHunt::commit_reported`], so by default it matches a
+    /// fresh batch engine (everything novel).
+    novelty: NoveltyStore,
     current_tick: Option<u64>,
     tick_buffer: Vec<LogRecord>,
     prev_stats: FilterStats,
@@ -413,50 +426,24 @@ impl StreamingHunt {
     ///
     /// # Errors
     ///
-    /// Returns [`CoreError::InvalidConfig`] when `degrade_target` is
-    /// outside `(0, 1]`, `degrade_detect_stride` is zero, or
-    /// `ring_capacity` is zero.
+    /// Returns [`CoreError::InvalidConfig`] when `ring_capacity` is zero.
     pub fn new(config: StreamConfig) -> Result<Self, CoreError> {
-        if !(config.degrade_target > 0.0 && config.degrade_target <= 1.0) {
-            return Err(CoreError::InvalidConfig {
-                name: "degrade_target",
-                constraint: "must be in (0, 1]",
-            });
-        }
-        if config.degrade_detect_stride == 0 {
-            return Err(CoreError::InvalidConfig {
-                name: "degrade_detect_stride",
-                constraint: "must be at least 1",
-            });
-        }
         if config.ring_capacity == 0 {
             return Err(CoreError::InvalidConfig {
                 name: "ring_capacity",
                 constraint: "must be at least 1",
             });
         }
-        let metrics = Arc::new(MetricsRegistry::new());
-        let scorer = DomainScorer::train(corpus::training_corpus(), config.pipeline.lm_order);
-        let global_whitelist = if config.pipeline.use_builtin_whitelist {
-            GlobalWhitelist::from_seed_corpus()
-        } else {
-            GlobalWhitelist::default()
-        };
-        let local_whitelist = LocalWhitelist::new(config.pipeline.local_tau);
-        let detector = PeriodicityDetector::new(config.pipeline.detector.clone());
-        let admission = AdmissionController::new(config.admission);
         Ok(Self {
+            metrics: Arc::new(MetricsRegistry::new()),
+            detector: PeriodicityDetector::new(config.pipeline.detector.clone()),
+            funnel: Funnel::new(&config.pipeline),
+            admission: AdmissionController::new(config.admission),
             config,
-            metrics,
-            detector,
-            scorer,
-            global_whitelist,
-            local_whitelist,
-            admission,
             pairs: BTreeMap::new(),
             lru: BTreeSet::new(),
             evicted_fingerprints: BTreeSet::new(),
-            novelty_reported: BTreeMap::new(),
+            novelty: NoveltyStore::new(),
             current_tick: None,
             tick_buffer: Vec::new(),
             prev_stats: FilterStats::default(),
@@ -507,15 +494,9 @@ impl StreamingHunt {
     /// Records pairs as already reported: they stop being novel for all
     /// subsequent per-tick funnels (the streaming analogue of the batch
     /// novelty store's day-over-day memory).
-    pub fn commit_reported<I>(&mut self, pairs: I)
-    where
-        I: IntoIterator<Item = CommunicationPair>,
-    {
+    pub fn commit_reported(&mut self, pairs: impl IntoIterator<Item = CommunicationPair>) {
         for pair in pairs {
-            self.novelty_reported
-                .entry(pair.destination)
-                .or_default()
-                .insert(pair.source);
+            self.novelty.observe(&pair);
         }
     }
 
@@ -550,9 +531,17 @@ impl StreamingHunt {
                 }
                 Some(current) => {
                     reports.push(self.close_tick(current, false));
-                    // Ticks with no events still advance the window.
+                    // Ticks with no events still advance the window — until
+                    // one finds nothing to age and leaves nothing live under
+                    // `Accept`: every later empty tick would repeat it, so
+                    // the rest of the gap is skipped however long it is.
                     for empty in current + 1..tick {
-                        reports.push(self.close_tick(empty, false));
+                        let closed = self.close_tick(empty, false);
+                        let idle = closed.live_pairs == 0 && closed.evicted.is_empty();
+                        reports.push(closed);
+                        if idle && !self.admission.is_elevated() {
+                            break;
+                        }
                     }
                     self.ledger.offer_buffered(1);
                     self.current_tick = Some(tick);
@@ -580,7 +569,8 @@ impl StreamingHunt {
     /// distinct timestamp with its multiplicity, and every in-window URL
     /// token carried by at least one record.
     pub fn final_window_records(&self) -> Vec<LogRecord> {
-        let first_window_tick = self.first_window_tick();
+        let current = self.current_tick.unwrap_or(0);
+        let first_window_tick = self.config.schedule.first_window_tick(current);
         let mut out = Vec::new();
         for (pair, state) in &self.pairs {
             let tokens: Vec<String> = state.window_tokens(first_window_tick).into_iter().collect();
@@ -632,12 +622,6 @@ impl StreamingHunt {
             .iter()
             .map(|c| c.case.pair.clone())
             .collect()
-    }
-
-    /// First tick still inside the window of the current tick.
-    fn first_window_tick(&self) -> u64 {
-        let current = self.current_tick.unwrap_or(0);
-        (current + 1).saturating_sub(self.config.schedule.window_ticks)
     }
 
     fn pressure(&self) -> f64 {
@@ -704,7 +688,7 @@ impl StreamingHunt {
                 Entry::Vacant(slot) => {
                     let pair = slot.key();
                     let readmitted = self.evicted_fingerprints.contains(&fingerprint(pair));
-                    let whitelisted = self.global_whitelist.contains(&pair.destination);
+                    let whitelisted = self.funnel.globally_whitelisted(&pair.destination);
                     let state = PairState::new(pair, self.config.ring_capacity, whitelisted, tick);
                     self.resident_bytes += state.cost_bytes;
                     self.lru.insert((tick, pair.clone()));
@@ -773,7 +757,7 @@ impl StreamingHunt {
     /// whose window emptied. Returns expired pairs in key order.
     fn advance_window(&mut self, tick: u64) -> Vec<CommunicationPair> {
         let cutoff = self.config.schedule.window_start(tick);
-        let first_window_tick = (tick + 1).saturating_sub(self.config.schedule.window_ticks);
+        let first_window_tick = self.config.schedule.first_window_tick(tick);
         let mut expired = Vec::new();
         let mut retired_total = 0u64;
         let mut cost_freed = 0u64;
@@ -879,9 +863,7 @@ impl StreamingHunt {
         let eviction_target = match decision {
             AdmissionDecision::Accept => self.config.state_budget_bytes,
             AdmissionDecision::Degrade | AdmissionDecision::Reject => {
-                // Wider eviction while elevated: clear down to the
-                // degrade target so pressure actually recedes.
-                (self.config.state_budget_bytes as f64 * self.config.degrade_target) as u64
+                (self.config.state_budget_bytes as f64 * DEGRADE_TARGET) as u64
             }
         };
         removed.extend(self.evict_to(eviction_target));
@@ -896,9 +878,7 @@ impl StreamingHunt {
         // (finish) always refreshes so the final funnel is exact.
         let detect_this_tick = force_detect
             || !self.admission.is_elevated()
-            || self
-                .ticks_closed
-                .is_multiple_of(self.config.degrade_detect_stride);
+            || self.ticks_closed.is_multiple_of(DEGRADE_DETECT_STRIDE);
 
         let stats = self.window_stats(tick, detect_this_tick);
         let delta = TickDelta::between(&self.prev_stats, &stats.0);
@@ -933,13 +913,13 @@ impl StreamingHunt {
     /// detection only where the cached verdict's ring version is stale
     /// (and only if `detect` allows). Returns (stats, runs, cache hits).
     fn window_stats(&mut self, tick: u64, detect: bool) -> (FilterStats, u64, u64) {
-        let first_window_tick = (tick + 1).saturating_sub(self.config.schedule.window_ticks);
+        let first_window_tick = self.config.schedule.first_window_tick(tick);
+        let scale = self.config.pipeline.time_scale;
 
-        // Popularity over live pairs — bit-identical to
-        // `PopularityStats::compute` over the window's records: distinct
-        // sources per destination divided by total distinct sources. Keys
-        // are unique and ordered source-first: distinct sources are runs of
-        // equal `source`, a destination's sources are the pairs naming it.
+        // Popularity over live pairs: distinct sources per destination over
+        // total distinct sources. Keys are unique and ordered source-first:
+        // distinct sources are runs of equal `source`, a destination's
+        // sources are the pairs naming it.
         let mut total_sources = 0usize;
         let mut last_source = None;
         let mut per_domain: BTreeMap<&str, usize> = BTreeMap::new();
@@ -950,111 +930,74 @@ impl StreamingHunt {
             }
             *per_domain.entry(pair.destination.as_str()).or_insert(0) += 1;
         }
+        let popularity = |destination: &str| {
+            per_domain.get(destination).copied().unwrap_or(0) as f64 / total_sources as f64
+        };
 
-        // Filters 1–2; one slot per pair, a survivor's holds its popularity.
+        // Filters 1–3 in one pass. Periodicity is cached by ring version;
+        // the detector runs on this thread, so its thread-local spectral
+        // workspace reuses FFT plans across pairs *and* across ticks. Only
+        // a periodic pair's window is materialised as a summary.
+        let funnel = &self.funnel;
         let mut stats = FilterStats::default();
-        let mut events = 0u64;
-        let mut survivors: Vec<Option<f64>> = Vec::with_capacity(self.pairs.len());
+        let (mut events, mut runs, mut cached) = (0u64, 0u64, 0u64);
+        let mut refreshed: Vec<(CommunicationPair, PairVerdict)> = Vec::new();
+        let mut hits: Hits = Vec::new();
         for (pair, state) in &self.pairs {
             events += state.ring.events();
             if state.whitelisted {
-                survivors.push(None);
                 continue;
             }
             stats.after_global_whitelist += 1;
-            let sources = per_domain
-                .get(pair.destination.as_str())
-                .copied()
-                .unwrap_or(0);
-            let popularity = sources as f64 / total_sources as f64;
-            let survives = !self.local_whitelist.is_whitelisted(popularity);
-            stats.after_local_whitelist += usize::from(survives);
-            survivors.push(survives.then_some(popularity));
+            if funnel.locally_whitelisted(popularity(&pair.destination)) {
+                continue;
+            }
+            stats.after_local_whitelist += 1;
+            let fresh = matches!(&state.verdict, Some((v, _)) if *v == state.version);
+            cached += u64::from(fresh);
+            let verdict = if fresh || !detect {
+                state.verdict.as_ref().map(|(_, verdict)| verdict)
+            } else {
+                runs += 1;
+                let verdict = detect_pair(&self.detector, &self.config.pipeline, &state.ring);
+                refreshed.push((pair.clone(), verdict));
+                refreshed.last().map(|(_, verdict)| verdict)
+            };
+            match verdict {
+                Some(PairVerdict::Periodic(candidates)) => hits.push((
+                    state.summary(pair, scale, first_window_tick),
+                    candidates.clone(),
+                )),
+                Some(PairVerdict::TimedOut) => stats.timed_out_pairs += 1,
+                Some(PairVerdict::Quiet) | None => {}
+            }
         }
         stats.events = events as usize;
         stats.pairs = self.pairs.len();
+        stats.periodic = hits.len();
 
-        // Filter 3: periodicity, cached by ring version. The detector
-        // runs on this thread, so its thread-local spectral workspace
-        // reuses FFT plans across pairs *and* across ticks.
-        let mut runs = 0u64;
-        let mut cached = 0u64;
-        let scale = self.config.pipeline.time_scale;
-        let mut periodic: Vec<(CommunicationPair, Vec<CandidatePeriod>, f64)> = Vec::new();
-        for ((pair, state), popularity) in self.pairs.iter_mut().zip(&survivors) {
-            let Some(popularity) = popularity else {
-                continue;
-            };
-            let fresh = matches!(&state.verdict, Some((v, _)) if *v == state.version);
-            if fresh || !detect {
-                cached += u64::from(fresh);
-            } else {
-                let verdict = detect_pair(&self.detector, &self.config.pipeline, &state.ring);
-                state.verdict = Some((state.version, verdict));
-                runs += 1;
-            }
-            match &state.verdict {
-                Some((_, PairVerdict::Periodic(candidates))) => {
-                    periodic.push((pair.clone(), candidates.clone(), *popularity));
-                }
-                Some((_, PairVerdict::TimedOut)) => stats.timed_out_pairs += 1,
-                Some((_, PairVerdict::Quiet)) | None => {}
-            }
-        }
-        stats.periodic = periodic.len();
-
-        // Similar-source counts among periodic destinations — computed
-        // before the token filter, exactly like the batch pipeline.
-        let mut similar: BTreeMap<&str, usize> = BTreeMap::new();
-        for (pair, _, _) in &periodic {
-            *similar.entry(pair.destination.as_str()).or_insert(0) += 1;
-        }
-        let similar: BTreeMap<String, usize> = similar
-            .into_iter()
-            .map(|(k, v)| (k.to_owned(), v))
-            .collect();
-
-        // Filters 4–7.
-        let mut cases: Vec<BeaconCase> = Vec::new();
-        for (pair, candidates, popularity) in periodic {
-            let Some(state) = self.pairs.get(&pair) else {
-                continue;
-            };
-            let tokens = state.window_tokens(first_window_tick);
-            if self.config.pipeline.token_filter.is_benign(&tokens) {
-                continue;
-            }
-            stats.after_token_filter += 1;
-            let novel = !self
-                .novelty_reported
-                .get(&pair.destination)
-                .is_some_and(|s| s.contains(&pair.source));
-            if !novel {
-                continue;
-            }
-            stats.after_novelty += 1;
-            let intervals: Vec<f64> = {
-                let quantized: Vec<u64> = state
-                    .ring
-                    .entries()
-                    .map(|e| e.timestamp / scale * scale)
-                    .collect();
-                quantized.windows(2).map(|w| (w[1] - w[0]) as f64).collect()
-            };
-            cases.push(BeaconCase {
-                popularity,
-                lm_score: self.scorer.score_per_char(&pair.destination),
-                similar_sources: similar.get(pair.destination.as_str()).copied().unwrap_or(1),
-                intervals,
-                url_tokens: tokens,
-                pair,
-                candidates,
-            });
-        }
-        let (_ranked, report_cutoff) = rank_cases(&cases, &self.config.pipeline.rank);
+        // Filters 4–7; a tick only reads the novelty memory.
+        let novelty = &self.novelty;
+        let (after_token_filter, after_novelty, _ranked, report_cutoff) =
+            funnel.rank(hits, popularity, |pair| !novelty.is_reported(pair), None);
+        stats.after_token_filter = after_token_filter;
+        stats.after_novelty = after_novelty;
         stats.reported = report_cutoff;
+
+        for (pair, verdict) in refreshed {
+            if let Some(state) = self.pairs.get_mut(&pair) {
+                state.verdict = Some((state.version, verdict));
+            }
+        }
         (stats, runs, cached)
     }
+}
+
+/// A ring's distinct timestamps on the pipeline's time scale, ascending.
+fn quantized(ring: &TimestampRing, scale: u64) -> Vec<u64> {
+    ring.entries()
+        .map(|e| e.timestamp / scale * scale)
+        .collect()
 }
 
 /// One detection run over a pair's ring: quantized timestamps through the
@@ -1065,11 +1008,7 @@ fn detect_pair(
     pipeline: &BaywatchConfig,
     ring: &TimestampRing,
 ) -> PairVerdict {
-    let scale = pipeline.time_scale;
-    let timestamps: Vec<u64> = ring
-        .entries()
-        .map(|e| e.timestamp / scale * scale)
-        .collect();
+    let timestamps = quantized(ring, pipeline.time_scale);
     match jobs::detect_verdict(detector, &timestamps, &pipeline.detector.budget) {
         Verdict::Periodic(report) => PairVerdict::Periodic(report.candidates),
         Verdict::Quiet => PairVerdict::Quiet,
@@ -1117,12 +1056,6 @@ mod tests {
 
     #[test]
     fn invalid_configs_rejected() {
-        let mut c = config(60, 4);
-        c.degrade_target = 0.0;
-        assert!(StreamingHunt::new(c).is_err());
-        let mut c = config(60, 4);
-        c.degrade_detect_stride = 0;
-        assert!(StreamingHunt::new(c).is_err());
         let mut c = config(60, 4);
         c.ring_capacity = 0;
         assert!(StreamingHunt::new(c).is_err());
@@ -1197,6 +1130,68 @@ mod tests {
         hunt.finish();
         assert_eq!(hunt.ledger().events_admitted, 2);
         assert_eq!(hunt.ledger().events_buffered, 0);
+        assert!(hunt.ledger().is_balanced());
+    }
+
+    #[test]
+    fn far_future_record_closes_a_bounded_number_of_ticks() {
+        // `--stream-stdin` parses timestamps from untrusted lines; one wild
+        // value used to close every tick of the gap, one report each.
+        let gap_ticks = 1_000_000_000_000_000u64;
+        let mut hunt = StreamingHunt::new(config(60, 4)).unwrap();
+        let reports = hunt.ingest(&[
+            record(60, "h", "a.test"),
+            record(60 + gap_ticks * 60, "h", "a.test"),
+        ]);
+        // Tick 1, the empty ticks 2–5 that age its event out of the
+        // four-tick window, and the first idle tick.
+        let ticks: Vec<u64> = reports.iter().map(|r| r.tick).collect();
+        assert_eq!(ticks, [1, 2, 3, 4, 5, 6]);
+        assert_eq!(reports[4].evicted.len(), 1);
+        assert_eq!(reports[5].stats, FilterStats::default());
+        assert_eq!(reports[5].delta, TickDelta::default());
+        assert_eq!(hunt.current_tick(), Some(1 + gap_ticks));
+        assert!(hunt.ledger().is_balanced());
+        let last = hunt.finish().unwrap();
+        assert_eq!(last.tick, 1 + gap_ticks);
+        assert_eq!((last.stats.events, last.delta.events), (1, 1));
+        assert_eq!(hunt.ledger().events_retired, 1);
+        assert!(hunt.ledger().is_balanced() && hunt.ledger().is_lossless());
+    }
+
+    #[test]
+    fn gaps_up_to_the_first_idle_tick_close_every_tick() {
+        // window_ticks + 2 is the longest gap that skips nothing: its last
+        // empty tick is the first idle one. One tick more and only that
+        // all-zero repeat is missing.
+        for (gap, closed) in [(2u64, 2u64), (5, 5), (6, 6), (7, 6)] {
+            let mut hunt = StreamingHunt::new(config(60, 4)).unwrap();
+            let reports = hunt.ingest(&[
+                record(60, "h", "a.test"),
+                record(60 + gap * 60, "h", "a.test"),
+            ]);
+            let ticks: Vec<u64> = reports.iter().map(|r| r.tick).collect();
+            assert_eq!(ticks, (1..=closed).collect::<Vec<_>>(), "gap {gap}");
+            assert_eq!(
+                hunt.metrics_snapshot().counters["stream.ticks"],
+                closed,
+                "gap {gap}"
+            );
+            assert_eq!(hunt.current_tick(), Some(1 + gap));
+            assert!(hunt.ledger().is_balanced());
+        }
+    }
+
+    #[test]
+    fn timestamp_at_the_end_of_time_is_admitted() {
+        let schedule = ScheduleSpec::new(1, 4).unwrap();
+        let mut hunt = StreamingHunt::new(StreamConfig::lossless(schedule)).unwrap();
+        hunt.ingest(&[record(5, "h", "a.test"), record(u64::MAX, "h", "a.test")]);
+        let last = hunt.finish().unwrap();
+        assert_eq!(last.tick, u64::MAX);
+        assert_eq!(last.window_start, u64::MAX - 4);
+        assert_eq!(last.stats.events, 1);
+        assert_eq!(hunt.ledger().events_admitted, 2);
         assert!(hunt.ledger().is_balanced());
     }
 

@@ -399,13 +399,15 @@ fn run_stream_scenario(args: &[String], emit_json: bool) {
         ledger.is_balanced(),
         ledger.is_lossless(),
     );
+    // One batch re-analysis of the final window serves both printouts.
+    let (report, snapshot) = hunt.final_report();
     println!("confirmed beacons at the final window:");
-    for pair in hunt.confirmed_pairs() {
-        println!("    {pair}");
+    for case in report.reported() {
+        println!("    {}", case.case.pair);
     }
     if emit_json {
         println!("\n--- observability export (--json) ---");
-        println!("{}", hunt.final_export(10));
+        println!("{}", export_json(&report, &snapshot, 10));
     }
 }
 

@@ -224,3 +224,50 @@ fn per_tick_deltas_telescope_to_the_batch_funnel() {
     ];
     assert_eq!(levels, batch_funnel);
 }
+
+/// The one comparison the suites above never make: a batch engine that
+/// *remembers*. Window A (the trace's first four ticks) and window B (its
+/// last four) go through one `Baywatch`, so B's novelty filter suppresses
+/// what A already reported; a stream told about A's reports through
+/// `commit_reported` must reach B's funnel from filter 3 on.
+#[test]
+fn committed_reports_match_a_batch_engine_with_memory() {
+    let records = trace(17);
+    let schedule = ScheduleSpec::new(TICK_SECONDS, WINDOW_TICKS).expect("valid schedule");
+    let window = |tick: u64| -> Vec<LogRecord> {
+        records
+            .iter()
+            .filter(|r| schedule.in_window(tick, r.timestamp))
+            .cloned()
+            .collect()
+    };
+    let mut engine = Baywatch::with_clock(pipeline_config(), Arc::new(ManualClock::new()));
+    let a = engine.analyze(window(WINDOW_TICKS - 1));
+    let b = engine.analyze(window(TICKS - 1));
+    assert!(a.stats.after_novelty > 0, "window A must report something");
+    assert!(
+        b.stats.after_novelty < b.stats.after_token_filter,
+        "window B must see a pair A already reported: {:?}",
+        b.stats
+    );
+
+    let mut hunt = StreamingHunt::new(stream_config()).expect("valid stream config");
+    hunt.commit_reported(a.ranked.iter().map(|c| c.case.pair.clone()));
+    hunt.ingest(&records);
+    let last = hunt.finish().expect("events were ingested").stats;
+    assert!(hunt.ledger().is_lossless());
+    assert_eq!(
+        (
+            last.periodic,
+            last.after_token_filter,
+            last.after_novelty,
+            last.reported
+        ),
+        (
+            b.stats.periodic,
+            b.stats.after_token_filter,
+            b.stats.after_novelty,
+            b.stats.reported
+        )
+    );
+}
