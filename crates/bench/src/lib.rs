@@ -21,8 +21,8 @@
 //! Run one with `cargo run --release -p baywatch-bench --bin fig06_pruning`
 //! or everything with the `all_experiments` binary.
 
-#![warn(clippy::unwrap_used)]
-#![cfg_attr(test, allow(clippy::unwrap_used))]
+#![warn(clippy::unwrap_used, clippy::expect_used)]
+#![cfg_attr(test, allow(clippy::unwrap_used, clippy::expect_used))]
 
 use std::io::Write as _;
 use std::path::PathBuf;

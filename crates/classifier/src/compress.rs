@@ -90,6 +90,10 @@ fn lz77_tokenize(data: &[u8]) -> Vec<Token> {
 
 /// Huffman code: symbol → (bits, bit-length). Built canonically from symbol
 /// frequencies using a simple two-queue construction.
+#[expect(
+    clippy::expect_used,
+    reason = "heap pops are guarded by the loop condition and slots are filled before their indices are pushed; a violation means a corrupt arena"
+)]
 fn huffman_lengths(freqs: &[u64]) -> Vec<u8> {
     let symbols: Vec<usize> = freqs
         .iter()

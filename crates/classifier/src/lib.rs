@@ -43,6 +43,9 @@
 //! assert!(rf.oob_error().unwrap() < 0.2);
 //! ```
 
+#![warn(clippy::unwrap_used, clippy::expect_used)]
+#![cfg_attr(test, allow(clippy::unwrap_used, clippy::expect_used))]
+
 pub mod compress;
 pub mod features;
 pub mod forest;

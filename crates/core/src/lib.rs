@@ -48,8 +48,8 @@
 //!     .any(|c| c.case.pair.destination == "qwzkrvbplm.com"));
 //! ```
 
-#![warn(clippy::unwrap_used)]
-#![cfg_attr(test, allow(clippy::unwrap_used))]
+#![warn(clippy::unwrap_used, clippy::expect_used)]
+#![cfg_attr(test, allow(clippy::unwrap_used, clippy::expect_used))]
 
 pub mod activity;
 pub mod checkpoint;

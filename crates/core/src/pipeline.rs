@@ -514,6 +514,10 @@ impl Baywatch {
         // Fold completed stage spans into `span.*` timing histograms
         // (quarantined out of the deterministic export).
         drop(window_span);
+        #[expect(
+            clippy::expect_used,
+            reason = "bucket bounds are compile-time literal constants; failure is a programming error, not an input condition"
+        )]
         let span_buckets =
             Buckets::exponential(1_000, 4, 14).expect("static bucket layout is valid");
         for record in tracer.drain() {

@@ -224,6 +224,10 @@ impl MultiScaleScheduler {
     }
 
     /// Convenience: standard tiers with default configs.
+    #[expect(
+        clippy::expect_used,
+        reason = "standard_tiers() is a fixed known-valid constant configuration; rejection is a programming error, not an input condition"
+    )]
     pub fn standard() -> Self {
         Self::new(
             standard_tiers(),

@@ -22,6 +22,9 @@
 //! assert!(human > dga + 10.0, "human {human} vs dga {dga}");
 //! ```
 
+#![warn(clippy::unwrap_used, clippy::expect_used)]
+#![cfg_attr(test, allow(clippy::unwrap_used, clippy::expect_used))]
+
 pub mod corpus;
 pub mod dga;
 pub mod ngram;

@@ -25,7 +25,6 @@
 //! [[atomic]]
 //! path = "crates/obs/src/registry.rs"
 //! allow = ["Relaxed"]
-//! fix = "Relaxed"            # optional: --fix rewrites violations to this
 //! reason = "monotone counters merged exactly after join; no ordering needed"
 //!
 //! [[ledger]]
@@ -67,9 +66,6 @@ pub struct AtomicPolicy {
     pub path: String,
     /// Orderings this module is allowed to use.
     pub allow: Vec<String>,
-    /// When set, `--fix` rewrites out-of-policy orderings to this one.
-    /// Must itself be in `allow`.
-    pub fix: Option<String>,
     pub reason: String,
     pub defined_at: u32,
 }
@@ -197,11 +193,11 @@ impl Config {
                     *slot = Some(as_string(value, key)?);
                 }
                 Partial::Atomic(p) => match key {
-                    "path" | "fix" | "reason" => {
-                        let slot = match key {
-                            "path" => &mut p.path,
-                            "fix" => &mut p.fix,
-                            _ => &mut p.reason,
+                    "path" | "reason" => {
+                        let slot = if key == "path" {
+                            &mut p.path
+                        } else {
+                            &mut p.reason
                         };
                         if slot.is_some() {
                             return Err(dup(key));
@@ -219,7 +215,7 @@ impl Config {
                             lineno,
                             format!(
                                 "unknown key `{other}` in [[atomic]]; \
-                                 allowed: path, allow, fix, reason"
+                                 allowed: path, allow, reason"
                             ),
                         )
                     }
@@ -314,7 +310,6 @@ struct PartialAtomic {
     defined_at: u32,
     path: Option<String>,
     allow: Option<Vec<String>>,
-    fix: Option<String>,
     reason: Option<String>,
 }
 
@@ -324,7 +319,6 @@ impl PartialAtomic {
             defined_at,
             path: None,
             allow: None,
-            fix: None,
             reason: None,
         }
     }
@@ -349,18 +343,10 @@ impl PartialAtomic {
                 ));
             }
         }
-        if let Some(fix) = &self.fix {
-            if !allow.iter().any(|o| o == fix) {
-                return fail(format!(
-                    "`fix = \"{fix}\"` must itself be in the `allow` list"
-                ));
-            }
-        }
         let reason = require_reason(self.reason, "[[atomic]]", origin, at)?;
         Ok(AtomicPolicy {
             path,
             allow,
-            fix: self.fix,
             reason,
             defined_at: at,
         })
@@ -510,15 +496,15 @@ path = "crates/timeseries/src/budget.rs"
 reason = "budgets deliberately read the wall clock; only early-exits depend on it"
 
 [[allow]]
-rule = "L4-panic"
+rule = "L2-ambient-fs"
 path = "crates/core/src/io.rs"
-pattern = "lock()"
-reason = "mutex cannot be poisoned: no critical section panics"
+pattern = "std::fs::"
+reason = "io.rs is the audited ingest/export boundary"
 "##;
         let cfg = Config::parse(toml, "lint.toml").expect("parses");
         assert_eq!(cfg.allows.len(), 2);
         assert_eq!(cfg.allows[0].rule, "L2-wall-clock");
-        assert_eq!(cfg.allows[1].pattern, "lock()");
+        assert_eq!(cfg.allows[1].pattern, "std::fs::");
         assert_eq!(cfg.allows[0].defined_at, 3);
     }
 
@@ -528,7 +514,6 @@ reason = "mutex cannot be poisoned: no critical section panics"
 [[atomic]]
 path = "crates/obs/src/registry.rs"
 allow = ["Relaxed"]
-fix = "Relaxed"
 reason = "monotone counters merged exactly after join; no ordering needed"
 
 [[atomic]]
@@ -543,9 +528,7 @@ reason = "admitted + rejected == allow() calls is a tested invariant"
 "##;
         let cfg = Config::parse(toml, "lint.toml").expect("parses");
         assert_eq!(cfg.atomics.len(), 2);
-        assert_eq!(cfg.atomics[0].fix.as_deref(), Some("Relaxed"));
         assert_eq!(cfg.atomics[1].allow, vec!["Relaxed", "SeqCst"]);
-        assert_eq!(cfg.atomics[1].fix, None);
         assert_eq!(cfg.ledgers.len(), 1);
         assert_eq!(cfg.ledgers[0].types, vec!["BreakerStats"]);
         assert!(cfg.atomic_policy("crates/obs/src/registry.rs").is_some());
@@ -559,10 +542,6 @@ reason = "admitted + rejected == allow() calls is a tested invariant"
             (
                 "[[atomic]]\npath = \"a.rs\"\nallow = [\"Chaotic\"]\nreason = \"long enough reason\"\n",
                 "unknown ordering",
-            ),
-            (
-                "[[atomic]]\npath = \"a.rs\"\nallow = [\"Relaxed\"]\nfix = \"SeqCst\"\nreason = \"long enough reason\"\n",
-                "must itself be in the `allow` list",
             ),
             (
                 "[[atomic]]\npath = \"a.rs\"\nallow = []\nreason = \"long enough reason\"\n",
@@ -584,7 +563,7 @@ reason = "admitted + rejected == allow() calls is a tested invariant"
 
     #[test]
     fn missing_reason_is_rejected() {
-        let toml = "[[allow]]\nrule = \"L4-panic\"\npath = \"src/lib.rs\"\n";
+        let toml = "[[allow]]\nrule = \"L3-budget\"\npath = \"src/lib.rs\"\n";
         let e = Config::parse(toml, "lint.toml").expect_err("must fail");
         assert!(e.to_string().contains("reason"), "{e}");
         let toml = "[[atomic]]\npath = \"a.rs\"\nallow = [\"Relaxed\"]\n";
@@ -595,7 +574,7 @@ reason = "admitted + rejected == allow() calls is a tested invariant"
 
     #[test]
     fn short_reason_is_rejected() {
-        let toml = "[[allow]]\nrule = \"L4-panic\"\npath = \"src/lib.rs\"\nreason = \"ok\"\n";
+        let toml = "[[allow]]\nrule = \"L3-budget\"\npath = \"src/lib.rs\"\nreason = \"ok\"\n";
         assert!(Config::parse(toml, "lint.toml").is_err());
     }
 
@@ -603,11 +582,11 @@ reason = "admitted + rejected == allow() calls is a tested invariant"
     fn unknown_rule_key_and_table_are_rejected() {
         for toml in [
             "[[allow]]\nrule = \"L9-nope\"\npath = \"a\"\nreason = \"long enough reason\"\n",
-            "[[allow]]\nrule = \"L4-panic\"\nfile = \"a\"\nreason = \"long enough reason\"\n",
+            "[[allow]]\nrule = \"L3-budget\"\nfile = \"a\"\nreason = \"long enough reason\"\n",
             "[[atomic]]\npath = \"a\"\nallow = [\"Relaxed\"]\norder = \"x\"\nreason = \"long enough reason\"\n",
             "[[ledger]]\npath = \"a\"\nfields = [\"x\"]\nreason = \"long enough reason\"\n",
             "[allowed]\n",
-            "rule = \"L4-panic\"\n",
+            "rule = \"L3-budget\"\n",
         ] {
             assert!(Config::parse(toml, "lint.toml").is_err(), "{toml}");
         }
@@ -616,8 +595,8 @@ reason = "admitted + rejected == allow() calls is a tested invariant"
     #[test]
     fn bare_values_and_duplicates_are_rejected() {
         for toml in [
-            "[[allow]]\nrule = L4-panic\npath = \"a\"\nreason = \"long enough reason\"\n",
-            "[[allow]]\nrule = \"L4-panic\"\nrule = \"L4-panic\"\npath = \"a\"\nreason = \"long enough reason\"\n",
+            "[[allow]]\nrule = L3-budget\npath = \"a\"\nreason = \"long enough reason\"\n",
+            "[[allow]]\nrule = \"L3-budget\"\nrule = \"L3-budget\"\npath = \"a\"\nreason = \"long enough reason\"\n",
             "[[atomic]]\npath = \"a\"\nallow = [\"Relaxed\"]\nallow = [\"Relaxed\"]\nreason = \"long enough reason\"\n",
             "[[atomic]]\npath = \"a\"\nallow = [Relaxed]\nreason = \"long enough reason\"\n",
         ] {
@@ -627,7 +606,7 @@ reason = "admitted + rejected == allow() calls is a tested invariant"
 
     #[test]
     fn comments_and_escapes_are_honored() {
-        let toml = "[[allow]] # trailing comment\nrule = \"L4-panic\" # why not\n\
+        let toml = "[[allow]] # trailing comment\nrule = \"L3-budget\" # why not\n\
                     path = \"src/lib.rs\"\nreason = \"the \\\"#\\\" is not a comment here\"\n";
         let cfg = Config::parse(toml, "lint.toml").expect("parses");
         assert!(cfg.allows[0].reason.contains('#'));
@@ -636,22 +615,21 @@ reason = "admitted + rejected == allow() calls is a tested invariant"
     #[test]
     fn pattern_scopes_the_match() {
         let entry = AllowEntry {
-            rule: "L4-panic".into(),
+            rule: "L2-wall-clock".into(),
             path: "src/lib.rs".into(),
-            pattern: "lock()".into(),
-            reason: "poisoning is unreachable here".into(),
+            pattern: "Instant::now".into(),
+            reason: "the one audited clock read".into(),
             defined_at: 1,
         };
         let mut finding = Finding {
-            rule: "L4-panic",
+            rule: "L2-wall-clock",
             path: "src/lib.rs".into(),
             line: 5,
-            snippet: "self.cache.lock().unwrap()".into(),
+            snippet: "let started = Instant::now();".into(),
             message: String::new(),
-            fix: None,
         };
         assert!(entry.matches(&finding));
-        finding.snippet = "value.unwrap()".into();
+        finding.snippet = "SystemTime::now()".into();
         assert!(!entry.matches(&finding));
         finding.path = "src/other.rs".into();
         assert!(!entry.matches(&finding));

@@ -29,8 +29,8 @@ pub enum TokenKind {
 /// numbers, and punctuation; string/char literals keep only their delimiter
 /// so the stream stays cheap to clone and findings never embed file bodies.
 /// The byte span (`start..end` into the original source) always covers the
-/// full literal, so the fix engine and the metric-name extractor can
-/// recover exact source text without re-scanning.
+/// full literal, so the metric-name extractor can recover exact source
+/// text without re-scanning.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Token {
     pub kind: TokenKind,

@@ -4,9 +4,10 @@
 //! is byte-identical, and its scale (the paper evaluates 30 billion
 //! events) means "rare" hazards fire daily. This crate mechanically
 //! enforces the repo's reproducibility catalogue — see [`rules`] for the
-//! rule-by-rule story — with CI ratcheting via a committed baseline
-//! ([`baseline`]) and per-site suppression that demands written
-//! justification ([`config`]).
+//! rule-by-rule story — in one pass: walk, lex, run the rules, apply the
+//! per-site suppressions that demand written justification ([`config`]),
+//! and fail on whatever is left. A finding is either fixed or allowlisted
+//! with a reason; there is no third state.
 //!
 //! The analysis is a token-level pass (a hand-rolled lexer plus delimiter
 //! matching, [`lexer`]/[`syntax`]) extended with a lightweight item parser
@@ -16,17 +17,11 @@
 //! rules are scope-aware (test code, function bodies, bindings, enclosing
 //! impls) but heuristic; the determinism integration tests backstop what
 //! lexing cannot see.
-//!
-//! Repo-wide runs stay fast through an incremental file-hash cache
-//! ([`cache`]), and the mechanical rules (L1, L5) carry byte-precise
-//! fixes applied by `--fix` ([`fix`]).
 
-#![warn(clippy::unwrap_used)]
+#![warn(clippy::unwrap_used, clippy::expect_used)]
+#![cfg_attr(test, allow(clippy::unwrap_used, clippy::expect_used))]
 
-pub mod baseline;
-pub mod cache;
 pub mod config;
-pub mod fix;
 pub mod items;
 pub mod lexer;
 pub mod manifest;
@@ -39,20 +34,17 @@ use std::fmt;
 use std::fs;
 use std::path::{Path, PathBuf};
 
-use baseline::BaselineEntry;
-use cache::Cache;
 use config::{AllowEntry, Config};
 use manifest::Manifest;
 use rules::{Finding, RuleContext};
 use walk::walk_workspace;
 
 /// Everything that can go wrong while linting. I/O failures carry the
-/// path; config/baseline failures carry file/line context.
+/// path; config failures carry file/line context.
 #[derive(Debug)]
 pub enum LintError {
     Io(PathBuf, std::io::Error),
     Config(String),
-    Baseline(String),
 }
 
 impl fmt::Display for LintError {
@@ -60,7 +52,6 @@ impl fmt::Display for LintError {
         match self {
             LintError::Io(path, e) => write!(f, "{}: {e}", path.display()),
             LintError::Config(msg) => write!(f, "invalid config: {msg}"),
-            LintError::Baseline(msg) => write!(f, "invalid baseline: {msg}"),
         }
     }
 }
@@ -70,232 +61,126 @@ impl std::error::Error for LintError {}
 /// Where to lint and against what.
 #[derive(Debug, Clone, Default)]
 pub struct LintOptions {
-    /// Workspace root. Defaults to the current directory.
+    /// Workspace root. Empty means the current directory.
     pub root: PathBuf,
     /// Allowlist path; `None` means `<root>/lint.toml`, tolerated missing.
     pub config_path: Option<PathBuf>,
-    /// Baseline path; `None` means `<root>/lint-baseline.json`, tolerated
-    /// missing (treated as empty — everything is new).
-    pub baseline_path: Option<PathBuf>,
     /// Metrics manifest path; `None` means `<root>/METRICS.md`, tolerated
     /// missing (the L6 rule stays off).
     pub manifest_path: Option<PathBuf>,
-    /// Incremental cache location. `None` disables caching entirely — the
-    /// library default, so test runs and fixture lints never write state.
-    /// The CLI opts in with `<root>/target/lint-cache.tsv`.
-    pub cache_path: Option<PathBuf>,
 }
 
-/// The result of a full run: findings partitioned by how CI should react.
+/// The result of a full run.
 #[derive(Debug, Default)]
 pub struct LintOutcome {
-    /// Unsuppressed findings not in the baseline. Nonempty ⇒ fail.
-    pub new: Vec<Finding>,
-    /// Findings tolerated by the committed baseline.
-    pub baselined: Vec<Finding>,
+    /// Unsuppressed findings. Nonempty ⇒ fail.
+    pub findings: Vec<Finding>,
     /// Findings suppressed by `lint.toml`, with the entry's reason.
     pub allowlisted: Vec<(Finding, String)>,
-    /// Baseline entries whose finding has been fixed.
-    pub stale_baseline: Vec<BaselineEntry>,
     /// Allowlist entries that matched nothing.
     pub unused_allows: Vec<AllowEntry>,
-    /// Files answered from the incremental cache / re-analyzed. Both zero
-    /// when caching is disabled.
-    pub cache_hits: usize,
-    pub cache_misses: usize,
 }
 
 impl LintOutcome {
-    /// The ratchet passes when nothing new was found. (Stale entries and
-    /// unused allows are reported but do not fail the build: they appear
-    /// exactly when someone fixes a tolerated finding, and failing on the
-    /// fix would punish it.)
+    /// Clean means nothing unsuppressed was found. (Unused allows are
+    /// reported but do not fail the build: they appear exactly when
+    /// someone fixes a tolerated finding, and failing on the fix would
+    /// punish it.)
     pub fn is_clean(&self) -> bool {
-        self.new.is_empty()
+        self.findings.is_empty()
     }
 }
 
 /// Lints every source file under `root` and returns the raw findings,
-/// path-sorted, with no allowlist or baseline applied. Policies and the
-/// metrics manifest are loaded from their default locations under `root`
-/// so the L5–L7 families run fully armed.
+/// path-sorted, with no allowlist applied. Policies and the metrics
+/// manifest are loaded from their default locations under `root` so the
+/// L5–L7 families run fully armed.
 pub fn lint_workspace(root: &Path) -> Result<Vec<Finding>, LintError> {
     let config = load_config(root, None)?;
     let manifest = load_manifest(root, None)?;
-    let ctx = RuleContext {
-        config: Some(&config),
-        manifest: manifest.as_ref(),
-    };
-    lint_files(root, ctx, None).map(|(findings, _)| findings)
+    lint_files(root, &config, manifest.as_ref())
 }
 
-/// Walks and lints with an explicit rule context and optional cache.
-/// Returns findings plus (hits, misses).
+/// Walks `root` and runs every rule over each file; no allowlist applied.
 fn lint_files(
     root: &Path,
-    ctx: RuleContext<'_>,
-    mut cache: Option<&mut Cache>,
-) -> Result<(Vec<Finding>, (usize, usize)), LintError> {
+    config: &Config,
+    manifest: Option<&Manifest>,
+) -> Result<Vec<Finding>, LintError> {
+    let ctx = RuleContext {
+        config: Some(config),
+        manifest,
+    };
     let files = walk_workspace(root).map_err(|e| LintError::Io(root.to_path_buf(), e))?;
     let mut findings = Vec::new();
     for sf in &files {
         let source =
             fs::read_to_string(&sf.abs_path).map_err(|e| LintError::Io(sf.abs_path.clone(), e))?;
-        if let Some(cache) = cache.as_mut() {
-            let hash = cache::fnv64(source.as_bytes());
-            if let Some(cached) = cache.get(&sf.rel_path, hash) {
-                findings.extend(cached);
-                continue;
-            }
-            let fresh = rules::check_file_with(sf, &source, ctx);
-            cache.put(&sf.rel_path, hash, &fresh);
-            findings.extend(fresh);
-        } else {
-            findings.extend(rules::check_file_with(sf, &source, ctx));
-        }
+        findings.extend(rules::check_file_with(sf, &source, ctx));
     }
     // Files are walked in sorted order; keep (path, line) order globally.
     findings.sort_by(|a, b| (&a.path, a.line, a.rule).cmp(&(&b.path, b.line, b.rule)));
-    let stats = cache.map(|c| (c.hits, c.misses)).unwrap_or((0, 0));
-    Ok((findings, stats))
+    Ok(findings)
 }
 
-/// The full pipeline: walk, lint (through the cache when configured),
-/// apply the allowlist, ratchet against the baseline.
+/// The full pipeline: walk, lint, apply the allowlist.
 pub fn run(opts: &LintOptions) -> Result<LintOutcome, LintError> {
     let root = if opts.root.as_os_str().is_empty() {
-        PathBuf::from(".")
+        Path::new(".")
     } else {
-        opts.root.clone()
+        &opts.root
     };
-    let (config, config_text) = load_config_with_text(&root, opts.config_path.as_deref())?;
-    let baseline_entries = load_baseline(&root, opts.baseline_path.as_deref())?;
-    let (manifest, manifest_text) = load_manifest_with_text(&root, opts.manifest_path.as_deref())?;
-    let ctx = RuleContext {
-        config: Some(&config),
-        manifest: manifest.as_ref(),
-    };
+    let config = load_config(root, opts.config_path.as_deref())?;
+    let manifest = load_manifest(root, opts.manifest_path.as_deref())?;
 
-    let mut cache_store: Option<Cache> = opts.cache_path.as_ref().map(|p| {
-        let digest = cache::config_digest(&config_text, &manifest_text);
-        Cache::load(p, digest)
-    });
-    let (findings, (cache_hits, cache_misses)) = lint_files(&root, ctx, cache_store.as_mut())?;
-    if let (Some(cache), Some(path)) = (&cache_store, &opts.cache_path) {
-        // A cache that cannot be written is a performance bug, not a lint
-        // failure; the next run is simply cold.
-        let _ = cache.save(path);
-    }
-
-    // Allowlist first: suppressed findings never reach the ratchet, so a
-    // baseline can shrink to empty while justified exceptions remain.
-    let mut surviving = Vec::new();
-    let mut allowlisted = Vec::new();
+    let mut outcome = LintOutcome::default();
     let mut used = vec![false; config.allows.len()];
-    'findings: for f in findings {
-        for (i, entry) in config.allows.iter().enumerate() {
-            if entry.matches(&f) {
+    for f in lint_files(root, &config, manifest.as_ref())? {
+        match config.allows.iter().position(|entry| entry.matches(&f)) {
+            Some(i) => {
                 used[i] = true;
-                allowlisted.push((f, entry.reason.clone()));
-                continue 'findings;
+                outcome
+                    .allowlisted
+                    .push((f, config.allows[i].reason.clone()));
             }
+            None => outcome.findings.push(f),
         }
-        surviving.push(f);
     }
-
-    let ratchet = baseline::ratchet(&surviving, &baseline_entries);
-    Ok(LintOutcome {
-        new: ratchet.new,
-        baselined: ratchet.known,
-        allowlisted,
-        stale_baseline: ratchet.stale,
-        unused_allows: config
-            .allows
-            .iter()
-            .zip(&used)
-            .filter(|(_, u)| !**u)
-            .map(|(e, _)| e.clone())
-            .collect(),
-        cache_hits,
-        cache_misses,
-    })
+    outcome.unused_allows = config
+        .allows
+        .iter()
+        .zip(&used)
+        .filter(|(_, u)| !**u)
+        .map(|(e, _)| e.clone())
+        .collect();
+    Ok(outcome)
 }
 
-/// Applies the mechanical fixes attached to `outcome.new` to the files
-/// under `opts.root`, then re-lints (cache bypassed: the tree changed).
-/// Returns the number of findings repaired and the post-fix outcome —
-/// which callers assert is clean of the fixed rules, and which a second
-/// application must leave byte-identical (idempotence).
-pub fn apply_fixes(
-    opts: &LintOptions,
-    outcome: &LintOutcome,
-) -> Result<(usize, LintOutcome), LintError> {
-    let root = if opts.root.as_os_str().is_empty() {
-        PathBuf::from(".")
-    } else {
-        opts.root.clone()
-    };
-    let fixed =
-        fix::apply_fixes(&root, &outcome.new).map_err(|e| LintError::Io(root.clone(), e))?;
-    let refreshed = run(&LintOptions {
-        cache_path: None,
-        ..opts.clone()
-    })?;
-    Ok((fixed, refreshed))
+/// Reads `explicit`, or `<root>/<default_name>` when none was named. A
+/// missing default file is `None`; a missing *explicit* one is an error
+/// (the caller named it, so a typo must not pass silently).
+fn read_or_default(
+    root: &Path,
+    explicit: Option<&Path>,
+    default_name: &str,
+) -> Result<Option<(PathBuf, String)>, LintError> {
+    let path = explicit.map_or_else(|| root.join(default_name), Path::to_path_buf);
+    match fs::read_to_string(&path) {
+        Ok(text) => Ok(Some((path, text))),
+        Err(e) if e.kind() == std::io::ErrorKind::NotFound && explicit.is_none() => Ok(None),
+        Err(e) => Err(LintError::Io(path, e)),
+    }
 }
 
 fn load_config(root: &Path, explicit: Option<&Path>) -> Result<Config, LintError> {
-    load_config_with_text(root, explicit).map(|(c, _)| c)
-}
-
-/// Loads the config plus its raw text (folded into the cache digest).
-fn load_config_with_text(
-    root: &Path,
-    explicit: Option<&Path>,
-) -> Result<(Config, String), LintError> {
-    let path = explicit
-        .map(Path::to_path_buf)
-        .unwrap_or_else(|| root.join("lint.toml"));
-    match fs::read_to_string(&path) {
-        Ok(text) => Config::parse(&text, &path.display().to_string()).map(|c| (c, text)),
-        // A missing default allowlist is fine; a missing *explicit* one is
-        // an error (the caller named it, so a typo must not pass silently).
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound && explicit.is_none() => {
-            Ok((Config::default(), String::new()))
-        }
-        Err(e) => Err(LintError::Io(path, e)),
+    match read_or_default(root, explicit, "lint.toml")? {
+        Some((path, text)) => Config::parse(&text, &path.display().to_string()),
+        None => Ok(Config::default()),
     }
 }
 
 fn load_manifest(root: &Path, explicit: Option<&Path>) -> Result<Option<Manifest>, LintError> {
-    load_manifest_with_text(root, explicit).map(|(m, _)| m)
-}
-
-fn load_manifest_with_text(
-    root: &Path,
-    explicit: Option<&Path>,
-) -> Result<(Option<Manifest>, String), LintError> {
-    let path = explicit
-        .map(Path::to_path_buf)
-        .unwrap_or_else(|| root.join("METRICS.md"));
-    match fs::read_to_string(&path) {
-        Ok(text) => Manifest::parse(&text)
-            .map(|m| (Some(m), text))
-            .map_err(LintError::Config),
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound && explicit.is_none() => {
-            Ok((None, String::new()))
-        }
-        Err(e) => Err(LintError::Io(path, e)),
-    }
-}
-
-fn load_baseline(root: &Path, explicit: Option<&Path>) -> Result<Vec<BaselineEntry>, LintError> {
-    let path = explicit
-        .map(Path::to_path_buf)
-        .unwrap_or_else(|| root.join("lint-baseline.json"));
-    match fs::read_to_string(&path) {
-        Ok(text) => baseline::parse(&text, &path.display().to_string()),
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound && explicit.is_none() => Ok(Vec::new()),
-        Err(e) => Err(LintError::Io(path, e)),
-    }
+    read_or_default(root, explicit, "METRICS.md")?
+        .map(|(_, text)| Manifest::parse(&text).map_err(LintError::Config))
+        .transpose()
 }

@@ -5,35 +5,25 @@
 //!
 //!   --root <DIR>        workspace root (default: .)
 //!   --config <FILE>     allowlist/policies (default: <root>/lint.toml)
-//!   --baseline <FILE>   ratchet baseline (default: <root>/lint-baseline.json)
 //!   --manifest <FILE>   metrics manifest (default: <root>/METRICS.md)
 //!   --json              machine-readable output instead of the table
-//!   --verbose           include baselined and allowlisted findings
-//!   --update-baseline   rewrite the baseline to the current findings
-//!   --fix               apply mechanical fixes (L1/L5), then re-lint
-//!   --no-cache          disable the incremental cache for this run
-//!   --stats             print cache hit/miss counts to stderr
+//!   --verbose           include allowlisted findings
 //! ```
 //!
-//! Exit codes: 0 clean (no new findings), 1 new findings, 2 usage or
-//! configuration error. With `--fix`, the exit code reflects the tree
-//! *after* fixes were applied.
+//! Exit codes: 0 clean (no unsuppressed findings), 1 findings, 2 usage or
+//! configuration error.
 
 #![warn(clippy::unwrap_used)]
 
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-use baywatch_lint::{apply_fixes, baseline, report, run, LintOptions};
+use baywatch_lint::{report, run, LintOptions};
 
 struct Args {
     opts: LintOptions,
     json: bool,
     verbose: bool,
-    update_baseline: bool,
-    fix: bool,
-    no_cache: bool,
-    stats: bool,
 }
 
 fn parse_args() -> Result<Args, String> {
@@ -41,10 +31,6 @@ fn parse_args() -> Result<Args, String> {
         opts: LintOptions::default(),
         json: false,
         verbose: false,
-        update_baseline: false,
-        fix: false,
-        no_cache: false,
-        stats: false,
     };
     let mut it = std::env::args().skip(1);
     while let Some(arg) = it.next() {
@@ -56,37 +42,21 @@ fn parse_args() -> Result<Args, String> {
         match arg.as_str() {
             "--root" => args.opts.root = path_arg("--root")?,
             "--config" => args.opts.config_path = Some(path_arg("--config")?),
-            "--baseline" => args.opts.baseline_path = Some(path_arg("--baseline")?),
             "--manifest" => args.opts.manifest_path = Some(path_arg("--manifest")?),
             "--json" => args.json = true,
             "--verbose" => args.verbose = true,
-            "--update-baseline" => args.update_baseline = true,
-            "--fix" => args.fix = true,
-            "--no-cache" => args.no_cache = true,
-            "--stats" => args.stats = true,
             "--help" | "-h" => {
                 println!(
                     "baywatch-lint: workspace invariant linter (L1 float ordering, \
-                     L2 determinism, L3 budget checkpoints, L4 panic hygiene, \
-                     L5 atomic-ordering policy, L6 metric registry, L7 ledger arithmetic)\n\n\
-                     Options:\n  --root <DIR>  --config <FILE>  --baseline <FILE>  \
-                     --manifest <FILE>\n  --json  --verbose  --update-baseline  --fix  \
-                     --no-cache  --stats"
+                     L2 determinism, L3 budget checkpoints, L5 atomic-ordering policy, \
+                     L6 metric registry, L7 ledger arithmetic)\n\n\
+                     Options:\n  --root <DIR>  --config <FILE>  --manifest <FILE>\n  \
+                     --json  --verbose"
                 );
                 std::process::exit(0);
             }
             other => return Err(format!("unknown argument `{other}`")),
         }
-    }
-    // `--fix` rewrites files, so a cached answer keyed on the old bytes
-    // must never be consulted or written.
-    if !args.no_cache && !args.fix {
-        let root = if args.opts.root.as_os_str().is_empty() {
-            PathBuf::from(".")
-        } else {
-            args.opts.root.clone()
-        };
-        args.opts.cache_path = Some(root.join("target").join("lint-cache.tsv"));
     }
     Ok(args)
 }
@@ -99,58 +69,13 @@ fn main() -> ExitCode {
             return ExitCode::from(2);
         }
     };
-    let mut outcome = match run(&args.opts) {
+    let outcome = match run(&args.opts) {
         Ok(o) => o,
         Err(e) => {
             eprintln!("baywatch-lint: {e}");
             return ExitCode::from(2);
         }
     };
-    if args.stats {
-        eprintln!(
-            "cache: {} hit{}, {} miss{}",
-            outcome.cache_hits,
-            if outcome.cache_hits == 1 { "" } else { "s" },
-            outcome.cache_misses,
-            if outcome.cache_misses == 1 { "" } else { "es" },
-        );
-    }
-
-    if args.fix {
-        match apply_fixes(&args.opts, &outcome) {
-            Ok((fixed, refreshed)) => {
-                eprintln!("applied {fixed} fix{}", if fixed == 1 { "" } else { "es" });
-                outcome = refreshed;
-            }
-            Err(e) => {
-                eprintln!("baywatch-lint: {e}");
-                return ExitCode::from(2);
-            }
-        }
-    }
-
-    if args.update_baseline {
-        // The baseline covers findings that are neither fixed nor
-        // allowlisted: exactly the new + already-baselined sets.
-        let mut all = outcome.new.clone();
-        all.extend(outcome.baselined.iter().cloned());
-        let path = args
-            .opts
-            .baseline_path
-            .clone()
-            .unwrap_or_else(|| args.opts.root.join("lint-baseline.json"));
-        if let Err(e) = std::fs::write(&path, baseline::to_json(&all)) {
-            eprintln!("baywatch-lint: writing {}: {e}", path.display());
-            return ExitCode::from(2);
-        }
-        println!(
-            "baseline updated: {} entr{}",
-            all.len(),
-            if all.len() == 1 { "y" } else { "ies" }
-        );
-        return ExitCode::SUCCESS;
-    }
-
     if args.json {
         print!("{}", report::render_json(&outcome));
     } else {

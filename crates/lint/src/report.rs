@@ -1,22 +1,19 @@
 //! Rendering: a human table for terminals and a JSON document for tooling.
 
-use crate::baseline::json_string;
 use crate::rules::Finding;
 use crate::LintOutcome;
 
-/// How a finding fared against the allowlist and baseline.
+/// How a finding fared against the allowlist.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Status {
-    New,
-    Baselined,
+    Finding,
     Allowlisted,
 }
 
 impl Status {
     fn as_str(self) -> &'static str {
         match self {
-            Status::New => "NEW",
-            Status::Baselined => "baselined",
+            Status::Finding => "FINDING",
             Status::Allowlisted => "allowed",
         }
     }
@@ -32,12 +29,11 @@ fn clip(s: &str) -> String {
     format!("{head}…")
 }
 
-/// The human-facing table. `verbose` includes allowlisted/baselined rows.
+/// The human-facing table. `verbose` includes allowlisted rows.
 pub fn render_table(outcome: &LintOutcome, verbose: bool) -> String {
     let mut rows: Vec<(Status, &Finding)> = Vec::new();
-    rows.extend(outcome.new.iter().map(|f| (Status::New, f)));
+    rows.extend(outcome.findings.iter().map(|f| (Status::Finding, f)));
     if verbose {
-        rows.extend(outcome.baselined.iter().map(|f| (Status::Baselined, f)));
         rows.extend(
             outcome
                 .allowlisted
@@ -70,12 +66,6 @@ pub fn render_table(outcome: &LintOutcome, verbose: bool) -> String {
         }
         out.push('\n');
     }
-    for e in &outcome.stale_baseline {
-        out.push_str(&format!(
-            "stale baseline entry (fixed? run --update-baseline): {} {} {:?} #{}\n",
-            e.rule, e.path, e.snippet, e.occurrence
-        ));
-    }
     for e in &outcome.unused_allows {
         out.push_str(&format!(
             "unused allowlist entry (lint.toml:{}): {} {} — consider removing it\n",
@@ -83,16 +73,10 @@ pub fn render_table(outcome: &LintOutcome, verbose: bool) -> String {
         ));
     }
     out.push_str(&format!(
-        "{} new, {} baselined, {} allowlisted, {} stale baseline entr{}\n",
-        outcome.new.len(),
-        outcome.baselined.len(),
+        "{} finding{}, {} allowlisted\n",
+        outcome.findings.len(),
+        if outcome.findings.len() == 1 { "" } else { "s" },
         outcome.allowlisted.len(),
-        outcome.stale_baseline.len(),
-        if outcome.stale_baseline.len() == 1 {
-            "y"
-        } else {
-            "ies"
-        },
     ));
     out
 }
@@ -106,8 +90,8 @@ fn digits(mut n: u32) -> usize {
     d
 }
 
-/// The machine-facing document: every finding with its status, plus stale
-/// baseline entries, as one JSON object.
+/// The machine-facing document: every finding with its status, as one
+/// JSON object.
 pub fn render_json(outcome: &LintOutcome) -> String {
     let mut out = String::from("{\n  \"findings\": [");
     let mut first = true;
@@ -129,28 +113,30 @@ pub fn render_json(outcome: &LintOutcome) -> String {
             }
         ));
     };
-    for f in &outcome.new {
-        push_finding(&mut out, f, Status::New, None);
-    }
-    for f in &outcome.baselined {
-        push_finding(&mut out, f, Status::Baselined, None);
+    for f in &outcome.findings {
+        push_finding(&mut out, f, Status::Finding, None);
     }
     for (f, reason) in &outcome.allowlisted {
         push_finding(&mut out, f, Status::Allowlisted, Some(reason));
     }
-    out.push_str("\n  ],\n  \"stale_baseline\": [");
-    let mut first = true;
-    for e in &outcome.stale_baseline {
-        out.push_str(if first { "\n" } else { ",\n" });
-        first = false;
-        out.push_str(&format!(
-            "    {{\"rule\": {}, \"path\": {}, \"snippet\": {}, \"occurrence\": {}}}",
-            json_string(&e.rule),
-            json_string(&e.path),
-            json_string(&e.snippet),
-            e.occurrence
-        ));
-    }
     out.push_str("\n  ]\n}\n");
+    out
+}
+
+fn json_string(s: &str) -> String {
+    let mut out = String::with_capacity(s.len() + 2);
+    out.push('"');
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\t' => out.push_str("\\t"),
+            '\r' => out.push_str("\\r"),
+            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+            c => out.push(c),
+        }
+    }
+    out.push('"');
     out
 }

@@ -19,7 +19,6 @@
 
 use super::{snippet_at, Finding};
 use crate::config::{AtomicPolicy, ORDERINGS};
-use crate::fix::{Edit, Fix};
 use crate::items::ItemIndex;
 use crate::syntax::File;
 use crate::walk::SourceFile;
@@ -77,38 +76,21 @@ pub fn check(
                      policy; add an [[atomic]] entry to lint.toml with a written reason",
                     t.text, sf.rel_path
                 ),
-                fix: None,
             }),
-            Some(p) if !p.allow.iter().any(|o| o == &t.text) => {
-                // Rewriting a *qualified* variant is mechanical; a bare
-                // import would also need its `use` adjusted, so that stays
-                // manual.
-                let fix = match (&p.fix, qualified) {
-                    (Some(target), true) => Some(Fix {
-                        edits: vec![Edit {
-                            start: t.start,
-                            end: t.end,
-                            replacement: target.clone(),
-                        }],
-                    }),
-                    _ => None,
-                };
-                findings.push(Finding {
-                    rule: "L5-atomic-ordering",
-                    path: sf.rel_path.clone(),
-                    line: t.line,
-                    snippet: snippet_at(lines, t.line),
-                    message: format!(
-                        "Ordering::{} in `{site}` violates the declared policy for `{}` \
-                         (allowed: {}); policy reason: {}",
-                        t.text,
-                        sf.rel_path,
-                        p.allow.join(", "),
-                        p.reason
-                    ),
-                    fix,
-                });
-            }
+            Some(p) if !p.allow.iter().any(|o| o == &t.text) => findings.push(Finding {
+                rule: "L5-atomic-ordering",
+                path: sf.rel_path.clone(),
+                line: t.line,
+                snippet: snippet_at(lines, t.line),
+                message: format!(
+                    "Ordering::{} in `{site}` violates the declared policy for `{}` \
+                     (allowed: {}); policy reason: {}",
+                    t.text,
+                    sf.rel_path,
+                    p.allow.join(", "),
+                    p.reason
+                ),
+            }),
             Some(_) => {}
         }
     }
@@ -140,10 +122,9 @@ mod tests {
         findings
     }
 
-    fn policy(allow: &[&str], fix: Option<&str>) -> AtomicPolicy {
-        let fix_line = fix.map(|f| format!("fix = \"{f}\"\n")).unwrap_or_default();
+    fn policy(allow: &[&str]) -> AtomicPolicy {
         let toml = format!(
-            "[[atomic]]\npath = \"crates/obs/src/registry.rs\"\nallow = [{}]\n{fix_line}\
+            "[[atomic]]\npath = \"crates/obs/src/registry.rs\"\nallow = [{}]\n\
              reason = \"unit-test policy, long enough to satisfy the parser\"\n",
             allow
                 .iter()
@@ -158,17 +139,14 @@ mod tests {
     }
 
     #[test]
-    fn out_of_policy_ordering_is_flagged_with_a_fix() {
+    fn out_of_policy_ordering_is_flagged() {
         let src = "use std::sync::atomic::{AtomicU64, Ordering};\n\
                    impl Counter { fn bump(&self) { self.n.fetch_add(1, Ordering::SeqCst); } }";
-        let p = policy(&["Relaxed"], Some("Relaxed"));
+        let p = policy(&["Relaxed"]);
         let f = run(src, Some(&p));
         assert_eq!(f.len(), 1);
         assert_eq!(f[0].rule, "L5-atomic-ordering");
         assert!(f[0].message.contains("Counter::bump"), "{}", f[0].message);
-        let fix = f[0].fix.as_ref().expect("mechanical fix attached");
-        assert_eq!(fix.edits[0].replacement, "Relaxed");
-        assert_eq!(&src[fix.edits[0].start..fix.edits[0].end], "SeqCst");
     }
 
     #[test]
@@ -176,27 +154,23 @@ mod tests {
         let src = "use std::sync::atomic::Ordering;\n\
                    fn a(n: &std::sync::atomic::AtomicU64) { n.load(Ordering::Relaxed); }\n\
                    fn b() -> std::cmp::Ordering { std::cmp::Ordering::Less }";
-        let p = policy(&["Relaxed"], None);
+        let p = policy(&["Relaxed"]);
         assert!(run(src, Some(&p)).is_empty());
     }
 
     #[test]
-    fn bare_imported_variant_is_flagged_without_a_fix() {
+    fn bare_imported_variant_is_flagged() {
         let src = "use std::sync::atomic::Ordering::SeqCst;\n\
                    fn a(n: &std::sync::atomic::AtomicU64) { n.load(SeqCst); }";
-        let p = policy(&["Relaxed"], Some("Relaxed"));
+        let p = policy(&["Relaxed"]);
         let f = run(src, Some(&p));
         assert_eq!(f.len(), 1);
-        assert!(
-            f[0].fix.is_none(),
-            "bare imports need the use rewritten too"
-        );
     }
 
     #[test]
     fn unimported_bare_name_is_not_an_ordering() {
         let src = "fn a() { let Relaxed = 3; take(Relaxed); }";
-        let p = policy(&["SeqCst"], None);
+        let p = policy(&["SeqCst"]);
         assert!(run(src, Some(&p)).is_empty());
     }
 
@@ -213,7 +187,7 @@ mod tests {
     fn test_code_is_exempt() {
         let src = "#[cfg(test)]\nmod tests {\n use std::sync::atomic::Ordering;\n\
                    fn t(n: &std::sync::atomic::AtomicU64) { n.load(Ordering::SeqCst); }\n}";
-        let p = policy(&["Relaxed"], None);
+        let p = policy(&["Relaxed"]);
         assert!(run(src, Some(&p)).is_empty());
     }
 }

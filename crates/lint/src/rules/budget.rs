@@ -61,7 +61,6 @@ pub fn check(sf: &SourceFile, file: &File, lines: &[&str], findings: &mut Vec<Fi
                           ExecBudget; add a checkpoint() call or allowlist with a \
                           termination argument"
                     .to_string(),
-                fix: None,
             });
         }
     }

@@ -27,8 +27,8 @@
 //! Hash bindings are recovered per function from `let` statements, `fn`
 //! parameters, and (file-wide) struct fields whose declared type names a
 //! hash container. This is a heuristic, not a type checker: renaming a
-//! map through an untyped intermediate hides it. The ratchet (and the
-//! shuffle-determinism integration tests) backstop what the lexer cannot
+//! map through an untyped intermediate hides it. The
+//! shuffle-determinism integration tests backstop what the lexer cannot
 //! see.
 
 use std::collections::BTreeSet;
@@ -94,7 +94,6 @@ fn check_ambient_rng(sf: &SourceFile, file: &File, lines: &[&str], findings: &mu
                 message: "ambient RNG breaks rerun reproducibility; derive every random \
                           stream from an explicit seed (StdRng::seed_from_u64)"
                     .to_string(),
-                fix: None,
             });
         }
     }
@@ -121,7 +120,6 @@ fn check_wall_clock(sf: &SourceFile, file: &File, lines: &[&str], findings: &mut
                      timestamp in as data (or allowlist with a written justification)",
                     t.text
                 ),
-                fix: None,
             });
         }
     }
@@ -166,7 +164,6 @@ fn check_ambient_fs(sf: &SourceFile, file: &File, lines: &[&str], findings: &mut
                           ambient disk state; route I/O through an audited boundary \
                           (or allowlist with a written justification)"
                     .to_string(),
-                fix: None,
             });
         }
     }
@@ -199,7 +196,6 @@ fn check_hash_iteration(sf: &SourceFile, file: &File, lines: &[&str], findings: 
                         message: "hash-container iteration order is nondeterministic and can \
                                   reach the output; sort the items or use a BTree collection"
                             .to_string(),
-                        fix: None,
                     });
                 }
                 i = site.resume_idx;

@@ -7,7 +7,6 @@
 //! a pure function of the window. `f64::total_cmp` is the fix everywhere.
 
 use super::{snippet_at, Finding};
-use crate::fix::{Edit, Fix};
 use crate::syntax::File;
 use crate::walk::SourceFile;
 
@@ -40,31 +39,6 @@ pub fn check(sf: &SourceFile, file: &File, lines: &[&str], findings: &mut Vec<Fi
                 .get(sink)
                 .is_some_and(|t| SINKS.iter().any(|s| t.is_ident(s)));
         if is_sink {
-            // Mechanical rewrite only for the sinks whose removal cannot
-            // change semantics on non-NaN inputs: `total_cmp` returns
-            // `Ordering` directly, so `.unwrap()`/`.expect(..)` simply
-            // disappear. The `unwrap_or*` variants encode a fallback the
-            // author chose; those stay manual.
-            let fix = tokens
-                .get(sink)
-                .filter(|s| s.is_ident("unwrap") || s.is_ident("expect"))
-                .and_then(|_| {
-                    let sink_close = file.matching(sink + 1)?;
-                    Some(Fix {
-                        edits: vec![
-                            Edit {
-                                start: t.start,
-                                end: t.end,
-                                replacement: "total_cmp".to_string(),
-                            },
-                            Edit {
-                                start: tokens[dot].start,
-                                end: tokens[sink_close].end,
-                                replacement: String::new(),
-                            },
-                        ],
-                    })
-                });
             findings.push(Finding {
                 rule: "L1-float-ord",
                 path: sf.rel_path.clone(),
@@ -78,7 +52,6 @@ pub fn check(sf: &SourceFile, file: &File, lines: &[&str], findings: &mut Vec<Fi
                         .map(|t| t.text.as_str())
                         .unwrap_or("unwrap"),
                 ),
-                fix,
             });
         }
     }

@@ -68,7 +68,6 @@ pub fn check(
                     items.enclosing_impl(i).unwrap_or("?"),
                     decl.reason
                 ),
-                fix: None,
             });
             continue;
         }
@@ -89,7 +88,6 @@ pub fn check(
                         target.text,
                         items.enclosing_impl(i).unwrap_or("?"),
                     ),
-                    fix: None,
                 });
             }
         }

@@ -76,7 +76,6 @@ pub fn check(
                      METRICS.md; use a string literal/format! or allowlist with the names \
                      it can produce written down"
                 ),
-                fix: None,
             });
             continue;
         };
@@ -99,7 +98,6 @@ pub fn check(
                 line: t.line,
                 snippet: snippet_at(lines, t.line),
                 message: format!("metric name `{name}` is not declared in METRICS.md{suggestion}"),
-                fix: None,
             });
             continue;
         };
@@ -113,7 +111,6 @@ pub fn check(
                     "`{name}` is declared as a {} in METRICS.md but written via .{method}(..)",
                     decl.kind
                 ),
-                fix: None,
             });
             continue;
         }
@@ -127,7 +124,6 @@ pub fn check(
                     "`{name}` is declared gated (clean-path-silent) in METRICS.md but this \
                      write is unconditional; guard it or re-declare the gating"
                 ),
-                fix: None,
             });
         }
     }

@@ -8,7 +8,6 @@
 //! | `L2-ambient-fs`      | no unaudited filesystem access there either               |
 //! | `L2-hash-iter`       | no order-observing hash-container iteration there either  |
 //! | `L3-budget`          | unbounded loops in hot modules must checkpoint a budget   |
-//! | `L4-panic`           | no `unwrap`/`expect` in non-test library code             |
 //! | `L5-atomic-ordering` | atomic `Ordering`s must match the module's declared policy|
 //! | `L6-metric-registry` | metric/span names must match the committed manifest       |
 //! | `L7-ledger-arith`    | no lossy arithmetic on declared accounting ledgers        |
@@ -25,10 +24,8 @@ pub mod determinism;
 pub mod float_ord;
 pub mod ledger;
 pub mod metrics;
-pub mod panics;
 
 use crate::config::Config;
-use crate::fix::Fix;
 use crate::items::ItemIndex;
 use crate::lexer::lex;
 use crate::manifest::Manifest;
@@ -44,7 +41,6 @@ pub const RULE_IDS: &[&str] = &[
     "L2-ambient-fs",
     "L2-hash-iter",
     "L3-budget",
-    "L4-panic",
     "L5-atomic-ordering",
     "L6-metric-registry",
     "L7-ledger-arith",
@@ -59,15 +55,11 @@ pub struct Finding {
     pub path: String,
     /// 1-indexed line of the offending token.
     pub line: u32,
-    /// The trimmed source line — the human anchor, and (with `rule` and
-    /// `path`) the line-number-independent identity used by the baseline.
+    /// The trimmed source line — the human anchor, and what an allowlist
+    /// entry's `pattern` is matched against.
     pub snippet: String,
     /// What is wrong and how to fix it.
     pub message: String,
-    /// Mechanical repair, when the rule has exactly one safe rewrite.
-    /// Not part of a finding's *identity*: baselines and allowlists key on
-    /// rule/path/snippet only, and cached findings drop the fix entirely.
-    pub fix: Option<Fix>,
 }
 
 /// Configuration the symbol-resolved rules (L5–L7) read: the declared
@@ -107,11 +99,6 @@ pub fn check_file_with(sf: &SourceFile, source: &str, ctx: RuleContext<'_>) -> V
     // L3 guards the hot detection kernels.
     if sf.is_budgeted_module() {
         budget::check(sf, &file, &lines, &mut findings);
-    }
-
-    // L4 guards non-test library code, workspace-wide.
-    if sf.section == Section::Lib {
-        panics::check(sf, &file, &lines, &mut findings);
     }
 
     // L5–L7 need the item index; build it once, only when a family will

@@ -63,7 +63,7 @@ pub struct SourceFile {
     /// Absolute path on disk.
     pub abs_path: PathBuf,
     /// Root-relative path with forward slashes — the stable identity used
-    /// in findings, baselines, and allowlist entries.
+    /// in findings and allowlist entries.
     pub rel_path: String,
     /// `Some("timeseries")` for `crates/timeseries/...`, `None` for the
     /// umbrella crate.
@@ -90,8 +90,8 @@ impl SourceFile {
 }
 
 /// Walks `root` and returns every `.rs` file, classified, in a stable
-/// (sorted-by-relative-path) order so reports and baselines never depend
-/// on directory-entry order.
+/// (sorted-by-relative-path) order so reports never depend on
+/// directory-entry order.
 ///
 /// Symlinks are followed for files and directories alike, but every
 /// visited directory is canonicalized into a seen-set first, so a link

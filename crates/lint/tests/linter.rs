@@ -7,9 +7,7 @@
 use std::fs;
 use std::path::{Path, PathBuf};
 
-use baywatch_lint::{
-    apply_fixes, baseline, lint_workspace, report, run, LintError, LintOptions, LintOutcome,
-};
+use baywatch_lint::{lint_workspace, report, run, LintError, LintOptions, LintOutcome};
 
 fn fixture_root() -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/ws")
@@ -30,25 +28,8 @@ fn fixture_opts() -> LintOptions {
     }
 }
 
-/// Recursively copies the fixture workspace (sources, `lint.toml`,
-/// `METRICS.md`) so `--fix` tests can rewrite files without touching
-/// the committed fixtures.
-fn copy_tree(from: &Path, to: &Path) {
-    fs::create_dir_all(to).expect("create copy dir");
-    for entry in fs::read_dir(from).expect("read fixture dir") {
-        let entry = entry.expect("fixture entry");
-        let src = entry.path();
-        let dst = to.join(entry.file_name());
-        if src.is_dir() {
-            copy_tree(&src, &dst);
-        } else {
-            fs::copy(&src, &dst).expect("copy fixture file");
-        }
-    }
-}
-
-/// Every `.rs` file under `dir`, sorted, with its content — the
-/// byte-identity witness for fix idempotence.
+/// Every file under `dir`, sorted, with its content — the byte-identity
+/// witness that a run writes nothing.
 fn tree_snapshot(dir: &Path) -> Vec<(PathBuf, Vec<u8>)> {
     let mut files = Vec::new();
     let mut stack = vec![dir.to_path_buf()];
@@ -57,7 +38,7 @@ fn tree_snapshot(dir: &Path) -> Vec<(PathBuf, Vec<u8>)> {
             let p = entry.expect("entry").path();
             if p.is_dir() {
                 stack.push(p);
-            } else if p.extension().is_some_and(|e| e == "rs") {
+            } else {
                 files.push((p.clone(), fs::read(&p).expect("read file")));
             }
         }
@@ -92,14 +73,12 @@ fn fixture_findings_are_exactly_the_planted_ones() {
             ("L2-ambient-rng", "crates/timeseries/src/lib.rs", 7),
             ("L2-wall-clock", "crates/timeseries/src/lib.rs", 12),
             ("L1-float-ord", "crates/timeseries/src/lib.rs", 17),
-            ("L4-panic", "crates/timeseries/src/lib.rs", 17),
             ("L2-hash-iter", "crates/timeseries/src/lib.rs", 26),
             ("L2-ambient-fs", "crates/timeseries/src/lib.rs", 52),
             ("L7-ledger-arith", "crates/util/src/ledger.rs", 12),
             ("L7-ledger-arith", "crates/util/src/ledger.rs", 17),
             ("L7-ledger-arith", "crates/util/src/ledger.rs", 22),
             ("L7-ledger-arith", "crates/util/src/ledger.rs", 28),
-            ("L4-panic", "crates/util/src/lib.rs", 11),
         ],
         "planted positives (and only those) must fire; negatives in the \
          same files — checkpointed loops, total_cmp, sorted/counted hash \
@@ -110,78 +89,14 @@ fn fixture_findings_are_exactly_the_planted_ones() {
 }
 
 #[test]
-fn without_a_baseline_everything_unsuppressed_is_new() {
+fn unsuppressed_findings_fail() {
     let outcome = run(&fixture_opts()).expect("fixture runs");
-    assert_eq!(outcome.new.len(), 18);
+    assert_eq!(outcome.findings.len(), 16);
     // The three suppressed twins (L5 control flag, L6 dynamic name, L7
     // backoff sum) land in `allowlisted` with their written reasons.
     assert_eq!(outcome.allowlisted.len(), 3);
-    assert!(outcome.baselined.is_empty());
     assert!(outcome.unused_allows.is_empty());
     assert!(!outcome.is_clean());
-}
-
-#[test]
-fn full_baseline_tolerates_every_finding() {
-    let dir = scratch("full-baseline");
-    let unsuppressed = run(&fixture_opts()).expect("fixture runs").new;
-    let path = dir.join("baseline.json");
-    fs::write(&path, baseline::to_json(&unsuppressed)).expect("write baseline");
-
-    let outcome = run(&LintOptions {
-        baseline_path: Some(path),
-        ..fixture_opts()
-    })
-    .expect("fixture runs");
-    assert!(outcome.is_clean());
-    assert_eq!(outcome.baselined.len(), 18);
-    assert!(outcome.stale_baseline.is_empty());
-}
-
-#[test]
-fn a_finding_missing_from_the_baseline_fails_the_ratchet() {
-    // Drop one entry from the full baseline: the corresponding finding is
-    // exactly what an injected fresh violation looks like to the ratchet.
-    let dir = scratch("ratchet");
-    let mut findings = run(&fixture_opts()).expect("fixture runs").new;
-    let pos = findings
-        .iter()
-        .position(|f| f.rule == "L1-float-ord")
-        .expect("fixture plants an L1 finding");
-    findings.remove(pos);
-    let path = dir.join("baseline.json");
-    fs::write(&path, baseline::to_json(&findings)).expect("write baseline");
-
-    let outcome = run(&LintOptions {
-        baseline_path: Some(path),
-        ..fixture_opts()
-    })
-    .expect("fixture runs");
-    assert!(!outcome.is_clean());
-    assert_eq!(outcome.new.len(), 1);
-    assert_eq!(outcome.new[0].rule, "L1-float-ord");
-    assert_eq!(outcome.baselined.len(), 17);
-}
-
-#[test]
-fn fixed_findings_surface_as_stale_baseline_entries_without_failing() {
-    let dir = scratch("stale");
-    let path = dir.join("baseline.json");
-    let findings = run(&fixture_opts()).expect("fixture runs").new;
-    let mut json = baseline::to_json(&findings);
-    // Splice in an entry whose finding no longer exists.
-    let extra = r#"[{"rule": "L4-panic", "path": "crates/gone/src/lib.rs", "snippet": "x.unwrap()", "occurrence": 0},"#;
-    json = json.replacen('[', extra, 1);
-    fs::write(&path, json).expect("write baseline");
-
-    let outcome = run(&LintOptions {
-        baseline_path: Some(path),
-        ..fixture_opts()
-    })
-    .expect("fixture runs");
-    assert!(outcome.is_clean(), "stale entries must not fail the build");
-    assert_eq!(outcome.stale_baseline.len(), 1);
-    assert_eq!(outcome.stale_baseline[0].path, "crates/gone/src/lib.rs");
 }
 
 #[test]
@@ -191,7 +106,7 @@ fn allowlist_suppresses_with_reason_and_reports_unused_entries() {
     // An explicit config replaces the fixture one wholesale, so it
     // restates the policy tables to keep the L5/L7 findings stable, but
     // carries different [[allow]] entries: one that matches the planted
-    // util unwrap and one that matches nothing.
+    // filesystem read and one that matches nothing.
     fs::write(
         &path,
         r#"
@@ -206,9 +121,9 @@ types = ["Ledger"]
 reason = "fixture: Ledger totals feed the planted report rows exactly"
 
 [[allow]]
-rule = "L4-panic"
-path = "crates/util/src/lib.rs"
-reason = "fixture: the unwrap is planted deliberately"
+rule = "L2-ambient-fs"
+path = "crates/timeseries/src/lib.rs"
+reason = "fixture: the filesystem read is planted deliberately"
 
 [[allow]]
 rule = "L1-float-ord"
@@ -223,10 +138,14 @@ reason = "fixture: matches nothing in this file"
         ..fixture_opts()
     })
     .expect("fixture runs");
-    assert_eq!(outcome.new.len(), 20, "one finding should be suppressed");
+    assert_eq!(
+        outcome.findings.len(),
+        18,
+        "one finding should be suppressed"
+    );
     assert_eq!(outcome.allowlisted.len(), 1);
     let (f, reason) = &outcome.allowlisted[0];
-    assert_eq!(f.path, "crates/util/src/lib.rs");
+    assert_eq!(f.path, "crates/timeseries/src/lib.rs");
     assert!(reason.contains("planted deliberately"));
     assert_eq!(outcome.unused_allows.len(), 1);
     assert_eq!(outcome.unused_allows[0].rule, "L1-float-ord");
@@ -238,7 +157,7 @@ fn allowlist_without_a_real_reason_is_a_hard_error() {
     let path = dir.join("lint.toml");
     fs::write(
         &path,
-        "[[allow]]\nrule = \"L4-panic\"\npath = \"x.rs\"\nreason = \"short\"\n",
+        "[[allow]]\nrule = \"L3-budget\"\npath = \"x.rs\"\nreason = \"short\"\n",
     )
     .expect("write allowlist");
 
@@ -254,18 +173,24 @@ fn allowlist_without_a_real_reason_is_a_hard_error() {
 fn allowlist_with_unknown_rule_is_a_hard_error() {
     let dir = scratch("bad-rule");
     let path = dir.join("lint.toml");
-    fs::write(
-        &path,
-        "[[allow]]\nrule = \"L9-imaginary\"\npath = \"x.rs\"\nreason = \"long enough reason\"\n",
-    )
-    .expect("write allowlist");
+    // `L4-panic` was retired to clippy: a leftover stanza must fail loudly,
+    // not sit there suppressing nothing.
+    for rule in ["L9-imaginary", "L4-panic"] {
+        fs::write(
+            &path,
+            format!(
+                "[[allow]]\nrule = \"{rule}\"\npath = \"x.rs\"\nreason = \"long enough reason\"\n"
+            ),
+        )
+        .expect("write allowlist");
 
-    let err = run(&LintOptions {
-        config_path: Some(path),
-        ..fixture_opts()
-    })
-    .expect_err("unknown rule must be rejected");
-    assert!(matches!(err, LintError::Config(_)), "got {err}");
+        let err = run(&LintOptions {
+            config_path: Some(path.clone()),
+            ..fixture_opts()
+        })
+        .expect_err("unknown rule must be rejected");
+        assert!(matches!(err, LintError::Config(_)), "{rule}: got {err}");
+    }
 }
 
 #[test]
@@ -277,30 +202,15 @@ fn missing_explicit_config_path_is_an_error_but_missing_default_is_not() {
     .expect_err("explicitly named missing config must error");
     assert!(matches!(err, LintError::Io(..)), "got {err}");
 
-    // A root without lint.toml / METRICS.md / a baseline: all three
-    // defaults being absent is tolerated (config empty, L6 off, baseline
-    // empty).
+    // A root without lint.toml / METRICS.md: both defaults being absent
+    // is tolerated (config empty, L6 off).
     let bare = scratch("bare-root");
     let outcome = run(&LintOptions {
         root: bare,
         ..LintOptions::default()
     })
-    .expect("missing default config/manifest/baseline is fine");
+    .expect("missing default config/manifest is fine");
     assert!(outcome.is_clean());
-}
-
-#[test]
-fn malformed_baseline_is_a_hard_error() {
-    let dir = scratch("bad-baseline");
-    let path = dir.join("baseline.json");
-    fs::write(&path, "{\"not\": \"an array\"}").expect("write baseline");
-
-    let err = run(&LintOptions {
-        baseline_path: Some(path),
-        ..fixture_opts()
-    })
-    .expect_err("non-array baseline must be rejected");
-    assert!(matches!(err, LintError::Baseline(_)), "got {err}");
 }
 
 #[test]
@@ -321,70 +231,20 @@ fn malformed_manifest_is_a_hard_error() {
     assert!(matches!(err, LintError::Config(_)), "got {err}");
 }
 
-/// `--fix` end to end: mechanical findings (the planted L1 comparator
-/// and the qualified in-policy-fixable L5 site) are repaired in place,
-/// the repaired tree re-lints clean of them, the allowlisted twin is
-/// left untouched, and a second application changes nothing.
-#[test]
-fn fix_repairs_mechanical_findings_and_is_idempotent() {
-    let dir = scratch("fix-round-trip");
-    copy_tree(&fixture_root(), &dir);
-    let opts = LintOptions {
-        root: dir.clone(),
-        ..LintOptions::default()
-    };
-
-    let before = run(&opts).expect("copy lints");
-    assert_eq!(before.new.len(), 18);
-    let (fixed, after) = apply_fixes(&opts, &before).expect("fixes apply");
-    assert_eq!(fixed, 2, "the planted L1 and the qualified L5 site");
-
-    // The L1 fix rewrites `partial_cmp(..).unwrap()` to `total_cmp(..)`,
-    // which also removes that line's L4 unwrap finding; the L5 fix
-    // rewrites SeqCst to Relaxed. 18 - 3 remain.
-    assert_eq!(after.new.len(), 15);
-    assert!(after.new.iter().all(|f| f.rule != "L1-float-ord"));
-    assert!(!keys(&after.new).contains(&("L5-atomic-ordering", "crates/obs/src/lib.rs", 15)));
-    assert!(!keys(&after.new).contains(&("L4-panic", "crates/timeseries/src/lib.rs", 17)));
-
-    // The allowlisted SeqCst twin must survive: suppressed findings are
-    // deliberate exceptions, not fix targets.
-    let obs = fs::read_to_string(dir.join("crates/obs/src/lib.rs")).expect("read fixed file");
-    assert!(obs.contains("self.control.store(true, Ordering::SeqCst);"));
-    assert!(obs.contains("self.hits.fetch_add(1, Ordering::Relaxed)"));
-
-    // Idempotence: a second application fixes nothing and leaves every
-    // byte in place.
-    let snapshot = tree_snapshot(&dir);
-    let (fixed_again, _) = apply_fixes(&opts, &after).expect("second pass applies");
-    assert_eq!(fixed_again, 0);
-    assert_eq!(tree_snapshot(&dir), snapshot, "fix must be idempotent");
-}
-
 /// The `--json` document is a consumed interface: field names, nesting,
 /// and escaping are pinned by this snapshot. Changing the schema means
 /// changing this test — deliberately.
 #[test]
 fn json_report_schema_is_stable() {
-    use baywatch_lint::baseline::BaselineEntry;
     use baywatch_lint::rules::Finding;
 
     let outcome = LintOutcome {
-        new: vec![Finding {
-            rule: "L4-panic",
+        findings: vec![Finding {
+            rule: "L1-float-ord",
             path: "crates/a/src/lib.rs".to_string(),
             line: 3,
-            snippet: "x.unwrap() // \"quoted\"".to_string(),
+            snippet: "a.partial_cmp(&b).unwrap() // \"quoted\"".to_string(),
             message: "message with \\ backslash".to_string(),
-            fix: None,
-        }],
-        baselined: vec![Finding {
-            rule: "L1-float-ord",
-            path: "crates/b/src/lib.rs".to_string(),
-            line: 9,
-            snippet: "a.partial_cmp(&b)".to_string(),
-            message: "old friend".to_string(),
-            fix: None,
         }],
         allowlisted: vec![(
             Finding {
@@ -393,84 +253,33 @@ fn json_report_schema_is_stable() {
                 line: 1,
                 snippet: "load(SeqCst)".to_string(),
                 message: "out of policy".to_string(),
-                fix: None,
             },
             "control cell stays sequentially consistent".to_string(),
         )],
-        stale_baseline: vec![BaselineEntry {
-            rule: "L2-wall-clock".to_string(),
-            path: "crates/d/src/lib.rs".to_string(),
-            snippet: "Instant::now()".to_string(),
-            occurrence: 1,
-        }],
         unused_allows: Vec::new(),
-        cache_hits: 0,
-        cache_misses: 0,
     };
 
     let expected = concat!(
         "{\n",
         "  \"findings\": [\n",
-        "    {\"rule\": \"L4-panic\", \"path\": \"crates/a/src/lib.rs\", \"line\": 3, ",
-        "\"snippet\": \"x.unwrap() // \\\"quoted\\\"\", ",
-        "\"message\": \"message with \\\\ backslash\", \"status\": \"NEW\"},\n",
-        "    {\"rule\": \"L1-float-ord\", \"path\": \"crates/b/src/lib.rs\", \"line\": 9, ",
-        "\"snippet\": \"a.partial_cmp(&b)\", ",
-        "\"message\": \"old friend\", \"status\": \"baselined\"},\n",
+        "    {\"rule\": \"L1-float-ord\", \"path\": \"crates/a/src/lib.rs\", \"line\": 3, ",
+        "\"snippet\": \"a.partial_cmp(&b).unwrap() // \\\"quoted\\\"\", ",
+        "\"message\": \"message with \\\\ backslash\", \"status\": \"FINDING\"},\n",
         "    {\"rule\": \"L5-atomic-ordering\", \"path\": \"crates/c/src/lib.rs\", \"line\": 1, ",
         "\"snippet\": \"load(SeqCst)\", ",
         "\"message\": \"out of policy\", \"status\": \"allowed\", ",
         "\"allowed_because\": \"control cell stays sequentially consistent\"}\n",
-        "  ],\n",
-        "  \"stale_baseline\": [\n",
-        "    {\"rule\": \"L2-wall-clock\", \"path\": \"crates/d/src/lib.rs\", ",
-        "\"snippet\": \"Instant::now()\", \"occurrence\": 1}\n",
         "  ]\n",
         "}\n",
     );
     assert_eq!(report::render_json(&outcome), expected);
 }
 
-/// The incremental cache: a cold run analyzes every file, a warm rerun
-/// answers every file from the cache, and both agree on the findings.
-#[test]
-fn cache_warm_run_hits_every_file_and_agrees_with_cold() {
-    let dir = scratch("cache");
-    let opts = LintOptions {
-        cache_path: Some(dir.join("lint-cache.tsv")),
-        ..fixture_opts()
-    };
-
-    let cold = run(&opts).expect("cold run");
-    assert_eq!(cold.cache_hits, 0);
-    assert!(cold.cache_misses > 0, "cold run must analyze files");
-
-    let warm = run(&opts).expect("warm run");
-    assert_eq!(warm.cache_misses, 0, "nothing changed, nothing re-analyzed");
-    assert_eq!(warm.cache_hits, cold.cache_misses);
-    assert_eq!(keys(&warm.new), keys(&cold.new));
-    assert_eq!(warm.allowlisted.len(), cold.allowlisted.len());
-
-    // A config change invalidates the digest: everything re-analyzes.
-    let config = dir.join("lint.toml");
-    let mut text =
-        fs::read_to_string(fixture_root().join("lint.toml")).expect("fixture config reads");
-    text.push_str("\n# digest-changing comment\n");
-    fs::write(&config, text).expect("write tweaked config");
-    let invalidated = run(&LintOptions {
-        config_path: Some(config),
-        ..opts.clone()
-    })
-    .expect("invalidated run");
-    assert_eq!(invalidated.cache_hits, 0, "config changes must cold-start");
-    assert_eq!(invalidated.cache_misses, cold.cache_misses);
-}
-
 /// Dogfood: the repository this linter lives in must itself be clean —
-/// every real finding either fixed or allowlisted with a written reason,
-/// against an *empty* committed baseline — with the L5/L6/L7 families
-/// fully armed (the repo commits both `lint.toml` policies and
-/// `METRICS.md`).
+/// every real finding either fixed or allowlisted with a written reason —
+/// with the L5/L6/L7 families fully armed (the repo commits both
+/// `lint.toml` policies and `METRICS.md`). And a run is a pure function of
+/// the tree: two consecutive runs agree and write nothing.
 #[test]
 fn repo_tree_is_lint_clean() {
     let repo_root = Path::new(env!("CARGO_MANIFEST_DIR"))
@@ -484,16 +293,8 @@ fn repo_tree_is_lint_clean() {
     .expect("repo lints");
     assert!(
         outcome.is_clean(),
-        "new findings: {:?}",
-        outcome
-            .new
-            .iter()
-            .map(|f| format!("{} {}:{}", f.rule, f.path, f.line))
-            .collect::<Vec<_>>()
-    );
-    assert!(
-        outcome.baselined.is_empty(),
-        "the committed baseline must stay empty — fix or allowlist instead"
+        "findings: {:?}",
+        keys(&outcome.findings)
     );
     assert!(
         outcome.unused_allows.is_empty(),
@@ -503,5 +304,16 @@ fn repo_tree_is_lint_clean() {
             .iter()
             .map(|e| format!("{} {}", e.rule, e.path))
             .collect::<Vec<_>>()
+    );
+
+    let before = tree_snapshot(&fixture_root());
+    let first = run(&fixture_opts()).expect("fixture runs");
+    let second = run(&fixture_opts()).expect("fixture runs again");
+    assert_eq!(first.findings, second.findings);
+    assert_eq!(first.allowlisted, second.allowlisted);
+    assert_eq!(
+        tree_snapshot(&fixture_root()),
+        before,
+        "a run writes nothing"
     );
 }

@@ -43,8 +43,8 @@
 //! assert!(faults.is_clean());
 //! ```
 
-#![warn(clippy::unwrap_used)]
-#![cfg_attr(test, allow(clippy::unwrap_used))]
+#![warn(clippy::unwrap_used, clippy::expect_used)]
+#![cfg_attr(test, allow(clippy::unwrap_used, clippy::expect_used))]
 
 pub mod fault;
 pub mod manifest;
@@ -254,6 +254,10 @@ impl MapReduce {
                 })
                 .collect();
             for h in handles {
+                #[expect(
+                    clippy::expect_used,
+                    reason = "task panics are contained per task by catch_unwind; a failed scope join means the engine's own bookkeeping panicked, which is a bug to surface, not input to survive"
+                )]
                 let (buckets, faults) = h.join().expect("map worker panicked");
                 all_buckets.push(buckets);
                 map_faults.merge(faults);
@@ -296,6 +300,10 @@ impl MapReduce {
                 })
                 .collect();
             for h in handles {
+                #[expect(
+                    clippy::expect_used,
+                    reason = "task panics are contained per task by catch_unwind; a failed scope join means the engine's own bookkeeping panicked, which is a bug to surface, not input to survive"
+                )]
                 let (out, faults) = h.join().expect("reduce worker panicked");
                 output.extend(out);
                 reduce_faults.merge(faults);

@@ -40,6 +40,9 @@
 //! assert!(!trace.ground_truth.malicious_domains.is_empty());
 //! ```
 
+#![warn(clippy::unwrap_used, clippy::expect_used)]
+#![cfg_attr(test, allow(clippy::unwrap_used, clippy::expect_used))]
+
 pub mod adversarial;
 pub mod benign;
 pub mod corrupt;

@@ -45,8 +45,8 @@
 //! assert!(snapshot.to_json().contains("stage.whitelist.admitted"));
 //! ```
 
-#![warn(clippy::unwrap_used)]
-#![cfg_attr(test, allow(clippy::unwrap_used))]
+#![warn(clippy::unwrap_used, clippy::expect_used)]
+#![cfg_attr(test, allow(clippy::unwrap_used, clippy::expect_used))]
 
 pub mod clock;
 pub mod hist;

@@ -27,8 +27,8 @@
 //! only time source is the injectable clock, and the only randomness is
 //! the explicitly seeded jitter stream.
 
-#![warn(clippy::unwrap_used)]
-#![cfg_attr(test, allow(clippy::unwrap_used))]
+#![warn(clippy::unwrap_used, clippy::expect_used)]
+#![cfg_attr(test, allow(clippy::unwrap_used, clippy::expect_used))]
 
 pub mod admission;
 pub mod breaker;

@@ -29,6 +29,9 @@
 //! assert!(t.p_value > 0.05, "60 s should not be rejected as the true period");
 //! ```
 
+#![warn(clippy::unwrap_used, clippy::expect_used)]
+#![cfg_attr(test, allow(clippy::unwrap_used, clippy::expect_used))]
+
 pub mod describe;
 pub mod dist;
 pub mod entropy;

@@ -218,7 +218,12 @@ impl PeriodicityDetector {
     /// Like [`PeriodicityDetector::detect`] under an explicit, already
     /// armed [`ExecBudget`] (shared with a supervisor, e.g. the pipeline's
     /// window scheduler). [`DetectorConfig::budget`] is ignored in favour
-    /// of the handle.
+    /// of the handle. Work-unit charges approximate the FFT/EM cost: one
+    /// unit per series bin for the periodogram and the ACF, `n` per
+    /// permutation round, one per ACF lag scanned, `n·k` per EM iteration.
+    /// With an unlimited budget no checkpoint ever fires and the output —
+    /// including every RNG stream — is byte-identical to the unbudgeted
+    /// path.
     ///
     /// # Errors
     ///
@@ -232,13 +237,12 @@ impl PeriodicityDetector {
         with_thread_workspace(|ws| self.detect_budgeted_in(ws, timestamps, budget))
     }
 
-    /// Like [`PeriodicityDetector::detect_budgeted`] with an explicit
-    /// [`SpectralWorkspace`].
-    ///
-    /// # Errors
-    ///
-    /// Same as [`PeriodicityDetector::detect_budgeted`].
-    pub fn detect_budgeted_in(
+    /// Validates and bins the timestamps, runs the core, and accounts the
+    /// outcome here — outside the core — so `?`-propagated budget
+    /// exhaustion is still counted. All three FFT consumers — the
+    /// periodogram, the m permutation rounds and the ACF — share the
+    /// workspace's plan cache and scratch buffers.
+    fn detect_budgeted_in(
         &self,
         ws: &SpectralWorkspace,
         timestamps: &[u64],
@@ -257,60 +261,7 @@ impl PeriodicityDetector {
 
         let series = TimeSeries::from_timestamps(timestamps, self.config.time_scale)?
             .truncated(self.config.max_bins);
-        self.detect_series_budgeted_in(ws, &series, intervals, budget)
-    }
-
-    /// Runs the pipeline on a pre-binned series (used after rescaling,
-    /// §VII-B) with an explicit interval list.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`PeriodicityDetector::detect`], minus timestamp validation.
-    pub fn detect_series(
-        &self,
-        series: &TimeSeries,
-        intervals: Vec<f64>,
-    ) -> Result<DetectionReport, TimeSeriesError> {
-        with_thread_workspace(|ws| self.detect_series_in(ws, series, intervals))
-    }
-
-    /// Like [`PeriodicityDetector::detect_series`] with an explicit
-    /// [`SpectralWorkspace`]. All three FFT consumers — the periodogram,
-    /// the m permutation rounds and the ACF — share the workspace's plan
-    /// cache and scratch buffers.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`PeriodicityDetector::detect_series`].
-    pub fn detect_series_in(
-        &self,
-        ws: &SpectralWorkspace,
-        series: &TimeSeries,
-        intervals: Vec<f64>,
-    ) -> Result<DetectionReport, TimeSeriesError> {
-        self.detect_series_budgeted_in(ws, series, intervals, &self.config.budget.start())
-    }
-
-    /// Like [`PeriodicityDetector::detect_series_in`] under an explicit
-    /// [`ExecBudget`]. Work-unit charges approximate the FFT/EM cost: one
-    /// unit per series bin for the periodogram and the ACF, `n` per
-    /// permutation round, one per ACF lag scanned, `n·k` per EM iteration.
-    /// With an unlimited budget no checkpoint ever fires and the output —
-    /// including every RNG stream — is byte-identical to the unbudgeted
-    /// path.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`PeriodicityDetector::detect_series`], plus
-    /// [`TimeSeriesError::BudgetExhausted`].
-    pub fn detect_series_budgeted_in(
-        &self,
-        ws: &SpectralWorkspace,
-        series: &TimeSeries,
-        intervals: Vec<f64>,
-        budget: &ExecBudget,
-    ) -> Result<DetectionReport, TimeSeriesError> {
-        let result = self.detect_series_core(ws, series, intervals, budget);
+        let result = self.detect_series_core(ws, &series, intervals, budget);
         if let Some(obs) = &self.obs {
             obs.pairs_analyzed.inc();
             obs.series_bins.observe(series.len() as u64);
@@ -342,9 +293,7 @@ impl PeriodicityDetector {
         result
     }
 
-    /// The Step 1 → 2 → 3 core; [`PeriodicityDetector::detect_series_budgeted_in`]
-    /// wraps it to account outcomes so `?`-propagated budget exhaustion is
-    /// still counted.
+    /// The Step 1 → 2 → 3 core on a binned series with its interval list.
     fn detect_series_core(
         &self,
         ws: &SpectralWorkspace,
@@ -638,6 +587,10 @@ pub struct DetectorObs {
 impl DetectorObs {
     /// Registers the detector's metric families in `registry` and returns
     /// the handle bundle. Stage timings are read from `clock`.
+    #[expect(
+        clippy::expect_used,
+        reason = "bucket bounds are compile-time literal constants; failure is a programming error, not an input condition"
+    )]
     pub fn new(registry: &MetricsRegistry, clock: Arc<dyn Clock>) -> Self {
         let bins = Buckets::exponential(64, 4, 10).expect("static bucket layout is valid");
         let nanos = Buckets::exponential(1_000, 4, 12).expect("static bucket layout is valid");
@@ -858,12 +811,15 @@ mod tests {
     }
 
     #[test]
-    fn detect_series_after_rescale() {
+    fn rescaled_series_still_detects() {
+        // 30 s bins — the coarse `time_scale` path `MultiScaleScheduler`
+        // takes (§VII-B) — still recover a 120 s beacon.
         let ts: Vec<u64> = (0..200).map(|i| i * 120).collect();
-        let fine = TimeSeries::from_timestamps(&ts, 1).unwrap();
-        let coarse = fine.rescale(30).unwrap();
-        let intervals = intervals_of(&ts).unwrap();
-        let r = detector().detect_series(&coarse, intervals).unwrap();
+        let cfg = DetectorConfig {
+            time_scale: 30,
+            ..Default::default()
+        };
+        let r = PeriodicityDetector::new(cfg).detect(&ts).unwrap();
         assert!(r.is_periodic());
         assert!((r.best().unwrap().period - 120.0).abs() < 30.0);
     }
@@ -992,16 +948,18 @@ mod tests {
 
     #[test]
     fn non_finite_intervals_sanitized() {
-        // A caller (e.g. rescaled-summary path) may hand over an interval
-        // list polluted with NaN/∞; the detector must neither panic nor
-        // emit non-finite output.
+        // The core must neither panic on nor emit non-finite values from
+        // an interval list polluted with NaN/∞.
         let ts: Vec<u64> = (0..120).map(|i| 1_000 + i * 60).collect();
         let series = TimeSeries::from_timestamps(&ts, 1).unwrap();
         let mut intervals = intervals_of(&ts).unwrap();
         intervals.push(f64::NAN);
         intervals.push(f64::INFINITY);
         intervals.push(f64::NEG_INFINITY);
-        let r = detector().detect_series(&series, intervals).unwrap();
+        let ws = crate::workspace::SpectralWorkspace::new();
+        let r = detector()
+            .detect_series_core(&ws, &series, intervals, &ExecBudget::unlimited())
+            .unwrap();
         assert!(r.is_periodic());
         for c in &r.candidates {
             assert!(c.period.is_finite());

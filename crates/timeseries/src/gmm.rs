@@ -83,6 +83,10 @@ impl Gmm {
         let mut best = 0;
         let mut best_ll = f64::NEG_INFINITY;
         for (i, c) in self.components.iter().enumerate() {
+            #[expect(
+                clippy::expect_used,
+                reason = "std_dev is clamped to min_std (strictly positive) before every Normal::new; no fallback density exists"
+            )]
             let n = Normal::new(c.mean, c.std_dev).expect("component std floored positive");
             let ll = c.weight.max(f64::MIN_POSITIVE).ln() + n.ln_pdf(x);
             if ll > best_ll {
@@ -98,6 +102,10 @@ impl Gmm {
         self.components
             .iter()
             .map(|c| {
+                #[expect(
+                    clippy::expect_used,
+                    reason = "std_dev is clamped to min_std (strictly positive) before every Normal::new; no fallback density exists"
+                )]
                 let n = Normal::new(c.mean, c.std_dev).expect("component std floored positive");
                 c.weight * n.pdf(x)
             })
@@ -208,6 +216,10 @@ pub fn fit_gmm_budgeted(
         for (i, &x) in data.iter().enumerate() {
             let mut logs = vec![0.0f64; k];
             for j in 0..k {
+                #[expect(
+                    clippy::expect_used,
+                    reason = "std_dev is clamped to min_std (strictly positive) before every Normal::new; no fallback density exists"
+                )]
                 let nrm = Normal::new(means[j], stds[j]).expect("std floored positive");
                 logs[j] = weights[j].max(f64::MIN_POSITIVE).ln() + nrm.ln_pdf(x);
             }

@@ -47,6 +47,9 @@
 //! assert!((best.period - 60.0).abs() < 2.0, "period = {}", best.period);
 //! ```
 
+#![warn(clippy::unwrap_used, clippy::expect_used)]
+#![cfg_attr(test, allow(clippy::unwrap_used, clippy::expect_used))]
+
 pub mod acf;
 pub mod budget;
 pub mod detector;

@@ -119,7 +119,7 @@ pub fn permutation_threshold_in(
 /// # Errors
 ///
 /// Propagates configuration validation errors and budget exhaustion.
-pub fn permutation_threshold_budgeted(
+pub(crate) fn permutation_threshold_budgeted(
     ws: &SpectralWorkspace,
     series: &TimeSeries,
     config: &PermutationConfig,

@@ -17,6 +17,9 @@
 //! See `examples/quickstart.rs` for the five-minute tour and DESIGN.md for
 //! the system inventory.
 
+#![warn(clippy::unwrap_used, clippy::expect_used)]
+#![cfg_attr(test, allow(clippy::unwrap_used, clippy::expect_used))]
+
 pub use baywatch_classifier as classifier;
 pub use baywatch_core as core;
 pub use baywatch_langmodel as langmodel;

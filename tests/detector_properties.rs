@@ -17,7 +17,7 @@ use proptest::prelude::*;
 /// span that is not an integer multiple of the period, the strongest-k
 /// periodogram cut could retain only higher-harmonic lines, all of which
 /// pruning then (correctly) rejected as below the minimum interval; see
-/// the harmonic-crowding guard in `PeriodicityDetector::detect_series_in`.
+/// the harmonic-crowding guard (Step 1a) in `PeriodicityDetector::detect`.
 #[test]
 fn regression_clean_beacon_period_83_seed_6() {
     let detector = PeriodicityDetector::new(DetectorConfig::default());
