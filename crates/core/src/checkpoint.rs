@@ -11,22 +11,17 @@
 //!
 //! Floating-point fields are persisted as raw `f64::to_bits` integers, not
 //! decimal renderings, so a resumed run is *bit-identical* to the
-//! uninterrupted one: every power, period, and interval survives the round
-//! trip exactly, including negative zero and non-finite values.
-//!
-//! Two diagnostic `DetectionReport` fields are deliberately **not**
-//! persisted: `prune_decisions` and `interval_gmm` decode as empty/`None`.
-//! Downstream consumers (scoring, ranking, reporting) read only
-//! `candidates` and the scalar diagnostics; re-deriving the prune trail
-//! would mean re-running detection, which defeats the checkpoint.
+//! uninterrupted one: every power, period and score survives the round
+//! trip exactly, including negative zero and non-finite values. A hit row
+//! is filter 3's whole record — the summary and its candidate periods — so
+//! a decoded row equals the row that was encoded.
 
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 
 use baywatch_mapreduce::{fnv1a64, FaultPolicy};
 use baywatch_obs::json::{parse, JsonValue};
 use baywatch_obs::JsonWriter;
-use baywatch_timeseries::detector::{CandidatePeriod, DetectionReport};
-use baywatch_timeseries::BudgetSpec;
+use baywatch_timeseries::{BudgetSpec, CandidatePeriod};
 
 use crate::activity::ActivitySummary;
 use crate::jobs::DetectRow;
@@ -70,18 +65,6 @@ impl CheckpointSpec {
             abort_after_shards: None,
         }
     }
-
-    /// Builder-style toggle for [`resume`](Self::resume).
-    pub fn resuming(mut self) -> Self {
-        self.resume = true;
-        self
-    }
-
-    /// Builder-style setter for [`replay_budget`](Self::replay_budget).
-    pub fn with_replay_budget(mut self, budget: BudgetSpec) -> Self {
-        self.replay_budget = Some(budget);
-        self
-    }
 }
 
 /// Operational summary of the checkpoint machinery for one analysis run.
@@ -123,6 +106,16 @@ fn read_f64_bits(value: &JsonValue) -> Option<f64> {
     value.as_u64().map(f64::from_bits)
 }
 
+fn write_pair(w: &mut JsonWriter, pair: &CommunicationPair) {
+    w.raw("{");
+    w.key("destination");
+    w.string(&pair.destination);
+    w.key("source");
+    w.string(&pair.source);
+    w.raw("}");
+    w.end_value();
+}
+
 fn write_summary(w: &mut JsonWriter, summary: &ActivitySummary) {
     w.raw("{");
     w.key("first_timestamp");
@@ -135,13 +128,7 @@ fn write_summary(w: &mut JsonWriter, summary: &ActivitySummary) {
     w.raw("]");
     w.end_value();
     w.key("pair");
-    w.raw("{");
-    w.key("destination");
-    w.string(&summary.pair.destination);
-    w.key("source");
-    w.string(&summary.pair.source);
-    w.raw("}");
-    w.end_value();
+    write_pair(w, &summary.pair);
     w.key("scale");
     w.uint(summary.scale);
     w.key("url_tokens");
@@ -184,11 +171,9 @@ fn read_summary(value: &JsonValue) -> Option<ActivitySummary> {
     })
 }
 
-fn write_report(w: &mut JsonWriter, report: &DetectionReport) {
-    w.raw("{");
-    w.key("candidates");
+fn write_candidates(w: &mut JsonWriter, candidates: &[CandidatePeriod]) {
     w.raw("[");
-    for (i, c) in report.candidates.iter().enumerate() {
+    for (i, c) in candidates.iter().enumerate() {
         if i > 0 {
             w.raw(",");
         }
@@ -213,79 +198,22 @@ fn write_report(w: &mut JsonWriter, report: &DetectionReport) {
     }
     w.raw("]");
     w.end_value();
-    w.key("gmm_bics");
-    w.raw("[");
-    for &b in &report.gmm_bics {
-        w.uint(b.to_bits());
-    }
-    w.raw("]");
-    w.end_value();
-    w.key("gmm_converged");
-    match report.gmm_converged {
-        Some(true) => w.raw("true"),
-        Some(false) => w.raw("false"),
-        None => w.raw("null"),
-    }
-    w.end_value();
-    w.key("gmm_iterations");
-    w.uint(report.gmm_iterations as u64);
-    w.key("intervals");
-    w.raw("[");
-    for &iv in &report.intervals {
-        w.uint(iv.to_bits());
-    }
-    w.raw("]");
-    w.end_value();
-    w.key("power_threshold");
-    write_f64_bits(w, report.power_threshold);
-    w.key("raw_candidates");
-    w.uint(report.raw_candidates as u64);
-    w.raw("}");
-    w.end_value();
 }
 
-fn read_report(value: &JsonValue) -> Option<DetectionReport> {
-    let mut candidates = Vec::new();
-    for c in value.get("candidates")?.as_array()? {
-        let p_value = match c.get("p_value")? {
-            JsonValue::Null => None,
-            other => Some(read_f64_bits(other)?),
-        };
-        candidates.push(CandidatePeriod {
+fn read_candidates(value: &JsonValue) -> Option<Vec<CandidatePeriod>> {
+    let read_one = |c: &JsonValue| {
+        Some(CandidatePeriod {
             frequency: read_f64_bits(c.get("frequency")?)?,
             period: read_f64_bits(c.get("period")?)?,
             power: read_f64_bits(c.get("power")?)?,
             acf_score: read_f64_bits(c.get("acf_score")?)?,
-            p_value,
-        });
-    }
-    let gmm_bics = value
-        .get("gmm_bics")?
-        .as_array()?
-        .iter()
-        .map(read_f64_bits)
-        .collect::<Option<Vec<f64>>>()?;
-    let intervals = value
-        .get("intervals")?
-        .as_array()?
-        .iter()
-        .map(read_f64_bits)
-        .collect::<Option<Vec<f64>>>()?;
-    let gmm_converged = match value.get("gmm_converged")? {
-        JsonValue::Null => None,
-        other => Some(other.as_bool()?),
+            p_value: match c.get("p_value")? {
+                JsonValue::Null => None,
+                other => Some(read_f64_bits(other)?),
+            },
+        })
     };
-    Some(DetectionReport {
-        candidates,
-        power_threshold: read_f64_bits(value.get("power_threshold")?)?,
-        raw_candidates: usize::try_from(value.get("raw_candidates")?.as_u64()?).ok()?,
-        prune_decisions: Vec::new(),
-        interval_gmm: None,
-        gmm_bics,
-        gmm_iterations: usize::try_from(value.get("gmm_iterations")?.as_u64()?).ok()?,
-        gmm_converged,
-        intervals,
-    })
+    value.as_array()?.iter().map(read_one).collect()
 }
 
 /// Renders a shard's detection rows as a JSON array (checkpoint payload).
@@ -299,34 +227,22 @@ pub fn encode_rows(rows: &[DetectRow]) -> String {
         w.raw("{");
         w.key("kind");
         match row {
-            DetectRow::Hit(hit) => {
+            DetectRow::Hit((summary, candidates)) => {
                 w.string("hit");
-                w.key("report");
-                write_report(&mut w, &hit.1);
+                w.key("candidates");
+                write_candidates(&mut w, candidates);
                 w.key("summary");
-                write_summary(&mut w, &hit.0);
+                write_summary(&mut w, summary);
             }
             DetectRow::Quiet(pair) => {
                 w.string("quiet");
                 w.key("pair");
-                w.raw("{");
-                w.key("destination");
-                w.string(&pair.destination);
-                w.key("source");
-                w.string(&pair.source);
-                w.raw("}");
-                w.end_value();
+                write_pair(&mut w, pair);
             }
             DetectRow::TimedOut(pair) => {
                 w.string("timed_out");
                 w.key("pair");
-                w.raw("{");
-                w.key("destination");
-                w.string(&pair.destination);
-                w.key("source");
-                w.string(&pair.source);
-                w.raw("}");
-                w.end_value();
+                write_pair(&mut w, pair);
             }
         }
         w.raw("}");
@@ -341,10 +257,10 @@ pub fn decode_rows(text: &str) -> Option<Vec<DetectRow>> {
     let mut rows = Vec::new();
     for item in doc.as_array()? {
         let row = match item.get("kind")?.as_str()? {
-            "hit" => DetectRow::Hit(Box::new((
+            "hit" => DetectRow::Hit((
                 read_summary(item.get("summary")?)?,
-                read_report(item.get("report")?)?,
-            ))),
+                read_candidates(item.get("candidates")?)?,
+            )),
             "quiet" => DetectRow::Quiet(read_pair(item.get("pair")?)?),
             "timed_out" => DetectRow::TimedOut(read_pair(item.get("pair")?)?),
             _ => return None,
@@ -423,13 +339,6 @@ pub fn plan_shards(
         .collect()
 }
 
-/// `true` when `dir` holds a manifest from a previous (possibly
-/// interrupted) run — used by CLI front-ends to decide whether `--resume`
-/// has anything to resume.
-pub fn has_manifest(dir: &Path) -> bool {
-    dir.join("run_manifest.json").is_file()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -447,63 +356,49 @@ mod tests {
         }
     }
 
-    fn report() -> DetectionReport {
-        DetectionReport {
-            candidates: vec![
-                CandidatePeriod {
-                    frequency: 1.0 / 60.0,
-                    period: 60.0,
-                    power: 12.5,
-                    acf_score: 0.91,
-                    p_value: Some(0.003),
-                },
-                CandidatePeriod {
-                    frequency: f64::from_bits(0x3FF0_0000_0000_0001),
-                    period: -0.0,
-                    power: 1e-300,
-                    acf_score: f64::NAN,
-                    p_value: None,
-                },
-            ],
-            power_threshold: 7.25,
-            raw_candidates: 4,
-            prune_decisions: Vec::new(),
-            interval_gmm: None,
-            gmm_bics: vec![-310.5, f64::INFINITY],
-            gmm_iterations: 17,
-            gmm_converged: Some(false),
-            intervals: vec![60.0, 61.0, 62.0],
-        }
+    fn candidates() -> Vec<CandidatePeriod> {
+        vec![
+            CandidatePeriod {
+                frequency: 1.0 / 60.0,
+                period: 60.0,
+                power: 12.5,
+                acf_score: 0.91,
+                p_value: Some(0.003),
+            },
+            CandidatePeriod {
+                frequency: f64::from_bits(0x3FF0_0000_0000_0001),
+                period: -0.0,
+                power: 1e-300,
+                acf_score: f64::NAN,
+                p_value: None,
+            },
+        ]
     }
 
     #[test]
     fn rows_round_trip_bit_exactly() {
         let rows = vec![
-            DetectRow::Hit(Box::new((summary("h1", "evil.test", 5), report()))),
+            DetectRow::Hit((summary("h1", "evil.test", 5), candidates())),
             DetectRow::Quiet(CommunicationPair::new("h2", "quiet.test")),
             DetectRow::TimedOut(CommunicationPair::new("h3", "slow.test")),
         ];
         let encoded = encode_rows(&rows);
         let decoded = decode_rows(&encoded).expect("payload parses");
         assert_eq!(decoded.len(), 3);
-        match (&rows[0], &decoded[0]) {
-            (DetectRow::Hit(a), DetectRow::Hit(b)) => {
-                assert_eq!(a.0, b.0);
-                assert_eq!(b.1.candidates.len(), 2);
-                // Bit-exact floats, including NaN / -0.0 / subnormal range.
-                for (ca, cb) in a.1.candidates.iter().zip(&b.1.candidates) {
+        match &decoded[0] {
+            DetectRow::Hit((restored, found)) => {
+                assert_eq!(*restored, summary("h1", "evil.test", 5));
+                assert_eq!(found.len(), 2);
+                assert_eq!(found[0], candidates()[0]);
+                // Bit-exact floats, including NaN / -0.0 / subnormal range
+                // (`==` on the rows would reject the NaN it must preserve).
+                for (ca, cb) in candidates().iter().zip(found) {
                     assert_eq!(ca.frequency.to_bits(), cb.frequency.to_bits());
                     assert_eq!(ca.period.to_bits(), cb.period.to_bits());
                     assert_eq!(ca.power.to_bits(), cb.power.to_bits());
                     assert_eq!(ca.acf_score.to_bits(), cb.acf_score.to_bits());
                     assert_eq!(ca.p_value.map(f64::to_bits), cb.p_value.map(f64::to_bits));
                 }
-                assert_eq!(a.1.power_threshold.to_bits(), b.1.power_threshold.to_bits());
-                assert_eq!(a.1.gmm_converged, b.1.gmm_converged);
-                assert_eq!(
-                    a.1.gmm_bics.iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
-                    b.1.gmm_bics.iter().map(|x| x.to_bits()).collect::<Vec<_>>()
-                );
             }
             other => panic!("row 0 mismatch: {other:?}"),
         }
@@ -525,6 +420,12 @@ mod tests {
         assert!(decode_rows("not json").is_none());
         assert!(decode_rows("{}").is_none());
         assert!(decode_rows("[{\"kind\":\"mystery\"}]").is_none());
+        // The previous hit-row format (a `report` object, no `candidates`
+        // key), as PR 16's `encode_rows` printed it, is refused, so a
+        // resume re-executes the shard.
+        let parent_format = include_str!("../testdata/pr16_hit_row.json");
+        assert!(parse(parent_format).is_ok(), "refused for its shape");
+        assert!(decode_rows(parent_format).is_none());
         assert!(decode_summaries("[{\"pair\":{}}]").is_none());
     }
 

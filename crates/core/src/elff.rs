@@ -17,7 +17,7 @@
 
 use std::io::BufRead;
 
-use crate::io::{for_each_line, ParseLineError, ReadOutcome};
+use crate::io::{read_lenient, ElffLines, ParseLineError, ReadOutcome};
 use crate::record::LogRecord;
 
 /// Column roles the pipeline needs.
@@ -121,26 +121,7 @@ impl ElffParser {
 /// assert!(outcome.records[1].timestamp == outcome.records[0].timestamp + 3);
 /// ```
 pub fn read_elff<R: BufRead>(reader: R) -> std::io::Result<ReadOutcome> {
-    let mut outcome = ReadOutcome::default();
-    let mut parser = ElffParser::new();
-
-    for_each_line(reader, |trimmed, line_number| {
-        if trimmed.is_empty() {
-            return;
-        }
-        if let Some(fields) = trimmed.strip_prefix("#Fields:") {
-            parser.set_schema(fields);
-            return;
-        }
-        if trimmed.starts_with('#') {
-            return;
-        }
-        match parser.parse_data_line(trimmed, line_number) {
-            Ok(r) => outcome.records.push(r),
-            Err(e) => outcome.note_error(e),
-        }
-    })?;
-    Ok(outcome)
+    read_lenient(reader, ElffLines(ElffParser::new()))
 }
 
 fn parse_record(

@@ -125,12 +125,22 @@ impl ReadOutcome {
 /// assert_eq!(outcome.records[0].domain, "example.com");
 /// ```
 pub fn read_records<R: BufRead>(reader: R) -> std::io::Result<ReadOutcome> {
+    read_lenient(reader, TabLines)
+}
+
+/// The unguarded reader behind [`read_records`] and
+/// [`read_elff`](crate::elff::read_elff): every data line of `format` is
+/// parsed, and a line that fails is counted instead of ending the stream.
+pub(crate) fn read_lenient<R: BufRead>(
+    reader: R,
+    mut format: impl LineFormat,
+) -> std::io::Result<ReadOutcome> {
     let mut outcome = ReadOutcome::default();
     for_each_line(reader, |trimmed, line_number| {
-        if trimmed.is_empty() || trimmed.starts_with('#') {
+        if !format.classify(trimmed) {
             return;
         }
-        match parse_line(trimmed, line_number) {
+        match format.parse(trimmed, line_number) {
             Ok(r) => outcome.records.push(r),
             Err(e) => outcome.note_error(e),
         }
@@ -144,7 +154,7 @@ pub fn read_records<R: BufRead>(reader: R) -> std::io::Result<ReadOutcome> {
 /// Lines are split byte-wise on `\n` into a single reused buffer, so
 /// invalid UTF-8 degrades to a malformed line (via the lossy conversion)
 /// instead of killing the whole stream.
-pub(crate) fn for_each_line<R: BufRead>(
+fn for_each_line<R: BufRead>(
     mut reader: R,
     mut visit: impl FnMut(&str, usize),
 ) -> std::io::Result<()> {
@@ -359,11 +369,12 @@ impl IngestGuard {
     }
 }
 
-/// A line format the guard can meter. Directive handling (side-effecting
-/// schema state) is separated from record parsing so the breaker's
-/// admission decision sits between them: rejected lines are never parsed,
-/// but schema directives are always consumed.
-trait LineFormat {
+/// A log format's line rules, stated once for the plain and the guarded
+/// readers. Directive handling (side-effecting schema state) is separated
+/// from record parsing so the breaker's admission decision sits between
+/// them: rejected lines are never parsed, but schema directives are always
+/// consumed.
+pub(crate) trait LineFormat {
     /// Consumes blank/directive lines; returns whether the line is a data
     /// line that must pass admission.
     fn classify(&mut self, trimmed: &str) -> bool;
@@ -385,7 +396,7 @@ impl LineFormat for TabLines {
 }
 
 /// W3C ELFF with stateful `#Fields:` schema tracking.
-struct ElffLines(ElffParser);
+pub(crate) struct ElffLines(pub(crate) ElffParser);
 
 impl LineFormat for ElffLines {
     fn classify(&mut self, trimmed: &str) -> bool {

@@ -14,7 +14,8 @@
 //! * **Beaconing detection** (§VII-D), [`detect_beaconing`] and its
 //!   durable form [`detect_beaconing_checkpointed`]: run the periodicity
 //!   detector per pair in the reduce step; summaries are shuffled by
-//!   reference and cloned only into a [`DetectRow::Hit`].
+//!   reference and cloned only into a [`DetectRow::Hit`], the paper's
+//!   `⟨AS, CP⟩` record.
 //!
 //! (Destination popularity, §VII-C, lives in [`crate::popularity`]; ranking,
 //! §VII-E, in [`crate::rank`].)
@@ -33,8 +34,8 @@ use baywatch_mapreduce::{
     CheckpointedRun, DlqEntry, DlqReason, FaultPlan, FaultPolicy, FaultReport, MapReduce,
     ShardedOutcome,
 };
-use baywatch_timeseries::detector::{DetectionReport, PeriodicityDetector};
-use baywatch_timeseries::{BudgetSpec, TimeSeriesError};
+use baywatch_timeseries::detector::PeriodicityDetector;
+use baywatch_timeseries::{BudgetSpec, CandidatePeriod, TimeSeriesError};
 
 use crate::activity::ActivitySummary;
 use crate::pair::CommunicationPair;
@@ -165,10 +166,10 @@ pub fn rescale_and_merge(
 }
 
 /// What one budgeted detection run concluded about a pair's series.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub(crate) enum Verdict {
-    /// At least one verified candidate period.
-    Periodic(DetectionReport),
+    /// At least one verified candidate period, strongest first.
+    Periodic(Vec<CandidatePeriod>),
     /// Analyzed and not periodic — including series the detector refuses
     /// outright (too few events, zero span, …): "not a beacon candidate".
     Quiet,
@@ -186,7 +187,7 @@ pub(crate) fn detect_verdict(
     pair_budget: &BudgetSpec,
 ) -> Verdict {
     match detector.detect_budgeted(timestamps, &pair_budget.start()) {
-        Ok(report) if report.is_periodic() => Verdict::Periodic(report),
+        Ok(report) if report.is_periodic() => Verdict::Periodic(report.candidates),
         Ok(_) => Verdict::Quiet,
         Err(TimeSeriesError::BudgetExhausted) => Verdict::TimedOut,
         Err(_) => Verdict::Quiet,
@@ -196,8 +197,9 @@ pub(crate) fn detect_verdict(
 /// One output row of the detection jobs.
 #[derive(Debug, Clone, PartialEq)]
 pub enum DetectRow {
-    /// A pair with at least one verified candidate period.
-    Hit(Box<(ActivitySummary, DetectionReport)>),
+    /// A pair with at least one verified candidate period: the paper's
+    /// `⟨AS, CP⟩` — the activity summary and its candidate periods.
+    Hit((ActivitySummary, Vec<CandidatePeriod>)),
     /// A pair whose detection exhausted its per-pair execution budget
     /// before completing; no verdict was reached.
     TimedOut(CommunicationPair),
@@ -212,7 +214,7 @@ impl DetectRow {
     /// The communication pair this row is about.
     pub fn pair(&self) -> &CommunicationPair {
         match self {
-            DetectRow::Hit(hit) => &hit.0.pair,
+            DetectRow::Hit((summary, _)) => &summary.pair,
             DetectRow::TimedOut(pair) | DetectRow::Quiet(pair) => pair,
         }
     }
@@ -251,8 +253,8 @@ fn detect_group(
     let mut timed_out = false;
     for summary in group {
         match detect_verdict(detector, &summary.timestamps(), pair_budget) {
-            Verdict::Periodic(report) => {
-                out.push(DetectRow::Hit(Box::new(((*summary).clone(), report))));
+            Verdict::Periodic(candidates) => {
+                out.push(DetectRow::Hit(((*summary).clone(), candidates)));
             }
             Verdict::TimedOut if !timed_out => {
                 out.push(DetectRow::TimedOut(pair.clone()));
@@ -431,7 +433,7 @@ mod tests {
     fn detect(
         summaries: &[ActivitySummary],
         plan: Option<&FaultPlan>,
-    ) -> (Vec<(ActivitySummary, DetectionReport)>, FaultReport) {
+    ) -> (crate::funnel::Hits, FaultReport) {
         let detector = PeriodicityDetector::new(DetectorConfig::default());
         let (rows, report) = detect_beaconing(
             &engine(),
@@ -444,7 +446,7 @@ mod tests {
         let hits = rows
             .into_iter()
             .filter_map(|row| match row {
-                DetectRow::Hit(hit) => Some(*hit),
+                DetectRow::Hit(hit) => Some(hit),
                 DetectRow::TimedOut(_) | DetectRow::Quiet(_) => None,
             })
             .collect();
@@ -641,7 +643,7 @@ mod tests {
         assert!(report.is_clean());
         assert_eq!(hits.len(), 1);
         assert_eq!(hits[0].0.pair.destination, "evil.com");
-        assert!((hits[0].1.best().unwrap().period - 60.0).abs() < 3.0);
+        assert!((hits[0].1[0].period - 60.0).abs() < 3.0);
     }
 
     #[test]
@@ -649,6 +651,54 @@ mod tests {
         let records = beacon_records("a", "x.com", 60, 3); // below min_events
         let (hits, _) = detect(&extract(&records, 1), None);
         assert!(hits.is_empty());
+    }
+
+    #[test]
+    fn batch_and_stream_share_one_verdict_mapping() {
+        let beacon: Vec<u64> = (0..100).map(|i| 10_000 + i * 60).collect();
+        let too_few = beacon[..3].to_vec();
+        let one_op = BudgetSpec {
+            max_ops: Some(1),
+            ..Default::default()
+        };
+        for (timestamps, budget, expect_periodic, expect_timeout) in [
+            (&beacon, BudgetSpec::UNLIMITED, true, false),
+            (&too_few, BudgetSpec::UNLIMITED, false, false),
+            (&beacon, one_op, false, true),
+        ] {
+            let detector = PeriodicityDetector::new(DetectorConfig {
+                budget,
+                ..Default::default()
+            });
+
+            // What a stream tick calls on a stale pair's quantized ring.
+            let direct = detect_verdict(&detector, timestamps, &budget);
+
+            let records: Vec<LogRecord> = timestamps
+                .iter()
+                .map(|&t| LogRecord::new(t, "h", "d.test", "a1b2c3"))
+                .collect();
+            let summary = ActivitySummary::from_records(&records, 1).unwrap();
+            let (rows, faults) = detect_beaconing(
+                &MapReduce::default(),
+                std::slice::from_ref(&summary),
+                &detector,
+                budget,
+                None,
+                &FaultPolicy::default(),
+            );
+            assert!(faults.is_clean());
+            assert_eq!(rows.len(), 1);
+
+            match (direct, &rows[0]) {
+                (Verdict::Periodic(candidates), DetectRow::Hit(hit)) if expect_periodic => {
+                    assert_eq!(*hit, (summary, candidates));
+                }
+                (Verdict::Quiet, DetectRow::Quiet(_)) if !expect_periodic && !expect_timeout => {}
+                (Verdict::TimedOut, DetectRow::TimedOut(_)) if expect_timeout => {}
+                other => panic!("callers disagree or verdict unexpected: {other:?}"),
+            }
+        }
     }
 
     #[test]
@@ -721,9 +771,9 @@ mod tests {
         let mut timed_out = Vec::new();
         for row in rows_under_ops_ceiling(&extract(&records, 1), 500_000) {
             match row {
-                DetectRow::Hit(hit) => {
+                DetectRow::Hit((summary, _)) => {
                     hits += 1;
-                    assert_eq!(hit.0.pair.destination, "evil.com");
+                    assert_eq!(summary.pair.destination, "evil.com");
                 }
                 DetectRow::TimedOut(pair) => timed_out.push(pair),
                 DetectRow::Quiet(_) => {}

@@ -860,7 +860,7 @@ impl Detected {
             match row {
                 jobs::DetectRow::Hit(hit) => {
                     verdicts += 1;
-                    self.hits.push((hit.0, hit.1.candidates));
+                    self.hits.push(hit);
                 }
                 jobs::DetectRow::Quiet(_) => verdicts += 1,
                 jobs::DetectRow::TimedOut(pair) => {
@@ -934,13 +934,19 @@ mod tests {
         beacon(&mut records, "host", "google.com", 60, 100); // whitelisted
         beacon(&mut records, "host", "qzkxwv.com", 60, 100);
         let mut engine = Baywatch::new(quiet_config());
-        let report = engine.analyze(records);
+        let report = engine.analyze(records.clone());
         assert_eq!(report.stats.pairs, 2);
         assert_eq!(report.stats.after_global_whitelist, 1);
         assert!(report
             .ranked
             .iter()
             .all(|c| c.case.pair.destination != "google.com"));
+
+        // An organisation's own entry takes the other pair out as well.
+        engine.global_whitelist_mut().insert("qzkxwv.com");
+        let report = engine.analyze(records);
+        assert_eq!(report.stats.pairs, 2);
+        assert_eq!(report.stats.after_global_whitelist, 0);
     }
 
     #[test]

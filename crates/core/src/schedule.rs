@@ -16,8 +16,8 @@
 use std::collections::BTreeMap;
 
 use baywatch_mapreduce::{FaultPolicy, MapReduce};
-use baywatch_timeseries::detector::{DetectionReport, DetectorConfig, PeriodicityDetector};
-use baywatch_timeseries::BudgetSpec;
+use baywatch_timeseries::detector::{DetectorConfig, PeriodicityDetector};
+use baywatch_timeseries::{BudgetSpec, CandidatePeriod};
 
 use crate::activity::ActivitySummary;
 use crate::jobs;
@@ -167,8 +167,15 @@ pub struct TierDetection {
     pub tier: &'static str,
     /// The communication pair.
     pub pair: CommunicationPair,
-    /// The detector's report.
-    pub report: DetectionReport,
+    /// The verified candidate periods, strongest first (never empty).
+    pub candidates: Vec<CandidatePeriod>,
+}
+
+impl TierDetection {
+    /// The strongest candidate period.
+    pub fn best(&self) -> Option<&CandidatePeriod> {
+        self.candidates.first()
+    }
 }
 
 /// Multi-scale scheduler: feed it one day of records at a time; it keeps
@@ -302,14 +309,11 @@ impl MultiScaleScheduler {
             );
             for row in rows {
                 match row {
-                    jobs::DetectRow::Hit(hit) => {
-                        let (summary, report) = *hit;
-                        out.push(TierDetection {
-                            tier: tier.name,
-                            pair: summary.pair,
-                            report,
-                        });
-                    }
+                    jobs::DetectRow::Hit((summary, candidates)) => out.push(TierDetection {
+                        tier: tier.name,
+                        pair: summary.pair,
+                        candidates,
+                    }),
                     jobs::DetectRow::TimedOut(_) => timed_out += 1,
                     jobs::DetectRow::Quiet(_) => {}
                 }
@@ -335,8 +339,8 @@ impl MultiScaleScheduler {
                 let better = best
                     .get(&key)
                     .map(|old| {
-                        det.report.best().map(|c| c.acf_score).unwrap_or(0.0)
-                            > old.report.best().map(|c| c.acf_score).unwrap_or(0.0)
+                        det.best().map(|c| c.acf_score).unwrap_or(0.0)
+                            > old.best().map(|c| c.acf_score).unwrap_or(0.0)
                     })
                     .unwrap_or(true);
                 if better {

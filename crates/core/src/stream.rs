@@ -9,11 +9,11 @@
 //!
 //! * **State layout** — one `PairState` per communication pair: a
 //!   fixed-capacity [`TimestampRing`] of distinct raw timestamps with
-//!   multiplicities (plus its interval sketch), the pair's URL tokens
-//!   tagged with the last tick each was seen, a cached detection verdict
-//!   keyed to the ring's mutation version, and bookkeeping (last-seen
-//!   tick, byte cost). Every map that is iterated is a `BTreeMap` or
-//!   `BTreeSet` — iteration order is part of the determinism contract.
+//!   multiplicities, the pair's URL tokens tagged with the last tick each
+//!   was seen, a cached detection verdict keyed to the ring's mutation
+//!   version, and bookkeeping (last-seen tick, byte cost). Every map that
+//!   is iterated is a `BTreeMap` or `BTreeSet` — iteration order is part
+//!   of the determinism contract.
 //! * **Tick semantics** — time advances in fixed ticks
 //!   ([`ScheduleSpec`]); events are buffered within the current tick
 //!   (intra-tick arrival order is irrelevant: the buffer is folded and
@@ -60,7 +60,7 @@ use std::sync::Arc;
 use baywatch_obs::{Clock, ManualClock, MetricsRegistry, MetricsSnapshot};
 use baywatch_resilience::{AdmissionConfig, AdmissionController, AdmissionDecision};
 use baywatch_timeseries::detector::PeriodicityDetector;
-use baywatch_timeseries::{CandidatePeriod, TimestampRing};
+use baywatch_timeseries::TimestampRing;
 
 use crate::activity::ActivitySummary;
 use crate::funnel::{Funnel, Hits};
@@ -243,17 +243,6 @@ impl StreamLedger {
     }
 }
 
-/// Cached periodicity verdict for one pair at one ring version.
-#[derive(Debug, Clone)]
-enum PairVerdict {
-    /// Verified periodic, with the detector's candidate periods.
-    Periodic(Vec<CandidatePeriod>),
-    /// Analyzed and not periodic (includes too-few-events/zero-span).
-    Quiet,
-    /// The per-pair execution budget cut the analysis off.
-    TimedOut,
-}
-
 /// Bounded per-pair streaming state.
 #[derive(Debug)]
 struct PairState {
@@ -263,7 +252,8 @@ struct PairState {
     tokens: BTreeMap<String, u64>,
     /// Bumped on every ring mutation; verdicts cache against it.
     version: u64,
-    verdict: Option<(u64, PairVerdict)>,
+    /// Filter 3's verdict and the ring version it was reached at.
+    verdict: Option<(u64, Verdict)>,
     last_seen_tick: u64,
     /// Whether the destination is on the global whitelist (filter 1),
     /// computed once at admission.
@@ -483,12 +473,6 @@ impl StreamingHunt {
     /// (`stream.*` counters and gauges, detector instruments).
     pub fn metrics_snapshot(&self) -> MetricsSnapshot {
         self.metrics.snapshot()
-    }
-
-    /// Whether the admission controller is currently degrading or
-    /// rejecting.
-    pub fn is_under_pressure(&self) -> bool {
-        self.admission.is_elevated()
     }
 
     /// Records pairs as already reported: they stop being novel for all
@@ -939,9 +923,10 @@ impl StreamingHunt {
         // workspace reuses FFT plans across pairs *and* across ticks. Only
         // a periodic pair's window is materialised as a summary.
         let funnel = &self.funnel;
+        let pair_budget = &self.config.pipeline.detector.budget;
         let mut stats = FilterStats::default();
         let (mut events, mut runs, mut cached) = (0u64, 0u64, 0u64);
-        let mut refreshed: Vec<(CommunicationPair, PairVerdict)> = Vec::new();
+        let mut refreshed: Vec<(CommunicationPair, Verdict)> = Vec::new();
         let mut hits: Hits = Vec::new();
         for (pair, state) in &self.pairs {
             events += state.ring.events();
@@ -959,17 +944,20 @@ impl StreamingHunt {
                 state.verdict.as_ref().map(|(_, verdict)| verdict)
             } else {
                 runs += 1;
-                let verdict = detect_pair(&self.detector, &self.config.pipeline, &state.ring);
+                // The batch jobs' own entry point on the same timestamps
+                // extraction would produce: the verdict *is* the batch one.
+                let timestamps = quantized(&state.ring, scale);
+                let verdict = jobs::detect_verdict(&self.detector, &timestamps, pair_budget);
                 refreshed.push((pair.clone(), verdict));
                 refreshed.last().map(|(_, verdict)| verdict)
             };
             match verdict {
-                Some(PairVerdict::Periodic(candidates)) => hits.push((
+                Some(Verdict::Periodic(candidates)) => hits.push((
                     state.summary(pair, scale, first_window_tick),
                     candidates.clone(),
                 )),
-                Some(PairVerdict::TimedOut) => stats.timed_out_pairs += 1,
-                Some(PairVerdict::Quiet) | None => {}
+                Some(Verdict::TimedOut) => stats.timed_out_pairs += 1,
+                Some(Verdict::Quiet) | None => {}
             }
         }
         stats.events = events as usize;
@@ -998,22 +986,6 @@ fn quantized(ring: &TimestampRing, scale: u64) -> Vec<u64> {
     ring.entries()
         .map(|e| e.timestamp / scale * scale)
         .collect()
-}
-
-/// One detection run over a pair's ring: quantized timestamps through the
-/// batch jobs' own [`jobs::detect_verdict`], so the streaming verdict *is*
-/// the batch verdict.
-fn detect_pair(
-    detector: &PeriodicityDetector,
-    pipeline: &BaywatchConfig,
-    ring: &TimestampRing,
-) -> PairVerdict {
-    let timestamps = quantized(ring, pipeline.time_scale);
-    match jobs::detect_verdict(detector, &timestamps, &pipeline.detector.budget) {
-        Verdict::Periodic(report) => PairVerdict::Periodic(report.candidates),
-        Verdict::Quiet => PairVerdict::Quiet,
-        Verdict::TimedOut => PairVerdict::TimedOut,
-    }
 }
 
 /// FNV-1a 64-bit fingerprint of a pair key (source NUL destination).
@@ -1404,67 +1376,6 @@ mod tests {
         hunt.commit_reported([CommunicationPair::new("beacon", "qwzkrvbplm.test")]);
         let after = hunt.finish().unwrap();
         assert_eq!(after.stats.after_novelty, 0, "committed pair is not novel");
-    }
-
-    #[test]
-    fn batch_and_stream_share_one_verdict_mapping() {
-        use crate::activity::ActivitySummary;
-        use crate::jobs::DetectRow;
-        use baywatch_mapreduce::{FaultPolicy, MapReduce};
-        use baywatch_timeseries::BudgetSpec;
-
-        let beacon: Vec<u64> = (0..100).map(|i| 10_000 + i * 60).collect();
-        let too_few = beacon[..3].to_vec();
-        let one_op = BudgetSpec {
-            max_ops: Some(1),
-            ..Default::default()
-        };
-        for (timestamps, budget, expect_periodic, expect_timeout) in [
-            (&beacon, BudgetSpec::UNLIMITED, true, false),
-            (&too_few, BudgetSpec::UNLIMITED, false, false),
-            (&beacon, one_op, false, true),
-        ] {
-            let mut pipeline = BaywatchConfig::default();
-            pipeline.detector.budget = budget;
-            let detector = PeriodicityDetector::new(pipeline.detector.clone());
-
-            let direct = jobs::detect_verdict(&detector, timestamps, &budget);
-
-            let mut ring = TimestampRing::new(timestamps.len());
-            let batch: Vec<(u64, u32)> = timestamps.iter().map(|&t| (t, 1)).collect();
-            ring.append_batch(&batch);
-            let streamed = detect_pair(&detector, &pipeline, &ring);
-
-            let records: Vec<LogRecord> = timestamps
-                .iter()
-                .map(|&t| record(t, "h", "d.test"))
-                .collect();
-            let summary = ActivitySummary::from_records(&records, 1).unwrap();
-            let (rows, faults) = jobs::detect_beaconing(
-                &MapReduce::default(),
-                &[summary],
-                &detector,
-                budget,
-                None,
-                &FaultPolicy::default(),
-            );
-            assert!(faults.is_clean());
-            assert_eq!(rows.len(), 1);
-
-            match (direct, streamed, &rows[0]) {
-                (Verdict::Periodic(report), PairVerdict::Periodic(found), DetectRow::Hit(hit))
-                    if expect_periodic =>
-                {
-                    assert_eq!(found, report.candidates);
-                    assert_eq!(hit.1, report);
-                }
-                (Verdict::Quiet, PairVerdict::Quiet, DetectRow::Quiet(_))
-                    if !expect_periodic && !expect_timeout => {}
-                (Verdict::TimedOut, PairVerdict::TimedOut, DetectRow::TimedOut(_))
-                    if expect_timeout => {}
-                other => panic!("callers disagree or verdict unexpected: {other:?}"),
-            }
-        }
     }
 
     #[test]

@@ -97,12 +97,6 @@ pub struct FaultReport {
     pub timeout_samples: Vec<String>,
     /// Panic messages observed (bounded sample, deduplicated).
     pub panic_samples: Vec<String>,
-    /// Wall-clock time of the map phase.
-    pub map_elapsed: Duration,
-    /// Wall-clock time of the shuffle phase.
-    pub shuffle_elapsed: Duration,
-    /// Wall-clock time of the reduce phase.
-    pub reduce_elapsed: Duration,
 }
 
 impl FaultReport {
@@ -146,8 +140,8 @@ impl FaultReport {
     }
 
     /// Folds another report into this one (counters summed, sample lists
-    /// concatenated under the same bound, phase timings added). Used when a
-    /// pipeline chains several fault-tolerant jobs and wants one aggregate.
+    /// concatenated under the same bound). Used when a pipeline chains
+    /// several fault-tolerant jobs and wants one aggregate.
     pub fn absorb(&mut self, other: &FaultReport) {
         self.map_retries += other.map_retries;
         self.reduce_retries += other.reduce_retries;
@@ -163,9 +157,6 @@ impl FaultReport {
         extend_bounded(&mut self.key_samples, &other.key_samples);
         extend_bounded(&mut self.timeout_samples, &other.timeout_samples);
         extend_bounded(&mut self.panic_samples, &other.panic_samples);
-        self.map_elapsed += other.map_elapsed;
-        self.shuffle_elapsed += other.shuffle_elapsed;
-        self.reduce_elapsed += other.reduce_elapsed;
     }
 }
 
@@ -502,7 +493,6 @@ mod tests {
             map_retries: 1,
             quarantined_inputs: 2,
             input_samples: vec!["x".into()],
-            map_elapsed: Duration::from_millis(5),
             ..Default::default()
         };
         let b = FaultReport {
@@ -510,7 +500,6 @@ mod tests {
             quarantined_keys: 1,
             lost_values: 3,
             input_samples: vec!["y".into()],
-            map_elapsed: Duration::from_millis(7),
             ..Default::default()
         };
         a.absorb(&b);
@@ -521,7 +510,6 @@ mod tests {
         assert_eq!(a.quarantined_units(), 3);
         assert_eq!(a.skipped_records(), 5);
         assert_eq!(a.input_samples, vec!["x".to_owned(), "y".to_owned()]);
-        assert_eq!(a.map_elapsed, Duration::from_millis(12));
         assert!(!a.is_clean());
         assert!(FaultReport::default().is_clean());
     }

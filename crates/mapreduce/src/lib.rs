@@ -185,8 +185,7 @@ impl MapReduce {
     /// failing is quarantined together with its values; with
     /// [`FaultPolicy::task_deadline`] armed, stragglers are isolated and
     /// dropped the same way. The run always completes; the returned
-    /// [`FaultReport`] says what was retried, what was dropped, and how
-    /// long each phase took.
+    /// [`FaultReport`] says what was retried and what was dropped.
     ///
     /// Retries shape the signature: the reducer borrows the value group
     /// (`&[V]`) because a failed attempt must leave the data available for
@@ -238,7 +237,6 @@ impl MapReduce {
         // ---- Map phase: per-worker chunks, each slice resilient. ----
         // Each worker owns a vector of per-partition buckets; no locking on
         // the hot path.
-        let map_started = Instant::now();
         let mut all_buckets: Vec<Vec<Vec<(K, V)>>> = Vec::new();
         let mut map_faults = PhaseFaults::default();
         std::thread::scope(|scope| {
@@ -270,21 +268,17 @@ impl MapReduce {
         report.input_samples = map_faults.unit_samples;
         report.timeout_samples = map_faults.timeout_samples;
         report.panic_samples = map_faults.panic_samples;
-        report.map_elapsed = map_started.elapsed();
 
         // ---- Shuffle: merge per-worker buckets per partition. ----
-        let shuffle_started = Instant::now();
         let mut partitions: Vec<Vec<(K, V)>> = (0..n_partitions).map(|_| Vec::new()).collect();
         for worker_buckets in all_buckets {
             for (p, bucket) in worker_buckets.into_iter().enumerate() {
                 partitions[p].extend(bucket);
             }
         }
-        report.shuffle_elapsed = shuffle_started.elapsed();
 
         // ---- Reduce phase: partitions in parallel, keys resilient. ----
         // Handles are joined in partition order, which is the output order.
-        let reduce_started = Instant::now();
         let mut output = Vec::new();
         let mut reduce_faults = PhaseFaults::default();
         std::thread::scope(|scope| {
@@ -332,7 +326,6 @@ impl MapReduce {
                 report.panic_samples.push(msg);
             }
         }
-        report.reduce_elapsed = reduce_started.elapsed();
 
         if let Some(metrics) = &self.metrics {
             record_fault_metrics(metrics, &report);
@@ -635,9 +628,7 @@ where
     }
 }
 
-/// Folds a fault report into the attached registry. Counters only — the
-/// elapsed-time fields stay out so an attached registry remains safe to
-/// export in golden (byte-compared) snapshots.
+/// Folds a fault report's counters into the attached registry.
 fn record_fault_metrics(metrics: &MetricsRegistry, report: &FaultReport) {
     metrics.counter("mapreduce.jobs").inc();
     metrics

@@ -98,7 +98,6 @@ proptest! {
 }
 
 use baywatch_mapreduce::FaultReport;
-use std::time::Duration;
 
 /// Sample lists as the engine maintains them: deduplicated, bounded. Long
 /// enough (up to 15 each) that merging three reports can trip the 32-entry
@@ -120,14 +119,12 @@ fn arb_fault_report() -> impl Strategy<Value = FaultReport> {
         (0usize..100, 0usize..100, 0usize..100, 0usize..100),
         (0usize..100, 0usize..100, 0usize..100, 0usize..1000),
         (arb_samples(), arb_samples(), arb_samples(), arb_samples()),
-        (0u64..10_000, 0u64..10_000, 0u64..10_000),
     )
         .prop_map(
             |(
                 (map_retries, reduce_retries, quarantined_inputs, map_bisections),
                 (quarantined_keys, timed_out_inputs, timed_out_keys, lost_values),
                 (input_samples, key_samples, timeout_samples, panic_samples),
-                (map_us, shuffle_us, reduce_us),
             )| FaultReport {
                 map_retries,
                 reduce_retries,
@@ -141,9 +138,6 @@ fn arb_fault_report() -> impl Strategy<Value = FaultReport> {
                 key_samples,
                 timeout_samples,
                 panic_samples,
-                map_elapsed: Duration::from_micros(map_us),
-                shuffle_elapsed: Duration::from_micros(shuffle_us),
-                reduce_elapsed: Duration::from_micros(reduce_us),
                 ..FaultReport::default()
             },
         )
@@ -191,12 +185,6 @@ proptest! {
         );
         prop_assert_eq!(left.timed_out_keys, a.timed_out_keys + b.timed_out_keys + c.timed_out_keys);
         prop_assert_eq!(left.lost_values, a.lost_values + b.lost_values + c.lost_values);
-        prop_assert_eq!(left.map_elapsed, a.map_elapsed + b.map_elapsed + c.map_elapsed);
-        prop_assert_eq!(
-            left.shuffle_elapsed,
-            a.shuffle_elapsed + b.shuffle_elapsed + c.shuffle_elapsed
-        );
-        prop_assert_eq!(left.reduce_elapsed, a.reduce_elapsed + b.reduce_elapsed + c.reduce_elapsed);
 
         // The default report is the identity element.
         let mut with_identity = a.clone();

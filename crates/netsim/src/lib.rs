@@ -55,7 +55,6 @@ pub mod oracle;
 pub mod resilience;
 pub mod rngutil;
 pub mod synth;
-pub mod tracestats;
 pub mod types;
 
 pub use enterprise::{EnterpriseConfig, EnterpriseSimulator, Trace};

@@ -8,8 +8,8 @@
 //!   inter-arrival intervals,
 //! * **descriptive statistics** (mean, variance, percentiles) used throughout
 //!   the ranking and pruning filters,
-//! * **Shannon entropy** and **n-gram histograms** of symbolized interval
-//!   series, used as classifier features (§VI, Table II),
+//! * **Shannon entropy** of symbolized interval series, used as a
+//!   classifier feature (§VI, Table II),
 //! * the **Normal** and **Student-t** distributions backing the hypothesis
 //!   tests and the synthetic noise models of the evaluation (§VIII-A).
 //!
@@ -35,15 +35,12 @@
 pub mod describe;
 pub mod dist;
 pub mod entropy;
-pub mod histogram;
 pub mod special;
-pub mod streaming;
 pub mod ttest;
 
 pub use describe::{mean, percentile, std_dev, variance, Summary};
 pub use dist::{Normal, StudentsT};
 pub use entropy::shannon_entropy;
-pub use histogram::Histogram;
 pub use ttest::{one_sample_ttest, Alternative, TTestResult};
 
 /// Errors produced by statistical routines in this crate.

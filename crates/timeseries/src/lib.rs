@@ -67,7 +67,7 @@ pub use budget::{BudgetSpec, ExecBudget};
 pub use detector::{
     CandidatePeriod, DetectionReport, DetectorConfig, DetectorObs, PeriodicityDetector,
 };
-pub use ring::{IntervalSketch, RingEntry, RingPush, TimestampRing};
+pub use ring::{RingEntry, RingPush, TimestampRing};
 pub use series::{intervals_of, TimeSeries};
 pub use workspace::SpectralWorkspace;
 

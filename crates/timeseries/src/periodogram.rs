@@ -131,11 +131,6 @@ impl Periodogram {
         &self.lines
     }
 
-    /// Number of samples the spectrum was computed from.
-    pub fn sample_count(&self) -> usize {
-        self.n
-    }
-
     /// Sample spacing in seconds.
     pub fn dt(&self) -> f64 {
         self.dt

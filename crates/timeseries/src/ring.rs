@@ -13,12 +13,6 @@
 //! * **Bounded state** — capacity overflow drops the *oldest* entries
 //!   first and reports how many raw events went with them, so the caller
 //!   can account for the loss instead of silently diverging.
-//!
-//! An [`IntervalSketch`] rides along: O(1)-updated summary statistics of
-//! the inter-arrival intervals ever appended (count, min/max/sum and a
-//! log₂ histogram). It is a sketch of the *admission history*, not of the
-//! current window — front-evictions do not rewrite it — and is meant for
-//! cheap diagnostics and prioritization, never for verdicts.
 
 use std::collections::VecDeque;
 
@@ -41,57 +35,12 @@ pub struct RingPush {
     pub dropped_events: u64,
 }
 
-/// O(1)-updated summary of the inter-arrival intervals appended over the
-/// ring's lifetime. Monotone by design: retention and capacity eviction
-/// never subtract from it (that would cost O(n) per tick), so it reads as
-/// "what this pair's cadence has looked like since admission".
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct IntervalSketch {
-    /// Number of intervals observed.
-    pub observed: u64,
-    /// Sum of all observed intervals (seconds).
-    pub sum: u64,
-    /// Smallest observed interval; 0 only before anything was observed.
-    pub min: u64,
-    /// Largest observed interval.
-    pub max: u64,
-    /// Log₂ histogram: bucket `i` counts intervals in `[2^i, 2^(i+1))`,
-    /// with the last bucket absorbing everything larger.
-    pub log2_buckets: [u32; 16],
-}
-
-impl IntervalSketch {
-    fn observe(&mut self, interval: u64) {
-        if self.observed == 0 {
-            self.min = interval;
-            self.max = interval;
-        } else {
-            self.min = self.min.min(interval);
-            self.max = self.max.max(interval);
-        }
-        self.observed += 1;
-        self.sum += interval;
-        let bucket = (64 - u64::leading_zeros(interval.max(1)) - 1) as usize;
-        self.log2_buckets[bucket.min(self.log2_buckets.len() - 1)] += 1;
-    }
-
-    /// Mean observed interval, or `None` before any interval was seen.
-    pub fn mean(&self) -> Option<f64> {
-        if self.observed == 0 {
-            None
-        } else {
-            Some(self.sum as f64 / self.observed as f64)
-        }
-    }
-}
-
 /// A bounded, sorted window of distinct timestamps with multiplicities.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TimestampRing {
     entries: VecDeque<RingEntry>,
     capacity: usize,
     events: u64,
-    sketch: IntervalSketch,
 }
 
 impl TimestampRing {
@@ -104,7 +53,6 @@ impl TimestampRing {
             entries: VecDeque::with_capacity(capacity),
             capacity,
             events: 0,
-            sketch: IntervalSketch::default(),
         }
     }
 
@@ -138,11 +86,6 @@ impl TimestampRing {
         self.entries.back().map(|e| e.timestamp)
     }
 
-    /// The lifetime interval sketch.
-    pub fn sketch(&self) -> &IntervalSketch {
-        &self.sketch
-    }
-
     /// The retained entries, oldest first.
     pub fn entries(&self) -> impl Iterator<Item = &RingEntry> {
         self.entries.iter()
@@ -168,12 +111,9 @@ impl TimestampRing {
         let mut push = RingPush::default();
         for &(timestamp, multiplicity) in batch {
             let events = u64::from(multiplicity);
-            if let Some(last) = self.last_timestamp() {
-                if timestamp <= last {
-                    push.dropped_events += events;
-                    continue;
-                }
-                self.sketch.observe(timestamp - last);
+            if self.last_timestamp().is_some_and(|last| timestamp <= last) {
+                push.dropped_events += events;
+                continue;
             }
             self.entries.push_back(RingEntry {
                 timestamp,
@@ -303,33 +243,5 @@ mod tests {
         assert_eq!(ring.capacity(), 1);
         ring.append_batch(&[(1, 1), (2, 1)]);
         assert_eq!(ring.timestamps(), vec![2]);
-    }
-
-    #[test]
-    fn sketch_tracks_interval_statistics() {
-        let ring = ring_of(8, &[100, 160, 220, 250]);
-        let sketch = ring.sketch();
-        assert_eq!(sketch.observed, 3);
-        assert_eq!(sketch.min, 30);
-        assert_eq!(sketch.max, 60);
-        assert_eq!(sketch.sum, 150);
-        assert_eq!(sketch.mean(), Some(50.0));
-        // 60 and 60 land in [32, 64), 30 in [16, 32).
-        assert_eq!(sketch.log2_buckets[5], 2);
-        assert_eq!(sketch.log2_buckets[4], 1);
-    }
-
-    #[test]
-    fn sketch_survives_retention() {
-        let mut ring = ring_of(8, &[100, 160, 220]);
-        ring.retain_from(200);
-        // Lifetime sketch: retention does not rewrite history.
-        assert_eq!(ring.sketch().observed, 2);
-    }
-
-    #[test]
-    fn empty_sketch_has_no_mean() {
-        assert_eq!(IntervalSketch::default().mean(), None);
-        assert_eq!(TimestampRing::new(4).sketch().observed, 0);
     }
 }

@@ -39,7 +39,7 @@ fn main() {
         records.extend(beacon_day(day, "laptop-b", "medium-c2.example", 6 * 3600));
         records.extend(beacon_day(day, "laptop-c", "slow-c2.example", 24 * 3600));
         for det in sched.ingest_day(records) {
-            let period = det.report.best().map(|c| c.period).unwrap_or(0.0);
+            let period = det.best().map(|c| c.period).unwrap_or(0.0);
             findings.push((day, det.tier, det.pair.destination.clone(), period));
         }
     }
