@@ -282,9 +282,10 @@ fn detect_group(
 /// window: it is counted in the [`FaultReport`] and has no row at all.
 ///
 /// Each reduce invocation runs through its worker thread's
-/// [`SpectralWorkspace`](baywatch_timeseries::workspace::SpectralWorkspace),
-/// so FFT plans are built once per thread per window and reused across
-/// every pair and every permutation round that thread processes.
+/// [`SpectralWorkspace`](baywatch_timeseries::workspace::SpectralWorkspace):
+/// transform buffers are recycled across every pair and permutation round
+/// that thread processes, and FFT plans come from the process-wide tables,
+/// built once per process however many windows and threads follow.
 pub fn detect_beaconing(
     engine: &MapReduce,
     summaries: &[ActivitySummary],

@@ -14,7 +14,7 @@ use crate::budget::{BudgetSpec, ExecBudget};
 use crate::gmm::{select_gmm_budgeted, Gmm, GmmConfig};
 use crate::periodogram::Periodogram;
 use crate::permutation::{permutation_filter, PermutationConfig};
-use crate::prune::{prune_candidates, PruneConfig, PruneDecision};
+use crate::prune::{min_plausible_period, prune_candidates, PruneConfig, PruneDecision};
 use crate::series::{intervals_of, TimeSeries};
 use crate::workspace::{with_thread_workspace, SpectralWorkspace};
 use crate::TimeSeriesError;
@@ -201,8 +201,8 @@ impl PeriodicityDetector {
 
     /// Like [`PeriodicityDetector::detect`] with an explicit
     /// [`SpectralWorkspace`], so batch callers (the beaconing-detection
-    /// MapReduce job) reuse one plan cache across every pair a worker
-    /// thread processes.
+    /// MapReduce job) recycle one set of transform buffers across every
+    /// pair a worker thread processes.
     ///
     /// # Errors
     ///
@@ -218,9 +218,10 @@ impl PeriodicityDetector {
     /// Like [`PeriodicityDetector::detect`] under an explicit, already
     /// armed [`ExecBudget`] (shared with a supervisor, e.g. the pipeline's
     /// window scheduler). [`DetectorConfig::budget`] is ignored in favour
-    /// of the handle. Work-unit charges approximate the FFT/EM cost: one
-    /// unit per series bin for the periodogram and the ACF, `n` per
-    /// permutation round, one per ACF lag scanned, `n·k` per EM iteration.
+    /// of the handle. Work-unit charges approximate the FFT/EM cost in
+    /// observed bins `n` (not padded ones): one unit per series bin for the
+    /// periodogram and the ACF, `n` per permutation round, one per ACF lag
+    /// scanned, `n·k` per EM iteration.
     /// With an unlimited budget no checkpoint ever fires and the output —
     /// including every RNG stream — is byte-identical to the unbudgeted
     /// path.
@@ -241,7 +242,7 @@ impl PeriodicityDetector {
     /// outcome here — outside the core — so `?`-propagated budget
     /// exhaustion is still counted. All three FFT consumers — the
     /// periodogram, the m permutation rounds and the ACF — share the
-    /// workspace's plan cache and scratch buffers.
+    /// workspace's buffers and the process's plan tables.
     fn detect_budgeted_in(
         &self,
         ws: &SpectralWorkspace,
@@ -342,19 +343,19 @@ impl PeriodicityDetector {
             .fold(f64::INFINITY, f64::min);
 
         // ---- Step 1a: harmonic-crowding guard. ----
-        // A clean impulse train whose observation span is not an integer
-        // multiple of its period (the generic case: N = P·(c−1)+1 bins)
-        // leaks comparable power into dozens of harmonic side-bins, and the
+        // A clean impulse train whose period does not divide the transform
+        // length (the generic case on the power-of-two grid) leaks
+        // comparable power into dozens of harmonic side-bins, and the
         // strongest-k cut can then consist *entirely* of higher-harmonic
         // lines. Each of those is later — correctly — pruned as below the
         // minimum observed interval, leaving the pair undetected even
         // though its fundamental cleared the permutation threshold. When
         // the cut dropped lines and kept no physically plausible period
-        // (≥ the minimum positive interval, within the pruning tolerance),
-        // retain the strongest dropped line that is plausible; Step 2
-        // pruning and Step 3 ACF verification still gate it.
+        // (Step 2's own floor, `min_plausible_period`), retain the
+        // strongest dropped line that is plausible; Step 2 pruning and
+        // Step 3 ACF verification still gate it.
         if !overflow.is_empty() && min_interval.is_finite() {
-            let floor = min_interval * (1.0 - self.config.prune.mean_tolerance);
+            let floor = min_plausible_period(min_interval, &self.config.prune);
             if !raw.iter().any(|l| l.period >= floor) {
                 if let Some(&fundamental) = overflow.iter().find(|l| l.period >= floor) {
                     raw.push(fundamental);
@@ -837,10 +838,11 @@ mod tests {
         let a = detector().detect_in(&ws, &ts).unwrap();
         let b = detector().detect(&ts).unwrap();
         assert_eq!(a, b);
-        // Plan cache warm after one pair: a second pair of the same length
-        // builds no new plans.
+        // Plan tables warm after one pair: a second pair of the same
+        // padded length builds no new plans.
         let built = ws.plans_built();
-        detector().detect_in(&ws, &ts).unwrap();
+        let shorter = &ts[..140];
+        detector().detect_in(&ws, shorter).unwrap();
         assert_eq!(ws.plans_built(), built);
     }
 

@@ -28,9 +28,10 @@
 //!    paper).
 //!
 //! All FFT work (periodogram, permutation rounds, ACF) runs through a
-//! per-thread [`workspace::SpectralWorkspace`] that caches plans by
-//! transform length and recycles scratch buffers, so a worker thread
-//! plans each length once per window instead of once per transform.
+//! per-thread [`workspace::SpectralWorkspace`], which zero-pads every
+//! series to a power-of-two transform length, recycles its buffers, and
+//! takes its plans from one process-wide table — at most one plan per
+//! kind and `log2` length for the life of the process.
 //!
 //! The one-stop entry point is [`detector::PeriodicityDetector`]:
 //!

@@ -1,35 +1,46 @@
 //! Periodogram (DFT power spectrum) analysis — Step 1 of the BAYWATCH
 //! detection algorithm.
 //!
-//! The mean-centered count series is transformed with an FFT; the power at
-//! frequency bin `k` is `|X(k)|² / N`. Only bins `1..=⌊N/2⌋` carry
-//! independent information for a real signal; bin `k` maps to frequency
-//! `k / (N·dt)` Hz and period `N·dt / k` seconds, where `dt` is the
-//! series' bin width.
+//! The `n` bins of the mean-centered count series are zero-padded to
+//! `N = n.next_power_of_two()` and transformed with an FFT (the rule every
+//! transform of the [`workspace`](crate::workspace) follows). Zeros are the
+//! centered series' mean, so padding adds no energy and no DC step: the
+//! lines are the series' own discrete-time Fourier transform, sampled at
+//! `k/N` cycles per bin instead of `k/n`. The power at bin `k` is
+//! `|X(k)|² / n` — normalized by the *observed* length, so a line's height
+//! does not depend on how much padding its series happened to need. Only
+//! bins `1..=N/2` carry independent information for a real signal; bin `k`
+//! maps to frequency `k / (N·dt)` Hz and period `N·dt / k` seconds, where
+//! `dt` is the series' bin width. At `n = N` nothing is padded and the
+//! spectrum is the plain length-`n` periodogram.
 //!
 //! # One-sided scaling convention
 //!
-//! Every line carries `power = |X(k)|² / N` — the *unfolded* per-bin
-//! power, identical for interior bins and (even `N`) the Nyquist bin
-//! `k = N/2`. Interior bins have a conjugate mirror at `N − k` that is
-//! *not* folded into the line, so the one-sided sum
-//! [`total_energy`](Periodogram::total_energy) is roughly *half* the
-//! series' energy; the Nyquist bin and the (excluded, ≈0 after mean
-//! centering) DC bin are self-conjugate and appear exactly once in the
-//! full spectrum. The exact Parseval identity is therefore
+//! Every line carries `power = |X(k)|² / n` — the *unfolded* per-bin
+//! power, identical for interior bins and the Nyquist bin `k = N/2` (`N`
+//! is even for every non-degenerate series). Interior bins have a
+//! conjugate mirror at `N − k` that is *not* folded into the line, so the
+//! one-sided sum [`total_energy`](Periodogram::total_energy) is roughly
+//! *half* the two-sided one; the Nyquist bin and the (excluded, ≈0 after
+//! mean centering) DC bin are self-conjugate and appear exactly once in
+//! the full spectrum. Parseval over the `N` padded bins is
+//! `Σ_k |X(k)|² = N·Σ_t x_t²`, so in line powers
 //!
 //! ```text
-//! Σ_t x_t² = |X(0)|²/N + 2·Σ_{k=1}^{⌈N/2⌉−1} |X(k)|²/N + [N even]·|X(N/2)|²/N
-//!          = |X(0)|²/N + two_sided_energy()
+//! (N/n)·Σ_t x_t² = |X(0)|²/n + 2·Σ_{k=1}^{N/2−1} |X(k)|²/n + |X(N/2)|²/n
+//!                = |X(0)|²/n + two_sided_energy()
 //! ```
 //!
 //! with `X(0) = Σ_t x_t = 0` up to the rounding residue of mean
-//! centering. [`two_sided_energy`](Periodogram::two_sided_energy) folds
-//! the mirrors back (doubling interior bins, counting Nyquist once);
-//! `parseval_energy_matches_variance` pins the identity exactly. The
-//! per-line scaling is deliberately uniform — the permutation threshold
-//! compares like against like (shuffled maxima use the same convention),
-//! so folding a ×2 into interior lines would only rescale both sides.
+//! centering: sampling the same transform `N/n` times more densely counts
+//! its energy `N/n` times over.
+//! [`two_sided_energy`](Periodogram::two_sided_energy) folds the mirrors
+//! back (doubling interior bins, counting Nyquist once);
+//! `parseval_energy_under_padding` pins the identity. The per-line scaling
+//! is deliberately uniform — the permutation threshold compares like
+//! against like (shuffled maxima use the same grid and the same
+//! convention), so folding a ×2 into interior lines would only rescale
+//! both sides.
 
 use crate::series::TimeSeries;
 use crate::workspace::{with_thread_workspace, SpectralWorkspace};
@@ -37,13 +48,14 @@ use crate::workspace::{with_thread_workspace, SpectralWorkspace};
 /// A single spectral line of the periodogram.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SpectralLine {
-    /// DFT bin index (1-based within the half spectrum).
+    /// DFT bin index on the padded grid (1-based within the half
+    /// spectrum): the line sits at `bin / N` cycles per sample.
     pub bin: usize,
     /// Frequency in hertz.
     pub frequency: f64,
     /// Corresponding period in seconds (`1 / frequency`).
     pub period: f64,
-    /// Power `|X(k)|² / N`.
+    /// Power `|X(k)|² / n`, `n` the observed series length.
     pub power: f64,
 }
 
@@ -55,17 +67,18 @@ pub struct SpectralLine {
 /// use baywatch_timeseries::series::TimeSeries;
 /// use baywatch_timeseries::periodogram::Periodogram;
 ///
-/// // 1 event every 8 s, observed for 512 s at 1 s bins.
+/// // 1 event every 8 s, observed for 505 s at 1 s bins (transformed at 512).
 /// let timestamps: Vec<u64> = (0..64).map(|i| i * 8).collect();
 /// let ts = TimeSeries::from_timestamps(&timestamps, 1).unwrap();
 /// let pg = Periodogram::compute(&ts);
-/// let peak = pg.max_line().unwrap();
-/// assert!((peak.period - 8.0).abs() < 0.5, "period = {}", peak.period);
+/// // An impulse train puts equal power on its fundamental and on every
+/// // harmonic: the strongest line is 8 s or an integer fraction of it.
+/// let harmonic = 8.0 / pg.max_line().unwrap().period;
+/// assert!(harmonic > 0.9 && (harmonic - harmonic.round()).abs() < 0.05);
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct Periodogram {
     lines: Vec<SpectralLine>,
-    n: usize,
     dt: f64,
 }
 
@@ -92,38 +105,38 @@ impl Periodogram {
     }
 
     /// Like [`Periodogram::from_samples`] with an explicit workspace: the
-    /// FFT plan comes from the workspace's cache and the transform runs in
-    /// its recycled buffer. In the workspace's default
-    /// [`RealHalf`](crate::workspace::SpectralMode::RealHalf) mode an
-    /// even-length series runs through the packed real-to-complex plan —
-    /// half the transform work; odd lengths and
-    /// [`ComplexFull`](crate::workspace::SpectralMode::ComplexFull)
-    /// workspaces run the legacy full complex transform, bit-for-bit.
+    /// transform runs at `N = n.next_power_of_two()` in the workspace's
+    /// recycled buffers, through the packed real-to-complex plan in the
+    /// default [`RealHalf`](crate::workspace::SpectralMode::RealHalf) mode
+    /// and through the full complex one in
+    /// [`ComplexFull`](crate::workspace::SpectralMode::ComplexFull).
     pub fn from_samples_in(ws: &SpectralWorkspace, samples: &[f64], dt: f64) -> Self {
         let n = samples.len();
         if n < 4 {
             return Self {
                 lines: Vec::new(),
-                n,
                 dt,
             };
         }
-        let half = n / 2;
         let lines = ws.with_half_spectrum(samples, |spectrum| {
-            let mut lines = Vec::with_capacity(half);
-            for (k, value) in spectrum.iter().enumerate().skip(1) {
-                let power = value.norm_sqr() / n as f64;
-                let frequency = k as f64 / (n as f64 * dt);
-                lines.push(SpectralLine {
-                    bin: k,
-                    frequency,
-                    period: 1.0 / frequency,
-                    power,
-                });
-            }
-            lines
+            // `N/2 + 1` one-sided bins came back.
+            let padded = 2 * (spectrum.len() - 1);
+            spectrum
+                .iter()
+                .enumerate()
+                .skip(1)
+                .map(|(k, value)| {
+                    let frequency = k as f64 / (padded as f64 * dt);
+                    SpectralLine {
+                        bin: k,
+                        frequency,
+                        period: 1.0 / frequency,
+                        power: value.norm_sqr() / n as f64,
+                    }
+                })
+                .collect()
         });
-        Self { lines, n, dt }
+        Self { lines, dt }
     }
 
     /// All spectral lines, ordered by increasing frequency.
@@ -163,37 +176,27 @@ impl Periodogram {
         out
     }
 
-    /// Total spectral energy (sum of line powers, each counted once); by
-    /// Parseval's relation this tracks *roughly half* the variance of the
-    /// centered series — see the module docs for the exact convention and
-    /// [`Periodogram::two_sided_energy`] for the exact identity.
+    /// Total spectral energy (sum of line powers, each counted once) —
+    /// *roughly half* of [`Periodogram::two_sided_energy`]; see the module
+    /// docs for the exact convention.
     pub fn total_energy(&self) -> f64 {
         self.lines.iter().map(|l| l.power).sum()
     }
 
-    /// The power of the Nyquist line `k = n/2`: `Some` only for even `n`
-    /// (odd-length spectra have no self-conjugate top bin), `None` for odd
-    /// `n` or a degenerate (`n < 4`) spectrum.
+    /// The power of the Nyquist line `k = N/2`: the last line, since the
+    /// padded length is even; `None` only for a degenerate (`n < 4`)
+    /// spectrum.
     pub fn nyquist_power(&self) -> Option<f64> {
-        if self.n.is_multiple_of(2) {
-            self.lines.last().map(|l| l.power)
-        } else {
-            None
-        }
+        self.lines.last().map(|l| l.power)
     }
 
     /// The energy of the *full* (two-sided) spectrum, excluding the DC
     /// bin: interior lines are folded back with their conjugate mirrors
-    /// (×2) while the self-conjugate Nyquist line (even `n` only) counts
-    /// once. By Parseval this equals `Σ_t x_t²` of the mean-centered
-    /// samples exactly (up to FFT rounding and the centering residue in
-    /// the excluded DC bin).
+    /// (×2) while the self-conjugate Nyquist line counts once. By Parseval
+    /// this equals `(N/n)·Σ_t x_t²` of the mean-centered samples (up to
+    /// FFT rounding and the centering residue in the excluded DC bin).
     pub fn two_sided_energy(&self) -> f64 {
-        let total: f64 = self.lines.iter().map(|l| l.power).sum();
-        match self.nyquist_power() {
-            Some(nyquist) => 2.0 * total - nyquist,
-            None => 2.0 * total,
-        }
+        2.0 * self.total_energy() - self.nyquist_power().unwrap_or(0.0)
     }
 }
 
@@ -283,28 +286,61 @@ mod tests {
     }
 
     #[test]
-    fn parseval_energy_matches_variance() {
-        // Exact accounting across even and odd lengths: folding the
+    fn parseval_energy_under_padding() {
+        // Exact accounting at padded and unpadded lengths: folding the
         // conjugate mirrors back (×2 interior, Nyquist once, DC ≈ 0 after
-        // centering) recovers the centered sum of squares to FFT rounding.
-        // The old tolerance-based window (0.3·var .. var) hid the even-n
-        // Nyquist/DC bookkeeping entirely.
-        for n in [1024usize, 1023, 100, 61] {
+        // centering) recovers N/n times the centered sum of squares — the
+        // same transform sampled N/n times more densely — to FFT rounding.
+        for n in [1024usize, 1023, 100, 61, 5, 4] {
             let ts = sine_series(n, 32.0, 1);
             let pg = Periodogram::compute(&ts);
             let ss: f64 = ts.centered().iter().map(|v| v * v).sum();
+            let want = n.next_power_of_two() as f64 / n as f64 * ss;
             let got = pg.two_sided_energy();
             assert!(
-                (got - ss).abs() <= 1e-9 * ss.max(1.0),
-                "n={n}: two-sided {got} vs Σx² {ss}"
+                (got - want).abs() <= 1e-9 * want.max(1.0),
+                "n={n}: two-sided {got} vs (N/n)·Σx² {want}"
             );
             // The one-sided sum holds at least half the energy (interior
             // mirrors are the only discount) and never exceeds the total.
             let e = pg.total_energy();
             assert!(
-                e >= 0.5 * ss - 1e-9 && e <= ss + 1e-9,
-                "n={n}: e={e} ss={ss}"
+                e >= 0.5 * want - 1e-9 && e <= want + 1e-9,
+                "n={n}: e={e} want={want}"
             );
+        }
+    }
+
+    #[test]
+    fn power_of_two_lengths_are_the_unpadded_periodogram_bit_for_bit() {
+        // At n = N nothing is padded: the lines must be exactly what the
+        // even-length path computed before every transform ran at a power
+        // of two — pack pairs, one half-length FFT, Hermitian unpack,
+        // |X(k)|²/n on the k/n grid — re-derived here from a fresh planner.
+        use rustfft::{num_complex::Complex, FftPlanner};
+        for n in [4usize, 8, 64, 256, 1024] {
+            let samples: Vec<f64> = (0..n)
+                .map(|i| (i as f64 * 0.61).sin() + 0.01 * (i % 7) as f64)
+                .collect();
+            let h = n / 2;
+            let mut z: Vec<Complex<f64>> = samples
+                .chunks_exact(2)
+                .map(|p| Complex::new(p[0], p[1]))
+                .collect();
+            FftPlanner::new().plan_fft_forward(h).process(&mut z);
+            let pg = Periodogram::from_samples(&samples, 3.0);
+            assert_eq!(pg.lines().len(), h);
+            for line in pg.lines() {
+                let k = line.bin;
+                let w = Complex::from_polar(1.0, -2.0 * std::f64::consts::PI * k as f64 / n as f64);
+                let (zk, zc) = (z[k % h], z[(h - k) % h].conj());
+                let (s, wd) = (zk + zc, w * (zk - zc));
+                let x = Complex::new(0.5 * (s.re + wd.im), 0.5 * (s.im - wd.re));
+                let frequency = k as f64 / (n as f64 * 3.0);
+                assert_eq!(line.power.to_bits(), (x.norm_sqr() / n as f64).to_bits());
+                assert_eq!(line.frequency.to_bits(), frequency.to_bits());
+                assert_eq!(line.period.to_bits(), (1.0 / frequency).to_bits());
+            }
         }
     }
 
@@ -327,12 +363,16 @@ mod tests {
     }
 
     #[test]
-    fn odd_length_has_no_nyquist_line() {
-        let ts = sine_series(63, 8.0, 1);
-        let pg = Periodogram::compute(&ts);
-        assert_eq!(pg.nyquist_power(), None);
-        assert_eq!(pg.lines().last().unwrap().bin, 31);
-        // Degenerate spectra have no Nyquist line either.
+    fn every_spectrum_ends_at_a_nyquist_line() {
+        // The padded length is even whatever the observed one is.
+        for n in [4usize, 5, 63, 64, 65, 1000] {
+            let pg = Periodogram::compute(&sine_series(n, 8.0, 1));
+            let last = pg.lines().last().unwrap();
+            assert_eq!(last.bin, n.next_power_of_two() / 2, "n = {n}");
+            assert_eq!(pg.nyquist_power(), Some(last.power), "n = {n}");
+            assert!((last.period - 2.0).abs() < 1e-12, "n = {n}");
+        }
+        // Degenerate spectra have no lines at all.
         let tiny = TimeSeries::from_values(0, 1, vec![1.0, 0.0]).unwrap();
         assert_eq!(Periodogram::compute(&tiny).nyquist_power(), None);
     }

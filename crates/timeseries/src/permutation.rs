@@ -8,6 +8,16 @@
 //! taking the `⌈C·m⌉`-th smallest of the per-shuffle maxima (e.g. the 19th
 //! of 20 for C = 95 %) yields the power threshold `p_T`: original-series
 //! frequencies with power above `p_T` are unlikely to be noise.
+//!
+//! The statistic is the maximum line of the periodogram *as
+//! [`Periodogram`](crate::periodogram::Periodogram) computes it* — the `n`
+//! observed bins zero-padded to `N = n.next_power_of_two()`, power
+//! `|X(k)|²/n` over `k = 1..=N/2`. Each round permutes those same `n` bins
+//! (the padding is not data and never moves) and is transformed on the same
+//! grid, so observed series and shuffles are compared like for like. A
+//! permutation test is exact for any statistic computed identically on the
+//! data and on its permutations; which grid samples the spectrum is part of
+//! the statistic, not an approximation of it.
 
 use crate::budget::ExecBudget;
 use crate::series::TimeSeries;
@@ -143,8 +153,8 @@ pub(crate) fn permutation_threshold_budgeted(
 /// the first rounds of the full run. See [`PermutationThreshold`] for what
 /// the result carries after an early reject.
 ///
-/// Each round first charges `n` work units (one shuffle + one `n`-bin
-/// transform) and aborts with [`TimeSeriesError::BudgetExhausted`] once
+/// Each round first charges `n` work units (one shuffle + one transform of
+/// its `n` bins) and aborts with [`TimeSeriesError::BudgetExhausted`] once
 /// the budget is spent. With an unlimited budget the checkpoint never
 /// fires and the result — including the RNG stream — is byte-identical to
 /// the unbudgeted entry points.
@@ -337,9 +347,9 @@ mod tests {
         let a = permutation_threshold_in(&ws, &series, &cfg).unwrap();
         let b = permutation_threshold(&series, &cfg).unwrap();
         assert_eq!(a, b);
-        // One plan for the series length; the full threshold runs every
-        // round, two per physical FFT.
-        assert_eq!(ws.plans_built(), 1);
+        // One plan lookup for the padded length; the full threshold runs
+        // every round, two per physical FFT.
+        assert_eq!(ws.plan_requests(), cfg.permutations.div_ceil(2));
         assert_eq!(ws.transforms_run(), cfg.permutations.div_ceil(2));
 
         // Against the beacon's own peak no shuffle comes close: all m
@@ -361,9 +371,9 @@ mod tests {
         use crate::workspace::{SpectralMode, SpectralWorkspace};
         let series = beacon_series(80, 15);
         let cfg = PermutationConfig::default();
-        let legacy = SpectralWorkspace::with_mode(SpectralMode::ComplexFull);
+        let reference = SpectralWorkspace::with_mode(SpectralMode::ComplexFull);
         let packed = SpectralWorkspace::new();
-        let a = permutation_threshold_in(&legacy, &series, &cfg).unwrap();
+        let a = permutation_threshold_in(&reference, &series, &cfg).unwrap();
         let b = permutation_threshold_in(&packed, &series, &cfg).unwrap();
         assert_eq!(a.shuffled_maxima.len(), b.shuffled_maxima.len());
         for (x, y) in a.shuffled_maxima.iter().zip(&b.shuffled_maxima) {
@@ -372,7 +382,7 @@ mod tests {
         assert!((a.threshold - b.threshold).abs() <= 1e-9 * a.threshold.max(1.0));
         // ComplexFull runs one FFT per round; RealHalf packs two rounds
         // into each.
-        assert_eq!(legacy.transforms_run(), cfg.permutations);
+        assert_eq!(reference.transforms_run(), cfg.permutations);
         assert_eq!(packed.transforms_run(), cfg.permutations.div_ceil(2));
     }
 
@@ -541,6 +551,41 @@ mod tests {
             TimeSeries::from_values(0, 1, vec![2.0, 0.0, 1.0]).unwrap(),
             TimeSeries::from_values(0, 1, vec![3.0]).unwrap(),
         ]
+    }
+
+    #[test]
+    fn each_round_is_the_periodogram_maximum_of_its_shuffle() {
+        // The null statistic is the observed one: round r's maximum is
+        // `Periodogram::max_power` of the r-th shuffle of the single RNG
+        // stream — the very same arithmetic in ComplexFull, the packed
+        // two-rounds-per-FFT arithmetic (within rounding) in RealHalf.
+        use crate::workspace::{SpectralMode, SpectralWorkspace};
+        let cfg = PermutationConfig::default();
+        let unlimited = ExecBudget::unlimited();
+        for series in exactness_corpus() {
+            let mut samples = series.centered();
+            let mut rng = StdRng::seed_from_u64(cfg.seed);
+            let reference = SpectralWorkspace::with_mode(SpectralMode::ComplexFull);
+            let expected: Vec<f64> = (0..cfg.permutations)
+                .map(|_| {
+                    samples.shuffle(&mut rng);
+                    Periodogram::from_samples_in(&reference, &samples, 1.0).max_power()
+                })
+                .collect();
+            let rounds = |ws: &SpectralWorkspace| {
+                let mut rows = Vec::new();
+                round_maxima(ws, &series, &cfg, f64::INFINITY, 1, &unlimited, &mut rows).unwrap()
+            };
+            let exact = rounds(&reference);
+            assert_eq!(exact, expected, "n = {}", series.len());
+            for (got, want) in rounds(&SpectralWorkspace::new()).iter().zip(&expected) {
+                assert!(
+                    (got - want).abs() <= 1e-9 * want.max(1.0),
+                    "n = {}: {got} vs {want}",
+                    series.len()
+                );
+            }
+        }
     }
 
     #[test]

@@ -7,6 +7,8 @@
 //! * **High-frequency noise** — a period smaller than the minimum observed
 //!   inter-arrival interval is physically impossible (in the paper's TDSS
 //!   example, min interval = 196 s removes every candidate except 387 s).
+//!   "Smaller" is judged by `min_plausible_period`, the one definition
+//!   the detector's harmonic-crowding guard shares.
 //! * **Hypothesis testing** — a one-sample t-test with H0 "the candidate is
 //!   the true period"; rejected when p < α (paper: α = 5 %). The test is
 //!   deliberately conservative: a candidate survives unless the intervals
@@ -59,7 +61,8 @@ impl Default for PruneConfig {
 /// Why a candidate was discarded.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum PruneReason {
-    /// Period smaller than the minimum observed interval.
+    /// Period smaller than the minimum observed interval (beyond
+    /// [`PruneConfig::mean_tolerance`]).
     BelowMinInterval {
         /// The minimum observed interval (seconds).
         min_interval: f64,
@@ -191,6 +194,17 @@ pub fn prune_candidates(
     Ok(out)
 }
 
+/// The shortest period an interval list with minimum positive interval
+/// `min_interval` can support. A spectral line's period is quantized to the
+/// transform grid (`N·dt/k`), so the fundamental of a train whose every
+/// interval is exactly `P` lands a fraction of a grid step below `P` as
+/// readily as above it; the floor therefore grants the same
+/// [`PruneConfig::mean_tolerance`] every other comparison of a period
+/// against interval statistics does.
+pub(crate) fn min_plausible_period(min_interval: f64, config: &PruneConfig) -> f64 {
+    min_interval * (1.0 - config.mean_tolerance)
+}
+
 fn prune_one(
     line: SpectralLine,
     intervals: &[f64],
@@ -200,7 +214,7 @@ fn prune_one(
     config: &PruneConfig,
 ) -> PruneDecision {
     // Filter 1: high-frequency noise.
-    if min_interval.is_finite() && line.period < min_interval {
+    if min_interval.is_finite() && line.period < min_plausible_period(min_interval, config) {
         return PruneDecision {
             line,
             p_value: None,
@@ -327,6 +341,26 @@ mod tests {
         assert!(matches!(
             d[0].rejected,
             Some(PruneReason::BelowMinInterval { .. })
+        ));
+    }
+
+    #[test]
+    fn min_interval_floor_tolerates_grid_quantization() {
+        // A 120-event, 60 s train transformed at N = 8192 has its
+        // fundamental at 8192/137 = 59.8 s: below every observed interval,
+        // yet plainly the train's period. A 50 s line is still noise.
+        let intervals = vec![60.0; 119];
+        let d = prune_candidates(
+            &[mk(8192.0 / 137.0, 10.0), mk(50.0, 9.0)],
+            &intervals,
+            7_140.0,
+            &PruneConfig::default(),
+        )
+        .unwrap();
+        assert!(d[0].survived(), "rejected: {:?}", d[0].rejected);
+        assert!(matches!(
+            d[1].rejected,
+            Some(PruneReason::BelowMinInterval { min_interval }) if min_interval == 60.0
         ));
     }
 

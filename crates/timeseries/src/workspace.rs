@@ -1,57 +1,65 @@
-//! Spectral workspace — cached FFT plans and reusable scratch buffers.
+//! Spectral workspace — every transform at a power-of-two length, every
+//! plan from one process-wide table.
 //!
 //! Every step of the detection pipeline is FFT-bound: the periodogram
 //! (Step 1) transforms the count series once, the permutation filter
-//! transforms `m` shuffled copies of the *same length*, and the ACF
-//! verifier (Step 3) runs a forward/inverse pair at the padded length.
-//! Planning an FFT is far from free — rustfft decomposes the length into
-//! a recipe of butterflies and allocates twiddle tables — and the seed
-//! implementation rebuilt a fresh [`FftPlanner`] for every single
-//! transform, i.e. 20+ times per communication pair.
+//! transforms up to `m` shuffled copies of it, and the ACF verifier
+//! (Step 3) runs a forward/inverse pair. A pair's series has the accidental
+//! length `n = last − first + 1` bins, and transforming at that length makes
+//! cost a function of `n`'s factorisation (a prime `n` needs a Bluestein or
+//! Rader transform, several times the work of its power-of-two neighbour)
+//! and makes every pair need plans of its own. The workspace therefore owns
+//! one rule:
 //!
-//! [`SpectralWorkspace`] amortizes that cost: it owns one planner, maps of
-//! already-built plans keyed by `(kind, length)` — complex-to-complex
-//! forward/inverse plus the real-to-complex ([`R2cPlan`]) and
-//! complex-to-real ([`C2rPlan`]) wrappers — and recycled complex, real and
-//! half-spectrum buffers. A workspace is deliberately single-threaded
-//! (`!Sync`, interior mutability via [`RefCell`]); each MapReduce worker
-//! thread gets its own instance through [`with_thread_workspace`], so
-//! plans are reused across every pair and permutation round the thread
-//! processes during a window without any locking.
+//! **Every transform runs at a power-of-two length.** The `n` observed bins
+//! are zero-padded inside the recycled buffers — to `N = n.next_power_of_two()`
+//! for the spectrum ([`with_half_spectrum`](SpectralWorkspace::with_half_spectrum),
+//! [`shuffled_half_power_maxima`](SpectralWorkspace::shuffled_half_power_maxima))
+//! and to the next power of two at or above `2n` for the linear
+//! autocorrelation ([`with_autocorrelation`](SpectralWorkspace::with_autocorrelation)).
+//! Padding a (mean-centered) series with zeros does not change its
+//! discrete-time Fourier transform `X(f) = Σ_j x_j·e^(−2πifj)`; it only
+//! changes where that one function is sampled — at `f = k/N` instead of
+//! `k/n`. Parseval then reads `Σ_k |X(k)|² = N·Σ_j x_j²` over the `N` bins.
+//!
+//! # One plan table per process
+//!
+//! With only powers of two left there are at most `log2` many lengths
+//! (22 under the default `max_bins = 2²⁰`: the ACF pads to `2²¹`), so plans
+//! live in four process-wide tables — complex forward, complex inverse,
+//! and the real-to-complex / complex-to-real wrappers below — indexed by
+//! `log2 N`. Each entry is built at most once per process (a
+//! [`OnceLock`]) and then shared by every reduce thread of every job, every
+//! window and the stream thread; a long-lived process can never hold more
+//! than `4 × usize::BITS` plans. A [`SpectralWorkspace`] keeps what is
+//! per-thread: the recycled complex, real and half-spectrum buffers, and
+//! counters of its own traffic against the tables. It is deliberately
+//! single-threaded (`!Sync`, interior mutability via [`RefCell`]); each
+//! worker thread reaches its own through [`with_thread_workspace`].
 //!
 //! # Real-valued spectral path
 //!
 //! Detection input is always real (binned event counts), so the full
-//! complex DFT computes every output twice: `X(n−k) = conj(X(k))`. The
+//! complex DFT computes every output twice: `X(N−k) = conj(X(k))`. The
 //! workspace exploits that Hermitian symmetry two ways, selected by
 //! [`SpectralMode`]:
 //!
-//! - **Single series** ([`with_half_spectrum`](SpectralWorkspace::with_half_spectrum),
-//!   [`with_autocorrelation`](SpectralWorkspace::with_autocorrelation)):
-//!   an even-length real series of length `n` is packed into a
-//!   half-length complex series `z(j) = x(2j) + i·x(2j+1)`, transformed
-//!   with one FFT of length `n/2`, and unpacked into the one-sided
-//!   spectrum `X(0..=n/2)` with `O(n)` twiddle arithmetic — about half
-//!   the transform work. Odd lengths fall back to the full complex
-//!   transform (the ACF's padded length is always a power of two, so the
-//!   round trip is always packed).
-//! - **Batched permutation rounds**
-//!   ([`shuffled_half_power_maxima`](SpectralWorkspace::shuffled_half_power_maxima)):
-//!   two shuffled *rounds* `a`, `b` of the same length ride one complex
-//!   FFT as `z = a + i·b` and are separated per bin by
-//!   `A(k) = (Z(k) + conj(Z(n−k)))/2`, `B(k) = (Z(k) − conj(Z(n−k)))/(2i)`.
-//!   This halves transform count for *any* length — including the odd and
-//!   prime (Bluestein) lengths arbitrary observation spans produce.
+//! - **Single series** (`with_half_spectrum`, `with_autocorrelation`): the
+//!   padded real series of length `N` is packed into a half-length complex
+//!   series `z(j) = x(2j) + i·x(2j+1)`, transformed with one FFT of length
+//!   `N/2`, and unpacked into the one-sided spectrum `X(0..=N/2)` with
+//!   `O(N)` twiddle arithmetic — about half the transform work.
+//! - **Batched permutation rounds** (`shuffled_half_power_maxima`): two
+//!   shuffled *rounds* `a`, `b` ride one complex FFT as `z = a + i·b` and
+//!   are separated per bin by `A(k) = (Z(k) + conj(Z(N−k)))/2`,
+//!   `B(k) = (Z(k) − conj(Z(N−k)))/(2i)`.
 //!
-//! [`SpectralMode::ComplexFull`] keeps the pre-r2c full-complex pipeline
-//! reachable; its output is bit-for-bit identical to planning from
-//! scratch (rustfft plans are deterministic functions of the length) and
-//! serves as the reference for equivalence tests and for the before/after
-//! benchmark in `BENCH_detector.json`.
+//! [`SpectralMode::ComplexFull`] runs one full complex transform per series
+//! at the same padded lengths; it is the reference the equivalence tests
+//! and `BENCH_detector.json`'s before/after compare against.
 
 use std::cell::RefCell;
-use std::collections::HashMap;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use rustfft::{num_complex::Complex, Fft, FftPlanner};
 
@@ -65,13 +73,22 @@ pub enum SpectralMode {
     /// default.
     #[default]
     RealHalf,
-    /// The legacy full complex-to-complex pipeline, bit-for-bit identical
-    /// to the pre-r2c implementation. Kept as the reference path for
-    /// equivalence tests and benchmarks.
+    /// One full complex-to-complex transform per series, at the same
+    /// padded lengths. Kept as the reference path for equivalence tests
+    /// and benchmarks.
     ComplexFull,
 }
 
-/// A per-thread cache of FFT plans plus reusable transform buffers.
+/// One slot per `log2 N`; see the module docs.
+type PlanTable<P> = [OnceLock<Arc<P>>; usize::BITS as usize];
+
+static FORWARD: PlanTable<dyn Fft<f64>> = [const { OnceLock::new() }; usize::BITS as usize];
+static INVERSE: PlanTable<dyn Fft<f64>> = [const { OnceLock::new() }; usize::BITS as usize];
+static R2C: PlanTable<R2cPlan> = [const { OnceLock::new() }; usize::BITS as usize];
+static C2R: PlanTable<C2rPlan> = [const { OnceLock::new() }; usize::BITS as usize];
+
+/// The calling thread's transform buffers and its counters against the
+/// process-wide plan tables.
 ///
 /// # Example
 ///
@@ -79,53 +96,48 @@ pub enum SpectralMode {
 /// use baywatch_timeseries::workspace::SpectralWorkspace;
 ///
 /// let ws = SpectralWorkspace::new();
-/// let samples = vec![1.0, -1.0, 1.0, -1.0, 1.0, -1.0, 1.0, -1.0];
-/// // The Nyquist bin carries all the energy of an alternating series.
-/// let max = ws.with_spectrum(&samples, |spectrum| {
-///     spectrum[1..=4].iter().map(|v| v.norm_sqr()).fold(0.0, f64::max)
-/// });
-/// assert!(max > 0.0);
-/// // A second transform of the same length reuses the cached plan.
-/// ws.with_spectrum(&samples, |_| ());
-/// assert_eq!(ws.plans_built(), 1);
+/// // Six observed bins are transformed at N = 8: five one-sided bins.
+/// let samples = [1.0, -1.0, 1.0, -1.0, 1.0, -1.0];
+/// let bins = ws.with_half_spectrum(&samples, |spectrum| spectrum.len());
+/// assert_eq!(bins, 8 / 2 + 1);
+/// // Lengths 5..=8 share that plan, whichever thread built it.
+/// ws.with_half_spectrum(&samples[..5], |_| ());
 /// assert_eq!(ws.transforms_run(), 2);
+/// assert!(ws.plan_hits() >= 1 && ws.plans_built() <= 2);
 /// ```
 pub struct SpectralWorkspace {
     inner: RefCell<Inner>,
     mode: SpectralMode,
 }
 
+#[derive(Default)]
 struct Inner {
-    planner: FftPlanner<f64>,
-    forward: HashMap<usize, Arc<dyn Fft<f64>>>,
-    inverse: HashMap<usize, Arc<dyn Fft<f64>>>,
-    /// Real-to-complex plans, keyed by the *real* length `n` (even). Kept
-    /// in their own map: a length-`n` r2c plan and a length-`n` c2c plan
-    /// are different transforms and must never alias in the cache.
-    r2c: HashMap<usize, Arc<R2cPlan>>,
-    /// Complex-to-real plans, keyed by the real length `n` (even).
-    c2r: HashMap<usize, Arc<C2rPlan>>,
     /// Recycled complex working buffer (the transform target).
     buffer: Vec<Complex<f64>>,
     /// Recycled rustfft scratch space.
     scratch: Vec<Complex<f64>>,
     /// Recycled one-sided (half) spectrum buffer for the r2c path.
     half: Vec<Complex<f64>>,
-    /// Recycled real sample buffer (r2c input / c2r output).
+    /// Recycled real output buffer of the c2r path.
     real: Vec<f64>,
     /// Recycled two-round (`2·n`) arena for the permutation filter.
     rows: Vec<f64>,
-    plans_built: usize,
     plans_built_c2c: usize,
     plans_built_r2c: usize,
     plan_requests: usize,
-    plan_hits: usize,
     transforms_run: usize,
+}
+
+/// Which of a workspace's two build tallies a plan counts toward.
+#[derive(Clone, Copy)]
+enum PlanKind {
+    C2c,
+    Wrapper,
 }
 
 const ZERO: Complex<f64> = Complex { re: 0.0, im: 0.0 };
 
-/// A cached real-to-complex transform of even real length `n`: the packed
+/// A real-to-complex transform of power-of-two real length `n`: the packed
 /// half-length complex FFT plus the `O(n)` Hermitian unpack.
 ///
 /// The classic packing trick: `z(j) = x(2j) + i·x(2j+1)` is transformed
@@ -137,7 +149,7 @@ const ZERO: Complex<f64> = Complex { re: 0.0, im: 0.0 };
 /// ```
 ///
 /// for `k = 0..=h`, with `Z(h) ≡ Z(0)` and twiddle `W(k) = e^(−2πik/n)`.
-pub struct R2cPlan {
+struct R2cPlan {
     n: usize,
     half_fft: Arc<dyn Fft<f64>>,
     /// `W(k) = e^(−2πik/n)` for `k = 0..=n/2`.
@@ -146,7 +158,6 @@ pub struct R2cPlan {
 
 impl R2cPlan {
     fn new(n: usize, half_fft: Arc<dyn Fft<f64>>) -> Self {
-        debug_assert!(n >= 2 && n.is_multiple_of(2), "r2c requires even n >= 2");
         Self {
             n,
             half_fft,
@@ -154,19 +165,10 @@ impl R2cPlan {
         }
     }
 
-    /// Real transform length `n`.
-    pub fn len(&self) -> usize {
-        self.n
-    }
-
-    /// Whether the plan is for the degenerate length 0 (never built).
-    pub fn is_empty(&self) -> bool {
-        self.n == 0
-    }
-
-    /// Transforms `input` (length `n`) into the one-sided spectrum
-    /// `out[k] = X(k)` for `k = 0..=n/2`, using `work` for the packed
-    /// half-length FFT and `scratch` for rustfft scratch space.
+    /// Transforms `input` — at most `n` samples, zero-padded to `n` while
+    /// packing — into the one-sided spectrum `out[k] = X(k)` for
+    /// `k = 0..=n/2`, using `work` for the packed half-length FFT and
+    /// `scratch` for rustfft scratch space.
     fn process(
         &self,
         input: &[f64],
@@ -175,9 +177,14 @@ impl R2cPlan {
         scratch: &mut Vec<Complex<f64>>,
     ) {
         let h = self.n / 2;
-        debug_assert_eq!(input.len(), self.n);
-        work.clear();
-        work.extend(input.chunks_exact(2).map(|p| Complex::new(p[0], p[1])));
+        debug_assert!(input.len() <= self.n);
+        let pairs = input.chunks_exact(2);
+        let odd_tail = pairs.remainder().first().map(|&x| Complex::new(x, 0.0));
+        load_padded(
+            work,
+            pairs.map(|p| Complex::new(p[0], p[1])).chain(odd_tail),
+            h,
+        );
         run_in_place(&*self.half_fft, work, scratch);
         out.clear();
         out.reserve(h + 1);
@@ -193,7 +200,7 @@ impl R2cPlan {
     }
 }
 
-/// A cached complex-to-real inverse transform of even real length `n`:
+/// A complex-to-real inverse transform of power-of-two real length `n`:
 /// the Hermitian repack plus a half-length inverse FFT.
 ///
 /// Given the one-sided spectrum `X(0..=h)` of a real series (`h = n/2`),
@@ -209,7 +216,7 @@ impl R2cPlan {
 /// `z(j) = x(2j) + i·x(2j+1)`. The unpack doubles each component, so the
 /// output carries the same `n·x` scaling as the full-length unnormalized
 /// inverse (the factor 2 is exact in binary floating point).
-pub struct C2rPlan {
+struct C2rPlan {
     n: usize,
     half_inv: Arc<dyn Fft<f64>>,
     /// `W(k) = e^(−2πik/n)` for `k = 0..=n/2`.
@@ -218,22 +225,11 @@ pub struct C2rPlan {
 
 impl C2rPlan {
     fn new(n: usize, half_inv: Arc<dyn Fft<f64>>) -> Self {
-        debug_assert!(n >= 2 && n.is_multiple_of(2), "c2r requires even n >= 2");
         Self {
             n,
             half_inv,
             twiddles: twiddle_table(n),
         }
-    }
-
-    /// Real transform length `n`.
-    pub fn len(&self) -> usize {
-        self.n
-    }
-
-    /// Whether the plan is for the degenerate length 0 (never built).
-    pub fn is_empty(&self) -> bool {
-        self.n == 0
     }
 
     /// Transforms the one-sided spectrum `spectrum` (length `n/2 + 1`)
@@ -273,36 +269,25 @@ fn twiddle_table(n: usize) -> Vec<Complex<f64>> {
         .collect()
 }
 
+/// The transform length for `bins` real samples: the next power of two, at
+/// least 2 so the packed half-length FFT exists.
+fn padded_len(bins: usize) -> usize {
+    bins.next_power_of_two().max(2)
+}
+
 impl SpectralWorkspace {
-    /// Creates an empty workspace in the default [`SpectralMode::RealHalf`]
-    /// mode; plans are built lazily on first use.
+    /// Creates a workspace in the default [`SpectralMode::RealHalf`] mode;
+    /// buffers grow on first use.
     pub fn new() -> Self {
         Self::with_mode(SpectralMode::default())
     }
 
-    /// Creates an empty workspace with an explicit [`SpectralMode`] —
-    /// [`SpectralMode::ComplexFull`] reproduces the pre-r2c pipeline
-    /// bit-for-bit for equivalence tests and benchmarks.
+    /// Creates a workspace with an explicit [`SpectralMode`] —
+    /// [`SpectralMode::ComplexFull`] is the reference path of the
+    /// equivalence tests and benchmarks.
     pub fn with_mode(mode: SpectralMode) -> Self {
         Self {
-            inner: RefCell::new(Inner {
-                planner: FftPlanner::new(),
-                forward: HashMap::new(),
-                inverse: HashMap::new(),
-                r2c: HashMap::new(),
-                c2r: HashMap::new(),
-                buffer: Vec::new(),
-                scratch: Vec::new(),
-                half: Vec::new(),
-                real: Vec::new(),
-                rows: Vec::new(),
-                plans_built: 0,
-                plans_built_c2c: 0,
-                plans_built_r2c: 0,
-                plan_requests: 0,
-                plan_hits: 0,
-                transforms_run: 0,
-            }),
+            inner: RefCell::default(),
             mode,
         }
     }
@@ -312,115 +297,92 @@ impl SpectralWorkspace {
         self.mode
     }
 
-    /// The cached forward plan for length `n`, building it on first use.
-    pub fn forward(&self, n: usize) -> Arc<dyn Fft<f64>> {
-        self.plan(n, true)
-    }
-
-    /// The cached inverse plan for length `n`, building it on first use.
-    pub fn inverse(&self, n: usize) -> Arc<dyn Fft<f64>> {
-        self.plan(n, false)
-    }
-
-    fn plan(&self, n: usize, forward: bool) -> Arc<dyn Fft<f64>> {
+    /// The process's plan in `slot`, built by this call if no thread has
+    /// yet; counts the request, and the build when it happened here.
+    fn fetch<P: ?Sized>(
+        &self,
+        slot: &OnceLock<Arc<P>>,
+        kind: PlanKind,
+        build: impl FnOnce() -> Arc<P>,
+    ) -> Arc<P> {
+        let mut built = false;
+        let plan = Arc::clone(slot.get_or_init(|| {
+            built = true;
+            build()
+        }));
         let mut inner = self.inner.borrow_mut();
-        let inner = &mut *inner;
         inner.plan_requests += 1;
-        let map = if forward {
-            &mut inner.forward
-        } else {
-            &mut inner.inverse
-        };
-        if let Some(plan) = map.get(&n) {
-            inner.plan_hits += 1;
-            return Arc::clone(plan);
-        }
-        let plan = if forward {
-            inner.planner.plan_fft_forward(n)
-        } else {
-            inner.planner.plan_fft_inverse(n)
-        };
-        inner.plans_built += 1;
-        inner.plans_built_c2c += 1;
-        map.insert(n, Arc::clone(&plan));
-        plan
-    }
-
-    /// The cached real-to-complex plan for even real length `n`, building
-    /// it (and its inner half-length c2c plan) on first use. The r2c map
-    /// is keyed separately from the c2c maps, so a same-length c2c request
-    /// never aliases with it.
-    pub fn r2c(&self, n: usize) -> Arc<R2cPlan> {
-        {
-            let mut inner = self.inner.borrow_mut();
-            inner.plan_requests += 1;
-            if let Some(plan) = inner.r2c.get(&n) {
-                let plan = Arc::clone(plan);
-                inner.plan_hits += 1;
-                return plan;
+        if built {
+            match kind {
+                PlanKind::C2c => inner.plans_built_c2c += 1,
+                PlanKind::Wrapper => inner.plans_built_r2c += 1,
             }
         }
-        // Build outside the borrow: the inner half-length plan goes
-        // through the shared c2c cache (and its own counters).
-        let half_fft = self.forward(n / 2);
-        let plan = Arc::new(R2cPlan::new(n, half_fft));
-        let mut inner = self.inner.borrow_mut();
-        inner.plans_built += 1;
-        inner.plans_built_r2c += 1;
-        inner.r2c.insert(n, Arc::clone(&plan));
         plan
     }
 
-    /// The cached complex-to-real plan for even real length `n`, building
-    /// it (and its inner half-length inverse plan) on first use.
-    pub fn c2r(&self, n: usize) -> Arc<C2rPlan> {
-        {
-            let mut inner = self.inner.borrow_mut();
-            inner.plan_requests += 1;
-            if let Some(plan) = inner.c2r.get(&n) {
-                let plan = Arc::clone(plan);
-                inner.plan_hits += 1;
-                return plan;
+    /// The complex plan of power-of-two length `n`.
+    fn c2c(&self, n: usize, forward: bool) -> Arc<dyn Fft<f64>> {
+        debug_assert!(n.is_power_of_two());
+        let table = if forward { &FORWARD } else { &INVERSE };
+        let slot = &table[n.trailing_zeros() as usize];
+        self.fetch(slot, PlanKind::C2c, || {
+            let mut planner = FftPlanner::new();
+            if forward {
+                planner.plan_fft_forward(n)
+            } else {
+                planner.plan_fft_inverse(n)
             }
-        }
-        let half_inv = self.inverse(n / 2);
-        let plan = Arc::new(C2rPlan::new(n, half_inv));
-        let mut inner = self.inner.borrow_mut();
-        inner.plans_built += 1;
-        inner.plans_built_r2c += 1;
-        inner.c2r.insert(n, Arc::clone(&plan));
-        plan
+        })
     }
 
-    /// Number of distinct plans built so far (cache misses), summed over
-    /// every plan kind: c2c forward/inverse plus the r2c/c2r wrappers
-    /// (whose inner half-length c2c plans are counted by the c2c tally
-    /// when first built).
+    /// The real-to-complex plan of power-of-two real length `n >= 2` (its
+    /// inner half-length complex plan comes from the same tables).
+    fn r2c(&self, n: usize) -> Arc<R2cPlan> {
+        debug_assert!(n.is_power_of_two() && n >= 2);
+        let slot = &R2C[n.trailing_zeros() as usize];
+        self.fetch(slot, PlanKind::Wrapper, || {
+            Arc::new(R2cPlan::new(n, self.c2c(n / 2, true)))
+        })
+    }
+
+    /// The complex-to-real plan of power-of-two real length `n >= 2`.
+    fn c2r(&self, n: usize) -> Arc<C2rPlan> {
+        debug_assert!(n.is_power_of_two() && n >= 2);
+        let slot = &C2R[n.trailing_zeros() as usize];
+        self.fetch(slot, PlanKind::Wrapper, || {
+            Arc::new(C2rPlan::new(n, self.c2c(n / 2, false)))
+        })
+    }
+
+    /// Number of plans *this workspace* built, over every kind: a plan is
+    /// built by whichever thread asks for it first in the process, so a
+    /// workspace that finds the tables warm reports 0, and the sum over all
+    /// workspaces of a process is the number of distinct `(kind, N)` used.
     pub fn plans_built(&self) -> usize {
-        self.inner.borrow().plans_built
+        let inner = self.inner.borrow();
+        inner.plans_built_c2c + inner.plans_built_r2c
     }
 
-    /// Number of distinct complex-to-complex plans built so far.
+    /// Number of complex-to-complex plans this workspace built (including
+    /// the half-length ones inside the r2c/c2r wrappers it built).
     pub fn plans_built_c2c(&self) -> usize {
         self.inner.borrow().plans_built_c2c
     }
 
-    /// Number of distinct r2c/c2r wrapper plans built so far. Counted
-    /// apart from [`plans_built_c2c`](Self::plans_built_c2c): a cache
-    /// keyed only by length would silently alias a length-`n` r2c plan
-    /// with a length-`n` c2c plan, which compute different transforms.
+    /// Number of r2c/c2r wrapper plans this workspace built.
     pub fn plans_built_r2c(&self) -> usize {
         self.inner.borrow().plans_built_r2c
     }
 
-    /// Number of plan lookups (any kind) served so far.
+    /// Number of plan lookups (any kind) this workspace made.
     pub fn plan_requests(&self) -> usize {
         self.inner.borrow().plan_requests
     }
 
-    /// Number of plan lookups answered from cache.
+    /// Number of plan lookups answered by an already-built table entry.
     pub fn plan_hits(&self) -> usize {
-        self.inner.borrow().plan_hits
+        self.plan_requests() - self.plans_built()
     }
 
     /// Number of physical FFT executions run through the workspace. A
@@ -432,46 +394,38 @@ impl SpectralWorkspace {
         self.inner.borrow().transforms_run
     }
 
-    /// Runs the forward DFT of `samples` into the recycled buffer and hands
-    /// the *full* complex spectrum to `f`. No allocation occurs once the
-    /// buffers have grown to the working length. This is always a
-    /// complex-to-complex transform, regardless of [`SpectralMode`].
-    pub fn with_spectrum<R>(&self, samples: &[f64], f: impl FnOnce(&[Complex<f64>]) -> R) -> R {
-        let fft = self.forward(samples.len());
-        let (mut buffer, mut scratch) = self.take_buffers();
-        buffer.clear();
-        buffer.extend(samples.iter().map(|&v| Complex::new(v, 0.0)));
-        run_in_place(&*fft, &mut buffer, &mut scratch);
-        let out = f(&buffer);
-        self.put_buffers(buffer, scratch, 1);
-        out
-    }
-
-    /// Runs the forward DFT of real `samples` and hands the *one-sided*
-    /// spectrum `X(0..=n/2)` to `f` — everything a real signal carries, by
-    /// Hermitian symmetry. In [`SpectralMode::RealHalf`] an even-length
-    /// series runs through the packed half-length [`R2cPlan`] (half the
-    /// transform work); odd lengths and [`SpectralMode::ComplexFull`] run
-    /// the full complex transform and hand out its first `n/2 + 1` bins,
-    /// bit-for-bit those of [`with_spectrum`](Self::with_spectrum).
+    /// Zero-pads real `samples` (`n` of them) to `N = n.next_power_of_two()`,
+    /// runs the forward DFT and hands the *one-sided* spectrum
+    /// `X(0..=N/2)` to `f` — everything a real signal carries, by Hermitian
+    /// symmetry. Bin `k` is the series' discrete-time Fourier transform at
+    /// `k/N` cycles per sample. In [`SpectralMode::RealHalf`] the transform
+    /// is the packed half-length real-to-complex plan; in
+    /// [`SpectralMode::ComplexFull`] it is the full complex one, handed out
+    /// up to the Nyquist bin.
     pub fn with_half_spectrum<R>(
         &self,
         samples: &[f64],
         f: impl FnOnce(&[Complex<f64>]) -> R,
     ) -> R {
-        let n = samples.len();
-        if n == 0 {
-            return f(&[]);
-        }
-        if self.mode == SpectralMode::ComplexFull || !n.is_multiple_of(2) {
-            return self.with_spectrum(samples, |spectrum| f(&spectrum[..n / 2 + 1]));
-        }
-        let plan = self.r2c(n);
+        let padded = padded_len(samples.len());
         let (mut buffer, mut scratch) = self.take_buffers();
-        let mut half = self.take_half();
-        plan.process(samples, &mut buffer, &mut half, &mut scratch);
-        let out = f(&half);
-        self.put_half(half);
+        let out = if self.mode == SpectralMode::ComplexFull {
+            let fft = self.c2c(padded, true);
+            load_padded(
+                &mut buffer,
+                samples.iter().map(|&v| Complex::new(v, 0.0)),
+                padded,
+            );
+            run_in_place(&*fft, &mut buffer, &mut scratch);
+            f(&buffer[..=padded / 2])
+        } else {
+            let plan = self.r2c(padded);
+            let mut half = self.take_half();
+            plan.process(samples, &mut buffer, &mut half, &mut scratch);
+            let out = f(&half);
+            self.put_half(half);
+            out
+        };
         self.put_buffers(buffer, scratch, 1);
         out
     }
@@ -486,21 +440,21 @@ impl SpectralWorkspace {
     /// value.
     ///
     /// In [`SpectralMode::RealHalf`] the round trip runs packed
-    /// ([`R2cPlan`] → `|X|²` over the half spectrum → [`C2rPlan`]): the
-    /// padded length is a power of two, so this path always applies. In
-    /// [`SpectralMode::ComplexFull`] the legacy full complex round trip
-    /// runs and the real parts are handed to `f`, bit-for-bit the pre-r2c
-    /// values. All plans come from the cache and every buffer is recycled.
+    /// (r2c → `|X|²` over the half spectrum → c2r); in
+    /// [`SpectralMode::ComplexFull`] it is the full complex round trip and
+    /// the real parts are handed to `f`.
     pub fn with_autocorrelation<R>(&self, samples: &[f64], f: impl FnOnce(&[f64]) -> R) -> R {
-        let padded = (2 * samples.len()).next_power_of_two();
-        if self.mode == SpectralMode::ComplexFull || padded < 2 {
-            let fwd = self.forward(padded);
-            let inv = self.inverse(padded);
-            let (mut buffer, mut scratch) = self.take_buffers();
-            let mut real = self.take_real();
-            buffer.clear();
-            buffer.extend(samples.iter().map(|&v| Complex::new(v, 0.0)));
-            buffer.resize(padded, ZERO);
+        let padded = padded_len(2 * samples.len());
+        let (mut buffer, mut scratch) = self.take_buffers();
+        let mut real = self.take_real();
+        if self.mode == SpectralMode::ComplexFull {
+            let fwd = self.c2c(padded, true);
+            let inv = self.c2c(padded, false);
+            load_padded(
+                &mut buffer,
+                samples.iter().map(|&v| Complex::new(v, 0.0)),
+                padded,
+            );
             run_in_place(&*fwd, &mut buffer, &mut scratch);
             for v in buffer.iter_mut() {
                 *v = Complex::new(v.norm_sqr(), 0.0);
@@ -508,45 +462,38 @@ impl SpectralWorkspace {
             run_in_place(&*inv, &mut buffer, &mut scratch);
             real.clear();
             real.extend(buffer.iter().map(|c| c.re));
-            let out = f(&real);
-            self.put_real(real);
-            self.put_buffers(buffer, scratch, 2);
-            return out;
+        } else {
+            let r2c = self.r2c(padded);
+            let c2r = self.c2r(padded);
+            let mut half = self.take_half();
+            r2c.process(samples, &mut buffer, &mut half, &mut scratch);
+            for v in half.iter_mut() {
+                *v = Complex::new(v.norm_sqr(), 0.0);
+            }
+            c2r.process(&half, &mut buffer, &mut real, &mut scratch);
+            self.put_half(half);
         }
-        let r2c = self.r2c(padded);
-        let c2r = self.c2r(padded);
-        let (mut buffer, mut scratch) = self.take_buffers();
-        let mut half = self.take_half();
-        let mut real = self.take_real();
-        real.clear();
-        real.extend_from_slice(samples);
-        real.resize(padded, 0.0);
-        r2c.process(&real, &mut buffer, &mut half, &mut scratch);
-        for v in half.iter_mut() {
-            *v = Complex::new(v.norm_sqr(), 0.0);
-        }
-        c2r.process(&half, &mut buffer, &mut real, &mut scratch);
         let out = f(&real);
         self.put_real(real);
-        self.put_half(half);
         self.put_buffers(buffer, scratch, 2);
         out
     }
 
     /// Batched spectral maxima for the permutation filter: `rows` is a
-    /// contiguous `m × n` matrix of shuffled series (row-major), and the
-    /// result holds, per row, the maximum *unnormalized* power
-    /// `|X(k)|²` over the one-sided bins `k = 1..=n/2` (callers divide by
-    /// `n` once — exact for the maximum, since division by a positive
-    /// constant is monotone under IEEE round-to-nearest).
+    /// contiguous `m × n` matrix of shuffled series (row-major), each row
+    /// is zero-padded to `N = n.next_power_of_two()` exactly like
+    /// [`with_half_spectrum`](Self::with_half_spectrum) pads the observed
+    /// series, and the result holds, per row, the maximum *unnormalized*
+    /// power `|X(k)|²` over the one-sided bins `k = 1..=N/2` (callers
+    /// divide by `n` once — exact for the maximum, since division by a
+    /// positive constant is monotone under IEEE round-to-nearest).
     ///
     /// In [`SpectralMode::RealHalf`] consecutive rows are packed two per
     /// complex FFT (`z = a + i·b`) and separated per bin by Hermitian
-    /// symmetry, halving the transform count at *every* length; a trailing
-    /// odd row runs through the single-series half-spectrum path. In
-    /// [`SpectralMode::ComplexFull`] each row runs its own full transform,
-    /// making every per-row maximum bit-identical to the unbatched legacy
-    /// loop.
+    /// symmetry, halving the transform count; a trailing odd row runs
+    /// through the single-series half-spectrum path. In
+    /// [`SpectralMode::ComplexFull`] each row is one call of that mode's
+    /// `with_half_spectrum`.
     ///
     /// # Panics
     ///
@@ -560,43 +507,34 @@ impl SpectralWorkspace {
             return maxima;
         }
         if self.mode == SpectralMode::ComplexFull {
-            let fft = self.forward(n);
-            let (mut buffer, mut scratch) = self.take_buffers();
-            let mut ran = 0usize;
-            for row in rows.chunks_exact(n) {
-                buffer.clear();
-                buffer.extend(row.iter().map(|&v| Complex::new(v, 0.0)));
-                run_in_place(&*fft, &mut buffer, &mut scratch);
-                ran += 1;
-                let max = buffer[1..=n / 2]
-                    .iter()
-                    .map(Complex::norm_sqr)
-                    .fold(0.0, f64::max);
-                maxima.push(max);
-            }
-            self.put_buffers(buffer, scratch, ran);
+            maxima.extend(
+                rows.chunks_exact(n)
+                    .map(|row| self.with_half_spectrum(row, max_power)),
+            );
             return maxima;
         }
 
+        let padded = padded_len(n);
         let mut pairs = rows.chunks_exact(2 * n);
         if m >= 2 {
             // The full-length plan is only needed when at least one pair of
             // rounds rides a packed transform; a lone row (m = 1) goes
             // straight to the half-spectrum path below.
-            let fft = self.forward(n);
+            let fft = self.c2c(padded, true);
             let (mut buffer, mut scratch) = self.take_buffers();
-            let mut ran = 0usize;
             for pair in pairs.by_ref() {
                 let (a, b) = pair.split_at(n);
-                buffer.clear();
-                buffer.extend(a.iter().zip(b).map(|(&x, &y)| Complex::new(x, y)));
+                load_padded(
+                    &mut buffer,
+                    a.iter().zip(b).map(|(&x, &y)| Complex::new(x, y)),
+                    padded,
+                );
                 run_in_place(&*fft, &mut buffer, &mut scratch);
-                ran += 1;
                 let mut max_a = 0.0f64;
                 let mut max_b = 0.0f64;
-                for k in 1..=n / 2 {
+                for k in 1..=padded / 2 {
                     let zk = buffer[k];
-                    let zc = buffer[n - k].conj();
+                    let zc = buffer[padded - k].conj();
                     // A(k) = (zk + zc)/2, B(k) = (zk − zc)/(2i): only the
                     // squared magnitudes are needed, so no twiddles appear.
                     max_a = max_a.max(0.25 * (zk + zc).norm_sqr());
@@ -605,19 +543,13 @@ impl SpectralWorkspace {
                 maxima.push(max_a);
                 maxima.push(max_b);
             }
-            self.put_buffers(buffer, scratch, ran);
+            self.put_buffers(buffer, scratch, m / 2);
         }
 
         let rest = pairs.remainder();
         if !rest.is_empty() {
             // Odd trailing row: one single-series half-spectrum transform.
-            let max = self.with_half_spectrum(rest, |spectrum| {
-                spectrum[1..=n / 2]
-                    .iter()
-                    .map(Complex::norm_sqr)
-                    .fold(0.0, f64::max)
-            });
-            maxima.push(max);
+            maxima.push(self.with_half_spectrum(rest, max_power));
         }
         maxima
     }
@@ -682,6 +614,25 @@ impl SpectralWorkspace {
     }
 }
 
+/// The largest `|X(k)|²` of a one-sided spectrum, DC bin excluded.
+fn max_power(spectrum: &[Complex<f64>]) -> f64 {
+    spectrum[1..]
+        .iter()
+        .map(Complex::norm_sqr)
+        .fold(0.0, f64::max)
+}
+
+/// Refills `buffer` with `values` followed by zeros up to `padded` entries.
+fn load_padded(
+    buffer: &mut Vec<Complex<f64>>,
+    values: impl Iterator<Item = Complex<f64>>,
+    padded: usize,
+) {
+    buffer.clear();
+    buffer.extend(values);
+    buffer.resize(padded, ZERO);
+}
+
 /// Runs `fft` in place over `buffer`, growing `scratch` as required.
 fn run_in_place(fft: &dyn Fft<f64>, buffer: &mut [Complex<f64>], scratch: &mut Vec<Complex<f64>>) {
     let need = fft.get_inplace_scratch_len();
@@ -699,17 +650,11 @@ impl Default for SpectralWorkspace {
 
 impl std::fmt::Debug for SpectralWorkspace {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let inner = self.inner.borrow();
         f.debug_struct("SpectralWorkspace")
             .field("mode", &self.mode)
-            .field("forward_plans", &inner.forward.len())
-            .field("inverse_plans", &inner.inverse.len())
-            .field("r2c_plans", &inner.r2c.len())
-            .field("c2r_plans", &inner.c2r.len())
-            .field("plans_built", &inner.plans_built)
-            .field("plan_requests", &inner.plan_requests)
-            .field("plan_hits", &inner.plan_hits)
-            .field("transforms_run", &inner.transforms_run)
+            .field("plans_built", &self.plans_built())
+            .field("plan_requests", &self.plan_requests())
+            .field("transforms_run", &self.transforms_run())
             .finish()
     }
 }
@@ -720,13 +665,11 @@ thread_local! {
 
 /// Runs `f` with the calling thread's shared [`SpectralWorkspace`].
 ///
-/// This is how the detection pipeline gets plan reuse without threading a
-/// workspace through every signature: `Periodogram::compute`,
+/// This is how the detection pipeline recycles transform buffers without
+/// threading a workspace through every signature: `Periodogram::compute`,
 /// `permutation_threshold`, `Autocorrelation::compute` and
-/// `PeriodicityDetector::detect` all route here, so a MapReduce worker
-/// thread builds each plan once per window and reuses it for every pair
-/// and every permutation round it processes. The thread workspace runs in
-/// the default [`SpectralMode::RealHalf`].
+/// `PeriodicityDetector::detect` all route here. The thread workspace runs
+/// in the default [`SpectralMode::RealHalf`].
 pub fn with_thread_workspace<R>(f: impl FnOnce(&SpectralWorkspace) -> R) -> R {
     THREAD_WORKSPACE.with(f)
 }
@@ -735,22 +678,32 @@ pub fn with_thread_workspace<R>(f: impl FnOnce(&SpectralWorkspace) -> R) -> R {
 mod tests {
     use super::*;
 
-    /// Reference spectrum computed the way the seed code did: fresh
-    /// planner, fresh buffers, every call.
-    fn naive_spectrum(samples: &[f64]) -> Vec<Complex<f64>> {
-        let mut buf: Vec<Complex<f64>> = samples.iter().map(|&v| Complex::new(v, 0.0)).collect();
-        let mut planner = FftPlanner::new();
-        planner.plan_fft_forward(samples.len()).process(&mut buf);
-        buf
-    }
-
     fn test_samples(n: usize) -> Vec<f64> {
         (0..n)
             .map(|i| (2.0 * std::f64::consts::PI * i as f64 / 7.3).sin() + 0.1 * i as f64)
             .collect()
     }
 
-    /// Tolerance for comparing two FFT algorithms on the same input:
+    /// The contract, literally: `X(k) = Σ_{j<n} x_j·e^(−2πijk/N)` for
+    /// `k = 0..=N/2`, summed term by term in `O(n·N)`.
+    fn naive_padded_half_spectrum(samples: &[f64]) -> Vec<Complex<f64>> {
+        let padded = padded_len(samples.len());
+        let unit: Vec<Complex<f64>> = (0..padded)
+            .map(|t| {
+                Complex::from_polar(1.0, -2.0 * std::f64::consts::PI * t as f64 / padded as f64)
+            })
+            .collect();
+        (0..=padded / 2)
+            .map(|k| {
+                samples
+                    .iter()
+                    .enumerate()
+                    .fold(ZERO, |acc, (j, &x)| acc + unit[(j * k) % padded] * x)
+            })
+            .collect()
+    }
+
+    /// Tolerance for comparing two DFT algorithms on the same input:
     /// relative to the spectrum's largest magnitude, a generous multiple
     /// of the O(ε·log n) FFT rounding bound.
     fn spectral_tolerance(reference: &[Complex<f64>]) -> f64 {
@@ -759,129 +712,136 @@ mod tests {
             .map(|v| v.norm_sqr())
             .fold(0.0, f64::max)
             .sqrt();
-        1e-12 * scale.max(1.0)
+        1e-11 * scale.max(1.0)
     }
 
     #[test]
-    fn spectrum_matches_fresh_planner_exactly() {
-        let ws = SpectralWorkspace::new();
-        for n in [8usize, 60, 256, 1000] {
-            let samples = test_samples(n);
-            let expected = naive_spectrum(&samples);
-            ws.with_spectrum(&samples, |got| {
-                assert_eq!(got.len(), expected.len());
-                for (g, e) in got.iter().zip(&expected) {
-                    assert_eq!(g, e, "n = {n}");
-                }
-            });
+    fn padded_half_spectrum_is_the_dtft_sampled_at_k_over_n() {
+        // Every length 4..=300 — odd, prime, power of two — in both modes.
+        for mode in [SpectralMode::RealHalf, SpectralMode::ComplexFull] {
+            let ws = SpectralWorkspace::with_mode(mode);
+            for n in 4..=300usize {
+                let samples = test_samples(n);
+                let expected = naive_padded_half_spectrum(&samples);
+                let tol = spectral_tolerance(&expected);
+                ws.with_half_spectrum(&samples, |got| {
+                    assert_eq!(got.len(), n.next_power_of_two() / 2 + 1, "n = {n}");
+                    for (k, (g, e)) in got.iter().zip(&expected).enumerate() {
+                        assert!(
+                            (g - e).norm() <= tol,
+                            "{mode:?} n = {n}, bin {k}: {g} vs {e} (tol {tol})"
+                        );
+                    }
+                });
+            }
         }
     }
 
     #[test]
-    fn half_spectrum_matches_full_spectrum() {
-        // The packed r2c unpack agrees with the full complex transform to
-        // within FFT rounding at every even length, including tiny ones.
+    fn tiny_inputs_pad_to_two() {
+        // n = 0, 1, 2 all transform at N = 2: X(0) = Σx, X(1) = x0 − x1.
         let ws = SpectralWorkspace::new();
-        for n in [2usize, 4, 6, 8, 60, 96, 128, 256, 1000] {
-            let samples = test_samples(n);
-            let expected = naive_spectrum(&samples);
-            let tol = spectral_tolerance(&expected);
+        for (samples, want) in [
+            (vec![], [0.0, 0.0]),
+            (vec![3.0], [3.0, 3.0]),
+            (vec![3.0, 1.0], [4.0, 2.0]),
+        ] {
             ws.with_half_spectrum(&samples, |got| {
-                assert_eq!(got.len(), n / 2 + 1, "n = {n}");
-                for (k, (g, e)) in got.iter().zip(&expected).enumerate() {
-                    assert!(
-                        (g - e).norm() <= tol,
-                        "n = {n}, bin {k}: {g} vs {e} (tol {tol})"
-                    );
-                }
+                assert_eq!(got.len(), 2);
+                assert_eq!([got[0].re, got[1].re], want);
+                assert!(got[0].im.abs() + got[1].im.abs() < 1e-15);
             });
         }
     }
 
     #[test]
-    fn half_spectrum_odd_and_complex_full_are_bit_exact() {
-        // Odd lengths (no r2c packing) and ComplexFull mode both hand out
-        // the full transform's leading bins, bit-for-bit.
-        let odd = test_samples(61);
-        let expected = naive_spectrum(&odd);
+    fn counters_are_per_workspace() {
         let ws = SpectralWorkspace::new();
-        ws.with_half_spectrum(&odd, |got| {
-            assert_eq!(got.len(), 31);
-            for (g, e) in got.iter().zip(&expected) {
-                assert_eq!(g, e);
-            }
-        });
-
-        let even = test_samples(64);
-        let expected = naive_spectrum(&even);
-        let legacy = SpectralWorkspace::with_mode(SpectralMode::ComplexFull);
-        legacy.with_half_spectrum(&even, |got| {
-            assert_eq!(got.len(), 33);
-            for (g, e) in got.iter().zip(&expected) {
-                assert_eq!(g, e);
-            }
-        });
-    }
-
-    #[test]
-    fn plans_are_cached_per_length() {
-        let ws = SpectralWorkspace::new();
-        let samples = test_samples(128);
+        let samples = test_samples(100);
         for _ in 0..10 {
-            ws.with_spectrum(&samples, |_| ());
+            ws.with_half_spectrum(&samples, |_| ());
         }
-        assert_eq!(ws.plans_built(), 1);
+        // One wrapper lookup per call; its inner half-length lookup only
+        // if this workspace is the one that built the wrapper.
         assert_eq!(ws.transforms_run(), 10);
-        assert_eq!(ws.plan_requests(), 10);
-        assert_eq!(ws.plan_hits(), 9);
+        assert_eq!(ws.plan_requests(), 10 + ws.plans_built_r2c());
+        assert_eq!(ws.plan_hits() + ws.plans_built(), ws.plan_requests());
+        assert!(ws.plans_built_r2c() <= 1 && ws.plans_built_c2c() <= 1);
 
-        let other = test_samples(96);
-        ws.with_spectrum(&other, |_| ());
-        assert_eq!(ws.plans_built(), 2);
+        // A second workspace finds the table warm.
+        let other = SpectralWorkspace::new();
+        other.with_half_spectrum(&samples, |_| ());
+        assert_eq!((other.plan_requests(), other.plans_built()), (1, 0));
     }
 
     #[test]
-    fn r2c_and_c2c_plans_do_not_alias() {
-        // Regression: a same-length r2c and c2c request must build two
-        // distinct plans — a cache keyed only by length would alias them.
-        let ws = SpectralWorkspace::new();
-        let samples = test_samples(64);
-        ws.with_spectrum(&samples, |_| ());
-        assert_eq!((ws.plans_built_c2c(), ws.plans_built_r2c()), (1, 0));
-
-        ws.with_half_spectrum(&samples, |_| ());
-        // The r2c wrapper plus its inner half-length (32) c2c plan.
-        assert_eq!((ws.plans_built_c2c(), ws.plans_built_r2c()), (2, 1));
-        assert_eq!(ws.plans_built(), 3);
-
-        // Both caches now hit; no further builds.
-        ws.with_spectrum(&samples, |_| ());
-        ws.with_half_spectrum(&samples, |_| ());
-        assert_eq!(ws.plans_built(), 3);
-        assert_eq!(
-            ws.plans_built(),
-            ws.plans_built_c2c() + ws.plans_built_r2c()
-        );
-    }
-
-    #[test]
-    fn forward_and_inverse_plans_are_distinct() {
-        let ws = SpectralWorkspace::new();
-        let f = ws.forward(64);
-        let i = ws.inverse(64);
-        assert_eq!(ws.plans_built(), 2);
-        // Round trip: forward then inverse scales by n.
-        let mut buf: Vec<Complex<f64>> = test_samples(64)
-            .iter()
-            .map(|&v| Complex::new(v, 0.0))
-            .collect();
-        let original = buf.clone();
-        f.process(&mut buf);
-        i.process(&mut buf);
-        for (got, want) in buf.iter().zip(&original) {
-            assert!((got.re / 64.0 - want.re).abs() < 1e-9);
-            assert!((got.im / 64.0 - want.im).abs() < 1e-9);
+    fn plans_are_shared_across_threads_and_built_once() {
+        // Eight threads, released together, each transforming a different
+        // length in (2^k/2, 2^k]: every one must end up holding the same
+        // plan objects, and between them they build each (kind, N) at most
+        // once (never, if another test of this process got there first).
+        const N: usize = 1 << 11;
+        let barrier = std::sync::Barrier::new(8);
+        let per_thread: Vec<_> = std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..8usize)
+                .map(|t| {
+                    let barrier = &barrier;
+                    scope.spawn(move || {
+                        let ws = SpectralWorkspace::new();
+                        let n = N / 2 + 1 + t * (N / 2 - 1) / 7;
+                        let samples = test_samples(n);
+                        barrier.wait();
+                        ws.with_half_spectrum(&samples, |_| ());
+                        let rows: Vec<f64> = samples.iter().chain(&samples).copied().collect();
+                        ws.shuffled_half_power_maxima(&rows, n);
+                        ws.with_autocorrelation(&samples, |_| ());
+                        let built = (ws.plans_built_c2c(), ws.plans_built_r2c());
+                        let plans = (
+                            ws.r2c(N),
+                            ws.r2c(2 * N),
+                            ws.c2r(2 * N),
+                            [ws.c2c(N / 2, true), ws.c2c(N, true), ws.c2c(N, false)],
+                        );
+                        (built, plans)
+                    })
+                })
+                .collect();
+            handles
+                .into_iter()
+                .map(|h| h.join().expect("worker panicked"))
+                .collect()
+        });
+        let (_, first) = &per_thread[0];
+        for (_, plans) in &per_thread {
+            assert!(Arc::ptr_eq(&plans.0, &first.0));
+            assert!(Arc::ptr_eq(&plans.1, &first.1));
+            assert!(Arc::ptr_eq(&plans.2, &first.2));
+            for (a, b) in plans.3.iter().zip(&first.3) {
+                assert!(Arc::ptr_eq(a, b));
+            }
         }
+        let c2c: usize = per_thread.iter().map(|((c, _), _)| c).sum();
+        let r2c: usize = per_thread.iter().map(|((_, r), _)| r).sum();
+        assert!(c2c <= 3, "forward N/2, forward N, inverse N; built {c2c}");
+        assert!(r2c <= 3, "r2c N, r2c 2N, c2r 2N; built {r2c}");
+    }
+
+    #[test]
+    fn a_thousand_lengths_need_a_handful_of_plans() {
+        // The stream thread sees a new series length on almost every
+        // detection; per-length plans made its cache grow for the life of
+        // the process. 1 000 distinct lengths up to 1 200 touch N = 256 …
+        // 2 048 (and the ACF's 2N): at most 4 kinds × 11 sizes.
+        let ws = SpectralWorkspace::new();
+        for n in 201..=1200usize {
+            let samples = test_samples(n);
+            ws.with_half_spectrum(&samples, |_| ());
+            let rows: Vec<f64> = samples.iter().chain(&samples).copied().collect();
+            ws.shuffled_half_power_maxima(&rows, n);
+            ws.with_autocorrelation(&samples, |_| ());
+        }
+        assert!(ws.plans_built() <= 4 * 11, "built {}", ws.plans_built());
+        assert_eq!(ws.transforms_run(), 1000 * 4);
     }
 
     #[test]
@@ -896,22 +856,18 @@ mod tests {
                 assert!(v.abs() <= r0 * (1.0 + 1e-9), "lag {lag}");
             }
         });
-        // Packed round trip: r2c + c2r wrappers, each with an inner
-        // half-length (128) c2c plan; two physical FFT executions.
-        assert_eq!(ws.plans_built(), 4);
-        assert_eq!(ws.plans_built_r2c(), 2);
+        // Packed round trip: two physical (half-length) FFT executions.
         assert_eq!(ws.transforms_run(), 2);
     }
 
     #[test]
     fn autocorrelation_modes_agree() {
         let samples = test_samples(100);
-        let legacy = SpectralWorkspace::with_mode(SpectralMode::ComplexFull);
+        let reference = SpectralWorkspace::with_mode(SpectralMode::ComplexFull);
         let packed = SpectralWorkspace::new();
-        let expected = legacy.with_autocorrelation(&samples, |buf| buf.to_vec());
-        // Legacy mode keeps the pre-r2c plan/transform accounting.
-        assert_eq!(legacy.plans_built(), 2);
-        assert_eq!(legacy.transforms_run(), 2);
+        let expected = reference.with_autocorrelation(&samples, |buf| buf.to_vec());
+        assert_eq!(reference.plan_requests(), 2);
+        assert_eq!(reference.transforms_run(), 2);
         packed.with_autocorrelation(&samples, |got| {
             assert_eq!(got.len(), expected.len());
             let tol = 1e-9 * expected[0].abs().max(1.0);
@@ -923,33 +879,29 @@ mod tests {
 
     #[test]
     fn batched_maxima_match_per_row_transforms() {
-        // RealHalf batching (two rounds per FFT) agrees with row-by-row
-        // full transforms; ComplexFull batching is bit-identical to them.
-        for n in [7usize, 12, 31, 60] {
+        // Per row, the batched maximum is the maximum of that row's padded
+        // half spectrum: bit-identical in ComplexFull (same arithmetic),
+        // within rounding in RealHalf (two rounds per FFT).
+        for n in [7usize, 12, 31, 60, 64] {
             for m in [1usize, 2, 3, 20] {
                 let rows: Vec<f64> = (0..m * n)
                     .map(|i| (i as f64 * 0.37).sin() + 0.05 * (i % n) as f64)
                     .collect();
-                let reference: Vec<f64> = rows
+                let reference = SpectralWorkspace::with_mode(SpectralMode::ComplexFull);
+                let expected: Vec<f64> = rows
                     .chunks_exact(n)
-                    .map(|row| {
-                        naive_spectrum(row)[1..=n / 2]
-                            .iter()
-                            .map(Complex::norm_sqr)
-                            .fold(0.0, f64::max)
-                    })
+                    .map(|row| reference.with_half_spectrum(row, max_power))
                     .collect();
-
-                let legacy = SpectralWorkspace::with_mode(SpectralMode::ComplexFull);
-                let got = legacy.shuffled_half_power_maxima(&rows, n);
-                assert_eq!(got, reference, "ComplexFull n={n} m={m}");
-                assert_eq!(legacy.transforms_run(), m);
+                let before = reference.transforms_run();
+                let got = reference.shuffled_half_power_maxima(&rows, n);
+                assert_eq!(got, expected, "ComplexFull n={n} m={m}");
+                assert_eq!(reference.transforms_run() - before, m);
 
                 let packed = SpectralWorkspace::new();
                 let got = packed.shuffled_half_power_maxima(&rows, n);
                 assert_eq!(got.len(), m);
                 assert_eq!(packed.transforms_run(), m.div_ceil(2));
-                for (i, (g, e)) in got.iter().zip(&reference).enumerate() {
+                for (i, (g, e)) in got.iter().zip(&expected).enumerate() {
                     let tol = 1e-9 * e.max(1.0);
                     assert!((g - e).abs() <= tol, "RealHalf n={n} m={m} row {i}");
                 }
@@ -962,35 +914,29 @@ mod tests {
         let ws = SpectralWorkspace::new();
         let outer = test_samples(64);
         let inner = test_samples(32);
-        let expected = naive_spectrum(&inner);
-        ws.with_spectrum(&outer, |_| {
+        let expected = ws.with_half_spectrum(&inner, |got| got.to_vec());
+        ws.with_half_spectrum(&outer, |_| {
             // Nested use of the same workspace from inside a closure.
-            ws.with_spectrum(&inner, |got| {
-                for (g, e) in got.iter().zip(&expected) {
-                    assert_eq!(g, e);
-                }
-            });
+            ws.with_half_spectrum(&inner, |got| assert_eq!(got, expected));
         });
     }
 
     #[test]
     fn thread_workspace_persists_across_calls() {
-        let before = with_thread_workspace(|ws| ws.plans_built());
         let samples = test_samples(333);
-        with_thread_workspace(|ws| ws.with_spectrum(&samples, |_| ()));
-        with_thread_workspace(|ws| ws.with_spectrum(&samples, |_| ()));
-        let after = with_thread_workspace(|ws| ws.plans_built());
-        // Both calls hit the same per-thread cache: one new plan at most
-        // (another test on this thread may have planned length 333 first).
-        assert!(after <= before + 1);
+        let before = with_thread_workspace(|ws| ws.transforms_run());
+        with_thread_workspace(|ws| ws.with_half_spectrum(&samples, |_| ()));
+        with_thread_workspace(|ws| ws.with_half_spectrum(&samples, |_| ()));
+        let after = with_thread_workspace(|ws| ws.transforms_run());
+        assert_eq!(after, before + 2);
     }
 
     #[test]
     fn debug_format_mentions_plan_counts() {
         let ws = SpectralWorkspace::new();
-        ws.forward(16);
+        ws.with_half_spectrum(&test_samples(16), |_| ());
         let s = format!("{ws:?}");
         assert!(s.contains("plans_built"), "{s}");
-        assert!(s.contains("r2c_plans"), "{s}");
+        assert!(s.contains("plan_requests: "), "{s}");
     }
 }

@@ -1,0 +1,134 @@
+//! Accuracy gate: what the paper claims of the detector (§VIII-A, Fig. 10;
+//! Fig. 5's memoryless control), pinned at fixed seeds so a change to
+//! filter 3's numerics cannot trade recall or false-positive control away
+//! silently. Byte-determinism is gated by `determinism.rs` and the goldens;
+//! this file gates *quality*, with bands wide enough that only a real loss
+//! trips them.
+//!
+//! Every input comes from `netsim::synth` and runs through the default
+//! [`DetectorConfig`]. The cells gated are the ones the detector holds at
+//! γ_d ≥ 0.95 (see `results/pr19_pow2_transforms.md` for every cell's
+//! value on both sides of PR 19); the noisier cells of EXPERIMENTS.md's
+//! Fig. 10 table are reported there, not gated, because they sit on the
+//! detector's knee and move with any seed.
+//!
+//! Run with `--nocapture` to print the cell values.
+
+use baywatch::netsim::synth::{random_arrivals, SyntheticBeacon};
+use baywatch::timeseries::detector::{DetectorConfig, PeriodicityDetector};
+
+const PERIOD: f64 = 300.0;
+const SLOTS: usize = 120;
+const TRIALS: u64 = 10;
+
+/// Smallest relative error of any verified candidate against `period`.
+fn period_error(detector: &PeriodicityDetector, timestamps: &[u64], period: f64) -> f64 {
+    detector.detect(timestamps).map_or(f64::INFINITY, |report| {
+        report
+            .candidates
+            .iter()
+            .map(|c| (c.period - period).abs() / period)
+            .fold(f64::INFINITY, f64::min)
+    })
+}
+
+/// One Fig. 10 cell: γ_d (share of trials whose period is recovered within
+/// 10 %) and δ_d (mean relative period error over those trials).
+fn cell(detector: &PeriodicityDetector, sigma: f64, p_miss: f64, add_rate: f64) -> (f64, f64) {
+    let errors: Vec<f64> = (0..TRIALS)
+        .map(|trial| {
+            let timestamps = SyntheticBeacon {
+                period: PERIOD,
+                gaussian_sigma: sigma,
+                p_miss,
+                add_rate,
+                count: SLOTS,
+                start: 1_000_000,
+            }
+            .generate(trial * 104_729 + 17);
+            period_error(detector, &timestamps, PERIOD)
+        })
+        .filter(|&e| e <= 0.10)
+        .collect();
+    let gamma = errors.len() as f64 / TRIALS as f64;
+    let delta = errors.iter().sum::<f64>() / errors.len().max(1) as f64;
+    (gamma, delta)
+}
+
+#[test]
+fn noise_grid_holds_detection_rate_and_period_error() {
+    // (label, p_miss, add_rate, σ values): each mix up to the largest σ at
+    // which the detector is still reliable.
+    let mixes: [(&str, f64, f64, &[f64]); 6] = [
+        ("gaussian only", 0.0, 0.0, &[0.0, 15.0, 30.0, 45.0]),
+        ("missing 0.25", 0.25, 0.0, &[0.0, 20.0, 45.0]),
+        ("missing 0.50", 0.50, 0.0, &[0.0, 15.0, 30.0]),
+        ("missing 0.75", 0.75, 0.0, &[0.0, 15.0, 30.0]),
+        ("adding 0.50", 0.0, 0.5, &[0.0, 2.0, 5.0]),
+        ("adding 0.75", 0.0, 0.75, &[0.0, 2.0]),
+    ];
+    let detector = PeriodicityDetector::new(DetectorConfig::default());
+    let mut failures = Vec::new();
+    for (label, p_miss, add_rate, sigmas) in mixes {
+        for &sigma in sigmas {
+            let (gamma, delta) = cell(&detector, sigma, p_miss, add_rate);
+            println!("{label:>14} sigma {sigma:>3}: gamma_d {gamma:.2} delta_d {delta:.4}");
+            if gamma < 0.9 || delta > 0.05 {
+                failures.push(format!(
+                    "{label} sigma {sigma}: gamma_d {gamma}, delta_d {delta}"
+                ));
+            }
+        }
+    }
+    assert!(
+        failures.is_empty(),
+        "cells below gamma_d 0.9 or above delta_d 5 %: {failures:#?}"
+    );
+}
+
+#[test]
+fn memoryless_arrivals_are_rarely_periodic() {
+    // 200 exponential-gap pairs on a fixed grid of event counts (20–400)
+    // and mean gaps (30–300 s): the paper's negative control. At C = 95 %
+    // one pair in twenty clears Step 1 by construction; pruning and the ACF
+    // must stop nearly all of those.
+    let detector = PeriodicityDetector::new(DetectorConfig::default());
+    let periodic: Vec<u64> = (0..200u64)
+        .filter(|&i| {
+            let count = 20 + (i * 19 % 381) as usize;
+            let mean_gap = 30.0 + (i * 37 % 271) as f64;
+            let timestamps = random_arrivals(1_000_000, count, mean_gap, i);
+            detector
+                .detect(&timestamps)
+                .is_ok_and(|report| report.is_periodic())
+        })
+        .collect();
+    println!(
+        "memoryless verified periodic: {} of 200 {periodic:?}",
+        periodic.len()
+    );
+    assert!(periodic.len() <= 5, "false periodic pairs: {periodic:?}");
+}
+
+#[test]
+fn every_clean_train_is_recovered() {
+    // Jitter-free trains across periods and lengths: whatever grid the
+    // spectrum is sampled on, the fundamental must come back within 10 %.
+    let detector = PeriodicityDetector::new(DetectorConfig::default());
+    let mut lost = Vec::new();
+    for period in (7..400).step_by(13) {
+        for count in [12usize, 30, 77, 150] {
+            let timestamps = SyntheticBeacon {
+                period: period as f64,
+                count,
+                ..Default::default()
+            }
+            .generate(1);
+            let error = period_error(&detector, &timestamps, period as f64);
+            if error > 0.10 {
+                lost.push((period, count, error));
+            }
+        }
+    }
+    assert!(lost.is_empty(), "(period, count, error) lost: {lost:?}");
+}

@@ -5,9 +5,10 @@
 //! This pins two behaviors at once: the fixed-seed permutation threshold
 //! (`timeseries::permutation` derives every shuffle from one seeded
 //! `StdRng`, so the power threshold is a pure function of the series), and
-//! the thread-local spectral workspace (cached FFT plans must be
-//! numerically transparent — a pair's report cannot depend on which worker
-//! thread, with whatever warm plan cache, happened to process it).
+//! the thread-local spectral workspace (recycled buffers and shared FFT
+//! plans must be numerically transparent — a pair's report cannot depend on
+//! which worker thread, with whatever buffers, happened to process it, nor
+//! on which thread built a plan first).
 
 use baywatch::core::pipeline::{Baywatch, BaywatchConfig};
 use baywatch::core::record::LogRecord;
@@ -158,7 +159,7 @@ fn analyze_is_deterministic_across_partition_counts() {
 }
 
 /// A detection report must not depend on which thread (with whatever
-/// already-warm plan cache) runs it: cold workspace, warm workspace and
+/// already-grown buffers) runs it: cold workspace, warm workspace and
 /// foreign-thread workspace all agree bit-for-bit.
 #[test]
 fn detection_report_is_workspace_independent() {
@@ -170,7 +171,7 @@ fn detection_report_is_workspace_independent() {
         .unwrap();
 
     let warm_ws = SpectralWorkspace::new();
-    // Warm the cache on unrelated lengths first.
+    // Grow the buffers on unrelated lengths first.
     let other: Vec<u64> = (0..80u64).map(|i| i * 61).collect();
     detector.detect_in(&warm_ws, &other).unwrap();
     let warm = detector.detect_in(&warm_ws, &timestamps).unwrap();
