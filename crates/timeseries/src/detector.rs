@@ -266,6 +266,8 @@ impl PeriodicityDetector {
         if let Some(obs) = &self.obs {
             obs.pairs_analyzed.inc();
             obs.series_bins.observe(series.len() as u64);
+            let events = series.values().iter().filter(|&&v| v != 0.0).count();
+            obs.series_events.observe(events as u64);
             match &result {
                 Ok(report) => {
                     if report.raw_candidates == 0 {
@@ -317,16 +319,21 @@ impl PeriodicityDetector {
                 .observe(obs.clock.now_nanos().saturating_sub(t0));
         }
         let t0 = self.obs.as_ref().map(|o| o.clock.now_nanos());
-        let threshold = permutation_filter(
+        let filtered = permutation_filter(
             ws,
             series,
             &self.config.permutation,
             periodogram.max_power(),
             budget,
-        )?;
+        );
+        // Observed before `?`: a budget that runs out inside the rounds
+        // still spent that time in this stage, not in "other".
         if let (Some(obs), Some(t0)) = (&self.obs, t0) {
             obs.permutation_nanos
                 .observe(obs.clock.now_nanos().saturating_sub(t0));
+        }
+        let threshold = filtered?;
+        if let Some(obs) = &self.obs {
             obs.permutation_rounds
                 .add(threshold.shuffled_maxima.len() as u64);
         }
@@ -578,6 +585,7 @@ pub struct DetectorObs {
     prune_survivors: Counter,
     acf_verified: Counter,
     gmm_fitted: Counter,
+    series_events: Histogram,
     series_bins: Histogram,
     periodogram_nanos: Histogram,
     permutation_nanos: Histogram,
@@ -594,6 +602,7 @@ impl DetectorObs {
     )]
     pub fn new(registry: &MetricsRegistry, clock: Arc<dyn Clock>) -> Self {
         let bins = Buckets::exponential(64, 4, 10).expect("static bucket layout is valid");
+        let events = Buckets::exponential(8, 2, 14).expect("static bucket layout is valid");
         let nanos = Buckets::exponential(1_000, 4, 12).expect("static bucket layout is valid");
         Self {
             clock,
@@ -606,6 +615,7 @@ impl DetectorObs {
             prune_survivors: registry.counter("detector.prune.survivors"),
             acf_verified: registry.counter("detector.acf.verified"),
             gmm_fitted: registry.counter("detector.gmm.fitted"),
+            series_events: registry.histogram("detector.series_events", &events),
             series_bins: registry.histogram("detector.series_bins", &bins),
             periodogram_nanos: registry.timing("detector.periodogram.nanos", &nanos),
             permutation_nanos: registry.timing("detector.permutation.nanos", &nanos),
@@ -1106,6 +1116,9 @@ mod tests {
         assert_eq!(snap.counters["detector.budget_exhausted"], 0);
         assert!(snap.counters["detector.periodogram.raw_candidates"] >= 1);
         assert_eq!(snap.histograms["detector.series_bins"].total, 2);
+        // Non-zero bins: 120 beacon events and 11 browsing ones, no two
+        // in one second.
+        assert_eq!(snap.histograms["detector.series_events"].sum, 120 + 11);
         // The beacon ran all 20 shuffle rounds; the ACF only ran for pairs
         // that left Step 1 with a candidate.
         let rejected = snap.counters["detector.permutation.rejected"];
@@ -1135,6 +1148,29 @@ mod tests {
         let snap = registry.snapshot();
         assert_eq!(snap.counters["detector.gmm.fitted"], 0);
         assert_eq!(snap.timings["detector.gmm.nanos"].total, 1);
+    }
+
+    #[test]
+    fn permutation_timing_covers_rounds_the_budget_cut_short() {
+        // Enough ops for the periodogram and three rounds: the fourth
+        // checkpoint fails inside the filter, after one packed transform.
+        // That time belongs to the permutation stage all the same.
+        let registry = MetricsRegistry::new();
+        let clock = Arc::new(baywatch_obs::ManualClock::new());
+        let det = detector().with_obs(DetectorObs::new(&registry, clock));
+        let ts = jittered_beacon(120, 60.0, 0.0, 1);
+        let n = TimeSeries::from_timestamps(&ts, 1).unwrap().len() as u64;
+        let budget = ExecBudget::new(None, Some(n + 3 * n));
+        assert_eq!(
+            det.detect_budgeted(&ts, &budget),
+            Err(TimeSeriesError::BudgetExhausted)
+        );
+        let snap = registry.snapshot();
+        assert_eq!(snap.counters["detector.budget_exhausted"], 1);
+        assert_eq!(snap.timings["detector.periodogram.nanos"].total, 1);
+        assert_eq!(snap.timings["detector.permutation.nanos"].total, 1);
+        assert_eq!(snap.counters["detector.permutation.rounds"], 0);
+        assert_eq!(snap.timings["detector.acf.nanos"].total, 0);
     }
 
     #[test]

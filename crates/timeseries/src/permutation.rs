@@ -18,10 +18,24 @@
 //! permutation test is exact for any statistic computed identically on the
 //! data and on its permutations; which grid samples the spectrum is part of
 //! the statistic, not an approximation of it.
+//!
+//! # A round is a placement
+//!
+//! A count series of `n` one-second bins holds `c ≪ n` non-zero ones, and
+//! a uniform permutation of the `n` bins *is* a uniform placement of those
+//! `c` values on `c` distinct bins (the zeros are interchangeable). So a
+//! round draws `c` positions — a partial Fisher–Yates over a per-pair index
+//! permutation, `c` RNG draws instead of `n − 1` — and hands values and
+//! positions to the workspace, whose transform starts from the events
+//! ([`workspace`](crate::workspace), "A round is its events"). The dense
+//! shuffled series never exists. The null distribution is the one the
+//! paper's Step 1 samples, so the test and the early reject below are
+//! exact as before; only *which* `m` permutations one seed draws differs
+//! from a dense shuffle's.
 
 use crate::budget::ExecBudget;
 use crate::series::TimeSeries;
-use crate::workspace::{with_thread_workspace, SpectralWorkspace};
+use crate::workspace::{with_thread_workspace, Placement, SpectralWorkspace};
 use crate::TimeSeriesError;
 use rand::prelude::*;
 use rand::rngs::StdRng;
@@ -149,15 +163,16 @@ pub(crate) fn permutation_threshold_budgeted(
 /// maxima are `>= observed_max` (ties reject). Once that many are seen
 /// the remaining rounds cannot change the verdict and are skipped; the
 /// rounds that do run draw from the same single `StdRng` stream, paired
-/// `(1,2), (3,4), …` per packed FFT, so their maxima are bit-identical to
-/// the first rounds of the full run. See [`PermutationThreshold`] for what
-/// the result carries after an early reject.
+/// `(1,2), (3,4), …` per packed transform, so their maxima are
+/// bit-identical to the first rounds of the full run. See
+/// [`PermutationThreshold`] for what the result carries after an early
+/// reject.
 ///
-/// Each round first charges `n` work units (one shuffle + one transform of
-/// its `n` bins) and aborts with [`TimeSeriesError::BudgetExhausted`] once
-/// the budget is spent. With an unlimited budget the checkpoint never
-/// fires and the result — including the RNG stream — is byte-identical to
-/// the unbudgeted entry points.
+/// Each round first charges `n` work units (the series length, whatever
+/// the placed transform then costs) and aborts with
+/// [`TimeSeriesError::BudgetExhausted`] once the budget is spent. With an
+/// unlimited budget the checkpoint never fires and the result — including
+/// the RNG stream — is byte-identical to the unbudgeted entry points.
 ///
 /// # Errors
 ///
@@ -172,8 +187,16 @@ pub fn permutation_filter(
     config.validate()?;
     let m = config.permutations;
     let to_reject = m - quantile_rank(config.confidence, m) + 1;
-    let mut maxima = ws.with_rows(|rows| {
-        round_maxima(ws, series, config, observed_max, to_reject, budget, rows)
+    let mut maxima = ws.with_placement(|placement| {
+        round_maxima(
+            ws,
+            series,
+            config,
+            observed_max,
+            to_reject,
+            budget,
+            placement,
+        )
     })?;
     maxima.sort_by(f64::total_cmp);
     // All m rounds: index m − to_reject = rank − 1, the order statistic.
@@ -186,8 +209,8 @@ pub fn permutation_filter(
 }
 
 /// Per-round shuffle maxima in round order, stopping after the batch in
-/// which `to_reject` of them have met `observed_max`. `rows` is the
-/// two-round arena recycled through the workspace.
+/// which `to_reject` of them have met `observed_max`. `placement` is the
+/// round state recycled through the workspace.
 fn round_maxima(
     ws: &SpectralWorkspace,
     series: &TimeSeries,
@@ -195,23 +218,44 @@ fn round_maxima(
     observed_max: f64,
     to_reject: usize,
     budget: &ExecBudget,
-    rows: &mut Vec<f64>,
+    placement: &mut Placement,
 ) -> Result<Vec<f64>, TimeSeriesError> {
-    let mut samples = series.centered();
-    let n = samples.len();
+    let n = series.len();
+    let Ok(bins) = u32::try_from(n) else {
+        return Err(TimeSeriesError::InvalidConfig {
+            name: "series",
+            constraint: "must have at most u32::MAX bins",
+        });
+    };
+    let Placement {
+        order,
+        values,
+        spots,
+    } = placement;
+    order.clear();
+    order.extend(0..bins);
+    values.clear();
+    values.extend(series.values().iter().filter(|&&v| v != 0.0));
+    // Zero bins add nothing, so this is `centered()`'s mean to the bit.
+    let mean = values.iter().sum::<f64>() / n as f64;
     let m = config.permutations;
     let mut rng = StdRng::seed_from_u64(config.seed);
     let mut maxima = Vec::with_capacity(m);
     let mut met = 0;
     while maxima.len() < m && met < to_reject {
-        // Two rounds ride one packed FFT; each charges its checkpoint and
-        // shuffles the rolling buffer (one RNG stream across all rounds).
+        // Two rounds ride one packed transform; each charges its
+        // checkpoint and draws its positions (one RNG stream across all
+        // rounds) by a partial Fisher–Yates: after `c` steps the head of
+        // `order` is a uniform ordered draw of `c` distinct bins, whatever
+        // order the previous round left behind.
         let rounds = (m - maxima.len()).min(2);
-        rows.clear();
+        spots.clear();
         for _ in 0..rounds {
             budget.checkpoint(n as u64)?;
-            samples.shuffle(&mut rng);
-            rows.extend_from_slice(&samples);
+            for j in 0..values.len() {
+                order.swap(j, rng.random_range(j..n));
+                spots.push(order[j]);
+            }
         }
         if n < 4 {
             // Degenerate series have an empty spectrum: max power 0 per
@@ -224,8 +268,8 @@ fn round_maxima(
             // `norm_sqr()/n`: division by a positive constant is monotone
             // under IEEE round-to-nearest, so the same bin wins and the
             // same quotient comes out.
-            let batch = ws.shuffled_half_power_maxima(rows, n);
-            maxima.extend(batch.into_iter().map(|v| v / n as f64));
+            let batch = ws.placed_power_maxima(n, mean, values, spots, rounds);
+            maxima.extend(batch[..rounds].iter().map(|v| v / n as f64));
         }
         met += maxima[maxima.len() - rounds..]
             .iter()
@@ -347,9 +391,7 @@ mod tests {
         let a = permutation_threshold_in(&ws, &series, &cfg).unwrap();
         let b = permutation_threshold(&series, &cfg).unwrap();
         assert_eq!(a, b);
-        // One plan lookup for the padded length; the full threshold runs
-        // every round, two per physical FFT.
-        assert_eq!(ws.plan_requests(), cfg.permutations.div_ceil(2));
+        // The full threshold runs every round, two per packed transform.
         assert_eq!(ws.transforms_run(), cfg.permutations.div_ceil(2));
 
         // Against the beacon's own peak no shuffle comes close: all m
@@ -553,39 +595,160 @@ mod tests {
         ]
     }
 
-    #[test]
-    fn each_round_is_the_periodogram_maximum_of_its_shuffle() {
-        // The null statistic is the observed one: round r's maximum is
-        // `Periodogram::max_power` of the r-th shuffle of the single RNG
-        // stream — the very same arithmetic in ComplexFull, the packed
-        // two-rounds-per-FFT arithmetic (within rounding) in RealHalf.
-        use crate::workspace::{SpectralMode, SpectralWorkspace};
-        let cfg = PermutationConfig::default();
+    /// A series of `n` bins whose bin `i·stride` holds `1 + i % counts`.
+    fn sparse_series(n: usize, stride: usize, counts: usize) -> TimeSeries {
+        let mut values = vec![0.0; n];
+        for (i, v) in values.iter_mut().step_by(stride).enumerate() {
+            *v = (1 + i % counts) as f64;
+        }
+        TimeSeries::from_values(0, 1, values).unwrap()
+    }
+
+    /// Every round as the dense, centred series it stands for, replayed
+    /// from the contract alone: one `StdRng` per pair; per round a partial
+    /// Fisher–Yates of `c` draws over an index permutation that starts as
+    /// the identity and is never reset; the `c` non-zero values, in series
+    /// order, dropped on the drawn bins.
+    fn densified_rounds(series: &TimeSeries, cfg: &PermutationConfig) -> Vec<Vec<f64>> {
+        let n = series.len();
+        let values: Vec<f64> = series
+            .values()
+            .iter()
+            .copied()
+            .filter(|&v| v != 0.0)
+            .collect();
+        let mean = series.values().iter().sum::<f64>() / n as f64;
+        let mut order: Vec<usize> = (0..n).collect();
+        let mut rng = StdRng::seed_from_u64(cfg.seed);
+        (0..cfg.permutations)
+            .map(|_| {
+                let mut dense = vec![-mean; n];
+                for (j, v) in values.iter().enumerate() {
+                    order.swap(j, rng.random_range(j..n));
+                    dense[order[j]] = v - mean;
+                }
+                dense
+            })
+            .collect()
+    }
+
+    /// `round_maxima` on the workspace's own placement, unlimited budget.
+    fn rounds_until(
+        ws: &SpectralWorkspace,
+        series: &TimeSeries,
+        cfg: &PermutationConfig,
+        observed: f64,
+        to_reject: usize,
+    ) -> Vec<f64> {
         let unlimited = ExecBudget::unlimited();
-        for series in exactness_corpus() {
-            let mut samples = series.centered();
-            let mut rng = StdRng::seed_from_u64(cfg.seed);
-            let reference = SpectralWorkspace::with_mode(SpectralMode::ComplexFull);
-            let expected: Vec<f64> = (0..cfg.permutations)
-                .map(|_| {
-                    samples.shuffle(&mut rng);
-                    Periodogram::from_samples_in(&reference, &samples, 1.0).max_power()
-                })
-                .collect();
-            let rounds = |ws: &SpectralWorkspace| {
-                let mut rows = Vec::new();
-                round_maxima(ws, &series, &cfg, f64::INFINITY, 1, &unlimited, &mut rows).unwrap()
-            };
-            let exact = rounds(&reference);
-            assert_eq!(exact, expected, "n = {}", series.len());
-            for (got, want) in rounds(&SpectralWorkspace::new()).iter().zip(&expected) {
-                assert!(
-                    (got - want).abs() <= 1e-9 * want.max(1.0),
-                    "n = {}: {got} vs {want}",
-                    series.len()
-                );
+        ws.with_placement(|p| round_maxima(ws, series, cfg, observed, to_reject, &unlimited, p))
+            .unwrap()
+    }
+
+    fn all_rounds(
+        ws: &SpectralWorkspace,
+        series: &TimeSeries,
+        cfg: &PermutationConfig,
+    ) -> Vec<f64> {
+        rounds_until(ws, series, cfg, f64::INFINITY, 1)
+    }
+
+    #[test]
+    fn each_round_is_the_periodogram_maximum_of_its_placement() {
+        // The null statistic is the observed one: round r's maximum is
+        // `Periodogram::max_power` of the r-th placement of the single RNG
+        // stream — the very same arithmetic in ComplexFull, the rows-from-
+        // events arithmetic (within rounding) in RealHalf.
+        use crate::workspace::SpectralMode;
+        let mut corpus = exactness_corpus();
+        corpus.extend([
+            sparse_series(50, 50, 1),        // c = 1
+            sparse_series(37, 1, 3),         // c = n, counts > 1
+            sparse_series(128, 16, 1),       // n = N exactly, sparse
+            sparse_series(1 << 10, 1, 1),    // n = N, dense: M = 1
+            sparse_series(1000, 3, 4),       // events > N/2: M = 1
+            sparse_series(3000, 20, 2),      // M = 8: mirror-paired rows
+            sparse_series(40_000, 5_000, 2), // 8 events in 2¹⁶: M = N/64
+        ]);
+        for series in corpus {
+            // Odd m ends on a lone round; long series run fewer rounds.
+            let long = series.len() > 10_000;
+            for m in if long { [3, 4] } else { [5, 20] } {
+                let cfg = PermutationConfig {
+                    permutations: m,
+                    ..Default::default()
+                };
+                let reference = SpectralWorkspace::with_mode(SpectralMode::ComplexFull);
+                let expected: Vec<f64> = densified_rounds(&series, &cfg)
+                    .iter()
+                    .map(|dense| Periodogram::from_samples_in(&reference, dense, 1.0).max_power())
+                    .collect();
+                let tag = format!("n = {} m = {m}", series.len());
+                assert_eq!(all_rounds(&reference, &series, &cfg), expected, "{tag}");
+                let packed = all_rounds(&SpectralWorkspace::new(), &series, &cfg);
+                assert_eq!(packed.len(), m, "{tag}");
+                for (got, want) in packed.iter().zip(&expected) {
+                    assert!(
+                        (got - want).abs() <= 1e-9 * want.max(1.0),
+                        "{tag}: {got} vs {want}"
+                    );
+                }
             }
         }
+    }
+
+    #[test]
+    fn placements_are_uniform_and_keep_the_values() {
+        // n = 5 with two distinct values: 5·4 ordered placements, each
+        // 1/20 of 20 000 seeds within 5σ — in the first round (identity
+        // order) and in the second (whatever the first left behind).
+        let series = TimeSeries::from_values(0, 1, vec![0.0, 1.0, 0.0, 2.0, 0.0]).unwrap();
+        let ws = SpectralWorkspace::new();
+        let unlimited = ExecBudget::unlimited();
+        let seeds = 20_000u64;
+        let mut seen = [[0u32; 25]; 2];
+        for seed in 0..seeds {
+            let cfg = PermutationConfig {
+                permutations: 2,
+                seed,
+                ..Default::default()
+            };
+            ws.with_placement(|p| {
+                round_maxima(&ws, &series, &cfg, f64::INFINITY, 1, &unlimited, p).unwrap();
+                assert_eq!(p.values, [1.0, 2.0]);
+                assert_eq!(p.spots.len(), 4);
+                for (round, spots) in p.spots.chunks_exact(2).enumerate() {
+                    assert!(spots[0] != spots[1] && spots.iter().all(|&t| t < 5));
+                    seen[round][(5 * spots[0] + spots[1]) as usize] += 1;
+                }
+            });
+        }
+        let expect = seeds as f64 / 20.0;
+        let sigma = (seeds as f64 * (1.0 / 20.0) * (19.0 / 20.0)).sqrt();
+        for round in seen {
+            let placements: Vec<u32> = round.into_iter().filter(|&hits| hits > 0).collect();
+            assert_eq!(placements.len(), 20);
+            for hits in placements {
+                assert!((f64::from(hits) - expect).abs() <= 5.0 * sigma, "{hits}");
+            }
+        }
+    }
+
+    #[test]
+    fn two_workspaces_on_two_threads_agree() {
+        let series = sparse_series(3000, 100, 2);
+        let cfg = PermutationConfig::default();
+        let barrier = std::sync::Barrier::new(2);
+        let run = || {
+            barrier.wait();
+            permutation_threshold_in(&SpectralWorkspace::new(), &series, &cfg).unwrap()
+        };
+        let (a, b) = std::thread::scope(|scope| {
+            let other = scope.spawn(run);
+            (run(), other.join().expect("worker panicked"))
+        });
+        assert_eq!(a, b);
+        assert_eq!(a, permutation_threshold(&series, &cfg).unwrap());
     }
 
     #[test]
@@ -602,13 +765,7 @@ mod tests {
                         ..Default::default()
                     };
                     let to_reject = m - quantile_rank(confidence, m) + 1;
-                    let mut rows = Vec::new();
-                    let mut rounds = |observed: f64| {
-                        round_maxima(
-                            &ws, &series, &cfg, observed, to_reject, &unlimited, &mut rows,
-                        )
-                        .unwrap()
-                    };
+                    let rounds = |observed| rounds_until(&ws, &series, &cfg, observed, to_reject);
                     let full = rounds(f64::INFINITY);
                     assert_eq!(full.len(), m);
                     let p_t = permutation_threshold_in(&ws, &series, &cfg)

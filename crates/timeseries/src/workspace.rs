@@ -13,10 +13,10 @@
 //!
 //! **Every transform runs at a power-of-two length.** The `n` observed bins
 //! are zero-padded inside the recycled buffers — to `N = n.next_power_of_two()`
-//! for the spectrum ([`with_half_spectrum`](SpectralWorkspace::with_half_spectrum),
-//! [`shuffled_half_power_maxima`](SpectralWorkspace::shuffled_half_power_maxima))
-//! and to the next power of two at or above `2n` for the linear
-//! autocorrelation ([`with_autocorrelation`](SpectralWorkspace::with_autocorrelation)).
+//! for the spectrum ([`with_half_spectrum`](SpectralWorkspace::with_half_spectrum)
+//! and the permutation filter's placed rounds) and to the next power of two
+//! at or above `2n` for the linear autocorrelation
+//! ([`with_autocorrelation`](SpectralWorkspace::with_autocorrelation)).
 //! Padding a (mean-centered) series with zeros does not change its
 //! discrete-time Fourier transform `X(f) = Σ_j x_j·e^(−2πifj)`; it only
 //! changes where that one function is sampled — at `f = k/N` instead of
@@ -32,8 +32,9 @@
 //! [`OnceLock`]) and then shared by every reduce thread of every job, every
 //! window and the stream thread; a long-lived process can never hold more
 //! than `4 × usize::BITS` plans. A [`SpectralWorkspace`] keeps what is
-//! per-thread: the recycled complex, real and half-spectrum buffers, and
-//! counters of its own traffic against the tables. It is deliberately
+//! per-thread: the recycled complex, real and half-spectrum buffers, the
+//! permutation filter's round state, and counters of its own traffic
+//! against the tables. It is deliberately
 //! single-threaded (`!Sync`, interior mutability via [`RefCell`]); each
 //! worker thread reaches its own through [`with_thread_workspace`].
 //!
@@ -49,10 +50,32 @@
 //!   series `z(j) = x(2j) + i·x(2j+1)`, transformed with one FFT of length
 //!   `N/2`, and unpacked into the one-sided spectrum `X(0..=N/2)` with
 //!   `O(N)` twiddle arithmetic — about half the transform work.
-//! - **Batched permutation rounds** (`shuffled_half_power_maxima`): two
-//!   shuffled *rounds* `a`, `b` ride one complex FFT as `z = a + i·b` and
+//! - **Batched permutation rounds** (`placed_power_maxima`): two shuffle
+//!   *rounds* `a`, `b` ride one complex transform as `z = a + i·b` and
 //!   are separated per bin by `A(k) = (Z(k) + conj(Z(N−k)))/2`,
 //!   `B(k) = (Z(k) − conj(Z(N−k)))/(2i)`.
+//!
+//! # A round is its events
+//!
+//! A shuffle round reaches the workspace as a *placement* — the series'
+//! `c` non-zero bin values and the `c` positions they were dropped on —
+//! never as `n` dense bins, and its transform starts from those events.
+//! Split `N = L·M`, `t = t₁ + L·t₂`, `k = M·k₁ + k₂`; then
+//!
+//! ```text
+//! Z(M·k₁ + k₂) = Σ_{t₁<L} W_L^{t₁k₁} · G_{k₂}[t₁],
+//! G_{k₂}[t₁]   = Σ_{t ≡ t₁ (mod L)} z(t) · W_N^{t·k₂}
+//! ```
+//!
+//! — the first `log2 M` decimation-in-frequency passes of the length-`N`
+//! transform, written out. On a dense input they cost `N·log2 M`
+//! butterflies; here row `k₂` is one phasor update per event on top of the
+//! closed-form row of the `−μ` centring plateau, so the round costs
+//! `events·M` updates plus `M` FFTs of length `L` that stay in cache.
+//! `M` follows from `(N, events)` alone (`placed_rows`) and `M = 1` is the
+//! plain packed transform, so there is one code path and nothing to
+//! configure. The phasors are the twiddle table of the length-`N` r2c plan
+//! the pair's periodogram has just used; nothing is built ahead of use.
 //!
 //! [`SpectralMode::ComplexFull`] runs one full complex transform per series
 //! at the same padded lengths; it is the reference the equivalence tests
@@ -120,8 +143,8 @@ struct Inner {
     half: Vec<Complex<f64>>,
     /// Recycled real output buffer of the c2r path.
     real: Vec<f64>,
-    /// Recycled two-round (`2·n`) arena for the permutation filter.
-    rows: Vec<f64>,
+    /// Recycled round state of the permutation filter.
+    placement: Placement,
     plans_built_c2c: usize,
     plans_built_r2c: usize,
     plan_requests: usize,
@@ -133,6 +156,21 @@ struct Inner {
 enum PlanKind {
     C2c,
     Wrapper,
+}
+
+/// What the permutation filter keeps per pair and per packed pair of
+/// rounds, lent by [`SpectralWorkspace::with_placement`] so no pair
+/// allocates: a shuffle round never exists as a dense series, only as the
+/// positions its non-zero bins landed on.
+#[derive(Default)]
+pub(crate) struct Placement {
+    /// Index permutation of the pair's `n` bins. Each round's partial
+    /// Fisher–Yates continues from wherever the last one left it.
+    pub(crate) order: Vec<u32>,
+    /// The pair's non-zero bin values, in series order.
+    pub(crate) values: Vec<f64>,
+    /// The positions the current rounds drew: `values.len()` per round.
+    pub(crate) spots: Vec<u32>,
 }
 
 const ZERO: Complex<f64> = Complex { re: 0.0, im: 0.0 };
@@ -385,11 +423,11 @@ impl SpectralWorkspace {
         self.plan_requests() - self.plans_built()
     }
 
-    /// Number of physical FFT executions run through the workspace. A
-    /// packed r2c/c2r transform counts 1 (one half-length FFT); a batched
-    /// permutation pass over `m` rounds counts `⌈m/2⌉` in
-    /// [`SpectralMode::RealHalf`] (two rounds per FFT) and `m` in
-    /// [`SpectralMode::ComplexFull`].
+    /// Number of transforms run through the workspace. A packed r2c/c2r
+    /// transform counts 1 (one half-length FFT); a permutation pass over
+    /// `m` rounds counts `⌈m/2⌉` in [`SpectralMode::RealHalf`] — one per
+    /// packed pair of rounds, into however many rows it was split — and
+    /// `m` in [`SpectralMode::ComplexFull`].
     pub fn transforms_run(&self) -> usize {
         self.inner.borrow().transforms_run
     }
@@ -479,79 +517,95 @@ impl SpectralWorkspace {
         out
     }
 
-    /// Batched spectral maxima for the permutation filter: `rows` is a
-    /// contiguous `m × n` matrix of shuffled series (row-major), each row
-    /// is zero-padded to `N = n.next_power_of_two()` exactly like
+    /// Spectral maxima of one packed pair of *placed* permutation rounds
+    /// (`rounds` = 2, or 1 for the odd last round): each round is the
+    /// series' non-zero bin `values` dropped on its own `values.len()`
+    /// positions of `spots`, every other of the `n` observed bins zero,
+    /// the whole centred by `mean` and zero-padded to `N` like
     /// [`with_half_spectrum`](Self::with_half_spectrum) pads the observed
-    /// series, and the result holds, per row, the maximum *unnormalized*
-    /// power `|X(k)|²` over the one-sided bins `k = 1..=N/2` (callers
-    /// divide by `n` once — exact for the maximum, since division by a
-    /// positive constant is monotone under IEEE round-to-nearest).
+    /// series. Returns, per round, the maximum *unnormalized* power
+    /// `|X(k)|²` over `k = 1..=N/2` (callers divide by `n` once — exact
+    /// for the maximum, since division by a positive constant is monotone
+    /// under IEEE round-to-nearest).
     ///
-    /// In [`SpectralMode::RealHalf`] consecutive rows are packed two per
-    /// complex FFT (`z = a + i·b`) and separated per bin by Hermitian
-    /// symmetry, halving the transform count; a trailing odd row runs
-    /// through the single-series half-spectrum path. In
-    /// [`SpectralMode::ComplexFull`] each row is one call of that mode's
-    /// `with_half_spectrum`.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `rows.len()` is not a multiple of `n` (debug builds).
-    pub fn shuffled_half_power_maxima(&self, rows: &[f64], n: usize) -> Vec<f64> {
-        debug_assert!(n > 0 && rows.len().is_multiple_of(n));
-        let m = rows.len() / n;
-        let mut maxima = Vec::with_capacity(m);
-        if n < 2 {
-            maxima.resize(m, 0.0);
-            return maxima;
-        }
+    /// In [`SpectralMode::RealHalf`] the rounds ride one transform as
+    /// `z = a + i·b`, run as `M` rows from the events (module docs, "A
+    /// round is its events"). Bin `N − k` lives in row `M − k₂` at column
+    /// `L − 1 − k₁` (row 0: column `(L − k₁) mod L`), so rows are
+    /// transformed in mirror pairs and split per bin by
+    /// `A(k) = (Z(k) + conj(Z(N−k)))/2`, `B(k) = (Z(k) − conj(Z(N−k)))/(2i)`;
+    /// only the two running maxima are kept. In
+    /// [`SpectralMode::ComplexFull`] each round is densified and goes
+    /// through that mode's `with_half_spectrum`.
+    pub(crate) fn placed_power_maxima(
+        &self,
+        n: usize,
+        mean: f64,
+        values: &[f64],
+        spots: &[u32],
+        rounds: usize,
+    ) -> [f64; 2] {
+        debug_assert!(n >= 2 && (1..=2).contains(&rounds));
+        debug_assert_eq!(spots.len(), rounds * values.len());
+        let mut maxima = [0.0f64; 2];
+        let (first, second) = spots.split_at(values.len());
         if self.mode == SpectralMode::ComplexFull {
-            maxima.extend(
-                rows.chunks_exact(n)
-                    .map(|row| self.with_half_spectrum(row, max_power)),
-            );
+            let mut dense = self.take_real();
+            for (max, spots) in maxima.iter_mut().zip([first, second]).take(rounds) {
+                dense.clear();
+                dense.resize(n, 0.0 - mean);
+                for (&v, &t) in values.iter().zip(spots) {
+                    dense[t as usize] = v - mean;
+                }
+                *max = self.with_half_spectrum(&dense, max_power);
+            }
+            self.put_real(dense);
             return maxima;
         }
 
         let padded = padded_len(n);
-        let mut pairs = rows.chunks_exact(2 * n);
-        if m >= 2 {
-            // The full-length plan is only needed when at least one pair of
-            // rounds rides a packed transform; a lone row (m = 1) goes
-            // straight to the half-spectrum path below.
-            let fft = self.c2c(padded, true);
-            let (mut buffer, mut scratch) = self.take_buffers();
-            for pair in pairs.by_ref() {
-                let (a, b) = pair.split_at(n);
-                load_padded(
-                    &mut buffer,
-                    a.iter().zip(b).map(|(&x, &y)| Complex::new(x, y)),
-                    padded,
-                );
-                run_in_place(&*fft, &mut buffer, &mut scratch);
-                let mut max_a = 0.0f64;
-                let mut max_b = 0.0f64;
-                for k in 1..=padded / 2 {
-                    let zk = buffer[k];
-                    let zc = buffer[padded - k].conj();
-                    // A(k) = (zk + zc)/2, B(k) = (zk − zc)/(2i): only the
-                    // squared magnitudes are needed, so no twiddles appear.
-                    max_a = max_a.max(0.25 * (zk + zc).norm_sqr());
-                    max_b = max_b.max(0.25 * (zk - zc).norm_sqr());
-                }
-                maxima.push(max_a);
-                maxima.push(max_b);
+        let row_count = placed_rows(padded, spots.len());
+        let len = padded / row_count;
+        let fft = self.c2c(len, true);
+        // The phasors `W_N^j` are the twiddles of the r2c plan the pair's
+        // periodogram has just used; row 0 (all of `M = 1`) needs none.
+        let table = (row_count > 1).then(|| self.r2c(padded));
+        let rows = PlacedRows {
+            len,
+            n,
+            level: Complex::new(-mean, if rounds == 2 { -mean } else { 0.0 }),
+            values,
+            spots: [first, second],
+            phasors: table
+                .as_deref()
+                .map_or(&[], |plan| &plan.twiddles[..padded / 2]),
+        };
+        let (mut row, mut scratch) = self.take_buffers();
+        let mut mirror = self.take_half();
+        let mut transform = |k2: usize, out: &mut Vec<Complex<f64>>| {
+            rows.fill(k2, out);
+            run_in_place(&*fft, out, &mut scratch);
+        };
+        transform(0, &mut row);
+        for k1 in 1..=len / 2 {
+            fold_split(&mut maxima, row[k1], row[len - k1]);
+        }
+        if row_count > 1 {
+            transform(row_count / 2, &mut row);
+            for k1 in 0..len / 2 {
+                fold_split(&mut maxima, row[k1], row[len - 1 - k1]);
             }
-            self.put_buffers(buffer, scratch, m / 2);
+            for k2 in 1..row_count / 2 {
+                transform(k2, &mut row);
+                transform(row_count - k2, &mut mirror);
+                for (&zk, &zm) in row.iter().zip(mirror.iter().rev()) {
+                    fold_split(&mut maxima, zk, zm);
+                }
+            }
         }
-
-        let rest = pairs.remainder();
-        if !rest.is_empty() {
-            // Odd trailing row: one single-series half-spectrum transform.
-            maxima.push(self.with_half_spectrum(rest, max_power));
-        }
-        maxima
+        self.put_half(mirror);
+        self.put_buffers(row, scratch, 1);
+        maxima.map(|quadrupled| 0.25 * quadrupled)
     }
 
     /// Detaches the recycled buffers so a transform can run without holding
@@ -600,17 +654,126 @@ impl SpectralWorkspace {
         }
     }
 
-    /// Lends the recycled two-round arena of the permutation filter (see
-    /// [`shuffled_half_power_maxima`](Self::shuffled_half_power_maxima))
-    /// to `f`, detached like the other buffers so `f` may use the workspace.
-    pub(crate) fn with_rows<R>(&self, f: impl FnOnce(&mut Vec<f64>) -> R) -> R {
-        let mut rows = std::mem::take(&mut self.inner.borrow_mut().rows);
-        let out = f(&mut rows);
+    /// Lends the recycled [`Placement`] of the permutation filter to `f`,
+    /// detached like the other buffers so `f` may use the workspace.
+    pub(crate) fn with_placement<R>(&self, f: impl FnOnce(&mut Placement) -> R) -> R {
+        let mut placement = std::mem::take(&mut self.inner.borrow_mut().placement);
+        let out = f(&mut placement);
         let mut inner = self.inner.borrow_mut();
-        if rows.capacity() >= inner.rows.capacity() {
-            inner.rows = rows;
+        if placement.order.capacity() >= inner.placement.order.capacity() {
+            inner.placement = placement;
         }
         out
+    }
+}
+
+/// How many rows `M` a packed pair of placed rounds is split into: the
+/// largest power of two at most `N / events`, rows kept at least 64 bins
+/// long. Doubling `M` costs one more phasor update per event and row and
+/// saves one butterfly pass over the `N` bins; measured, the two balance
+/// near `M·events ≈ N` (`results/pr23_sparse_rounds.md` lists the rules
+/// tried). A series with more than `N/2` events gets `M = 1`, the plain
+/// packed transform.
+fn placed_rows(padded: usize, events: usize) -> usize {
+    match (padded / events.max(1)).min(padded / 64) {
+        0 => 1,
+        cap => 1 << cap.ilog2(),
+    }
+}
+
+/// The `M` rows of [`SpectralWorkspace::placed_power_maxima`].
+struct PlacedRows<'a> {
+    /// Row length `L`.
+    len: usize,
+    /// Observed bins: the centring plateau covers `[0, n)`.
+    n: usize,
+    /// A plateau bin of the packed pair, `−μ·(1 + i)` (`−μ` for a lone
+    /// round).
+    level: Complex<f64>,
+    values: &'a [f64],
+    spots: [&'a [u32]; 2],
+    /// `W_N^j` for `j < N/2`; empty when row 0 is the only row.
+    phasors: &'a [Complex<f64>],
+}
+
+impl PlacedRows<'_> {
+    /// `W_N^j` for any `j`, from the half-turn table: `W^{j+N/2} = −W^j`,
+    /// the minus sign XORed in (bit `log2 N − 1` of `j` moved onto the sign
+    /// bits) so a random `j` costs no mispredicted branch. Index products
+    /// may wrap: `N` divides the word size.
+    fn phasor(&self, j: usize) -> Complex<f64> {
+        let half = self.phasors.len();
+        let w = self.phasors[j & (half - 1)];
+        let flip = ((j & half) as u64) << (63 - half.trailing_zeros());
+        Complex::new(
+            f64::from_bits(w.re.to_bits() ^ flip),
+            f64::from_bits(w.im.to_bits() ^ flip),
+        )
+    }
+
+    /// `Σ_{t₂<count} W_M^{t₂·k₂}` for `0 < k₂ < M`, `count >= 1`: the
+    /// Dirichlet kernel `e^(−iθ(count−1)/2)·sin(θ·count/2)/sin(θ/2)` at
+    /// `θ = 2πk₂/M`, every factor read off the table (`sin x = −Im e^(−ix)`,
+    /// `θ/2` is `L/2·k₂` table steps) instead of a cancelling `1 − W`.
+    fn plateau_sum(&self, k2: usize, count: usize) -> Complex<f64> {
+        let step = self.len / 2 * k2;
+        let ratio = self.phasor(step.wrapping_mul(count)).im / self.phasor(step).im;
+        self.phasor(step.wrapping_mul(count - 1)) * ratio
+    }
+
+    /// Fills `out` with row `k₂`,
+    /// `G_{k₂}[t₁] = Σ_{t ≡ t₁ (mod L)} z(t)·W_N^{t·k₂}`: the closed-form
+    /// row of the plateau — column `t₁` holds `⌊n/L⌋` plateau bins, one
+    /// more if `t₁ < n mod L`, a geometric sum in `W_M^{k₂}` — plus one
+    /// phasor update per event (round b rides as `i·v`).
+    fn fill(&self, k2: usize, out: &mut Vec<Complex<f64>>) {
+        let (count, extra) = (self.n / self.len, self.n % self.len);
+        let column = self.len - 1;
+        out.clear();
+        if k2 == 0 {
+            out.resize(extra, self.level * (count + 1) as f64);
+            out.resize(self.len, self.level * count as f64);
+            for (&v, &t) in self.values.iter().zip(self.spots[0]) {
+                out[t as usize & column].re += v;
+            }
+            for (&v, &t) in self.values.iter().zip(self.spots[1]) {
+                out[t as usize & column].im += v;
+            }
+            return;
+        }
+        let tall = self.level * self.plateau_sum(k2, count + 1);
+        let short = self.level * self.plateau_sum(k2, count);
+        out.extend((0..extra).map(|t1| self.phasor(t1 * k2) * tall));
+        out.extend((extra..self.len).map(|t1| self.phasor(t1 * k2) * short));
+        for (&v, &t) in self.values.iter().zip(self.spots[0]) {
+            let w = self.phasor((t as usize).wrapping_mul(k2));
+            let g = &mut out[t as usize & column];
+            g.re += v * w.re;
+            g.im += v * w.im;
+        }
+        for (&v, &t) in self.values.iter().zip(self.spots[1]) {
+            let w = self.phasor((t as usize).wrapping_mul(k2));
+            let g = &mut out[t as usize & column];
+            g.re -= v * w.im;
+            g.im += v * w.re;
+        }
+    }
+}
+
+/// Folds bin `k`'s two powers into the running maxima of a packed pair
+/// of real series, given `Z(k)` and `Z(N−k)`: `4·|A(k)|² = |Z(k) +
+/// conj(Z(N−k))|²`, `4·|B(k)|² = |Z(k) − conj(Z(N−k))|²` — only squared
+/// magnitudes are needed, so no twiddles appear; the caller scales by the
+/// exact `1/4` once.
+fn fold_split(maxima: &mut [f64; 2], zk: Complex<f64>, mirror: Complex<f64>) {
+    let zc = mirror.conj();
+    for (max, power) in maxima
+        .iter_mut()
+        .zip([(zk + zc).norm_sqr(), (zk - zc).norm_sqr()])
+    {
+        if power > *max {
+            *max = power;
+        }
     }
 }
 
@@ -682,6 +845,14 @@ mod tests {
         (0..n)
             .map(|i| (2.0 * std::f64::consts::PI * i as f64 / 7.3).sin() + 0.1 * i as f64)
             .collect()
+    }
+
+    /// `samples` twice over as a packed pair of placed rounds that leaves
+    /// every value where it is (uncentred): so dense that `M = 1`.
+    fn placed_in_order(ws: &SpectralWorkspace, samples: &[f64]) -> [f64; 2] {
+        let bins = samples.len() as u32;
+        let spots: Vec<u32> = (0..bins).chain(0..bins).collect();
+        ws.placed_power_maxima(samples.len(), 0.0, samples, &spots, 2)
     }
 
     /// The contract, literally: `X(k) = Σ_{j<n} x_j·e^(−2πijk/N)` for
@@ -792,8 +963,7 @@ mod tests {
                         let samples = test_samples(n);
                         barrier.wait();
                         ws.with_half_spectrum(&samples, |_| ());
-                        let rows: Vec<f64> = samples.iter().chain(&samples).copied().collect();
-                        ws.shuffled_half_power_maxima(&rows, n);
+                        placed_in_order(&ws, &samples);
                         ws.with_autocorrelation(&samples, |_| ());
                         let built = (ws.plans_built_c2c(), ws.plans_built_r2c());
                         let plans = (
@@ -836,8 +1006,7 @@ mod tests {
         for n in 201..=1200usize {
             let samples = test_samples(n);
             ws.with_half_spectrum(&samples, |_| ());
-            let rows: Vec<f64> = samples.iter().chain(&samples).copied().collect();
-            ws.shuffled_half_power_maxima(&rows, n);
+            placed_in_order(&ws, &samples);
             ws.with_autocorrelation(&samples, |_| ());
         }
         assert!(ws.plans_built() <= 4 * 11, "built {}", ws.plans_built());
@@ -878,34 +1047,88 @@ mod tests {
     }
 
     #[test]
-    fn batched_maxima_match_per_row_transforms() {
-        // Per row, the batched maximum is the maximum of that row's padded
-        // half spectrum: bit-identical in ComplexFull (same arithmetic),
-        // within rounding in RealHalf (two rounds per FFT).
-        for n in [7usize, 12, 31, 60, 64] {
-            for m in [1usize, 2, 3, 20] {
-                let rows: Vec<f64> = (0..m * n)
-                    .map(|i| (i as f64 * 0.37).sin() + 0.05 * (i % n) as f64)
+    fn row_count_follows_the_events() {
+        // M is the largest power of two ≤ N/events, rows ≥ 64 bins.
+        for (padded, events, want) in [
+            (1usize << 15, 254usize, 128usize), // detect_mix's average pair
+            (1 << 15, 256, 128),
+            (1 << 15, 257, 64),
+            (1 << 15, 2, 512),     // capped by the 64-bin row
+            (1 << 15, 0, 512),     // an all-zero series
+            (1 << 15, 1 << 14, 2), // events = N/2
+            (1 << 15, 16_385, 1),  // denser: the plain transform
+            (1 << 15, 60_000, 1),
+            (128, 2, 2),
+            (64, 2, 1),
+            (4, 1, 1),
+        ] {
+            assert_eq!(
+                placed_rows(padded, events),
+                want,
+                "N={padded} events={events}"
+            );
+        }
+    }
+
+    #[test]
+    fn placed_maxima_match_the_densified_rounds() {
+        // Per round, the maximum is that of the round's dense series'
+        // padded half spectrum: bit-identical in ComplexFull (it *is* that
+        // transform), within rounding in RealHalf at every M — and for any
+        // `mean`, not only the series' own.
+        for (n, events) in [
+            (7usize, 2usize),
+            (64, 1),
+            (64, 64),
+            (300, 3),
+            (1000, 1),
+            (2048, 5),
+            (5000, 9),
+            (5000, 700),
+        ] {
+            for rounds in [1usize, 2] {
+                let values: Vec<f64> = (0..events).map(|i| 1.0 + (i % 3) as f64).collect();
+                // Distinct per round: a stride coprime to n, two offsets.
+                let stride = (1..n).rev().find(|s| gcd(*s, n) == 1).unwrap_or(1);
+                let spots: Vec<u32> = (0..rounds)
+                    .flat_map(|r| (0..events).map(move |i| ((r * 3 + i * stride) % n) as u32))
                     .collect();
+                let mean = 0.37;
                 let reference = SpectralWorkspace::with_mode(SpectralMode::ComplexFull);
-                let expected: Vec<f64> = rows
-                    .chunks_exact(n)
-                    .map(|row| reference.with_half_spectrum(row, max_power))
+                let expected: Vec<f64> = spots
+                    .chunks_exact(events)
+                    .map(|round| {
+                        let mut dense = vec![-mean; n];
+                        for (&v, &t) in values.iter().zip(round) {
+                            dense[t as usize] = v - mean;
+                        }
+                        reference.with_half_spectrum(&dense, max_power)
+                    })
                     .collect();
+                let tag = format!("n={n} events={events} rounds={rounds}");
                 let before = reference.transforms_run();
-                let got = reference.shuffled_half_power_maxima(&rows, n);
-                assert_eq!(got, expected, "ComplexFull n={n} m={m}");
-                assert_eq!(reference.transforms_run() - before, m);
+                let got = reference.placed_power_maxima(n, mean, &values, &spots, rounds);
+                assert_eq!(got[..rounds], expected, "ComplexFull {tag}");
+                assert_eq!(reference.transforms_run() - before, rounds);
 
                 let packed = SpectralWorkspace::new();
-                let got = packed.shuffled_half_power_maxima(&rows, n);
-                assert_eq!(got.len(), m);
-                assert_eq!(packed.transforms_run(), m.div_ceil(2));
-                for (i, (g, e)) in got.iter().zip(&expected).enumerate() {
-                    let tol = 1e-9 * e.max(1.0);
-                    assert!((g - e).abs() <= tol, "RealHalf n={n} m={m} row {i}");
+                let got = packed.placed_power_maxima(n, mean, &values, &spots, rounds);
+                assert_eq!(packed.transforms_run(), 1);
+                for (g, e) in got.iter().zip(&expected) {
+                    assert!(
+                        (g - e).abs() <= 1e-9 * e.max(1.0),
+                        "RealHalf {tag}: {g} vs {e}"
+                    );
                 }
             }
+        }
+    }
+
+    fn gcd(a: usize, b: usize) -> usize {
+        if b == 0 {
+            a
+        } else {
+            gcd(b, a % b)
         }
     }
 

@@ -19,8 +19,10 @@ fn sorted_timestamps() -> impl Strategy<Value = Vec<u64>> {
 }
 
 /// Series shapes the early-reject exactness argument must hold on: clean
-/// and jittered beacons, memoryless gaps, a constant series and degenerate
-/// (n < 4) ones; the drawn gaps make n odd and even alike.
+/// and jittered beacons, memoryless gaps, a handful of events far apart
+/// (the placed rounds' largest row counts; a zero gap stacks two events in
+/// one bin), a constant series (every bin an event: the plain transform)
+/// and degenerate (n < 4) ones; the drawn gaps make n odd and even alike.
 fn filter_series() -> impl Strategy<Value = TimeSeries> {
     let from_gaps = |gaps: Vec<u64>| {
         let ts: Vec<u64> = gaps
@@ -38,6 +40,7 @@ fn filter_series() -> impl Strategy<Value = TimeSeries> {
             from_gaps(jitter.into_iter().map(|j| period + j).collect())
         }),
         prop::collection::vec(1u64..40, 8..120).prop_map(from_gaps),
+        prop::collection::vec(0u64..3_000, 8..20).prop_map(from_gaps),
         (4usize..200, 1u32..5).prop_map(|(n, c)| TimeSeries::from_values(
             0,
             1,
@@ -87,8 +90,9 @@ proptest! {
             } else {
                 prop_assert!(early.threshold <= full.threshold);
             }
-            // Same seed, same (1,2),(3,4)… pairing: the first r rounds of
-            // the m-round run are an r-round run.
+            // Same seed, same (1,2),(3,4)… pairing, each round the same
+            // c draws of the one stream: the first r rounds of the
+            // m-round run are an r-round run.
             let rounds = early.shuffled_maxima.len();
             prop_assert!(rounds == m || rounds & 1 == 0);
             let prefix = permutation_threshold_in(

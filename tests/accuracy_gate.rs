@@ -111,6 +111,30 @@ fn memoryless_arrivals_are_rarely_periodic() {
 }
 
 #[test]
+fn sparse_memoryless_pairs_verified_periodic_can_only_go_down() {
+    // The post-whitelist population is mostly rare pairs; at 8–19 events
+    // Step 1 still passes its 2/21 by construction, but pruning and the
+    // ACF stop few of those (ROADMAP item 3(a)). The ceiling is the count
+    // measured when this control was added (PR 23; its parent reads 144,
+    // a re-flip of which pairs pass — results/pr23_sparse_rounds.md): a
+    // change may lower it, and then lowers the ceiling with it.
+    const CEILING: usize = 160;
+    let detector = PeriodicityDetector::new(DetectorConfig::default());
+    let periodic = (0..2_000u64)
+        .filter(|&i| {
+            let count = 8 + (i % 12) as usize;
+            let mean_gap = 30.0 + (i * 37 % 271) as f64;
+            let timestamps = random_arrivals(1_000_000, count, mean_gap, i);
+            detector
+                .detect(&timestamps)
+                .is_ok_and(|report| report.is_periodic())
+        })
+        .count();
+    println!("sparse memoryless verified periodic: {periodic} of 2000");
+    assert!(periodic <= CEILING, "{periodic} > {CEILING} of 2000");
+}
+
+#[test]
 fn every_clean_train_is_recovered() {
     // Jitter-free trains across periods and lengths: whatever grid the
     // spectrum is sampled on, the fundamental must come back within 10 %.
