@@ -281,11 +281,15 @@ fn detect_group(
 /// panics or overruns `policy`'s task deadline costs that pair, not the
 /// window: it is counted in the [`FaultReport`] and has no row at all.
 ///
-/// Each reduce invocation runs through its worker thread's
-/// [`SpectralWorkspace`](baywatch_timeseries::workspace::SpectralWorkspace):
-/// transform buffers are recycled across every pair and permutation round
-/// that thread processes, and FFT plans come from the process-wide tables,
-/// built once per process however many windows and threads follow.
+/// The reduce phase runs on at most `engine`'s
+/// [`JobConfig::threads`](baywatch_mapreduce::JobConfig::threads) workers,
+/// each claiming whole partitions; every reduce invocation goes through
+/// its worker's
+/// [`SpectralWorkspace`](baywatch_timeseries::workspace::SpectralWorkspace),
+/// so transform buffers are recycled across every pair and permutation
+/// round that worker processes in the job, and FFT plans come from the
+/// process-wide tables, built once per process however many windows and
+/// workers follow.
 pub fn detect_beaconing(
     engine: &MapReduce,
     summaries: &[ActivitySummary],

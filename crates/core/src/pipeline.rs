@@ -466,9 +466,10 @@ impl Baywatch {
         self.admit_drop("03_local_whitelist", input, summaries.len());
 
         // ---- Filter 3: periodicity detection (§IV, §VII-D). ----
-        // The detector is built once per pipeline; inside the job each worker
-        // thread routes its FFTs through a thread-local spectral workspace,
-        // so plans are built once per thread and reused across the window.
+        // The detector is built once per pipeline; inside the job at most
+        // `mapreduce.threads` workers route their FFTs through thread-local
+        // spectral workspaces (buffers recycled across the worker's pairs),
+        // and every plan comes from the process-wide tables.
         let input = summaries.len();
         let timed_out_before = stats.timed_out_pairs;
         let quarantined_before = stats.quarantined_pairs;

@@ -36,6 +36,10 @@
 //!   detection tick (re-detection only every `DEGRADE_DETECT_STRIDE`-th
 //!   tick) and widens eviction (down to `DEGRADE_TARGET` of the budget);
 //!   `Reject` sheds the tick's buffered events with exact accounting.
+//! * **Re-detection on the worker pool** — a tick's stale pairs go through
+//!   one job of the batch engine's executor ([`MapReduce::run`]) on
+//!   `pipeline.mapreduce.threads` workers: a pair whose detection panics
+//!   is quarantined, not fatal, and no verdict depends on the thread count.
 //! * **Equivalence with batch** — by construction for filters 1–2 and 4–7
 //!   (both engines call the crate's one `funnel`) and for the filter-3
 //!   verdict (`jobs::detect_verdict`); still policed by tests for the
@@ -57,7 +61,8 @@ use std::collections::btree_map::Entry;
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
-use baywatch_obs::{Clock, ManualClock, MetricsRegistry, MetricsSnapshot};
+use baywatch_mapreduce::{FaultPolicy, MapReduce};
+use baywatch_obs::{Buckets, Clock, ManualClock, MetricsRegistry, MetricsSnapshot, MonotonicClock};
 use baywatch_resilience::{AdmissionConfig, AdmissionController, AdmissionDecision};
 use baywatch_timeseries::detector::PeriodicityDetector;
 use baywatch_timeseries::TimestampRing;
@@ -385,6 +390,12 @@ pub struct TickReport {
 pub struct StreamingHunt {
     config: StreamConfig,
     metrics: Arc<MetricsRegistry>,
+    /// Runs each tick's re-detection on `config.pipeline.mapreduce`'s
+    /// workers. No registry is attached: the stream's metrics stay
+    /// `stream.*`.
+    engine: MapReduce,
+    /// Times the detection job (`stream.detect.nanos`, operational).
+    clock: MonotonicClock,
     detector: PeriodicityDetector,
     funnel: Funnel,
     admission: AdmissionController,
@@ -416,16 +427,32 @@ impl StreamingHunt {
     ///
     /// # Errors
     ///
-    /// Returns [`CoreError::InvalidConfig`] when `ring_capacity` is zero.
+    /// Returns [`CoreError::InvalidConfig`] when `ring_capacity` or either
+    /// count of `pipeline.mapreduce` is zero.
     pub fn new(config: StreamConfig) -> Result<Self, CoreError> {
-        if config.ring_capacity == 0 {
-            return Err(CoreError::InvalidConfig {
-                name: "ring_capacity",
-                constraint: "must be at least 1",
-            });
+        for (name, value) in [
+            ("ring_capacity", config.ring_capacity),
+            (
+                "pipeline.mapreduce.partitions",
+                config.pipeline.mapreduce.partitions,
+            ),
+            (
+                "pipeline.mapreduce.threads",
+                config.pipeline.mapreduce.threads,
+            ),
+        ] {
+            if value == 0 {
+                return Err(CoreError::InvalidConfig {
+                    name,
+                    constraint: "must be at least 1",
+                });
+            }
         }
         Ok(Self {
             metrics: Arc::new(MetricsRegistry::new()),
+            engine: MapReduce::new(config.pipeline.mapreduce)
+                .with_retry_policy(config.pipeline.retry),
+            clock: MonotonicClock::new(),
             detector: PeriodicityDetector::new(config.pipeline.detector.clone()),
             funnel: Funnel::new(&config.pipeline),
             admission: AdmissionController::new(config.admission),
@@ -896,6 +923,13 @@ impl StreamingHunt {
     /// Computes the full funnel over current window state, re-running
     /// detection only where the cached verdict's ring version is stale
     /// (and only if `detect` allows). Returns (stats, runs, cache hits).
+    ///
+    /// Four steps: filters 1–2 and the staleness check; one MapReduce job
+    /// over the stale pairs, whose reducer is the batch jobs' verdict
+    /// mapping; filters 4–7 over the periodic pairs; the write-back of the
+    /// fresh verdicts. A pair the job quarantines keeps its previous
+    /// verdict and counts in `quarantined_pairs`. The job is timed into
+    /// the operational `stream.detect.nanos` on ticks that run it.
     fn window_stats(&mut self, tick: u64, detect: bool) -> (FilterStats, u64, u64) {
         let first_window_tick = self.config.schedule.first_window_tick(tick);
         let scale = self.config.pipeline.time_scale;
@@ -918,16 +952,13 @@ impl StreamingHunt {
             per_domain.get(destination).copied().unwrap_or(0) as f64 / total_sources as f64
         };
 
-        // Filters 1–3 in one pass. Periodicity is cached by ring version;
-        // the detector runs on this thread, so its thread-local spectral
-        // workspace reuses FFT plans across pairs *and* across ticks. Only
-        // a periodic pair's window is materialised as a summary.
+        // 1. Filters 1–2, and the staleness check: a survivor's cached
+        //    verdict is fresh while its ring version has not moved.
         let funnel = &self.funnel;
-        let pair_budget = &self.config.pipeline.detector.budget;
         let mut stats = FilterStats::default();
-        let (mut events, mut runs, mut cached) = (0u64, 0u64, 0u64);
-        let mut refreshed: Vec<(CommunicationPair, Verdict)> = Vec::new();
-        let mut hits: Hits = Vec::new();
+        let (mut events, mut cached) = (0u64, 0u64);
+        let mut survivors: Vec<(&CommunicationPair, &PairState)> = Vec::new();
+        let mut stale: Vec<(&CommunicationPair, &TimestampRing)> = Vec::new();
         for (pair, state) in &self.pairs {
             events += state.ring.events();
             if state.whitelisted {
@@ -938,19 +969,59 @@ impl StreamingHunt {
                 continue;
             }
             stats.after_local_whitelist += 1;
+            survivors.push((pair, state));
             let fresh = matches!(&state.verdict, Some((v, _)) if *v == state.version);
             cached += u64::from(fresh);
-            let verdict = if fresh || !detect {
-                state.verdict.as_ref().map(|(_, verdict)| verdict)
-            } else {
-                runs += 1;
-                // The batch jobs' own entry point on the same timestamps
-                // extraction would produce: the verdict *is* the batch one.
-                let timestamps = quantized(&state.ring, scale);
-                let verdict = jobs::detect_verdict(&self.detector, &timestamps, pair_budget);
-                refreshed.push((pair.clone(), verdict));
-                refreshed.last().map(|(_, verdict)| verdict)
-            };
+            if !fresh && detect {
+                stale.push((pair, &state.ring));
+            }
+        }
+        stats.events = events as usize;
+        stats.pairs = self.pairs.len();
+
+        // 2. Filter 3 over the stale pairs: one job on the engine's
+        //    workers, each pair through the batch jobs' own verdict
+        //    mapping on the timestamps extraction would produce.
+        let runs = stale.len() as u64;
+        let mut refreshed: BTreeMap<CommunicationPair, Verdict> = BTreeMap::new();
+        if !stale.is_empty() {
+            let (detector, pair_budget) = (&self.detector, &self.config.pipeline.detector.budget);
+            let started = self.clock.now_nanos();
+            let (verdicts, faults) = self.engine.run(
+                &stale,
+                |&(pair, ring), emit| emit(pair, ring),
+                |pair: &&CommunicationPair, rings: &[&TimestampRing]| {
+                    rings
+                        .iter()
+                        .map(|ring| {
+                            let timestamps = quantized(ring, scale);
+                            let verdict = jobs::detect_verdict(detector, &timestamps, pair_budget);
+                            ((*pair).clone(), verdict)
+                        })
+                        .collect()
+                },
+                &FaultPolicy::default(),
+            );
+            #[expect(
+                clippy::expect_used,
+                reason = "bucket bounds are compile-time literal constants; failure is a programming error, not an input condition"
+            )]
+            let nanos = Buckets::exponential(1_000, 4, 12).expect("static bucket layout is valid");
+            self.metrics
+                .timing("stream.detect.nanos", &nanos)
+                .observe(self.clock.now_nanos().saturating_sub(started));
+            stats.quarantined_pairs = faults.quarantined_units();
+            refreshed.extend(verdicts);
+        }
+
+        // 3. Filters 4–7 over the periodic survivors (a tick only reads the
+        //    novelty memory). Only a periodic pair's window is materialised
+        //    as a summary.
+        let mut hits: Hits = Vec::new();
+        for (pair, state) in survivors {
+            let verdict = refreshed
+                .get(pair)
+                .or(state.verdict.as_ref().map(|(_, verdict)| verdict));
             match verdict {
                 Some(Verdict::Periodic(candidates)) => hits.push((
                     state.summary(pair, scale, first_window_tick),
@@ -960,11 +1031,7 @@ impl StreamingHunt {
                 Some(Verdict::Quiet) | None => {}
             }
         }
-        stats.events = events as usize;
-        stats.pairs = self.pairs.len();
         stats.periodic = hits.len();
-
-        // Filters 4–7; a tick only reads the novelty memory.
         let novelty = &self.novelty;
         let (after_token_filter, after_novelty, _ranked, report_cutoff) =
             funnel.rank(hits, popularity, |pair| !novelty.is_reported(pair), None);
@@ -972,6 +1039,8 @@ impl StreamingHunt {
         stats.after_novelty = after_novelty;
         stats.reported = report_cutoff;
 
+        // 4. Write-back: each fresh verdict is cached at the ring version
+        //    it was reached at.
         for (pair, verdict) in refreshed {
             if let Some(state) = self.pairs.get_mut(&pair) {
                 state.verdict = Some((state.version, verdict));

@@ -6,8 +6,8 @@
 //! source/destination pair `H(s, d)` so partition counts (and thus reducer
 //! fan-out) stay controllable. This crate reproduces that programming model
 //! at laptop scale: mappers run in parallel over input chunks, emit keyed
-//! records into hash partitions, and reducers run in parallel over
-//! partitions with keys grouped and sorted.
+//! records into hash partitions, and a pool of [`JobConfig::threads`]
+//! reducers works through the partitions with keys grouped and sorted.
 //!
 //! The engine is deliberately synchronous and in-memory — the paper's
 //! contribution is the *decomposition into modular jobs*, not HDFS — but it
@@ -54,12 +54,13 @@
 pub mod fault;
 pub mod manifest;
 
+use std::cmp::Reverse;
 use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
 use std::fmt::Debug;
 use std::hash::{Hash, Hasher};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
 use baywatch_obs::{Clock, MetricsRegistry, MonotonicClock};
@@ -79,11 +80,11 @@ pub struct JobConfig {
     /// hash, e.g. 5 bits → 32 reduce tasks; [`JobConfig::with_hash_bits`]
     /// mirrors that.
     pub partitions: usize,
-    /// Number of map workers: the input is split into at most `threads`
-    /// contiguous chunks, one OS thread each. Defaults to the available
-    /// parallelism. The reduce phase is *not* bounded by this field — it
-    /// spawns one OS thread per partition ([`JobConfig::partitions`]) and
-    /// leaves scheduling them to the OS.
+    /// Number of workers in each phase. The map phase splits the input
+    /// into at most `threads` contiguous chunks, one OS thread each; the
+    /// reduce phase runs at most `threads` OS threads, which claim the
+    /// non-empty partitions largest first. Partitions set fan-out, this
+    /// field sets concurrency. Defaults to the available parallelism.
     pub threads: usize,
 }
 
@@ -282,20 +283,47 @@ impl MapReduce {
             }
         }
 
-        // ---- Reduce phase: partitions in parallel, keys resilient. ----
-        // Handles are joined in partition order, which is the output order.
-        let mut output = Vec::new();
-        let mut reduce_faults = PhaseFaults::default();
+        // ---- Reduce phase: a bounded pool claims partitions. ----
+        // `min(threads, non-empty partitions)` workers take partitions from
+        // one queue, largest first (ties by index) so the heaviest task
+        // starts first; results are merged in partition order, which is
+        // the output order, whichever worker ran them.
+        let mut queue: Vec<(usize, Vec<(K, V)>)> = partitions
+            .into_iter()
+            .enumerate()
+            .filter(|(_, records)| !records.is_empty())
+            .collect();
+        queue.sort_by_key(|(p, records)| (Reverse(records.len()), *p));
+        let workers = self.config.threads.min(queue.len());
+        let queue = Mutex::new(queue.into_iter());
+        let mut reduced: Vec<Option<(Vec<O>, PhaseFaults)>> =
+            (0..n_partitions).map(|_| None).collect();
         std::thread::scope(|scope| {
-            let handles: Vec<_> = partitions
-                .into_iter()
-                .enumerate()
-                .map(|(p, records)| {
-                    let reducer = &reducer;
-                    // Reduce streams sit above every possible map-chunk
-                    // stream so the two phases draw independent jitter.
-                    let stream = (1u64 << 32) | p as u64;
-                    scope.spawn(move || reduce_partition(records, reducer, policy, retry, stream))
+            let handles: Vec<_> = (0..workers)
+                .map(|_| {
+                    let (queue, reducer) = (&queue, &reducer);
+                    scope.spawn(move || {
+                        let mut done = Vec::new();
+                        loop {
+                            // The guard drops with this statement: the
+                            // lock is held for the claim only, and the
+                            // claim (`next`) cannot panic, so the queue
+                            // behind a poisoned lock is still whole.
+                            let claimed =
+                                queue.lock().unwrap_or_else(PoisonError::into_inner).next();
+                            let Some((p, records)) = claimed else {
+                                break done;
+                            };
+                            // Reduce streams sit above every possible
+                            // map-chunk stream so the two phases draw
+                            // independent jitter.
+                            let stream = (1u64 << 32) | p as u64;
+                            done.push((
+                                p,
+                                reduce_partition(records, reducer, policy, retry, stream),
+                            ));
+                        }
+                    })
                 })
                 .collect();
             for h in handles {
@@ -303,11 +331,18 @@ impl MapReduce {
                     clippy::expect_used,
                     reason = "task panics are contained per task by catch_unwind; a failed scope join means the engine's own bookkeeping panicked, which is a bug to surface, not input to survive"
                 )]
-                let (out, faults) = h.join().expect("reduce worker panicked");
-                output.extend(out);
-                reduce_faults.merge(faults);
+                let done = h.join().expect("reduce worker panicked");
+                for (p, result) in done {
+                    reduced[p] = Some(result);
+                }
             }
         });
+        let mut output = Vec::new();
+        let mut reduce_faults = PhaseFaults::default();
+        for (out, faults) in reduced.into_iter().flatten() {
+            output.extend(out);
+            reduce_faults.merge(faults);
+        }
         let backoff_waits = map_faults.backoff_waits + reduce_faults.backoff_waits;
         let backoff_nanos = map_faults
             .backoff_nanos
@@ -1220,6 +1255,72 @@ mod tests {
             });
             assert_eq!(plain_word_count(&engine, &docs), expected);
         }
+    }
+
+    #[test]
+    fn reduce_phase_runs_at_most_threads_reducers_at_once() {
+        use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
+        let inputs: Vec<u64> = (0..1024).collect();
+        let run = |threads| {
+            let (in_flight, peak) = (AtomicUsize::new(0), AtomicUsize::new(0));
+            // One poison key and one transient key, so the report has
+            // retries, a quarantine and samples to compare.
+            let plan = FaultPlan::new().poison_key("13").fail_key("77", 1);
+            let engine = MapReduce::new(JobConfig {
+                partitions: 32,
+                threads,
+            });
+            let (out, report) = engine.run(
+                &inputs,
+                |n, emit| emit(n % 256, *n),
+                |k: &u64, vs: &[u64]| {
+                    plan.reduce_checkpoint(k);
+                    let now = in_flight.fetch_add(1, Relaxed) + 1;
+                    peak.fetch_max(now, Relaxed);
+                    std::thread::sleep(Duration::from_micros(200));
+                    in_flight.fetch_sub(1, Relaxed);
+                    vec![(*k, vs.iter().sum::<u64>())]
+                },
+                &FaultPolicy::default(),
+            );
+            (out, report, peak.into_inner())
+        };
+        let (out, report, peak) = run(2);
+        assert!(peak <= 2, "{peak} reducers ran at once on 2 threads");
+        assert_eq!(out.len(), 255);
+        assert_eq!(report.quarantined_keys, 1);
+        assert!(report.reduce_retries >= 2);
+        for threads in [1, 8] {
+            let (other_out, other_report, other_peak) = run(threads);
+            assert!(other_peak <= threads, "{other_peak} on {threads} threads");
+            assert_eq!(other_out, out, "{threads} threads");
+            assert_eq!(other_report, report, "{threads} threads");
+        }
+    }
+
+    #[test]
+    fn a_job_over_empty_input_calls_nothing() {
+        use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
+        let calls = AtomicUsize::new(0);
+        let engine = MapReduce::new(JobConfig {
+            partitions: 32,
+            threads: 4,
+        });
+        let (out, report) = engine.run(
+            &[] as &[u64],
+            |n, emit| {
+                calls.fetch_add(1, Relaxed);
+                emit(*n, *n);
+            },
+            |k: &u64, _: &[u64]| {
+                calls.fetch_add(1, Relaxed);
+                vec![*k]
+            },
+            &FaultPolicy::default(),
+        );
+        assert!(out.is_empty());
+        assert_eq!(report, FaultReport::default());
+        assert_eq!(calls.into_inner(), 0);
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Determinism regression tests: the full pipeline must produce identical
 //! ranked output run-to-run and regardless of how the work is spread over
-//! MapReduce worker threads.
+//! MapReduce worker threads; so must the streaming engine, tick by tick.
 //!
 //! This pins two behaviors at once: the fixed-seed permutation threshold
 //! (`timeseries::permutation` derives every shuffle from one seeded
@@ -12,7 +12,11 @@
 
 use baywatch::core::pipeline::{Baywatch, BaywatchConfig};
 use baywatch::core::record::LogRecord;
+use baywatch::core::stream::{StreamConfig, StreamingHunt};
+use baywatch::core::ScheduleSpec;
 use baywatch::mapreduce::JobConfig;
+use baywatch::netsim::longtrace::{LongTraceConfig, LongTraceGenerator};
+use baywatch::record_from_event;
 use baywatch::timeseries::detector::{DetectorConfig, PeriodicityDetector};
 use baywatch::timeseries::workspace::SpectralWorkspace;
 
@@ -143,6 +147,54 @@ fn analyze_is_deterministic_across_thread_counts() {
     for threads in [2usize, 4, 8] {
         let other = ranked_fingerprint(config_with(threads, 8));
         assert_eq!(base, other, "ranked output changed with {threads} threads");
+    }
+}
+
+/// The stream re-detects each tick's stale pairs on the MapReduce workers;
+/// its output must not depend on how many there are. Under a state budget
+/// the trace overflows — so ticks degrade, evict and serve stale verdicts —
+/// every tick report, the ledger and the final export are identical at
+/// 1, 2 and 8 threads.
+#[test]
+fn stream_is_deterministic_across_thread_counts() {
+    let run = |threads| {
+        let mut config = StreamConfig::lossless(ScheduleSpec::new(300, 4).unwrap());
+        config.ring_capacity = 64;
+        config.state_budget_bytes = 96 * 1024;
+        config.pipeline = BaywatchConfig {
+            local_tau: 0.05,
+            ..config_with(threads, 32)
+        };
+        let generator = LongTraceGenerator::new(LongTraceConfig {
+            seed: 7,
+            tick_seconds: 300,
+            ..LongTraceConfig::default()
+        });
+        let mut hunt = StreamingHunt::new(config).unwrap();
+        let mut reports = Vec::new();
+        for tick in 0..16 {
+            let records: Vec<LogRecord> = generator
+                .tick_events(tick)
+                .iter()
+                .map(record_from_event)
+                .collect();
+            reports.extend(hunt.ingest(&records));
+        }
+        reports.extend(hunt.finish());
+        let reports: Vec<String> = reports.iter().map(|r| format!("{r:?}")).collect();
+        (reports, *hunt.ledger(), hunt.final_export(50))
+    };
+    let base = run(1);
+    assert!(
+        base.0.iter().any(|r| r.contains("decision: Degrade")),
+        "the budget must degrade some ticks"
+    );
+    for threads in [2usize, 8] {
+        assert_eq!(
+            run(threads),
+            base,
+            "stream output changed with {threads} threads"
+        );
     }
 }
 
