@@ -129,26 +129,33 @@ fn parse_record(
     roles: &[Role],
     line_number: usize,
 ) -> Result<LogRecord, ParseLineError> {
-    let values: Vec<&str> = line.split_whitespace().collect();
-    if values.len() < roles.len() {
-        return Err(ParseLineError {
-            line_number,
-            reason: format!("expected {} fields, got {}", roles.len(), values.len()),
-        });
-    }
+    // A short line is reported as such before any bad value in it, so the
+    // fields are counted whenever the walk stops early.
+    let too_few = |fields: usize| ParseLineError {
+        line_number,
+        reason: format!("expected {} fields, got {fields}", roles.len()),
+    };
+    let mut values = line.split_whitespace();
     let mut date: Option<&str> = None;
     let mut time: Option<&str> = None;
     let mut timestamp: Option<u64> = None;
     let mut source: Option<&str> = None;
     let mut host: Option<&str> = None;
     let mut path: Option<&str> = None;
-    for (role, value) in roles.iter().zip(&values) {
+    for (seen, role) in roles.iter().enumerate() {
+        let Some(value) = values.next() else {
+            return Err(too_few(seen));
+        };
         match role {
             Role::Date => date = Some(value),
             Role::Time => time = Some(value),
             Role::Timestamp => {
                 timestamp = value.parse().ok();
                 if timestamp.is_none() {
+                    let fields = seen + 1 + values.count();
+                    if fields < roles.len() {
+                        return Err(too_few(fields));
+                    }
                     return Err(ParseLineError {
                         line_number,
                         reason: format!("invalid timestamp `{value}`"),
@@ -315,6 +322,26 @@ mod tests {
         let o = read_elff(log.as_bytes()).unwrap();
         assert_eq!(o.records.len(), 0);
         assert!(o.errors[0].reason.contains("expected 4 fields"));
+    }
+
+    #[test]
+    fn a_short_line_is_reported_short_before_its_bad_timestamp() {
+        let log = "#Fields: c-ip x-timestamp cs-host sc-status\n\
+                   10.0.0.1 noon a.com\n\
+                   10.0.0.1 noon\n\
+                   10.0.0.1 noon a.com 200 extra\n\
+                   10.0.0.1\n";
+        let o = read_elff(log.as_bytes()).unwrap();
+        let reasons: Vec<&str> = o.errors.iter().map(|e| e.reason.as_str()).collect();
+        assert_eq!(
+            reasons,
+            [
+                "expected 4 fields, got 3",
+                "expected 4 fields, got 2",
+                "invalid timestamp `noon`",
+                "expected 4 fields, got 1",
+            ]
+        );
     }
 
     #[test]

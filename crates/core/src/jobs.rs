@@ -5,10 +5,10 @@
 //!
 //! * **Data extraction** (§VII-A), [`extract_summaries`]:
 //!   `⟨k, l⟩ → ⟨H(s,d), (s,d,ts)⟩` then reduce to per-pair
-//!   [`ActivitySummary`]s — the shuffle carries keys and values *borrowed*
-//!   from the window's records (a private `PairKey` and
-//!   `(timestamp, url token)`), so a log line costs no `String` and a pair
-//!   is owned once, in the reducer,
+//!   [`ActivitySummary`]s of the pairs filter 1 keeps — the shuffle carries
+//!   keys and values *borrowed* from the window's records (a private
+//!   `PairKey` and `(timestamp, url token)`), so a log line costs no
+//!   `String` and a pair is owned once, in the reducer,
 //! * **Rescaling & merging** (§VII-B), [`rescale_and_merge`]: coarsen
 //!   summaries and merge per-pair histories,
 //! * **Beaconing detection** (§VII-D), [`detect_beaconing`] and its
@@ -17,8 +17,8 @@
 //!   reference and cloned only into a [`DetectRow::Hit`], the paper's
 //!   `⟨AS, CP⟩` record.
 //!
-//! (Destination popularity, §VII-C, lives in [`crate::popularity`]; ranking,
-//! §VII-E, in [`crate::rank`].)
+//! (Destination popularity, §VII-C, is a pass in [`crate::popularity`], not
+//! a job; ranking, §VII-E, lives in [`crate::rank`].)
 //!
 //! Every job is one call of the engine's single execution body
 //! ([`MapReduce::run`]), so a panicking or straggling mapper or reducer is
@@ -45,13 +45,14 @@ use crate::record::LogRecord;
 /// communication pair at time scale `scale`.
 ///
 /// MAP emits each record's `(timestamp, url token)` keyed by `(s, d)`, all
-/// borrowed from `records`; REDUCE sorts each group's timestamps and
-/// produces the summary. Output order is deterministic (partition, then
-/// pair). Poison records are quarantined and poison pairs dropped, per
-/// `policy`.
+/// borrowed from `records` — none for a `listed` `d`, asked after the fault
+/// checkpoint; REDUCE sorts each group's timestamps and produces the
+/// summary. Output order is deterministic (partition, then pair). Poison
+/// records are quarantined and poison pairs dropped, per `policy`.
 pub fn extract_summaries(
     engine: &MapReduce,
     records: &[LogRecord],
+    listed: impl Fn(&str) -> bool + Sync,
     scale: u64,
     plan: Option<&FaultPlan>,
     policy: &FaultPolicy,
@@ -61,6 +62,9 @@ pub fn extract_summaries(
         |record, emit| {
             if let Some(plan) = plan {
                 plan.map_checkpoint(record);
+            }
+            if listed(&record.domain) {
+                return;
             }
             let key = PairKey {
                 source: &record.source,
@@ -428,8 +432,14 @@ mod tests {
 
     /// Extraction of clean input under the default policy.
     fn extract(records: &[LogRecord], scale: u64) -> Vec<ActivitySummary> {
-        let (summaries, report) =
-            extract_summaries(&engine(), records, scale, None, &FaultPolicy::default());
+        let (summaries, report) = extract_summaries(
+            &engine(),
+            records,
+            |_: &str| false,
+            scale,
+            None,
+            &FaultPolicy::default(),
+        );
         assert!(report.is_clean());
         summaries
     }
@@ -594,8 +604,14 @@ mod tests {
             r#"domain: "p.com", url_token: "t" }"#
         );
         let plan = FaultPlan::new().poison_key(key).poison_input(input);
-        let (summaries, report) =
-            extract_summaries(&engine(), &records, 1, Some(&plan), &FaultPolicy::default());
+        let (summaries, report) = extract_summaries(
+            &engine(),
+            &records,
+            |_: &str| false,
+            1,
+            Some(&plan),
+            &FaultPolicy::default(),
+        );
         assert_eq!(summaries.len(), 1);
         assert_eq!(summaries[0].pair, CommunicationPair::new("a", "x.com"));
         assert_eq!(report.key_samples, [key]);
@@ -727,8 +743,14 @@ mod tests {
         records.extend(beacon_records("bad", "evil.com", 30, 5));
         let poison = format!("{:?}", CommunicationPair::new("bad", "evil.com"));
         let plan = FaultPlan::new().poison_key(&poison);
-        let (summaries, report) =
-            extract_summaries(&engine(), &records, 1, Some(&plan), &FaultPolicy::default());
+        let (summaries, report) = extract_summaries(
+            &engine(),
+            &records,
+            |_: &str| false,
+            1,
+            Some(&plan),
+            &FaultPolicy::default(),
+        );
         assert_eq!(summaries.len(), 1);
         assert_eq!(summaries[0].pair, CommunicationPair::new("a", "x.com"));
         assert_eq!(report.quarantined_keys, 1);
@@ -740,11 +762,72 @@ mod tests {
     fn extraction_survives_transient_map_fault_without_loss() {
         let records = beacon_records("a", "x.com", 60, 10);
         let plan = FaultPlan::new().panic_on_map_call(3);
-        let (summaries, report) =
-            extract_summaries(&engine(), &records, 1, Some(&plan), &FaultPolicy::default());
+        let (summaries, report) = extract_summaries(
+            &engine(),
+            &records,
+            |_: &str| false,
+            1,
+            Some(&plan),
+            &FaultPolicy::default(),
+        );
         assert_eq!(summaries, extract(&records, 1));
         assert!(report.map_retries >= 1);
         assert_eq!(report.quarantined_inputs, 0);
+    }
+
+    #[test]
+    fn listed_destinations_are_skipped_after_the_map_checkpoint() {
+        let mut records = beacon_records("a", "x.com", 60, 10);
+        records.extend(beacon_records("a", "listed.com", 30, 5));
+        records.extend(beacon_records("b", "x.com", 45, 7));
+        records.extend(beacon_records("b", "listed.com", 90, 3));
+
+        // One worker numbers the map calls in record order.
+        let serial = MapReduce::new(JobConfig {
+            partitions: 8,
+            threads: 1,
+        });
+        let run = |listing: bool, plan: &FaultPlan| {
+            let listed = |d: &str| listing && d == "listed.com";
+            let out = extract_summaries(
+                &serial,
+                &records,
+                listed,
+                1,
+                Some(plan),
+                &FaultPolicy::default(),
+            );
+            (out, plan.injected_faults())
+        };
+        let keep = |summaries: &[ActivitySummary]| -> Vec<ActivitySummary> {
+            summaries
+                .iter()
+                .filter(|s| s.pair.destination != "listed.com")
+                .cloned()
+                .collect()
+        };
+
+        // Whichever record the n-th map call is, it is the same one (and
+        // the same fault) with or without listed destinations — listed
+        // lines included, down to the last line of the window.
+        for n in 0..records.len() {
+            let ((all, all_faults), all_fired) = run(false, &FaultPlan::new().panic_on_map_call(n));
+            let ((kept, kept_faults), kept_fired) =
+                run(true, &FaultPlan::new().panic_on_map_call(n));
+            assert_eq!((all_fired, kept_fired), (1, 1), "map call {n}");
+            assert_eq!(kept_faults, all_faults, "map call {n}");
+            assert_eq!(all.len(), 4);
+            assert_eq!(kept, keep(&all), "map call {n}");
+        }
+
+        // A poisoned line to a listed destination is still quarantined.
+        let poison = format!("{:?}", records[12]);
+        let ((all, all_faults), _) = run(false, &FaultPlan::new().poison_input(&poison));
+        let ((kept, kept_faults), _) = run(true, &FaultPlan::new().poison_input(&poison));
+        assert_eq!(all_faults.quarantined_inputs, 1);
+        assert_eq!(kept_faults, all_faults);
+        assert_eq!(kept.len(), 2);
+        assert_eq!(kept, keep(&all));
     }
 
     #[test]

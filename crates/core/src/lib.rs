@@ -8,7 +8,7 @@
 //!
 //! | # | Filter | Phase | Module |
 //! |---|--------|-------|--------|
-//! | 1 | Global whitelist | Whitelist analysis | [`whitelist`] |
+//! | 1 | Global whitelist | Whitelist analysis | [`whitelist`], [`popularity`] |
 //! | 2 | Local whitelist (popularity τ_P) | Whitelist analysis | [`whitelist`], [`popularity`] |
 //! | 3 | Periodicity detection (periodogram → pruning → ACF) | Time-series analysis | [`baywatch_timeseries`] |
 //! | 4 | URL-token filter | Suspicious-indication analysis | [`tokens`] |

@@ -125,7 +125,8 @@ impl PipelineBudget {
 pub struct FilterStats {
     /// Raw input events.
     pub events: usize,
-    /// Distinct communication pairs extracted.
+    /// Distinct communication pairs: those extracted plus those to a
+    /// destination filter 1 lists, whose lines extraction skips.
     pub pairs: usize,
     /// Pairs surviving the global whitelist (filter 1).
     pub after_global_whitelist: usize,
@@ -323,11 +324,13 @@ impl Baywatch {
 
     /// Analyzes one window of records through filters 1–7.
     ///
-    /// Every MapReduce job — popularity, extraction, detection — is one
-    /// `MapReduce::run`: a poison record or pair is quarantined (recorded in
-    /// `stats.skipped_events` / `stats.quarantined_pairs` and the aggregate
-    /// `faults` report) and the analysis completes on the surviving pairs
-    /// instead of panicking.
+    /// Popularity and filter 1's verdicts are one pass over the window, and
+    /// each MapReduce job — extraction of the pairs filter 1 keeps,
+    /// detection — is one `MapReduce::run`: a poison record or pair is
+    /// quarantined (recorded in `stats.skipped_events` /
+    /// `stats.quarantined_pairs` and the aggregate `faults` report) and the
+    /// analysis completes on the surviving pairs instead of panicking. A
+    /// listed pair is never reduced, so no reduce fault reaches it.
     ///
     /// Filter 8 (bootstrap classification) is separate — see
     /// [`crate::investigate`] — because it needs manual labels.
@@ -402,19 +405,24 @@ impl Baywatch {
             .counter("pipeline.events")
             .add(stats.events as u64);
 
-        // ---- Popularity statistics (input to filter 2 & ranking). ----
-        let (popularity, popularity_faults) = {
+        // ---- Popularity and filter 1: one pass, one verdict per destination. ----
+        let mut popularity = {
             let _span = tracer.span("popularity");
-            PopularityStats::compute(&self.engine, &records, &policy)
+            PopularityStats::from_records(&records)
         };
-        faults.absorb(&popularity_faults);
+        let funnel = &self.funnel;
+        let listed_pairs = {
+            let _span = tracer.span("whitelist.global");
+            popularity.list(|d| funnel.globally_whitelisted(d))
+        };
 
-        // ---- Data extraction (§VII-A). ----
-        let (summaries, extract_faults) = {
+        // ---- Data extraction (§VII-A) of the pairs filter 1 keeps. ----
+        let (mut summaries, extract_faults) = {
             let _span = tracer.span("extract");
             jobs::extract_summaries(
                 &self.engine,
                 &records,
+                |d: &str| popularity.is_listed(d),
                 self.config.time_scale,
                 plan,
                 &policy,
@@ -423,7 +431,7 @@ impl Baywatch {
         // Everything downstream works on summaries; free the window's raw
         // records before detection's working set is built.
         drop(records);
-        stats.pairs = summaries.len();
+        stats.pairs = summaries.len() + listed_pairs;
         stats.skipped_events = extract_faults.skipped_records();
         stats.quarantined_pairs += extract_faults.quarantined_keys;
         stats.timed_out_pairs += extract_faults.timed_out_keys;
@@ -441,27 +449,18 @@ impl Baywatch {
             ],
         );
 
-        // ---- Filter 1: global whitelist. ----
-        let funnel = &self.funnel;
-        let input = summaries.len();
-        let summaries: Vec<_> = {
-            let _span = tracer.span("whitelist.global");
-            let listed = |s: &ActivitySummary| funnel.globally_whitelisted(&s.pair.destination);
-            summaries.into_iter().filter(|s| !listed(s)).collect()
-        };
+        // ---- Filter 1: global whitelist, applied in the extraction map. ----
         stats.after_global_whitelist = summaries.len();
-        self.admit_drop("02_global_whitelist", input, summaries.len());
+        self.admit_drop("02_global_whitelist", stats.pairs, summaries.len());
 
         // ---- Filter 2: local whitelist (popularity τ_P). ----
         let input = summaries.len();
-        let summaries: Vec<_> = {
+        {
             let _span = tracer.span("whitelist.local");
-            let listed = |d: &str| funnel.locally_whitelisted(popularity.popularity(d));
-            summaries
-                .into_iter()
-                .filter(|s| !listed(&s.pair.destination))
-                .collect()
-        };
+            summaries.retain(|s| {
+                !funnel.locally_whitelisted(popularity.popularity(&s.pair.destination))
+            });
+        }
         stats.after_local_whitelist = summaries.len();
         self.admit_drop("03_local_whitelist", input, summaries.len());
 
@@ -1102,6 +1101,45 @@ mod tests {
         engine.disarm_fault_plan();
         let clean = Baywatch::new(quiet_config()).analyze(mk());
         assert!(clean.faults.is_clean());
+    }
+
+    #[test]
+    fn reduce_faults_cannot_reach_a_pair_filter_1_lists() {
+        use crate::pair::CommunicationPair;
+        let mut records = Vec::new();
+        beacon(&mut records, "victim", "qzkxwv.com", 60, 100);
+        beacon(&mut records, "host", "google.com", 60, 50);
+        beacon(&mut records, "other", "google.com", 45, 20);
+        let clean = Baywatch::new(quiet_config()).analyze(records.clone());
+        assert_eq!(
+            (clean.stats.pairs, clean.stats.after_global_whitelist),
+            (3, 1)
+        );
+
+        // A poison key on a listed pair, and a poison line to it.
+        let key = format!("{:?}", CommunicationPair::new("host", "google.com"));
+        let line = format!("{:?}", records[100]);
+        let plan = Arc::new(FaultPlan::new().poison_key(&key).poison_input(&line));
+        let mut engine = Baywatch::new(quiet_config());
+        engine.arm_fault_plan(Arc::clone(&plan));
+        let report = engine.analyze(records);
+
+        // The pair is never reduced: filter 1 drops it, nothing quarantines
+        // it, and the funnel counts it as in a clean run.
+        assert_eq!(report.stats.pairs, clean.stats.pairs);
+        assert_eq!(report.stats.after_global_whitelist, 1);
+        assert_eq!(report.stats.quarantined_pairs, 0);
+        assert_eq!(report.faults.quarantined_keys, 0);
+        // The map still sees the line first, skips it and says so.
+        assert_eq!(report.faults.quarantined_inputs, 1);
+        assert_eq!(report.stats.skipped_events, 1);
+        assert!(plan.injected_faults() > 0);
+        let snap = engine.metrics_snapshot();
+        assert_eq!(snap.counters["stage.01_extract.admitted"], 3);
+        assert_eq!(snap.counters["stage.01_extract.quarantined"], 0);
+        assert_eq!(snap.counters["stage.01_extract.skipped_events"], 1);
+        assert_eq!(snap.counters["stage.02_global_whitelist.dropped"], 2);
+        assert_eq!(report.ranked, clean.ranked);
     }
 
     #[test]

@@ -1,106 +1,92 @@
-//! Destination popularity statistics (§VII-C).
-//!
-//! For the local whitelist, BAYWATCH measures each destination's popularity
-//! as the number of distinct sources contacting it divided by the total
-//! number of sources in the window — computed here as a MapReduce job
-//! (`d → {s}` then `d → |{s}| / |S|`).
-
-use baywatch_mapreduce::{FaultPolicy, FaultReport, MapReduce};
+//! Destination popularity (§VII-C) and filter 1's verdicts, from one
+//! sequential pass over the window: sources and destinations are interned
+//! and `(destination, source)` ids deduped, then [`PopularityStats::list`]
+//! asks the global whitelist once per distinct destination.
 
 use crate::record::LogRecord;
 
-/// Popularity (fraction of the monitored population) per destination.
+/// Distinct-source counts per destination of one window, and filter 1's
+/// verdicts once [`PopularityStats::list`] has run.
 #[derive(Debug, Clone, Default)]
 pub struct PopularityStats {
+    /// Destination → (distinct sources, listed by filter 1).
     #[expect(
         clippy::disallowed_types,
-        reason = "only probed per pair, never iterated: order cannot reach output"
+        reason = "probed per line and pair; iterated only by `list`, whose result is order-free"
     )]
-    per_domain: std::collections::HashMap<String, f64>,
+    per_domain: std::collections::HashMap<String, (usize, bool)>,
     total_sources: usize,
 }
 
 impl PopularityStats {
-    /// Computes popularity from a window of records as one job of the given
-    /// MapReduce engine, run under `policy`. A destination the engine had
-    /// to drop reads as never seen (popularity 0, so never whitelisted);
-    /// the returned [`FaultReport`] says so.
+    /// One pass over `records`: two interning probes and one id-pair probe
+    /// per line; only a distinct destination is owned. Nothing is listed.
     #[expect(
         clippy::disallowed_types,
-        reason = "the per-record distinct-source sets are only counted: order cannot reach output"
+        reason = "interning tables are probed, and iterated only to own the counts"
     )]
-    pub fn compute(
-        engine: &MapReduce,
-        records: &[LogRecord],
-        policy: &FaultPolicy,
-    ) -> (Self, FaultReport) {
-        use std::collections::HashSet;
-        let total_sources = records
-            .iter()
-            .map(|r| r.source.as_str())
-            .collect::<HashSet<_>>()
-            .len();
-        if total_sources == 0 {
-            return (Self::default(), FaultReport::default());
+    pub fn from_records(records: &[LogRecord]) -> Self {
+        use std::collections::{HashMap, HashSet};
+        let mut sources: HashMap<&str, usize> = HashMap::new();
+        let mut destinations: HashMap<&str, usize> = HashMap::new();
+        let mut counts: Vec<usize> = Vec::new();
+        let mut seen: HashSet<(usize, usize)> = HashSet::new();
+        for record in records {
+            let next = sources.len();
+            let s = *sources.entry(record.source.as_str()).or_insert(next);
+            let next = counts.len();
+            let d = *destinations.entry(record.domain.as_str()).or_insert(next);
+            if d == next {
+                counts.push(0);
+            }
+            counts[d] += usize::from(seen.insert((d, s)));
         }
-        // MAP: record -> (domain, source), borrowed from the window;
-        // REDUCE: count distinct sources. Only a distinct domain is owned.
-        let (pairs, faults) = engine.run(
-            records,
-            |r, emit| emit(r.domain.as_str(), r.source.as_str()),
-            |d, sources| {
-                let distinct: HashSet<&str> = sources.iter().copied().collect();
-                vec![(*d, distinct.len())]
-            },
-            policy,
-        );
-        let per_domain = pairs
-            .into_iter()
-            .map(|(d, n)| (d.to_owned(), n as f64 / total_sources as f64))
-            .collect();
-        let stats = Self {
-            per_domain,
-            total_sources,
-        };
-        (stats, faults)
+        Self {
+            per_domain: destinations
+                .into_iter()
+                .map(|(d, id)| (d.to_owned(), (counts[id], false)))
+                .collect(),
+            total_sources: sources.len(),
+        }
+    }
+
+    /// Filter 1: asks `is_listed` once per distinct destination and returns
+    /// the number of distinct pairs to the listed ones.
+    pub fn list(&mut self, is_listed: impl Fn(&str) -> bool) -> usize {
+        let mut pairs = 0;
+        for (domain, (sources, listed)) in &mut self.per_domain {
+            *listed = is_listed(domain);
+            pairs += if *listed { *sources } else { 0 };
+        }
+        pairs
+    }
+
+    /// Whether the last [`PopularityStats::list`] listed `domain`.
+    pub fn is_listed(&self, domain: &str) -> bool {
+        self.per_domain
+            .get(domain)
+            .is_some_and(|&(_, listed)| listed)
     }
 
     /// Popularity of a destination (0 when never seen).
     pub fn popularity(&self, domain: &str) -> f64 {
-        self.per_domain.get(domain).copied().unwrap_or(0.0)
+        let sources = self
+            .per_domain
+            .get(domain)
+            .map_or(0, |&(sources, _)| sources);
+        sources as f64 / self.total_sources.max(1) as f64
     }
 
     /// Number of distinct sources in the window.
     pub fn total_sources(&self) -> usize {
         self.total_sources
     }
-
-    /// Number of distinct destinations.
-    pub fn distinct_destinations(&self) -> usize {
-        self.per_domain.len()
-    }
-
-    /// Number of distinct sources contacting `domain`.
-    pub fn source_count(&self, domain: &str) -> usize {
-        (self.popularity(domain) * self.total_sources as f64).round() as usize
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use baywatch_mapreduce::JobConfig;
-    use std::collections::HashSet;
-
-    fn compute(records: &[LogRecord]) -> PopularityStats {
-        let engine = MapReduce::new(JobConfig {
-            partitions: 4,
-            threads: 2,
-        });
-        let (stats, faults) = PopularityStats::compute(&engine, records, &FaultPolicy::default());
-        assert!(faults.is_clean());
-        stats
-    }
+    use std::collections::{BTreeMap, BTreeSet};
 
     fn record(s: &str, d: &str) -> LogRecord {
         LogRecord::new(0, s, d, "")
@@ -116,20 +102,19 @@ mod tests {
             // duplicate requests don't double-count sources
             record("a", "popular.com"),
         ];
-        let stats = compute(&records);
+        let stats = PopularityStats::from_records(&records);
         assert_eq!(stats.total_sources(), 3);
         assert!((stats.popularity("popular.com") - 1.0).abs() < 1e-12);
         assert!((stats.popularity("niche.com") - 1.0 / 3.0).abs() < 1e-12);
         assert_eq!(stats.popularity("unknown.com"), 0.0);
-        assert_eq!(stats.distinct_destinations(), 2);
-        assert_eq!(stats.source_count("popular.com"), 3);
-        assert_eq!(stats.source_count("niche.com"), 1);
+        assert!(
+            !stats.is_listed("popular.com"),
+            "nothing listed before `list`"
+        );
     }
 
-    #[test]
-    fn repeated_lines_match_a_hand_count() {
-        use std::collections::BTreeMap;
-        // Every (source, domain) line appears one to three times.
+    /// Every `(source, domain)` line appears one to three times.
+    fn repeated_lines() -> Vec<LogRecord> {
         let mut records = Vec::new();
         for i in 0..60usize {
             let s = format!("host{}", i % 12);
@@ -138,24 +123,53 @@ mod tests {
                 records.push(record(&s, &d));
             }
         }
-        let mut by_domain: BTreeMap<&str, HashSet<&str>> = BTreeMap::new();
+        records
+    }
+
+    #[test]
+    fn repeated_lines_match_a_hand_count() {
+        let records = repeated_lines();
+        let mut by_domain: BTreeMap<&str, BTreeSet<&str>> = BTreeMap::new();
         for r in &records {
             by_domain.entry(&r.domain).or_default().insert(&r.source);
         }
-        let stats = compute(&records);
+        let mut stats = PopularityStats::from_records(&records);
         assert_eq!(stats.total_sources(), 12);
-        assert_eq!(stats.distinct_destinations(), by_domain.len());
-        for (domain, sources) in by_domain {
+        for (domain, sources) in &by_domain {
             assert_eq!(stats.popularity(domain), sources.len() as f64 / 12.0);
-            assert_eq!(stats.source_count(domain), sources.len());
         }
+        let pairs: usize = by_domain.values().map(BTreeSet::len).sum();
+        assert_eq!(stats.list(|_| true), pairs);
+    }
+
+    #[test]
+    fn listed_pairs_match_a_hand_count() {
+        let records = repeated_lines();
+        let is_listed = |d: &str| d == "site0.com" || d == "site4.com" || d == "absent.com";
+        let by_hand: BTreeSet<(&str, &str)> = records
+            .iter()
+            .filter(|r| is_listed(&r.domain))
+            .map(|r| (r.source.as_str(), r.domain.as_str()))
+            .collect();
+        assert!(by_hand.len() > 2);
+        let mut stats = PopularityStats::from_records(&records);
+        assert_eq!(stats.list(is_listed), by_hand.len());
+        for r in &records {
+            assert_eq!(stats.is_listed(&r.domain), is_listed(&r.domain));
+        }
+        assert!(!stats.is_listed("absent.com"), "only seen destinations");
+        // A second verdict replaces the first.
+        assert_eq!(stats.list(|_| false), 0);
+        assert!(records.iter().all(|r| !stats.is_listed(&r.domain)));
     }
 
     #[test]
     fn empty_window() {
-        let stats = compute(&[]);
+        let mut stats = PopularityStats::from_records(&[]);
         assert_eq!(stats.total_sources(), 0);
         assert_eq!(stats.popularity("x.com"), 0.0);
+        assert_eq!(stats.list(|_| true), 0);
+        assert!(!stats.is_listed("x.com"));
     }
 
     #[test]
@@ -169,9 +183,10 @@ mod tests {
                 records.push(record(&s, "shared.com"));
             }
         }
-        let stats = compute(&records);
+        let mut stats = PopularityStats::from_records(&records);
         assert_eq!(stats.total_sources(), 100);
         assert!((stats.popularity("shared.com") - 0.25).abs() < 1e-12);
         assert!((stats.popularity("base.com") - 1.0).abs() < 1e-12);
+        assert_eq!(stats.list(|d| d == "shared.com"), 25);
     }
 }

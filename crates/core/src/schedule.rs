@@ -262,7 +262,7 @@ impl MultiScaleScheduler {
         // Summarize the day once at the finest granularity.
         let policy = FaultPolicy::default();
         let (day_summaries, _faults) =
-            jobs::extract_summaries(&self.engine, &records, 1, None, &policy);
+            jobs::extract_summaries(&self.engine, &records, |_: &str| false, 1, None, &policy);
         self.history.push(day_summaries);
         self.days_ingested += 1;
 

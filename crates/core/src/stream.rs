@@ -44,7 +44,7 @@
 //!   (both engines call the crate's one `funnel`) and for the filter-3
 //!   verdict (`jobs::detect_verdict`); still policed by tests for the
 //!   funnel's inputs, which each engine produces itself: popularity (live
-//!   pair keys here, a MapReduce job in batch) and the window's events
+//!   pair keys here, a pass over the lines in batch) and the window's events
 //!   (ring retention here, extraction in batch). While nothing was shed,
 //!   dropped by ring capacity, or evicted with in-window events the state
 //!   is *lossless*: [`StreamingHunt::final_report`] rebuilds the final
