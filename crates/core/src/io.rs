@@ -263,6 +263,9 @@ pub struct IngestGuard {
     breakers: BTreeMap<String, CircuitBreaker>,
 }
 
+// A ledger: its totals must stay exact, so no cast may narrow them
+// (DESIGN.md §7).
+#[deny(clippy::cast_possible_truncation, clippy::cast_precision_loss)]
 impl IngestGuard {
     /// A guard whose per-source breakers run `config` on `clock`.
     pub fn new(config: BreakerConfig, clock: Arc<dyn Clock>) -> Self {

@@ -44,11 +44,13 @@
 //! ```
 
 #![warn(clippy::unwrap_used, clippy::expect_used)]
-#![cfg_attr(test, allow(clippy::unwrap_used, clippy::expect_used))]
+#![cfg_attr(
+    test,
+    allow(clippy::unwrap_used, clippy::expect_used, clippy::disallowed_types)
+)]
 #![allow(
     clippy::disallowed_methods,
-    clippy::disallowed_types,
-    reason = "thread scheduling, fault injection and the checkpoint store are this crate's job; reducers see keys sorted"
+    reason = "task deadlines read the wall clock and the checkpoint store is this crate's disk boundary"
 )]
 
 pub mod fault;
@@ -56,7 +58,6 @@ pub mod manifest;
 
 use std::cmp::Reverse;
 use std::collections::hash_map::DefaultHasher;
-use std::collections::HashMap;
 use std::fmt::Debug;
 use std::hash::{Hash, Hasher};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -830,7 +831,11 @@ where
     R: Fn(&K, &[V]) -> Vec<O>,
 {
     // Group by key, then sort keys for deterministic output.
-    let mut groups: HashMap<K, Vec<V>> = HashMap::new();
+    #[expect(
+        clippy::disallowed_types,
+        reason = "grouping only: the groups are sorted by key before any reducer runs"
+    )]
+    let mut groups: std::collections::HashMap<K, Vec<V>> = std::collections::HashMap::new();
     for (k, v) in records {
         groups.entry(k).or_default().push(v);
     }

@@ -144,6 +144,9 @@ pub struct BreakerStats {
     pub probes: u64,
 }
 
+// A ledger: its totals must stay exact, so no cast may narrow them
+// (DESIGN.md §7).
+#[deny(clippy::cast_possible_truncation, clippy::cast_precision_loss)]
 impl BreakerStats {
     /// Total state transitions of any kind.
     pub fn transitions(&self) -> u64 {
@@ -583,6 +586,32 @@ mod tests {
         assert_eq!(a.admitted, 2);
         assert_eq!(a.probes, 16);
         assert_eq!(a.transitions(), 36);
+    }
+
+    /// Merged totals overflow loudly: each field's `+=` in
+    /// `BreakerStats::merge` (and so `IngestGuard::stats`, which merges
+    /// every source) panics past `u64::MAX` instead of wrapping or
+    /// clamping.
+    #[test]
+    #[cfg_attr(not(debug_assertions), ignore = "release builds do not check overflow")]
+    fn stats_merge_panics_on_overflow() {
+        let fields: [fn(&mut BreakerStats) -> &mut u64; 8] = [
+            |s| &mut s.admitted,
+            |s| &mut s.rejected,
+            |s| &mut s.failures,
+            |s| &mut s.successes,
+            |s| &mut s.opened,
+            |s| &mut s.half_opened,
+            |s| &mut s.closed,
+            |s| &mut s.probes,
+        ];
+        for (i, field) in fields.into_iter().enumerate() {
+            let (mut full, mut one) = (BreakerStats::default(), BreakerStats::default());
+            *field(&mut full) = u64::MAX;
+            *field(&mut one) = 1;
+            let merged = std::panic::catch_unwind(move || full.merge(&one));
+            assert!(merged.is_err(), "BreakerStats field {i}");
+        }
     }
 
     #[test]
