@@ -8,12 +8,27 @@
 //! hill-climbing to the nearest local maximum, and its height provides the
 //! periodicity-strength score used by the ranking filter.
 //!
-//! The ACF is computed in `O(n log n)` with the Wiener–Khinchin theorem:
-//! zero-pad, FFT, multiply by the conjugate, inverse FFT.
+//! A pair is `c` events in `n` bins, and after the whitelists `c ≪ n` is
+//! the common case, so the ACF of the centred count series is built from
+//! the events. With `T` the event total, `μ = T/n`, `S(τ)` the sum of
+//! `c_t·c_{t+τ}` over event pairs `τ` bins apart, `A(τ) = Σ_{t<n−τ} c_t`
+//! and `B(τ) = Σ_{t≥τ} c_t`,
+//!
+//! ```text
+//! R(τ) = S(τ) − μ·(A(τ) + B(τ)) + (n − τ)·μ²
+//! ```
+//!
+//! for every lag `0..n`, in `O(n + c²)`. Scaled by `n²` every term is an
+//! integer for integer counts, so the one division is the normalisation by
+//! `R(0)`. A series whose `c(c+1)/2` event pairs exceed the `N·log2 N` of
+//! the zero-padded transform (`N` the power of two at or above `2n`) takes
+//! the Wiener–Khinchin round trip instead — zero-pad, forward transform,
+//! squared magnitude, inverse transform — through the workspace's packed
+//! real plans.
 
 use crate::budget::ExecBudget;
 use crate::series::TimeSeries;
-use crate::workspace::{with_thread_workspace, SpectralWorkspace};
+use crate::workspace::{padded_len, with_thread_workspace, SpectralMode, SpectralWorkspace};
 use crate::TimeSeriesError;
 
 /// The (biased, normalized) autocorrelation function of a series.
@@ -45,9 +60,25 @@ impl Autocorrelation {
         with_thread_workspace(|ws| Self::compute_in(ws, series))
     }
 
-    /// Like [`Autocorrelation::compute`] with an explicit workspace.
+    /// Like [`Autocorrelation::compute`] with an explicit workspace. A
+    /// series with few enough events is correlated from them (module
+    /// docs); any other, and every series in the dense reference mode
+    /// [`SpectralMode::ComplexFull`], goes through
+    /// [`from_samples_in`](Self::from_samples_in) on its centred values.
     pub fn compute_in(ws: &SpectralWorkspace, series: &TimeSeries) -> Self {
-        Self::from_samples_in(ws, &series.centered(), series.scale() as f64)
+        let dt = series.scale() as f64;
+        let n = series.len();
+        let events: Vec<(usize, f64)> = (0..n)
+            .zip(series.values().iter().copied())
+            .filter(|&(_, v)| v != 0.0)
+            .collect();
+        if ws.mode() == SpectralMode::ComplexFull || !from_events_is_cheaper(n, events.len()) {
+            return Self::from_samples_in(ws, &series.centered(), dt);
+        }
+        Self {
+            values: event_autocorrelation(n, &events),
+            dt,
+        }
     }
 
     /// Computes the ACF of arbitrary mean-centered samples with spacing
@@ -72,16 +103,9 @@ impl Autocorrelation {
         // the default RealHalf mode the round trip runs packed through the
         // cached r2c/c2r plans at half the transform work.
         let values = ws.with_autocorrelation(samples, |correlation| {
-            let r0 = correlation[0];
-            if r0 <= 0.0 {
-                // Constant (zero after centering) series: define ACF as 1 at
-                // lag 0 and 0 elsewhere.
-                let mut v = vec![0.0; n];
-                v[0] = 1.0;
-                v
-            } else {
-                correlation[..n].iter().map(|c| c / r0).collect()
-            }
+            let mut values = correlation[..n].to_vec();
+            normalize(&mut values);
+            values
         });
         Self { values, dt }
     }
@@ -257,10 +281,14 @@ impl Autocorrelation {
         // its full lag count up front keeps the checkpoint out of the inner
         // loop without giving up determinism.
         budget.checkpoint((hi - lo + 1) as u64)?;
-        // Prefix sums for O(1) window/annulus sums.
-        let mut prefix = Vec::with_capacity(n + 1);
+        let w_of = |lag: usize| window_of(lag, params.rel_window).min((lag / 3).max(1));
+        // Prefix sums for O(1) window/annulus sums, over the lags the scan
+        // reads: windows widen with the lag, so the last annulus ends at
+        // `hi + 4·w(hi)`.
+        let end = (hi + 4 * w_of(hi)).min(n - 1);
+        let mut prefix = Vec::with_capacity(end + 2);
         prefix.push(0.0);
-        for &v in &self.values {
+        for &v in &self.values[..=end] {
             prefix.push(prefix[prefix.len() - 1] + v);
         }
         let range_sum = |a: usize, b: usize| -> f64 {
@@ -276,7 +304,7 @@ impl Autocorrelation {
 
         let mut best: Option<(usize, f64)> = None;
         for lag in lo..=hi {
-            let w = window_of(lag, params.rel_window).min((lag / 3).max(1));
+            let w = w_of(lag);
             let wlo = lag.saturating_sub(w).max(1);
             let whi = (lag + w).min(n - 1);
             let window_sum = range_sum(wlo, whi);
@@ -337,6 +365,68 @@ impl Autocorrelation {
     }
 }
 
+/// Whether Step 3 correlates the `events` non-zero bins of an `n`-bin
+/// series pairwise: its `events·(events + 1)/2` event pairs, lag 0
+/// included, cost no more than the `N·log2 N` of the transform the
+/// workspace would pad it to (`N` the power of two at or above `2n`).
+fn from_events_is_cheaper(n: usize, events: usize) -> bool {
+    let padded = padded_len(2 * n);
+    events * (events + 1) / 2 <= padded * padded.ilog2() as usize
+}
+
+/// The raw autocorrelation `n²·R(τ)` of the centred series of `n` bins
+/// whose non-zero bins are `events` (position, count), in position order,
+/// for every lag `τ < n` — normalized by its lag-0 value.
+fn event_autocorrelation(n: usize, events: &[(usize, f64)]) -> Vec<f64> {
+    // S(τ) first, in place.
+    let mut values = vec![0.0; n];
+    for (i, &(p, c)) in events.iter().enumerate() {
+        for &(q, d) in &events[i..] {
+            values[q - p] += c * d;
+        }
+    }
+    // below[k] = Σ of the first k events' counts; A(τ) and B(τ) are read
+    // off it at the number of events before `n − τ` and before `τ`.
+    let below: Vec<f64> = std::iter::once(0.0)
+        .chain(events.iter().scan(0.0, |sum, &(_, c)| {
+            *sum += c;
+            Some(*sum)
+        }))
+        .collect();
+    let total = below[events.len()];
+    let bins = n as f64;
+    let (nn, nt, tt) = (bins * bins, bins * total, total * total);
+    let (mut head, mut tail) = (0, events.len());
+    for (tau, r) in values.iter_mut().enumerate() {
+        while head < events.len() && events[head].0 < tau {
+            head += 1;
+        }
+        while tail > 0 && events[tail - 1].0 >= n - tau {
+            tail -= 1;
+        }
+        let (a, b) = (below[tail], total - below[head]);
+        *r = nn * *r - nt * (a + b) + (n - tau) as f64 * tt;
+    }
+    normalize(&mut values);
+    values
+}
+
+/// Divides a raw autocorrelation by its lag-0 value. A constant series
+/// (zero after centring, `R(0) ≤ 0`) gets 1 at lag 0 and 0 elsewhere.
+fn normalize(values: &mut [f64]) {
+    let Some(&r0) = values.first() else {
+        return;
+    };
+    if r0 <= 0.0 {
+        values.fill(0.0);
+        values[0] = 1.0;
+    } else {
+        for v in values.iter_mut() {
+            *v /= r0;
+        }
+    }
+}
+
 /// Window half-width for a lag: at least 1 bin, `rel_window` of the lag.
 fn window_of(lag: usize, rel_window: f64) -> usize {
     ((lag as f64 * rel_window).round() as usize).max(1)
@@ -383,6 +473,104 @@ mod tests {
     fn beacon_series(n_events: u64, period: u64) -> TimeSeries {
         let timestamps: Vec<u64> = (0..n_events).map(|i| i * period).collect();
         TimeSeries::from_timestamps(&timestamps, 1).unwrap()
+    }
+
+    /// Asserts the event path (`compute_in`) agrees with the dense
+    /// round trip on every lag, to 1e-12 of `R(0)`, and returns whether
+    /// the rule sent `series` to the event path.
+    fn assert_events_match_dense(series: &TimeSeries) -> bool {
+        let ws = SpectralWorkspace::new();
+        let dense = Autocorrelation::from_samples_in(&ws, &series.centered(), 1.0);
+        let before = ws.transforms_run();
+        let got = Autocorrelation::compute_in(&ws, series);
+        let from_events = ws.transforms_run() == before;
+        assert_eq!(got.len(), series.len());
+        for (lag, (g, d)) in got.values().iter().zip(dense.values()).enumerate() {
+            assert!(
+                (g - d).abs() <= 1e-12,
+                "n = {} lag {lag}: {g} vs {d}",
+                series.len()
+            );
+        }
+        from_events
+    }
+
+    #[test]
+    fn event_path_matches_the_dense_round_trip() {
+        use baywatch_stats::rng::forall;
+        let mut sides = [0usize; 2];
+        forall(200, 0xAC5, |rng| {
+            let n = rng.random_range(1..4000);
+            // Density from one event in the span to every bin, so both
+            // sides of the crossover come up.
+            let density = 10f64.powf(rng.random_range(-3.5..0.0));
+            let fractional = rng.random_range(0..4) == 0;
+            let max_count = rng.random_range(1..5);
+            let values = (0..n)
+                .map(|_| {
+                    if rng.random_range(0.0..1.0) >= density {
+                        0.0
+                    } else if fractional {
+                        rng.random_range(0.05..3.0)
+                    } else {
+                        rng.random_range(1..=max_count) as f64
+                    }
+                })
+                .collect();
+            let series = TimeSeries::from_values(0, 1, values).unwrap();
+            sides[usize::from(assert_events_match_dense(&series))] += 1;
+        });
+        assert!(sides.iter().all(|&s| s >= 20), "dense / events: {sides:?}");
+    }
+
+    #[test]
+    fn event_path_matches_on_the_exactness_corpus_and_edge_shapes() {
+        use crate::series::corpus::{exactness_corpus, sparse_series};
+        let mut corpus = exactness_corpus();
+        corpus.extend([
+            sparse_series(37, 1, 3),    // counts > 1, dense side
+            sparse_series(3000, 20, 3), // counts > 1, events side
+            TimeSeries::from_timestamps(&[5, 5, 5, 9, 9, 40], 1).unwrap(), // duplicates
+            TimeSeries::from_values(0, 1, vec![0.0, 0.0, 7.0, 0.0]).unwrap(), // one event
+            TimeSeries::from_timestamps(&[42], 1).unwrap(), // one bin
+            TimeSeries::from_values(0, 1, vec![2.0; 3]).unwrap(), // constant: R(0) = 0
+            TimeSeries::from_values(0, 1, vec![2.5; 8]).unwrap(), // constant, fractional
+            TimeSeries::from_values(0, 1, vec![0.5, 0.0, 1.25, 0.0, 0.0, 2.75]).unwrap(),
+        ]);
+        let on_events: Vec<bool> = corpus.iter().map(assert_events_match_dense).collect();
+        assert!(on_events.contains(&true) && on_events.contains(&false));
+        for constant in &corpus[corpus.len() - 3..corpus.len() - 1] {
+            let acf = Autocorrelation::compute(constant);
+            assert_eq!(acf.value_at_lag(0), Some(1.0));
+            assert!(acf.values()[1..].iter().all(|&v| v == 0.0));
+        }
+    }
+
+    #[test]
+    fn the_crossover_rule_sits_at_n_log_n_event_pairs() {
+        // n = 36 000 pads to N = 2¹⁷: N·log2 N = 2 228 224 pairs, and
+        // 2 110·2 111/2 = 2 227 105 fits where 2 111·2 112/2 does not.
+        assert!(from_events_is_cheaper(36_000, 2_110));
+        assert!(!from_events_is_cheaper(36_000, 2_111));
+        // n = 1 000 pads to 2¹¹: 22 528 pairs, the line between 211 and
+        // 212 events — and `compute_in` takes the path the rule names.
+        assert!(from_events_is_cheaper(1_000, 211));
+        assert!(!from_events_is_cheaper(1_000, 212));
+        // The dense reference mode never takes the event path.
+        for (mode, events, transforms) in [
+            (SpectralMode::RealHalf, 211, 0),
+            (SpectralMode::RealHalf, 212, 2),
+            (SpectralMode::ComplexFull, 211, 2),
+        ] {
+            let mut values = vec![0.0; 1_000];
+            for v in values.iter_mut().take(events) {
+                *v = 1.0;
+            }
+            let series = TimeSeries::from_values(0, 1, values).unwrap();
+            let ws = SpectralWorkspace::with_mode(mode);
+            Autocorrelation::compute_in(&ws, &series);
+            assert_eq!(ws.transforms_run(), transforms, "{mode:?}, {events} events");
+        }
     }
 
     #[test]

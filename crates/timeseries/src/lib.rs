@@ -29,8 +29,9 @@
 //! is a separate tool: [`gmm`] fits a Gaussian mixture with BIC model
 //! selection to an interval list on request.
 //!
-//! All FFT work (periodogram, permutation rounds, ACF) runs on the
-//! in-tree radix-2 [`fft`] through a
+//! All FFT work (periodogram, permutation rounds, and the ACF of a series
+//! too dense to correlate from its events) runs on the in-tree radix-4
+//! [`fft`] through a
 //! per-thread [`workspace::SpectralWorkspace`], which zero-pads every
 //! series to a power-of-two transform length, recycles its buffers, and
 //! takes its plans from one process-wide table — at most one plan per

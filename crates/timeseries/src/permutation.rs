@@ -308,6 +308,7 @@ fn quantile_rank(confidence: f64, m: usize) -> usize {
 mod tests {
     use super::*;
     use crate::periodogram::Periodogram;
+    use crate::series::corpus::{exactness_corpus, sparse_series};
 
     fn beacon_series(n_events: u64, period: u64) -> TimeSeries {
         let timestamps: Vec<u64> = (0..n_events).map(|i| i * period).collect();
@@ -568,37 +569,6 @@ mod tests {
         let a = permutation_threshold_budgeted(&ws, &series, &cfg, &unlimited).unwrap();
         let b = permutation_threshold_in(&ws, &series, &cfg).unwrap();
         assert_eq!(a, b);
-    }
-
-    /// Series shapes the exactness argument must hold on: beacon, random
-    /// arrivals, constant, degenerate (n < 4), odd and even n.
-    fn exactness_corpus() -> Vec<TimeSeries> {
-        let mut rng = Rng::seed_from_u64(11);
-        let mut t = 0u64;
-        let random: Vec<u64> = (0..80)
-            .map(|_| {
-                t += rng.random_range(1..30);
-                t
-            })
-            .collect();
-        vec![
-            beacon_series(40, 17), // n = 664, even
-            beacon_series(41, 17), // n = 681, odd
-            TimeSeries::from_timestamps(&random, 1).unwrap(),
-            TimeSeries::from_timestamps(&random[..79], 1).unwrap(),
-            TimeSeries::from_values(0, 1, vec![1.0; 64]).unwrap(),
-            TimeSeries::from_values(0, 1, vec![2.0, 0.0, 1.0]).unwrap(),
-            TimeSeries::from_values(0, 1, vec![3.0]).unwrap(),
-        ]
-    }
-
-    /// A series of `n` bins whose bin `i·stride` holds `1 + i % counts`.
-    fn sparse_series(n: usize, stride: usize, counts: usize) -> TimeSeries {
-        let mut values = vec![0.0; n];
-        for (i, v) in values.iter_mut().step_by(stride).enumerate() {
-            *v = (1 + i % counts) as f64;
-        }
-        TimeSeries::from_values(0, 1, values).unwrap()
     }
 
     /// Every round as the dense, centred series it stands for, replayed

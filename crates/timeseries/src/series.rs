@@ -241,6 +241,52 @@ fn first_unsorted(timestamps: &[u64]) -> Option<usize> {
         .map(|i| i + 1)
 }
 
+/// Series shared by the tests that hold a fast path to its dense
+/// reference: the permutation filter's placed rounds and the ACF's event
+/// path.
+#[cfg(test)]
+pub(crate) mod corpus {
+    use super::TimeSeries;
+    use baywatch_stats::rng::Rng;
+
+    /// A beacon every `period` bins, `n_events` times, at 1 s bins.
+    fn beacon_series(n_events: u64, period: u64) -> TimeSeries {
+        let timestamps: Vec<u64> = (0..n_events).map(|i| i * period).collect();
+        TimeSeries::from_timestamps(&timestamps, 1).unwrap()
+    }
+
+    /// Series shapes the exactness argument must hold on: beacon, random
+    /// arrivals, constant, degenerate (n < 4), odd and even n.
+    pub(crate) fn exactness_corpus() -> Vec<TimeSeries> {
+        let mut rng = Rng::seed_from_u64(11);
+        let mut t = 0u64;
+        let random: Vec<u64> = (0..80)
+            .map(|_| {
+                t += rng.random_range(1..30);
+                t
+            })
+            .collect();
+        vec![
+            beacon_series(40, 17), // n = 664, even
+            beacon_series(41, 17), // n = 681, odd
+            TimeSeries::from_timestamps(&random, 1).unwrap(),
+            TimeSeries::from_timestamps(&random[..79], 1).unwrap(),
+            TimeSeries::from_values(0, 1, vec![1.0; 64]).unwrap(),
+            TimeSeries::from_values(0, 1, vec![2.0, 0.0, 1.0]).unwrap(),
+            TimeSeries::from_values(0, 1, vec![3.0]).unwrap(),
+        ]
+    }
+
+    /// A series of `n` bins whose bin `i·stride` holds `1 + i % counts`.
+    pub(crate) fn sparse_series(n: usize, stride: usize, counts: usize) -> TimeSeries {
+        let mut values = vec![0.0; n];
+        for (i, v) in values.iter_mut().step_by(stride).enumerate() {
+            *v = (1 + i % counts) as f64;
+        }
+        TimeSeries::from_values(0, 1, values).unwrap()
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -4,12 +4,13 @@
 //! Every step of the detection pipeline is FFT-bound: the periodogram
 //! (Step 1) transforms the count series once, the permutation filter
 //! transforms up to `m` shuffled copies of it, and the ACF verifier
-//! (Step 3) runs a forward/inverse pair. A pair's series has the accidental
-//! length `n = last − first + 1` bins, and transforming at that length makes
-//! cost a function of `n`'s factorisation (a prime `n` needs a Bluestein or
-//! Rader transform, several times the work of its power-of-two neighbour)
-//! and makes every pair need plans of its own. The workspace therefore owns
-//! one rule:
+//! (Step 3) runs a forward/inverse pair for a series with too many events
+//! to correlate pairwise ([`acf`](crate::acf)). A pair's series has the
+//! accidental length `n = last − first + 1` bins, and transforming at that
+//! length makes cost a function of `n`'s factorisation (a prime `n` needs a
+//! Bluestein or Rader transform, several times the work of its
+//! power-of-two neighbour) and makes every pair need plans of its own. The
+//! workspace therefore owns one rule:
 //!
 //! **Every transform runs at a power-of-two length.** The `n` observed bins
 //! are zero-padded inside the recycled buffers — to `N = n.next_power_of_two()`
@@ -97,8 +98,9 @@ pub enum SpectralMode {
     #[default]
     RealHalf,
     /// One full complex-to-complex transform per series, at the same
-    /// padded lengths. Kept as the reference path for equivalence tests
-    /// and benchmarks.
+    /// padded lengths: permutation rounds are densified and the Step-3
+    /// ACF is always the padded round trip, never built from the events.
+    /// Kept as the reference path for equivalence tests and benchmarks.
     ComplexFull,
 }
 
@@ -292,7 +294,7 @@ fn twiddle_table(n: usize) -> Vec<Complex> {
 
 /// The transform length for `bins` real samples: the next power of two, at
 /// least 2 so the packed half-length FFT exists.
-fn padded_len(bins: usize) -> usize {
+pub(crate) fn padded_len(bins: usize) -> usize {
     bins.next_power_of_two().max(2)
 }
 
