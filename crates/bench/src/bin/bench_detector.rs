@@ -1,16 +1,15 @@
 //! Machine-readable detector benchmark: pairs/sec, per-stage nanos, and
-//! plan-cache statistics for both spectral modes, written as
-//! `BENCH_detector.json` at the repository root.
+//! plan-cache statistics of the detector, written as `BENCH_detector.json`
+//! at the repository root.
 //!
 //! It is a *regression gate*: `--baseline PATH` compares a run against a
 //! baseline — in CI the committed `BENCH_detector.json`. Every input is
 //! seeded through `stats::rng`, whose stream is the same on every
-//! machine, so the deterministic fields (detection checksums, plan-cache
-//! counts, checkpoint, resilience and stream ledgers) must match the
-//! baseline exactly; the RealHalf/ComplexFull speedup and the cache hit
-//! rates must stay within the tolerance band. Absolute pairs/sec numbers
-//! and elapsed times are recorded for the curious but never gated on —
-//! they depend on the host.
+//! machine, so the deterministic fields (detection checksums, checkpoint,
+//! resilience and stream ledgers) must match the baseline exactly; the
+//! cache hit rates must stay within the tolerance band. Absolute pairs/sec
+//! numbers and elapsed times are recorded for the curious but never gated
+//! on — they depend on the host.
 //!
 //! A checkpoint probe additionally runs one small pipeline corpus three
 //! ways — plain, checkpointed, and resumed with DLQ replay — recording
@@ -70,7 +69,7 @@ use baywatch_obs::json::{parse, JsonValue, JsonWriter};
 use baywatch_obs::registry::MetricsRegistry;
 use baywatch_resilience::{BreakerConfig, RetryPolicy};
 use baywatch_timeseries::detector::{DetectorConfig, DetectorObs, PeriodicityDetector};
-use baywatch_timeseries::workspace::{SpectralMode, SpectralWorkspace};
+use baywatch_timeseries::workspace::SpectralWorkspace;
 use baywatch_timeseries::BudgetSpec;
 
 /// Deterministic benchmark corpus: seeded beacon pairs spanning the
@@ -118,13 +117,17 @@ fn corpus(quick: bool) -> Vec<Vec<u64>> {
     pairs
 }
 
-struct ModeRun {
+/// The detector run's key under `"modes"`: the committed baseline names
+/// the production path so.
+const RUN_KEY: &str = "real_half";
+
+struct DetectorRun {
     elapsed_ns: u128,
     detections_ok: usize,
     detections_err: usize,
     periodic_pairs: usize,
     // Σ round(best_period · 1000) over periodic pairs: a deterministic
-    // fingerprint that flips if either mode changes detection output.
+    // fingerprint that flips if detection output changes.
     period_checksum: u64,
     stage_sums: [(String, u64, u64); 3],
     plan_requests: usize,
@@ -135,11 +138,11 @@ struct ModeRun {
     transforms_run: usize,
 }
 
-fn run_mode(mode: SpectralMode, pairs: &[Vec<u64>], passes: usize) -> ModeRun {
+fn run_detector(pairs: &[Vec<u64>], passes: usize) -> DetectorRun {
     let registry = MetricsRegistry::new();
     let obs = DetectorObs::new(&registry, Arc::new(MonotonicClock::new()));
     let detector = PeriodicityDetector::new(DetectorConfig::default()).with_obs(obs);
-    let ws = SpectralWorkspace::with_mode(mode);
+    let ws = SpectralWorkspace::new();
 
     // One untimed warmup pass builds every FFT plan the corpus needs, so
     // the timed passes measure steady-state batch throughput.
@@ -184,7 +187,7 @@ fn run_mode(mode: SpectralMode, pairs: &[Vec<u64>], passes: usize) -> ModeRun {
         (s.to_string(), sum, total)
     });
 
-    ModeRun {
+    DetectorRun {
         elapsed_ns,
         detections_ok,
         detections_err,
@@ -219,14 +222,14 @@ fn float(w: &mut JsonWriter, key: &str, value: f64, decimals: usize) {
     w.float(value, decimals);
 }
 
-fn write_mode(w: &mut JsonWriter, key: &str, run: &ModeRun) {
+fn write_detector(w: &mut JsonWriter, run: &DetectorRun) {
     let secs = run.elapsed_ns as f64 / 1e9;
     let hit_rate = if run.plan_requests > 0 {
         run.plan_hits as f64 / run.plan_requests as f64
     } else {
         0.0
     };
-    section(w, key, |w| {
+    section(w, RUN_KEY, |w| {
         float(
             w,
             "pairs_per_sec",
@@ -669,26 +672,6 @@ fn gate(current: &JsonValue, baseline: &JsonValue, tolerance: f64) -> Vec<String
         return failures;
     }
 
-    // The headline ratio: RealHalf throughput over ComplexFull, measured
-    // on the same host in the same process. Host speed cancels out.
-    let ratio = |v: &JsonValue| -> Option<f64> {
-        let real = get_f64(v, &["modes", "real_half", "pairs_per_sec"])?;
-        let complex = get_f64(v, &["modes", "complex_full", "pairs_per_sec"])?;
-        (complex > 0.0).then(|| real / complex)
-    };
-    match (ratio(current), ratio(baseline)) {
-        (Some(cur), Some(base)) => {
-            let floor = base * (1.0 - tolerance);
-            if cur < floor {
-                failures.push(format!(
-                    "speedup regression: RealHalf/ComplexFull = {cur:.2}x, \
-                     baseline {base:.2}x (floor {floor:.2}x at tolerance {tolerance})"
-                ));
-            }
-        }
-        _ => failures.push("speedup ratio missing from current or baseline JSON".to_string()),
-    }
-
     // Checkpoint accounting is a deterministic function of the probe
     // corpus: a count drift means the store started writing more (or
     // fewer) files per shard, or DLQ replay stopped recovering the
@@ -755,36 +738,34 @@ fn gate(current: &JsonValue, baseline: &JsonValue, tolerance: f64) -> Vec<String
         }
     }
 
-    for mode in ["complex_full", "real_half"] {
-        // Detection output is a deterministic function of the corpus:
-        // exact match required.
-        for field in [
-            "periodic_pairs",
-            "period_checksum",
-            "detections_ok",
-            "detections_err",
-        ] {
-            let cur = get_f64(current, &["modes", mode, field]);
-            let base = get_f64(baseline, &["modes", mode, field]);
-            if cur != base {
+    // Detection output is a deterministic function of the corpus: exact
+    // match required.
+    for field in [
+        "periodic_pairs",
+        "period_checksum",
+        "detections_ok",
+        "detections_err",
+    ] {
+        let cur = get_f64(current, &["modes", RUN_KEY, field]);
+        let base = get_f64(baseline, &["modes", RUN_KEY, field]);
+        if cur != base {
+            failures.push(format!(
+                "{RUN_KEY}.{field}: current {cur:?} != baseline {base:?} \
+                 (deterministic field — re-bless only with an explanation)"
+            ));
+        }
+    }
+    let cur = get_f64(current, &["modes", RUN_KEY, "plan_cache", "hit_rate"]);
+    let base = get_f64(baseline, &["modes", RUN_KEY, "plan_cache", "hit_rate"]);
+    match (cur, base) {
+        (Some(c), Some(b)) => {
+            if c < b * (1.0 - tolerance) {
                 failures.push(format!(
-                    "{mode}.{field}: current {cur:?} != baseline {base:?} \
-                     (deterministic field — re-bless only with an explanation)"
+                    "plan-cache hit rate fell: {c:.4} vs baseline {b:.4}"
                 ));
             }
         }
-        let cur = get_f64(current, &["modes", mode, "plan_cache", "hit_rate"]);
-        let base = get_f64(baseline, &["modes", mode, "plan_cache", "hit_rate"]);
-        match (cur, base) {
-            (Some(c), Some(b)) => {
-                if c < b * (1.0 - tolerance) {
-                    failures.push(format!(
-                        "{mode} plan-cache hit rate fell: {c:.4} vs baseline {b:.4}"
-                    ));
-                }
-            }
-            _ => failures.push(format!("{mode} plan-cache hit rate missing")),
-        }
+        _ => failures.push("plan-cache hit rate missing".to_string()),
     }
 
     // A verdict-cache hit-rate collapse means the streaming engine
@@ -856,8 +837,7 @@ fn main() -> ExitCode {
         if quick { "quick" } else { "full" }
     );
 
-    let complex = run_mode(SpectralMode::ComplexFull, &pairs, passes);
-    let real = run_mode(SpectralMode::RealHalf, &pairs, passes);
+    let run = run_detector(&pairs, passes);
     let probe = match run_checkpoint_probe() {
         Ok(p) => p,
         Err(e) => {
@@ -915,11 +895,8 @@ fn main() -> ExitCode {
         stream.detect_runs + stream.detect_cached
     );
 
-    let complex_pps = complex.detections_ok as f64 / (complex.elapsed_ns as f64 / 1e9);
-    let real_pps = real.detections_ok as f64 / (real.elapsed_ns as f64 / 1e9);
-    let speedup = real_pps / complex_pps.max(1e-12);
-    println!("ComplexFull: {complex_pps:.1} pairs/sec");
-    println!("RealHalf:    {real_pps:.1} pairs/sec  ({speedup:.2}x)");
+    let pps = run.detections_ok as f64 / (run.elapsed_ns as f64 / 1e9);
+    println!("detector: {pps:.1} pairs/sec");
 
     let mut w = JsonWriter::new();
     w.raw("{");
@@ -929,11 +906,7 @@ fn main() -> ExitCode {
     w.string(if quick { "quick" } else { "full" });
     uint(&mut w, "pairs", pairs.len() as u64);
     uint(&mut w, "passes", passes as u64);
-    float(&mut w, "speedup_real_over_complex", speedup, 2);
-    section(&mut w, "modes", |w| {
-        write_mode(w, "complex_full", &complex);
-        write_mode(w, "real_half", &real);
-    });
+    section(&mut w, "modes", |w| write_detector(w, &run));
     write_checkpoint(&mut w, &probe);
     write_resilience(&mut w, &resilience);
     write_stream(&mut w, &stream);

@@ -24,11 +24,11 @@
 //! the zero-padded transform (`N` the power of two at or above `2n`) takes
 //! the Wiener–Khinchin round trip instead — zero-pad, forward transform,
 //! squared magnitude, inverse transform — through the workspace's packed
-//! real plans.
+//! real plans, whose input the workspace writes from the same events.
 
 use crate::budget::ExecBudget;
 use crate::series::TimeSeries;
-use crate::workspace::{padded_len, with_thread_workspace, SpectralMode, SpectralWorkspace};
+use crate::workspace::{padded_len, with_thread_workspace, SpectralWorkspace};
 use crate::TimeSeriesError;
 
 /// The (biased, normalized) autocorrelation function of a series.
@@ -62,52 +62,23 @@ impl Autocorrelation {
 
     /// Like [`Autocorrelation::compute`] with an explicit workspace. A
     /// series with few enough events is correlated from them (module
-    /// docs); any other, and every series in the dense reference mode
-    /// [`SpectralMode::ComplexFull`], goes through
-    /// [`from_samples_in`](Self::from_samples_in) on its centred values.
+    /// docs); any other takes the workspace's padded round trip.
     pub fn compute_in(ws: &SpectralWorkspace, series: &TimeSeries) -> Self {
-        let dt = series.scale() as f64;
         let n = series.len();
-        let events: Vec<(usize, f64)> = (0..n)
-            .zip(series.values().iter().copied())
-            .filter(|&(_, v)| v != 0.0)
-            .collect();
-        if ws.mode() == SpectralMode::ComplexFull || !from_events_is_cheaper(n, events.len()) {
-            return Self::from_samples_in(ws, &series.centered(), dt);
-        }
+        let events = series.events();
+        let values = if from_events_is_cheaper(n, events.len()) {
+            event_autocorrelation(n, events)
+        } else {
+            ws.with_autocorrelation(series, |correlation| {
+                let mut values = correlation[..n].to_vec();
+                normalize(&mut values);
+                values
+            })
+        };
         Self {
-            values: event_autocorrelation(n, &events),
-            dt,
+            values,
+            dt: series.scale() as f64,
         }
-    }
-
-    /// Computes the ACF of arbitrary mean-centered samples with spacing
-    /// `dt` seconds.
-    pub fn from_samples(samples: &[f64], dt: f64) -> Self {
-        with_thread_workspace(|ws| Self::from_samples_in(ws, samples, dt))
-    }
-
-    /// Like [`Autocorrelation::from_samples`] with an explicit workspace:
-    /// the forward/inverse plans at the padded length come from the
-    /// workspace's cache and both transforms run in its recycled buffer.
-    pub fn from_samples_in(ws: &SpectralWorkspace, samples: &[f64], dt: f64) -> Self {
-        let n = samples.len();
-        if n == 0 {
-            return Self {
-                values: Vec::new(),
-                dt,
-            };
-        }
-        // The workspace zero-pads to >= 2n (making the circular convolution
-        // linear), FFTs, multiplies by the conjugate and inverse-FFTs. In
-        // the default RealHalf mode the round trip runs packed through the
-        // cached r2c/c2r plans at half the transform work.
-        let values = ws.with_autocorrelation(samples, |correlation| {
-            let mut values = correlation[..n].to_vec();
-            normalize(&mut values);
-            values
-        });
-        Self { values, dt }
     }
 
     /// ACF values indexed by lag (in bins).
@@ -468,6 +439,8 @@ pub struct HillPeak {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fft::Plan;
+    use crate::series::corpus::centred;
     use baywatch_stats::rng::Rng;
 
     fn beacon_series(n_events: u64, period: u64) -> TimeSeries {
@@ -475,17 +448,25 @@ mod tests {
         TimeSeries::from_timestamps(&timestamps, 1).unwrap()
     }
 
-    /// Asserts the event path (`compute_in`) agrees with the dense
-    /// round trip on every lag, to 1e-12 of `R(0)`, and returns whether
-    /// the rule sent `series` to the event path.
+    /// The normalized ACF of `series` by the dense oracle's round trip.
+    fn dense_acf(series: &TimeSeries) -> Vec<f64> {
+        let mut dense = Plan::dense_autocorrelation(&centred(series));
+        dense.truncate(series.len());
+        normalize(&mut dense);
+        dense
+    }
+
+    /// Asserts `compute_in` — from the events or through the packed
+    /// round trip — agrees with the dense oracle on every lag, to 1e-12 of
+    /// `R(0)`, and returns whether the rule sent `series` to the event
+    /// path.
     fn assert_events_match_dense(series: &TimeSeries) -> bool {
         let ws = SpectralWorkspace::new();
-        let dense = Autocorrelation::from_samples_in(&ws, &series.centered(), 1.0);
-        let before = ws.transforms_run();
+        let dense = dense_acf(series);
         let got = Autocorrelation::compute_in(&ws, series);
-        let from_events = ws.transforms_run() == before;
+        let from_events = ws.transforms_run() == 0;
         assert_eq!(got.len(), series.len());
-        for (lag, (g, d)) in got.values().iter().zip(dense.values()).enumerate() {
+        for (lag, (g, d)) in got.values().iter().zip(&dense).enumerate() {
             assert!(
                 (g - d).abs() <= 1e-12,
                 "n = {} lag {lag}: {g} vs {d}",
@@ -524,6 +505,26 @@ mod tests {
     }
 
     #[test]
+    fn acf_matches_the_oracle_on_dense_counts() {
+        // Every bin a fractional count in [0, 50), lengths 1..=300: short
+        // series from the events, long ones through the packed round trip.
+        // Normalized ACF values are bounded by 1, so the tolerance is
+        // absolute.
+        use baywatch_stats::rng::forall;
+        forall(32, 3, |rng| {
+            let len = rng.random_range(1..=300);
+            let values = (0..len).map(|_| rng.random_range(0.0..50.0)).collect();
+            let series = TimeSeries::from_values(0, 1, values).unwrap();
+            let got = Autocorrelation::compute(&series);
+            let want = dense_acf(&series);
+            assert_eq!(got.len(), want.len());
+            for (lag, (x, y)) in got.values().iter().zip(&want).enumerate() {
+                assert!((x - y).abs() <= 1e-9, "lag {lag}: {x} vs {y}");
+            }
+        });
+    }
+
+    #[test]
     fn event_path_matches_on_the_exactness_corpus_and_edge_shapes() {
         use crate::series::corpus::{exactness_corpus, sparse_series};
         let mut corpus = exactness_corpus();
@@ -556,20 +557,15 @@ mod tests {
         // 212 events — and `compute_in` takes the path the rule names.
         assert!(from_events_is_cheaper(1_000, 211));
         assert!(!from_events_is_cheaper(1_000, 212));
-        // The dense reference mode never takes the event path.
-        for (mode, events, transforms) in [
-            (SpectralMode::RealHalf, 211, 0),
-            (SpectralMode::RealHalf, 212, 2),
-            (SpectralMode::ComplexFull, 211, 2),
-        ] {
+        for (events, transforms) in [(211, 0), (212, 2)] {
             let mut values = vec![0.0; 1_000];
             for v in values.iter_mut().take(events) {
                 *v = 1.0;
             }
             let series = TimeSeries::from_values(0, 1, values).unwrap();
-            let ws = SpectralWorkspace::with_mode(mode);
+            let ws = SpectralWorkspace::new();
             Autocorrelation::compute_in(&ws, &series);
-            assert_eq!(ws.transforms_run(), transforms, "{mode:?}, {events} events");
+            assert_eq!(ws.transforms_run(), transforms, "{events} events");
         }
     }
 
@@ -662,8 +658,9 @@ mod tests {
     }
 
     #[test]
-    fn empty_samples_empty_acf() {
-        let acf = Autocorrelation::from_samples(&[], 1.0);
+    fn a_zero_bin_series_has_an_empty_acf() {
+        let acf =
+            Autocorrelation::compute(&TimeSeries::from_timestamps_capped(&[7], 1, 0).unwrap());
         assert!(acf.is_empty());
         assert_eq!(acf.len(), 0);
     }

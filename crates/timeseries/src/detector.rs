@@ -27,7 +27,7 @@ pub struct DetectorConfig {
     /// Minimum number of events required to attempt detection.
     pub min_events: usize,
     /// Upper bound on series length in bins (cost guard for very long
-    /// spans; series are truncated, not rejected).
+    /// spans; series are cut while binning, not rejected).
     pub max_bins: usize,
     /// Permutation-filter settings (Step 1).
     pub permutation: PermutationConfig,
@@ -243,14 +243,16 @@ impl PeriodicityDetector {
             return Err(TimeSeriesError::ZeroSpan);
         }
 
-        let series = TimeSeries::from_timestamps(timestamps, self.config.time_scale)?
-            .truncated(self.config.max_bins);
+        let series = TimeSeries::from_timestamps_capped(
+            timestamps,
+            self.config.time_scale,
+            self.config.max_bins,
+        )?;
         let result = self.detect_series_core(ws, &series, intervals, budget);
         if let Some(obs) = &self.obs {
             obs.pairs_analyzed.inc();
             obs.series_bins.observe(series.len() as u64);
-            let events = series.values().iter().filter(|&&v| v != 0.0).count();
-            obs.series_events.observe(events as u64);
+            obs.series_events.observe(series.events().len() as u64);
             match &result {
                 Ok(report) => {
                     if report.raw_candidates == 0 {
@@ -872,6 +874,19 @@ mod tests {
         assert!(r.power_threshold.is_finite() || r.candidates.is_empty());
         for c in &r.candidates {
             assert!(c.period.is_finite());
+        }
+    }
+
+    #[test]
+    fn a_line_at_two_to_the_62_leaves_the_beacon_detectable() {
+        // The series is the beacon's events and a 2²⁰-bin cut: the far
+        // line costs one interval, not 2⁶² bins.
+        let mut ts: Vec<u64> = (0..20).map(|i| 1_000 + i * 60).collect();
+        ts.push(1 << 62);
+        let r = detector().detect(&ts).unwrap();
+        assert_eq!(r.intervals.len(), 20);
+        for c in &r.candidates {
+            assert!(c.period.is_finite() && c.acf_score.is_finite());
         }
     }
 

@@ -221,6 +221,42 @@ fn butterfly4<const INVERSE: bool>(a: Complex, b: Complex, c: Complex, d: Comple
     [sum + csum, diff + turned, sum - csum, diff - turned]
 }
 
+/// The dense reference the workspace's packed and placed transforms are
+/// tested against: real samples as a complex series, one full transform
+/// at the padded length.
+#[cfg(test)]
+impl Plan {
+    /// `samples` zero-padded to `N` as the workspace pads them, through one
+    /// full complex transform: the one-sided spectrum `X(0..=N/2)`.
+    pub(crate) fn dense_half_spectrum(samples: &[f64]) -> Vec<Complex> {
+        let padded = crate::workspace::padded_len(samples.len());
+        let mut buf = Self::dense_input(samples, padded);
+        Self::new(padded, Direction::Forward).run(&mut buf);
+        buf.truncate(padded / 2 + 1);
+        buf
+    }
+
+    /// The raw linear autocorrelation of `samples` by the full complex
+    /// round trip at the power of two at or above `2·len`: every padded
+    /// lag, scaled by that length.
+    pub(crate) fn dense_autocorrelation(samples: &[f64]) -> Vec<f64> {
+        let padded = crate::workspace::padded_len(2 * samples.len());
+        let mut buf = Self::dense_input(samples, padded);
+        Self::new(padded, Direction::Forward).run(&mut buf);
+        for v in &mut buf {
+            *v = Complex::new(v.norm_sqr(), 0.0);
+        }
+        Self::new(padded, Direction::Inverse).run(&mut buf);
+        buf.iter().map(|c| c.re).collect()
+    }
+
+    fn dense_input(samples: &[f64], padded: usize) -> Vec<Complex> {
+        let mut buf: Vec<Complex> = samples.iter().map(|&v| Complex::new(v, 0.0)).collect();
+        buf.resize(padded, Complex::ZERO);
+        buf
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

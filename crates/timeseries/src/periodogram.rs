@@ -3,7 +3,8 @@
 //!
 //! The `n` bins of the mean-centered count series are zero-padded to
 //! `N = n.next_power_of_two()` and transformed with an FFT (the rule every
-//! transform of the [`workspace`](crate::workspace) follows). Zeros are the
+//! transform of the [`workspace`](crate::workspace) follows), whose input
+//! the workspace writes straight from the series' events. Zeros are the
 //! centered series' mean, so padding adds no energy and no DC step: the
 //! lines are the series' own discrete-time Fourier transform, sampled at
 //! `k/N` cycles per bin instead of `k/n`. The power at bin `k` is
@@ -93,32 +94,19 @@ impl Periodogram {
     /// Like [`Periodogram::compute`] with an explicit workspace, so callers
     /// that already hold one (the detector hot path) skip the thread-local
     /// lookup.
+    /// The transform runs at `N = n.next_power_of_two()` in the
+    /// workspace's recycled buffers, through its packed real-to-complex
+    /// plan.
     pub fn compute_in(ws: &SpectralWorkspace, series: &TimeSeries) -> Self {
-        Self::from_samples_in(ws, &series.centered(), series.scale() as f64)
-    }
-
-    /// Computes the periodogram of arbitrary mean-centered samples with bin
-    /// width `dt` seconds. Exposed for the permutation filter, which
-    /// transforms shuffled copies of the same samples.
-    pub fn from_samples(samples: &[f64], dt: f64) -> Self {
-        with_thread_workspace(|ws| Self::from_samples_in(ws, samples, dt))
-    }
-
-    /// Like [`Periodogram::from_samples`] with an explicit workspace: the
-    /// transform runs at `N = n.next_power_of_two()` in the workspace's
-    /// recycled buffers, through the packed real-to-complex plan in the
-    /// default [`RealHalf`](crate::workspace::SpectralMode::RealHalf) mode
-    /// and through the full complex one in
-    /// [`ComplexFull`](crate::workspace::SpectralMode::ComplexFull).
-    pub fn from_samples_in(ws: &SpectralWorkspace, samples: &[f64], dt: f64) -> Self {
-        let n = samples.len();
+        let dt = series.scale() as f64;
+        let n = series.len();
         if n < 4 {
             return Self {
                 lines: Vec::new(),
                 dt,
             };
         }
-        let lines = ws.with_half_spectrum(samples, |spectrum| {
+        let lines = ws.with_half_spectrum(series, |spectrum| {
             // `N/2 + 1` one-sided bins came back.
             let padded = 2 * (spectrum.len() - 1);
             spectrum
@@ -203,7 +191,8 @@ impl Periodogram {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::series::TimeSeries;
+    use crate::fft::Plan;
+    use crate::series::corpus::centred;
 
     fn sine_series(n: usize, period_bins: f64, dt: u64) -> TimeSeries {
         let values: Vec<f64> = (0..n)
@@ -294,7 +283,7 @@ mod tests {
         for n in [1024usize, 1023, 100, 61, 5, 4] {
             let ts = sine_series(n, 32.0, 1);
             let pg = Periodogram::compute(&ts);
-            let ss: f64 = ts.centered().iter().map(|v| v * v).sum();
+            let ss: f64 = centred(&ts).iter().map(|v| v * v).sum();
             let want = n.next_power_of_two() as f64 / n as f64 * ss;
             let got = pg.two_sided_energy();
             assert!(
@@ -315,20 +304,23 @@ mod tests {
     fn power_of_two_lengths_are_the_unpadded_periodogram_bit_for_bit() {
         // At n = N nothing is padded: the lines must be exactly what the
         // even-length path computed before every transform ran at a power
-        // of two — pack pairs, one half-length FFT, Hermitian unpack,
-        // |X(k)|²/n on the k/n grid — re-derived here from a fresh plan.
-        use crate::fft::{Complex, Direction, Plan};
+        // of two — pack the centred pairs, one half-length FFT, Hermitian
+        // unpack, |X(k)|²/n on the k/n grid — re-derived here from a fresh
+        // plan.
+        use crate::fft::{Complex, Direction};
         for n in [4usize, 8, 64, 256, 1024] {
-            let samples: Vec<f64> = (0..n)
+            let values: Vec<f64> = (0..n)
                 .map(|i| (i as f64 * 0.61).sin() + 0.01 * (i % 7) as f64)
                 .collect();
+            let series = TimeSeries::from_values(0, 3, values).unwrap();
+            let samples = centred(&series);
             let h = n / 2;
             let mut z: Vec<Complex> = samples
                 .chunks_exact(2)
                 .map(|p| Complex::new(p[0], p[1]))
                 .collect();
             Plan::new(h, Direction::Forward).run(&mut z);
-            let pg = Periodogram::from_samples(&samples, 3.0);
+            let pg = Periodogram::compute(&series);
             assert_eq!(pg.lines().len(), h);
             for line in pg.lines() {
                 let k = line.bin;
@@ -375,6 +367,68 @@ mod tests {
         // Degenerate spectra have no lines at all.
         let tiny = TimeSeries::from_values(0, 1, vec![1.0, 0.0]).unwrap();
         assert_eq!(Periodogram::compute(&tiny).nyquist_power(), None);
+    }
+
+    /// The one-sided powers `|X(k)|²/n`, `k = 1..=N/2`, of `series` by the
+    /// dense oracle.
+    fn oracle_powers(series: &TimeSeries) -> Vec<f64> {
+        let n = series.len() as f64;
+        Plan::dense_half_spectrum(&centred(series))[1..]
+            .iter()
+            .map(|x| x.norm_sqr() / n)
+            .collect()
+    }
+
+    #[test]
+    fn periodogram_matches_the_oracle() {
+        // Random lengths 1..=300 — n < 4, odd, even, prime, powers of two
+        // — and counts. The packed r2c transform evaluates the same padded
+        // DFT as the oracle through a shorter butterfly recipe and an
+        // `O(n)` unpack, so powers differ by reordered rounding only: a few
+        // ULPs of the dominant magnitude (`O(ε·log n)`). The tolerance,
+        // 1e-12 of the largest power, is four orders above that and eight
+        // below signal scale. The grid is the same arithmetic: bitwise.
+        use baywatch_stats::rng::forall;
+        forall(32, 1, |rng| {
+            let len: usize = rng.random_range(1..=300);
+            let values = (0..len).map(|_| rng.random_range(0.0..50.0)).collect();
+            let series = TimeSeries::from_values(0, 1, values).unwrap();
+            let ws = SpectralWorkspace::new();
+            let pg = Periodogram::compute_in(&ws, &series);
+            if len < 4 {
+                assert!(pg.lines().is_empty());
+                assert_eq!(ws.plans_built() + ws.transforms_run(), 0);
+                return;
+            }
+            let want = oracle_powers(&series);
+            let padded = len.next_power_of_two();
+            assert_eq!(pg.lines().len(), want.len());
+            let scale = want.iter().copied().fold(1e-30, f64::max);
+            for ((k, line), power) in (1..).zip(pg.lines()).zip(&want) {
+                let frequency = k as f64 / padded as f64;
+                assert_eq!(line.bin, k);
+                assert_eq!(line.frequency.to_bits(), frequency.to_bits());
+                assert_eq!(line.period.to_bits(), (1.0 / frequency).to_bits());
+                assert!(
+                    (line.power - power).abs() <= 1e-12 * scale,
+                    "bin {k}: {} vs {power}",
+                    line.power
+                );
+            }
+            // Parseval over the N padded bins of the centred series.
+            let ss: f64 = centred(&series).iter().map(|v| v * v).sum();
+            let parseval = padded as f64 / len as f64 * ss;
+            assert!((pg.two_sided_energy() - parseval).abs() <= 1e-9 * ss.max(1.0));
+        });
+    }
+
+    #[test]
+    fn constant_series_are_exactly_flat() {
+        // `3 − 3` is 0 on every bin: no power at all, not rounding.
+        for n in [4usize, 17, 64] {
+            let ts = TimeSeries::from_values(0, 1, vec![3.0; n]).unwrap();
+            assert_eq!(Periodogram::compute(&ts).max_power(), 0.0, "n={n}");
+        }
     }
 
     #[test]

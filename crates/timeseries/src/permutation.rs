@@ -99,7 +99,9 @@ pub struct PermutationThreshold {
     pub shuffled_maxima: Vec<f64>,
 }
 
-/// Estimates the power threshold `p_T` for `series` by random permutation.
+/// Estimates the power threshold `p_T` for `series` by random permutation:
+/// the exact `p_T` over all `m` rounds, i.e. [`permutation_filter`] against
+/// an observed maximum of `+∞`, which no shuffle can meet.
 ///
 /// # Errors
 ///
@@ -123,32 +125,9 @@ pub fn permutation_threshold(
     series: &TimeSeries,
     config: &PermutationConfig,
 ) -> Result<PermutationThreshold, TimeSeriesError> {
-    with_thread_workspace(|ws| permutation_threshold_in(ws, series, config))
-}
-
-/// Like [`permutation_threshold`] with an explicit [`SpectralWorkspace`].
-pub fn permutation_threshold_in(
-    ws: &SpectralWorkspace,
-    series: &TimeSeries,
-    config: &PermutationConfig,
-) -> Result<PermutationThreshold, TimeSeriesError> {
-    permutation_threshold_budgeted(ws, series, config, &ExecBudget::unlimited())
-}
-
-/// Like [`permutation_threshold_in`] under an [`ExecBudget`]: the exact
-/// `p_T` over all `m` rounds, i.e. [`permutation_filter`] against an
-/// observed maximum of `+∞`, which no shuffle can meet.
-///
-/// # Errors
-///
-/// Propagates configuration validation errors and budget exhaustion.
-pub(crate) fn permutation_threshold_budgeted(
-    ws: &SpectralWorkspace,
-    series: &TimeSeries,
-    config: &PermutationConfig,
-    budget: &ExecBudget,
-) -> Result<PermutationThreshold, TimeSeriesError> {
-    permutation_filter(ws, series, config, f64::INFINITY, budget)
+    with_thread_workspace(|ws| {
+        permutation_filter(ws, series, config, f64::INFINITY, &ExecBudget::unlimited())
+    })
 }
 
 /// The permutation filter with an exact early reject: runs shuffle rounds
@@ -234,9 +213,8 @@ fn round_maxima(
     order.clear();
     order.extend(0..bins);
     values.clear();
-    values.extend(series.values().iter().filter(|&&v| v != 0.0));
-    // Zero bins add nothing, so this is `centered()`'s mean to the bit.
-    let mean = values.iter().sum::<f64>() / n as f64;
+    values.extend(series.events().iter().map(|&(_, v)| v));
+    let mean = series.mean();
     let m = config.permutations;
     let mut rng = Rng::seed_from_u64(config.seed);
     let mut maxima = Vec::with_capacity(m);
@@ -258,7 +236,7 @@ fn round_maxima(
         }
         if n < 4 {
             // Degenerate series have an empty spectrum: max power 0 per
-            // round, matching `Periodogram::from_samples`; budget and RNG
+            // round, matching `Periodogram::compute`; budget and RNG
             // are still consumed round-by-round.
             maxima.resize(maxima.len() + rounds, 0.0);
         } else {
@@ -307,8 +285,20 @@ fn quantile_rank(confidence: f64, m: usize) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fft::Plan;
     use crate::periodogram::Periodogram;
     use crate::series::corpus::{exactness_corpus, sparse_series};
+
+    /// The exact `p_T` in `ws` under `budget`: every round, against an
+    /// observed maximum no shuffle meets.
+    fn threshold_in(
+        ws: &SpectralWorkspace,
+        series: &TimeSeries,
+        config: &PermutationConfig,
+        budget: &ExecBudget,
+    ) -> Result<PermutationThreshold, TimeSeriesError> {
+        permutation_filter(ws, series, config, f64::INFINITY, budget)
+    }
 
     fn beacon_series(n_events: u64, period: u64) -> TimeSeries {
         let timestamps: Vec<u64> = (0..n_events).map(|i| i * period).collect();
@@ -386,7 +376,7 @@ mod tests {
         let series = beacon_series(80, 15);
         let cfg = PermutationConfig::default();
         let ws = crate::workspace::SpectralWorkspace::new();
-        let a = permutation_threshold_in(&ws, &series, &cfg).unwrap();
+        let a = threshold_in(&ws, &series, &cfg, &ExecBudget::unlimited()).unwrap();
         let b = permutation_threshold(&series, &cfg).unwrap();
         assert_eq!(a, b);
         // The full threshold runs every round, two per packed transform.
@@ -407,23 +397,71 @@ mod tests {
     }
 
     #[test]
-    fn batched_modes_agree_and_halve_transforms() {
-        use crate::workspace::{SpectralMode, SpectralWorkspace};
+    fn batched_rounds_match_the_oracle_and_halve_transforms() {
         let series = beacon_series(80, 15);
         let cfg = PermutationConfig::default();
-        let reference = SpectralWorkspace::with_mode(SpectralMode::ComplexFull);
         let packed = SpectralWorkspace::new();
-        let a = permutation_threshold_in(&reference, &series, &cfg).unwrap();
-        let b = permutation_threshold_in(&packed, &series, &cfg).unwrap();
-        assert_eq!(a.shuffled_maxima.len(), b.shuffled_maxima.len());
-        for (x, y) in a.shuffled_maxima.iter().zip(&b.shuffled_maxima) {
+        let got = threshold_in(&packed, &series, &cfg, &ExecBudget::unlimited()).unwrap();
+        let mut want = oracle_maxima(&series, &cfg);
+        want.sort_by(f64::total_cmp);
+        assert_eq!(got.shuffled_maxima.len(), want.len());
+        for (x, y) in want.iter().zip(&got.shuffled_maxima) {
             assert!((x - y).abs() <= 1e-9 * x.max(1.0), "{x} vs {y}");
         }
-        assert!((a.threshold - b.threshold).abs() <= 1e-9 * a.threshold.max(1.0));
-        // ComplexFull runs one FFT per round; RealHalf packs two rounds
-        // into each.
-        assert_eq!(reference.transforms_run(), cfg.permutations);
+        // Two rounds ride each packed transform.
         assert_eq!(packed.transforms_run(), cfg.permutations.div_ceil(2));
+    }
+
+    #[test]
+    fn permutation_maxima_match_the_oracle() {
+        // The property the r2c path was first held to, now against the
+        // dense oracle: random lengths 1..=300 and counts, m in 1..12. The
+        // tolerance is 1e-12 of the largest maximum — rounding of a
+        // differently ordered DFT is a few ULPs of the dominant magnitude
+        // (`O(ε·log n)`), four orders below it; a real algebra error is
+        // eight above. The shuffle RNG stream is shared, so lengths and
+        // order agree exactly.
+        use baywatch_stats::rng::forall;
+        forall(32, 2, |rng| {
+            let len = rng.random_range(1..=300);
+            let values = (0..len).map(|_| rng.random_range(0.0..50.0)).collect();
+            let series = TimeSeries::from_values(0, 1, values).unwrap();
+            let cfg = PermutationConfig {
+                permutations: rng.random_range(1usize..12),
+                ..Default::default()
+            };
+            let mut want = oracle_maxima(&series, &cfg);
+            want.sort_by(f64::total_cmp);
+            let ws = SpectralWorkspace::new();
+            let got = threshold_in(&ws, &series, &cfg, &ExecBudget::unlimited()).unwrap();
+            assert_eq!(got.shuffled_maxima.len(), want.len());
+            let scale = want.last().copied().unwrap_or(0.0).max(1e-30);
+            for (x, y) in want.iter().zip(&got.shuffled_maxima) {
+                assert!((x - y).abs() <= 1e-12 * scale, "{x} vs {y}");
+            }
+            let p_t =
+                want[want.len() - (cfg.permutations - quantile_rank(0.95, cfg.permutations) + 1)];
+            assert!((p_t - got.threshold).abs() <= 1e-12 * scale);
+        });
+    }
+
+    #[test]
+    fn constant_and_tiny_series_have_zero_maxima() {
+        // Zero after centring: every round's maximum is 0 exactly, and a
+        // degenerate (n < 4) series builds no plan.
+        for n in [1usize, 2, 3, 4, 17, 64] {
+            let series = TimeSeries::from_values(0, 1, vec![3.0; n]).unwrap();
+            let cfg = PermutationConfig {
+                permutations: 5,
+                ..Default::default()
+            };
+            let ws = SpectralWorkspace::new();
+            let thr = threshold_in(&ws, &series, &cfg, &ExecBudget::unlimited()).unwrap();
+            assert_eq!(thr.shuffled_maxima, vec![0.0; 5], "n={n}");
+            if n < 4 {
+                assert_eq!(ws.plans_built() + ws.transforms_run(), 0, "n={n}");
+            }
+        }
     }
 
     #[test]
@@ -552,7 +590,7 @@ mod tests {
         // Enough for exactly 3 rounds: the 4th checkpoint exceeds the cap,
         // after the first two rounds' packed FFT already ran.
         let budget = ExecBudget::new(None, Some(3 * n));
-        let err = permutation_threshold_budgeted(&ws, &series, &cfg, &budget);
+        let err = threshold_in(&ws, &series, &cfg, &budget);
         assert_eq!(err, Err(TimeSeriesError::BudgetExhausted));
         assert_eq!(budget.ops_used(), 4 * n, "charged through the 4th round");
         assert_eq!(ws.transforms_run(), 1);
@@ -566,8 +604,8 @@ mod tests {
 
         // Unlimited budget is byte-identical to the unbudgeted entry point.
         let unlimited = ExecBudget::unlimited();
-        let a = permutation_threshold_budgeted(&ws, &series, &cfg, &unlimited).unwrap();
-        let b = permutation_threshold_in(&ws, &series, &cfg).unwrap();
+        let a = threshold_in(&ws, &series, &cfg, &unlimited).unwrap();
+        let b = threshold_in(&ws, &series, &cfg, &ExecBudget::unlimited()).unwrap();
         assert_eq!(a, b);
     }
 
@@ -578,13 +616,8 @@ mod tests {
     /// order, dropped on the drawn bins.
     fn densified_rounds(series: &TimeSeries, cfg: &PermutationConfig) -> Vec<Vec<f64>> {
         let n = series.len();
-        let values: Vec<f64> = series
-            .values()
-            .iter()
-            .copied()
-            .filter(|&v| v != 0.0)
-            .collect();
-        let mean = series.values().iter().sum::<f64>() / n as f64;
+        let values: Vec<f64> = series.events().iter().map(|&(_, v)| v).collect();
+        let mean = series.mean();
         let mut order: Vec<usize> = (0..n).collect();
         let mut rng = Rng::seed_from_u64(cfg.seed);
         (0..cfg.permutations)
@@ -595,6 +628,24 @@ mod tests {
                     dense[order[j]] = v - mean;
                 }
                 dense
+            })
+            .collect()
+    }
+
+    /// Per round, in round order, the periodogram maximum of its dense
+    /// series by the dense oracle: `max |X(k)|²/n` over `k = 1..=N/2`,
+    /// 0 for a degenerate (n < 4) series.
+    fn oracle_maxima(series: &TimeSeries, cfg: &PermutationConfig) -> Vec<f64> {
+        densified_rounds(series, cfg)
+            .iter()
+            .map(|dense| {
+                if dense.len() < 4 {
+                    return 0.0;
+                }
+                Plan::dense_half_spectrum(dense)[1..]
+                    .iter()
+                    .map(|x| x.norm_sqr() / dense.len() as f64)
+                    .fold(0.0, f64::max)
             })
             .collect()
     }
@@ -622,11 +673,10 @@ mod tests {
 
     #[test]
     fn each_round_is_the_periodogram_maximum_of_its_placement() {
-        // The null statistic is the observed one: round r's maximum is
-        // `Periodogram::max_power` of the r-th placement of the single RNG
-        // stream — the very same arithmetic in ComplexFull, the rows-from-
-        // events arithmetic (within rounding) in RealHalf.
-        use crate::workspace::SpectralMode;
+        // The null statistic is the observed one: round r's maximum is the
+        // periodogram maximum of the r-th placement of the single RNG
+        // stream — by the rows-from-events arithmetic, within rounding of
+        // the dense oracle.
         let mut corpus = exactness_corpus();
         corpus.extend([
             sparse_series(50, 50, 1),        // c = 1
@@ -645,13 +695,8 @@ mod tests {
                     permutations: m,
                     ..Default::default()
                 };
-                let reference = SpectralWorkspace::with_mode(SpectralMode::ComplexFull);
-                let expected: Vec<f64> = densified_rounds(&series, &cfg)
-                    .iter()
-                    .map(|dense| Periodogram::from_samples_in(&reference, dense, 1.0).max_power())
-                    .collect();
+                let expected = oracle_maxima(&series, &cfg);
                 let tag = format!("n = {} m = {m}", series.len());
-                assert_eq!(all_rounds(&reference, &series, &cfg), expected, "{tag}");
                 let packed = all_rounds(&SpectralWorkspace::new(), &series, &cfg);
                 assert_eq!(packed.len(), m, "{tag}");
                 for (got, want) in packed.iter().zip(&expected) {
@@ -708,7 +753,13 @@ mod tests {
         let barrier = std::sync::Barrier::new(2);
         let run = || {
             barrier.wait();
-            permutation_threshold_in(&SpectralWorkspace::new(), &series, &cfg).unwrap()
+            threshold_in(
+                &SpectralWorkspace::new(),
+                &series,
+                &cfg,
+                &ExecBudget::unlimited(),
+            )
+            .unwrap()
         };
         let (a, b) = std::thread::scope(|scope| {
             let other = scope.spawn(run);
@@ -735,7 +786,7 @@ mod tests {
                     let rounds = |observed| rounds_until(&ws, &series, &cfg, observed, to_reject);
                     let full = rounds(f64::INFINITY);
                     assert_eq!(full.len(), m);
-                    let p_t = permutation_threshold_in(&ws, &series, &cfg)
+                    let p_t = threshold_in(&ws, &series, &cfg, &ExecBudget::unlimited())
                         .unwrap()
                         .threshold;
                     // The series' own maximum, plus every shuffle maximum

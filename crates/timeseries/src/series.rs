@@ -4,14 +4,19 @@
 //! a communication pair into an *ActivitySummary* — a first timestamp plus a
 //! list of inter-arrival intervals at some time scale. For spectral analysis
 //! the events are binned into a count series `x(n)` with a fixed bin width
-//! (1 s at the finest granularity); the rescaling phase (§VII-B) re-bins an
-//! existing series to a coarser scale without revisiting raw logs.
+//! (1 s at the finest granularity). After the whitelists a pair is `c`
+//! events in `n ≫ c` bins, so a series is its events: the non-zero bins as
+//! `(index, count)` in index order, built in `O(c)` by run-length over the
+//! sorted timestamps. A span is never allocated, so a timestamp far ahead of
+//! the rest costs nothing but one event, and the detector's `max_bins` cut
+//! drops the events past it while binning.
 
 use crate::TimeSeriesError;
 
-/// A regularly sampled count series derived from event timestamps.
+/// A regularly sampled count series derived from event timestamps: `len`
+/// bins, of which the [`events`](Self::events) are the non-zero ones.
 ///
-/// `values[i]` is the number of events that fell in
+/// Bin `i` counts the events that fell in
 /// `[start + i·scale, start + (i+1)·scale)`.
 ///
 /// # Example
@@ -22,15 +27,14 @@ use crate::TimeSeriesError;
 /// let ts = TimeSeries::from_timestamps(&[100, 160, 220, 280], 1).unwrap();
 /// assert_eq!(ts.scale(), 1);
 /// assert_eq!(ts.len(), 181); // spans [100, 280] inclusive
-/// assert_eq!(ts.values()[0], 1.0);
-/// assert_eq!(ts.values()[60], 1.0);
+/// assert_eq!(ts.events(), &[(0, 1.0), (60, 1.0), (120, 1.0), (180, 1.0)]);
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct TimeSeries {
     start: u64,
     scale: u64,
-    values: Vec<f64>,
-    event_count: usize,
+    len: usize,
+    events: Vec<(usize, f64)>,
 }
 
 impl TimeSeries {
@@ -44,65 +48,77 @@ impl TimeSeries {
     ///   non-decreasing,
     /// * [`TimeSeriesError::InvalidConfig`] if `scale == 0`.
     pub fn from_timestamps(timestamps: &[u64], scale: u64) -> Result<Self, TimeSeriesError> {
-        if scale == 0 {
-            return Err(TimeSeriesError::InvalidConfig {
-                name: "scale",
-                constraint: "must be at least 1 second",
-            });
-        }
-        if timestamps.is_empty() {
+        Self::from_timestamps_capped(timestamps, scale, usize::MAX)
+    }
+
+    /// Like [`from_timestamps`](Self::from_timestamps), keeping the first
+    /// `max_bins` bins at most: the cost guard on pathologically long spans
+    /// ([`DetectorConfig::max_bins`](crate::detector::DetectorConfig::max_bins)).
+    /// Timestamps past the cut are dropped while binning.
+    ///
+    /// # Errors
+    ///
+    /// Same as [`from_timestamps`](Self::from_timestamps).
+    pub(crate) fn from_timestamps_capped(
+        timestamps: &[u64],
+        scale: u64,
+        max_bins: usize,
+    ) -> Result<Self, TimeSeriesError> {
+        check_scale(scale)?;
+        let (Some(&start), Some(&end)) = (timestamps.first(), timestamps.last()) else {
             return Err(TimeSeriesError::TooFewEvents {
                 required: 1,
                 actual: 0,
             });
-        }
+        };
         if let Some(idx) = first_unsorted(timestamps) {
             return Err(TimeSeriesError::UnsortedTimestamps { index: idx });
         }
-        let start = timestamps[0];
-        // Non-empty was checked above; index instead of unwrap/expect so no
-        // panic path survives in this hot loop.
-        let end = timestamps[timestamps.len() - 1];
-        let n_bins = ((end - start) / scale + 1) as usize;
-        let mut values = vec![0.0; n_bins];
+        let len = usize::try_from((end - start) / scale)
+            .ok()
+            .filter(|&last| last < max_bins)
+            .map_or(max_bins, |last| last + 1);
+        let mut events: Vec<(usize, f64)> = Vec::with_capacity(timestamps.len());
         for &t in timestamps {
-            let idx = ((t - start) / scale) as usize;
-            values[idx] += 1.0;
+            let bin = (t - start) / scale;
+            if bin >= len as u64 {
+                break;
+            }
+            // Below `len`, so the bin fits a usize.
+            let bin = bin as usize;
+            match events.last_mut() {
+                Some((last, count)) if *last == bin => *count += 1.0,
+                _ => events.push((bin, 1.0)),
+            }
         }
         Ok(Self {
             start,
             scale,
-            values,
-            event_count: timestamps.len(),
+            len,
+            events,
         })
     }
 
     /// Builds a series directly from pre-binned values (for synthetic
-    /// inputs and tests).
+    /// inputs and tests); the non-zero ones become its events.
     ///
     /// # Errors
     ///
     /// Returns [`TimeSeriesError::InvalidConfig`] if `scale == 0` or
     /// `values` is empty.
     pub fn from_values(start: u64, scale: u64, values: Vec<f64>) -> Result<Self, TimeSeriesError> {
-        if scale == 0 {
-            return Err(TimeSeriesError::InvalidConfig {
-                name: "scale",
-                constraint: "must be at least 1 second",
-            });
-        }
+        check_scale(scale)?;
         if values.is_empty() {
             return Err(TimeSeriesError::InvalidConfig {
                 name: "values",
                 constraint: "must be non-empty",
             });
         }
-        let event_count = values.iter().map(|&v| v.max(0.0) as usize).sum();
         Ok(Self {
             start,
             scale,
-            values,
-            event_count,
+            len: values.len(),
+            events: (0..).zip(values).filter(|&(_, v)| v != 0.0).collect(),
         })
     }
 
@@ -116,90 +132,48 @@ impl TimeSeries {
         self.scale
     }
 
-    /// The binned counts.
-    pub fn values(&self) -> &[f64] {
-        &self.values
+    /// The non-zero bins as `(index, count)`, in index order.
+    pub fn events(&self) -> &[(usize, f64)] {
+        &self.events
     }
 
     /// Number of bins.
     pub fn len(&self) -> usize {
-        self.values.len()
+        self.len
     }
 
-    /// Whether the series has no bins (cannot occur for a constructed
-    /// series, but required for API completeness).
+    /// Whether the series has no bins (only a `max_bins` cut of 0 makes
+    /// one).
     pub fn is_empty(&self) -> bool {
-        self.values.is_empty()
+        self.len == 0
     }
 
-    /// Number of raw events the series was built from.
+    /// Number of raw events the series holds.
     pub fn event_count(&self) -> usize {
-        self.event_count
+        self.events.iter().map(|&(_, v)| v.max(0.0) as usize).sum()
+    }
+
+    /// The mean bin value: the level every transform of the series
+    /// subtracts. Zero bins add nothing to the sum, so `0 − μ` and `v − μ`
+    /// are the dense centred series' samples to the bit.
+    pub(crate) fn mean(&self) -> f64 {
+        self.events.iter().map(|&(_, v)| v).sum::<f64>() / self.len as f64
     }
 
     /// Total observation span in seconds (`len · scale`).
     pub fn span_seconds(&self) -> u64 {
-        self.values.len() as u64 * self.scale
+        (self.len as u64).saturating_mul(self.scale)
     }
+}
 
-    /// Re-bins the series to a coarser scale (BAYWATCH's rescaling phase,
-    /// §VII-B). `new_scale` must be a positive multiple of the current
-    /// scale; counts of merged bins are summed.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TimeSeriesError::InvalidConfig`] if `new_scale` is zero,
-    /// smaller than the current scale, or not a multiple of it.
-    ///
-    /// # Example
-    ///
-    /// ```
-    /// use baywatch_timeseries::series::TimeSeries;
-    ///
-    /// let fine = TimeSeries::from_values(0, 1, vec![1.0, 0.0, 1.0, 0.0, 1.0, 0.0]).unwrap();
-    /// let coarse = fine.rescale(2).unwrap();
-    /// assert_eq!(coarse.scale(), 2);
-    /// assert_eq!(coarse.values(), &[1.0, 1.0, 1.0]);
-    /// ```
-    pub fn rescale(&self, new_scale: u64) -> Result<TimeSeries, TimeSeriesError> {
-        if new_scale == 0 || new_scale < self.scale || !new_scale.is_multiple_of(self.scale) {
-            return Err(TimeSeriesError::InvalidConfig {
-                name: "new_scale",
-                constraint: "must be a positive multiple of the current scale",
-            });
-        }
-        let factor = (new_scale / self.scale) as usize;
-        if factor == 1 {
-            return Ok(self.clone());
-        }
-        let mut values = Vec::with_capacity(self.values.len().div_ceil(factor));
-        for chunk in self.values.chunks(factor) {
-            values.push(chunk.iter().sum());
-        }
-        Ok(TimeSeries {
-            start: self.start,
-            scale: new_scale,
-            values,
-            event_count: self.event_count,
-        })
+fn check_scale(scale: u64) -> Result<(), TimeSeriesError> {
+    if scale == 0 {
+        return Err(TimeSeriesError::InvalidConfig {
+            name: "scale",
+            constraint: "must be at least 1 second",
+        });
     }
-
-    /// The series values with their mean removed — the form fed to the DFT
-    /// so the DC component does not swamp the spectrum.
-    pub fn centered(&self) -> Vec<f64> {
-        let mean = self.values.iter().sum::<f64>() / self.values.len() as f64;
-        self.values.iter().map(|v| v - mean).collect()
-    }
-
-    /// Clips the series to at most `max_bins` bins (keeping the earliest
-    /// bins); used to bound the FFT cost on pathologically long spans.
-    pub fn truncated(mut self, max_bins: usize) -> TimeSeries {
-        if self.values.len() > max_bins {
-            self.values.truncate(max_bins);
-            self.event_count = self.values.iter().map(|&v| v as usize).sum();
-        }
-        self
-    }
+    Ok(())
 }
 
 /// Inter-arrival intervals (seconds, as f64) between consecutive sorted
@@ -285,6 +259,18 @@ pub(crate) mod corpus {
         }
         TimeSeries::from_values(0, 1, values).unwrap()
     }
+
+    /// The series as the dense, mean-centred samples the spectral oracles
+    /// transform: `0 − μ` on every bin, `v − μ` on each event bin — the
+    /// values the workspace packs from the events.
+    pub(crate) fn centred(series: &TimeSeries) -> Vec<f64> {
+        let mean = series.mean();
+        let mut dense = vec![0.0 - mean; series.len()];
+        for &(t, v) in series.events() {
+            dense[t] = v - mean;
+        }
+        dense
+    }
 }
 
 #[cfg(test)]
@@ -295,7 +281,8 @@ mod tests {
     fn from_timestamps_basic() {
         let ts = TimeSeries::from_timestamps(&[10, 11, 13], 1).unwrap();
         assert_eq!(ts.start(), 10);
-        assert_eq!(ts.values(), &[1.0, 1.0, 0.0, 1.0]);
+        assert_eq!(ts.len(), 4);
+        assert_eq!(ts.events(), &[(0, 1.0), (1, 1.0), (3, 1.0)]);
         assert_eq!(ts.event_count(), 3);
         assert_eq!(ts.span_seconds(), 4);
     }
@@ -303,7 +290,8 @@ mod tests {
     #[test]
     fn duplicate_timestamps_accumulate() {
         let ts = TimeSeries::from_timestamps(&[5, 5, 5, 7], 1).unwrap();
-        assert_eq!(ts.values(), &[3.0, 0.0, 1.0]);
+        assert_eq!(ts.events(), &[(0, 3.0), (2, 1.0)]);
+        assert_eq!(ts.len(), 3);
     }
 
     #[test]
@@ -317,7 +305,7 @@ mod tests {
     fn coarse_scale_binning() {
         let ts = TimeSeries::from_timestamps(&[0, 30, 61, 95, 125], 60).unwrap();
         // bins: [0,60) -> 2, [60,120) -> 2, [120,180) -> 1
-        assert_eq!(ts.values(), &[2.0, 2.0, 1.0]);
+        assert_eq!(ts.events(), &[(0, 2.0), (1, 2.0), (2, 1.0)]);
     }
 
     #[test]
@@ -337,51 +325,48 @@ mod tests {
     }
 
     #[test]
-    fn rescale_sums_counts() {
-        let ts = TimeSeries::from_values(0, 1, vec![1.0, 2.0, 3.0, 4.0, 5.0]).unwrap();
-        let r = ts.rescale(2).unwrap();
-        assert_eq!(r.values(), &[3.0, 7.0, 5.0]); // last partial chunk kept
-        assert_eq!(r.scale(), 2);
-        assert_eq!(r.event_count(), ts.event_count());
+    fn from_values_keeps_the_non_zero_bins() {
+        let ts = TimeSeries::from_values(7, 5, vec![0.0, 2.5, 0.0, 0.0, 1.0, 0.0]).unwrap();
+        assert_eq!((ts.start(), ts.scale(), ts.len()), (7, 5, 6));
+        assert_eq!(ts.events(), &[(1, 2.5), (4, 1.0)]);
+        assert_eq!(ts.event_count(), 3);
+        assert!(TimeSeries::from_values(0, 1, vec![]).is_err());
     }
 
     #[test]
-    fn rescale_identity() {
-        let ts = TimeSeries::from_values(0, 5, vec![1.0, 0.0, 2.0]).unwrap();
-        assert_eq!(ts.rescale(5).unwrap(), ts);
+    fn mean_is_the_dense_mean_to_the_bit() {
+        let values = vec![1.0, 0.0, 0.0, 1.0, 0.0, 1.0, 0.3, 0.0, 2.7];
+        let dense = values.iter().sum::<f64>() / values.len() as f64;
+        let ts = TimeSeries::from_values(0, 1, values).unwrap();
+        assert_eq!(ts.mean().to_bits(), dense.to_bits());
+        let centred = corpus::centred(&ts);
+        assert!((centred.iter().sum::<f64>()).abs() < 1e-12);
     }
 
     #[test]
-    fn rescale_rejects_non_multiple() {
-        let ts = TimeSeries::from_values(0, 2, vec![1.0; 4]).unwrap();
-        assert!(ts.rescale(3).is_err());
-        assert!(ts.rescale(1).is_err());
-        assert!(ts.rescale(0).is_err());
+    fn the_cut_applies_while_binning() {
+        let ts = TimeSeries::from_timestamps_capped(&[0, 3, 3, 9, 10, 50], 1, 10).unwrap();
+        assert_eq!(ts.len(), 10);
+        assert_eq!(ts.events(), &[(0, 1.0), (3, 2.0), (9, 1.0)]);
+        assert_eq!(ts.event_count(), 4);
+        // A series shorter than the cut is left whole.
+        let short = TimeSeries::from_timestamps_capped(&[0, 3], 1, 10).unwrap();
+        assert_eq!(short, TimeSeries::from_timestamps(&[0, 3], 1).unwrap());
     }
 
     #[test]
-    fn rescale_preserves_total_count() {
-        let timestamps: Vec<u64> = (0..500).map(|i| i * 7).collect();
-        let fine = TimeSeries::from_timestamps(&timestamps, 1).unwrap();
-        let coarse = fine.rescale(60).unwrap();
-        let fine_sum: f64 = fine.values().iter().sum();
-        let coarse_sum: f64 = coarse.values().iter().sum();
-        assert_eq!(fine_sum, coarse_sum);
-    }
-
-    #[test]
-    fn centered_has_zero_mean() {
-        let ts = TimeSeries::from_values(0, 1, vec![1.0, 0.0, 0.0, 1.0, 0.0, 1.0]).unwrap();
-        let c = ts.centered();
-        let mean: f64 = c.iter().sum::<f64>() / c.len() as f64;
-        assert!(mean.abs() < 1e-12);
-    }
-
-    #[test]
-    fn truncated_caps_length() {
-        let ts = TimeSeries::from_values(0, 1, vec![1.0; 100]).unwrap();
-        assert_eq!(ts.clone().truncated(10).len(), 10);
-        assert_eq!(ts.truncated(200).len(), 100);
+    fn a_far_timestamp_costs_one_event_not_its_span() {
+        let far = 1usize << 62;
+        let ts = TimeSeries::from_timestamps(&[0, 60, far as u64], 1).unwrap();
+        assert_eq!(ts.len(), far + 1);
+        assert_eq!(ts.events(), &[(0, 1.0), (60, 1.0), (far, 1.0)]);
+        let capped = TimeSeries::from_timestamps_capped(&[0, 60, far as u64], 1, 1 << 20).unwrap();
+        assert_eq!(capped.len(), 1 << 20);
+        assert_eq!(capped.events(), &[(0, 1.0), (60, 1.0)]);
+        // The widest span saturates instead of overflowing.
+        let widest = TimeSeries::from_timestamps(&[0, u64::MAX], 1).unwrap();
+        assert_eq!(widest.len(), usize::MAX);
+        assert_eq!(widest.span_seconds(), u64::MAX);
     }
 
     #[test]

@@ -43,14 +43,16 @@
 //!
 //! Detection input is always real (binned event counts), so the full
 //! complex DFT computes every output twice: `X(N−k) = conj(X(k))`. The
-//! workspace exploits that Hermitian symmetry two ways, selected by
-//! [`SpectralMode`]:
+//! workspace exploits that Hermitian symmetry two ways:
 //!
 //! - **Single series** (`with_half_spectrum`, `with_autocorrelation`): the
 //!   padded real series of length `N` is packed into a half-length complex
 //!   series `z(j) = x(2j) + i·x(2j+1)`, transformed with one FFT of length
 //!   `N/2`, and unpacked into the one-sided spectrum `X(0..=N/2)` with
-//!   `O(N)` twiddle arithmetic — about half the transform work.
+//!   `O(N)` twiddle arithmetic — about half the transform work. The packed
+//!   input is written straight from the series' events: `−μ` on the `n`
+//!   observed bins, `v − μ` on each event bin, zeros up to `N`. No dense
+//!   copy of the series exists.
 //! - **Batched permutation rounds** (`placed_power_maxima`): two shuffle
 //!   *rounds* `a`, `b` ride one complex transform as `z = a + i·b` and
 //!   are separated per bin by `A(k) = (Z(k) + conj(Z(N−k)))/2`,
@@ -78,31 +80,15 @@
 //! configure. The phasors are the twiddle table of the length-`N` r2c plan
 //! the pair's periodogram has just used; nothing is built ahead of use.
 //!
-//! [`SpectralMode::ComplexFull`] runs one full complex transform per series
-//! at the same padded lengths; it is the reference the equivalence tests
-//! and `BENCH_detector.json`'s before/after compare against.
+//! The tests hold every path to one dense reference: a full complex
+//! transform of the densified, padded series, kept on `fft::Plan` under
+//! `cfg(test)` only.
 
 use std::cell::RefCell;
 use std::sync::OnceLock;
 
 use crate::fft::{twiddle, Complex, Direction, Plan};
-
-/// Which spectral algorithm the workspace uses for real input.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum SpectralMode {
-    /// Real-input transforms run through the packed half-length r2c/c2r
-    /// plans and permutation rounds are batched two-per-FFT. Output agrees
-    /// with [`ComplexFull`](SpectralMode::ComplexFull) to within FFT
-    /// rounding (a few ULPs); roughly half the transform work. The
-    /// default.
-    #[default]
-    RealHalf,
-    /// One full complex-to-complex transform per series, at the same
-    /// padded lengths: permutation rounds are densified and the Step-3
-    /// ACF is always the padded round trip, never built from the events.
-    /// Kept as the reference path for equivalence tests and benchmarks.
-    ComplexFull,
-}
+use crate::series::TimeSeries;
 
 /// One slot per `log2 N`; see the module docs.
 type PlanTable<P> = [OnceLock<P>; usize::BITS as usize];
@@ -118,21 +104,22 @@ static C2R: PlanTable<C2rPlan> = [const { OnceLock::new() }; usize::BITS as usiz
 /// # Example
 ///
 /// ```
+/// use baywatch_timeseries::series::TimeSeries;
 /// use baywatch_timeseries::workspace::SpectralWorkspace;
 ///
 /// let ws = SpectralWorkspace::new();
 /// // Six observed bins are transformed at N = 8: five one-sided bins.
-/// let samples = [1.0, -1.0, 1.0, -1.0, 1.0, -1.0];
-/// let bins = ws.with_half_spectrum(&samples, |spectrum| spectrum.len());
+/// let six = TimeSeries::from_timestamps(&[0, 2, 4, 5], 1).unwrap();
+/// let bins = ws.with_half_spectrum(&six, |spectrum| spectrum.len());
 /// assert_eq!(bins, 8 / 2 + 1);
 /// // Lengths 5..=8 share that plan, whichever thread built it.
-/// ws.with_half_spectrum(&samples[..5], |_| ());
+/// let five = TimeSeries::from_timestamps(&[0, 2, 4], 1).unwrap();
+/// ws.with_half_spectrum(&five, |_| ());
 /// assert_eq!(ws.transforms_run(), 2);
 /// assert!(ws.plan_hits() >= 1 && ws.plans_built() <= 2);
 /// ```
 pub struct SpectralWorkspace {
     inner: RefCell<Inner>,
-    mode: SpectralMode,
 }
 
 #[derive(Default)]
@@ -201,19 +188,12 @@ impl R2cPlan {
         }
     }
 
-    /// Transforms `input` — at most `n` samples, zero-padded to `n` while
-    /// packing — into the one-sided spectrum `out[k] = X(k)` for
+    /// Transforms the mean-centred `series` — at most `n` bins,
+    /// zero-padded to `n` — into the one-sided spectrum `out[k] = X(k)` for
     /// `k = 0..=n/2`, using `work` for the packed half-length FFT.
-    fn process(&self, input: &[f64], work: &mut Vec<Complex>, out: &mut Vec<Complex>) {
+    fn process(&self, series: &TimeSeries, work: &mut Vec<Complex>, out: &mut Vec<Complex>) {
         let h = self.n / 2;
-        debug_assert!(input.len() <= self.n);
-        let pairs = input.chunks_exact(2);
-        let odd_tail = pairs.remainder().first().map(|&x| Complex::new(x, 0.0));
-        load_padded(
-            work,
-            pairs.map(|p| Complex::new(p[0], p[1])).chain(odd_tail),
-            h,
-        );
+        load_centred(work, series, h);
         self.half_fft.run(work);
         out.clear();
         out.reserve(h + 1);
@@ -299,25 +279,11 @@ pub(crate) fn padded_len(bins: usize) -> usize {
 }
 
 impl SpectralWorkspace {
-    /// Creates a workspace in the default [`SpectralMode::RealHalf`] mode;
-    /// buffers grow on first use.
+    /// Creates a workspace; buffers grow on first use.
     pub fn new() -> Self {
-        Self::with_mode(SpectralMode::default())
-    }
-
-    /// Creates a workspace with an explicit [`SpectralMode`] —
-    /// [`SpectralMode::ComplexFull`] is the reference path of the
-    /// equivalence tests and benchmarks.
-    pub fn with_mode(mode: SpectralMode) -> Self {
         Self {
             inner: RefCell::default(),
-            mode,
         }
-    }
-
-    /// The spectral mode the workspace was created with.
-    pub fn mode(&self) -> SpectralMode {
-        self.mode
     }
 
     /// The process's plan in `slot`, built by this call if no thread has
@@ -405,90 +371,51 @@ impl SpectralWorkspace {
 
     /// Number of transforms run through the workspace. A packed r2c/c2r
     /// transform counts 1 (one half-length FFT); a permutation pass over
-    /// `m` rounds counts `⌈m/2⌉` in [`SpectralMode::RealHalf`] — one per
-    /// packed pair of rounds, into however many rows it was split — and
-    /// `m` in [`SpectralMode::ComplexFull`].
+    /// `m` rounds counts `⌈m/2⌉` — one per packed pair of rounds, into
+    /// however many rows it was split.
     pub fn transforms_run(&self) -> usize {
         self.inner.borrow().transforms_run
     }
 
-    /// Zero-pads real `samples` (`n` of them) to `N = n.next_power_of_two()`,
-    /// runs the forward DFT and hands the *one-sided* spectrum
+    /// Centres `series` on its mean, zero-pads its `n` bins to
+    /// `N = n.next_power_of_two()`, runs the forward DFT through the packed
+    /// half-length real-to-complex plan and hands the *one-sided* spectrum
     /// `X(0..=N/2)` to `f` — everything a real signal carries, by Hermitian
     /// symmetry. Bin `k` is the series' discrete-time Fourier transform at
-    /// `k/N` cycles per sample. In [`SpectralMode::RealHalf`] the transform
-    /// is the packed half-length real-to-complex plan; in
-    /// [`SpectralMode::ComplexFull`] it is the full complex one, handed out
-    /// up to the Nyquist bin.
-    pub fn with_half_spectrum<R>(&self, samples: &[f64], f: impl FnOnce(&[Complex]) -> R) -> R {
-        let padded = padded_len(samples.len());
+    /// `k/N` cycles per sample.
+    pub fn with_half_spectrum<R>(&self, series: &TimeSeries, f: impl FnOnce(&[Complex]) -> R) -> R {
+        let plan = self.r2c(padded_len(series.len()));
         let mut buffer = self.take_buffer();
-        let out = if self.mode == SpectralMode::ComplexFull {
-            let fft = self.c2c(padded, Direction::Forward);
-            load_padded(
-                &mut buffer,
-                samples.iter().map(|&v| Complex::new(v, 0.0)),
-                padded,
-            );
-            fft.run(&mut buffer);
-            f(&buffer[..=padded / 2])
-        } else {
-            let plan = self.r2c(padded);
-            let mut half = self.take_half();
-            plan.process(samples, &mut buffer, &mut half);
-            let out = f(&half);
-            self.put_half(half);
-            out
-        };
+        let mut half = self.take_half();
+        plan.process(series, &mut buffer, &mut half);
+        let out = f(&half);
+        self.put_half(half);
         self.put_buffer(buffer, 1);
         out
     }
 
-    /// Computes the *raw* (unnormalized) circular autocorrelation of
-    /// `samples` via Wiener–Khinchin — zero-pad to the next power of two at
-    /// or above `2·len` (making the circular convolution linear), forward
-    /// transform, squared magnitude, inverse transform — and hands the
-    /// padded real result buffer to `f`. Entries `0..len` are the
-    /// meaningful lags, scaled by the padded length `p` exactly like the
-    /// unnormalized full-length round trip; callers normalize by the lag-0
-    /// value.
-    ///
-    /// In [`SpectralMode::RealHalf`] the round trip runs packed
-    /// (r2c → `|X|²` over the half spectrum → c2r); in
-    /// [`SpectralMode::ComplexFull`] it is the full complex round trip and
-    /// the real parts are handed to `f`.
-    pub fn with_autocorrelation<R>(&self, samples: &[f64], f: impl FnOnce(&[f64]) -> R) -> R {
-        let padded = padded_len(2 * samples.len());
+    /// Computes the *raw* (unnormalized) autocorrelation of the
+    /// mean-centred `series` via Wiener–Khinchin — zero-pad to the next
+    /// power of two `p` at or above `2n` (making the circular convolution
+    /// linear), r2c, squared magnitude over the half spectrum, c2r — and
+    /// hands the padded real result buffer to `f`. Entries `0..n` are the
+    /// meaningful lags, scaled by `p` exactly like the unnormalized
+    /// full-length round trip; callers normalize by the lag-0 value.
+    pub fn with_autocorrelation<R>(&self, series: &TimeSeries, f: impl FnOnce(&[f64]) -> R) -> R {
+        let padded = padded_len(2 * series.len());
+        let r2c = self.r2c(padded);
+        let c2r = self.c2r(padded);
         let mut buffer = self.take_buffer();
+        let mut half = self.take_half();
         let mut real = self.take_real();
-        if self.mode == SpectralMode::ComplexFull {
-            let fwd = self.c2c(padded, Direction::Forward);
-            let inv = self.c2c(padded, Direction::Inverse);
-            load_padded(
-                &mut buffer,
-                samples.iter().map(|&v| Complex::new(v, 0.0)),
-                padded,
-            );
-            fwd.run(&mut buffer);
-            for v in buffer.iter_mut() {
-                *v = Complex::new(v.norm_sqr(), 0.0);
-            }
-            inv.run(&mut buffer);
-            real.clear();
-            real.extend(buffer.iter().map(|c| c.re));
-        } else {
-            let r2c = self.r2c(padded);
-            let c2r = self.c2r(padded);
-            let mut half = self.take_half();
-            r2c.process(samples, &mut buffer, &mut half);
-            for v in half.iter_mut() {
-                *v = Complex::new(v.norm_sqr(), 0.0);
-            }
-            c2r.process(&half, &mut buffer, &mut real);
-            self.put_half(half);
+        r2c.process(series, &mut buffer, &mut half);
+        for v in half.iter_mut() {
+            *v = Complex::new(v.norm_sqr(), 0.0);
         }
+        c2r.process(&half, &mut buffer, &mut real);
         let out = f(&real);
         self.put_real(real);
+        self.put_half(half);
         self.put_buffer(buffer, 2);
         out
     }
@@ -504,15 +431,13 @@ impl SpectralWorkspace {
     /// for the maximum, since division by a positive constant is monotone
     /// under IEEE round-to-nearest).
     ///
-    /// In [`SpectralMode::RealHalf`] the rounds ride one transform as
-    /// `z = a + i·b`, run as `M` rows from the events (module docs, "A
-    /// round is its events"). Bin `N − k` lives in row `M − k₂` at column
-    /// `L − 1 − k₁` (row 0: column `(L − k₁) mod L`), so rows are
-    /// transformed in mirror pairs and split per bin by
-    /// `A(k) = (Z(k) + conj(Z(N−k)))/2`, `B(k) = (Z(k) − conj(Z(N−k)))/(2i)`;
-    /// only the two running maxima are kept. In
-    /// [`SpectralMode::ComplexFull`] each round is densified and goes
-    /// through that mode's `with_half_spectrum`.
+    /// The rounds ride one transform as `z = a + i·b`, run as `M` rows
+    /// from the events (module docs, "A round is its events"). Bin `N − k`
+    /// lives in row `M − k₂` at column `L − 1 − k₁` (row 0: column
+    /// `(L − k₁) mod L`), so rows are transformed in mirror pairs and split
+    /// per bin by `A(k) = (Z(k) + conj(Z(N−k)))/2`,
+    /// `B(k) = (Z(k) − conj(Z(N−k)))/(2i)`; only the two running maxima are
+    /// kept.
     pub(crate) fn placed_power_maxima(
         &self,
         n: usize,
@@ -525,20 +450,6 @@ impl SpectralWorkspace {
         debug_assert_eq!(spots.len(), rounds * values.len());
         let mut maxima = [0.0f64; 2];
         let (first, second) = spots.split_at(values.len());
-        if self.mode == SpectralMode::ComplexFull {
-            let mut dense = self.take_real();
-            for (max, spots) in maxima.iter_mut().zip([first, second]).take(rounds) {
-                dense.clear();
-                dense.resize(n, 0.0 - mean);
-                for (&v, &t) in values.iter().zip(spots) {
-                    dense[t as usize] = v - mean;
-                }
-                *max = self.with_half_spectrum(&dense, max_power);
-            }
-            self.put_real(dense);
-            return maxima;
-        }
-
         let padded = padded_len(n);
         let row_count = placed_rows(padded, spots.len());
         let len = padded / row_count;
@@ -744,19 +655,29 @@ fn fold_split(maxima: &mut [f64; 2], zk: Complex, mirror: Complex) {
     }
 }
 
-/// The largest `|X(k)|²` of a one-sided spectrum, DC bin excluded.
-fn max_power(spectrum: &[Complex]) -> f64 {
-    spectrum[1..]
-        .iter()
-        .map(Complex::norm_sqr)
-        .fold(0.0, f64::max)
-}
-
-/// Refills `buffer` with `values` followed by zeros up to `padded` entries.
-fn load_padded(buffer: &mut Vec<Complex>, values: impl Iterator<Item = Complex>, padded: usize) {
+/// Refills `buffer` with the `h` packed points `x(2j) + i·x(2j+1)` of the
+/// mean-centred `series` zero-padded to `2h` samples: `0 − μ` on each of
+/// its `n` bins, `v − μ` on each event bin, `0` from `n` on — bit for bit
+/// the dense centred series' samples.
+fn load_centred(buffer: &mut Vec<Complex>, series: &TimeSeries, h: usize) {
+    let n = series.len();
+    debug_assert!(n <= 2 * h);
+    let mean = series.mean();
+    let level = 0.0 - mean;
     buffer.clear();
-    buffer.extend(values);
-    buffer.resize(padded, Complex::ZERO);
+    buffer.resize(n / 2, Complex::new(level, level));
+    if n % 2 == 1 {
+        buffer.push(Complex::new(level, 0.0));
+    }
+    buffer.resize(h, Complex::ZERO);
+    for &(t, v) in series.events() {
+        let z = &mut buffer[t / 2];
+        if t % 2 == 0 {
+            z.re = v - mean;
+        } else {
+            z.im = v - mean;
+        }
+    }
 }
 
 impl Default for SpectralWorkspace {
@@ -768,7 +689,6 @@ impl Default for SpectralWorkspace {
 impl std::fmt::Debug for SpectralWorkspace {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("SpectralWorkspace")
-            .field("mode", &self.mode)
             .field("plans_built", &self.plans_built())
             .field("plan_requests", &self.plan_requests())
             .field("transforms_run", &self.transforms_run())
@@ -785,8 +705,7 @@ thread_local! {
 /// This is how the detection pipeline recycles transform buffers without
 /// threading a workspace through every signature: `Periodogram::compute`,
 /// `permutation_threshold`, `Autocorrelation::compute` and
-/// `PeriodicityDetector::detect` all route here. The thread workspace runs
-/// in the default [`SpectralMode::RealHalf`].
+/// `PeriodicityDetector::detect` all route here.
 pub fn with_thread_workspace<R>(f: impl FnOnce(&SpectralWorkspace) -> R) -> R {
     THREAD_WORKSPACE.with(f)
 }
@@ -794,11 +713,16 @@ pub fn with_thread_workspace<R>(f: impl FnOnce(&SpectralWorkspace) -> R) -> R {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::series::corpus::centred;
 
     fn test_samples(n: usize) -> Vec<f64> {
         (0..n)
             .map(|i| (2.0 * std::f64::consts::PI * i as f64 / 7.3).sin() + 0.1 * i as f64)
             .collect()
+    }
+
+    fn test_series(n: usize) -> TimeSeries {
+        TimeSeries::from_values(0, 1, test_samples(n)).unwrap()
     }
 
     /// `samples` twice over as a packed pair of placed rounds that leaves
@@ -844,49 +768,73 @@ mod tests {
 
     #[test]
     fn padded_half_spectrum_is_the_dtft_sampled_at_k_over_n() {
-        // Every length 4..=300 — odd, prime, power of two — in both modes.
-        for mode in [SpectralMode::RealHalf, SpectralMode::ComplexFull] {
-            let ws = SpectralWorkspace::with_mode(mode);
-            for n in 4..=300usize {
-                let samples = test_samples(n);
-                let expected = naive_padded_half_spectrum(&samples);
-                let tol = spectral_tolerance(&expected);
-                ws.with_half_spectrum(&samples, |got| {
-                    assert_eq!(got.len(), n.next_power_of_two() / 2 + 1, "n = {n}");
-                    for (k, (g, e)) in got.iter().zip(&expected).enumerate() {
+        // Every length 4..=300 — odd, prime, power of two — against the
+        // naive sum and the dense oracle.
+        let ws = SpectralWorkspace::new();
+        for n in 4..=300usize {
+            let series = test_series(n);
+            let samples = centred(&series);
+            let expected = naive_padded_half_spectrum(&samples);
+            let oracle = Plan::dense_half_spectrum(&samples);
+            let tol = spectral_tolerance(&expected);
+            ws.with_half_spectrum(&series, |got| {
+                assert_eq!(got.len(), n.next_power_of_two() / 2 + 1, "n = {n}");
+                for (k, ((g, e), o)) in got.iter().zip(&expected).zip(&oracle).enumerate() {
+                    for (path, v) in [("packed", g), ("oracle", o)] {
                         assert!(
-                            (*g - *e).norm_sqr().sqrt() <= tol,
-                            "{mode:?} n = {n}, bin {k}: {g:?} vs {e:?} (tol {tol})"
+                            (*v - *e).norm_sqr().sqrt() <= tol,
+                            "{path} n = {n}, bin {k}: {v:?} vs {e:?} (tol {tol})"
                         );
                     }
-                });
-            }
+                }
+            });
         }
     }
 
     #[test]
     fn tiny_inputs_pad_to_two() {
-        // n = 0, 1, 2 all transform at N = 2: X(0) = Σx, X(1) = x0 − x1.
+        // n = 0, 1, 2 all transform at N = 2: X(0) = Σx = 0 after
+        // centring, X(1) = x0 − x1.
         let ws = SpectralWorkspace::new();
-        for (samples, want) in [
-            (vec![], [0.0, 0.0]),
-            (vec![3.0], [3.0, 3.0]),
-            (vec![3.0, 1.0], [4.0, 2.0]),
+        for (series, want) in [
+            (TimeSeries::from_timestamps_capped(&[5], 1, 0).unwrap(), 0.0),
+            (TimeSeries::from_values(0, 1, vec![3.0]).unwrap(), 0.0),
+            (TimeSeries::from_values(0, 1, vec![3.0, 1.0]).unwrap(), 2.0),
         ] {
-            ws.with_half_spectrum(&samples, |got| {
+            ws.with_half_spectrum(&series, |got| {
                 assert_eq!(got.len(), 2);
-                assert_eq!([got[0].re, got[1].re], want);
+                assert_eq!([got[0].re, got[1].re], [0.0, want]);
                 assert!(got[0].im.abs() + got[1].im.abs() < 1e-15);
             });
         }
     }
 
     #[test]
+    fn packing_from_the_events_is_the_dense_centred_series() {
+        // Odd and even n, events on even and odd bins, the last bin, a
+        // fractional count: the packed points are the dense samples' bits.
+        for series in [
+            TimeSeries::from_values(0, 1, vec![0.0, 2.0, 0.0, 0.0, 1.5]).unwrap(),
+            TimeSeries::from_values(0, 1, vec![1.0, 0.0, 0.0, 3.0, 0.0, 1.0]).unwrap(),
+            TimeSeries::from_timestamps(&[0, 3, 3, 10], 1).unwrap(),
+        ] {
+            let h = padded_len(series.len()) / 2;
+            let mut packed = Vec::new();
+            load_centred(&mut packed, &series, h);
+            let mut dense = centred(&series);
+            dense.resize(2 * h, 0.0);
+            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            let unpacked: Vec<f64> = packed.iter().flat_map(|z| [z.re, z.im]).collect();
+            assert_eq!(bits(&unpacked), bits(&dense), "{series:?}");
+        }
+    }
+
+    #[test]
     fn counters_are_per_workspace() {
         let ws = SpectralWorkspace::new();
-        let samples = test_samples(100);
+        let series = test_series(100);
         for _ in 0..10 {
-            ws.with_half_spectrum(&samples, |_| ());
+            ws.with_half_spectrum(&series, |_| ());
         }
         // One wrapper lookup per call; its inner half-length lookup only
         // if this workspace is the one that built the wrapper.
@@ -897,7 +845,7 @@ mod tests {
 
         // A second workspace finds the table warm.
         let other = SpectralWorkspace::new();
-        other.with_half_spectrum(&samples, |_| ());
+        other.with_half_spectrum(&series, |_| ());
         assert_eq!((other.plan_requests(), other.plans_built()), (1, 0));
     }
 
@@ -917,10 +865,11 @@ mod tests {
                         let ws = SpectralWorkspace::new();
                         let n = N / 2 + 1 + t * (N / 2 - 1) / 7;
                         let samples = test_samples(n);
+                        let series = test_series(n);
                         barrier.wait();
-                        ws.with_half_spectrum(&samples, |_| ());
+                        ws.with_half_spectrum(&series, |_| ());
                         placed_in_order(&ws, &samples);
-                        ws.with_autocorrelation(&samples, |_| ());
+                        ws.with_autocorrelation(&series, |_| ());
                         let built = (ws.plans_built_c2c(), ws.plans_built_r2c());
                         let plans = (
                             ws.r2c(N),
@@ -964,10 +913,10 @@ mod tests {
         // 2 048 (and the ACF's 2N): at most 4 kinds × 11 sizes.
         let ws = SpectralWorkspace::new();
         for n in 201..=1200usize {
-            let samples = test_samples(n);
-            ws.with_half_spectrum(&samples, |_| ());
-            placed_in_order(&ws, &samples);
-            ws.with_autocorrelation(&samples, |_| ());
+            let series = test_series(n);
+            ws.with_half_spectrum(&series, |_| ());
+            placed_in_order(&ws, &test_samples(n));
+            ws.with_autocorrelation(&series, |_| ());
         }
         assert!(ws.plans_built() <= 4 * 11, "built {}", ws.plans_built());
         assert_eq!(ws.transforms_run(), 1000 * 4);
@@ -976,8 +925,7 @@ mod tests {
     #[test]
     fn autocorrelation_lag0_dominates() {
         let ws = SpectralWorkspace::new();
-        let samples = test_samples(100);
-        ws.with_autocorrelation(&samples, |buf| {
+        ws.with_autocorrelation(&test_series(100), |buf| {
             assert_eq!(buf.len(), 256); // (2·100).next_power_of_two()
             let r0 = buf[0];
             assert!(r0 > 0.0);
@@ -990,14 +938,11 @@ mod tests {
     }
 
     #[test]
-    fn autocorrelation_modes_agree() {
-        let samples = test_samples(100);
-        let reference = SpectralWorkspace::with_mode(SpectralMode::ComplexFull);
+    fn autocorrelation_matches_the_dense_round_trip() {
+        let series = test_series(100);
+        let expected = Plan::dense_autocorrelation(&centred(&series));
         let packed = SpectralWorkspace::new();
-        let expected = reference.with_autocorrelation(&samples, |buf| buf.to_vec());
-        assert_eq!(reference.plan_requests(), 2);
-        assert_eq!(reference.transforms_run(), 2);
-        packed.with_autocorrelation(&samples, |got| {
+        packed.with_autocorrelation(&series, |got| {
             assert_eq!(got.len(), expected.len());
             let tol = 1e-9 * expected[0].abs().max(1.0);
             for (lag, (g, e)) in got.iter().zip(&expected).enumerate() {
@@ -1033,9 +978,8 @@ mod tests {
     #[test]
     fn placed_maxima_match_the_densified_rounds() {
         // Per round, the maximum is that of the round's dense series'
-        // padded half spectrum: bit-identical in ComplexFull (it *is* that
-        // transform), within rounding in RealHalf at every M — and for any
-        // `mean`, not only the series' own.
+        // padded half spectrum by the dense oracle, within rounding at
+        // every M — and for any `mean`, not only the series' own.
         for (n, events) in [
             (7usize, 2usize),
             (64, 1),
@@ -1054,7 +998,6 @@ mod tests {
                     .flat_map(|r| (0..events).map(move |i| ((r * 3 + i * stride) % n) as u32))
                     .collect();
                 let mean = 0.37;
-                let reference = SpectralWorkspace::with_mode(SpectralMode::ComplexFull);
                 let expected: Vec<f64> = spots
                     .chunks_exact(events)
                     .map(|round| {
@@ -1062,23 +1005,18 @@ mod tests {
                         for (&v, &t) in values.iter().zip(round) {
                             dense[t as usize] = v - mean;
                         }
-                        reference.with_half_spectrum(&dense, max_power)
+                        Plan::dense_half_spectrum(&dense)[1..]
+                            .iter()
+                            .map(Complex::norm_sqr)
+                            .fold(0.0, f64::max)
                     })
                     .collect();
                 let tag = format!("n={n} events={events} rounds={rounds}");
-                let before = reference.transforms_run();
-                let got = reference.placed_power_maxima(n, mean, &values, &spots, rounds);
-                assert_eq!(got[..rounds], expected, "ComplexFull {tag}");
-                assert_eq!(reference.transforms_run() - before, rounds);
-
                 let packed = SpectralWorkspace::new();
                 let got = packed.placed_power_maxima(n, mean, &values, &spots, rounds);
                 assert_eq!(packed.transforms_run(), 1);
                 for (g, e) in got.iter().zip(&expected) {
-                    assert!(
-                        (g - e).abs() <= 1e-9 * e.max(1.0),
-                        "RealHalf {tag}: {g} vs {e}"
-                    );
+                    assert!((g - e).abs() <= 1e-9 * e.max(1.0), "{tag}: {g} vs {e}");
                 }
             }
         }
@@ -1095,8 +1033,8 @@ mod tests {
     #[test]
     fn reentrant_use_does_not_panic() {
         let ws = SpectralWorkspace::new();
-        let outer = test_samples(64);
-        let inner = test_samples(32);
+        let outer = test_series(64);
+        let inner = test_series(32);
         let expected = ws.with_half_spectrum(&inner, |got| got.to_vec());
         ws.with_half_spectrum(&outer, |_| {
             // Nested use of the same workspace from inside a closure.
@@ -1106,10 +1044,10 @@ mod tests {
 
     #[test]
     fn thread_workspace_persists_across_calls() {
-        let samples = test_samples(333);
+        let series = test_series(333);
         let before = with_thread_workspace(|ws| ws.transforms_run());
-        with_thread_workspace(|ws| ws.with_half_spectrum(&samples, |_| ()));
-        with_thread_workspace(|ws| ws.with_half_spectrum(&samples, |_| ()));
+        with_thread_workspace(|ws| ws.with_half_spectrum(&series, |_| ()));
+        with_thread_workspace(|ws| ws.with_half_spectrum(&series, |_| ()));
         let after = with_thread_workspace(|ws| ws.transforms_run());
         assert_eq!(after, before + 2);
     }
@@ -1117,7 +1055,7 @@ mod tests {
     #[test]
     fn debug_format_mentions_plan_counts() {
         let ws = SpectralWorkspace::new();
-        ws.with_half_spectrum(&test_samples(16), |_| ());
+        ws.with_half_spectrum(&test_series(16), |_| ());
         let s = format!("{ws:?}");
         assert!(s.contains("plans_built"), "{s}");
         assert!(s.contains("plan_requests: "), "{s}");

@@ -5,7 +5,7 @@ use baywatch_timeseries::acf::Autocorrelation;
 use baywatch_timeseries::gmm::{fit_gmm, select_gmm, GmmConfig};
 use baywatch_timeseries::periodogram::Periodogram;
 use baywatch_timeseries::permutation::{
-    permutation_filter, permutation_threshold, permutation_threshold_in, PermutationConfig,
+    permutation_filter, permutation_threshold, PermutationConfig,
 };
 use baywatch_timeseries::series::TimeSeries;
 use baywatch_timeseries::symbolize::{match_fraction, ngram_histogram, symbolize};
@@ -86,7 +86,7 @@ fn early_reject_is_exact() {
         };
         let ws = SpectralWorkspace::new();
         let unlimited = ExecBudget::unlimited();
-        let full = permutation_threshold_in(&ws, &series, &cfg).unwrap();
+        let full = permutation_filter(&ws, &series, &cfg, f64::INFINITY, &unlimited).unwrap();
         let periodogram = Periodogram::compute_in(&ws, &series);
         let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
 
@@ -108,13 +108,15 @@ fn early_reject_is_exact() {
             // m-round run are an r-round run.
             let rounds = early.shuffled_maxima.len();
             assert!(rounds == m || rounds & 1 == 0);
-            let prefix = permutation_threshold_in(
+            let prefix = permutation_filter(
                 &ws,
                 &series,
                 &PermutationConfig {
                     permutations: rounds,
                     ..cfg
                 },
+                f64::INFINITY,
+                &unlimited,
             )
             .unwrap();
             assert_eq!(bits(&early.shuffled_maxima), bits(&prefix.shuffled_maxima));
@@ -236,25 +238,5 @@ fn symbolize_consistency() {
         let hist = ngram_histogram(&symbols, 3);
         let total: usize = hist.values().sum();
         assert_eq!(total, symbols.len().saturating_sub(2));
-    });
-}
-
-/// Rescaling twice equals rescaling once to the final scale.
-#[test]
-fn rescale_composes() {
-    forall(32, 8, |rng| {
-        let Some(ts) = sorted_timestamps(rng) else {
-            return;
-        };
-        let a = rng.random_range(2u64..10);
-        let b = rng.random_range(2u64..10);
-        let fine = TimeSeries::from_timestamps(&ts, 1).unwrap();
-        let two_step = fine.rescale(a).unwrap().rescale(a * b).unwrap();
-        let one_step = fine.rescale(a * b).unwrap();
-        // Bin boundaries agree because both anchor at the series start.
-        let s2: f64 = two_step.values().iter().sum();
-        let s1: f64 = one_step.values().iter().sum();
-        assert_eq!(s1, s2);
-        assert_eq!(one_step.scale(), two_step.scale());
     });
 }

@@ -1,6 +1,8 @@
 //! Property-based tests on the core detection invariants, spanning the
 //! timeseries and netsim crates.
 
+use baywatch::core::activity::ActivitySummary;
+use baywatch::core::pair::CommunicationPair;
 use baywatch::netsim::synth::{multi_period_burst, random_arrivals, SyntheticBeacon};
 use baywatch::stats::rng::{forall, Rng};
 use baywatch::timeseries::detector::{DetectorConfig, PeriodicityDetector};
@@ -194,18 +196,24 @@ fn random_arrivals_rarely_verify() {
     });
 }
 
-/// Rescaling preserves total event counts for any timestamp set.
+/// Rescaling (§VII-B, `ActivitySummary::rescale`, what
+/// `jobs::rescale_and_merge` runs) preserves total event counts for any
+/// timestamp set, and so does the series binned from its timestamps.
 #[test]
 fn rescale_preserves_mass() {
     forall(24, 5, |rng| {
         let ts = sorted_draws(rng, 200, 100_000);
         let factor = rng.random_range(2u64..120);
-        let fine = TimeSeries::from_timestamps(&ts, 1).unwrap();
+        let events: Vec<(u64, &str)> = ts.iter().map(|&t| (t, "")).collect();
+        let pair = CommunicationPair::new("host", "dest.example");
+        let fine = ActivitySummary::from_events(pair, &events, 1).unwrap();
         let coarse = fine.rescale(factor).unwrap();
-        let fine_sum: f64 = fine.values().iter().sum();
-        let coarse_sum: f64 = coarse.values().iter().sum();
-        assert_eq!(fine_sum, coarse_sum);
-        assert_eq!(coarse.scale(), factor);
+        assert_eq!(coarse.request_count(), fine.request_count());
+        assert_eq!(coarse.scale, factor);
+        let series = TimeSeries::from_timestamps(&coarse.timestamps(), factor).unwrap();
+        let mass: f64 = series.events().iter().map(|&(_, v)| v).sum();
+        assert_eq!(mass, fine.request_count() as f64);
+        assert_eq!(series.event_count(), fine.request_count());
     });
 }
 

@@ -689,3 +689,104 @@ fn flapping_source_recovers_with_exact_accounting() {
     assert_eq!(records, records2);
     assert_eq!(stats, stats2);
 }
+
+/// The far-line probe: host `10.0.0.66` beacons every 60 s, 120 lines,
+/// and one more line of the same pair arrives `far` seconds after the
+/// epoch; twelve human hosts browse a handful of sites at irregular gaps,
+/// and one of them also polls its antivirus signatures every 300 s.
+fn far_line_records(far: u64) -> Vec<LogRecord> {
+    let beacon = |t: u64, i: u64| {
+        LogRecord::new(
+            t,
+            "10.0.0.66",
+            "qkz7vw2nx9.biz",
+            format!("{:x}", (i + 3) * 2_654_435_761 % 0xFF_FFFF),
+        )
+    };
+    let mut records: Vec<LogRecord> = (0..120).map(|i| beacon(50_000 + i * 60, i)).collect();
+    records.push(beacon(far, 120));
+    let sites = [
+        "news.example.org",
+        "mail.example.com",
+        "wiki.example.net",
+        "shop.example.com",
+    ];
+    let mut rng = Rng::seed_from_u64(9);
+    for h in 0..12u64 {
+        let mut t = 50_000;
+        for i in 0..40u64 {
+            t += rng.random_range(1u64..900);
+            let site = sites[rng.random_range(0..sites.len())];
+            records.push(LogRecord::new(
+                t,
+                format!("10.0.1.{h}"),
+                site,
+                format!("/page{i}"),
+            ));
+        }
+    }
+    for i in 0..60u64 {
+        records.push(LogRecord::new(
+            50_000 + i * 300,
+            "10.0.1.0",
+            "av.example.net",
+            "/signatures/update",
+        ));
+    }
+    records
+}
+
+/// One line of a beaconing pair placed far ahead of the rest — a clock
+/// fault or a mistyped date — is one more event of its pair. The series
+/// is built from the events and cut at `max_bins` while binning, so the
+/// span is never allocated: at 10¹⁰ s that allocation was 80 GB and
+/// aborted the process, at 2⁶² s it overflowed and quarantined the
+/// beacon. CI runs the `far_span` tests under an 8 GiB address-space
+/// limit.
+#[test]
+fn far_span_line_leaves_the_funnel_unchanged() {
+    let stats = |far: u64| quiet_engine().analyze(far_line_records(far)).stats;
+    let near = stats(100_000_000);
+    assert_eq!(
+        (near.periodic, near.quarantined_pairs, near.reported),
+        (2, 0, 1)
+    );
+    for far in [10_000_000_000, 1 << 62] {
+        assert_eq!(stats(far), near, "the extra line at {far} s");
+    }
+}
+
+/// An ELFF window dated 2024 in which one beacon line was typed as 2120:
+/// the window parses clean and the beacon still ranks first, its period
+/// intact.
+#[test]
+fn far_span_elff_line_typed_a_century_ahead_is_absorbed() {
+    let mut log = String::from(
+        "#Software: SGOS 6.5\n#Fields: date time c-ip cs-host cs-uri-path sc-status\n",
+    );
+    for i in 0..144u64 {
+        let (h, m) = ((i * 10) / 60, (i * 10) % 60);
+        let year = if i == 77 { 2120 } else { 2024 };
+        log.push_str(&format!(
+            "{year}-03-01 {h:02}:{m:02}:00 10.0.0.9 qzvkxw.example.biz /c0{i:03x} 200\n"
+        ));
+    }
+    for i in 0..60u64 {
+        let t = (i * i * 613) % 86_400;
+        let (h, m, s) = (t / 3600, (t % 3600) / 60, t % 60);
+        log.push_str(&format!(
+            "2024-03-01 {h:02}:{m:02}:{s:02} 10.0.0.7 news.example.org /story{i} 200\n"
+        ));
+    }
+    let outcome = read_elff(log.as_bytes()).unwrap();
+    assert!(outcome.errors.is_empty(), "{:?}", outcome.errors);
+    assert_eq!(outcome.records.len(), 144 + 60);
+
+    let report = quiet_engine().analyze(outcome.records);
+    assert_eq!(report.stats.quarantined_pairs, 0);
+    assert!(report.faults.is_clean());
+    let top = &report.ranked[0].case;
+    assert_eq!(top.pair.destination, "qzvkxw.example.biz");
+    let period = top.primary_period().unwrap();
+    assert!((period - 600.0).abs() < 30.0, "period = {period}");
+}
