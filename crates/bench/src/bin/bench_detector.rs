@@ -18,9 +18,8 @@
 //! trips the gate.
 //!
 //! A resilience probe measures the clean-path cost of the breaker guard
-//! and the armed retry backoff (ratios recorded, never gated) while
-//! exact-gating their clean-path ledgers at zero transitions, zero
-//! rejected lines, and zero backoff waits.
+//! (ratio recorded, never gated) while exact-gating its clean-path ledger
+//! at zero transitions and zero rejected lines.
 //!
 //! A streaming probe drives the incremental `StreamingHunt` engine over a
 //! seeded long-trace feed under a tight state budget, recording events/sec
@@ -67,7 +66,7 @@ use baywatch_netsim::synth::{multi_period_burst, SyntheticBeacon};
 use baywatch_obs::clock::MonotonicClock;
 use baywatch_obs::json::{parse, JsonValue, JsonWriter};
 use baywatch_obs::registry::MetricsRegistry;
-use baywatch_resilience::{BreakerConfig, RetryPolicy};
+use baywatch_resilience::BreakerConfig;
 use baywatch_timeseries::detector::{DetectorConfig, DetectorObs, PeriodicityDetector};
 use baywatch_timeseries::workspace::SpectralWorkspace;
 use baywatch_timeseries::BudgetSpec;
@@ -391,23 +390,18 @@ fn write_checkpoint(w: &mut JsonWriter, p: &CheckpointProbe) {
 struct ResilienceProbe {
     plain_ingest_elapsed_ns: u128,
     guarded_ingest_elapsed_ns: u128,
-    disarmed_analyze_elapsed_ns: u128,
-    armed_analyze_elapsed_ns: u128,
     lines: u64,
     records: u64,
     transitions: u64,
     rejected_lines: u64,
-    retry_waits: u64,
 }
 
 /// Measures what the resilience layer costs when nothing is wrong: the
 /// same clean corpus is parsed plain and through the per-line breaker
-/// guard, and analyzed with the retry backoff disarmed and armed. On a
-/// clean path the breaker must never transition or reject and the armed
-/// backoff must never fire — those counts are exact-gated at zero, so a
-/// fast-path regression (resilience machinery activating on healthy
-/// input) trips the gate even though the overhead ratios themselves are
-/// host-dependent and only recorded.
+/// guard. On a clean path the breaker must never transition or reject —
+/// those counts are exact-gated at zero, so a fast-path regression
+/// (resilience machinery activating on healthy input) trips the gate even
+/// though the overhead ratio itself is host-dependent and only recorded.
 fn run_resilience_probe() -> Result<ResilienceProbe, String> {
     let mut data = String::new();
     for i in 0..20_000u64 {
@@ -439,43 +433,13 @@ fn run_resilience_probe() -> Result<ResilienceProbe, String> {
     }
     let stats = guard.stats();
 
-    let records = clean_records();
-    let mut disarmed = Baywatch::new(BaywatchConfig {
-        local_tau: 0.9,
-        ..Default::default()
-    });
-    let start = Instant::now();
-    let _ = disarmed.analyze(records.clone());
-    let disarmed_analyze_elapsed_ns = start.elapsed().as_nanos();
-
-    let mut armed = Baywatch::new(BaywatchConfig {
-        local_tau: 0.9,
-        retry: RetryPolicy {
-            base_nanos: 1_000_000,
-            ..RetryPolicy::default()
-        },
-        ..Default::default()
-    });
-    let start = Instant::now();
-    let _ = armed.analyze(records);
-    let armed_analyze_elapsed_ns = start.elapsed().as_nanos();
-    let retry_waits = armed
-        .metrics_snapshot()
-        .counters
-        .get("resilience.retry.waits")
-        .copied()
-        .unwrap_or(0);
-
     Ok(ResilienceProbe {
         plain_ingest_elapsed_ns,
         guarded_ingest_elapsed_ns,
-        disarmed_analyze_elapsed_ns,
-        armed_analyze_elapsed_ns,
         lines: guarded.offered_lines as u64,
         records: guarded.outcome.records.len() as u64,
         transitions: stats.transitions(),
         rejected_lines: guarded.rejected_lines as u64,
-        retry_waits,
     })
 }
 
@@ -495,24 +459,11 @@ fn write_resilience(w: &mut JsonWriter, p: &ResilienceProbe) {
         );
         let ingest = ratio(p.guarded_ingest_elapsed_ns, p.plain_ingest_elapsed_ns);
         float(w, "ingest_overhead_ratio", ingest, 3);
-        uint(
-            w,
-            "disarmed_analyze_elapsed_ns",
-            p.disarmed_analyze_elapsed_ns as u64,
-        );
-        uint(
-            w,
-            "armed_analyze_elapsed_ns",
-            p.armed_analyze_elapsed_ns as u64,
-        );
-        let retry = ratio(p.armed_analyze_elapsed_ns, p.disarmed_analyze_elapsed_ns);
-        float(w, "retry_overhead_ratio", retry, 3);
         // Deterministic clean-path accounting, exact-gated.
         uint(w, "lines", p.lines);
         uint(w, "records", p.records);
         uint(w, "transitions", p.transitions);
         uint(w, "rejected_lines", p.rejected_lines);
-        uint(w, "retry_waits", p.retry_waits);
     });
 }
 
@@ -719,15 +670,9 @@ fn gate(current: &JsonValue, baseline: &JsonValue, tolerance: f64) -> Vec<String
     }
 
     // The clean-path resilience ledger is exact: a breaker that
-    // transitions, rejects a line, or a backoff that fires on healthy
-    // input is a fast-path regression regardless of how fast it ran.
-    for field in [
-        "lines",
-        "records",
-        "transitions",
-        "rejected_lines",
-        "retry_waits",
-    ] {
+    // transitions or rejects a line on healthy input is a fast-path
+    // regression regardless of how fast it ran.
+    for field in ["lines", "records", "transitions", "rejected_lines"] {
         let cur = get_f64(current, &["resilience", field]);
         let base = get_f64(baseline, &["resilience", field]);
         if cur != base {
@@ -864,15 +809,12 @@ fn main() -> ExitCode {
         }
     };
     println!(
-        "resilience probe: guarded ingest {:.2}x plain, armed retry {:.2}x disarmed \
-         ({} transitions, {} rejected, {} waits on the clean path)",
+        "resilience probe: guarded ingest {:.2}x plain \
+         ({} transitions, {} rejected on the clean path)",
         resilience.guarded_ingest_elapsed_ns as f64
             / resilience.plain_ingest_elapsed_ns.max(1) as f64,
-        resilience.armed_analyze_elapsed_ns as f64
-            / resilience.disarmed_analyze_elapsed_ns.max(1) as f64,
         resilience.transitions,
-        resilience.rejected_lines,
-        resilience.retry_waits
+        resilience.rejected_lines
     );
 
     let stream = match run_stream_probe(quick) {

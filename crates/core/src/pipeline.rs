@@ -12,7 +12,7 @@ use baywatch_mapreduce::{
     FaultReport, JobConfig, MapReduce, RunManifest,
 };
 use baywatch_obs::{Buckets, Clock, MetricsRegistry, MetricsSnapshot, MonotonicClock, StageTracer};
-use baywatch_resilience::{AdmissionConfig, AdmissionController, AdmissionDecision, RetryPolicy};
+use baywatch_resilience::{AdmissionConfig, AdmissionController, AdmissionDecision};
 use baywatch_timeseries::detector::{DetectorConfig, DetectorObs, PeriodicityDetector};
 use baywatch_timeseries::BudgetSpec;
 
@@ -44,10 +44,6 @@ pub struct BaywatchConfig {
     pub rank: RankConfig,
     /// MapReduce engine settings.
     pub mapreduce: JobConfig,
-    /// Backoff schedule applied between MapReduce task retry attempts
-    /// (disarmed by default: retries stay immediate and the pipeline's
-    /// behaviour is byte-identical to a policy-free build).
-    pub retry: RetryPolicy,
     /// n-gram order of the domain language model (paper: 3).
     pub lm_order: usize,
     /// Whether to load the built-in global whitelist (can be disabled for
@@ -67,7 +63,6 @@ impl Default for BaywatchConfig {
             token_filter: TokenFilter::default(),
             rank: RankConfig::default(),
             mapreduce: JobConfig::default(),
-            retry: RetryPolicy::default(),
             lm_order: 3,
             use_builtin_whitelist: true,
             budget: PipelineBudget::default(),
@@ -99,6 +94,7 @@ impl Default for BaywatchConfig {
 pub struct PipelineBudget {
     /// Wall-clock budget (milliseconds) for the detection phase of one
     /// [`Baywatch::analyze`] window; `None` = unlimited.
+    /// [`Baywatch::analyze_checkpointed`] does not read it.
     pub window_millis: Option<u64>,
     /// Per-task straggler deadline (milliseconds) applied to every
     /// MapReduce job in the window; `None` = disabled.
@@ -238,9 +234,7 @@ impl Baywatch {
     pub fn with_clock(config: BaywatchConfig, clock: Arc<dyn Clock>) -> Self {
         let metrics = Arc::new(MetricsRegistry::new());
         let tracer = StageTracer::new(clock.clone());
-        let engine = MapReduce::new(config.mapreduce)
-            .with_retry_policy(config.retry)
-            .with_metrics(metrics.clone());
+        let engine = MapReduce::new(config.mapreduce).with_metrics(metrics.clone());
         let detector = PeriodicityDetector::new(config.detector.clone())
             .with_obs(DetectorObs::new(&metrics, clock));
         Self {
@@ -362,6 +356,14 @@ impl Baywatch {
     ///   inside the manifest; with [`CheckpointSpec::replay_budget`] they
     ///   are re-run under that (typically larger) budget after the shard
     ///   sweep, and recoveries rejoin the funnel with exact accounting.
+    ///
+    /// [`PipelineBudget::window_millis`] is ignored here: a checkpointed
+    /// window neither sheds nor degrades pairs. Which pairs a wall-clock
+    /// budget reaches depends on how fast the host ran, so shedding would
+    /// break the byte-identity of a resumed run. Bound a checkpointed
+    /// window per pair ([`DetectorConfig::budget`]) or per task
+    /// ([`PipelineBudget::task_deadline_millis`]) instead; what those cut
+    /// off lands in the dead-letter queue.
     ///
     /// Errors only on checkpoint-directory I/O failures (unwritable dir,
     /// disk full); analysis faults are still *degradation*, not errors.

@@ -61,7 +61,7 @@ use std::collections::btree_map::Entry;
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
-use baywatch_mapreduce::{FaultPolicy, MapReduce};
+use baywatch_mapreduce::{fnv1a64, FaultPolicy, MapReduce};
 use baywatch_obs::{Buckets, Clock, ManualClock, MetricsRegistry, MetricsSnapshot, MonotonicClock};
 use baywatch_resilience::{AdmissionConfig, AdmissionController, AdmissionDecision};
 use baywatch_timeseries::detector::PeriodicityDetector;
@@ -453,8 +453,7 @@ impl StreamingHunt {
         }
         Ok(Self {
             metrics: Arc::new(MetricsRegistry::new()),
-            engine: MapReduce::new(config.pipeline.mapreduce)
-                .with_retry_policy(config.pipeline.retry),
+            engine: MapReduce::new(config.pipeline.mapreduce),
             clock: MonotonicClock::new(),
             detector: PeriodicityDetector::new(config.pipeline.detector.clone()),
             funnel: Funnel::new(&config.pipeline),
@@ -1062,20 +1061,13 @@ fn quantized(ring: &TimestampRing, scale: u64) -> Vec<u64> {
 
 /// FNV-1a 64-bit fingerprint of a pair key (source NUL destination).
 fn fingerprint(pair: &CommunicationPair) -> u64 {
-    const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-    const PRIME: u64 = 0x0000_0100_0000_01b3;
-    let mut h = OFFSET;
-    for byte in pair
-        .source
-        .as_bytes()
-        .iter()
-        .chain([0u8].iter())
-        .chain(pair.destination.as_bytes())
-    {
-        h ^= u64::from(*byte);
-        h = h.wrapping_mul(PRIME);
-    }
-    h
+    fnv1a64(
+        pair.source
+            .as_bytes()
+            .iter()
+            .chain(&[0])
+            .chain(pair.destination.as_bytes()),
+    )
 }
 
 #[cfg(test)]

@@ -200,8 +200,6 @@ pub(crate) struct PhaseFaults {
     /// deadline — exact, unlike the bounded `timeout_samples`.
     pub timed_out: Vec<String>,
     pub lost_values: usize,
-    pub backoff_waits: usize,
-    pub backoff_nanos: u64,
     pub unit_samples: Vec<String>,
     pub timeout_samples: Vec<String>,
     pub panic_samples: Vec<String>,
@@ -242,12 +240,6 @@ impl PhaseFaults {
         self.bisections += other.bisections;
         self.timed_out.extend(other.timed_out);
         self.lost_values += other.lost_values;
-        self.backoff_waits += other.backoff_waits;
-        // The one clamp in a ledger: `backoff_nanos` sums sleeps for
-        // reporting only. With the default 60 s cap a `u64` cannot
-        // overflow in practice, and saturating beats panicking inside
-        // the merge of a report that is itself describing failures.
-        self.backoff_nanos = self.backoff_nanos.saturating_add(other.backoff_nanos);
         self.unit_samples.extend(other.unit_samples);
         self.timeout_samples.extend(other.timeout_samples);
         self.panic_samples.extend(other.panic_samples);
@@ -581,8 +573,7 @@ mod tests {
     /// Ledger counters overflow loudly: every `+=` in
     /// `FaultReport::absorb` and in the `PhaseFaults` mutators panics past
     /// `usize::MAX`, so rewriting one as `wrapping_*` or `saturating_*`
-    /// fails here. `backoff_nanos` is the one sum that saturates on
-    /// purpose.
+    /// fails here.
     #[test]
     #[cfg_attr(not(debug_assertions), ignore = "release builds do not check overflow")]
     fn ledger_counters_panic_on_overflow() {
@@ -604,12 +595,11 @@ mod tests {
             assert!(panics(|| full.absorb(&one)), "FaultReport field {i}");
         }
 
-        let phase_fields: [fn(&mut PhaseFaults) -> &mut usize; 5] = [
+        let phase_fields: [fn(&mut PhaseFaults) -> &mut usize; 4] = [
             |p| &mut p.retries,
             |p| &mut p.quarantined,
             |p| &mut p.bisections,
             |p| &mut p.lost_values,
-            |p| &mut p.backoff_waits,
         ];
         let full = |field: fn(&mut PhaseFaults) -> &mut usize| {
             let mut p = PhaseFaults::default();
@@ -629,16 +619,6 @@ mod tests {
         assert!(panics(|| p.quarantine("unit".into(), 1, &policy)));
         let mut p = full(|p| &mut p.lost_values);
         assert!(panics(|| p.quarantine_timeout("unit".into(), 1, &policy)));
-
-        let mut p = PhaseFaults {
-            backoff_nanos: u64::MAX,
-            ..Default::default()
-        };
-        p.merge(PhaseFaults {
-            backoff_nanos: 1,
-            ..Default::default()
-        });
-        assert_eq!(p.backoff_nanos, u64::MAX, "backoff_nanos saturates");
     }
 
     #[test]

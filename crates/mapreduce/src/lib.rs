@@ -62,10 +62,10 @@ use std::fmt::Debug;
 use std::hash::{Hash, Hasher};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Arc, Mutex, PoisonError};
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use baywatch_obs::{Clock, MetricsRegistry, MonotonicClock};
-use baywatch_resilience::{BreakerConfig, CircuitBreaker, RetryPolicy};
+use baywatch_resilience::{BreakerConfig, CircuitBreaker};
 use fault::PhaseFaults;
 
 pub use fault::{FaultPlan, FaultPolicy, FaultReport};
@@ -120,7 +120,6 @@ impl JobConfig {
 pub struct MapReduce {
     config: JobConfig,
     metrics: Option<Arc<MetricsRegistry>>,
-    retry: RetryPolicy,
     checkpoint_breaker: Option<(BreakerConfig, Arc<dyn Clock>)>,
 }
 
@@ -136,7 +135,6 @@ impl MapReduce {
         Self {
             config,
             metrics: None,
-            retry: RetryPolicy::default(),
             checkpoint_breaker: None,
         }
     }
@@ -147,18 +145,6 @@ impl MapReduce {
     #[must_use]
     pub fn with_metrics(mut self, metrics: Arc<MetricsRegistry>) -> Self {
         self.metrics = Some(metrics);
-        self
-    }
-
-    /// Arms exponential backoff between the retry attempts of a failing
-    /// task. Attempt *counts* still come from
-    /// [`FaultPolicy::max_task_retries`]; the policy only governs how long
-    /// a worker waits before re-running a failed slice or key. The default
-    /// [`RetryPolicy`] is disarmed (zero base delay), which preserves the
-    /// historical retry-immediately behaviour.
-    #[must_use]
-    pub fn with_retry_policy(mut self, retry: RetryPolicy) -> Self {
-        self.retry = retry;
         self
     }
 
@@ -239,7 +225,6 @@ impl MapReduce {
     {
         let mut report = FaultReport::default();
         let n_partitions = self.config.partitions;
-        let retry = &self.retry;
 
         // ---- Map phase: per-worker chunks, each slice resilient. ----
         // Each worker owns a vector of per-partition buckets; no locking on
@@ -249,13 +234,9 @@ impl MapReduce {
         std::thread::scope(|scope| {
             let handles: Vec<_> = split(inputs, self.config.threads)
                 .into_iter()
-                .enumerate()
-                .map(|(chunk_idx, chunk)| {
+                .map(|chunk| {
                     let mapper = &mapper;
-                    let stream = chunk_idx as u64;
-                    scope.spawn(move || {
-                        map_chunk(chunk, mapper, policy, retry, stream, n_partitions)
-                    })
+                    scope.spawn(move || map_chunk(chunk, mapper, policy, n_partitions))
                 })
                 .collect();
             for h in handles {
@@ -315,14 +296,7 @@ impl MapReduce {
                             let Some((p, records)) = claimed else {
                                 break done;
                             };
-                            // Reduce streams sit above every possible
-                            // map-chunk stream so the two phases draw
-                            // independent jitter.
-                            let stream = (1u64 << 32) | p as u64;
-                            done.push((
-                                p,
-                                reduce_partition(records, reducer, policy, retry, stream),
-                            ));
+                            done.push((p, reduce_partition(records, reducer, policy)));
                         }
                     })
                 })
@@ -344,10 +318,6 @@ impl MapReduce {
             output.extend(out);
             reduce_faults.merge(faults);
         }
-        let backoff_waits = map_faults.backoff_waits + reduce_faults.backoff_waits;
-        let backoff_nanos = map_faults
-            .backoff_nanos
-            .saturating_add(reduce_faults.backoff_nanos);
         report.reduce_retries = reduce_faults.retries;
         report.quarantined_keys = reduce_faults.quarantined;
         report.timed_out_keys = reduce_faults.timed_out.len();
@@ -370,16 +340,6 @@ impl MapReduce {
 
         if let Some(metrics) = &self.metrics {
             record_fault_metrics(metrics, &report);
-            // Gated like the checkpoint counters: a run that never waited
-            // leaves the registry byte-identical to the pre-backoff era.
-            if backoff_waits > 0 {
-                metrics
-                    .counter("resilience.retry.waits")
-                    .add(backoff_waits as u64);
-                metrics
-                    .counter("resilience.retry.backoff_nanos")
-                    .add(backoff_nanos);
-            }
         }
 
         (output, report, reduce_faults.timed_out)
@@ -700,7 +660,9 @@ fn record_fault_metrics(metrics: &MetricsRegistry, report: &FaultReport) {
 
 /// Maps one worker's chunk into per-partition buckets, retrying a failing
 /// slice up to the policy budget and bisecting persistent failures down to
-/// the poison record. `stream` keys the backoff jitter drawn for the chunk.
+/// the poison record. A failed attempt is re-run at once, as in Dean &
+/// Ghemawat's MapReduce: a pure mapper fails on what it computes, never on
+/// when it runs.
 ///
 /// Each attempt emits into fresh buckets so a mid-slice panic cannot leave
 /// duplicate partial output behind; only a fully successful attempt is
@@ -716,8 +678,6 @@ fn map_chunk<'a, I, K, V, M>(
     chunk: &'a [I],
     mapper: &M,
     policy: &FaultPolicy,
-    retry: &RetryPolicy,
-    stream: u64,
     n_partitions: usize,
 ) -> (Vec<Vec<(K, V)>>, PhaseFaults)
 where
@@ -762,7 +722,6 @@ where
                     faults.note_panic(payload, policy);
                     if attempt < policy.max_task_retries {
                         faults.retries += 1;
-                        backoff_between_attempts(retry, attempt + 1, stream, &mut faults);
                     }
                 }
             }
@@ -790,26 +749,6 @@ where
     (out, faults)
 }
 
-/// Sleeps out the seeded backoff delay before retry attempt `attempt`
-/// (1-based) of a failed task, accounting the wait. A disarmed policy —
-/// the default — makes this a no-op, preserving retry-immediately
-/// semantics.
-fn backoff_between_attempts(
-    retry: &RetryPolicy,
-    attempt: usize,
-    stream: u64,
-    faults: &mut PhaseFaults,
-) {
-    let attempt = u32::try_from(attempt).unwrap_or(u32::MAX);
-    let nanos = retry.backoff_nanos(attempt, stream);
-    if nanos == 0 {
-        return;
-    }
-    faults.backoff_waits += 1;
-    faults.backoff_nanos = faults.backoff_nanos.saturating_add(nanos);
-    std::thread::sleep(Duration::from_nanos(nanos));
-}
-
 /// Reduces one partition: a single `catch_unwind` over the whole partition
 /// on the fast path, falling back to per-key attempts (with retries, then
 /// quarantine) only when something in the partition panicked.
@@ -823,8 +762,6 @@ fn reduce_partition<K, V, O, R>(
     records: Vec<(K, V)>,
     reducer: &R,
     policy: &FaultPolicy,
-    retry: &RetryPolicy,
-    stream: u64,
 ) -> (Vec<O>, PhaseFaults)
 where
     K: Hash + Eq + Ord + Debug,
@@ -859,7 +796,6 @@ where
                 // counts as a retry even when every key then succeeds first
                 // try (a transient fault consumed by the fast-path attempt).
                 faults.retries += 1;
-                backoff_between_attempts(retry, 1, stream, &mut faults);
             }
         }
     }
@@ -893,7 +829,6 @@ where
                     }
                     attempt += 1;
                     faults.retries += 1;
-                    backoff_between_attempts(retry, attempt, stream, &mut faults);
                 }
             }
         }
@@ -936,6 +871,7 @@ fn split<T>(items: &[T], n: usize) -> Vec<&[T]> {
 mod tests {
     use super::*;
     use std::collections::BTreeMap;
+    use std::time::Duration;
 
     fn word_count<'a>(
         engine: &MapReduce,
@@ -1052,8 +988,8 @@ mod tests {
 
     #[test]
     fn split_puts_the_remainder_on_the_leading_chunks() {
-        // `FaultPlan` call counts, bisection counts and backoff streams all
-        // hang off these boundaries.
+        // `FaultPlan` call counts and bisection counts hang off these
+        // boundaries.
         for n in [1usize, 2, 3, 7, 100] {
             for len in [0, 1, n - 1, n, n + 1, 3 * n + 2] {
                 let items: Vec<usize> = (0..len).collect();
@@ -1804,66 +1740,5 @@ mod tests {
         assert_eq!(resumed.outputs, outcome.outputs);
 
         let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn armed_retry_policy_records_backoff_waits() {
-        let metrics = Arc::new(MetricsRegistry::new());
-        let engine = MapReduce::new(JobConfig {
-            partitions: 4,
-            threads: 2,
-        })
-        .with_metrics(Arc::clone(&metrics))
-        .with_retry_policy(RetryPolicy {
-            max_retries: 2,
-            base_nanos: 1_000, // 1 µs: observable in counters, invisible in wall time
-            ..RetryPolicy::default()
-        });
-        let plan = FaultPlan::new().panic_on_map_call(0);
-        let (out, report) = engine.run(
-            &["a b", "c"],
-            |doc, emit| {
-                plan.map_checkpoint(doc);
-                for w in doc.split_whitespace() {
-                    emit(w.to_owned(), 1usize);
-                }
-            },
-            |w: &String, ones: &[usize]| vec![(w.clone(), ones.len())],
-            &FaultPolicy::default(),
-        );
-        assert_eq!(out.len(), 3);
-        assert_eq!(report.quarantined_inputs, 0, "fault absorbed by retry");
-        assert!(report.map_retries >= 1);
-        let snap = metrics.snapshot();
-        assert!(snap.counters["resilience.retry.waits"] >= 1);
-        assert!(snap.counters["resilience.retry.backoff_nanos"] >= 500);
-    }
-
-    #[test]
-    fn disarmed_retry_policy_leaves_the_registry_untouched() {
-        let metrics = Arc::new(MetricsRegistry::new());
-        let engine = MapReduce::new(JobConfig {
-            partitions: 4,
-            threads: 2,
-        })
-        .with_metrics(Arc::clone(&metrics));
-        let plan = FaultPlan::new().panic_on_map_call(0);
-        let (_, report) = engine.run(
-            &["a b", "c"],
-            |doc, emit| {
-                plan.map_checkpoint(doc);
-                for w in doc.split_whitespace() {
-                    emit(w.to_owned(), 1usize);
-                }
-            },
-            |w: &String, ones: &[usize]| vec![(w.clone(), ones.len())],
-            &FaultPolicy::default(),
-        );
-        assert!(report.map_retries >= 1);
-        let snap = metrics.snapshot();
-        assert!(
-            !snap.counters.contains_key("resilience.retry.waits"),
-            "immediate retries must not register backoff counters"
-        );
     }
 }

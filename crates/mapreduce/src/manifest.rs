@@ -685,8 +685,10 @@ pub struct ShardedOutcome<O> {
 }
 
 /// FNV-1a 64-bit digest — the workspace's standard content fingerprint
-/// (dependency-free, deterministic across platforms).
-pub fn fnv1a64(bytes: &[u8]) -> u64 {
+/// (dependency-free, deterministic across platforms). Takes any byte
+/// sequence, so a key made of several fields can be hashed without first
+/// being copied into one buffer.
+pub fn fnv1a64<'a>(bytes: impl IntoIterator<Item = &'a u8>) -> u64 {
     let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
     for &b in bytes {
         hash ^= u64::from(b);

@@ -3,7 +3,7 @@
 //! The paper's deployment (§VIII-B2) is a continuously-fed service at an
 //! enterprise edge: ingest bursts, flapping log sources, slow checkpoint
 //! storage and malformed shards are routine, and the detector must degrade
-//! gracefully rather than fall over. This crate provides the three
+//! gracefully rather than fall over. This crate provides the two
 //! production-shaped mechanisms for that, each built so its behavior is a
 //! pure function of its inputs:
 //!
@@ -12,11 +12,6 @@
 //!   through the [`Clock`](baywatch_obs::Clock) trait from `baywatch-obs`,
 //!   so under a [`ManualClock`](baywatch_obs::ManualClock) every
 //!   transition is byte-reproducible.
-//! * [`RetryPolicy`] — exponential backoff with deterministic seeded
-//!   jitter. Delays are computed with integer arithmetic from a seeded
-//!   `stats::rng::Rng` stream and never read the wall clock, so the same seed and
-//!   failure schedule yield identical retry timestamps in debug and
-//!   `--release` builds.
 //! * [`AdmissionController`] — converts budget pressure (an
 //!   `ExecBudget`/`PipelineBudget` utilization fraction) into
 //!   accept/degrade/reject decisions with hysteresis, so the pipeline
@@ -25,8 +20,12 @@
 //! The crate is held to the root `clippy.toml`'s determinism list: no
 //! ambient randomness, no wall-clock reads, no filesystem access, no hash
 //! containers; CI plants a violation here to prove the list is armed. The
-//! only time source is the injectable clock, and the only randomness is
-//! the explicitly seeded jitter stream.
+//! only time source is the injectable clock, and nothing here draws a
+//! random number.
+//!
+//! Retries are not here: a failed MapReduce task is re-run at once, up to
+//! `FaultPolicy::max_task_retries` attempts, because a pure mapper or
+//! reducer fails on what it computes, never on when it runs.
 
 #![warn(clippy::unwrap_used, clippy::expect_used)]
 #![cfg_attr(
@@ -41,8 +40,6 @@
 
 pub mod admission;
 pub mod breaker;
-pub mod retry;
 
 pub use admission::{AdmissionConfig, AdmissionController, AdmissionDecision, AdmissionStats};
 pub use breaker::{BreakerConfig, BreakerState, BreakerStats, CircuitBreaker, Transition};
-pub use retry::RetryPolicy;

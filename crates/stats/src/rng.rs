@@ -2,8 +2,8 @@
 //! built on it.
 //!
 //! Every random draw that can reach a report — the permutation filter's
-//! shuffles, the simulators, the forest's bootstrap, retry jitter — comes
-//! from an [`Rng`] seeded by [`Rng::seed_from_u64`]. The generator is
+//! shuffles, the simulators, the forest's bootstrap — comes from an
+//! [`Rng`] seeded by [`Rng::seed_from_u64`]. The generator is
 //! xoshiro256++ (Blackman & Vigna) with its 256-bit state filled by four
 //! SplitMix64 outputs; integer ranges are drawn by widening multiply,
 //! float ranges from the top 53 bits. All of it is integer or exactly

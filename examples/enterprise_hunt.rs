@@ -32,15 +32,14 @@
 //!
 //! * `--breaker-failures N` / `--breaker-rate F` / `--breaker-cooldown-secs S`
 //!   configure the per-source ingest circuit breakers,
-//! * `--max-retries N` / `--backoff-base NANOS` arm the retry backoff
-//!   schedule between MapReduce task attempts (base 0 = disarmed),
 //! * `--flapping` replaces the hunt with a breaker soak: a netsim
 //!   flapping ELFF source (alternating clean / 90%-corrupt windows) is
 //!   driven through the guarded ingest on a manual clock, demonstrating
 //!   the full open → half-open → closed recovery cycle with exact
-//!   per-line accounting; combine with `--json` for the machine export,
-//! * `--print-backoff` prints the deterministic backoff schedule and
-//!   exits (the CI soak job diffs this output across debug and release).
+//!   per-line accounting; combine with `--json` for the machine export.
+//!
+//! Every flag that takes a value exits with status 2 when the value is
+//! missing or is itself a flag (`--checkpoint-dir --resume`).
 //!
 //! Streaming mode (see DESIGN.md §12): `--stream` replaces the daily
 //! batch hunt with the incremental engine — bounded per-pair state,
@@ -74,14 +73,15 @@ use baywatch::netsim::longtrace::{LongTraceConfig, LongTraceGenerator};
 use baywatch::netsim::resilience::{flapping_source, FlappingConfig};
 use baywatch::obs::{Clock, ManualClock};
 use baywatch::record_from_event;
-use baywatch::resilience::{BreakerConfig, RetryPolicy};
+use baywatch::resilience::BreakerConfig;
 use baywatch::timeseries::BudgetSpec;
 
-/// Parses the value following `name`, exiting with a message when present
-/// but unparseable.
+/// Parses the value following `name`, exiting with a message when the
+/// flag is present but its value is missing, is another flag, or does not
+/// parse.
 fn flag_value<T: std::str::FromStr>(args: &[String], name: &str) -> Option<T> {
     let i = args.iter().position(|a| a == name)?;
-    let Some(raw) = args.get(i + 1) else {
+    let Some(raw) = args.get(i + 1).filter(|raw| !raw.starts_with("--")) else {
         eprintln!("{name} requires a value");
         std::process::exit(2);
     };
@@ -99,25 +99,10 @@ fn main() {
     let emit_json = args.iter().any(|a| a == "--json");
     let resume = args.iter().any(|a| a == "--resume");
     let replay_dlq = args.iter().any(|a| a == "--replay-dlq");
-    let checkpoint_dir = args
-        .iter()
-        .position(|a| a == "--checkpoint-dir")
-        .and_then(|i| args.get(i + 1))
-        .map(std::path::PathBuf::from);
+    let checkpoint_dir: Option<std::path::PathBuf> = flag_value(&args, "--checkpoint-dir");
     if (resume || replay_dlq) && checkpoint_dir.is_none() {
         eprintln!("--resume / --replay-dlq require --checkpoint-dir DIR");
         std::process::exit(2);
-    }
-    let mut retry = RetryPolicy::default();
-    if let Some(n) = flag_value(&args, "--max-retries") {
-        retry.max_retries = n;
-    }
-    if let Some(base) = flag_value(&args, "--backoff-base") {
-        retry.base_nanos = base;
-    }
-    if args.iter().any(|a| a == "--print-backoff") {
-        print_backoff_schedule(&retry);
-        return;
     }
     let breaker = BreakerConfig {
         failure_threshold: flag_value(&args, "--breaker-failures").unwrap_or(5),
@@ -127,7 +112,7 @@ fn main() {
         ..BreakerConfig::default()
     };
     if args.iter().any(|a| a == "--flapping") {
-        run_flapping_scenario(breaker, retry, emit_json);
+        run_flapping_scenario(breaker, emit_json);
         return;
     }
     if args.iter().any(|a| a == "--stream") {
@@ -165,7 +150,6 @@ fn main() {
     // 1–5 hosts far below.
     let config = BaywatchConfig {
         local_tau: 0.05,
-        retry,
         ..Default::default()
     };
     // DLQ replay runs under 4× the per-pair detection budget (a limit of
@@ -411,31 +395,6 @@ fn run_stream_scenario(args: &[String], emit_json: bool) {
     }
 }
 
-/// Prints the retry backoff schedule for a grid of (stream, attempt)
-/// pairs. The schedule is a pure function of the policy, so this output
-/// is byte-identical across builds and optimization levels — the CI soak
-/// job diffs it between debug and release binaries.
-fn print_backoff_schedule(retry: &RetryPolicy) {
-    println!(
-        "backoff schedule: base={} multiplier={} cap={} seed={:#x} jitter={} max_retries={}",
-        retry.base_nanos,
-        retry.multiplier,
-        retry.cap_nanos,
-        retry.seed,
-        retry.jitter,
-        retry.max_retries
-    );
-    let attempts = retry.max_retries.max(4);
-    for stream in 0..4u64 {
-        for attempt in 1..=attempts {
-            println!(
-                "stream={stream} attempt={attempt} nanos={}",
-                retry.backoff_nanos(attempt, stream)
-            );
-        }
-    }
-}
-
 /// Drives a netsim flapping ELFF source (alternating clean and
 /// 90%-corrupt windows) through the breaker-guarded ingest on a manual
 /// clock, then analyzes the admitted records. The window cadence exceeds
@@ -443,7 +402,7 @@ fn print_backoff_schedule(retry: &RetryPolicy) {
 /// every following clean window walks it through half-open probes back
 /// to closed — the `resilience.ingest.*` counters in the `--json` export
 /// carry the full cycle.
-fn run_flapping_scenario(breaker: BreakerConfig, retry: RetryPolicy, emit_json: bool) {
+fn run_flapping_scenario(breaker: BreakerConfig, emit_json: bool) {
     let flap = FlappingConfig {
         windows: 8,
         ..Default::default()
@@ -495,7 +454,6 @@ fn run_flapping_scenario(breaker: BreakerConfig, retry: RetryPolicy, emit_json: 
     );
     let config = BaywatchConfig {
         local_tau: 0.05,
-        retry,
         ..Default::default()
     };
     let mut engine = Baywatch::with_clock(config, clock);

@@ -11,7 +11,7 @@
 //! * [`mapreduce`] — the in-process MapReduce engine,
 //! * [`netsim`] — the enterprise traffic simulator and noise models,
 //! * [`obs`] — the metrics registry and stage tracer,
-//! * [`resilience`] — circuit breakers, retry backoff and admission control,
+//! * [`resilience`] — circuit breakers and admission control,
 //! * [`stats`] — the statistical substrate.
 //!
 //! See `examples/quickstart.rs` for the five-minute tour and DESIGN.md for

@@ -612,6 +612,34 @@ fn dlq_replay_under_larger_budget_readmits_quarantined_pair() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// The window budget sheds pairs in `analyze` only. A checkpointed run
+/// ignores `window_millis`: which pairs a wall-clock budget reaches
+/// depends on the host, so shedding would break resume byte-identity.
+#[test]
+fn checkpointed_window_ignores_the_window_budget() {
+    use baywatch::core::checkpoint::CheckpointSpec;
+
+    let records: Vec<LogRecord> = beacon_events().iter().map(record_from_event).collect();
+    let mut config = BaywatchConfig {
+        local_tau: 0.9,
+        ..Default::default()
+    };
+    config.budget.window_millis = Some(0);
+
+    let plain = Baywatch::new(config.clone()).analyze(records.clone());
+    assert!(plain.stats.shed_pairs > 0);
+
+    let dir = std::env::temp_dir().join(format!("baywatch-window-{}", std::process::id()));
+    let checkpointed = Baywatch::new(config)
+        .analyze_checkpointed(records, &CheckpointSpec::new(&dir))
+        .unwrap();
+    assert_eq!(checkpointed.stats.shed_pairs, 0);
+    assert_eq!(checkpointed.stats.degraded_pairs, 0);
+    assert_eq!(checkpointed.stats.periodic, HOSTS as usize);
+
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 /// A flapping ELFF source (clean / 80%-corrupt alternating windows) must
 /// walk its ingest breaker through the full recovery cycle with exact
 /// accounting, and the run must be byte-reproducible: same seed, same

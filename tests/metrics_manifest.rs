@@ -127,9 +127,9 @@ fn clean_window() -> MetricsSnapshot {
     engine.metrics_snapshot()
 }
 
-/// A checkpointed window with a transient map panic (retried after a
-/// backoff), a poison pair (quarantined) and a pair whose budget runs out
-/// (dead-lettered), then a resume that replays the dead-letter queue.
+/// A checkpointed window with a transient map panic (retried), a poison
+/// pair (quarantined) and a pair whose budget runs out (dead-lettered),
+/// then a resume that replays the dead-letter queue.
 fn faulted_window_with_dlq_replay() -> Vec<MetricsSnapshot> {
     let mut records = beacon_records(12);
     records.extend(
@@ -146,7 +146,6 @@ fn faulted_window_with_dlq_replay() -> Vec<MetricsSnapshot> {
         )
     }));
     let mut config = quiet_config();
-    config.retry.base_nanos = 1_000;
     config.detector.budget.max_ops = Some(800_000);
     let poison = format!(
         "{:?}",
