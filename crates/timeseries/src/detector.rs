@@ -394,16 +394,7 @@ impl PeriodicityDetector {
             if !already {
                 let frequency = 1.0 / hill.period;
                 // Attribute the periodogram power of the nearest bin.
-                let power = periodogram
-                    .lines()
-                    .iter()
-                    .min_by(|a, b| {
-                        (a.frequency - frequency)
-                            .abs()
-                            .total_cmp(&(b.frequency - frequency).abs())
-                    })
-                    .map(|l| l.power)
-                    .unwrap_or(0.0);
+                let power = periodogram.nearest_line(frequency).map_or(0.0, |l| l.power);
                 raw.push(crate::periodogram::SpectralLine {
                     bin: 0,
                     frequency,

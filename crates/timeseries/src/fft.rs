@@ -2,15 +2,27 @@
 //!
 //! Since every transform runs at a power-of-two length
 //! ([`workspace`](crate::workspace)), one kernel suffices: an iterative
-//! decimation-in-time `Plan` that bit-reverses its input with a
-//! precomputed swap list and then runs radix-4 passes in place, with no
-//! scratch buffer. A radix-4 pass is two radix-2 passes fused: each
-//! butterfly reads four points a quarter-block apart and one contiguous
-//! `(W^j, W^2j, W^3j)` entry of the pass's twiddle table, and spends three
-//! complex multiplies where the two radix-2 passes spent four. An odd
-//! `log2 n` adds one twiddle-free radix-2 pass first. Transforms are
-//! unnormalized in both directions, so a forward/inverse round trip scales
-//! by `n`.
+//! decimation-in-time `Plan` that runs radix-4 passes in place, with no
+//! scratch buffer. It takes its input in bit-reversed order only: callers
+//! write point `j` to slot `Plan::reversed()[j]` as they fill the buffer,
+//! so no pass of the transform moves a point without computing with it. A
+//! radix-4 pass is two radix-2 passes fused: each butterfly reads four
+//! points a quarter-block apart and one contiguous `(W^j, W^2j, W^3j)`
+//! entry of the pass's twiddle table, and spends three complex multiplies
+//! where the two radix-2 passes spent four. An odd `log2 n` adds one
+//! twiddle-free radix-2 pass first. Transforms are unnormalized in both
+//! directions, so a forward/inverse round trip scales by `n`.
+//!
+//! # Two builds of one source
+//!
+//! The passes are compiled twice from the same source: the portable build
+//! and, on x86-64, a build under `#[target_feature(enable = "avx2")]` that
+//! the plan picks once, when it is made, if the host has AVX2. The AVX2
+//! build only widens the registers the same operations run in. It never
+//! enables `fma`, and nothing here calls `mul_add`, so no multiply is fused
+//! into an add and no sum is reordered: both builds compute every output
+//! bit for bit alike (`avx2_and_portable_passes_agree_bit_for_bit`), and a
+//! transform stays a pure function of its input.
 
 use std::f64::consts::PI;
 use std::ops::{Add, Mul, Sub};
@@ -114,8 +126,11 @@ pub(crate) struct Plan {
     /// over blocks of `4q` holds `(W^j, W^2j, W^3j)` with `W = W_{4q}` for
     /// `j < q`.
     twiddles: Vec<[Complex; 3]>,
-    /// Bit-reversal permutation as swap pairs `(i, j)` with `i < j`.
-    swaps: Vec<(u32, u32)>,
+    /// `reversed[j]`: `j` with its `log2 n` bits reversed, the slot input
+    /// point `j` is written to.
+    reversed: Vec<u32>,
+    /// Whether the host has AVX2, read once when the plan is made.
+    avx2: bool,
 }
 
 impl Plan {
@@ -123,14 +138,13 @@ impl Plan {
     pub(crate) fn new(n: usize, direction: Direction) -> Self {
         assert!(n.is_power_of_two(), "FFT plans need a power of two");
         let bits = n.trailing_zeros();
-        let swaps = (0..n)
-            .filter_map(|i| {
-                let j = if bits == 0 {
+        let reversed = (0..n)
+            .map(|j| {
+                if bits == 0 {
                     0
                 } else {
-                    i.reverse_bits() >> (usize::BITS - bits)
-                };
-                (i < j).then_some((i as u32, j as u32))
+                    (j.reverse_bits() >> (usize::BITS - bits)) as u32
+                }
             })
             .collect();
         let twiddles = radix4_quarters(n)
@@ -141,20 +155,50 @@ impl Plan {
             n,
             direction,
             twiddles,
-            swaps,
+            reversed,
+            avx2: avx2_detected(),
         }
     }
 
-    /// Transforms `buf` (exactly the plan's length of values) in place.
+    /// The slot of each input point: `buf[reversed[j]]` holds point `j`
+    /// when [`run`](Self::run) starts. An involution, so it also maps a
+    /// slot back to its point.
+    pub(crate) fn reversed(&self) -> &[u32] {
+        &self.reversed
+    }
+
+    /// Transforms `buf` (exactly the plan's length of values, point `j` in
+    /// slot [`reversed`](Self::reversed)`[j]`) in place; the output is in
+    /// natural order.
     pub(crate) fn run(&self, buf: &mut [Complex]) {
         assert_eq!(
             buf.len(),
             self.n,
             "buffer length must equal the plan length"
         );
-        for &(i, j) in &self.swaps {
-            buf.swap(i as usize, j as usize);
+        if self.avx2 && !portable_forced() {
+            #[cfg(target_arch = "x86_64")]
+            {
+                #[expect(
+                    unsafe_code,
+                    reason = "calling the AVX2 build of the passes after the runtime check"
+                )]
+                // SAFETY: `avx2` is `is_x86_feature_detected!("avx2")` on
+                // the host running this plan, so the AVX2 build only
+                // executes instructions the CPU has.
+                unsafe {
+                    avx2_passes(self, buf);
+                }
+                return;
+            }
         }
+        self.passes(buf);
+    }
+
+    /// The passes over a bit-reversed `buf`, inlined into the portable
+    /// [`run`](Self::run) and into [`avx2_passes`] alike.
+    #[inline(always)]
+    fn passes(&self, buf: &mut [Complex]) {
         if self.n.trailing_zeros() % 2 == 1 {
             for pair in buf.chunks_exact_mut(2) {
                 let (a, b) = (pair[0], pair[1]);
@@ -174,6 +218,52 @@ impl Plan {
     }
 }
 
+/// The passes compiled for AVX2: the same source as the portable build,
+/// with wider registers and without `fma`.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+fn avx2_passes(plan: &Plan, buf: &mut [Complex]) {
+    plan.passes(buf);
+}
+
+/// Whether this host can run the AVX2 build.
+fn avx2_detected() -> bool {
+    #[cfg(target_arch = "x86_64")]
+    {
+        std::arch::is_x86_feature_detected!("avx2")
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    {
+        false
+    }
+}
+
+#[cfg(test)]
+thread_local! {
+    static PORTABLE: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
+}
+
+/// Whether the calling test pinned this thread to the portable build.
+#[cfg(test)]
+fn portable_forced() -> bool {
+    PORTABLE.get()
+}
+
+#[cfg(not(test))]
+#[inline(always)]
+fn portable_forced() -> bool {
+    false
+}
+
+/// Runs `f` with every plan on this thread taking the portable build.
+#[cfg(test)]
+pub(crate) fn with_portable_passes<R>(f: impl FnOnce() -> R) -> R {
+    PORTABLE.set(true);
+    let out = f();
+    PORTABLE.set(false);
+    out
+}
+
 /// The quarter-block sizes `q` of the radix-4 passes of a length-`n`
 /// plan, in pass order: `1, 4, 16, …` for an even `log2 n`, `2, 8, 32, …`
 /// after the radix-2 pass of an odd one.
@@ -188,6 +278,7 @@ fn radix4_quarters(n: usize) -> impl Iterator<Item = usize> {
 /// read) is multiplied by `W^{2j}`, `W^j`, `W^{3j}` for `r = 1, 2, 3` —
 /// three multiplies per four points — before [`butterfly4`]. The first
 /// pass (`q = 1`) has only `W^0` and multiplies nothing.
+#[inline(always)]
 fn radix4_pass<const INVERSE: bool>(buf: &mut [Complex], twiddles: &[[Complex; 3]]) {
     let quarter = twiddles.len();
     if quarter == 1 {
@@ -229,10 +320,13 @@ impl Plan {
     /// `samples` zero-padded to `N` as the workspace pads them, through one
     /// full complex transform: the one-sided spectrum `X(0..=N/2)`.
     pub(crate) fn dense_half_spectrum(samples: &[f64]) -> Vec<Complex> {
-        let padded = crate::workspace::padded_len(samples.len());
-        let mut buf = Self::dense_input(samples, padded);
-        Self::new(padded, Direction::Forward).run(&mut buf);
-        buf.truncate(padded / 2 + 1);
+        let plan = Self::new(
+            crate::workspace::padded_len(samples.len()),
+            Direction::Forward,
+        );
+        let mut buf = plan.load(samples.iter().map(|&v| Complex::new(v, 0.0)));
+        plan.run(&mut buf);
+        buf.truncate(plan.n / 2 + 1);
         buf
     }
 
@@ -241,18 +335,22 @@ impl Plan {
     /// lag, scaled by that length.
     pub(crate) fn dense_autocorrelation(samples: &[f64]) -> Vec<f64> {
         let padded = crate::workspace::padded_len(2 * samples.len());
-        let mut buf = Self::dense_input(samples, padded);
-        Self::new(padded, Direction::Forward).run(&mut buf);
-        for v in &mut buf {
-            *v = Complex::new(v.norm_sqr(), 0.0);
-        }
-        Self::new(padded, Direction::Inverse).run(&mut buf);
+        let forward = Self::new(padded, Direction::Forward);
+        let mut buf = forward.load(samples.iter().map(|&v| Complex::new(v, 0.0)));
+        forward.run(&mut buf);
+        let inverse = Self::new(padded, Direction::Inverse);
+        let mut buf = inverse.load(buf.iter().map(|v| Complex::new(v.norm_sqr(), 0.0)));
+        inverse.run(&mut buf);
         buf.iter().map(|c| c.re).collect()
     }
 
-    fn dense_input(samples: &[f64], padded: usize) -> Vec<Complex> {
-        let mut buf: Vec<Complex> = samples.iter().map(|&v| Complex::new(v, 0.0)).collect();
-        buf.resize(padded, Complex::ZERO);
+    /// `points` in natural order, zero-padded to the plan's length, as the
+    /// bit-reversed input [`run`](Self::run) takes.
+    pub(crate) fn load(&self, points: impl IntoIterator<Item = Complex>) -> Vec<Complex> {
+        let mut buf = vec![Complex::ZERO; self.n];
+        for (&slot, z) in self.reversed.iter().zip(points) {
+            buf[slot as usize] = z;
+        }
         buf
     }
 }
@@ -282,8 +380,9 @@ mod tests {
                 .map(|i| Complex::new((i as f64 * 0.37).sin(), (i as f64 * 1.3).cos()))
                 .collect();
             for direction in [Direction::Forward, Direction::Inverse] {
-                let mut got = input.clone();
-                Plan::new(n, direction).run(&mut got);
+                let plan = Plan::new(n, direction);
+                let mut got = plan.load(input.iter().copied());
+                plan.run(&mut got);
                 for (k, (g, w)) in got.iter().zip(naive(&input, direction)).enumerate() {
                     assert!(
                         (*g - w).norm_sqr().sqrt() < 1e-9 * n as f64,
@@ -295,15 +394,36 @@ mod tests {
     }
 
     #[test]
+    fn the_reversal_is_an_involution_over_every_slot() {
+        for bits in 0..=12 {
+            let plan = Plan::new(1 << bits, Direction::Forward);
+            let reversed = plan.reversed();
+            assert_eq!(reversed.len(), 1 << bits);
+            for (j, &slot) in reversed.iter().enumerate() {
+                assert_eq!(reversed[slot as usize] as usize, j, "n = 2^{bits}");
+            }
+        }
+    }
+
+    /// `input` forward and back through fresh plans of its length.
+    fn round_trip(input: &[Complex]) -> Vec<Complex> {
+        let n = input.len();
+        let forward = Plan::new(n, Direction::Forward);
+        let mut buf = forward.load(input.iter().copied());
+        forward.run(&mut buf);
+        let inverse = Plan::new(n, Direction::Inverse);
+        let mut buf = inverse.load(buf);
+        inverse.run(&mut buf);
+        buf
+    }
+
+    #[test]
     fn a_round_trip_scales_by_n() {
         let n = 64;
         let input: Vec<Complex> = (0..n)
             .map(|i| Complex::new(i as f64, -(i as f64) * 0.5))
             .collect();
-        let mut buf = input.clone();
-        Plan::new(n, Direction::Forward).run(&mut buf);
-        Plan::new(n, Direction::Inverse).run(&mut buf);
-        for (b, x) in buf.iter().zip(&input) {
+        for (b, x) in round_trip(&input).iter().zip(&input) {
             assert!(
                 (*b - *x * n as f64).norm_sqr().sqrt() < 1e-9,
                 "{b:?} vs {x:?}"
@@ -317,14 +437,66 @@ mod tests {
         let input: Vec<Complex> = (0..n)
             .map(|i| Complex::new((i as f64 * 0.37).sin(), (i as f64 * 1.3).cos()))
             .collect();
-        let mut buf = input.clone();
-        Plan::new(n, Direction::Forward).run(&mut buf);
-        Plan::new(n, Direction::Inverse).run(&mut buf);
-        for (b, x) in buf.iter().zip(&input) {
+        for (b, x) in round_trip(&input).iter().zip(&input) {
             assert!(
                 (*b - *x * n as f64).norm_sqr().sqrt() < 1e-9 * n as f64,
                 "{b:?} vs {x:?}"
             );
+        }
+    }
+
+    #[test]
+    fn avx2_and_portable_passes_agree_bit_for_bit() {
+        use crate::budget::ExecBudget;
+        use crate::permutation::{permutation_filter, PermutationConfig};
+        use crate::series::corpus::round_corpus;
+        use crate::workspace::SpectralWorkspace;
+
+        if !avx2_detected() {
+            println!("no AVX2 on this host: the portable build is the only one");
+            return;
+        }
+        let bits = |v: &[Complex]| -> Vec<u64> {
+            v.iter()
+                .flat_map(|z| [z.re.to_bits(), z.im.to_bits()])
+                .collect()
+        };
+        for log2 in 1..=16 {
+            let n = 1usize << log2;
+            let input: Vec<Complex> = (0..n)
+                .map(|i| Complex::new((i as f64 * 0.37).sin(), (i as f64 * 1.3).cos() - 0.25))
+                .collect();
+            for direction in [Direction::Forward, Direction::Inverse] {
+                let plan = Plan::new(n, direction);
+                let mut wide = plan.load(input.iter().copied());
+                let mut portable = wide.clone();
+                plan.run(&mut wide);
+                with_portable_passes(|| plan.run(&mut portable));
+                assert_eq!(bits(&wide), bits(&portable), "{direction:?} n = 2^{log2}");
+            }
+        }
+        // The placed rounds of the permutation filter, every row layout.
+        let ws = SpectralWorkspace::new();
+        let unlimited = ExecBudget::unlimited();
+        for series in round_corpus() {
+            for permutations in [5, 20] {
+                let cfg = PermutationConfig {
+                    permutations,
+                    ..Default::default()
+                };
+                let maxima = || {
+                    let full = permutation_filter(&ws, &series, &cfg, f64::INFINITY, &unlimited);
+                    full.map(|t| {
+                        t.shuffled_maxima
+                            .iter()
+                            .map(|v| v.to_bits())
+                            .collect::<Vec<_>>()
+                    })
+                };
+                let wide = maxima();
+                let portable = with_portable_passes(maxima);
+                assert_eq!(wide, portable, "n = {} m = {permutations}", series.len());
+            }
         }
     }
 }

@@ -15,6 +15,14 @@
 //! `dt` is the series' bin width. At `n = N` nothing is padded and the
 //! spectrum is the plain length-`n` periodogram.
 //!
+//! A [`Periodogram`] keeps the `N/2` powers and nothing else per bin. A
+//! [`SpectralLine`] — bin, frequency, period and power — is built only when
+//! one is asked for: the candidates above a threshold
+//! ([`lines_above`](Periodogram::lines_above)), the strongest line
+//! ([`max_line`](Periodogram::max_line)), the bin nearest a frequency
+//! (`nearest_line`, Step 1b), or a walk over
+//! [`lines`](Periodogram::lines).
+//!
 //! # One-sided scaling convention
 //!
 //! Every line carries `power = |X(k)|² / n` — the *unfolded* per-bin
@@ -60,7 +68,9 @@ pub struct SpectralLine {
     pub power: f64,
 }
 
-/// The one-sided power spectrum of a [`TimeSeries`].
+/// The one-sided power spectrum of a [`TimeSeries`]: the `N/2` powers of
+/// bins `1..=N/2`, from which a [`SpectralLine`] is built only when one is
+/// asked for.
 ///
 /// # Example
 ///
@@ -79,7 +89,8 @@ pub struct SpectralLine {
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct Periodogram {
-    lines: Vec<SpectralLine>,
+    /// `|X(k)|²/n` at `powers[k − 1]`, `k = 1..=N/2`; empty below 4 bins.
+    powers: Vec<f64>,
     dt: f64,
 }
 
@@ -102,34 +113,35 @@ impl Periodogram {
         let n = series.len();
         if n < 4 {
             return Self {
-                lines: Vec::new(),
+                powers: Vec::new(),
                 dt,
             };
         }
-        let lines = ws.with_half_spectrum(series, |spectrum| {
-            // `N/2 + 1` one-sided bins came back.
-            let padded = 2 * (spectrum.len() - 1);
-            spectrum
+        let powers = ws.with_half_spectrum(series, |spectrum| {
+            spectrum[1..]
                 .iter()
-                .enumerate()
-                .skip(1)
-                .map(|(k, value)| {
-                    let frequency = k as f64 / (padded as f64 * dt);
-                    SpectralLine {
-                        bin: k,
-                        frequency,
-                        period: 1.0 / frequency,
-                        power: value.norm_sqr() / n as f64,
-                    }
-                })
+                .map(|value| value.norm_sqr() / n as f64)
                 .collect()
         });
-        Self { lines, dt }
+        Self { powers, dt }
     }
 
-    /// All spectral lines, ordered by increasing frequency.
-    pub fn lines(&self) -> &[SpectralLine] {
-        &self.lines
+    /// The line of bin `k` (`1..=N/2`).
+    fn line(&self, k: usize) -> SpectralLine {
+        let padded = 2 * self.powers.len();
+        let frequency = k as f64 / (padded as f64 * self.dt);
+        SpectralLine {
+            bin: k,
+            frequency,
+            period: 1.0 / frequency,
+            power: self.powers[k - 1],
+        }
+    }
+
+    /// All spectral lines, ordered by increasing frequency, each built as
+    /// it is reached.
+    pub fn lines(&self) -> impl ExactSizeIterator<Item = SpectralLine> + '_ {
+        (0..self.powers.len()).map(|i| self.line(i + 1))
     }
 
     /// Sample spacing in seconds.
@@ -140,25 +152,33 @@ impl Periodogram {
     /// The maximum power across all lines, or `0.0` for a degenerate
     /// spectrum. This is the `p_max` statistic of the permutation filter.
     pub fn max_power(&self) -> f64 {
-        self.lines.iter().map(|l| l.power).fold(0.0, f64::max)
+        self.powers.iter().copied().fold(0.0, f64::max)
     }
 
-    /// The spectral line with maximum power, if the spectrum is non-empty.
+    /// The spectral line with maximum power (the highest bin among equal
+    /// powers), if the spectrum is non-empty.
     pub fn max_line(&self) -> Option<SpectralLine> {
-        self.lines
-            .iter()
-            .copied()
-            .max_by(|a, b| a.power.total_cmp(&b.power))
+        (1..=self.powers.len())
+            .max_by(|&a, &b| self.powers[a - 1].total_cmp(&self.powers[b - 1]))
+            .map(|k| self.line(k))
+    }
+
+    /// The line whose frequency is nearest `frequency` (the lowest bin
+    /// among equally near ones), if the spectrum is non-empty.
+    pub(crate) fn nearest_line(&self, frequency: f64) -> Option<SpectralLine> {
+        self.lines().min_by(|a, b| {
+            (a.frequency - frequency)
+                .abs()
+                .total_cmp(&(b.frequency - frequency).abs())
+        })
     }
 
     /// Lines whose power strictly exceeds `threshold`, sorted by descending
     /// power — the candidate set handed to the pruning step.
     pub fn lines_above(&self, threshold: f64) -> Vec<SpectralLine> {
-        let mut out: Vec<SpectralLine> = self
-            .lines
-            .iter()
-            .copied()
-            .filter(|l| l.power > threshold)
+        let mut out: Vec<SpectralLine> = (1..=self.powers.len())
+            .filter(|&k| self.powers[k - 1] > threshold)
+            .map(|k| self.line(k))
             .collect();
         out.sort_by(|a, b| b.power.total_cmp(&a.power));
         out
@@ -168,14 +188,14 @@ impl Periodogram {
     /// *roughly half* of [`Periodogram::two_sided_energy`]; see the module
     /// docs for the exact convention.
     pub fn total_energy(&self) -> f64 {
-        self.lines.iter().map(|l| l.power).sum()
+        self.powers.iter().sum()
     }
 
     /// The power of the Nyquist line `k = N/2`: the last line, since the
     /// padded length is even; `None` only for a degenerate (`n < 4`)
     /// spectrum.
     pub fn nyquist_power(&self) -> Option<f64> {
-        self.lines.last().map(|l| l.power)
+        self.powers.last().copied()
     }
 
     /// The energy of the *full* (two-sided) spectrum, excluding the DC
@@ -244,7 +264,7 @@ mod tests {
     fn short_series_yields_empty_spectrum() {
         let ts = TimeSeries::from_values(0, 1, vec![1.0, 0.0, 1.0]).unwrap();
         let pg = Periodogram::compute(&ts);
-        assert!(pg.lines().is_empty());
+        assert_eq!(pg.lines().len(), 0);
         assert_eq!(pg.max_power(), 0.0);
         assert!(pg.max_line().is_none());
     }
@@ -315,11 +335,9 @@ mod tests {
             let series = TimeSeries::from_values(0, 3, values).unwrap();
             let samples = centred(&series);
             let h = n / 2;
-            let mut z: Vec<Complex> = samples
-                .chunks_exact(2)
-                .map(|p| Complex::new(p[0], p[1]))
-                .collect();
-            Plan::new(h, Direction::Forward).run(&mut z);
+            let plan = Plan::new(h, Direction::Forward);
+            let mut z = plan.load(samples.chunks_exact(2).map(|p| Complex::new(p[0], p[1])));
+            plan.run(&mut z);
             let pg = Periodogram::compute(&series);
             assert_eq!(pg.lines().len(), h);
             for line in pg.lines() {
@@ -396,7 +414,7 @@ mod tests {
             let ws = SpectralWorkspace::new();
             let pg = Periodogram::compute_in(&ws, &series);
             if len < 4 {
-                assert!(pg.lines().is_empty());
+                assert_eq!(pg.lines().len(), 0);
                 assert_eq!(ws.plans_built() + ws.transforms_run(), 0);
                 return;
             }

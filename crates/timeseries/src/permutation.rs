@@ -209,7 +209,10 @@ fn round_maxima(
         order,
         values,
         spots,
+        plateau,
     } = placement;
+    // Another pair's plateau rows would be read as this one's.
+    plateau.clear();
     order.clear();
     order.extend(0..bins);
     values.clear();
@@ -245,7 +248,7 @@ fn round_maxima(
             // `norm_sqr()/n`: division by a positive constant is monotone
             // under IEEE round-to-nearest, so the same bin wins and the
             // same quotient comes out.
-            let batch = ws.placed_power_maxima(n, mean, values, spots, rounds);
+            let batch = ws.placed_power_maxima(n, mean, values, spots, rounds, plateau);
             maxima.extend(batch[..rounds].iter().map(|v| v / n as f64));
         }
         met += maxima[maxima.len() - rounds..]
@@ -287,7 +290,7 @@ mod tests {
     use super::*;
     use crate::fft::Plan;
     use crate::periodogram::Periodogram;
-    use crate::series::corpus::{exactness_corpus, sparse_series};
+    use crate::series::corpus::{exactness_corpus, round_corpus, sparse_series};
 
     /// The exact `p_T` in `ws` under `budget`: every round, against an
     /// observed maximum no shuffle meets.
@@ -677,17 +680,7 @@ mod tests {
         // periodogram maximum of the r-th placement of the single RNG
         // stream — by the rows-from-events arithmetic, within rounding of
         // the dense oracle.
-        let mut corpus = exactness_corpus();
-        corpus.extend([
-            sparse_series(50, 50, 1),        // c = 1
-            sparse_series(37, 1, 3),         // c = n, counts > 1
-            sparse_series(128, 16, 1),       // n = N exactly, sparse
-            sparse_series(1 << 10, 1, 1),    // n = N, dense: M = 1
-            sparse_series(1000, 3, 4),       // events > N/2: M = 1
-            sparse_series(3000, 20, 2),      // M = 8: mirror-paired rows
-            sparse_series(40_000, 5_000, 2), // 8 events in 2¹⁶: M = N/64
-        ]);
-        for series in corpus {
+        for series in round_corpus() {
             // Odd m ends on a lone round; long series run fewer rounds.
             let long = series.len() > 10_000;
             for m in if long { [3, 4] } else { [5, 20] } {
@@ -705,6 +698,82 @@ mod tests {
                         "{tag}: {got} vs {want}"
                     );
                 }
+            }
+        }
+    }
+
+    /// FNV-1a over the little-endian bytes of each maximum's bits.
+    fn fnv1a(maxima: &[f64], mut hash: u64) -> u64 {
+        for byte in maxima.iter().flat_map(|v| v.to_bits().to_le_bytes()) {
+            hash = (hash ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3);
+        }
+        hash
+    }
+
+    #[test]
+    fn round_maxima_are_the_parents_bits() {
+        // Every round maximum, in round order, of every corpus series at
+        // m = 5 (ending on a lone round) and m = 20, hashed bit for bit.
+        // The constant was taken before the kernel learnt its plateau
+        // rows, its bit-reversed input order, its AVX2 build and its four
+        // running maxima: none of them may move a bit.
+        let mut hash = 0xcbf2_9ce4_8422_2325;
+        for series in round_corpus() {
+            for permutations in [5, 20] {
+                let cfg = PermutationConfig {
+                    permutations,
+                    ..Default::default()
+                };
+                hash = fnv1a(&all_rounds(&SpectralWorkspace::new(), &series, &cfg), hash);
+            }
+        }
+        assert_eq!(hash, 0xcd59_e499_68aa_c2b1, "{hash:#018x}");
+    }
+
+    #[test]
+    fn plateau_rows_stay_with_their_pair() {
+        // Equal n and event count, so equal N and M = 8, but other values
+        // and another mean: one pair's plateau rows are wrong for the
+        // other. Interleaved on one workspace — full runs, runs ending on
+        // a lone round (m = 5), early rejects after the first packed
+        // transform — every run gives a fresh workspace's bits.
+        let (a, b) = (sparse_series(3000, 20, 2), sparse_series(3000, 20, 5));
+        assert_eq!((a.len(), a.events().len()), (b.len(), b.events().len()));
+        assert_ne!(a.mean(), b.mean());
+        let ws = SpectralWorkspace::new();
+        let unlimited = ExecBudget::unlimited();
+        let full = f64::INFINITY;
+        for (series, permutations, observed) in [
+            (&a, 20, full),
+            (&b, 20, full),
+            (&a, 5, full),
+            (&b, 20, 0.0),
+            (&a, 20, 0.0),
+            (&b, 5, full),
+            (&a, 20, full),
+        ] {
+            let cfg = PermutationConfig {
+                permutations,
+                ..Default::default()
+            };
+            let shared = permutation_filter(&ws, series, &cfg, observed, &unlimited).unwrap();
+            let fresh = SpectralWorkspace::new();
+            let alone = permutation_filter(&fresh, series, &cfg, observed, &unlimited).unwrap();
+            let bits = |t: &PermutationThreshold| -> Vec<u64> {
+                t.shuffled_maxima.iter().map(|v| v.to_bits()).collect()
+            };
+            let tag = format!(
+                "mean {} m = {permutations} observed {observed}",
+                series.mean()
+            );
+            assert_eq!(bits(&shared), bits(&alone), "{tag}");
+            assert_eq!(
+                shared.threshold.to_bits(),
+                alone.threshold.to_bits(),
+                "{tag}"
+            );
+            if observed == 0.0 {
+                assert_eq!(shared.shuffled_maxima.len(), 2, "{tag}");
             }
         }
     }

@@ -251,6 +251,22 @@ pub(crate) mod corpus {
         ]
     }
 
+    /// The exactness corpus plus seven shapes that reach every row layout
+    /// of the permutation filter's placed transform.
+    pub(crate) fn round_corpus() -> Vec<TimeSeries> {
+        let mut corpus = exactness_corpus();
+        corpus.extend([
+            sparse_series(50, 50, 1),        // c = 1
+            sparse_series(37, 1, 3),         // c = n, counts > 1
+            sparse_series(128, 16, 1),       // n = N exactly, sparse
+            sparse_series(1 << 10, 1, 1),    // n = N, dense: M = 1
+            sparse_series(1000, 3, 4),       // events > N/2: M = 1
+            sparse_series(3000, 20, 2),      // M = 8: mirror-paired rows
+            sparse_series(40_000, 5_000, 2), // 8 events in 2¹⁶: M = N/64
+        ]);
+        corpus
+    }
+
     /// A series of `n` bins whose bin `i·stride` holds `1 + i % counts`.
     pub(crate) fn sparse_series(n: usize, stride: usize, counts: usize) -> TimeSeries {
         let mut values = vec![0.0; n];

@@ -80,6 +80,24 @@
 //! configure. The phasors are the twiddle table of the length-`N` r2c plan
 //! the pair's periodogram has just used; nothing is built ahead of use.
 //!
+//! # Plateau rows once per pair
+//!
+//! A row's plateau part depends on `n`, `μ` and `k₂` alone, so every
+//! packed transform of a pair would compute the same `N − L` values. The
+//! pair's first packed transform stores them as it computes them
+//! (`Placement::plateau`, recycled, emptied before each pair's first
+//! round) and later ones copy them back before adding their events in the
+//! same order, so each row holds the same bits as if it were computed.
+//! Row 0 is two constants and is always computed, as are the rows of the
+//! lone odd round, whose plateau is `−μ`, not `−μ·(1 + i)`.
+//!
+//! # Input in bit-reversed order
+//!
+//! [`fft::Plan`](crate::fft) takes its input in bit-reversed order, so
+//! whatever fills a transform buffer here — the packed centred series, the
+//! c2r repack, a placed row — writes point `j` to the plan's slot
+//! `reversed[j]`. No pass of a transform only moves points.
+//!
 //! The tests hold every path to one dense reference: a full complex
 //! transform of the densified, padded series, kept on `fft::Plan` under
 //! `cfg(test)` only.
@@ -158,6 +176,11 @@ pub(crate) struct Placement {
     pub(crate) values: Vec<f64>,
     /// The positions the current rounds drew: `values.len()` per round.
     pub(crate) spots: Vec<u32>,
+    /// The plateau parts of the pair's rows `1..M`, as its first packed
+    /// transform computed them (see
+    /// [`placed_power_maxima`](SpectralWorkspace::placed_power_maxima));
+    /// emptied before each pair's first round.
+    pub(crate) plateau: Vec<Complex>,
 }
 
 /// A real-to-complex transform of power-of-two real length `n`: the packed
@@ -193,13 +216,15 @@ impl R2cPlan {
     /// `k = 0..=n/2`, using `work` for the packed half-length FFT.
     fn process(&self, series: &TimeSeries, work: &mut Vec<Complex>, out: &mut Vec<Complex>) {
         let h = self.n / 2;
-        load_centred(work, series, h);
+        load_centred(work, series, self.half_fft.reversed());
         self.half_fft.run(work);
         out.clear();
         out.reserve(h + 1);
+        // `Z(h) ≡ Z(0)`: indices wrap mod the power of two `h`, a mask.
+        let wrap = h - 1;
         for (k, w) in self.twiddles.iter().enumerate() {
-            let zk = work[k % h];
-            let zc = work[(h - k) % h].conj();
+            let zk = work[k & wrap];
+            let zc = work[(h - k) & wrap].conj();
             let s = zk + zc;
             let d = zk - zc;
             let wd = *w * d;
@@ -243,20 +268,22 @@ impl C2rPlan {
 
     /// Transforms the one-sided spectrum `spectrum` (length `n/2 + 1`)
     /// into the real series `out` (length `n`, scaled by `n` like the
-    /// unnormalized full-length inverse FFT).
+    /// unnormalized full-length inverse FFT). The repacked `Z(k)` goes
+    /// straight to the inverse plan's bit-reversed slot.
     fn process(&self, spectrum: &[Complex], work: &mut Vec<Complex>, out: &mut Vec<f64>) {
         let h = self.n / 2;
         debug_assert_eq!(spectrum.len(), h + 1);
         work.clear();
-        work.reserve(h);
-        for (k, w) in self.twiddles.iter().enumerate().take(h) {
+        work.resize(h, Complex::ZERO);
+        let slots = self.half_inv.reversed();
+        for ((k, w), &slot) in self.twiddles.iter().enumerate().zip(slots) {
             let xk = spectrum[k];
             let xc = spectrum[h - k].conj();
             let e = 0.5 * (xk + xc);
             let u = 0.5 * (xk - xc);
             // Xo(k) = u·conj(W(k)); Z(k) = Xe(k) + i·Xo(k).
             let uc = u * w.conj();
-            work.push(Complex::new(e.re - uc.im, e.im + uc.re));
+            work[slot as usize] = Complex::new(e.re - uc.im, e.im + uc.re);
         }
         self.half_inv.run(work);
         out.clear();
@@ -438,6 +465,15 @@ impl SpectralWorkspace {
     /// per bin by `A(k) = (Z(k) + conj(Z(N−k)))/2`,
     /// `B(k) = (Z(k) − conj(Z(N−k)))/(2i)`; only the two running maxima are
     /// kept.
+    ///
+    /// `plateau` carries the pair's plateau rows `1..M` from one packed
+    /// transform to the next. It must come in empty to a pair's first
+    /// packed transform, which stores each row's plateau part as it
+    /// computes it, in the order the rows are transformed; every later
+    /// packed transform of the pair copies them back in that order, then
+    /// adds its events as before, so each row holds the same bits. A lone
+    /// round's plateau is `−μ`, not `−μ·(1 + i)`: it computes its rows and
+    /// leaves `plateau` alone. Row 0, two constants, is always computed.
     pub(crate) fn placed_power_maxima(
         &self,
         n: usize,
@@ -445,6 +481,7 @@ impl SpectralWorkspace {
         values: &[f64],
         spots: &[u32],
         rounds: usize,
+        plateau: &mut Vec<Complex>,
     ) -> [f64; 2] {
         debug_assert!(n >= 2 && (1..=2).contains(&rounds));
         debug_assert_eq!(spots.len(), rounds * values.len());
@@ -464,28 +501,36 @@ impl SpectralWorkspace {
             values,
             spots: [first, second],
             phasors: table.map_or(&[], |plan| &plan.twiddles[..padded / 2]),
+            slots: fft.reversed(),
         };
+        let storing = rounds == 2 && plateau.is_empty();
+        debug_assert!(rounds == 1 || storing || plateau.len() == padded - len);
+        let mut copied = 0;
         let mut row = self.take_buffer();
         let mut mirror = self.take_half();
-        let transform = |k2: usize, out: &mut Vec<Complex>| {
-            rows.fill(k2, out);
+        let mut transform = |k2: usize, out: &mut Vec<Complex>| {
+            out.clear();
+            if k2 == 0 || rounds == 1 {
+                rows.plateau_row(k2, out);
+            } else if storing {
+                rows.plateau_row(k2, out);
+                plateau.extend_from_slice(out);
+            } else {
+                out.extend_from_slice(&plateau[copied..copied + len]);
+                copied += len;
+            }
+            rows.add_events(k2, out);
             fft.run(out);
         };
         transform(0, &mut row);
-        for k1 in 1..=len / 2 {
-            fold_split(&mut maxima, row[k1], row[len - k1]);
-        }
+        fold_mirrored(&mut maxima, &row[1..=len / 2], &row[len / 2..]);
         if row_count > 1 {
             transform(row_count / 2, &mut row);
-            for k1 in 0..len / 2 {
-                fold_split(&mut maxima, row[k1], row[len - 1 - k1]);
-            }
+            fold_mirrored(&mut maxima, &row[..len / 2], &row[len / 2..]);
             for k2 in 1..row_count / 2 {
                 transform(k2, &mut row);
                 transform(row_count - k2, &mut mirror);
-                for (&zk, &zm) in row.iter().zip(mirror.iter().rev()) {
-                    fold_split(&mut maxima, zk, zm);
-                }
+                fold_mirrored(&mut maxima, &row, &mirror);
             }
         }
         self.put_half(mirror);
@@ -559,7 +604,8 @@ fn placed_rows(padded: usize, events: usize) -> usize {
     }
 }
 
-/// The `M` rows of [`SpectralWorkspace::placed_power_maxima`].
+/// The `M` rows of [`SpectralWorkspace::placed_power_maxima`], each
+/// written in the bit-reversed order its length-`L` plan takes.
 struct PlacedRows<'a> {
     /// Row length `L`.
     len: usize,
@@ -572,6 +618,9 @@ struct PlacedRows<'a> {
     spots: [&'a [u32]; 2],
     /// `W_N^j` for `j < N/2`; empty when row 0 is the only row.
     phasors: &'a [Complex],
+    /// The row plan's bit reversal: column `t₁` is written to
+    /// `slots[t₁]`.
+    slots: &'a [u32],
 }
 
 impl PlacedRows<'_> {
@@ -599,41 +648,77 @@ impl PlacedRows<'_> {
         self.phasor(step.wrapping_mul(count - 1)) * ratio
     }
 
-    /// Fills `out` with row `k₂`,
-    /// `G_{k₂}[t₁] = Σ_{t ≡ t₁ (mod L)} z(t)·W_N^{t·k₂}`: the closed-form
-    /// row of the plateau — column `t₁` holds `⌊n/L⌋` plateau bins, one
-    /// more if `t₁ < n mod L`, a geometric sum in `W_M^{k₂}` — plus one
-    /// phasor update per event (round b rides as `i·v`).
-    fn fill(&self, k2: usize, out: &mut Vec<Complex>) {
+    /// Appends the plateau's part of row `k₂` to `out`: column `t₁`
+    /// holds `⌊n/L⌋` plateau bins, one more if `t₁ < n mod L` — in row 0
+    /// their sum, elsewhere `level·W_N^{t₁k₂}` times a geometric sum in
+    /// `W_M^{k₂}`.
+    fn plateau_row(&self, k2: usize, out: &mut Vec<Complex>) {
         let (count, extra) = (self.n / self.len, self.n % self.len);
-        let column = self.len - 1;
-        out.clear();
+        let columns = self.slots.iter().map(|&t1| t1 as usize);
         if k2 == 0 {
-            out.resize(extra, self.level * (count + 1) as f64);
-            out.resize(self.len, self.level * count as f64);
-            for (&v, &t) in self.values.iter().zip(self.spots[0]) {
-                out[t as usize & column].re += v;
-            }
-            for (&v, &t) in self.values.iter().zip(self.spots[1]) {
-                out[t as usize & column].im += v;
-            }
+            let (tall, short) = (self.level * (count + 1) as f64, self.level * count as f64);
+            out.extend(columns.map(|t1| if t1 < extra { tall } else { short }));
             return;
         }
         let tall = self.level * self.plateau_sum(k2, count + 1);
         let short = self.level * self.plateau_sum(k2, count);
-        out.extend((0..extra).map(|t1| self.phasor(t1 * k2) * tall));
-        out.extend((extra..self.len).map(|t1| self.phasor(t1 * k2) * short));
+        out.extend(columns.map(|t1| self.phasor(t1 * k2) * if t1 < extra { tall } else { short }));
+    }
+
+    /// Adds both rounds' events to row `k₂`: one phasor update
+    /// `G[t mod L] += v·W_N^{t·k₂}` per event, round b riding as `i·v`.
+    fn add_events(&self, k2: usize, row: &mut [Complex]) {
+        let column = self.len - 1;
+        let cell = |t: u32| self.slots[t as usize & column] as usize;
+        if k2 == 0 {
+            for (&v, &t) in self.values.iter().zip(self.spots[0]) {
+                row[cell(t)].re += v;
+            }
+            for (&v, &t) in self.values.iter().zip(self.spots[1]) {
+                row[cell(t)].im += v;
+            }
+            return;
+        }
         for (&v, &t) in self.values.iter().zip(self.spots[0]) {
             let w = self.phasor((t as usize).wrapping_mul(k2));
-            let g = &mut out[t as usize & column];
+            let g = &mut row[cell(t)];
             g.re += v * w.re;
             g.im += v * w.im;
         }
         for (&v, &t) in self.values.iter().zip(self.spots[1]) {
             let w = self.phasor((t as usize).wrapping_mul(k2));
-            let g = &mut out[t as usize & column];
+            let g = &mut row[cell(t)];
             g.re -= v * w.im;
             g.im += v * w.re;
+        }
+    }
+}
+
+/// Folds every bin `bins[i]`, whose mirror `Z(N−k)` is
+/// `mirrors[mirrors.len() − 1 − i]`, into the running maxima. A maximum
+/// picks one of its values, so it is the same whatever order it is taken
+/// in: four running maxima side by side, met at the end, give the bits
+/// one would, without each bin waiting on the comparison before it.
+fn fold_mirrored(maxima: &mut [f64; 2], bins: &[Complex], mirrors: &[Complex]) {
+    debug_assert_eq!(bins.len(), mirrors.len());
+    let mut lanes = [*maxima; 4];
+    for (quad, mirrored) in bins.chunks_exact(4).zip(mirrors.rchunks_exact(4)) {
+        for (l, lane) in lanes.iter_mut().enumerate() {
+            fold_split(lane, quad[l], mirrored[3 - l]);
+        }
+    }
+    let rest = bins.len() % 4;
+    let tail = bins[bins.len() - rest..]
+        .iter()
+        .zip(mirrors[..rest].iter().rev());
+    for (&zk, &zm) in tail {
+        fold_split(&mut lanes[0], zk, zm);
+    }
+    for lane in lanes {
+        for (max, power) in maxima.iter_mut().zip(lane) {
+            if power > *max {
+                *max = power;
+            }
         }
     }
 }
@@ -655,23 +740,26 @@ fn fold_split(maxima: &mut [f64; 2], zk: Complex, mirror: Complex) {
     }
 }
 
-/// Refills `buffer` with the `h` packed points `x(2j) + i·x(2j+1)` of the
-/// mean-centred `series` zero-padded to `2h` samples: `0 − μ` on each of
-/// its `n` bins, `v − μ` on each event bin, `0` from `n` on — bit for bit
-/// the dense centred series' samples.
-fn load_centred(buffer: &mut Vec<Complex>, series: &TimeSeries, h: usize) {
+/// Refills `buffer` with the `h = slots.len()` packed points
+/// `x(2j) + i·x(2j+1)` of the mean-centred `series` zero-padded to `2h`
+/// samples, point `j` in slot `slots[j]` (the half-length plan's bit
+/// reversal): `0 − μ` on each of its `n` bins, `v − μ` on each event bin,
+/// `0` from `n` on — bit for bit the dense centred series' samples.
+fn load_centred(buffer: &mut Vec<Complex>, series: &TimeSeries, slots: &[u32]) {
     let n = series.len();
-    debug_assert!(n <= 2 * h);
+    debug_assert!(n <= 2 * slots.len());
     let mean = series.mean();
     let level = 0.0 - mean;
     buffer.clear();
-    buffer.resize(n / 2, Complex::new(level, level));
-    if n % 2 == 1 {
-        buffer.push(Complex::new(level, 0.0));
+    buffer.resize(slots.len(), Complex::ZERO);
+    for &slot in &slots[..n / 2] {
+        buffer[slot as usize] = Complex::new(level, level);
     }
-    buffer.resize(h, Complex::ZERO);
+    if n % 2 == 1 {
+        buffer[slots[n / 2] as usize] = Complex::new(level, 0.0);
+    }
     for &(t, v) in series.events() {
-        let z = &mut buffer[t / 2];
+        let z = &mut buffer[slots[t / 2] as usize];
         if t % 2 == 0 {
             z.re = v - mean;
         } else {
@@ -730,7 +818,7 @@ mod tests {
     fn placed_in_order(ws: &SpectralWorkspace, samples: &[f64]) -> [f64; 2] {
         let bins = samples.len() as u32;
         let spots: Vec<u32> = (0..bins).chain(0..bins).collect();
-        ws.placed_power_maxima(samples.len(), 0.0, samples, &spots, 2)
+        ws.placed_power_maxima(samples.len(), 0.0, samples, &spots, 2, &mut Vec::new())
     }
 
     /// The contract, literally: `X(k) = Σ_{j<n} x_j·e^(−2πijk/N)` for
@@ -819,12 +907,17 @@ mod tests {
             TimeSeries::from_timestamps(&[0, 3, 3, 10], 1).unwrap(),
         ] {
             let h = padded_len(series.len()) / 2;
+            let plan = Plan::new(h, Direction::Forward);
             let mut packed = Vec::new();
-            load_centred(&mut packed, &series, h);
+            load_centred(&mut packed, &series, plan.reversed());
             let mut dense = centred(&series);
             dense.resize(2 * h, 0.0);
             let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-            let unpacked: Vec<f64> = packed.iter().flat_map(|z| [z.re, z.im]).collect();
+            let unpacked: Vec<f64> = plan
+                .reversed()
+                .iter()
+                .flat_map(|&slot| [packed[slot as usize].re, packed[slot as usize].im])
+                .collect();
             assert_eq!(bits(&unpacked), bits(&dense), "{series:?}");
         }
     }
@@ -1013,7 +1106,8 @@ mod tests {
                     .collect();
                 let tag = format!("n={n} events={events} rounds={rounds}");
                 let packed = SpectralWorkspace::new();
-                let got = packed.placed_power_maxima(n, mean, &values, &spots, rounds);
+                let got =
+                    packed.placed_power_maxima(n, mean, &values, &spots, rounds, &mut Vec::new());
                 assert_eq!(packed.transforms_run(), 1);
                 for (g, e) in got.iter().zip(&expected) {
                     assert!((g - e).abs() <= 1e-9 * e.max(1.0), "{tag}: {g} vs {e}");
