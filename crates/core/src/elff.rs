@@ -11,9 +11,11 @@
 //! ```
 //!
 //! The parser maps whichever of `date`/`time`/`x-timestamp`, `c-ip`/
-//! `cs-username`, `cs-host`, and `cs-uri-path`/`cs-uri-stem` columns are
-//! present onto [`LogRecord`]s, skipping directives and malformed lines
-//! (corruption is a fact of life at tens of billions of events).
+//! `cs-username`, `cs-host`/`cs(Host)`, and `cs-uri-path`/`cs-uri-stem`
+//! columns are present onto [`LogRecord`]s, skipping directives and
+//! malformed lines (corruption is a fact of life at tens of billions of
+//! events). The proxy's own `s-hostname` is the destination only in a
+//! schema without a requested-host column.
 
 use std::io::BufRead;
 
@@ -28,6 +30,9 @@ enum Role {
     Timestamp,
     Source,
     Host,
+    /// The proxy's own name: the destination only where the schema has
+    /// no `cs-host`/`cs(Host)` column.
+    ServerHost,
     Path,
     Ignore,
 }
@@ -38,7 +43,8 @@ fn role_of(field: &str) -> Role {
         "time" => Role::Time,
         "x-timestamp" | "timestamp" => Role::Timestamp,
         "c-ip" | "cs-username" | "c-mac" => Role::Source,
-        "cs-host" | "cs(Host)" | "s-hostname" => Role::Host,
+        "cs-host" | "cs(Host)" => Role::Host,
+        "s-hostname" => Role::ServerHost,
         "cs-uri-path" | "cs-uri-stem" => Role::Path,
         _ => Role::Ignore,
     }
@@ -49,7 +55,7 @@ fn role_of(field: &str) -> Role {
 /// ingest in [`crate::io::IngestGuard`]) can separate directive handling
 /// from record parsing. [`read_elff`] is the plain streaming facade on
 /// top of it.
-#[derive(Debug, Default)]
+#[derive(Debug, Clone, Default)]
 pub struct ElffParser {
     roles: Option<Vec<Role>>,
 }
@@ -99,10 +105,17 @@ impl ElffParser {
 /// (and sampled) in [`ReadOutcome::malformed_lines`] rather than aborting
 /// the file — at the paper's scale, corruption is routine.
 ///
+/// A stream longer than one block (256 KiB) is parsed on every available
+/// core, as [`read_records`](crate::io::read_records) is: the calling
+/// thread tracks the `#Fields:` schema in force at the start of each
+/// line-aligned block, and the parts are merged in stream order, so the
+/// outcome is the same byte for byte whatever the core count.
+///
 /// # Errors
 ///
-/// Returns the underlying I/O error if the stream fails. Records that
-/// cannot be parsed are collected per line in the outcome.
+/// Returns the underlying I/O error if the stream fails (an `Interrupted`
+/// read is retried). Records that cannot be parsed are collected per line
+/// in the outcome.
 ///
 /// # Example
 ///
@@ -141,6 +154,7 @@ fn parse_record(
     let mut timestamp: Option<u64> = None;
     let mut source: Option<&str> = None;
     let mut host: Option<&str> = None;
+    let mut server_host: Option<&str> = None;
     let mut path: Option<&str> = None;
     for (seen, role) in roles.iter().enumerate() {
         let Some(value) = values.next() else {
@@ -164,6 +178,7 @@ fn parse_record(
             }
             Role::Source if source.is_none() => source = Some(value),
             Role::Host => host = Some(value),
+            Role::ServerHost => server_host = Some(value),
             Role::Path if path.is_none() => path = Some(value),
             _ => {}
         }
@@ -186,7 +201,7 @@ fn parse_record(
         line_number,
         reason: "no source column (c-ip / cs-username)".into(),
     })?;
-    let host = host.ok_or_else(|| ParseLineError {
+    let host = host.or(server_host).ok_or_else(|| ParseLineError {
         line_number,
         reason: "no cs-host column".into(),
     })?;
@@ -216,7 +231,10 @@ pub fn parse_datetime(date: &str, time: &str) -> Option<u64> {
     let year: i64 = dp.next()?.parse().ok()?;
     let month: u32 = dp.next()?.parse().ok()?;
     let day: u32 = dp.next()?.parse().ok()?;
-    if dp.next().is_some() || !(1..=12).contains(&month) || !(1..=31).contains(&day) {
+    if dp.next().is_some()
+        || !(1..=12).contains(&month)
+        || !(1..=days_in_month(year, month)).contains(&day)
+    {
         return None;
     }
     let mut tp = time.split(':');
@@ -231,6 +249,16 @@ pub fn parse_datetime(date: &str, time: &str) -> Option<u64> {
         return None;
     }
     Some(days as u64 * 86_400 + hour * 3_600 + minute * 60 + second)
+}
+
+/// Length of `month` (1–12) of `year` in the proleptic Gregorian calendar.
+fn days_in_month(year: i64, month: u32) -> u32 {
+    match month {
+        4 | 6 | 9 | 11 => 30,
+        2 if year % 4 == 0 && (year % 100 != 0 || year % 400 == 0) => 29,
+        2 => 28,
+        _ => 31,
+    }
 }
 
 /// Days since 1970-01-01 (Howard Hinnant's `days_from_civil`).
@@ -299,6 +327,15 @@ mod tests {
         assert_eq!(parse_datetime("notadate", "00:00:00"), None);
         assert_eq!(parse_datetime("2015-03", "00:00:00"), None);
         assert_eq!(parse_datetime("1960-01-01", "00:00:00"), None, "pre-epoch");
+        // Days past the end of their month, which would otherwise alias
+        // the first days of the next one.
+        assert_eq!(parse_datetime("2015-02-29", "00:00:00"), None);
+        assert_eq!(parse_datetime("2015-02-31", "00:00:00"), None);
+        assert_eq!(parse_datetime("2015-04-31", "00:00:00"), None);
+        assert_eq!(parse_datetime("1900-02-29", "00:00:00"), None, "century");
+        assert!(parse_datetime("2016-02-29", "00:00:00").is_some());
+        assert!(parse_datetime("2000-02-29", "00:00:00").is_some());
+        assert!(parse_datetime("2015-12-31", "00:00:00").is_some());
     }
 
     #[test]
@@ -306,6 +343,28 @@ mod tests {
         let log = "#Fields: x-timestamp c-ip cs-host\n1425168000 10.0.0.1 a.com\n";
         let o = read_elff(log.as_bytes()).unwrap();
         assert_eq!(o.records[0].timestamp, 1_425_168_000);
+    }
+
+    #[test]
+    fn the_requested_host_wins_over_the_proxy_name_in_either_order() {
+        for (fields, line) in [
+            (
+                "date time c-ip cs-host cs-uri-path s-hostname",
+                "2015-03-01 08:00:00 10.0.0.1 c2.example.biz /a proxy-sg-01",
+            ),
+            (
+                "date time c-ip s-hostname cs-uri-path cs(Host)",
+                "2015-03-01 08:00:00 10.0.0.1 proxy-sg-01 /a c2.example.biz",
+            ),
+        ] {
+            let log = format!("#Fields: {fields}\n{line}\n");
+            let o = read_elff(log.as_bytes()).unwrap();
+            assert_eq!(o.records[0].domain, "c2.example.biz", "{fields}");
+        }
+        // Without a requested-host column the proxy name is the fallback.
+        let log = "#Fields: date time c-ip s-hostname\n2015-03-01 08:00:00 10.0.0.1 proxy-sg-01\n";
+        let o = read_elff(log.as_bytes()).unwrap();
+        assert_eq!(o.records[0].domain, "proxy-sg-01");
     }
 
     #[test]
