@@ -115,13 +115,12 @@ impl std::fmt::Debug for PairKey<'_> {
 /// merges summaries of the same pair (e.g. daily summaries into a weekly
 /// one).
 ///
-/// Summaries whose scale does not divide `new_scale` are passed through a
-/// timestamp-level rebuild instead of failing, so mixed-scale input is
-/// tolerated. A summary that cannot be rescaled *or* rebuilt is dropped
-/// (not fatal) and one that cannot be merged is skipped from its group.
+/// A summary whose scale does not divide `new_scale` is dropped, not
+/// fatal; daily summaries are at scale 1, which divides every positive
+/// scale.
 pub fn rescale_and_merge(
     engine: &MapReduce,
-    summaries: &[ActivitySummary],
+    summaries: &[&ActivitySummary],
     new_scale: u64,
     plan: Option<&FaultPlan>,
     policy: &FaultPolicy,
@@ -132,21 +131,7 @@ pub fn rescale_and_merge(
             if let Some(plan) = plan {
                 plan.map_checkpoint(&summary.pair);
             }
-            let rescaled = match summary.rescale(new_scale) {
-                Ok(s) => Some(s),
-                Err(_) => {
-                    // Mixed scales: rebuild from quantized timestamps.
-                    let events: Vec<(u64, &str)> =
-                        summary.timestamps().into_iter().map(|t| (t, "")).collect();
-                    ActivitySummary::from_events(summary.pair.clone(), &events, new_scale)
-                        .ok()
-                        .map(|mut rebuilt| {
-                            rebuilt.url_tokens = summary.url_tokens.clone();
-                            rebuilt
-                        })
-                }
-            };
-            if let Some(rescaled) = rescaled {
+            if let Ok(rescaled) = summary.rescale(new_scale) {
                 emit(&summary.pair, rescaled);
             }
         },
@@ -154,16 +139,12 @@ pub fn rescale_and_merge(
             if let Some(plan) = plan {
                 plan.reduce_checkpoint(pair);
             }
-            let mut acc: Option<ActivitySummary> = None;
-            for s in group {
-                acc = match acc {
-                    None => Some(s.clone()),
-                    // Same pair and scale by construction; a summary that
-                    // still refuses to merge is skipped, not fatal.
-                    Some(a) => Some(a.merge(s).unwrap_or(a)),
-                };
-            }
-            acc.into_iter().collect()
+            // Same pair and scale by construction.
+            let merged = group.split_first().map(|(first, rest)| {
+                rest.iter()
+                    .fold(first.clone(), |a, s| a.merge(s).unwrap_or(a))
+            });
+            merged.into_iter().collect()
         },
         policy,
     )
@@ -627,17 +608,6 @@ mod tests {
         assert_eq!(extract(&records, 1), extract(&records, 1));
     }
 
-    fn merge(summaries: &[ActivitySummary], new_scale: u64) -> Vec<ActivitySummary> {
-        rescale_and_merge(
-            &engine(),
-            summaries,
-            new_scale,
-            None,
-            &FaultPolicy::default(),
-        )
-        .0
-    }
-
     #[test]
     fn rescale_and_merge_combines_days() {
         // Same pair split across two "days".
@@ -647,20 +617,13 @@ mod tests {
         let mut all = extract(&beacon_records("a", "x.com", 600, 10), 1);
         all.extend(extract(&day2, 1));
         assert_eq!(all.len(), 2);
-        let merged = merge(&all, 60);
+        let all: Vec<&ActivitySummary> = all.iter().collect();
+        let (merged, faults) =
+            rescale_and_merge(&engine(), &all, 60, None, &FaultPolicy::default());
+        assert!(faults.is_clean());
         assert_eq!(merged.len(), 1);
         assert_eq!(merged[0].scale, 60);
         assert_eq!(merged[0].request_count(), 20);
-    }
-
-    #[test]
-    fn rescale_handles_mixed_scales() {
-        let mut all = extract(&beacon_records("a", "x.com", 600, 8), 1);
-        all.extend(extract(&beacon_records("b", "y.com", 600, 8), 7));
-        // 60 is not a multiple of 7: the 7-scale summary is rebuilt.
-        let out = merge(&all, 60);
-        assert_eq!(out.len(), 2);
-        assert!(out.iter().all(|s| s.scale == 60));
     }
 
     #[test]

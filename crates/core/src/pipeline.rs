@@ -32,9 +32,8 @@ use crate::whitelist::GlobalWhitelist;
 /// Configuration of the full pipeline.
 #[derive(Debug, Clone)]
 pub struct BaywatchConfig {
-    /// Finest time scale for activity summaries (seconds; paper: 1).
-    pub time_scale: u64,
-    /// Periodicity-detector settings.
+    /// Periodicity-detector settings. Its `time_scale` (seconds; paper: 1)
+    /// is also the scale extraction summarises a window at.
     pub detector: DetectorConfig,
     /// Local-whitelist population threshold τ_P (paper: 0.01).
     pub local_tau: f64,
@@ -57,7 +56,6 @@ pub struct BaywatchConfig {
 impl Default for BaywatchConfig {
     fn default() -> Self {
         Self {
-            time_scale: 1,
             detector: DetectorConfig::default(),
             local_tau: 0.01,
             token_filter: TokenFilter::default(),
@@ -102,11 +100,6 @@ pub struct PipelineBudget {
 }
 
 impl PipelineBudget {
-    /// True when any limit is armed.
-    pub fn is_armed(&self) -> bool {
-        self.window_millis.is_some() || self.task_deadline_millis.is_some()
-    }
-
     /// The fault policy carrying the per-task deadline.
     fn policy(&self) -> FaultPolicy {
         FaultPolicy {
@@ -221,8 +214,8 @@ impl Baywatch {
     ///
     /// # Panics
     ///
-    /// Panics if `config.lm_order == 0` or `config.local_tau` is out of
-    /// `(0, 1]`.
+    /// Panics if `config.lm_order == 0`, `config.local_tau` is out of
+    /// `(0, 1]` or `config.detector.time_scale == 0`.
     pub fn new(config: BaywatchConfig) -> Self {
         Self::with_clock(config, Arc::new(MonotonicClock::new()))
     }
@@ -232,6 +225,10 @@ impl Baywatch {
     /// [`ManualClock`](baywatch_obs::ManualClock) every recorded duration
     /// is reproducible, which the golden-run suite relies on.
     pub fn with_clock(config: BaywatchConfig, clock: Arc<dyn Clock>) -> Self {
+        assert!(
+            config.detector.time_scale > 0,
+            "detector.time_scale must be positive"
+        );
         let metrics = Arc::new(MetricsRegistry::new());
         let tracer = StageTracer::new(clock.clone());
         let engine = MapReduce::new(config.mapreduce).with_metrics(metrics.clone());
@@ -331,11 +328,17 @@ impl Baywatch {
     pub fn analyze(&mut self, records: Vec<LogRecord>) -> AnalysisReport {
         // Without a checkpoint the detection step touches no file, so the
         // analysis cannot fail — and the type says so.
-        let plain = self.analyze_with(records, |engine, pairs, plan, policy, stats, faults| {
-            let hits = engine.detect_with_budget(pairs, plan, policy, stats, faults);
-            Ok::<_, Infallible>((hits, None))
-        });
-        let Ok(report) = plain;
+        let Ok(report) = self.analyze_with(
+            |this| this.extract_window(records),
+            Self::detect_with_budget,
+        );
+        report
+    }
+
+    /// The back half of [`Baywatch::analyze`], filters 2–7, over a window
+    /// already summarised: a multi-scale tier's merged days.
+    pub(crate) fn analyze_summaries(&mut self, window: Extracted) -> AnalysisReport {
+        let Ok(report) = self.analyze_with(|_| window, Self::detect_with_budget);
         report
     }
 
@@ -372,67 +375,44 @@ impl Baywatch {
         records: Vec<LogRecord>,
         spec: &CheckpointSpec,
     ) -> std::io::Result<AnalysisReport> {
-        self.analyze_with(records, |engine, pairs, plan, policy, stats, faults| {
-            engine
-                .detect_checkpointed(pairs, plan, policy, stats, faults, spec)
+        let window = |this: &Self| this.extract_window(records);
+        self.analyze_with(window, |this, pairs, stats, faults| {
+            let (plan, policy) = (this.fault_plan.as_deref(), this.config.budget.policy());
+            this.detect_checkpointed(pairs, plan, &policy, stats, faults, spec)
                 .map(|(hits, outcome)| (hits, Some(outcome)))
         })
     }
 
-    /// One window through the whole funnel; `detect` is filter 3 — plain
-    /// or checkpointed — and the only step that can fail.
+    /// One window through the whole funnel: `window` is its front half,
+    /// `detect` is filter 3 — plain or checkpointed — and the only step
+    /// that can fail.
     fn analyze_with<E>(
         &mut self,
-        records: Vec<LogRecord>,
+        window: impl FnOnce(&Self) -> Extracted,
         detect: impl FnOnce(
             &Self,
             Vec<ActivitySummary>,
-            Option<&FaultPlan>,
-            &FaultPolicy,
             &mut FilterStats,
             &mut FaultReport,
         ) -> Result<(Hits, Option<CheckpointOutcome>), E>,
     ) -> Result<AnalysisReport, E> {
+        let tracer = self.tracer.clone();
+        let window_span = tracer.span("analyze");
+        let Extracted {
+            events,
+            popularity,
+            listed_pairs,
+            mut summaries,
+            faults: extract_faults,
+        } = window(self);
         let mut stats = FilterStats {
-            events: records.len(),
+            events,
             ..Default::default()
         };
         let mut faults = FaultReport::default();
-        let plan = self.fault_plan.clone();
-        let plan = plan.as_deref();
-        let policy = self.config.budget.policy();
-        let tracer = self.tracer.clone();
-        let window_span = tracer.span("analyze");
         self.metrics
             .counter("pipeline.events")
             .add(stats.events as u64);
-
-        // ---- Popularity and filter 1: one pass, one verdict per destination. ----
-        let mut popularity = {
-            let _span = tracer.span("popularity");
-            PopularityStats::from_records(&records)
-        };
-        let funnel = &self.funnel;
-        let listed_pairs = {
-            let _span = tracer.span("whitelist.global");
-            popularity.list(|d| funnel.globally_whitelisted(d))
-        };
-
-        // ---- Data extraction (§VII-A) of the pairs filter 1 keeps. ----
-        let (mut summaries, extract_faults) = {
-            let _span = tracer.span("extract");
-            jobs::extract_summaries(
-                &self.engine,
-                &records,
-                |d: &str| popularity.is_listed(d),
-                self.config.time_scale,
-                plan,
-                &policy,
-            )
-        };
-        // Everything downstream works on summaries; free the window's raw
-        // records before detection's working set is built.
-        drop(records);
         stats.pairs = summaries.len() + listed_pairs;
         stats.skipped_events = extract_faults.skipped_records();
         stats.quarantined_pairs += extract_faults.quarantined_keys;
@@ -456,6 +436,7 @@ impl Baywatch {
         self.admit_drop("02_global_whitelist", stats.pairs, summaries.len());
 
         // ---- Filter 2: local whitelist (popularity τ_P). ----
+        let funnel = &self.funnel;
         let input = summaries.len();
         {
             let _span = tracer.span("whitelist.local");
@@ -476,7 +457,7 @@ impl Baywatch {
         let quarantined_before = stats.quarantined_pairs;
         let (detections, checkpoint_outcome) = {
             let _span = tracer.span("detect");
-            detect(self, summaries, plan, &policy, &mut stats, &mut faults)?
+            detect(self, summaries, &mut stats, &mut faults)?
         };
         stats.periodic = detections.len();
         let timed_out = stats.timed_out_pairs - timed_out_before;
@@ -539,6 +520,70 @@ impl Baywatch {
         })
     }
 
+    /// The front half of [`Baywatch::analyze`]: popularity and filter 1 in
+    /// one pass, then extraction at the detector's time scale. The raw
+    /// records are freed here, before detection's working set is built.
+    fn extract_window(&self, records: Vec<LogRecord>) -> Extracted {
+        let mut popularity = {
+            let _span = self.tracer.span("popularity");
+            PopularityStats::from_records(&records)
+        };
+        let listed_pairs = {
+            let _span = self.tracer.span("whitelist.global");
+            self.list(&mut popularity)
+        };
+        let (summaries, faults) = {
+            let _span = self.tracer.span("extract");
+            self.extract(&records, &popularity, self.config.detector.time_scale)
+        };
+        Extracted {
+            events: records.len(),
+            popularity,
+            listed_pairs,
+            summaries,
+            faults,
+        }
+    }
+
+    /// Filter 1 over `popularity`, one verdict per distinct destination;
+    /// returns the number of distinct pairs to listed destinations.
+    pub(crate) fn list(&self, popularity: &mut PopularityStats) -> usize {
+        popularity.list(|d| self.funnel.globally_whitelisted(d))
+    }
+
+    /// Data extraction (§VII-A) at `scale` of the lines to destinations
+    /// `popularity` does not list.
+    pub(crate) fn extract(
+        &self,
+        records: &[LogRecord],
+        popularity: &PopularityStats,
+        scale: u64,
+    ) -> (Vec<ActivitySummary>, FaultReport) {
+        jobs::extract_summaries(
+            &self.engine,
+            records,
+            |d: &str| popularity.is_listed(d),
+            scale,
+            self.fault_plan.as_deref(),
+            &self.config.budget.policy(),
+        )
+    }
+
+    /// Rescaling & merging (§VII-B) of `summaries` to the detector's time
+    /// scale, one summary per pair.
+    pub(crate) fn rescale_and_merge(
+        &self,
+        summaries: &[&ActivitySummary],
+    ) -> (Vec<ActivitySummary>, FaultReport) {
+        jobs::rescale_and_merge(
+            &self.engine,
+            summaries,
+            self.config.detector.time_scale,
+            self.fault_plan.as_deref(),
+            &self.config.budget.policy(),
+        )
+    }
+
     /// The coarser per-pair budget a degraded wave runs under: half the
     /// armed limits (never below one unit). An unlimited budget has
     /// nothing to tighten and is left unlimited — degradation then only
@@ -571,7 +616,8 @@ impl Baywatch {
         );
     }
 
-    /// Runs the detection job under the window's budgets.
+    /// Filter 3 without a checkpoint, under the window's budgets: it
+    /// cannot fail.
     ///
     /// Unlimited window (`budget.window_millis == None`): one job over all
     /// summaries — the original code path, byte-identical output.
@@ -585,11 +631,10 @@ impl Baywatch {
     fn detect_with_budget(
         &self,
         summaries: Vec<ActivitySummary>,
-        plan: Option<&FaultPlan>,
-        policy: &FaultPolicy,
         stats: &mut FilterStats,
         faults: &mut FaultReport,
-    ) -> Hits {
+    ) -> Result<(Hits, Option<CheckpointOutcome>), Infallible> {
+        let (plan, policy) = (self.fault_plan.as_deref(), self.config.budget.policy());
         let pair_budget = self.config.detector.budget;
         let mut detected = Detected::default();
         let mut run_wave = |batch: &[ActivitySummary],
@@ -597,13 +642,13 @@ impl Baywatch {
                             detected: &mut Detected,
                             stats: &mut FilterStats| {
             let job =
-                jobs::detect_beaconing(&self.engine, batch, &self.detector, budget, plan, policy);
+                jobs::detect_beaconing(&self.engine, batch, &self.detector, budget, plan, &policy);
             detected.absorb(job, stats, faults);
         };
 
         let Some(window_millis) = self.config.budget.window_millis else {
             run_wave(&summaries, pair_budget, &mut detected, stats);
-            return detected.hits;
+            return Ok((detected.hits, None));
         };
 
         let window_budget = BudgetSpec {
@@ -673,7 +718,7 @@ impl Baywatch {
                 .counter("resilience.admission.transitions")
                 .add(admitted.transitions);
         }
-        detected.hits
+        Ok((detected.hits, None))
     }
 
     /// Runs the detection job through the durable checkpoint machinery
@@ -833,6 +878,20 @@ impl Baywatch {
     }
 }
 
+/// A window once extraction has run: what filters 2–7 read.
+pub(crate) struct Extracted {
+    /// Raw events in the window.
+    pub(crate) events: usize,
+    /// The window's popularity, with filter 1's verdicts.
+    pub(crate) popularity: PopularityStats,
+    /// Distinct pairs to the destinations filter 1 lists.
+    pub(crate) listed_pairs: usize,
+    /// One summary per pair filter 1 keeps, at the detector's time scale.
+    pub(crate) summaries: Vec<ActivitySummary>,
+    /// What the jobs that built `summaries` dropped.
+    pub(crate) faults: FaultReport,
+}
+
 /// The detection phase's running result across one or more detection jobs.
 #[derive(Default)]
 struct Detected {
@@ -907,6 +966,14 @@ mod tests {
             local_tau: 0.9,
             ..Default::default()
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "detector.time_scale must be positive")]
+    fn zero_time_scale_is_rejected_not_an_empty_window() {
+        let mut config = quiet_config();
+        config.detector.time_scale = 0;
+        let _ = Baywatch::new(config);
     }
 
     #[test]
@@ -1308,13 +1375,7 @@ mod tests {
         ];
         let mut stats = FilterStats::default();
         let mut faults = FaultReport::default();
-        let detections = engine.detect_with_budget(
-            summaries,
-            None,
-            &FaultPolicy::default(),
-            &mut stats,
-            &mut faults,
-        );
+        let Ok((detections, _)) = engine.detect_with_budget(summaries, &mut stats, &mut faults);
         assert!(detections.is_empty());
         assert_eq!(
             stats.timed_out_pairs, 1,

@@ -1,7 +1,7 @@
-//! Destination popularity (§VII-C) and filter 1's verdicts, from one
-//! sequential pass over the window: sources and destinations are interned
-//! and `(destination, source)` ids deduped, then [`PopularityStats::list`]
-//! asks the global whitelist once per distinct destination.
+//! Destination popularity (§VII-C) and filter 1's verdicts, from one pass
+//! over a window's `(destination, source)` pairs — a union over days is
+//! exact — then [`PopularityStats::list`] asks the global whitelist once
+//! per distinct destination.
 
 use crate::record::LogRecord;
 
@@ -19,23 +19,24 @@ pub struct PopularityStats {
 }
 
 impl PopularityStats {
-    /// One pass over `records`: two interning probes and one id-pair probe
-    /// per line; only a distinct destination is owned. Nothing is listed.
+    /// One pass over `(destination, source)` pairs, repeats allowed: two
+    /// interning probes and one id-pair probe per pair; only a distinct
+    /// destination is owned. Nothing is listed.
     #[expect(
         clippy::disallowed_types,
         reason = "interning tables are probed, and iterated only to own the counts"
     )]
-    pub fn from_records(records: &[LogRecord]) -> Self {
+    pub fn from_pairs<'a>(pairs: impl IntoIterator<Item = (&'a str, &'a str)>) -> Self {
         use std::collections::{HashMap, HashSet};
         let mut sources: HashMap<&str, usize> = HashMap::new();
         let mut destinations: HashMap<&str, usize> = HashMap::new();
         let mut counts: Vec<usize> = Vec::new();
         let mut seen: HashSet<(usize, usize)> = HashSet::new();
-        for record in records {
+        for (destination, source) in pairs {
             let next = sources.len();
-            let s = *sources.entry(record.source.as_str()).or_insert(next);
+            let s = *sources.entry(source).or_insert(next);
             let next = counts.len();
-            let d = *destinations.entry(record.domain.as_str()).or_insert(next);
+            let d = *destinations.entry(destination).or_insert(next);
             if d == next {
                 counts.push(0);
             }
@@ -48,6 +49,15 @@ impl PopularityStats {
                 .collect(),
             total_sources: sources.len(),
         }
+    }
+
+    /// [`PopularityStats::from_pairs`] over the lines' pairs.
+    pub fn from_records(records: &[LogRecord]) -> Self {
+        Self::from_pairs(
+            records
+                .iter()
+                .map(|r| (r.domain.as_str(), r.source.as_str())),
+        )
     }
 
     /// Filter 1: asks `is_listed` once per distinct destination and returns

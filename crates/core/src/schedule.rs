@@ -12,16 +12,22 @@
 //! The scheduler is the consumer of the rescaling/merging job (§VII-B):
 //! each day's raw logs are summarized once; weekly and monthly tiers merge
 //! and re-bin those summaries instead of touching raw data again.
+//!
+//! A tier is a [`Baywatch`] at the tier's time scale over the merged daily
+//! summaries of its window. It runs the batch funnel — whitelists,
+//! detection, token filter, novelty, ranking — and each firing returns the
+//! [`AnalysisReport`] that [`Baywatch::analyze`] would return over the
+//! concatenated raw records of those days, as long as no pair's raw
+//! timestamp appears on two days (extraction dedupes within a day).
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeSet, VecDeque};
 
-use baywatch_mapreduce::{FaultPolicy, MapReduce};
-use baywatch_timeseries::detector::{DetectorConfig, PeriodicityDetector};
-use baywatch_timeseries::{BudgetSpec, CandidatePeriod};
+use baywatch_mapreduce::FaultReport;
+use baywatch_timeseries::BudgetSpec;
 
 use crate::activity::ActivitySummary;
-use crate::jobs;
-use crate::pair::CommunicationPair;
+use crate::pipeline::{AnalysisReport, Baywatch, BaywatchConfig, Extracted};
+use crate::popularity::PopularityStats;
 use crate::record::LogRecord;
 use crate::CoreError;
 
@@ -119,20 +125,22 @@ impl ScheduleSpec {
     }
 }
 
-/// One analysis tier of the scheduler.
+/// One analysis tier of the scheduler: a [`Baywatch`] at the tier's time
+/// scale over the merged daily summaries of its window.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Tier {
     /// Human-readable name ("daily", "weekly", "monthly").
     pub name: &'static str,
     /// How many days of summaries the tier aggregates.
     pub window_days: usize,
-    /// Time scale (seconds) the tier analyzes at.
+    /// Time scale (seconds) the tier analyzes at: its engine's
+    /// `detector.time_scale`.
     pub scale: u64,
-    /// Per-pair execution budget for this tier's detection runs
-    /// (unlimited by default). Coarser tiers aggregate longer series, so
-    /// operators can cap them independently; pairs that exhaust the
-    /// budget are counted in
-    /// [`MultiScaleScheduler::timed_out_pairs`], not detected.
+    /// Per-pair execution budget for this tier's detection runs: its
+    /// engine's `detector.budget` (unlimited by default). Coarser tiers
+    /// aggregate longer series, so operators can cap them independently;
+    /// pairs that exhaust the budget are counted in the tier report's
+    /// `stats.timed_out_pairs`, not detected.
     pub pair_budget: BudgetSpec,
 }
 
@@ -160,88 +168,68 @@ pub fn standard_tiers() -> Vec<Tier> {
     ]
 }
 
-/// A detection produced by some tier.
-#[derive(Debug, Clone)]
-pub struct TierDetection {
-    /// Tier that produced the finding.
-    pub tier: &'static str,
-    /// The communication pair.
-    pub pair: CommunicationPair,
-    /// The verified candidate periods, strongest first (never empty).
-    pub candidates: Vec<CandidatePeriod>,
+/// One ingested day as the tiers read it, its raw records gone.
+#[derive(Debug)]
+struct Day {
+    /// Raw events.
+    events: usize,
+    /// Distinct `(destination, source)` pairs, listed destinations
+    /// included: popularity over several days is their union.
+    pairs: Vec<(String, String)>,
+    /// Scale-1 summaries of the pairs filter 1 keeps.
+    summaries: Vec<ActivitySummary>,
+    /// What extraction dropped.
+    faults: FaultReport,
 }
 
-impl TierDetection {
-    /// The strongest candidate period.
-    pub fn best(&self) -> Option<&CandidatePeriod> {
-        self.candidates.first()
-    }
-}
-
-/// Multi-scale scheduler: feed it one day of records at a time; it keeps
-/// per-pair daily summaries, merges them into the coarser tiers when their
-/// windows complete, and runs the detector at every tier.
+/// Multi-scale scheduler: feed it one day of records at a time. Each day
+/// is summarised once; when a tier's window completes, the tier's
+/// [`Baywatch`] runs filters 2–7 over the merged summaries of its days.
 #[derive(Debug)]
 pub struct MultiScaleScheduler {
-    tiers: Vec<Tier>,
-    detector_config: DetectorConfig,
-    engine: MapReduce,
-    /// Ring of the last N days of summaries (N = max window).
-    history: Vec<Vec<ActivitySummary>>,
+    /// Every tier with its engine, which holds the tier's novelty memory
+    /// and metrics.
+    tiers: Vec<(Tier, Baywatch)>,
+    /// The last `max(window_days)` days, oldest first.
+    history: VecDeque<Day>,
     days_ingested: usize,
-    /// Pairs whose detection exhausted a tier's per-pair budget, summed
-    /// across all tiers and days.
-    timed_out_pairs: usize,
 }
 
 impl MultiScaleScheduler {
-    /// Creates a scheduler with the given tiers.
+    /// Creates a scheduler running `config` at every tier, with the tier's
+    /// `scale` as `detector.time_scale` and its `pair_budget` as
+    /// `detector.budget`.
     ///
     /// # Errors
     ///
     /// Returns [`CoreError::InvalidConfig`] if `tiers` is empty or any
     /// tier has a zero window or scale.
-    pub fn new(
-        tiers: Vec<Tier>,
-        detector_config: DetectorConfig,
-        engine: MapReduce,
-    ) -> Result<Self, CoreError> {
-        if tiers.is_empty() {
+    ///
+    /// # Panics
+    ///
+    /// Panics where [`Baywatch::new`] does: `config.lm_order == 0` or
+    /// `config.local_tau` out of `(0, 1]`.
+    pub fn new(tiers: Vec<Tier>, config: BaywatchConfig) -> Result<Self, CoreError> {
+        if tiers.is_empty() || tiers.iter().any(|t| t.window_days == 0 || t.scale == 0) {
             return Err(CoreError::InvalidConfig {
                 name: "tiers",
-                constraint: "must be non-empty",
+                constraint: "must be non-empty, each with a positive window_days and scale",
             });
         }
-        for t in &tiers {
-            if t.window_days == 0 || t.scale == 0 {
-                return Err(CoreError::InvalidConfig {
-                    name: "tier",
-                    constraint: "window_days and scale must be positive",
-                });
-            }
-        }
+        let tiers = tiers
+            .into_iter()
+            .map(|tier| {
+                let mut config = config.clone();
+                config.detector.time_scale = tier.scale;
+                config.detector.budget = tier.pair_budget;
+                (tier, Baywatch::new(config))
+            })
+            .collect();
         Ok(Self {
             tiers,
-            detector_config,
-            engine,
-            history: Vec::new(),
+            history: VecDeque::new(),
             days_ingested: 0,
-            timed_out_pairs: 0,
         })
-    }
-
-    /// Convenience: standard tiers with default configs.
-    #[expect(
-        clippy::expect_used,
-        reason = "standard_tiers() is a fixed known-valid constant configuration; rejection is a programming error, not an input condition"
-    )]
-    pub fn standard() -> Self {
-        Self::new(
-            standard_tiers(),
-            DetectorConfig::default(),
-            MapReduce::default(),
-        )
-        .expect("standard tiers are valid")
     }
 
     /// Number of days ingested so far.
@@ -249,108 +237,69 @@ impl MultiScaleScheduler {
         self.days_ingested
     }
 
-    /// Pairs cut off by a tier's per-pair execution budget so far
-    /// (degraded-mode accounting; zero when every tier is unlimited).
-    pub fn timed_out_pairs(&self) -> usize {
-        self.timed_out_pairs
-    }
-
     /// Ingests one day of raw records and runs every tier whose window
-    /// completes on this day. Returns all detections (periodic pairs),
-    /// tagged with the tier that found them.
-    pub fn ingest_day(&mut self, records: Vec<LogRecord>) -> Vec<TierDetection> {
-        // Summarize the day once at the finest granularity.
-        let policy = FaultPolicy::default();
-        let (day_summaries, _faults) =
-            jobs::extract_summaries(&self.engine, &records, |_: &str| false, 1, None, &policy);
-        self.history.push(day_summaries);
+    /// completes on this day (every `window_days` days). Returns one report
+    /// per tier that fired, in tier order.
+    pub fn ingest_day(&mut self, records: Vec<LogRecord>) -> Vec<(&'static str, AnalysisReport)> {
+        // The first tier's engine summarises every day; `new` keeps one.
+        let day = summarise(&self.tiers[0].1, records);
+        self.history.push_back(day);
         self.days_ingested += 1;
-
-        // `new()` rejects empty tier lists; fall back to a one-day window
-        // instead of panicking if that invariant ever regresses.
-        let max_window = self.tiers.iter().map(|t| t.window_days).max().unwrap_or(1);
-        while self.history.len() > max_window {
-            self.history.remove(0);
+        let max_window = self.tiers.iter().map(|(t, _)| t.window_days).max();
+        while self.history.len() > max_window.unwrap_or(1) {
+            self.history.pop_front();
         }
 
-        let mut out = Vec::new();
-        let mut timed_out = 0usize;
-        for tier in &self.tiers {
-            // A tier fires when its window completes (every `window_days`).
+        let mut reports = Vec::new();
+        for (tier, baywatch) in &mut self.tiers {
+            // The ring holds at least `window_days` days once one is due.
             if !self.days_ingested.is_multiple_of(tier.window_days) {
                 continue;
             }
-            if self.history.len() < tier.window_days {
-                continue;
-            }
-            let window: Vec<ActivitySummary> = self.history
-                [self.history.len() - tier.window_days..]
-                .iter()
-                .flatten()
-                .cloned()
-                .collect();
-            // Merge per-pair across days and re-bin to the tier's scale.
-            let (merged, _faults) =
-                jobs::rescale_and_merge(&self.engine, &window, tier.scale, None, &policy);
-
-            // Run the detector at the tier's scale.
-            let detector_config = DetectorConfig {
-                time_scale: tier.scale,
-                ..self.detector_config.clone()
-            };
-            let detector = PeriodicityDetector::new(detector_config);
-            let (rows, _faults) = jobs::detect_beaconing(
-                &self.engine,
-                &merged,
-                &detector,
-                tier.pair_budget,
-                None,
-                &policy,
+            let days = self.history.range(self.history.len() - tier.window_days..);
+            let mut popularity = PopularityStats::from_pairs(
+                days.clone()
+                    .flat_map(|day| day.pairs.iter().map(|(d, s)| (d.as_str(), s.as_str()))),
             );
-            for row in rows {
-                match row {
-                    jobs::DetectRow::Hit((summary, candidates)) => out.push(TierDetection {
-                        tier: tier.name,
-                        pair: summary.pair,
-                        candidates,
-                    }),
-                    jobs::DetectRow::TimedOut(_) => timed_out += 1,
-                    jobs::DetectRow::Quiet(_) => {}
-                }
+            let listed_pairs = baywatch.list(&mut popularity);
+            let summaries: Vec<&ActivitySummary> =
+                days.clone().flat_map(|day| &day.summaries).collect();
+            let (summaries, mut faults) = baywatch.rescale_and_merge(&summaries);
+            for day in days.clone() {
+                faults.absorb(&day.faults);
             }
+            let window = Extracted {
+                events: days.map(|day| day.events).sum(),
+                popularity,
+                listed_pairs,
+                summaries,
+                faults,
+            };
+            reports.push((tier.name, baywatch.analyze_summaries(window)));
         }
-        self.timed_out_pairs += timed_out;
-        out
+        reports
     }
+}
 
-    /// Ingests many days and collects every detection, deduplicated by
-    /// (tier, pair) keeping the strongest ACF score.
-    pub fn ingest_days<I>(&mut self, days: I) -> Vec<TierDetection>
-    where
-        I: IntoIterator<Item = Vec<LogRecord>>,
-    {
-        // Keyed by (tier, pair), which is exactly the output order: a
-        // BTreeMap makes `into_values` already sorted, so the final sort
-        // below is a no-op safeguard rather than the thing producing order.
-        let mut best: BTreeMap<(&'static str, CommunicationPair), TierDetection> = BTreeMap::new();
-        for day in days {
-            for det in self.ingest_day(day) {
-                let key = (det.tier, det.pair.clone());
-                let better = best
-                    .get(&key)
-                    .map(|old| {
-                        det.best().map(|c| c.acf_score).unwrap_or(0.0)
-                            > old.best().map(|c| c.acf_score).unwrap_or(0.0)
-                    })
-                    .unwrap_or(true);
-                if better {
-                    best.insert(key, det);
-                }
-            }
-        }
-        let mut out: Vec<TierDetection> = best.into_values().collect();
-        out.sort_by(|a, b| a.tier.cmp(b.tier).then(a.pair.cmp(&b.pair)));
-        out
+/// The batch front half over one day at scale 1, through `engine`:
+/// popularity and filter 1 over the day's distinct pairs, then extraction
+/// of the pairs filter 1 keeps.
+fn summarise(engine: &Baywatch, records: Vec<LogRecord>) -> Day {
+    let distinct: BTreeSet<(&str, &str)> = records
+        .iter()
+        .map(|r| (r.domain.as_str(), r.source.as_str()))
+        .collect();
+    let mut popularity = PopularityStats::from_pairs(distinct.iter().copied());
+    engine.list(&mut popularity);
+    let (summaries, faults) = engine.extract(&records, &popularity, 1);
+    Day {
+        events: records.len(),
+        pairs: distinct
+            .into_iter()
+            .map(|(d, s)| (d.to_owned(), s.to_owned()))
+            .collect(),
+        summaries,
+        faults,
     }
 }
 
@@ -360,113 +309,149 @@ mod tests {
 
     const DAY: u64 = 86_400;
 
-    /// Beacon every `period` seconds across `days` days.
-    fn beacon_days(source: &str, domain: &str, period: u64, days: usize) -> Vec<Vec<LogRecord>> {
-        let mut out = Vec::new();
-        for d in 0..days {
-            let day_start = d as u64 * DAY;
-            let mut records = Vec::new();
-            let mut t = day_start + (period - (day_start % period)) % period;
-            while t < day_start + DAY {
-                records.push(LogRecord::new(t, source, domain, "x"));
-                t += period;
-            }
-            out.push(records);
+    /// Day `day` of a beacon every `period` seconds from `source` to
+    /// `domain`, plus a few irregular visits from a bystander host: two
+    /// sources keep the beacon's popularity at 1/2.
+    fn beacon_day(day: u64, source: &str, domain: &str, period: u64) -> Vec<LogRecord> {
+        let start = day * DAY;
+        let mut records = Vec::new();
+        let mut t = start + (period - start % period) % period;
+        while t < start + DAY {
+            records.push(LogRecord::new(t, source, domain, "a1b2c3"));
+            t += period;
         }
-        out
+        for i in 0..3 {
+            let offset = (day * 7_919 + i * 104_729) * 2_654_435_761 % DAY;
+            records.push(LogRecord::new(
+                start + offset,
+                "bystander",
+                "news-portal.org",
+                "index",
+            ));
+        }
+        records
+    }
+
+    fn beacon_days(source: &str, domain: &str, period: u64, days: u64) -> Vec<Vec<LogRecord>> {
+        (0..days)
+            .map(|day| beacon_day(day, source, domain, period))
+            .collect()
+    }
+
+    /// Standard tiers under the test-relaxed local whitelist: the test
+    /// populations are two hosts, so the paper's τ_P = 1% would whitelist
+    /// every destination.
+    fn scheduler(tiers: Vec<Tier>) -> MultiScaleScheduler {
+        MultiScaleScheduler::new(
+            tiers,
+            BaywatchConfig {
+                local_tau: 0.9,
+                ..Default::default()
+            },
+        )
+        .unwrap()
+    }
+
+    /// Every report of every day, in order.
+    fn run(
+        sched: &mut MultiScaleScheduler,
+        days: Vec<Vec<LogRecord>>,
+    ) -> Vec<(&'static str, AnalysisReport)> {
+        days.into_iter()
+            .flat_map(|day| sched.ingest_day(day))
+            .collect()
+    }
+
+    fn ranks(report: &AnalysisReport, domain: &str) -> bool {
+        report
+            .ranked
+            .iter()
+            .any(|c| c.case.pair.destination == domain)
+    }
+
+    fn reports(report: &AnalysisReport, domain: &str) -> bool {
+        report
+            .reported()
+            .iter()
+            .any(|c| c.case.pair.destination == domain)
     }
 
     #[test]
     fn daily_tier_catches_fast_beacon() {
-        let mut sched = MultiScaleScheduler::standard();
-        let days = beacon_days("h", "fast.com", 120, 1);
-        let detections = sched.ingest_days(days);
-        assert!(detections
-            .iter()
-            .any(|d| d.tier == "daily" && d.pair.destination == "fast.com"));
+        let mut sched = scheduler(standard_tiers());
+        let fired = run(&mut sched, beacon_days("h", "fast-c2.test", 120, 1));
+        assert_eq!(fired.len(), 1);
+        let (tier, report) = &fired[0];
+        assert_eq!(*tier, "daily");
+        assert!(reports(report, "fast-c2.test"), "{:?}", report.stats);
     }
 
     #[test]
     fn twenty_four_hour_beacon_needs_the_monthly_tier() {
         // One beacon per day: invisible daily (1 event), invisible weekly
-        // (7 events < min_events 8 at best), caught monthly.
-        let mut sched = MultiScaleScheduler::standard();
-        let days = beacon_days("h", "slow.com", 86_400, 30);
-        let detections = sched.ingest_days(days);
-        let tiers: Vec<&str> = detections
-            .iter()
-            .filter(|d| d.pair.destination == "slow.com")
-            .map(|d| d.tier)
-            .collect();
+        // (7 events < min_events 8 at best), reported monthly.
+        let mut sched = scheduler(standard_tiers());
+        let fired = run(&mut sched, beacon_days("h", "slow-c2.test", DAY, 30));
+        let monthly: Vec<_> = fired.iter().filter(|(t, _)| *t == "monthly").collect();
+        assert_eq!(monthly.len(), 1, "the monthly tier fires on day 30");
         assert!(
-            tiers.contains(&"monthly"),
-            "monthly tier should catch the 24 h beacon, got {tiers:?}"
+            reports(&monthly[0].1, "slow-c2.test"),
+            "monthly tier should report the 24 h beacon: {:?}",
+            monthly[0].1.stats
         );
-        assert!(
-            !tiers.contains(&"daily"),
-            "a single daily event cannot be periodic"
-        );
+        for (tier, report) in &fired {
+            if *tier != "monthly" {
+                assert!(!ranks(report, "slow-c2.test"), "{tier} ranked it");
+            }
+        }
     }
 
     #[test]
-    fn hourly_beacon_visible_weekly() {
-        // 6-hour beacon: 4 events/day (below min_events), 28 events/week.
-        let mut sched = MultiScaleScheduler::standard();
-        let days = beacon_days("h", "sixhour.com", 6 * 3600, 7);
-        let detections = sched.ingest_days(days);
-        let found_weekly = detections
+    fn six_hour_beacon_visible_weekly() {
+        // 4 events a day (below min_events), 28 a week.
+        let mut sched = scheduler(standard_tiers());
+        let fired = run(&mut sched, beacon_days("h", "sixhour-c2.test", 6 * 3600, 7));
+        assert!(
+            fired
+                .iter()
+                .any(|(t, r)| *t == "weekly" && ranks(r, "sixhour-c2.test")),
+            "fired: {:?}",
+            fired.iter().map(|(t, r)| (t, r.stats)).collect::<Vec<_>>()
+        );
+        assert!(fired
             .iter()
-            .any(|d| d.tier == "weekly" && d.pair.destination == "sixhour.com");
-        assert!(found_weekly, "detections: {detections:?}");
+            .all(|(t, r)| *t == "weekly" || !ranks(r, "sixhour-c2.test")));
     }
 
     #[test]
     fn weekly_tier_fires_every_seventh_day() {
-        let mut sched = MultiScaleScheduler::standard();
-        for d in 0..6 {
-            let day = beacon_days("h", "x.com", 6 * 3600, 1).remove(0);
-            let day: Vec<LogRecord> = day
-                .into_iter()
-                .map(|mut r| {
-                    r.timestamp += d as u64 * DAY;
-                    r
-                })
-                .collect();
-            let dets = sched.ingest_day(day);
-            assert!(
-                !dets.iter().any(|x| x.tier == "weekly"),
-                "weekly fired early on day {d}"
-            );
-        }
-        let day7 = beacon_days("h", "x.com", 6 * 3600, 1)
-            .remove(0)
+        let mut sched = scheduler(standard_tiers());
+        for (d, day) in beacon_days("h", "x-c2.test", 6 * 3600, 7)
             .into_iter()
-            .map(|mut r| {
-                r.timestamp += 6 * DAY;
-                r
-            })
-            .collect();
-        let dets = sched.ingest_day(day7);
-        assert!(dets.iter().any(|x| x.tier == "weekly"));
+            .enumerate()
+        {
+            let tiers: Vec<&str> = sched.ingest_day(day).iter().map(|(t, _)| *t).collect();
+            let expected: &[&str] = if d == 6 {
+                &["daily", "weekly"]
+            } else {
+                &["daily"]
+            };
+            assert_eq!(tiers, expected, "day {d}");
+        }
     }
 
     #[test]
     fn invalid_tiers_rejected() {
-        assert!(
-            MultiScaleScheduler::new(vec![], DetectorConfig::default(), MapReduce::default())
-                .is_err()
-        );
-        assert!(MultiScaleScheduler::new(
-            vec![Tier {
+        assert!(MultiScaleScheduler::new(vec![], BaywatchConfig::default()).is_err());
+        for (window_days, scale) in [(0, 1), (1, 0)] {
+            let tier = Tier {
                 name: "bad",
-                window_days: 0,
-                scale: 1,
+                window_days,
+                scale,
                 pair_budget: BudgetSpec::UNLIMITED,
-            }],
-            DetectorConfig::default(),
-            MapReduce::default()
-        )
-        .is_err());
+            };
+            assert!(MultiScaleScheduler::new(vec![tier], BaywatchConfig::default()).is_err());
+        }
     }
 
     #[test]
@@ -480,32 +465,51 @@ mod tests {
                 ..Default::default()
             },
         };
-        let mut sched = MultiScaleScheduler::new(
-            vec![starved],
-            DetectorConfig::default(),
-            MapReduce::default(),
-        )
-        .unwrap();
-        let detections = sched.ingest_days(beacon_days("h", "fast.com", 120, 1));
-        assert!(detections.is_empty(), "starved tier must not detect");
-        assert!(sched.timed_out_pairs() > 0);
+        let fired = run(
+            &mut scheduler(vec![starved]),
+            beacon_days("h", "fast-c2.test", 120, 1),
+        );
+        let (_, report) = &fired[0];
+        assert!(report.ranked.is_empty(), "starved tier must not detect");
+        assert!(report.stats.timed_out_pairs > 0);
 
         // The same day under an unlimited budget detects normally and
         // reports no timeouts.
-        let mut unlimited = MultiScaleScheduler::standard();
-        let detections = unlimited.ingest_days(beacon_days("h", "fast.com", 120, 1));
-        assert!(detections.iter().any(|d| d.pair.destination == "fast.com"));
-        assert_eq!(unlimited.timed_out_pairs(), 0);
+        let fired = run(
+            &mut scheduler(standard_tiers()),
+            beacon_days("h", "fast-c2.test", 120, 1),
+        );
+        let (_, report) = &fired[0];
+        assert!(ranks(report, "fast-c2.test"));
+        assert_eq!(report.stats.timed_out_pairs, 0);
     }
 
     #[test]
     fn history_is_bounded() {
-        let mut sched = MultiScaleScheduler::standard();
-        for day in beacon_days("h", "y.com", 3600, 40) {
+        let mut sched = scheduler(standard_tiers());
+        for day in beacon_days("h", "y-c2.test", 3600, 31) {
             sched.ingest_day(day);
         }
-        assert_eq!(sched.days_ingested(), 40);
-        assert!(sched.history.len() <= 30);
+        assert_eq!(sched.days_ingested(), 31);
+        assert_eq!(sched.history.len(), 30);
+    }
+
+    #[test]
+    fn daily_tier_reports_a_pair_once() {
+        let mut sched = scheduler(standard_tiers());
+        for (d, day) in beacon_days("h", "z-c2.test", 300, 3)
+            .into_iter()
+            .enumerate()
+        {
+            let fired = sched.ingest_day(day);
+            let (_, daily) = &fired[0];
+            if d == 0 {
+                assert!(reports(daily, "z-c2.test"));
+            } else {
+                assert_eq!(daily.stats.periodic, 1, "day {d}");
+                assert_eq!(daily.stats.after_novelty, 0, "day {d}");
+            }
+        }
     }
 
     #[test]
@@ -567,16 +571,5 @@ mod tests {
             assert!(spec.tick_start(k) <= t);
             assert!(t < spec.tick_start(k + 1));
         }
-    }
-
-    #[test]
-    fn ingest_days_dedups_per_tier_pair() {
-        let mut sched = MultiScaleScheduler::standard();
-        let detections = sched.ingest_days(beacon_days("h", "z.com", 300, 3));
-        let daily: Vec<_> = detections
-            .iter()
-            .filter(|d| d.tier == "daily" && d.pair.destination == "z.com")
-            .collect();
-        assert_eq!(daily.len(), 1, "expected one deduplicated daily finding");
     }
 }

@@ -288,7 +288,7 @@ impl PairState {
     }
 
     /// The pair's window as batch extraction would summarize it: ring
-    /// timestamps on the pipeline's time scale plus the in-window tokens.
+    /// timestamps on the detector's time scale plus the in-window tokens.
     fn summary(&self, pair: &CommunicationPair, scale: u64, first_tick: u64) -> ActivitySummary {
         let timestamps = quantized(&self.ring, scale);
         ActivitySummary {
@@ -430,21 +430,26 @@ impl StreamingHunt {
     ///
     /// # Errors
     ///
-    /// Returns [`CoreError::InvalidConfig`] when `ring_capacity` or either
-    /// count of `pipeline.mapreduce` is zero.
+    /// Returns [`CoreError::InvalidConfig`] when `ring_capacity`,
+    /// `pipeline.detector.time_scale` or either count of
+    /// `pipeline.mapreduce` is zero.
     pub fn new(config: StreamConfig) -> Result<Self, CoreError> {
-        for (name, value) in [
-            ("ring_capacity", config.ring_capacity),
+        for (name, zero) in [
+            ("ring_capacity", config.ring_capacity == 0),
+            (
+                "pipeline.detector.time_scale",
+                config.pipeline.detector.time_scale == 0,
+            ),
             (
                 "pipeline.mapreduce.partitions",
-                config.pipeline.mapreduce.partitions,
+                config.pipeline.mapreduce.partitions == 0,
             ),
             (
                 "pipeline.mapreduce.threads",
-                config.pipeline.mapreduce.threads,
+                config.pipeline.mapreduce.threads == 0,
             ),
         ] {
-            if value == 0 {
+            if zero {
                 return Err(CoreError::InvalidConfig {
                     name,
                     constraint: "must be at least 1",
@@ -934,7 +939,7 @@ impl StreamingHunt {
     /// the operational `stream.detect.nanos` on ticks that run it.
     fn window_stats(&mut self, tick: u64, detect: bool) -> (FilterStats, u64, u64) {
         let first_window_tick = self.config.schedule.first_window_tick(tick);
-        let scale = self.config.pipeline.time_scale;
+        let scale = self.config.pipeline.detector.time_scale;
 
         // Popularity over live pairs: distinct sources per destination over
         // total distinct sources. Keys are unique and ordered source-first:
@@ -1052,7 +1057,7 @@ impl StreamingHunt {
     }
 }
 
-/// A ring's distinct timestamps on the pipeline's time scale, ascending.
+/// A ring's distinct timestamps on the detector's time scale, ascending.
 fn quantized(ring: &TimestampRing, scale: u64) -> Vec<u64> {
     ring.entries()
         .map(|e| e.timestamp / scale * scale)
@@ -1157,6 +1162,19 @@ mod tests {
         let mut c = config(60, 4);
         c.ring_capacity = 0;
         assert!(StreamingHunt::new(c).is_err());
+    }
+
+    #[test]
+    fn zero_time_scale_is_rejected_not_divided_by() {
+        let mut c = config(60, 4);
+        c.pipeline.detector.time_scale = 0;
+        assert!(matches!(
+            StreamingHunt::new(c),
+            Err(CoreError::InvalidConfig {
+                name: "pipeline.detector.time_scale",
+                ..
+            })
+        ));
     }
 
     #[test]

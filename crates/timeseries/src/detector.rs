@@ -733,8 +733,9 @@ mod tests {
 
     #[test]
     fn rescaled_series_still_detects() {
-        // 30 s bins — the coarse `time_scale` path `MultiScaleScheduler`
-        // takes (§VII-B) — still recover a 120 s beacon.
+        // 30 s bins — a coarse `time_scale` like the one a weekly or
+        // monthly tier's engine runs at (§VII-B) — still recover a 120 s
+        // beacon.
         let ts: Vec<u64> = (0..200).map(|i| i * 120).collect();
         let cfg = DetectorConfig {
             time_scale: 30,

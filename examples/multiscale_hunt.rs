@@ -8,8 +8,9 @@
 
 #![warn(clippy::unwrap_used)]
 
+use baywatch::core::pipeline::BaywatchConfig;
 use baywatch::core::record::LogRecord;
-use baywatch::core::schedule::MultiScaleScheduler;
+use baywatch::core::schedule::{standard_tiers, MultiScaleScheduler};
 
 const DAY: u64 = 86_400;
 
@@ -26,39 +27,60 @@ fn beacon_day(day: usize, source: &str, domain: &str, period: u64) -> Vec<LogRec
 }
 
 fn main() {
-    let mut sched = MultiScaleScheduler::standard();
+    // Three hosts, so each destination is contacted by a third of the
+    // population: the paper's τ_P = 1% (set for ~130 K hosts) would
+    // whitelist all of them as organisation-wide.
+    let config = BaywatchConfig {
+        local_tau: 0.5,
+        ..Default::default()
+    };
+    let mut sched =
+        MultiScaleScheduler::new(standard_tiers(), config).expect("standard tiers are valid");
 
     println!("simulating 30 days with three infections at different cadences:");
     println!("  laptop-a -> fast-c2.example      (5-minute beacon)");
     println!("  laptop-b -> medium-c2.example    (6-hour beacon)");
     println!("  laptop-c -> slow-c2.example      (24-hour beacon)\n");
 
-    let mut findings: Vec<(usize, &'static str, String, f64)> = Vec::new();
+    // (day, tier, destination, period, reported)
+    let mut ranked: Vec<(usize, &'static str, String, f64, bool)> = Vec::new();
     for day in 0..30 {
         let mut records = beacon_day(day, "laptop-a", "fast-c2.example", 300);
         records.extend(beacon_day(day, "laptop-b", "medium-c2.example", 6 * 3600));
         records.extend(beacon_day(day, "laptop-c", "slow-c2.example", 24 * 3600));
-        for det in sched.ingest_day(records) {
-            let period = det.best().map(|c| c.period).unwrap_or(0.0);
-            findings.push((day, det.tier, det.pair.destination.clone(), period));
+        for (tier, report) in sched.ingest_day(records) {
+            for (rank, case) in report.ranked.iter().enumerate() {
+                ranked.push((
+                    day + 1,
+                    tier,
+                    case.case.pair.destination.clone(),
+                    case.case.primary_period().unwrap_or(0.0),
+                    rank < report.report_cutoff,
+                ));
+            }
         }
     }
 
-    println!("day | tier    | destination        | detected period");
-    println!("----+---------+--------------------+----------------");
-    let mut seen = std::collections::BTreeSet::new();
-    for (day, tier, dest, period) in &findings {
-        // Print only the first sighting per (tier, dest) to keep it short.
-        if seen.insert((tier.to_string(), dest.clone())) {
-            println!("{day:>3} | {tier:<7} | {dest:<18} | {period:>8.0} s");
-        }
+    // Novelty is per tier, so each tier ranks a pair once: on the first
+    // window that shows it.
+    println!("day | tier    | destination        | period     | reported");
+    println!("----+---------+--------------------+------------+---------");
+    for (day, tier, dest, period, reported) in &ranked {
+        let mark = if *reported { "yes" } else { "" };
+        println!("{day:>3} | {tier:<7} | {dest:<18} | {period:>8.0} s | {mark}");
     }
+    let reported: Vec<String> = ranked
+        .iter()
+        .filter(|(.., reported)| *reported)
+        .map(|(_, tier, dest, ..)| format!("{tier}: {dest}"))
+        .collect();
+    println!("\nreported (above each report's 90th-percentile cut): {reported:?}");
 
     let tiers_for = |d: &str| -> Vec<&str> {
-        findings
+        ranked
             .iter()
-            .filter(|(_, _, dest, _)| dest == d)
-            .map(|(_, t, _, _)| *t)
+            .filter(|(_, _, dest, ..)| dest == d)
+            .map(|(_, t, ..)| *t)
             .collect()
     };
     assert!(
@@ -77,5 +99,5 @@ fn main() {
         !tiers_for("slow-c2.example").contains(&"daily"),
         "one event per day can never look periodic in a daily window"
     );
-    println!("\nOK: each cadence was caught exactly by the tier designed for it.");
+    println!("\nOK: each cadence was ranked by the tier designed for it.");
 }

@@ -266,10 +266,9 @@ fn task_deadline_quarantines_straggler_pair_and_preserves_the_rest() {
     let base_config = || {
         let mut config = BaywatchConfig {
             local_tau: 0.9,
-            time_scale: 30,
             ..Default::default()
         };
-        // The detector bins at its own scale; coarsen it too so per-pair
+        // Extraction and the detector share this scale: per-pair
         // detection is a few hundred bins, not tens of thousands.
         config.detector.time_scale = 30;
         config
