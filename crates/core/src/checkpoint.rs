@@ -306,12 +306,8 @@ pub fn run_fingerprint(
     let mut text = String::new();
     let _ = write!(
         text,
-        "policy:{}:{}:{:?};budget:{:?}:{:?};seed:{rng_seed};",
-        policy.max_task_retries,
-        policy.sample_limit,
-        policy.task_deadline,
-        budget.max_millis,
-        budget.max_ops,
+        "policy:{}:{};budget:{:?};seed:{rng_seed};",
+        policy.max_task_retries, policy.sample_limit, budget.max_ops,
     );
     let _ = write!(
         text,
@@ -322,8 +318,8 @@ pub fn run_fingerprint(
 }
 
 /// Clamped shard plan: summaries in deterministic order, `shard_size` per
-/// shard. The order (descending request count, pair as tie-break) matches
-/// the budgeted pipeline path so heavy pairs land in early shards.
+/// shard. The order (descending request count, pair as tie-break) puts
+/// heavy pairs in early shards.
 pub fn plan_shards(
     mut summaries: Vec<ActivitySummary>,
     shard_size: usize,
@@ -437,10 +433,7 @@ mod tests {
         let base = run_fingerprint(&policy, &budget, 7, &shards);
         assert_eq!(base, run_fingerprint(&policy, &budget, 7, &shards));
         assert_ne!(base, run_fingerprint(&policy, &budget, 8, &shards));
-        let tighter = BudgetSpec {
-            max_ops: Some(10),
-            ..budget
-        };
+        let tighter = BudgetSpec { max_ops: Some(10) };
         assert_ne!(base, run_fingerprint(&policy, &tighter, 7, &shards));
         let other_plan = vec![vec![summary("h1", "a.test", 4)]];
         assert_ne!(base, run_fingerprint(&policy, &budget, 7, &other_plan));

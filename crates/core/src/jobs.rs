@@ -21,8 +21,8 @@
 //! a job; ranking, §VII-E, lives in [`crate::rank`].)
 //!
 //! Every job is one call of the engine's single execution body
-//! ([`MapReduce::run`]), so a panicking or straggling mapper or reducer is
-//! retried, bisected and quarantined instead of tearing down the window.
+//! ([`MapReduce::run`]), so a panicking mapper or reducer is retried,
+//! bisected and quarantined instead of tearing down the window.
 //! Each job borrows its inputs, takes the [`FaultPolicy`] to run under and
 //! an optional [`FaultPlan`] (the robustness tests' deterministic
 //! fault-injection checkpoints; `None` outside the harness), and returns
@@ -263,8 +263,8 @@ fn detect_group(
 /// kernel checkpoint and surfaced as [`DetectRow::TimedOut`] instead of
 /// stalling the window; the budget checkpoints only ever early-return and
 /// never perturb RNG streams or numerical state. A pair whose detection
-/// panics or overruns `policy`'s task deadline costs that pair, not the
-/// window: it is counted in the [`FaultReport`] and has no row at all.
+/// panics costs that pair, not the window: it is counted in the
+/// [`FaultReport`] and has no row at all.
 ///
 /// The reduce phase runs on at most `engine`'s
 /// [`JobConfig::threads`](baywatch_mapreduce::JobConfig::threads) workers,
@@ -300,12 +300,10 @@ pub fn detect_beaconing(
 ///
 /// DLQ classification per input pair of a shard:
 /// * a [`DetectRow::TimedOut`] row → [`DlqReason::BudgetExhausted`] (the
-///   per-pair kernel budget was exhausted; the pair is replayable under a
+///   per-pair work budget was exhausted; the pair is replayable under a
 ///   larger budget),
-/// * no row at all and the engine dropped the pair's key for overrunning
-///   the task deadline → [`DlqReason::TimedOut`],
-/// * no row at all otherwise → [`DlqReason::Poison`] (the engine
-///   quarantined it after `policy.max_task_retries` retries).
+/// * no row at all → [`DlqReason::Poison`] (the engine quarantined it
+///   after `policy.max_task_retries` retries).
 ///
 /// # Errors
 ///
@@ -328,23 +326,20 @@ pub fn detect_beaconing_checkpointed(
         |pair, group| detect_group(detector, &pair_budget, plan, pair, group),
         crate::checkpoint::encode_rows,
         crate::checkpoint::decode_rows,
-        |shard_id, inputs, outputs, faults, timed_out_keys| {
-            dlq_entries_for_shard(shard_id, inputs, outputs, faults, timed_out_keys, policy)
+        |shard_id, inputs, outputs, faults| {
+            dlq_entries_for_shard(shard_id, inputs, outputs, faults, policy)
         },
     )
 }
 
 /// Classifies a completed shard's losses into DLQ entries (see
-/// [`detect_beaconing_checkpointed`] for the provenance rules).
-/// `timed_out_keys` is the engine's exact list of deadline-dropped keys —
-/// `faults.timeout_samples` is bounded and may be empty. Entries carry the
-/// pair's summaries as a replayable payload.
+/// [`detect_beaconing_checkpointed`] for the provenance rules). Entries
+/// carry the pair's summaries as a replayable payload.
 fn dlq_entries_for_shard(
     shard_id: usize,
     inputs: &[ActivitySummary],
     outputs: &[DetectRow],
     faults: &FaultReport,
-    timed_out_keys: &[String],
     policy: &FaultPolicy,
 ) -> Vec<DlqEntry> {
     // Pairs that produced a row → whether any of them was verdictless.
@@ -367,7 +362,6 @@ fn dlq_entries_for_shard(
             // queued for replay under a larger budget, not lost.
             Some(true) => (DlqReason::BudgetExhausted, 0, Vec::new()),
             Some(false) => continue,
-            None if timed_out_keys.contains(&key) => (DlqReason::TimedOut, 0, vec![key.clone()]),
             None => (
                 DlqReason::Poison,
                 policy.max_task_retries,
@@ -656,10 +650,7 @@ mod tests {
     fn batch_and_stream_share_one_verdict_mapping() {
         let beacon: Vec<u64> = (0..100).map(|i| 10_000 + i * 60).collect();
         let too_few = beacon[..3].to_vec();
-        let one_op = BudgetSpec {
-            max_ops: Some(1),
-            ..Default::default()
-        };
+        let one_op = BudgetSpec { max_ops: Some(1) };
         for (timestamps, budget, expect_periodic, expect_timeout) in [
             (&beacon, BudgetSpec::UNLIMITED, true, false),
             (&too_few, BudgetSpec::UNLIMITED, false, false),
@@ -811,7 +802,6 @@ mod tests {
         let detector = PeriodicityDetector::new(DetectorConfig::default());
         let budget = BudgetSpec {
             max_ops: Some(max_ops),
-            ..Default::default()
         };
         let (rows, report) = detect_beaconing(
             &engine(),
@@ -935,7 +925,6 @@ mod tests {
         let dir = scratch_dir("one-shard");
         let budget = BudgetSpec {
             max_ops: Some(500_000),
-            ..Default::default()
         };
         let policy = FaultPolicy::default();
         let outcome = detect_checkpointed(&dir, &[summaries], budget, None, &policy);
@@ -953,36 +942,22 @@ mod tests {
         let ok = s("h", "fine.test");
         let exhausted = s("h", "slow.test");
         let poisoned = s("h", "poison.test");
-        let straggler = s("h", "straggler.test");
-        let inputs = vec![
-            ok.clone(),
-            exhausted.clone(),
-            poisoned.clone(),
-            straggler.clone(),
-        ];
+        let inputs = vec![ok.clone(), exhausted.clone(), poisoned.clone()];
         // `ok` completed quiet, `exhausted` hit its kernel budget; the
-        // other two produced no row at all.
+        // poisoned pair produced no row at all.
         let outputs = vec![
             DetectRow::Quiet(ok.pair.clone()),
             DetectRow::TimedOut(exhausted.pair.clone()),
         ];
         let mut faults = FaultReport::default();
         faults.panic_samples.push("panicked: boom".to_string());
-        let timed_out_keys = [format!("{:?}", straggler.pair)];
-        let entries = dlq_entries_for_shard(
-            3,
-            &inputs,
-            &outputs,
-            &faults,
-            &timed_out_keys,
-            &FaultPolicy::default(),
-        );
+        let entries = dlq_entries_for_shard(3, &inputs, &outputs, &faults, &FaultPolicy::default());
         // Entries come out pair-sorted; `fine.test` produced no entry.
         let by_dst: Vec<(&str, DlqReason, usize)> = entries
             .iter()
             .map(|e| (e.key.as_str(), e.reason, e.retries))
             .collect();
-        assert_eq!(entries.len(), 3);
+        assert_eq!(entries.len(), 2);
         assert!(by_dst[0].0.contains("poison.test"));
         assert_eq!(by_dst[0].1, DlqReason::Poison);
         assert_eq!(by_dst[0].2, 2);
@@ -990,8 +965,6 @@ mod tests {
         assert!(by_dst[1].0.contains("slow.test"));
         assert_eq!(by_dst[1].1, DlqReason::BudgetExhausted);
         assert_eq!(by_dst[1].2, 0);
-        assert!(by_dst[2].0.contains("straggler.test"));
-        assert_eq!(by_dst[2].1, DlqReason::TimedOut);
         // Every payload replays: it decodes back to the pair's summaries.
         let replayed = crate::checkpoint::decode_summaries(&entries[1].payload).unwrap();
         assert_eq!(replayed, vec![exhausted]);

@@ -4,7 +4,6 @@
 use std::collections::BTreeSet;
 use std::convert::Infallible;
 use std::sync::Arc;
-use std::time::Duration;
 
 use baywatch_langmodel::DomainScorer;
 use baywatch_mapreduce::{
@@ -12,7 +11,6 @@ use baywatch_mapreduce::{
     FaultReport, JobConfig, MapReduce, RunManifest,
 };
 use baywatch_obs::{Buckets, Clock, MetricsRegistry, MetricsSnapshot, MonotonicClock, StageTracer};
-use baywatch_resilience::{AdmissionConfig, AdmissionController, AdmissionDecision};
 use baywatch_timeseries::detector::{DetectorConfig, DetectorObs, PeriodicityDetector};
 use baywatch_timeseries::BudgetSpec;
 
@@ -48,9 +46,6 @@ pub struct BaywatchConfig {
     /// Whether to load the built-in global whitelist (can be disabled for
     /// synthetic experiments with no real domains).
     pub use_builtin_whitelist: bool,
-    /// Wall-clock budgets for degraded-mode operation (all disarmed by
-    /// default; see [`PipelineBudget`]).
-    pub budget: PipelineBudget,
 }
 
 impl Default for BaywatchConfig {
@@ -63,48 +58,6 @@ impl Default for BaywatchConfig {
             mapreduce: JobConfig::default(),
             lm_order: 3,
             use_builtin_whitelist: true,
-            budget: PipelineBudget::default(),
-        }
-    }
-}
-
-/// Wall-clock budgets bounding one analysis window (§VIII-B2: 26M pairs
-/// must clear the daily window in ~1.5 h, so no single pair — and no
-/// backlog of pairs — may stall it).
-///
-/// Three knobs compose, each independently optional:
-///
-/// * the **per-pair** kernel budget lives in
-///   [`DetectorConfig::budget`](baywatch_timeseries::detector::DetectorConfig)
-///   and cuts off one runaway detection at a safe checkpoint
-///   (`timed_out_pairs`),
-/// * [`task_deadline_millis`](Self::task_deadline_millis) arms MapReduce
-///   straggler handling for every job in the window (`timed_out` fault
-///   categories),
-/// * [`window_millis`](Self::window_millis) bounds the whole detection
-///   phase: when it runs out, the not-yet-analyzed pairs are shed in
-///   reverse priority order — fewest-events pairs first — and counted in
-///   [`FilterStats::shed_pairs`].
-///
-/// With every knob disarmed (the default) the pipeline runs its original
-/// code paths and its output is byte-identical to an unbudgeted build.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct PipelineBudget {
-    /// Wall-clock budget (milliseconds) for the detection phase of one
-    /// [`Baywatch::analyze`] window; `None` = unlimited.
-    /// [`Baywatch::analyze_checkpointed`] does not read it.
-    pub window_millis: Option<u64>,
-    /// Per-task straggler deadline (milliseconds) applied to every
-    /// MapReduce job in the window; `None` = disabled.
-    pub task_deadline_millis: Option<u64>,
-}
-
-impl PipelineBudget {
-    /// The fault policy carrying the per-task deadline.
-    fn policy(&self) -> FaultPolicy {
-        FaultPolicy {
-            task_deadline: self.task_deadline_millis.map(Duration::from_millis),
-            ..FaultPolicy::default()
         }
     }
 }
@@ -138,17 +91,11 @@ pub struct FilterStats {
     /// Communication pairs quarantined after their map/reduce tasks kept
     /// panicking (degraded mode: each costs one pair, not the run).
     pub quarantined_pairs: usize,
-    /// Pairs whose analysis exceeded an execution budget or straggler
-    /// deadline and was cut off (degraded mode: each costs one pair, not
-    /// the window). Distinct from `quarantined_pairs`: nothing panicked.
+    /// Pairs whose detection exhausted the per-pair work budget
+    /// ([`DetectorConfig::budget`]) and was cut off (degraded mode: each
+    /// costs one pair, not the window). Distinct from `quarantined_pairs`:
+    /// nothing panicked.
     pub timed_out_pairs: usize,
-    /// Pairs shed without analysis because the window's wall-clock budget
-    /// ran out; the lowest-priority (fewest-events) pairs are shed first.
-    pub shed_pairs: usize,
-    /// Pairs analyzed under a tightened per-pair budget because the
-    /// admission controller saw sustained window pressure — degraded
-    /// before shed, so overload costs fidelity prior to coverage.
-    pub degraded_pairs: usize,
     /// Dead-letter-queue entries replayed under a larger budget in a
     /// checkpointed run (zero outside checkpointed runs).
     pub dlq_replayed: usize,
@@ -328,17 +275,14 @@ impl Baywatch {
     pub fn analyze(&mut self, records: Vec<LogRecord>) -> AnalysisReport {
         // Without a checkpoint the detection step touches no file, so the
         // analysis cannot fail — and the type says so.
-        let Ok(report) = self.analyze_with(
-            |this| this.extract_window(records),
-            Self::detect_with_budget,
-        );
+        let Ok(report) = self.analyze_with(|this| this.extract_window(records), Self::detect);
         report
     }
 
     /// The back half of [`Baywatch::analyze`], filters 2–7, over a window
     /// already summarised: a multi-scale tier's merged days.
     pub(crate) fn analyze_summaries(&mut self, window: Extracted) -> AnalysisReport {
-        let Ok(report) = self.analyze_with(|_| window, Self::detect_with_budget);
+        let Ok(report) = self.analyze_with(|_| window, Self::detect);
         report
     }
 
@@ -354,19 +298,15 @@ impl Baywatch {
     ///   manifest are restored instead of re-executed — the resumed run's
     ///   report is **byte-identical** to an uninterrupted one (corrupt or
     ///   mismatched state degrades to re-execution, never failure),
-    /// * pairs the engine lost (quarantined poison, straggler timeouts,
-    ///   exhausted per-pair budgets) land in a replayable dead-letter queue
-    ///   inside the manifest; with [`CheckpointSpec::replay_budget`] they
-    ///   are re-run under that (typically larger) budget after the shard
-    ///   sweep, and recoveries rejoin the funnel with exact accounting.
+    /// * pairs the engine lost (quarantined poison, exhausted per-pair
+    ///   budgets) land in a replayable dead-letter queue inside the
+    ///   manifest; with [`CheckpointSpec::replay_budget`] they are re-run
+    ///   under that (typically larger) budget after the shard sweep, and
+    ///   recoveries rejoin the funnel with exact accounting.
     ///
-    /// [`PipelineBudget::window_millis`] is ignored here: a checkpointed
-    /// window neither sheds nor degrades pairs. Which pairs a wall-clock
-    /// budget reaches depends on how fast the host ran, so shedding would
-    /// break the byte-identity of a resumed run. Bound a checkpointed
-    /// window per pair ([`DetectorConfig::budget`]) or per task
-    /// ([`PipelineBudget::task_deadline_millis`]) instead; what those cut
-    /// off lands in the dead-letter queue.
+    /// The per-pair work budget ([`DetectorConfig::budget`]) cuts off the
+    /// same pairs here as in [`Baywatch::analyze`], so both report the same
+    /// funnel and ranked list.
     ///
     /// Errors only on checkpoint-directory I/O failures (unwritable dir,
     /// disk full); analysis faults are still *degradation*, not errors.
@@ -377,8 +317,7 @@ impl Baywatch {
     ) -> std::io::Result<AnalysisReport> {
         let window = |this: &Self| this.extract_window(records);
         self.analyze_with(window, |this, pairs, stats, faults| {
-            let (plan, policy) = (this.fault_plan.as_deref(), this.config.budget.policy());
-            this.detect_checkpointed(pairs, plan, &policy, stats, faults, spec)
+            this.detect_checkpointed(pairs, stats, faults, spec)
                 .map(|(hits, outcome)| (hits, Some(outcome)))
         })
     }
@@ -416,7 +355,6 @@ impl Baywatch {
         stats.pairs = summaries.len() + listed_pairs;
         stats.skipped_events = extract_faults.skipped_records();
         stats.quarantined_pairs += extract_faults.quarantined_keys;
-        stats.timed_out_pairs += extract_faults.timed_out_keys;
         faults.absorb(&extract_faults);
         self.metrics
             .counter("pipeline.pairs")
@@ -427,7 +365,6 @@ impl Baywatch {
             &[
                 ("skipped_events", stats.skipped_events),
                 ("quarantined", extract_faults.quarantined_keys),
-                ("timed_out", extract_faults.timed_out_keys),
             ],
         );
 
@@ -462,8 +399,7 @@ impl Baywatch {
         stats.periodic = detections.len();
         let timed_out = stats.timed_out_pairs - timed_out_before;
         let quarantined = stats.quarantined_pairs - quarantined_before;
-        let dropped =
-            input.saturating_sub(stats.periodic + timed_out + quarantined + stats.shed_pairs);
+        let dropped = input.saturating_sub(stats.periodic + timed_out + quarantined);
         self.stage_counters(
             "04_periodicity",
             stats.periodic,
@@ -471,7 +407,6 @@ impl Baywatch {
                 ("dropped", dropped),
                 ("timed_out", timed_out),
                 ("quarantined", quarantined),
-                ("shed", stats.shed_pairs),
             ],
         );
 
@@ -565,7 +500,7 @@ impl Baywatch {
             |d: &str| popularity.is_listed(d),
             scale,
             self.fault_plan.as_deref(),
-            &self.config.budget.policy(),
+            &FaultPolicy::default(),
         )
     }
 
@@ -580,19 +515,8 @@ impl Baywatch {
             summaries,
             self.config.detector.time_scale,
             self.fault_plan.as_deref(),
-            &self.config.budget.policy(),
+            &FaultPolicy::default(),
         )
-    }
-
-    /// The coarser per-pair budget a degraded wave runs under: half the
-    /// armed limits (never below one unit). An unlimited budget has
-    /// nothing to tighten and is left unlimited — degradation then only
-    /// marks the affected pairs.
-    fn degraded_budget(budget: BudgetSpec) -> BudgetSpec {
-        BudgetSpec {
-            max_millis: budget.max_millis.map(|m| (m / 2).max(1)),
-            max_ops: budget.max_ops.map(|o| (o / 2).max(1)),
-        }
     }
 
     /// Records `stage.<stage>.admitted` plus the given extra counters.
@@ -616,108 +540,24 @@ impl Baywatch {
         );
     }
 
-    /// Filter 3 without a checkpoint, under the window's budgets: it
-    /// cannot fail.
-    ///
-    /// Unlimited window (`budget.window_millis == None`): one job over all
-    /// summaries — the original code path, byte-identical output.
-    ///
-    /// Armed window: summaries are sorted by priority (most events first,
-    /// pair as tie-break) and detected in bounded waves; when the window's
-    /// wall clock runs out between waves, the remaining — lowest-priority —
-    /// pairs are shed and counted exactly in `stats.shed_pairs`. Ranking
-    /// downstream imposes a total order on cases, so wave reordering never
-    /// changes the ranked output of the pairs that do run.
-    fn detect_with_budget(
+    /// Filter 3 without a checkpoint: one detection job over every
+    /// summary, each pair under the detector's work budget. It cannot fail.
+    fn detect(
         &self,
         summaries: Vec<ActivitySummary>,
         stats: &mut FilterStats,
         faults: &mut FaultReport,
     ) -> Result<(Hits, Option<CheckpointOutcome>), Infallible> {
-        let (plan, policy) = (self.fault_plan.as_deref(), self.config.budget.policy());
-        let pair_budget = self.config.detector.budget;
+        let job = jobs::detect_beaconing(
+            &self.engine,
+            &summaries,
+            &self.detector,
+            self.config.detector.budget,
+            self.fault_plan.as_deref(),
+            &FaultPolicy::default(),
+        );
         let mut detected = Detected::default();
-        let mut run_wave = |batch: &[ActivitySummary],
-                            budget,
-                            detected: &mut Detected,
-                            stats: &mut FilterStats| {
-            let job =
-                jobs::detect_beaconing(&self.engine, batch, &self.detector, budget, plan, &policy);
-            detected.absorb(job, stats, faults);
-        };
-
-        let Some(window_millis) = self.config.budget.window_millis else {
-            run_wave(&summaries, pair_budget, &mut detected, stats);
-            return Ok((detected.hits, None));
-        };
-
-        let window_budget = BudgetSpec {
-            max_millis: Some(window_millis),
-            max_ops: None,
-        }
-        .start();
-        let mut pending = summaries;
-        pending.sort_by(|a, b| {
-            b.request_count()
-                .cmp(&a.request_count())
-                .then_with(|| a.pair.cmp(&b.pair))
-        });
-        let wave = self.config.mapreduce.threads.max(1) * 4;
-        let mut idx = 0;
-        // Overload degrades before it sheds: between `degrade_enter` and
-        // `reject_enter` pressure, waves still run — under a tightened
-        // per-pair budget — and only a genuinely exhausted (or saturated)
-        // window rejects the remainder outright.
-        let mut admission = AdmissionController::new(AdmissionConfig::default());
-        while idx < pending.len() {
-            let decision =
-                admission.decide(window_budget.utilization(), window_budget.is_exhausted());
-            for change in admission.take_changes() {
-                // Zero-length span marking the transition instant; folded
-                // into the operational `span.*` timings with the stage
-                // spans, never into the deterministic export.
-                drop(
-                    self.tracer
-                        .span(&format!("admission.enter_{}", change.entered.label())),
-                );
-            }
-            if decision == AdmissionDecision::Reject {
-                // A pair already counted as timed out in an earlier wave
-                // (possible when the same pair arrives through several
-                // summaries) must not be double-counted as shed.
-                stats.shed_pairs = pending[idx..]
-                    .iter()
-                    .filter(|s| !detected.timed_out.contains(&s.pair))
-                    .count();
-                break;
-            }
-            let end = (idx + wave).min(pending.len());
-            let wave_budget = if decision == AdmissionDecision::Degrade {
-                stats.degraded_pairs += end - idx;
-                Self::degraded_budget(pair_budget)
-            } else {
-                pair_budget
-            };
-            run_wave(&pending[idx..end], wave_budget, &mut detected, stats);
-            idx = end;
-        }
-        // Gated like `dlq.*`: a window that only ever accepted leaves the
-        // registry (and the deterministic export) untouched.
-        let admitted = admission.stats();
-        if admitted.degraded > 0 || admitted.rejected > 0 {
-            self.metrics
-                .counter("resilience.admission.accepted")
-                .add(admitted.accepted);
-            self.metrics
-                .counter("resilience.admission.degraded")
-                .add(admitted.degraded);
-            self.metrics
-                .counter("resilience.admission.rejected")
-                .add(admitted.rejected);
-            self.metrics
-                .counter("resilience.admission.transitions")
-                .add(admitted.transitions);
-        }
+        detected.absorb(job, stats, faults);
         Ok((detected.hits, None))
     }
 
@@ -726,12 +566,11 @@ impl Baywatch {
     fn detect_checkpointed(
         &self,
         summaries: Vec<ActivitySummary>,
-        plan: Option<&FaultPlan>,
-        policy: &FaultPolicy,
         stats: &mut FilterStats,
         faults: &mut FaultReport,
         spec: &CheckpointSpec,
     ) -> std::io::Result<(Hits, CheckpointOutcome)> {
+        let (plan, policy) = (self.fault_plan.as_deref(), &FaultPolicy::default());
         let pair_budget = self.config.detector.budget;
         let shards = checkpoint::plan_shards(summaries, spec.shard_size);
         let store = CheckpointStore::create(&spec.dir)?;
@@ -746,7 +585,6 @@ impl Baywatch {
             fingerprint,
             rng_seed: self.config.detector.permutation.seed,
             budget: BudgetSnapshot {
-                max_millis: pair_budget.max_millis,
                 max_ops: pair_budget.max_ops,
             },
             resume: spec.resume,
@@ -768,15 +606,9 @@ impl Baywatch {
         let mut manifest = outcome.manifest;
         let dlq_entries = manifest.dlq.len();
         let (dlq_replayed, dlq_recovered) = match spec.replay_budget {
-            Some(replay_budget) if !outcome.interrupted && dlq_entries > 0 => self.replay_dlq(
-                &store,
-                &mut manifest,
-                replay_budget,
-                plan,
-                policy,
-                &mut detected,
-                stats,
-            )?,
+            Some(replay_budget) if !outcome.interrupted && dlq_entries > 0 => {
+                self.replay_dlq(&store, &mut manifest, replay_budget, &mut detected, stats)?
+            }
             _ => (0, 0),
         };
         stats.dlq_replayed = dlq_replayed;
@@ -823,14 +655,11 @@ impl Baywatch {
     /// a later pass. A replay is accounted against a scratch funnel and
     /// fault report: the original failure is already counted in the
     /// window's, and a failed replay changes nothing.
-    #[allow(clippy::too_many_arguments)]
     fn replay_dlq(
         &self,
         store: &CheckpointStore,
         manifest: &mut RunManifest,
         replay_budget: BudgetSpec,
-        plan: Option<&FaultPlan>,
-        policy: &FaultPolicy,
         window: &mut Detected,
         stats: &mut FilterStats,
     ) -> std::io::Result<(usize, usize)> {
@@ -848,8 +677,8 @@ impl Baywatch {
                 &summaries,
                 &self.detector,
                 replay_budget,
-                plan,
-                policy,
+                self.fault_plan.as_deref(),
+                &FaultPolicy::default(),
             );
             let mut replay = Detected::default();
             let verdicts = replay.absorb(
@@ -867,7 +696,7 @@ impl Baywatch {
                 DlqReason::Poison => {
                     stats.quarantined_pairs = stats.quarantined_pairs.saturating_sub(1);
                 }
-                DlqReason::TimedOut | DlqReason::BudgetExhausted => {
+                DlqReason::BudgetExhausted => {
                     stats.timed_out_pairs = stats.timed_out_pairs.saturating_sub(1);
                 }
             }
@@ -898,8 +727,7 @@ struct Detected {
     hits: Hits,
     /// Pairs already counted in `timed_out_pairs` via a TimedOut row. A
     /// pair may reach detection through several summaries (one per reduce
-    /// group upstream, or duplicated input); the funnel must count it once
-    /// — and never again as shed.
+    /// group upstream, or duplicated input); the funnel must count it once.
     timed_out: BTreeSet<CommunicationPair>,
 }
 
@@ -914,7 +742,6 @@ impl Detected {
         faults: &mut FaultReport,
     ) -> usize {
         stats.quarantined_pairs += job_faults.quarantined_keys + job_faults.quarantined_inputs;
-        stats.timed_out_pairs += job_faults.timed_out_inputs + job_faults.timed_out_keys;
         faults.absorb(&job_faults);
         let mut verdicts = 0;
         for row in rows {
@@ -1235,78 +1062,6 @@ mod tests {
     }
 
     #[test]
-    fn zero_window_budget_sheds_every_pair() {
-        let mut records = Vec::new();
-        beacon(&mut records, "victim", "qzkxwv.com", 60, 100);
-        beacon(&mut records, "other", "beacon-two.net", 45, 80);
-        let mut engine = Baywatch::new(BaywatchConfig {
-            budget: PipelineBudget {
-                window_millis: Some(0),
-                task_deadline_millis: None,
-            },
-            ..quiet_config()
-        });
-        let report = engine.analyze(records);
-        assert_eq!(report.stats.shed_pairs, report.stats.after_local_whitelist);
-        assert!(report.stats.shed_pairs >= 2);
-        assert_eq!(report.stats.periodic, 0);
-        assert!(report.ranked.is_empty());
-    }
-
-    #[test]
-    fn generous_window_budget_matches_unbudgeted_output() {
-        let mk = || {
-            let mut records = Vec::new();
-            beacon(&mut records, "victim", "qzkxwv.com", 60, 100);
-            beacon(&mut records, "other", "beacon-two.net", 45, 80);
-            for h in 0..6 {
-                human(
-                    &mut records,
-                    &format!("host{h}"),
-                    &format!("site{h}.example.org"),
-                    40,
-                    h,
-                );
-            }
-            records
-        };
-        let plain = Baywatch::new(quiet_config()).analyze(mk());
-        let budgeted = Baywatch::new(BaywatchConfig {
-            budget: PipelineBudget {
-                window_millis: Some(600_000),
-                task_deadline_millis: Some(600_000),
-            },
-            ..quiet_config()
-        })
-        .analyze(mk());
-        // Nothing shed or timed out, and the wave-ordered detection must
-        // produce the identical ranked list (ranking is a total order).
-        assert_eq!(budgeted.stats.shed_pairs, 0);
-        assert_eq!(budgeted.stats.timed_out_pairs, 0);
-        assert_eq!(budgeted.stats, plain.stats);
-        assert_eq!(budgeted.ranked.len(), plain.ranked.len());
-        for (a, b) in budgeted.ranked.iter().zip(plain.ranked.iter()) {
-            assert_eq!(a.case.pair, b.case.pair);
-            assert_eq!(a.score.to_bits(), b.score.to_bits());
-        }
-    }
-
-    #[test]
-    fn degraded_budget_halves_armed_limits_only() {
-        let tightened = Baywatch::degraded_budget(BudgetSpec {
-            max_millis: Some(10),
-            max_ops: Some(1),
-        });
-        assert_eq!(tightened.max_millis, Some(5));
-        assert_eq!(tightened.max_ops, Some(1), "never tightened below one");
-        // Nothing to tighten on an unlimited budget.
-        assert_eq!(
-            Baywatch::degraded_budget(BudgetSpec::UNLIMITED),
-            BudgetSpec::UNLIMITED
-        );
-    }
-
-    #[test]
     fn per_pair_budget_times_out_pathological_pair_only() {
         let mut records = Vec::new();
         beacon(&mut records, "victim", "qzkxwv.com", 60, 120);
@@ -1327,7 +1082,6 @@ mod tests {
         let mut engine = Baywatch::new(config);
         let report = engine.analyze(records);
         assert_eq!(report.stats.timed_out_pairs, 1);
-        assert_eq!(report.stats.shed_pairs, 0);
         assert!(report
             .ranked
             .iter()
@@ -1375,98 +1129,12 @@ mod tests {
         ];
         let mut stats = FilterStats::default();
         let mut faults = FaultReport::default();
-        let Ok((detections, _)) = engine.detect_with_budget(summaries, &mut stats, &mut faults);
+        let Ok((detections, _)) = engine.detect(summaries, &mut stats, &mut faults);
         assert!(detections.is_empty());
         assert_eq!(
             stats.timed_out_pairs, 1,
             "one pair must be counted once, not per summary"
         );
-        assert_eq!(stats.shed_pairs, 0);
-    }
-
-    #[test]
-    fn deadline_dropped_pairs_replay_as_timed_out_past_the_sample_cap() {
-        // Regression: the DLQ reason used to be read off the *bounded*
-        // `timeout_samples`, so a straggler past the cap — or any straggler
-        // under `sample_limit: 0` — was filed as `Poison`, and its replay
-        // decremented `quarantined_pairs` instead of `timed_out_pairs`.
-        let summary = |dst: &str| {
-            let records: Vec<LogRecord> = (0..5)
-                .map(|i| LogRecord::new(1_000 + i * 60, "h", dst, "tok"))
-                .collect();
-            ActivitySummary::from_records(&records, 1).unwrap()
-        };
-        let base = std::env::temp_dir().join(format!("baywatch-dlq-cap-{}", std::process::id()));
-        for (sample_limit, stragglers) in [(0usize, 1usize), (2, 2 * 2 + 1)] {
-            // Honest pairs here finish in microseconds (too few events to
-            // analyze); only the injected sleeps overrun the deadline.
-            let policy = FaultPolicy {
-                sample_limit,
-                task_deadline: Some(Duration::from_millis(250)),
-                ..FaultPolicy::default()
-            };
-            let mut plan = FaultPlan::new();
-            let mut summaries = vec![summary("fine.test")];
-            for i in 0..stragglers {
-                let slow = summary(&format!("slow{i}.test"));
-                plan = plan.delay_key(&format!("{:?}", slow.pair), 600);
-                summaries.push(slow);
-            }
-            // One shard holds every pair (default shard size 32).
-            let run = |plan: Option<&FaultPlan>, spec: &CheckpointSpec| {
-                let engine = Baywatch::new(quiet_config());
-                let (mut stats, mut faults) = (FilterStats::default(), FaultReport::default());
-                let (hits, outcome) = engine
-                    .detect_checkpointed(
-                        summaries.clone(),
-                        plan,
-                        &policy,
-                        &mut stats,
-                        &mut faults,
-                        spec,
-                    )
-                    .unwrap();
-                assert!(hits.is_empty());
-                (stats, outcome)
-            };
-            let (clean, _) = run(None, &CheckpointSpec::new(base.join("clean")));
-            assert_eq!(clean, FilterStats::default());
-
-            let dir = base.join(format!("limit-{sample_limit}"));
-            let (first, outcome) = run(Some(&plan), &CheckpointSpec::new(&dir));
-            assert_eq!(first.timed_out_pairs, stragglers);
-            assert_eq!(first.quarantined_pairs, 0);
-            assert_eq!(outcome.dlq_entries, stragglers);
-            let manifest = std::fs::read_to_string(dir.join("run_manifest.json")).unwrap();
-            let manifest = RunManifest::from_json(&manifest).unwrap();
-            assert_eq!(manifest.dlq.len(), stragglers);
-            for entry in &manifest.dlq {
-                assert_eq!(entry.reason, DlqReason::TimedOut, "{}", entry.key);
-                assert_eq!(entry.retries, 0);
-            }
-
-            // A later pass, nothing sleeping: every entry recovers and the
-            // funnel is the clean run's again.
-            let (replayed, outcome) = run(
-                None,
-                &CheckpointSpec {
-                    resume: true,
-                    replay_budget: Some(BudgetSpec::UNLIMITED),
-                    ..CheckpointSpec::new(&dir)
-                },
-            );
-            assert_eq!(outcome.resumed_shards, 1);
-            assert_eq!(outcome.dlq_recovered, stragglers);
-            assert_eq!(
-                replayed,
-                FilterStats {
-                    dlq_replayed: stragglers,
-                    dlq_recovered: stragglers,
-                    ..clean
-                }
-            );
-        }
-        std::fs::remove_dir_all(&base).ok();
     }
 
     #[test]

@@ -51,16 +51,10 @@ pub fn render_funnel(report: &AnalysisReport) -> String {
     row("skipped events (faults)", s.skipped_events);
     row("communication pairs", s.pairs);
     row("quarantined pairs", s.quarantined_pairs);
-    // Budget rows only appear when budgets actually fired, so the funnel
-    // of an unbudgeted (or in-budget) run is byte-identical to before.
+    // The budget row only appears when the budget actually fired, so the
+    // funnel of an unbudgeted (or in-budget) run is byte-identical to before.
     if s.timed_out_pairs > 0 {
         row("timed-out pairs (budget)", s.timed_out_pairs);
-    }
-    if s.degraded_pairs > 0 {
-        row("degraded pairs (pressure)", s.degraded_pairs);
-    }
-    if s.shed_pairs > 0 {
-        row("shed pairs (budget)", s.shed_pairs);
     }
     if s.dlq_replayed > 0 {
         row("dlq pairs replayed", s.dlq_replayed);
@@ -72,11 +66,7 @@ pub fn render_funnel(report: &AnalysisReport) -> String {
     row("after URL-token filter", s.after_token_filter);
     row("after novelty analysis", s.after_novelty);
     row("reported (percentile)", s.reported);
-    if !report.faults.is_clean()
-        || s.timed_out_pairs > 0
-        || s.shed_pairs > 0
-        || s.degraded_pairs > 0
-    {
+    if !report.faults.is_clean() || s.timed_out_pairs > 0 {
         let mut banner = format!(
             "degraded mode: {} map / {} reduce retries, {} quarantined unit(s)",
             report.faults.map_retries,
@@ -85,12 +75,6 @@ pub fn render_funnel(report: &AnalysisReport) -> String {
         );
         if s.timed_out_pairs > 0 {
             let _ = write!(banner, ", {} timed-out pair(s)", s.timed_out_pairs);
-        }
-        if s.degraded_pairs > 0 {
-            let _ = write!(banner, ", {} degraded pair(s)", s.degraded_pairs);
-        }
-        if s.shed_pairs > 0 {
-            let _ = write!(banner, ", {} shed pair(s)", s.shed_pairs);
         }
         let _ = writeln!(out, "{banner}");
     }
@@ -120,7 +104,6 @@ pub fn export_json(report: &AnalysisReport, metrics: &MetricsSnapshot, top_k: us
         ("pairs", s.pairs),
         ("quarantined_pairs", s.quarantined_pairs),
         ("timed_out_pairs", s.timed_out_pairs),
-        ("shed_pairs", s.shed_pairs),
         ("dlq_replayed", s.dlq_replayed),
         ("dlq_recovered", s.dlq_recovered),
         ("after_global_whitelist", s.after_global_whitelist),
@@ -133,12 +116,6 @@ pub fn export_json(report: &AnalysisReport, metrics: &MetricsSnapshot, top_k: us
         w.key(key);
         w.uint(value as u64);
     }
-    // Post-seed funnel fields are emitted only when they fired, keeping a
-    // clean window's export byte-identical to earlier releases.
-    if s.degraded_pairs > 0 {
-        w.key("degraded_pairs");
-        w.uint(s.degraded_pairs as u64);
-    }
     w.raw("}");
     w.end_value();
 
@@ -150,8 +127,6 @@ pub fn export_json(report: &AnalysisReport, metrics: &MetricsSnapshot, top_k: us
         ("reduce_retries", report.faults.reduce_retries),
         ("quarantined_inputs", report.faults.quarantined_inputs),
         ("quarantined_keys", report.faults.quarantined_keys),
-        ("timed_out_inputs", report.faults.timed_out_inputs),
-        ("timed_out_keys", report.faults.timed_out_keys),
         ("lost_values", report.faults.lost_values),
     ] {
         w.key(key);
@@ -185,7 +160,6 @@ pub fn export_json(report: &AnalysisReport, metrics: &MetricsSnapshot, top_k: us
         ("input_samples", &report.faults.input_samples),
         ("key_samples", &report.faults.key_samples),
         ("panic_samples", &report.faults.panic_samples),
-        ("timeout_samples", &report.faults.timeout_samples),
     ] {
         let mut sorted: Vec<&str> = samples.iter().map(String::as_str).collect();
         sorted.sort_unstable();
@@ -402,8 +376,6 @@ mod tests {
                 skipped_events: 0,
                 quarantined_pairs: 0,
                 timed_out_pairs: 0,
-                shed_pairs: 0,
-                degraded_pairs: 0,
                 dlq_replayed: 0,
                 dlq_recovered: 0,
             },
@@ -456,7 +428,6 @@ mod tests {
     fn budget_rows_hidden_on_clean_runs() {
         let text = render_funnel(&toy_report(2));
         assert!(!text.contains("timed-out pairs"));
-        assert!(!text.contains("shed pairs"));
         assert!(!text.contains("degraded mode"));
     }
 
@@ -464,15 +435,13 @@ mod tests {
     fn funnel_flags_budget_degradation() {
         let mut report = toy_report(1);
         report.stats.timed_out_pairs = 3;
-        report.stats.shed_pairs = 11;
         let text = render_funnel(&report);
         assert!(text.contains("timed-out pairs (budget)"));
-        assert!(text.contains("shed pairs (budget)"));
         // The banner fires on budget degradation even with clean faults,
         // and keeps its original prefix.
         assert!(text.contains(
             "degraded mode: 0 map / 0 reduce retries, 0 quarantined unit(s), \
-             3 timed-out pair(s), 11 shed pair(s)"
+             3 timed-out pair(s)"
         ));
     }
 
@@ -556,7 +525,6 @@ mod tests {
         report.faults.input_samples = vec!["in-b".to_string(), "in-a".to_string()];
         report.faults.key_samples = vec!["key-z".to_string(), "key-a".to_string()];
         report.faults.panic_samples = vec!["panic-2".to_string(), "panic-1".to_string()];
-        report.faults.timeout_samples = vec!["to-zeta".to_string(), "to-alpha".to_string()];
         let snap = baywatch_obs::MetricsRegistry::new().snapshot();
 
         let json = export_json(&report, &snap, 1);
@@ -565,10 +533,9 @@ mod tests {
         assert!(json.contains(r#""input_samples":["in-a","in-b"]"#));
         assert!(json.contains(r#""key_samples":["key-a","key-z"]"#));
         assert!(json.contains(r#""panic_samples":["panic-1","panic-2"]"#));
-        assert!(json.contains(r#""timeout_samples":["to-alpha","to-zeta"]"#));
         // A differently-ordered report exports byte-identically.
         let mut scrambled = report.clone();
-        scrambled.faults.timeout_samples.reverse();
+        scrambled.faults.panic_samples.reverse();
         scrambled.faults.key_samples.reverse();
         assert_eq!(export_json(&scrambled, &snap, 1), json);
         // The text funnel surfaces the replay outcome too.
@@ -600,22 +567,6 @@ mod tests {
         let clean = export_json(&toy_report(1), &snap, 1);
         assert!(!clean.contains("checkpoint_corruptions"));
         assert!(!clean.contains("corruption_samples"));
-    }
-
-    #[test]
-    fn degraded_pairs_appear_in_funnel_and_export_only_when_fired() {
-        let snap = baywatch_obs::MetricsRegistry::new().snapshot();
-        let mut report = toy_report(1);
-        report.stats.degraded_pairs = 7;
-        let json = export_json(&report, &snap, 1);
-        assert!(json.contains(r#""degraded_pairs":7"#));
-        let funnel = render_funnel(&report);
-        assert!(funnel.contains("degraded pairs (pressure)"));
-        assert!(funnel.contains("7 degraded pair(s)"));
-
-        let clean = export_json(&toy_report(1), &snap, 1);
-        assert!(!clean.contains("degraded_pairs"));
-        assert!(!render_funnel(&toy_report(1)).contains("degraded"));
     }
 
     #[test]

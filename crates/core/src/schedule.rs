@@ -460,10 +460,7 @@ mod tests {
             name: "daily",
             window_days: 1,
             scale: 1,
-            pair_budget: BudgetSpec {
-                max_ops: Some(1),
-                ..Default::default()
-            },
+            pair_budget: BudgetSpec { max_ops: Some(1) },
         };
         let fired = run(
             &mut scheduler(vec![starved]),

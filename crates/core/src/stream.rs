@@ -856,7 +856,7 @@ impl StreamingHunt {
     /// funnel over the resulting state.
     fn close_tick(&mut self, tick: u64, force_detect: bool) -> TickReport {
         let buffer = std::mem::take(&mut self.tick_buffer);
-        let decision = self.admission.decide(self.pressure(), false);
+        let decision = self.admission.decide(self.pressure());
         match decision {
             AdmissionDecision::Reject => {
                 let shed = buffer.len() as u64;

@@ -18,11 +18,9 @@ use std::fmt::Debug;
 #[expect(clippy::disallowed_types, reason = "reasoned on `FaultPlan`")]
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Mutex;
-use std::time::Duration;
 
-/// Retry, sampling and straggler-deadline policy of a run: how hard the
-/// engine tries before it drops a unit. The default is what "plain"
-/// execution means.
+/// Retry and sampling policy of a run: how hard the engine tries before
+/// it drops a unit. The default is what "plain" execution means.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FaultPolicy {
     /// Additional attempts granted to a failing task (map slice or reduce
@@ -33,15 +31,6 @@ pub struct FaultPolicy {
     /// in the [`FaultReport`] (quarantined inputs, keys, panic messages).
     /// Counting is always exact; only the samples are bounded.
     pub sample_limit: usize,
-    /// Per-task wall-clock deadline (straggler handling, Dean & Ghemawat
-    /// §3.6). `None` — the default — disables deadline checks entirely and
-    /// keeps the engine on its original code paths. When armed, a map
-    /// slice whose successful attempt overran the deadline is discarded
-    /// and bisected exactly like a poison slice (down to a quarantined
-    /// single record), and a reduce key whose invocation overran is
-    /// quarantined with its values; both are recorded in the `timed_out`
-    /// category of the [`FaultReport`], distinct from panics.
-    pub task_deadline: Option<Duration>,
 }
 
 impl Default for FaultPolicy {
@@ -49,7 +38,6 @@ impl Default for FaultPolicy {
         Self {
             max_task_retries: 2,
             sample_limit: 8,
-            task_deadline: None,
         }
     }
 }
@@ -67,19 +55,12 @@ pub struct FaultReport {
     pub reduce_retries: usize,
     /// Input records quarantined after bisection isolated them as poison.
     pub quarantined_inputs: usize,
-    /// Map-slice bisection splits performed while isolating poison or
-    /// straggler records (each split re-maps both halves of a slice).
+    /// Map-slice bisection splits performed while isolating poison
+    /// records (each split re-maps both halves of a slice).
     pub map_bisections: usize,
     /// Reduce keys quarantined after retries were exhausted.
     pub quarantined_keys: usize,
-    /// Input records dropped because mapping them overran the task
-    /// deadline (straggler quarantine, distinct from panic quarantine).
-    pub timed_out_inputs: usize,
-    /// Reduce keys dropped because reducing them overran the task
-    /// deadline.
-    pub timed_out_keys: usize,
-    /// Shuffled values dropped together with quarantined or timed-out
-    /// reduce keys.
+    /// Shuffled values dropped together with quarantined reduce keys.
     pub lost_values: usize,
     /// Checkpoint restores refused during a resumed sharded run — a
     /// missing, corrupt, digest-mismatched or truncated shard
@@ -95,8 +76,6 @@ pub struct FaultReport {
     pub input_samples: Vec<String>,
     /// `Debug` renderings of quarantined reduce keys (bounded sample).
     pub key_samples: Vec<String>,
-    /// `Debug` renderings of timed-out units (bounded sample).
-    pub timeout_samples: Vec<String>,
     /// Panic messages observed (bounded sample, deduplicated).
     pub panic_samples: Vec<String>,
 }
@@ -105,32 +84,23 @@ pub struct FaultReport {
 // (DESIGN.md §7).
 #[deny(clippy::cast_possible_truncation, clippy::cast_precision_loss)]
 impl FaultReport {
-    /// Whether the run needed no retries, quarantined nothing, and timed
-    /// nothing out.
+    /// Whether the run needed no retries and quarantined nothing.
     pub fn is_clean(&self) -> bool {
         self.map_retries == 0
             && self.reduce_retries == 0
             && self.quarantined_inputs == 0
             && self.quarantined_keys == 0
-            && self.timed_out_inputs == 0
-            && self.timed_out_keys == 0
     }
 
-    /// Total quarantined units (poison inputs plus poison keys; timed-out
-    /// units are counted separately in [`FaultReport::timed_out_units`]).
+    /// Total quarantined units (poison inputs plus poison keys).
     pub fn quarantined_units(&self) -> usize {
         self.quarantined_inputs + self.quarantined_keys
     }
 
-    /// Total timed-out units (straggler inputs plus straggler keys).
-    pub fn timed_out_units(&self) -> usize {
-        self.timed_out_inputs + self.timed_out_keys
-    }
-
-    /// Records that did not contribute to the output: poison and timed-out
-    /// inputs plus the values dropped with quarantined or timed-out keys.
+    /// Records that did not contribute to the output: poison inputs plus
+    /// the values dropped with quarantined keys.
     pub fn skipped_records(&self) -> usize {
-        self.quarantined_inputs + self.timed_out_inputs + self.lost_values
+        self.quarantined_inputs + self.lost_values
     }
 
     /// Counts one refused checkpoint restore, retaining the description
@@ -153,14 +123,11 @@ impl FaultReport {
         self.quarantined_inputs += other.quarantined_inputs;
         self.map_bisections += other.map_bisections;
         self.quarantined_keys += other.quarantined_keys;
-        self.timed_out_inputs += other.timed_out_inputs;
-        self.timed_out_keys += other.timed_out_keys;
         self.lost_values += other.lost_values;
         self.checkpoint_corruptions += other.checkpoint_corruptions;
         extend_bounded(&mut self.corruption_samples, &other.corruption_samples);
         extend_bounded(&mut self.input_samples, &other.input_samples);
         extend_bounded(&mut self.key_samples, &other.key_samples);
-        extend_bounded(&mut self.timeout_samples, &other.timeout_samples);
         extend_bounded(&mut self.panic_samples, &other.panic_samples);
     }
 }
@@ -196,12 +163,8 @@ pub(crate) struct PhaseFaults {
     pub retries: usize,
     pub quarantined: usize,
     pub bisections: usize,
-    /// `Debug` rendering of every unit dropped for overrunning the task
-    /// deadline — exact, unlike the bounded `timeout_samples`.
-    pub timed_out: Vec<String>,
     pub lost_values: usize,
     pub unit_samples: Vec<String>,
-    pub timeout_samples: Vec<String>,
     pub panic_samples: Vec<String>,
 }
 
@@ -224,24 +187,12 @@ impl PhaseFaults {
         }
     }
 
-    /// Records a unit dropped for overrunning the task deadline — the
-    /// straggler analogue of [`PhaseFaults::quarantine`].
-    pub fn quarantine_timeout(&mut self, unit: String, lost_values: usize, policy: &FaultPolicy) {
-        self.lost_values += lost_values;
-        if self.timeout_samples.len() < policy.sample_limit {
-            self.timeout_samples.push(unit.clone());
-        }
-        self.timed_out.push(unit);
-    }
-
     pub fn merge(&mut self, other: PhaseFaults) {
         self.retries += other.retries;
         self.quarantined += other.quarantined;
         self.bisections += other.bisections;
-        self.timed_out.extend(other.timed_out);
         self.lost_values += other.lost_values;
         self.unit_samples.extend(other.unit_samples);
-        self.timeout_samples.extend(other.timeout_samples);
         self.panic_samples.extend(other.panic_samples);
     }
 }
@@ -293,9 +244,6 @@ pub struct FaultPlan {
     poison_inputs: HashSet<String>,
     poison_keys: HashSet<String>,
     transient_keys: Mutex<HashMap<String, usize>>,
-    delay_map_calls: HashMap<usize, Duration>,
-    delay_inputs: HashMap<String, Duration>,
-    delay_keys: HashMap<String, Duration>,
     // `save_fail_*` are *control* cells: worker threads read them
     // mid-flight to decide whether a checkpoint save fails, and the
     // fault-injection tests assert exact trigger counts across threads.
@@ -346,35 +294,6 @@ impl FaultPlan {
             let mut map = lock_recovering(&self.transient_keys);
             map.insert(key.to_owned(), rounds);
         }
-        self
-    }
-
-    /// Sleep for `millis` on the `n`-th map checkpoint (0-based, counted
-    /// atomically across workers and attempts) — a *transient* straggler:
-    /// the bisection re-run of the same slice draws later counts and runs
-    /// at full speed, so no record is lost when a task deadline is armed.
-    pub fn delay_map_call(mut self, n: usize, millis: u64) -> Self {
-        self.delay_map_calls
-            .insert(n, Duration::from_millis(millis));
-        self
-    }
-
-    /// Sleep for `millis` whenever the map checkpoint sees an input whose
-    /// `Debug` rendering equals `input` — a *persistent* straggler record:
-    /// with a task deadline armed, bisection isolates it and quarantines
-    /// it as timed out.
-    pub fn delay_input(mut self, input: &str, millis: u64) -> Self {
-        self.delay_inputs
-            .insert(input.to_owned(), Duration::from_millis(millis));
-        self
-    }
-
-    /// Sleep for `millis` whenever the reduce checkpoint sees a key whose
-    /// `Debug` rendering equals `key` — a persistent straggler key,
-    /// quarantined as timed out when a task deadline is armed.
-    pub fn delay_key(mut self, key: &str, millis: u64) -> Self {
-        self.delay_keys
-            .insert(key.to_owned(), Duration::from_millis(millis));
         self
     }
 
@@ -429,20 +348,12 @@ impl FaultPlan {
     /// the plan says this invocation (or this input) must fail.
     pub fn map_checkpoint<T: Debug>(&self, input: &T) {
         let n = self.map_calls.fetch_add(1, Ordering::Relaxed);
-        if let Some(&delay) = self.delay_map_calls.get(&n) {
-            self.injected.fetch_add(1, Ordering::Relaxed);
-            std::thread::sleep(delay);
-        }
         if self.map_panic_calls.contains(&n) {
             self.injected.fetch_add(1, Ordering::Relaxed);
             panic!("injected fault: map call {n}");
         }
-        if !self.poison_inputs.is_empty() || !self.delay_inputs.is_empty() {
+        if !self.poison_inputs.is_empty() {
             let repr = format!("{input:?}");
-            if let Some(&delay) = self.delay_inputs.get(&repr) {
-                self.injected.fetch_add(1, Ordering::Relaxed);
-                std::thread::sleep(delay);
-            }
             if self.poison_inputs.contains(&repr) {
                 self.injected.fetch_add(1, Ordering::Relaxed);
                 panic!("injected fault: poison input {repr}");
@@ -454,10 +365,6 @@ impl FaultPlan {
     /// says this key must fail (permanently or for a remaining round).
     pub fn reduce_checkpoint<K: Debug>(&self, key: &K) {
         let repr = format!("{key:?}");
-        if let Some(&delay) = self.delay_keys.get(&repr) {
-            self.injected.fetch_add(1, Ordering::Relaxed);
-            std::thread::sleep(delay);
-        }
         if self.poison_keys.contains(&repr) {
             self.injected.fetch_add(1, Ordering::Relaxed);
             panic!("injected fault: poison key {repr}");
@@ -577,14 +484,12 @@ mod tests {
     #[test]
     #[cfg_attr(not(debug_assertions), ignore = "release builds do not check overflow")]
     fn ledger_counters_panic_on_overflow() {
-        let report_fields: [fn(&mut FaultReport) -> &mut usize; 9] = [
+        let report_fields: [fn(&mut FaultReport) -> &mut usize; 7] = [
             |r| &mut r.map_retries,
             |r| &mut r.reduce_retries,
             |r| &mut r.quarantined_inputs,
             |r| &mut r.map_bisections,
             |r| &mut r.quarantined_keys,
-            |r| &mut r.timed_out_inputs,
-            |r| &mut r.timed_out_keys,
             |r| &mut r.lost_values,
             |r| &mut r.checkpoint_corruptions,
         ];
@@ -617,8 +522,6 @@ mod tests {
         assert!(panics(|| p.quarantine("unit".into(), 0, &policy)));
         let mut p = full(|p| &mut p.lost_values);
         assert!(panics(|| p.quarantine("unit".into(), 1, &policy)));
-        let mut p = full(|p| &mut p.lost_values);
-        assert!(panics(|| p.quarantine_timeout("unit".into(), 1, &policy)));
     }
 
     #[test]

@@ -16,7 +16,7 @@
 //!
 //! There is one execution body, [`MapReduce::run`]. Daily log mining meets
 //! dirty records as a matter of course, so every job runs fault-tolerantly:
-//! a panicking or straggling task is retried, bisected and quarantined
+//! a panicking task is retried, bisected and quarantined
 //! (see the [`fault`] module) and the [`FaultReport`] says what was
 //! dropped. "Plain" execution is `&FaultPolicy::default()` on clean input,
 //! not a second function. [`MapReduce::run_sharded_checkpointed`] is the
@@ -46,11 +46,12 @@
 #![warn(clippy::unwrap_used, clippy::expect_used)]
 #![cfg_attr(
     test,
-    allow(clippy::unwrap_used, clippy::expect_used, clippy::disallowed_types)
-)]
-#![allow(
-    clippy::disallowed_methods,
-    reason = "task deadlines read the wall clock and the checkpoint store is this crate's disk boundary"
+    allow(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::disallowed_types,
+        clippy::disallowed_methods
+    )
 )]
 
 pub mod fault;
@@ -62,7 +63,6 @@ use std::fmt::Debug;
 use std::hash::{Hash, Hasher};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Arc, Mutex, PoisonError};
-use std::time::Instant;
 
 use baywatch_obs::{Clock, MetricsRegistry, MonotonicClock};
 use baywatch_resilience::{BreakerConfig, CircuitBreaker};
@@ -175,10 +175,9 @@ impl MapReduce {
     /// Every map slice and reduce key executes under `catch_unwind` with
     /// the retry budget of `policy`. A map slice that keeps failing is
     /// bisected down to the single poison record; a reduce key that keeps
-    /// failing is quarantined together with its values; with
-    /// [`FaultPolicy::task_deadline`] armed, stragglers are isolated and
-    /// dropped the same way. The run always completes; the returned
-    /// [`FaultReport`] says what was retried and what was dropped.
+    /// failing is quarantined together with its values. The run always
+    /// completes; the returned [`FaultReport`] says what was retried and
+    /// what was dropped.
     ///
     /// Retries shape the signature: the reducer borrows the value group
     /// (`&[V]`) because a failed attempt must leave the data available for
@@ -193,28 +192,6 @@ impl MapReduce {
         reducer: R,
         policy: &FaultPolicy,
     ) -> (Vec<O>, FaultReport)
-    where
-        I: Sync + Debug,
-        K: Hash + Eq + Ord + Send + Debug,
-        V: Send,
-        O: Send,
-        M: Fn(&'a I, &mut dyn FnMut(K, V)) + Sync,
-        R: Fn(&K, &[V]) -> Vec<O> + Sync,
-    {
-        let (output, report, _) = self.run_job(inputs, mapper, reducer, policy);
-        (output, report)
-    }
-
-    /// [`MapReduce::run`], also returning the `Debug` rendering of *every*
-    /// reduce key dropped for overrunning the deadline — exact, where
-    /// [`FaultReport::timeout_samples`] is a bounded sample.
-    fn run_job<'a, I, K, V, O, M, R>(
-        &self,
-        inputs: &'a [I],
-        mapper: M,
-        reducer: R,
-        policy: &FaultPolicy,
-    ) -> (Vec<O>, FaultReport, Vec<String>)
     where
         I: Sync + Debug,
         K: Hash + Eq + Ord + Send + Debug,
@@ -252,9 +229,7 @@ impl MapReduce {
         report.map_retries = map_faults.retries;
         report.map_bisections = map_faults.bisections;
         report.quarantined_inputs = map_faults.quarantined;
-        report.timed_out_inputs = map_faults.timed_out.len();
         report.input_samples = map_faults.unit_samples;
-        report.timeout_samples = map_faults.timeout_samples;
         report.panic_samples = map_faults.panic_samples;
 
         // ---- Shuffle: merge per-worker buckets per partition. ----
@@ -320,15 +295,8 @@ impl MapReduce {
         }
         report.reduce_retries = reduce_faults.retries;
         report.quarantined_keys = reduce_faults.quarantined;
-        report.timed_out_keys = reduce_faults.timed_out.len();
         report.lost_values = reduce_faults.lost_values;
         report.key_samples = reduce_faults.unit_samples;
-        for unit in reduce_faults.timeout_samples {
-            if report.timeout_samples.len() >= policy.sample_limit * 2 {
-                break;
-            }
-            report.timeout_samples.push(unit);
-        }
         for msg in reduce_faults.panic_samples {
             if report.panic_samples.len() >= policy.sample_limit * 2 {
                 break;
@@ -342,7 +310,7 @@ impl MapReduce {
             record_fault_metrics(metrics, &report);
         }
 
-        (output, report, reduce_faults.timed_out)
+        (output, report)
     }
 
     /// Runs a shard plan under durable checkpoint/resume.
@@ -362,13 +330,10 @@ impl MapReduce {
     /// shard's map/reduce phases) — that is what makes the per-shard
     /// metrics delta exact and the checkpoint boundary well-defined.
     ///
-    /// `dlq_hook(shard_id, inputs, outputs, faults, timed_out_keys)`
-    /// inspects a freshly completed shard and returns the replayable
-    /// dead-letter entries it produced; `timed_out_keys` holds the `Debug`
-    /// rendering of every reduce key the shard dropped for overrunning
-    /// [`FaultPolicy::task_deadline`] (exact — `faults.timeout_samples` is
-    /// only a bounded sample). `decode` must invert `encode` (`None`
-    /// signals a corrupt payload, re-executing the shard).
+    /// `dlq_hook(shard_id, inputs, outputs, faults)` inspects a freshly
+    /// completed shard and returns the replayable dead-letter entries it
+    /// produced. `decode` must invert `encode` (`None` signals a corrupt
+    /// payload, re-executing the shard).
     ///
     /// Checkpoint persistence degrades instead of aborting: every write
     /// goes through a circuit breaker (see
@@ -403,7 +368,7 @@ impl MapReduce {
         R: Fn(&K, &[V]) -> Vec<O> + Sync,
         Enc: Fn(&[O]) -> String,
         Dec: Fn(&str) -> Option<Vec<O>>,
-        DlqF: Fn(usize, &[I], &[O], &FaultReport, &[String]) -> Vec<DlqEntry>,
+        DlqF: Fn(usize, &[I], &[O], &FaultReport) -> Vec<DlqEntry>,
     {
         let total_shards = shards.len();
         let mut load_warnings = 0usize;
@@ -475,20 +440,15 @@ impl MapReduce {
                 break;
             }
             let before = self.metrics.as_ref().map(|m| m.snapshot());
-            let (outputs, shard_faults, timed_out_keys) =
-                self.run_job(inputs, &mapper, &reducer, policy);
+            let (outputs, shard_faults) = self.run(inputs, &mapper, &reducer, policy);
             let metrics_delta = match (&self.metrics, before) {
                 (Some(m), Some(before)) => m.snapshot().delta_since(&before),
                 _ => baywatch_obs::MetricsSnapshot::default(),
             };
             let payload = encode(&outputs);
-            manifest.dlq.extend(dlq_hook(
-                shard_id,
-                inputs,
-                &outputs,
-                &shard_faults,
-                &timed_out_keys,
-            ));
+            manifest
+                .dlq
+                .extend(dlq_hook(shard_id, inputs, &outputs, &shard_faults));
             let shard_saved = guarded_checkpoint_write(&mut breaker, run.io_faults, || {
                 run.store.save_shard(
                     shard_id,
@@ -642,17 +602,11 @@ fn record_fault_metrics(metrics: &MetricsRegistry, report: &FaultReport) {
         .counter("mapreduce.map.quarantined")
         .add(report.quarantined_inputs as u64);
     metrics
-        .counter("mapreduce.map.timed_out")
-        .add(report.timed_out_inputs as u64);
-    metrics
         .counter("mapreduce.reduce.retries")
         .add(report.reduce_retries as u64);
     metrics
         .counter("mapreduce.reduce.quarantined")
         .add(report.quarantined_keys as u64);
-    metrics
-        .counter("mapreduce.reduce.timed_out")
-        .add(report.timed_out_keys as u64);
     metrics
         .counter("mapreduce.lost_values")
         .add(report.lost_values as u64);
@@ -667,13 +621,6 @@ fn record_fault_metrics(metrics: &MetricsRegistry, report: &FaultReport) {
 /// Each attempt emits into fresh buckets so a mid-slice panic cannot leave
 /// duplicate partial output behind; only a fully successful attempt is
 /// merged, so faults never reorder or duplicate the surviving records.
-///
-/// When [`FaultPolicy::task_deadline`] is armed, a *successful* attempt
-/// that overran the deadline is treated as a straggler: its output is
-/// discarded and the slice is bisected exactly like a poison slice, so the
-/// slow record is isolated (and quarantined as `timed_out` once singled
-/// out) while its fast neighbours are re-mapped within budget. Timeouts do
-/// not consume panic retries — a deterministic overrun would overrun again.
 fn map_chunk<'a, I, K, V, M>(
     chunk: &'a [I],
     mapper: &M,
@@ -691,9 +638,7 @@ where
     // replaced by its halves, so records are always mapped left to right.
     let mut pending = vec![chunk];
     'slices: while let Some(slice) = pending.pop() {
-        let mut overran = false;
         for attempt in 0..=policy.max_task_retries {
-            let started = Instant::now();
             let result = catch_unwind(AssertUnwindSafe(|| {
                 let mut local: Vec<Vec<(K, V)>> = (0..n_partitions).map(|_| Vec::new()).collect();
                 for input in slice {
@@ -707,12 +652,6 @@ where
             }));
             match result {
                 Ok(local) => {
-                    overran = policy
-                        .task_deadline
-                        .is_some_and(|deadline| started.elapsed() > deadline);
-                    if overran {
-                        break;
-                    }
                     for (p, bucket) in local.into_iter().enumerate() {
                         out[p].extend(bucket);
                     }
@@ -726,21 +665,10 @@ where
                 }
             }
         }
-        // Over deadline or retries exhausted: isolate the straggler or
-        // poison record by bisection.
+        // Retries exhausted: isolate the poison record by bisection.
         if let [unit] = slice {
-            let unit = format!("{unit:?}");
-            if overran {
-                faults.quarantine_timeout(unit, 0, policy);
-            } else {
-                faults.quarantine(unit, 0, policy);
-            }
+            faults.quarantine(format!("{unit:?}"), 0, policy);
             continue;
-        }
-        if overran {
-            // The late output was discarded; re-mapping the halves counts
-            // as a retry (speculative re-run in Dean & Ghemawat's terms).
-            faults.retries += 1;
         }
         faults.bisections += 1;
         let (left, right) = slice.split_at(slice.len() / 2);
@@ -751,13 +679,8 @@ where
 
 /// Reduces one partition: a single `catch_unwind` over the whole partition
 /// on the fast path, falling back to per-key attempts (with retries, then
-/// quarantine) only when something in the partition panicked.
-///
-/// When [`FaultPolicy::task_deadline`] is armed, the whole-partition fast
-/// path is skipped: every key runs (and is timed) individually so one
-/// straggler key can be quarantined as `timed_out` without discarding its
-/// partition neighbours. Output order — sorted by key, minus dropped keys
-/// — is identical either way.
+/// quarantine) only when something in the partition panicked. Output
+/// order — sorted by key, minus dropped keys — is identical either way.
 fn reduce_partition<K, V, O, R>(
     records: Vec<(K, V)>,
     reducer: &R,
@@ -780,23 +703,21 @@ where
     keyed.sort_by(|a, b| a.0.cmp(&b.0));
 
     let mut faults = PhaseFaults::default();
-    if policy.task_deadline.is_none() {
-        let whole = catch_unwind(AssertUnwindSafe(|| {
-            let mut out = Vec::new();
-            for (k, vs) in &keyed {
-                out.extend(reducer(k, vs));
-            }
-            out
-        }));
-        match whole {
-            Ok(out) => return (out, faults),
-            Err(payload) => {
-                faults.note_panic(payload, policy);
-                // The per-key fallback re-executes the partition, so it
-                // counts as a retry even when every key then succeeds first
-                // try (a transient fault consumed by the fast-path attempt).
-                faults.retries += 1;
-            }
+    let whole = catch_unwind(AssertUnwindSafe(|| {
+        let mut out = Vec::new();
+        for (k, vs) in &keyed {
+            out.extend(reducer(k, vs));
+        }
+        out
+    }));
+    match whole {
+        Ok(out) => return (out, faults),
+        Err(payload) => {
+            faults.note_panic(payload, policy);
+            // The per-key fallback re-executes the partition, so it counts
+            // as a retry even when every key then succeeds first try (a
+            // transient fault consumed by the fast-path attempt).
+            faults.retries += 1;
         }
     }
     // Every key gets its own retry budget; output order stays
@@ -805,20 +726,9 @@ where
     for (k, vs) in &keyed {
         let mut attempt = 0;
         loop {
-            let started = Instant::now();
             match catch_unwind(AssertUnwindSafe(|| reducer(k, vs))) {
                 Ok(mut o) => {
-                    let overran = policy
-                        .task_deadline
-                        .is_some_and(|deadline| started.elapsed() > deadline);
-                    if overran {
-                        // The key finished, but too late: drop its output
-                        // and account for the straggler. No retry — a
-                        // deterministic overrun would only overrun again.
-                        faults.quarantine_timeout(format!("{k:?}"), vs.len(), policy);
-                    } else {
-                        out.append(&mut o);
-                    }
+                    out.append(&mut o);
                     break;
                 }
                 Err(payload) => {
@@ -1291,114 +1201,6 @@ mod tests {
         assert!(report.reduce_retries >= 1);
     }
 
-    // ---- deadline / straggler handling ----
-
-    fn deadline_policy(millis: u64) -> FaultPolicy {
-        FaultPolicy {
-            task_deadline: Some(Duration::from_millis(millis)),
-            ..FaultPolicy::default()
-        }
-    }
-
-    #[test]
-    fn deadline_armed_fault_free_run_matches_grouping_by_hand() {
-        let engine = MapReduce::new(JobConfig {
-            partitions: 8,
-            threads: 4,
-        });
-        // A generous deadline no task comes close to: the per-key reduce
-        // path must produce byte-identical output to the fast path.
-        let (out, report) = word_count(&engine, &DOCS, &deadline_policy(60_000));
-        assert_eq!(out, word_count_by_hand(&DOCS, 8));
-        assert!(report.is_clean());
-        assert_eq!(report.timed_out_units(), 0);
-    }
-
-    #[test]
-    fn persistent_map_straggler_is_bisected_to_timed_out_quarantine() {
-        let engine = MapReduce::new(JobConfig {
-            partitions: 4,
-            threads: 2,
-        });
-        let plan = FaultPlan::new().delay_input("37", 40);
-        let inputs: Vec<i64> = (0..64).collect();
-        let (out, report) = engine.run(
-            &inputs,
-            |n, emit| {
-                plan.map_checkpoint(n);
-                emit(n % 2, 1usize);
-            },
-            |k, vs| vec![(*k, vs.len())],
-            &deadline_policy(10),
-        );
-        // The straggler record is isolated by bisection and quarantined as
-        // timed out — not as a panic — and exactly one record is lost.
-        assert_eq!(report.timed_out_inputs, 1);
-        assert_eq!(report.quarantined_inputs, 0);
-        assert!(report.timeout_samples.iter().any(|s| s == "37"));
-        assert!(report.panic_samples.is_empty());
-        let total: usize = out.iter().map(|(_, c)| c).sum();
-        assert_eq!(total, 63);
-    }
-
-    #[test]
-    fn transient_map_straggler_retries_without_loss() {
-        let engine = MapReduce::new(JobConfig {
-            partitions: 4,
-            threads: 1,
-        });
-        // The delay fires on one specific map call; bisection re-runs are
-        // fast because the call counter has advanced past it.
-        let plan = FaultPlan::new().delay_map_call(2, 40);
-        let inputs: Vec<i64> = (0..16).collect();
-        let (out, report) = engine.run(
-            &inputs,
-            |n, emit| {
-                plan.map_checkpoint(n);
-                emit((), *n)
-            },
-            |_, vs| vec![vs.iter().sum::<i64>()],
-            &deadline_policy(10),
-        );
-        assert_eq!(plan.injected_faults(), 1);
-        assert_eq!(out, vec![(0..16).sum::<i64>()]);
-        assert_eq!(report.timed_out_inputs, 0);
-        assert_eq!(report.quarantined_inputs, 0);
-        assert!(report.map_retries >= 1);
-    }
-
-    #[test]
-    fn straggler_reduce_key_is_quarantined_as_timed_out() {
-        let engine = MapReduce::new(JobConfig {
-            partitions: 4,
-            threads: 2,
-        });
-        let plan = FaultPlan::new().delay_key("\"slow\"", 40);
-        let (out, report) = engine.run(
-            &["a slow a", "slow b slow"],
-            |doc, emit| {
-                for w in doc.split_whitespace() {
-                    emit(w.to_owned(), 1usize);
-                }
-            },
-            |k: &String, vs: &[usize]| {
-                plan.reduce_checkpoint(k);
-                vec![(k.clone(), vs.len())]
-            },
-            &deadline_policy(10),
-        );
-        let mut out = out;
-        out.sort();
-        assert_eq!(out, vec![("a".to_owned(), 2), ("b".to_owned(), 1)]);
-        assert_eq!(report.timed_out_keys, 1);
-        assert_eq!(report.quarantined_keys, 0);
-        assert_eq!(report.lost_values, 3);
-        assert!(report.timeout_samples.iter().any(|s| s.contains("slow")));
-        // A deterministic overrun is never retried — it would only overrun
-        // again, so no reduce retries are burned on it.
-        assert_eq!(report.reduce_retries, 0);
-    }
-
     // ---- checkpoint/resume ----
 
     fn scratch_dir(tag: &str) -> std::path::PathBuf {
@@ -1444,7 +1246,7 @@ mod tests {
                     }
                     Some(rows)
                 },
-                |_, _, _, _, _| Vec::new(),
+                |_, _, _, _| Vec::new(),
             )
             .expect("checkpoint I/O")
     }

@@ -32,7 +32,6 @@ use std::fmt::Write as _;
 use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
-use std::time::Duration;
 
 use baywatch_obs::json::{parse, JsonValue};
 use baywatch_obs::{HistogramSnapshot, JsonWriter, MetricsSnapshot};
@@ -42,7 +41,7 @@ use crate::fault::{FaultPlan, FaultPolicy, FaultReport};
 /// Version tag of the on-disk manifest schema. A manifest written by a
 /// different version is treated as corrupt (fresh run + warning), never
 /// migrated in place.
-pub const MANIFEST_VERSION: u64 = 1;
+pub const MANIFEST_VERSION: u64 = 2;
 
 /// Why a unit of work landed in the dead-letter queue.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
@@ -50,9 +49,7 @@ pub enum DlqReason {
     /// The unit panicked deterministically and was quarantined after the
     /// retry budget was exhausted.
     Poison,
-    /// The unit overran the per-task wall-clock deadline.
-    TimedOut,
-    /// The unit exhausted its per-pair execution budget (ops/millis).
+    /// The unit exhausted its per-pair work budget (`max_ops`).
     BudgetExhausted,
 }
 
@@ -61,7 +58,6 @@ impl DlqReason {
     pub fn as_str(self) -> &'static str {
         match self {
             DlqReason::Poison => "poison",
-            DlqReason::TimedOut => "timed_out",
             DlqReason::BudgetExhausted => "budget_exhausted",
         }
     }
@@ -70,7 +66,6 @@ impl DlqReason {
     pub fn parse(s: &str) -> Option<Self> {
         match s {
             "poison" => Some(DlqReason::Poison),
-            "timed_out" => Some(DlqReason::TimedOut),
             "budget_exhausted" => Some(DlqReason::BudgetExhausted),
             _ => None,
         }
@@ -90,7 +85,7 @@ pub struct DlqEntry {
     pub reason: DlqReason,
     /// How many retry attempts were burned before giving up.
     pub retries: usize,
-    /// Bounded diagnostic samples (panic messages, timeout renderings).
+    /// Bounded diagnostic samples (panic messages, budget notes).
     pub samples: Vec<String>,
     /// Caller-encoded payload sufficient to re-run the unit (for the
     /// pipeline: the serialized activity summaries of the pair).
@@ -102,8 +97,6 @@ pub struct DlqEntry {
 /// has no dependency on the timeseries crate's `BudgetSpec`.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct BudgetSnapshot {
-    /// Per-pair wall-clock budget in milliseconds, if armed.
-    pub max_millis: Option<u64>,
     /// Per-pair operation budget, if armed.
     pub max_ops: Option<u64>,
 }
@@ -188,11 +181,6 @@ impl RunManifest {
         w.uint(self.policy.max_task_retries as u64);
         w.key("sample_limit");
         w.uint(self.policy.sample_limit as u64);
-        w.key("task_deadline_millis");
-        write_opt_u64(
-            &mut w,
-            self.policy.task_deadline.map(|d| d.as_millis() as u64),
-        );
         w.raw("}");
         w.end_value();
         w.key("rng_seed");
@@ -246,11 +234,8 @@ impl RunManifest {
             policy: FaultPolicy {
                 max_task_retries: policy.get("max_task_retries")?.as_u64()? as usize,
                 sample_limit: policy.get("sample_limit")?.as_u64()? as usize,
-                task_deadline: read_opt_u64(policy.get("task_deadline_millis")?)
-                    .map(Duration::from_millis),
             },
             budget: BudgetSnapshot {
-                max_millis: read_opt_u64(budget.get("max_millis")?),
                 max_ops: read_opt_u64(budget.get("max_ops")?),
             },
             shards,
@@ -261,8 +246,6 @@ impl RunManifest {
 
 fn write_budget(w: &mut JsonWriter, budget: &BudgetSnapshot) {
     w.raw("{");
-    w.key("max_millis");
-    write_opt_u64(w, budget.max_millis);
     w.key("max_ops");
     write_opt_u64(w, budget.max_ops);
     w.raw("}");
@@ -347,12 +330,6 @@ pub fn fault_report_to_json(report: &FaultReport) -> String {
     w.uint(report.quarantined_keys as u64);
     w.key("reduce_retries");
     w.uint(report.reduce_retries as u64);
-    w.key("timed_out_inputs");
-    w.uint(report.timed_out_inputs as u64);
-    w.key("timed_out_keys");
-    w.uint(report.timed_out_keys as u64);
-    w.key("timeout_samples");
-    write_string_array(&mut w, &report.timeout_samples);
     w.raw("}");
     w.finish()
 }
@@ -370,8 +347,6 @@ fn fault_report_from_value(doc: &JsonValue) -> Option<FaultReport> {
         quarantined_inputs: doc.get("quarantined_inputs")?.as_u64()? as usize,
         map_bisections: doc.get("map_bisections")?.as_u64()? as usize,
         quarantined_keys: doc.get("quarantined_keys")?.as_u64()? as usize,
-        timed_out_inputs: doc.get("timed_out_inputs")?.as_u64()? as usize,
-        timed_out_keys: doc.get("timed_out_keys")?.as_u64()? as usize,
         lost_values: doc.get("lost_values")?.as_u64()? as usize,
         // Absent in pre-resilience checkpoints: default rather than
         // refuse, so old shard files still restore.
@@ -385,7 +360,6 @@ fn fault_report_from_value(doc: &JsonValue) -> Option<FaultReport> {
             .unwrap_or_default(),
         input_samples: read_string_array(doc.get("input_samples")?)?,
         key_samples: read_string_array(doc.get("key_samples")?)?,
-        timeout_samples: read_string_array(doc.get("timeout_samples")?)?,
         panic_samples: read_string_array(doc.get("panic_samples")?)?,
     })
 }
@@ -551,6 +525,10 @@ pub struct CheckpointStore {
 
 impl CheckpointStore {
     /// Opens (creating if needed) a checkpoint directory.
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the checkpoint store is this crate's disk boundary"
+    )]
     pub fn create(dir: impl Into<PathBuf>) -> io::Result<Self> {
         let dir = dir.into();
         fs::create_dir_all(&dir)?;
@@ -580,6 +558,10 @@ impl CheckpointStore {
     /// Loads the manifest, degrading to a fresh run on anything
     /// untrustworthy. `fingerprint` and `total_shards` must match the
     /// caller's current plan for the manifest to be resumed.
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the checkpoint store is this crate's disk boundary"
+    )]
     pub fn load_manifest(&self, fingerprint: u64, total_shards: usize) -> ManifestLoad {
         let path = self.manifest_path();
         let text = match fs::read_to_string(&path) {
@@ -621,11 +603,19 @@ impl CheckpointStore {
 
     /// Loads one shard checkpoint; `None` means missing or corrupt (the
     /// caller re-executes the shard).
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the checkpoint store is this crate's disk boundary"
+    )]
     pub fn load_shard(&self, id: usize) -> Option<ShardCheckpoint> {
         let text = fs::read_to_string(self.shard_path(id)).ok()?;
         ShardCheckpoint::from_json(&text)
     }
 
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the checkpoint store is this crate's disk boundary"
+    )]
     fn write_atomic(&self, path: &Path, contents: &str) -> io::Result<()> {
         let mut tmp = path.as_os_str().to_owned();
         tmp.push(".tmp");
@@ -725,10 +715,8 @@ mod tests {
             FaultPolicy {
                 max_task_retries: 2,
                 sample_limit: 8,
-                task_deadline: Some(Duration::from_millis(2_000)),
             },
             BudgetSnapshot {
-                max_millis: None,
                 max_ops: Some(800_000),
             },
         );
@@ -774,7 +762,6 @@ mod tests {
             quarantined_keys: 1,
             lost_values: 7,
             key_samples: vec!["\"bad\"".to_string()],
-            timeout_samples: vec!["\"slow\"".to_string()],
             panic_samples: vec!["boom".to_string()],
             ..Default::default()
         };
@@ -798,7 +785,7 @@ mod tests {
         let cp = ShardCheckpoint {
             payload: "rows:[1,2,3] with \"quotes\"\nand newlines".to_string(),
             faults: FaultReport {
-                timed_out_keys: 1,
+                quarantined_keys: 1,
                 ..Default::default()
             },
             metrics_delta: delta,
@@ -881,6 +868,54 @@ mod tests {
         let _ = fs::remove_dir_all(&dir);
     }
 
+    /// What a version-1 build wrote: a task deadline in the policy, a
+    /// wall-clock budget, a `timed_out` dead letter, and the three
+    /// timeout keys in every shard's fault report.
+    const V1_MANIFEST: &str = r#"{"budget":{"max_millis":5000,"max_ops":800000},"dlq":[{"key":"\"slow\"","payload":"","reason":"timed_out","retries":0,"samples":["\"slow\""],"shard":0}],"fingerprint":3735928559,"policy":{"max_task_retries":2,"sample_limit":8,"task_deadline_millis":2000},"rng_seed":7,"shards":{"0":{"digest":42,"outputs":1}},"total_shards":3,"version":1}"#;
+    const V1_SHARD: &str = r#"{"faults":{"checkpoint_corruptions":0,"corruption_samples":[],"input_samples":[],"key_samples":["\"bad\""],"lost_values":4,"map_bisections":0,"map_retries":1,"panic_samples":["boom"],"quarantined_inputs":0,"quarantined_keys":1,"reduce_retries":2,"timed_out_inputs":1,"timed_out_keys":1,"timeout_samples":["\"slow\""]},"metrics":{"counters":{"mapreduce.jobs":1},"histograms":{}},"payload":"p"}"#;
+
+    #[test]
+    fn version_1_manifest_starts_fresh_and_its_shards_still_restore() {
+        let dir = std::env::temp_dir().join(format!(
+            "baywatch-manifest-test-{}-{:x}",
+            std::process::id(),
+            fnv1a64(b"version_1")
+        ));
+        let _ = fs::remove_dir_all(&dir);
+        let store = CheckpointStore::create(&dir).unwrap();
+        fs::write(store.manifest_path(), V1_MANIFEST).unwrap();
+        assert!(matches!(
+            store.load_manifest(3_735_928_559, 3),
+            ManifestLoad::Fresh { warning: Some(_) }
+        ));
+        // Version skew alone is enough, with no deleted reason to trip on.
+        let plain_v1 = V1_MANIFEST.replace("\"timed_out\"", "\"poison\"");
+        assert!(RunManifest::from_json(&plain_v1).is_some_and(|m| m.version == 1));
+        fs::write(store.manifest_path(), plain_v1).unwrap();
+        assert!(matches!(
+            store.load_manifest(3_735_928_559, 3),
+            ManifestLoad::Fresh { warning: Some(_) }
+        ));
+
+        fs::write(store.shard_path(0), V1_SHARD).unwrap();
+        let restored = store.load_shard(0).unwrap();
+        assert_eq!(restored.payload, "p");
+        assert_eq!(
+            restored.faults,
+            FaultReport {
+                map_retries: 1,
+                reduce_retries: 2,
+                quarantined_keys: 1,
+                lost_values: 4,
+                key_samples: vec!["\"bad\"".to_string()],
+                panic_samples: vec!["boom".to_string()],
+                ..Default::default()
+            }
+        );
+        assert_eq!(restored.metrics_delta.counters["mapreduce.jobs"], 1);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
     #[test]
     fn fnv_digest_is_stable() {
         // Reference vectors for the FNV-1a 64 parameters.
@@ -899,13 +934,10 @@ mod tests {
 
     #[test]
     fn dlq_reason_strings_round_trip() {
-        for reason in [
-            DlqReason::Poison,
-            DlqReason::TimedOut,
-            DlqReason::BudgetExhausted,
-        ] {
+        for reason in [DlqReason::Poison, DlqReason::BudgetExhausted] {
             assert_eq!(DlqReason::parse(reason.as_str()), Some(reason));
         }
         assert_eq!(DlqReason::parse("other"), None);
+        assert_eq!(DlqReason::parse("timed_out"), None, "a version-1 reason");
     }
 }

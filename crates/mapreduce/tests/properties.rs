@@ -148,12 +148,9 @@ fn arb_fault_report(rng: &mut Rng) -> FaultReport {
         quarantined_inputs: rng.random_range(0..100),
         map_bisections: rng.random_range(0..100),
         quarantined_keys: rng.random_range(0..100),
-        timed_out_inputs: rng.random_range(0..100),
-        timed_out_keys: rng.random_range(0..100),
         lost_values: rng.random_range(0..1000),
         input_samples: arb_samples(rng),
         key_samples: arb_samples(rng),
-        timeout_samples: arb_samples(rng),
         panic_samples: arb_samples(rng),
         ..FaultReport::default()
     }
@@ -202,14 +199,6 @@ fn fault_report_absorb_is_associative_and_count_preserving() {
         assert_eq!(
             left.quarantined_keys,
             a.quarantined_keys + b.quarantined_keys + c.quarantined_keys
-        );
-        assert_eq!(
-            left.timed_out_inputs,
-            a.timed_out_inputs + b.timed_out_inputs + c.timed_out_inputs
-        );
-        assert_eq!(
-            left.timed_out_keys,
-            a.timed_out_keys + b.timed_out_keys + c.timed_out_keys
         );
         assert_eq!(
             left.lost_values,

@@ -1,4 +1,4 @@
-//! Adversarial traces for deadline and load-shedding tests.
+//! Adversarial traces for per-pair work-budget tests.
 //!
 //! The deployment constraint of §VIII-B2 (26M pairs must clear the daily
 //! window in ~1.5 h) means the pipeline has to survive *pathological*

@@ -25,7 +25,7 @@
 //!   destinations, with a configurable miss rate.
 //! * **Adversarial workloads** ([`adversarial`]): deterministic
 //!   pathological pairs (a few events strided over an extreme span) for
-//!   exercising the deadline / load-shedding machinery.
+//!   exercising the per-pair work budget.
 //!
 //! ```
 //! use baywatch_netsim::enterprise::{EnterpriseConfig, EnterpriseSimulator};

@@ -1,15 +1,13 @@
 //! Admission control with hysteresis.
 //!
-//! The wave scheduler in `core::pipeline` polls its window budget between
-//! waves; historically the only lever was binary — keep going or shed the
-//! rest. The [`AdmissionController`] adds a middle setting: as budget
-//! *pressure* (a utilization fraction, 0 = idle, ≥ 1 = exhausted) climbs
-//! past `degrade_enter`, waves are admitted under **degraded** (coarser,
-//! `Tier`-style tightened) per-pair budgets; only past `reject_enter` —
-//! or outright budget exhaustion — is work rejected (shed). Each
-//! threshold pairs with a lower exit threshold, so a pressure reading
-//! oscillating around a boundary does not flap the controller between
-//! levels every wave:
+//! The streaming engine in `core::stream` closes one tick at a time under
+//! a state budget. The [`AdmissionController`] turns its *pressure* (a
+//! utilization fraction, 0 = idle, ≥ 1 = exhausted) into one of three
+//! settings: past `degrade_enter`, a tick is admitted **degraded** (the
+//! caller does coarser work); only past `reject_enter` is work rejected
+//! (shed). Each threshold pairs with a lower exit threshold, so a
+//! pressure reading oscillating around a boundary does not flap the
+//! controller between levels every tick:
 //!
 //! ```text
 //!             pressure ≥ degrade_enter        pressure ≥ reject_enter
@@ -19,9 +17,9 @@
 //!             pressure < degrade_exit        pressure < reject_exit
 //! ```
 //!
-//! Decisions are a pure function of the pressure sequence, so an
-//! ops-ceiling budget (the deterministic kind) yields byte-identical
-//! decision streams on every run.
+//! Decisions are a pure function of the pressure sequence, so a
+//! deterministic pressure (modelled bytes against a byte budget) yields
+//! byte-identical decision streams on every run.
 
 /// Enter/exit pressure thresholds for the two elevated levels.
 ///
@@ -113,18 +111,6 @@ impl Level {
     }
 }
 
-/// One recorded level change, stamped with the pressure that caused it.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct LevelChange {
-    /// Pressure reading that triggered the change.
-    pub pressure: f64,
-    /// Decision level entered.
-    pub entered: AdmissionDecision,
-}
-
-/// Bound on the retained level-change log.
-const CHANGE_LOG_LIMIT: usize = 64;
-
 /// Converts a pressure stream into accept/degrade/reject decisions with
 /// hysteresis.
 #[derive(Debug)]
@@ -132,7 +118,6 @@ pub struct AdmissionController {
     config: AdmissionConfig,
     level: Level,
     stats: AdmissionStats,
-    changes: Vec<LevelChange>,
 }
 
 impl AdmissionController {
@@ -142,7 +127,6 @@ impl AdmissionController {
             config,
             level: Level::Normal,
             stats: AdmissionStats::default(),
-            changes: Vec::new(),
         }
     }
 
@@ -151,32 +135,19 @@ impl AdmissionController {
         self.stats
     }
 
-    /// The retained level-change log (bounded; oldest entries kept).
-    pub fn changes(&self) -> &[LevelChange] {
-        &self.changes
-    }
-
-    /// Drains the level-change log.
-    pub fn take_changes(&mut self) -> Vec<LevelChange> {
-        std::mem::take(&mut self.changes)
-    }
-
     /// True while the controller is at an elevated level.
     pub fn is_elevated(&self) -> bool {
         self.level != Level::Normal
     }
 
     /// Decides the next unit given the current `pressure` reading.
-    /// `exhausted` short-circuits to rejection regardless of pressure
-    /// (a wall-clock deadline can expire while the utilization fraction
-    /// still reads low).
-    pub fn decide(&mut self, pressure: f64, exhausted: bool) -> AdmissionDecision {
+    pub fn decide(&mut self, pressure: f64) -> AdmissionDecision {
         let c = self.config;
         // Clamp the bands so a mis-ordered config degenerates to
         // sane threshold behavior instead of oscillation.
         let degrade_exit = c.degrade_exit.min(c.degrade_enter);
         let reject_exit = c.reject_exit.min(c.reject_enter);
-        let next = if exhausted || pressure >= c.reject_enter {
+        let next = if pressure >= c.reject_enter {
             Level::Rejecting
         } else {
             match self.level {
@@ -209,12 +180,6 @@ impl AdmissionController {
         };
         if next != self.level {
             self.stats.transitions += 1;
-            if self.changes.len() < CHANGE_LOG_LIMIT {
-                self.changes.push(LevelChange {
-                    pressure,
-                    entered: next.decision(),
-                });
-            }
             self.level = next;
         }
         let decision = self.level.decision();
@@ -234,8 +199,8 @@ mod tests {
     #[test]
     fn low_pressure_accepts() {
         let mut c = AdmissionController::new(AdmissionConfig::default());
-        assert_eq!(c.decide(0.0, false), AdmissionDecision::Accept);
-        assert_eq!(c.decide(0.5, false), AdmissionDecision::Accept);
+        assert_eq!(c.decide(0.0), AdmissionDecision::Accept);
+        assert_eq!(c.decide(0.5), AdmissionDecision::Accept);
         assert_eq!(c.stats().accepted, 2);
         assert_eq!(c.stats().transitions, 0);
     }
@@ -243,50 +208,38 @@ mod tests {
     #[test]
     fn degrade_band_has_hysteresis() {
         let mut c = AdmissionController::new(AdmissionConfig::default());
-        assert_eq!(c.decide(0.86, false), AdmissionDecision::Degrade);
+        assert_eq!(c.decide(0.86), AdmissionDecision::Degrade);
         // Dipping below enter but above exit stays degraded.
-        assert_eq!(c.decide(0.7, false), AdmissionDecision::Degrade);
-        assert_eq!(c.decide(0.64, false), AdmissionDecision::Accept);
+        assert_eq!(c.decide(0.7), AdmissionDecision::Degrade);
+        assert_eq!(c.decide(0.64), AdmissionDecision::Accept);
         assert_eq!(c.stats().transitions, 2);
     }
 
     #[test]
-    fn exhaustion_forces_reject() {
+    fn overload_rejects_and_recovers_straight_to_normal() {
         let mut c = AdmissionController::new(AdmissionConfig::default());
-        assert_eq!(c.decide(0.1, true), AdmissionDecision::Reject);
+        assert_eq!(c.decide(1.0), AdmissionDecision::Reject);
         assert!(c.is_elevated());
         // Recovery falls straight back to normal at low pressure.
-        assert_eq!(c.decide(0.1, false), AdmissionDecision::Accept);
+        assert_eq!(c.decide(0.1), AdmissionDecision::Accept);
     }
 
     #[test]
     fn reject_recovery_passes_through_degraded() {
         let mut c = AdmissionController::new(AdmissionConfig::default());
-        assert_eq!(c.decide(1.2, false), AdmissionDecision::Reject);
+        assert_eq!(c.decide(1.2), AdmissionDecision::Reject);
         assert_eq!(
-            c.decide(0.95, false),
+            c.decide(0.95),
             AdmissionDecision::Reject,
             "above reject_exit"
         );
         assert_eq!(
-            c.decide(0.8, false),
+            c.decide(0.8),
             AdmissionDecision::Degrade,
             "in the degrade band"
         );
-        assert_eq!(c.decide(0.1, false), AdmissionDecision::Accept);
+        assert_eq!(c.decide(0.1), AdmissionDecision::Accept);
         assert_eq!(c.stats().transitions, 3);
-    }
-
-    #[test]
-    fn change_log_records_pressure_and_level() {
-        let mut c = AdmissionController::new(AdmissionConfig::default());
-        let _ = c.decide(0.9, false);
-        let _ = c.decide(1.5, false);
-        let changes = c.take_changes();
-        assert_eq!(changes.len(), 2);
-        assert_eq!(changes[0].entered, AdmissionDecision::Degrade);
-        assert_eq!(changes[1].entered, AdmissionDecision::Reject);
-        assert!(c.changes().is_empty());
     }
 
     #[test]

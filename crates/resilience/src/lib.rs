@@ -12,10 +12,10 @@
 //!   through the [`Clock`](baywatch_obs::Clock) trait from `baywatch-obs`,
 //!   so under a [`ManualClock`](baywatch_obs::ManualClock) every
 //!   transition is byte-reproducible.
-//! * [`AdmissionController`] — converts budget pressure (an
-//!   `ExecBudget`/`PipelineBudget` utilization fraction) into
-//!   accept/degrade/reject decisions with hysteresis, so the pipeline
-//!   coarsens per-pair budgets under overload *before* shedding work.
+//! * [`AdmissionController`] — converts budget pressure (the streaming
+//!   engine's modelled state bytes as a fraction of its state budget) into
+//!   accept/degrade/reject decisions with hysteresis, so the stream
+//!   coarsens its ticks under overload *before* shedding work.
 //!
 //! The crate is held to the root `clippy.toml`'s determinism list: no
 //! ambient randomness, no wall-clock reads, no filesystem access, no hash

@@ -709,7 +709,7 @@ mod tests {
         assert_eq!(unlimited, acf.strongest_hill(2, 2000, &params));
 
         // A one-unit ceiling cannot cover a multi-lag scan.
-        let starved = ExecBudget::new(None, Some(1));
+        let starved = ExecBudget::new(Some(1));
         assert_eq!(
             acf.strongest_hill_budgeted(2, 2000, &params, &starved),
             Err(TimeSeriesError::BudgetExhausted)

@@ -38,7 +38,7 @@ pub struct DetectorConfig {
     /// Cap on the number of candidates carried from Step 1 into pruning
     /// (strongest-power first).
     pub max_candidates: usize,
-    /// Per-pair execution budget (wall clock and/or work units). The
+    /// Per-pair work budget (`max_ops` units). The
     /// default is unlimited; when armed, a pair that exceeds it aborts
     /// with [`TimeSeriesError::BudgetExhausted`] at the next kernel
     /// checkpoint instead of stalling a worker.
@@ -199,9 +199,9 @@ impl PeriodicityDetector {
     }
 
     /// Like [`PeriodicityDetector::detect`] under an explicit, already
-    /// armed [`ExecBudget`] (shared with a supervisor, e.g. the pipeline's
-    /// window scheduler). [`DetectorConfig::budget`] is ignored in favour
-    /// of the handle. Work-unit charges approximate the FFT cost in
+    /// armed [`ExecBudget`], whose [`ops_used`](ExecBudget::ops_used) the
+    /// caller can read afterwards. [`DetectorConfig::budget`] is ignored in
+    /// favour of the counter. Work-unit charges approximate the FFT cost in
     /// observed bins `n` (not padded ones): one unit per series bin for the
     /// periodogram and the ACF, `n` per permutation round, one per ACF lag
     /// scanned.
@@ -942,7 +942,6 @@ mod tests {
         let cfg = DetectorConfig {
             budget: BudgetSpec {
                 max_ops: Some(1_000_000),
-                max_millis: None,
             },
             ..Default::default()
         };
@@ -954,21 +953,11 @@ mod tests {
         let cfg = DetectorConfig {
             budget: BudgetSpec {
                 max_ops: Some(1_000_000),
-                max_millis: None,
             },
             ..Default::default()
         };
         let r = PeriodicityDetector::new(cfg).detect(&ok_ts).unwrap();
         assert!(r.is_periodic());
-    }
-
-    #[test]
-    fn cancelled_budget_aborts_detection() {
-        let ts = jittered_beacon(120, 60.0, 0.0, 17);
-        let budget = ExecBudget::unlimited();
-        budget.cancel();
-        let err = detector().detect_budgeted(&ts, &budget).unwrap_err();
-        assert_eq!(err, TimeSeriesError::BudgetExhausted);
     }
 
     #[test]
@@ -1032,7 +1021,7 @@ mod tests {
         let det = detector().with_obs(DetectorObs::new(&registry, clock));
         let ts = jittered_beacon(120, 60.0, 0.0, 1);
         let n = TimeSeries::from_timestamps(&ts, 1).unwrap().len() as u64;
-        let budget = ExecBudget::new(None, Some(n + 3 * n));
+        let budget = ExecBudget::new(Some(n + 3 * n));
         assert_eq!(
             det.detect_budgeted(&ts, &budget),
             Err(TimeSeriesError::BudgetExhausted)
@@ -1053,7 +1042,7 @@ mod tests {
         let ts = memoryless(4);
         let n = TimeSeries::from_timestamps(&ts, 1).unwrap().len() as u64;
 
-        let budget = ExecBudget::new(None, Some(u64::MAX));
+        let budget = ExecBudget::new(Some(u64::MAX));
         let report = det.detect_budgeted(&ts, &budget).unwrap();
         assert_eq!(report.raw_candidates, 0);
         assert!(!report.is_periodic());
@@ -1070,9 +1059,9 @@ mod tests {
 
         // That charge is also the exact ceiling the pair fits under, and
         // neither an armed nor an unlimited budget changes the report.
-        let exact = ExecBudget::new(None, Some(n + rounds * n));
+        let exact = ExecBudget::new(Some(n + rounds * n));
         assert_eq!(det.detect_budgeted(&ts, &exact).unwrap(), report);
-        let short = ExecBudget::new(None, Some(n + rounds * n - 1));
+        let short = ExecBudget::new(Some(n + rounds * n - 1));
         assert_eq!(
             det.detect_budgeted(&ts, &short),
             Err(TimeSeriesError::BudgetExhausted)
@@ -1090,7 +1079,7 @@ mod tests {
         let ts = jittered_beacon(120, 60.0, 0.0, 1);
         let n = TimeSeries::from_timestamps(&ts, 1).unwrap().len() as u64;
 
-        let budget = ExecBudget::new(None, Some(u64::MAX));
+        let budget = ExecBudget::new(Some(u64::MAX));
         let report = det.detect_budgeted(&ts, &budget).unwrap();
         assert!(report.is_periodic());
         let snap = registry.snapshot();
@@ -1104,9 +1093,9 @@ mod tests {
         let charged = n + 20 * n + n + lags;
         assert_eq!(budget.ops_used(), charged);
 
-        let exact = ExecBudget::new(None, Some(charged));
+        let exact = ExecBudget::new(Some(charged));
         assert_eq!(det.detect_budgeted(&ts, &exact).unwrap(), report);
-        let short = ExecBudget::new(None, Some(charged - 1));
+        let short = ExecBudget::new(Some(charged - 1));
         assert_eq!(
             det.detect_budgeted(&ts, &short),
             Err(TimeSeriesError::BudgetExhausted)
@@ -1121,7 +1110,7 @@ mod tests {
         let det = detector().with_obs(DetectorObs::new(&registry, clock));
 
         let ts = jittered_beacon(200, 60.0, 3.0, 3);
-        let starved = ExecBudget::new(None, Some(1));
+        let starved = ExecBudget::new(Some(1));
         assert!(matches!(
             det.detect_budgeted(&ts, &starved),
             Err(TimeSeriesError::BudgetExhausted)

@@ -592,7 +592,7 @@ mod tests {
 
         // Enough for exactly 3 rounds: the 4th checkpoint exceeds the cap,
         // after the first two rounds' packed FFT already ran.
-        let budget = ExecBudget::new(None, Some(3 * n));
+        let budget = ExecBudget::new(Some(3 * n));
         let err = threshold_in(&ws, &series, &cfg, &budget);
         assert_eq!(err, Err(TimeSeriesError::BudgetExhausted));
         assert_eq!(budget.ops_used(), 4 * n, "charged through the 4th round");
@@ -601,7 +601,7 @@ mod tests {
         // The charge follows the work: an early reject pays for the rounds
         // it ran, so the same ceiling that starves the full threshold is
         // ample for a pair rejected after one packed FFT.
-        let budget = ExecBudget::new(None, Some(3 * n));
+        let budget = ExecBudget::new(Some(3 * n));
         let rejected = permutation_filter(&ws, &series, &cfg, 0.0, &budget).unwrap();
         assert_eq!(budget.ops_used(), rejected.shuffled_maxima.len() as u64 * n);
 

@@ -155,7 +155,6 @@ fn main() {
     // DLQ replay runs under 4× the per-pair detection budget (a limit of
     // `None` stays unlimited).
     let replay_budget = BudgetSpec {
-        max_millis: config.detector.budget.max_millis.map(|m| m * 4),
         max_ops: config.detector.budget.max_ops.map(|o| o * 4),
     };
     let mut engine = Baywatch::new(config);

@@ -7,7 +7,7 @@
 
 #![allow(
     clippy::disallowed_methods,
-    reason = "checkpoint tests make and remove scratch dirs; one test times a deadline"
+    reason = "checkpoint tests make and remove scratch dirs"
 )]
 
 use std::collections::{BTreeMap, BTreeSet};
@@ -15,7 +15,7 @@ use std::sync::Arc;
 
 use baywatch::core::elff::read_elff;
 use baywatch::core::pair::CommunicationPair;
-use baywatch::core::pipeline::{AnalysisReport, Baywatch, BaywatchConfig, PipelineBudget};
+use baywatch::core::pipeline::{AnalysisReport, Baywatch, BaywatchConfig};
 use baywatch::core::record::LogRecord;
 use baywatch::core::report::{render_case, render_funnel, ReportOptions};
 use baywatch::mapreduce::FaultPlan;
@@ -240,122 +240,18 @@ fn corrupted_elff_ingest_degrades_without_losing_untouched_pairs() {
     assert!(verified >= 1, "no untouched pair was ranked in both runs");
 }
 
-/// Deterministic *delay* injection: a straggler reduce key (persistent
-/// sleep) plus a transient slow map call, run under an armed per-task
-/// deadline. The straggler pair is quarantined as `timed_out` — not as a
-/// panic — with exact counts, the transient slowdown is absorbed by
-/// speculative re-execution without losing a record, and every unaffected
-/// pair's evidence is byte-identical to a deadline-free run.
-#[test]
-fn task_deadline_quarantines_straggler_pair_and_preserves_the_rest() {
-    let mk_records = || {
-        let mut records: Vec<LogRecord> = beacon_events().iter().map(record_from_event).collect();
-        for i in 0..60u64 {
-            records.push(LogRecord::new(
-                50_000 + i * 60,
-                "sleeper",
-                "slow-c2.example.org",
-                format!("{:x}", i * 104_729 % 0xFFFF),
-            ));
-        }
-        records
-    };
-    // Analyze at a coarse time scale so every honest task finishes far
-    // under the deadline even in debug builds: only the injected sleeps
-    // can overrun it.
-    let base_config = || {
-        let mut config = BaywatchConfig {
-            local_tau: 0.9,
-            ..Default::default()
-        };
-        // Extraction and the detector share this scale: per-pair
-        // detection is a few hundred bins, not tens of thousands.
-        config.detector.time_scale = 30;
-        config
-    };
-
-    let clean = Baywatch::new(base_config()).analyze(mk_records());
-    assert!(clean.faults.is_clean());
-    assert!(
-        evidence(&clean, "slow-c2.example.org").is_some(),
-        "the straggler pair is a perfectly good beacon when nothing sleeps"
-    );
-
-    let straggler = format!(
-        "{:?}",
-        CommunicationPair::new("sleeper", "slow-c2.example.org")
-    );
-    let plan = Arc::new(
-        FaultPlan::new()
-            .delay_key(&straggler, 5_000)
-            .delay_map_call(5, 5_000),
-    );
-    let mut engine = Baywatch::new(BaywatchConfig {
-        budget: PipelineBudget {
-            window_millis: None,
-            task_deadline_millis: Some(2_000),
-        },
-        ..base_config()
-    });
-    engine.arm_fault_plan(Arc::clone(&plan));
-    let faulted = engine.analyze(mk_records());
-
-    // Both injected delays fired: the persistent one once (its key was
-    // quarantined at extraction, so detection never re-runs it), the
-    // transient one once (bisection re-runs skip the spent call number).
-    assert_eq!(plan.injected_faults(), 2);
-
-    // Exact timed-out accounting, distinct from panics and quarantines.
-    assert!(!faulted.faults.is_clean());
-    assert_eq!(faulted.faults.timed_out_keys, 1);
-    assert_eq!(faulted.faults.timed_out_inputs, 0);
-    assert_eq!(faulted.stats.timed_out_pairs, 1);
-    assert_eq!(faulted.stats.quarantined_pairs, 0);
-    assert_eq!(faulted.stats.skipped_events, 60, "straggler pair's records");
-    assert!(faulted
-        .faults
-        .timeout_samples
-        .iter()
-        .any(|s| s.contains("sleeper")));
-    assert!(faulted.faults.panic_samples.is_empty(), "nothing panicked");
-    assert!(
-        faulted.faults.map_retries >= 1,
-        "slow map slice not speculatively re-run"
-    );
-    let funnel = render_funnel(&faulted);
-    assert!(funnel.contains("timed-out pairs (budget)"));
-    assert!(funnel.contains("degraded mode"));
-    assert!(funnel.contains("1 timed-out pair(s)"));
-
-    // Exactly the straggler pair is missing...
-    let dests = |r: &AnalysisReport| -> BTreeSet<String> {
-        r.ranked
-            .iter()
-            .map(|rc| rc.case.pair.destination.clone())
-            .collect()
-    };
-    let mut expected = dests(&clean);
-    expected.remove("slow-c2.example.org");
-    assert_eq!(dests(&faulted), expected);
-
-    // ...and every surviving pair's evidence block is byte-identical.
-    for dest in &expected {
-        assert_eq!(
-            evidence(&faulted, dest),
-            evidence(&clean, dest),
-            "evidence for {dest} changed under delay injection"
-        );
-    }
-}
-
-/// The acceptance scenario for deadline-aware execution: a netsim
-/// pathological pair (sparse strided series, ~700k bins at scale 1) in the
-/// window with a per-pair ops budget armed. The run completes inside a
-/// generous window budget without shedding, the pathological pair lands in
-/// the `timed_out` accounting, and every other pair's ranked evidence is
-/// byte-identical to an unbudgeted run.
+/// The acceptance scenario for the one cut-off, the per-pair work budget: a
+/// netsim pathological pair (sparse strided series, ~700k bins at scale 1)
+/// in the window with `max_ops` armed. The pathological pair lands in the
+/// `timed_out` accounting, every other pair's ranked evidence is
+/// byte-identical to an unbudgeted run, and the cut falls on the same pair
+/// whatever the thread count and whether the window runs plain or
+/// checkpointed — killed and resumed included.
 #[test]
 fn per_pair_budget_cuts_off_pathological_pair_and_preserves_the_rest() {
+    use baywatch::core::checkpoint::CheckpointSpec;
+    use baywatch::core::report::export_json;
+
     // The pathological pair reuses host 0's source, so the source
     // population — and with it every popularity value downstream — is
     // identical whether or not the pair's records are present.
@@ -377,26 +273,32 @@ fn per_pair_budget_cuts_off_pathological_pair_and_preserves_the_rest() {
     let mut full = base_records;
     full.extend(slow_records);
 
-    let mut config = BaywatchConfig {
-        local_tau: 0.9,
-        ..Default::default()
-    };
     // 800k ops: every normal pair finishes far under it; the pathological
     // series charges ~697k for its periodogram alone and trips at the
     // first permutation round's checkpoint.
-    config.detector.budget.max_ops = Some(800_000);
-    config.budget.window_millis = Some(300_000);
-    let started = std::time::Instant::now();
-    let report = Baywatch::new(config).analyze(full);
-    assert!(
-        started.elapsed() < std::time::Duration::from_millis(300_000),
-        "budgeted run must complete within the window budget"
-    );
+    let engine = |threads: usize| {
+        let mut config = BaywatchConfig {
+            local_tau: 0.9,
+            ..Default::default()
+        };
+        config.detector.budget.max_ops = Some(800_000);
+        config.mapreduce.threads = threads;
+        Baywatch::new(config)
+    };
+    let plain = |threads: usize| {
+        let mut engine = engine(threads);
+        let report = engine.analyze(full.clone());
+        let json = export_json(&report, &engine.metrics_snapshot(), 20);
+        (report, json)
+    };
+    let (report, json) = plain(2);
+    for threads in [1, 8] {
+        assert_eq!(plain(threads).1, json, "{threads} threads");
+    }
 
-    // The pathological pair is accounted for as timed out, nothing was
-    // shed, and it never reaches the ranked list.
+    // The pathological pair is accounted for as timed out and never
+    // reaches the ranked list.
     assert_eq!(report.stats.timed_out_pairs, 1);
-    assert_eq!(report.stats.shed_pairs, 0);
     assert_eq!(report.stats.quarantined_pairs, 0);
     let funnel = render_funnel(&report);
     assert!(funnel.contains("timed-out pairs (budget)"));
@@ -431,6 +333,36 @@ fn per_pair_budget_cuts_off_pathological_pair_and_preserves_the_rest() {
             "evidence for {dest} changed under the per-pair budget"
         );
     }
+
+    // Checkpointed, the budget cuts the same pair: uninterrupted, and
+    // killed after one shard then resumed by a fresh engine, export the
+    // same bytes, and both report the plain window's funnel and ranking.
+    let base = std::env::temp_dir().join(format!("baywatch-one-cutoff-{}", std::process::id()));
+    let checkpointed = |leaf: &str, abort_after_shards: Option<usize>, resume: bool| {
+        let mut engine = engine(2);
+        let spec = CheckpointSpec {
+            shard_size: 4,
+            abort_after_shards,
+            resume,
+            ..CheckpointSpec::new(base.join(leaf))
+        };
+        let report = engine.analyze_checkpointed(full.clone(), &spec).unwrap();
+        let json = export_json(&report, &engine.metrics_snapshot(), 20);
+        (report, json)
+    };
+    let (whole, whole_json) = checkpointed("whole", None, false);
+    let (killed, _) = checkpointed("killed", Some(1), false);
+    assert!(killed.checkpoint.unwrap().interrupted);
+    let (resumed, resumed_json) = checkpointed("killed", None, true);
+    let resumed_outcome = resumed.checkpoint.unwrap();
+    assert_eq!(resumed_outcome.resumed_shards, 1);
+    assert!(resumed_outcome.total_shards >= 3, "want a multi-shard plan");
+    assert_eq!(resumed_json, whole_json);
+    assert_eq!(whole.checkpoint.unwrap().dlq_entries, 1);
+    assert_eq!(whole.stats, report.stats);
+    assert_eq!(whole.ranked, report.ranked);
+
+    std::fs::remove_dir_all(&base).ok();
 }
 
 /// Timestamp skew, duplicated events, and out-of-order delivery — the
@@ -607,34 +539,6 @@ fn dlq_replay_under_larger_budget_readmits_quarantined_pair() {
     let funnel = render_funnel(&second);
     assert!(funnel.contains("dlq pairs replayed"));
     assert!(funnel.contains("dlq pairs recovered"));
-
-    std::fs::remove_dir_all(&dir).ok();
-}
-
-/// The window budget sheds pairs in `analyze` only. A checkpointed run
-/// ignores `window_millis`: which pairs a wall-clock budget reaches
-/// depends on the host, so shedding would break resume byte-identity.
-#[test]
-fn checkpointed_window_ignores_the_window_budget() {
-    use baywatch::core::checkpoint::CheckpointSpec;
-
-    let records: Vec<LogRecord> = beacon_events().iter().map(record_from_event).collect();
-    let mut config = BaywatchConfig {
-        local_tau: 0.9,
-        ..Default::default()
-    };
-    config.budget.window_millis = Some(0);
-
-    let plain = Baywatch::new(config.clone()).analyze(records.clone());
-    assert!(plain.stats.shed_pairs > 0);
-
-    let dir = std::env::temp_dir().join(format!("baywatch-window-{}", std::process::id()));
-    let checkpointed = Baywatch::new(config)
-        .analyze_checkpointed(records, &CheckpointSpec::new(&dir))
-        .unwrap();
-    assert_eq!(checkpointed.stats.shed_pairs, 0);
-    assert_eq!(checkpointed.stats.degraded_pairs, 0);
-    assert_eq!(checkpointed.stats.periodic, HOSTS as usize);
 
     std::fs::remove_dir_all(&dir).ok();
 }

@@ -1,6 +1,6 @@
 //! Golden-run regression suite: a seeded `netsim::enterprise` trace runs
 //! end-to-end and the complete deterministic export — funnel counts,
-//! quarantine/shed tallies, metrics snapshot, ranked top-K — is compared
+//! quarantine/timeout tallies, metrics snapshot, ranked top-K — is compared
 //! byte-for-byte against `tests/golden/funnel.json`.
 //!
 //! # Bless workflow

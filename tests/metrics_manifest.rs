@@ -222,7 +222,7 @@ fn checkpointed_run_with_failing_saves() -> MetricsSnapshot {
             |k: &String, vs: &[usize]| vec![(k.clone(), vs.len())],
             |rows: &[(String, usize)]| format!("{rows:?}"),
             |_: &str| None,
-            |_, _, _, _, _| Vec::new(),
+            |_, _, _, _| Vec::new(),
         )
         .unwrap();
     assert_eq!(outcome.write_warnings, 3, "two failed saves, one refused");
@@ -249,17 +249,6 @@ fn flapping_ingest() -> MetricsSnapshot {
     let registry = MetricsRegistry::new();
     guard.record_metrics(&registry);
     registry.snapshot()
-}
-
-/// A window whose detection budget is spent before the first wave: the
-/// admission controller rejects and every pair is shed.
-fn admission_reject() -> MetricsSnapshot {
-    let mut config = quiet_config();
-    config.budget.window_millis = Some(0);
-    let mut engine = Baywatch::new(config);
-    let report = engine.analyze(beacon_records(12));
-    assert!(report.stats.shed_pairs > 0);
-    engine.metrics_snapshot()
 }
 
 const TICK_SECONDS: u64 = 300;
@@ -351,7 +340,6 @@ fn every_emitted_name_is_declared_and_every_row_is_emitted() {
         checkpointed_run_with_failing_saves(),
     ));
     scenarios.push(("flapping ingest", flapping_ingest()));
-    scenarios.push(("admission reject", admission_reject()));
     scenarios.push(("stream under pressure", stream_under_pressure()));
 
     let mut problems = Vec::new();
