@@ -5,8 +5,8 @@
 //! It is a *regression gate*: `--baseline PATH` compares a run against a
 //! baseline — in CI the committed `BENCH_detector.json`. Every input is
 //! seeded through `stats::rng`, whose stream is the same on every
-//! machine, so the deterministic fields (detection checksums, checkpoint,
-//! resilience and stream ledgers) must match the baseline exactly; the
+//! machine, so the deterministic fields (detection checksums, checkpoint
+//! and stream ledgers) must match the baseline exactly; the
 //! cache hit rates must stay within the tolerance band. Absolute pairs/sec
 //! numbers and elapsed times are recorded for the curious but never gated
 //! on — they depend on the host.
@@ -16,10 +16,6 @@
 //! `checkpoints_written`/`dlq_replayed` accounting and the checkpoint
 //! overhead ratio, so a checkpoint-overhead or DLQ-accounting regression
 //! trips the gate.
-//!
-//! A resilience probe measures the clean-path cost of the breaker guard
-//! (ratio recorded, never gated) while exact-gating its clean-path ledger
-//! at zero transitions and zero rejected lines.
 //!
 //! A streaming probe drives the incremental `StreamingHunt` engine over a
 //! seeded long-trace feed under a tight state budget, recording events/sec
@@ -55,7 +51,6 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use baywatch_core::checkpoint::CheckpointSpec;
-use baywatch_core::io::{read_records, IngestGuard};
 use baywatch_core::pipeline::{Baywatch, BaywatchConfig};
 use baywatch_core::record::LogRecord;
 use baywatch_core::stream::{StreamConfig, StreamingHunt};
@@ -66,7 +61,6 @@ use baywatch_netsim::synth::{multi_period_burst, SyntheticBeacon};
 use baywatch_obs::clock::MonotonicClock;
 use baywatch_obs::json::{parse, JsonValue, JsonWriter};
 use baywatch_obs::registry::MetricsRegistry;
-use baywatch_resilience::BreakerConfig;
 use baywatch_timeseries::detector::{DetectorConfig, DetectorObs, PeriodicityDetector};
 use baywatch_timeseries::workspace::SpectralWorkspace;
 use baywatch_timeseries::BudgetSpec;
@@ -387,86 +381,6 @@ fn write_checkpoint(w: &mut JsonWriter, p: &CheckpointProbe) {
     });
 }
 
-struct ResilienceProbe {
-    plain_ingest_elapsed_ns: u128,
-    guarded_ingest_elapsed_ns: u128,
-    lines: u64,
-    records: u64,
-    transitions: u64,
-    rejected_lines: u64,
-}
-
-/// Measures what the resilience layer costs when nothing is wrong: the
-/// same clean corpus is parsed plain and through the per-line breaker
-/// guard. On a clean path the breaker must never transition or reject —
-/// those counts are exact-gated at zero, so a fast-path regression
-/// (resilience machinery activating on healthy input) trips the gate even
-/// though the overhead ratio itself is host-dependent and only recorded.
-fn run_resilience_probe() -> Result<ResilienceProbe, String> {
-    let mut data = String::new();
-    for i in 0..20_000u64 {
-        let line = format!(
-            "{}\thost-{}\tsvc{}.example.net\ttok\n",
-            50_000 + i,
-            i % 40,
-            i % 8
-        );
-        data.push_str(&line);
-    }
-
-    let start = Instant::now();
-    let plain = read_records(data.as_bytes()).map_err(|e| format!("plain ingest failed: {e}"))?;
-    let plain_ingest_elapsed_ns = start.elapsed().as_nanos();
-
-    let mut guard = IngestGuard::new(BreakerConfig::default(), Arc::new(MonotonicClock::new()));
-    let start = Instant::now();
-    let guarded = guard
-        .read_source("bench-clean", data.as_bytes())
-        .map_err(|e| format!("guarded ingest failed: {e}"))?;
-    let guarded_ingest_elapsed_ns = start.elapsed().as_nanos();
-    if guarded.outcome.records.len() != plain.records.len() {
-        return Err(format!(
-            "guarded ingest admitted {} records, plain parsed {}",
-            guarded.outcome.records.len(),
-            plain.records.len()
-        ));
-    }
-    let stats = guard.stats();
-
-    Ok(ResilienceProbe {
-        plain_ingest_elapsed_ns,
-        guarded_ingest_elapsed_ns,
-        lines: guarded.offered_lines as u64,
-        records: guarded.outcome.records.len() as u64,
-        transitions: stats.transitions(),
-        rejected_lines: guarded.rejected_lines as u64,
-    })
-}
-
-fn write_resilience(w: &mut JsonWriter, p: &ResilienceProbe) {
-    let ratio = |num: u128, den: u128| num as f64 / den.max(1) as f64;
-    section(w, "resilience", |w| {
-        // Host-dependent, recorded but never gated.
-        uint(
-            w,
-            "plain_ingest_elapsed_ns",
-            p.plain_ingest_elapsed_ns as u64,
-        );
-        uint(
-            w,
-            "guarded_ingest_elapsed_ns",
-            p.guarded_ingest_elapsed_ns as u64,
-        );
-        let ingest = ratio(p.guarded_ingest_elapsed_ns, p.plain_ingest_elapsed_ns);
-        float(w, "ingest_overhead_ratio", ingest, 3);
-        // Deterministic clean-path accounting, exact-gated.
-        uint(w, "lines", p.lines);
-        uint(w, "records", p.records);
-        uint(w, "transitions", p.transitions);
-        uint(w, "rejected_lines", p.rejected_lines);
-    });
-}
-
 struct StreamProbe {
     elapsed_ns: u128,
     tick_p50_ns: u64,
@@ -669,20 +583,6 @@ fn gate(current: &JsonValue, baseline: &JsonValue, tolerance: f64) -> Vec<String
         }
     }
 
-    // The clean-path resilience ledger is exact: a breaker that
-    // transitions or rejects a line on healthy input is a fast-path
-    // regression regardless of how fast it ran.
-    for field in ["lines", "records", "transitions", "rejected_lines"] {
-        let cur = get_f64(current, &["resilience", field]);
-        let base = get_f64(baseline, &["resilience", field]);
-        if cur != base {
-            failures.push(format!(
-                "resilience.{field}: current {cur:?} != baseline {base:?} \
-                 (deterministic field — re-bless only with an explanation)"
-            ));
-        }
-    }
-
     // Detection output is a deterministic function of the corpus: exact
     // match required.
     for field in [
@@ -801,22 +701,6 @@ fn main() -> ExitCode {
         probe.dlq_recovered
     );
 
-    let resilience = match run_resilience_probe() {
-        Ok(p) => p,
-        Err(e) => {
-            eprintln!("resilience probe failed: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    println!(
-        "resilience probe: guarded ingest {:.2}x plain \
-         ({} transitions, {} rejected on the clean path)",
-        resilience.guarded_ingest_elapsed_ns as f64
-            / resilience.plain_ingest_elapsed_ns.max(1) as f64,
-        resilience.transitions,
-        resilience.rejected_lines
-    );
-
     let stream = match run_stream_probe(quick) {
         Ok(p) => p,
         Err(e) => {
@@ -850,7 +734,6 @@ fn main() -> ExitCode {
     uint(&mut w, "passes", passes as u64);
     section(&mut w, "modes", |w| write_detector(w, &run));
     write_checkpoint(&mut w, &probe);
-    write_resilience(&mut w, &resilience);
     write_stream(&mut w, &stream);
     w.raw("}\n");
     let rendered = w.finish();

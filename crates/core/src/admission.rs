@@ -1,7 +1,7 @@
 //! Admission control with hysteresis.
 //!
-//! The streaming engine in `core::stream` closes one tick at a time under
-//! a state budget. The [`AdmissionController`] turns its *pressure* (a
+//! The streaming engine in [`crate::stream`] closes one tick at a time
+//! under a state budget. The [`AdmissionController`] turns its *pressure* (a
 //! utilization fraction, 0 = idle, ≥ 1 = exhausted) into one of three
 //! settings: past `degrade_enter`, a tick is admitted **degraded** (the
 //! caller does coarser work); only past `reject_enter` is work rejected
@@ -49,7 +49,7 @@ impl Default for AdmissionConfig {
     }
 }
 
-/// The verdict for one unit (a wave, a batch, a request).
+/// The verdict for one tick.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AdmissionDecision {
     /// Admit under the normal budget.
@@ -61,7 +61,7 @@ pub enum AdmissionDecision {
 }
 
 impl AdmissionDecision {
-    /// Stable lower-case label used in metrics names and span events.
+    /// Stable lower-case label used in reports and benchmark output.
     pub fn label(&self) -> &'static str {
         match self {
             AdmissionDecision::Accept => "accept",
@@ -71,7 +71,7 @@ impl AdmissionDecision {
     }
 }
 
-/// Additive decision counters for one controller.
+/// Decision counters of one controller.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct AdmissionStats {
     /// Decisions returned as [`AdmissionDecision::Accept`].
@@ -82,16 +82,6 @@ pub struct AdmissionStats {
     pub rejected: u64,
     /// Level changes (any direction).
     pub transitions: u64,
-}
-
-impl AdmissionStats {
-    /// Field-wise sum.
-    pub fn merge(&mut self, other: &AdmissionStats) {
-        self.accepted += other.accepted;
-        self.degraded += other.degraded;
-        self.rejected += other.rejected;
-        self.transitions += other.transitions;
-    }
 }
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -240,19 +230,5 @@ mod tests {
         );
         assert_eq!(c.decide(0.1), AdmissionDecision::Accept);
         assert_eq!(c.stats().transitions, 3);
-    }
-
-    #[test]
-    fn stats_merge_is_fieldwise() {
-        let mut a = AdmissionStats {
-            accepted: 1,
-            degraded: 2,
-            rejected: 3,
-            transitions: 4,
-        };
-        let b = a;
-        a.merge(&b);
-        assert_eq!(a.accepted, 2);
-        assert_eq!(a.transitions, 8);
     }
 }

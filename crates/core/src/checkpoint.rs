@@ -18,7 +18,7 @@
 
 use std::path::PathBuf;
 
-use baywatch_mapreduce::{fnv1a64, FaultPolicy};
+use baywatch_mapreduce::fnv1a64;
 use baywatch_obs::json::{parse, JsonValue};
 use baywatch_obs::JsonWriter;
 use baywatch_timeseries::{BudgetSpec, CandidatePeriod};
@@ -292,23 +292,14 @@ pub fn decode_summaries(text: &str) -> Option<Vec<ActivitySummary>> {
 
 /// Fingerprint binding a manifest to the run configuration that wrote it.
 ///
-/// Covers everything that changes shard outputs: the fault policy, the
-/// per-pair detection budget, the permutation RNG seed, and the shard plan
+/// Covers everything that changes shard outputs: the per-pair detection
+/// budget, the permutation RNG seed, and the shard plan
 /// itself (ids, sizes, and every summary's rendered content). A resume
 /// against a manifest with a different fingerprint degrades to a fresh run.
-pub fn run_fingerprint(
-    policy: &FaultPolicy,
-    budget: &BudgetSpec,
-    rng_seed: u64,
-    shards: &[Vec<ActivitySummary>],
-) -> u64 {
+pub fn run_fingerprint(budget: &BudgetSpec, rng_seed: u64, shards: &[Vec<ActivitySummary>]) -> u64 {
     use std::fmt::Write as _;
     let mut text = String::new();
-    let _ = write!(
-        text,
-        "policy:{}:{};budget:{:?};seed:{rng_seed};",
-        policy.max_task_retries, policy.sample_limit, budget.max_ops,
-    );
+    let _ = write!(text, "budget:{:?};seed:{rng_seed};", budget.max_ops);
     let _ = write!(
         text,
         "plan:{};",
@@ -427,16 +418,15 @@ mod tests {
 
     #[test]
     fn fingerprint_tracks_every_input() {
-        let policy = FaultPolicy::default();
         let budget = BudgetSpec::UNLIMITED;
         let shards = vec![vec![summary("h1", "a.test", 3)]];
-        let base = run_fingerprint(&policy, &budget, 7, &shards);
-        assert_eq!(base, run_fingerprint(&policy, &budget, 7, &shards));
-        assert_ne!(base, run_fingerprint(&policy, &budget, 8, &shards));
+        let base = run_fingerprint(&budget, 7, &shards);
+        assert_eq!(base, run_fingerprint(&budget, 7, &shards));
+        assert_ne!(base, run_fingerprint(&budget, 8, &shards));
         let tighter = BudgetSpec { max_ops: Some(10) };
-        assert_ne!(base, run_fingerprint(&policy, &tighter, 7, &shards));
+        assert_ne!(base, run_fingerprint(&tighter, 7, &shards));
         let other_plan = vec![vec![summary("h1", "a.test", 4)]];
-        assert_ne!(base, run_fingerprint(&policy, &budget, 7, &other_plan));
+        assert_ne!(base, run_fingerprint(&budget, 7, &other_plan));
     }
 
     #[test]

@@ -51,10 +51,9 @@ fn role_of(field: &str) -> Role {
 }
 
 /// Incremental ELFF parser: holds the `#Fields:` schema seen so far so
-/// callers that need per-line admission decisions (the breaker-guarded
-/// ingest in [`crate::io::IngestGuard`]) can separate directive handling
-/// from record parsing. [`read_elff`] is the plain streaming facade on
-/// top of it.
+/// directive handling is separate from record parsing (the block reader
+/// tracks each block's schema before workers parse its lines).
+/// [`read_elff`] is the streaming facade on top of it.
 #[derive(Debug, Clone, Default)]
 pub struct ElffParser {
     roles: Option<Vec<Role>>,

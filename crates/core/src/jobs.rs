@@ -21,18 +21,18 @@
 //! a job; ranking, §VII-E, lives in [`crate::rank`].)
 //!
 //! Every job is one call of the engine's single execution body
-//! ([`MapReduce::run`]), so a panicking mapper or reducer is retried,
-//! bisected and quarantined instead of tearing down the window.
-//! Each job borrows its inputs, takes the [`FaultPolicy`] to run under and
-//! an optional [`FaultPlan`] (the robustness tests' deterministic
-//! fault-injection checkpoints; `None` outside the harness), and returns
-//! its [`FaultReport`] so the caller can record what was dropped.
+//! ([`MapReduce::run`]), so a panicking mapper or reducer is bisected and
+//! quarantined instead of tearing down the window.
+//! Each job borrows its inputs, takes an optional [`FaultPlan`] (the
+//! robustness tests' deterministic fault-injection checkpoints; `None`
+//! outside the harness), and returns its [`FaultReport`] so the caller can
+//! record what was dropped.
 
 use std::collections::BTreeMap;
 
 use baywatch_mapreduce::{
-    CheckpointedRun, DlqEntry, DlqReason, FaultPlan, FaultPolicy, FaultReport, MapReduce,
-    ShardedOutcome,
+    CheckpointedRun, DlqEntry, DlqReason, FaultPlan, FaultReport, MapReduce, ShardedOutcome,
+    SAMPLE_LIMIT,
 };
 use baywatch_timeseries::detector::PeriodicityDetector;
 use baywatch_timeseries::{BudgetSpec, CandidatePeriod, TimeSeriesError};
@@ -48,14 +48,13 @@ use crate::record::LogRecord;
 /// borrowed from `records` — none for a `listed` `d`, asked after the fault
 /// checkpoint; REDUCE sorts each group's timestamps and produces the
 /// summary. Output order is deterministic (partition, then pair). Poison
-/// records are quarantined and poison pairs dropped, per `policy`.
+/// records are quarantined and poison pairs dropped.
 pub fn extract_summaries(
     engine: &MapReduce,
     records: &[LogRecord],
     listed: impl Fn(&str) -> bool + Sync,
     scale: u64,
     plan: Option<&FaultPlan>,
-    policy: &FaultPolicy,
 ) -> (Vec<ActivitySummary>, FaultReport) {
     engine.run(
         records,
@@ -84,7 +83,6 @@ pub fn extract_summaries(
                 Err(_) => Vec::new(),
             }
         },
-        policy,
     )
 }
 
@@ -123,7 +121,6 @@ pub fn rescale_and_merge(
     summaries: &[&ActivitySummary],
     new_scale: u64,
     plan: Option<&FaultPlan>,
-    policy: &FaultPolicy,
 ) -> (Vec<ActivitySummary>, FaultReport) {
     engine.run(
         summaries,
@@ -146,7 +143,6 @@ pub fn rescale_and_merge(
             });
             merged.into_iter().collect()
         },
-        policy,
     )
 }
 
@@ -281,13 +277,11 @@ pub fn detect_beaconing(
     detector: &PeriodicityDetector,
     pair_budget: BudgetSpec,
     plan: Option<&FaultPlan>,
-    policy: &FaultPolicy,
 ) -> (Vec<DetectRow>, FaultReport) {
     engine.run(
         summaries,
         |summary, emit| detect_map(plan, summary, emit),
         |pair, group| detect_group(detector, &pair_budget, plan, pair, group),
-        policy,
     )
 }
 
@@ -302,8 +296,8 @@ pub fn detect_beaconing(
 /// * a [`DetectRow::TimedOut`] row → [`DlqReason::BudgetExhausted`] (the
 ///   per-pair work budget was exhausted; the pair is replayable under a
 ///   larger budget),
-/// * no row at all → [`DlqReason::Poison`] (the engine quarantined it
-///   after `policy.max_task_retries` retries).
+/// * no row at all → [`DlqReason::Poison`] (its reducer panicked and the
+///   engine quarantined it).
 ///
 /// # Errors
 ///
@@ -315,20 +309,16 @@ pub fn detect_beaconing_checkpointed(
     detector: &PeriodicityDetector,
     pair_budget: BudgetSpec,
     plan: Option<&FaultPlan>,
-    policy: &FaultPolicy,
     run: &CheckpointedRun<'_>,
 ) -> std::io::Result<ShardedOutcome<DetectRow>> {
     engine.run_sharded_checkpointed(
         shards,
         run,
-        policy,
         |summary, emit| detect_map(plan, summary, emit),
         |pair, group| detect_group(detector, &pair_budget, plan, pair, group),
         crate::checkpoint::encode_rows,
         crate::checkpoint::decode_rows,
-        |shard_id, inputs, outputs, faults| {
-            dlq_entries_for_shard(shard_id, inputs, outputs, faults, policy)
-        },
+        dlq_entries_for_shard,
     )
 }
 
@@ -340,7 +330,6 @@ fn dlq_entries_for_shard(
     inputs: &[ActivitySummary],
     outputs: &[DetectRow],
     faults: &FaultReport,
-    policy: &FaultPolicy,
 ) -> Vec<DlqEntry> {
     // Pairs that produced a row → whether any of them was verdictless.
     let mut budget_exhausted: BTreeMap<&CommunicationPair, bool> = BTreeMap::new();
@@ -357,18 +346,17 @@ fn dlq_entries_for_shard(
     let mut entries = Vec::new();
     for (pair, summaries) in by_pair {
         let key = format!("{pair:?}");
-        let (reason, retries, samples) = match budget_exhausted.get(pair) {
+        let (reason, samples) = match budget_exhausted.get(pair) {
             // The pair *completed* the shard with a verdictless row; it is
             // queued for replay under a larger budget, not lost.
-            Some(true) => (DlqReason::BudgetExhausted, 0, Vec::new()),
+            Some(true) => (DlqReason::BudgetExhausted, Vec::new()),
             Some(false) => continue,
             None => (
                 DlqReason::Poison,
-                policy.max_task_retries,
                 faults
                     .panic_samples
                     .iter()
-                    .take(policy.sample_limit)
+                    .take(SAMPLE_LIMIT)
                     .cloned()
                     .collect(),
             ),
@@ -377,7 +365,6 @@ fn dlq_entries_for_shard(
             key,
             shard: shard_id,
             reason,
-            retries,
             samples,
             payload: crate::checkpoint::encode_summaries(&summaries),
         });
@@ -405,21 +392,15 @@ mod tests {
             .collect()
     }
 
-    /// Extraction of clean input under the default policy.
+    /// Extraction of clean input.
     fn extract(records: &[LogRecord], scale: u64) -> Vec<ActivitySummary> {
-        let (summaries, report) = extract_summaries(
-            &engine(),
-            records,
-            |_: &str| false,
-            scale,
-            None,
-            &FaultPolicy::default(),
-        );
+        let (summaries, report) =
+            extract_summaries(&engine(), records, |_: &str| false, scale, None);
         assert!(report.is_clean());
         summaries
     }
 
-    /// Detection under the detector's own budget and the default policy.
+    /// Detection under the detector's own budget.
     fn detect(
         summaries: &[ActivitySummary],
         plan: Option<&FaultPlan>,
@@ -431,7 +412,6 @@ mod tests {
             &detector,
             detector.config().budget,
             plan,
-            &FaultPolicy::default(),
         );
         let hits = rows
             .into_iter()
@@ -579,14 +559,8 @@ mod tests {
             r#"domain: "p.com", url_token: "t" }"#
         );
         let plan = FaultPlan::new().poison_key(key).poison_input(input);
-        let (summaries, report) = extract_summaries(
-            &engine(),
-            &records,
-            |_: &str| false,
-            1,
-            Some(&plan),
-            &FaultPolicy::default(),
-        );
+        let (summaries, report) =
+            extract_summaries(&engine(), &records, |_: &str| false, 1, Some(&plan));
         assert_eq!(summaries.len(), 1);
         assert_eq!(summaries[0].pair, CommunicationPair::new("a", "x.com"));
         assert_eq!(report.key_samples, [key]);
@@ -612,8 +586,7 @@ mod tests {
         all.extend(extract(&day2, 1));
         assert_eq!(all.len(), 2);
         let all: Vec<&ActivitySummary> = all.iter().collect();
-        let (merged, faults) =
-            rescale_and_merge(&engine(), &all, 60, None, &FaultPolicy::default());
+        let (merged, faults) = rescale_and_merge(&engine(), &all, 60, None);
         assert!(faults.is_clean());
         assert_eq!(merged.len(), 1);
         assert_eq!(merged[0].scale, 60);
@@ -675,7 +648,6 @@ mod tests {
                 &detector,
                 budget,
                 None,
-                &FaultPolicy::default(),
             );
             assert!(faults.is_clean());
             assert_eq!(rows.len(), 1);
@@ -697,14 +669,8 @@ mod tests {
         records.extend(beacon_records("bad", "evil.com", 30, 5));
         let poison = format!("{:?}", CommunicationPair::new("bad", "evil.com"));
         let plan = FaultPlan::new().poison_key(&poison);
-        let (summaries, report) = extract_summaries(
-            &engine(),
-            &records,
-            |_: &str| false,
-            1,
-            Some(&plan),
-            &FaultPolicy::default(),
-        );
+        let (summaries, report) =
+            extract_summaries(&engine(), &records, |_: &str| false, 1, Some(&plan));
         assert_eq!(summaries.len(), 1);
         assert_eq!(summaries[0].pair, CommunicationPair::new("a", "x.com"));
         assert_eq!(report.quarantined_keys, 1);
@@ -713,20 +679,15 @@ mod tests {
     }
 
     #[test]
-    fn extraction_survives_transient_map_fault_without_loss() {
+    fn extraction_absorbs_a_one_shot_map_fault_by_bisection() {
         let records = beacon_records("a", "x.com", 60, 10);
         let plan = FaultPlan::new().panic_on_map_call(3);
-        let (summaries, report) = extract_summaries(
-            &engine(),
-            &records,
-            |_: &str| false,
-            1,
-            Some(&plan),
-            &FaultPolicy::default(),
-        );
+        let (summaries, report) =
+            extract_summaries(&engine(), &records, |_: &str| false, 1, Some(&plan));
         assert_eq!(summaries, extract(&records, 1));
-        assert!(report.map_retries >= 1);
+        assert!(report.map_bisections >= 1);
         assert_eq!(report.quarantined_inputs, 0);
+        assert!(!report.is_clean());
     }
 
     #[test]
@@ -743,14 +704,7 @@ mod tests {
         });
         let run = |listing: bool, plan: &FaultPlan| {
             let listed = |d: &str| listing && d == "listed.com";
-            let out = extract_summaries(
-                &serial,
-                &records,
-                listed,
-                1,
-                Some(plan),
-                &FaultPolicy::default(),
-            );
+            let out = extract_summaries(&serial, &records, listed, 1, Some(plan));
             (out, plan.injected_faults())
         };
         let keep = |summaries: &[ActivitySummary]| -> Vec<ActivitySummary> {
@@ -796,21 +750,13 @@ mod tests {
         assert_eq!(report.quarantined_keys, 1);
     }
 
-    /// Rows of an unplanned detection run under `max_ops` and the default
-    /// policy.
+    /// Rows of an unplanned detection run under `max_ops`.
     fn rows_under_ops_ceiling(summaries: &[ActivitySummary], max_ops: u64) -> Vec<DetectRow> {
         let detector = PeriodicityDetector::new(DetectorConfig::default());
         let budget = BudgetSpec {
             max_ops: Some(max_ops),
         };
-        let (rows, report) = detect_beaconing(
-            &engine(),
-            summaries,
-            &detector,
-            budget,
-            None,
-            &FaultPolicy::default(),
-        );
+        let (rows, report) = detect_beaconing(&engine(), summaries, &detector, budget, None);
         assert!(report.is_clean(), "a timeout is not a fault: {report:?}");
         rows
     }
@@ -882,7 +828,6 @@ mod tests {
         shards: &[Vec<ActivitySummary>],
         pair_budget: BudgetSpec,
         plan: Option<&FaultPlan>,
-        policy: &FaultPolicy,
     ) -> ShardedOutcome<DetectRow> {
         let store = CheckpointStore::create(dir).unwrap();
         let run = CheckpointedRun {
@@ -895,16 +840,8 @@ mod tests {
             abort_after_shards: None,
         };
         let detector = PeriodicityDetector::new(DetectorConfig::default());
-        detect_beaconing_checkpointed(
-            &engine(),
-            shards,
-            &detector,
-            pair_budget,
-            plan,
-            policy,
-            &run,
-        )
-        .unwrap()
+        detect_beaconing_checkpointed(&engine(), shards, &detector, pair_budget, plan, &run)
+            .unwrap()
     }
 
     #[test]
@@ -926,8 +863,7 @@ mod tests {
         let budget = BudgetSpec {
             max_ops: Some(500_000),
         };
-        let policy = FaultPolicy::default();
-        let outcome = detect_checkpointed(&dir, &[summaries], budget, None, &policy);
+        let outcome = detect_checkpointed(&dir, &[summaries], budget, None);
         assert_eq!(outcome.outputs, plain);
         assert!(outcome.faults.is_clean());
         assert_eq!(outcome.executed_shards, 1);
@@ -951,20 +887,17 @@ mod tests {
         ];
         let mut faults = FaultReport::default();
         faults.panic_samples.push("panicked: boom".to_string());
-        let entries = dlq_entries_for_shard(3, &inputs, &outputs, &faults, &FaultPolicy::default());
+        let entries = dlq_entries_for_shard(3, &inputs, &outputs, &faults);
         // Entries come out pair-sorted; `fine.test` produced no entry.
-        let by_dst: Vec<(&str, DlqReason, usize)> = entries
-            .iter()
-            .map(|e| (e.key.as_str(), e.reason, e.retries))
-            .collect();
+        let by_dst: Vec<(&str, DlqReason)> =
+            entries.iter().map(|e| (e.key.as_str(), e.reason)).collect();
         assert_eq!(entries.len(), 2);
         assert!(by_dst[0].0.contains("poison.test"));
         assert_eq!(by_dst[0].1, DlqReason::Poison);
-        assert_eq!(by_dst[0].2, 2);
         assert_eq!(entries[0].samples, vec!["panicked: boom".to_string()]);
         assert!(by_dst[1].0.contains("slow.test"));
         assert_eq!(by_dst[1].1, DlqReason::BudgetExhausted);
-        assert_eq!(by_dst[1].2, 0);
+        assert!(entries[1].samples.is_empty());
         // Every payload replays: it decodes back to the pair's summaries.
         let replayed = crate::checkpoint::decode_summaries(&entries[1].payload).unwrap();
         assert_eq!(replayed, vec![exhausted]);

@@ -60,6 +60,7 @@
 )]
 
 pub mod activity;
+pub mod admission;
 pub mod checkpoint;
 pub mod elff;
 mod funnel;

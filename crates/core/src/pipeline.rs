@@ -7,8 +7,8 @@ use std::sync::Arc;
 
 use baywatch_langmodel::DomainScorer;
 use baywatch_mapreduce::{
-    BudgetSnapshot, CheckpointStore, CheckpointedRun, DlqReason, FaultPlan, FaultPolicy,
-    FaultReport, JobConfig, MapReduce, RunManifest,
+    BudgetSnapshot, CheckpointStore, CheckpointedRun, DlqReason, FaultPlan, FaultReport, JobConfig,
+    MapReduce, RunManifest,
 };
 use baywatch_obs::{Buckets, Clock, MetricsRegistry, MetricsSnapshot, MonotonicClock, StageTracer};
 use baywatch_timeseries::detector::{DetectorConfig, DetectorObs, PeriodicityDetector};
@@ -118,8 +118,8 @@ pub struct AnalysisReport {
     /// Popularity statistics of the window (useful to callers).
     pub popularity_total_sources: usize,
     /// Aggregate fault-tolerance report across every MapReduce job in the
-    /// window (retries, quarantines, per-phase timings). Clean when no
-    /// task misbehaved.
+    /// window (bisections, quarantines, panic samples). Clean when no
+    /// task panicked.
     pub faults: FaultReport,
     /// Sampled ingest errors when the window came from
     /// [`Baywatch::analyze_outcome`] (bounded; `stats.malformed_lines` is
@@ -500,7 +500,6 @@ impl Baywatch {
             |d: &str| popularity.is_listed(d),
             scale,
             self.fault_plan.as_deref(),
-            &FaultPolicy::default(),
         )
     }
 
@@ -515,7 +514,6 @@ impl Baywatch {
             summaries,
             self.config.detector.time_scale,
             self.fault_plan.as_deref(),
-            &FaultPolicy::default(),
         )
     }
 
@@ -554,7 +552,6 @@ impl Baywatch {
             &self.detector,
             self.config.detector.budget,
             self.fault_plan.as_deref(),
-            &FaultPolicy::default(),
         );
         let mut detected = Detected::default();
         detected.absorb(job, stats, faults);
@@ -570,12 +567,11 @@ impl Baywatch {
         faults: &mut FaultReport,
         spec: &CheckpointSpec,
     ) -> std::io::Result<(Hits, CheckpointOutcome)> {
-        let (plan, policy) = (self.fault_plan.as_deref(), &FaultPolicy::default());
+        let plan = self.fault_plan.as_deref();
         let pair_budget = self.config.detector.budget;
         let shards = checkpoint::plan_shards(summaries, spec.shard_size);
         let store = CheckpointStore::create(&spec.dir)?;
         let fingerprint = checkpoint::run_fingerprint(
-            policy,
             &pair_budget,
             self.config.detector.permutation.seed,
             &shards,
@@ -597,7 +593,6 @@ impl Baywatch {
             &self.detector,
             pair_budget,
             plan,
-            policy,
             &run,
         )?;
         let mut detected = Detected::default();
@@ -678,7 +673,6 @@ impl Baywatch {
                 &self.detector,
                 replay_budget,
                 self.fault_plan.as_deref(),
-                &FaultPolicy::default(),
             );
             let mut replay = Detected::default();
             let verdicts = replay.absorb(

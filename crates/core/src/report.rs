@@ -68,9 +68,8 @@ pub fn render_funnel(report: &AnalysisReport) -> String {
     row("reported (percentile)", s.reported);
     if !report.faults.is_clean() || s.timed_out_pairs > 0 {
         let mut banner = format!(
-            "degraded mode: {} map / {} reduce retries, {} quarantined unit(s)",
-            report.faults.map_retries,
-            report.faults.reduce_retries,
+            "degraded mode: {} map bisection(s), {} quarantined unit(s)",
+            report.faults.map_bisections,
             report.faults.quarantined_units()
         );
         if s.timed_out_pairs > 0 {
@@ -122,9 +121,7 @@ pub fn export_json(report: &AnalysisReport, metrics: &MetricsSnapshot, top_k: us
     w.key("faults");
     w.raw("{");
     for (key, value) in [
-        ("map_retries", report.faults.map_retries),
         ("map_bisections", report.faults.map_bisections),
-        ("reduce_retries", report.faults.reduce_retries),
         ("quarantined_inputs", report.faults.quarantined_inputs),
         ("quarantined_keys", report.faults.quarantined_keys),
         ("lost_values", report.faults.lost_values),
@@ -415,13 +412,21 @@ mod tests {
         let mut report = toy_report(1);
         report.stats.malformed_lines = 7;
         report.stats.quarantined_pairs = 2;
-        report.faults.reduce_retries = 4;
+        report.faults.map_bisections = 4;
         report.faults.quarantined_keys = 2;
         let text = render_funnel(&report);
         assert!(text.contains("malformed lines"));
         assert!(text.contains("7"));
         assert!(text.contains("degraded mode"));
-        assert!(text.contains("2 quarantined unit(s)"));
+        assert!(text.contains("4 map bisection(s), 2 quarantined unit(s)"));
+    }
+
+    #[test]
+    fn funnel_flags_a_panic_absorbed_without_loss() {
+        let mut report = toy_report(1);
+        report.faults.panic_samples = vec!["injected fault: map call 7".into()];
+        let text = render_funnel(&report);
+        assert!(text.contains("degraded mode: 0 map bisection(s), 0 quarantined unit(s)"));
     }
 
     #[test]
@@ -440,7 +445,7 @@ mod tests {
         // The banner fires on budget degradation even with clean faults,
         // and keeps its original prefix.
         assert!(text.contains(
-            "degraded mode: 0 map / 0 reduce retries, 0 quarantined unit(s), \
+            "degraded mode: 0 map bisection(s), 0 quarantined unit(s), \
              3 timed-out pair(s)"
         ));
     }

@@ -61,13 +61,13 @@ use std::collections::btree_map::Entry;
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
-use baywatch_mapreduce::{fnv1a64, FaultPolicy, MapReduce};
+use baywatch_mapreduce::{fnv1a64, MapReduce};
 use baywatch_obs::{Buckets, Clock, ManualClock, MetricsRegistry, MetricsSnapshot, MonotonicClock};
-use baywatch_resilience::{AdmissionConfig, AdmissionController, AdmissionDecision};
 use baywatch_timeseries::detector::PeriodicityDetector;
 use baywatch_timeseries::TimestampRing;
 
 use crate::activity::ActivitySummary;
+use crate::admission::{AdmissionConfig, AdmissionController, AdmissionDecision};
 use crate::funnel::{Funnel, Hits};
 use crate::jobs::{self, Verdict};
 use crate::novelty::NoveltyStore;
@@ -1007,7 +1007,6 @@ impl StreamingHunt {
                         })
                         .collect()
                 },
-                &FaultPolicy::default(),
             );
             #[expect(
                 clippy::expect_used,

@@ -1,64 +1,43 @@
-//! Fault-tolerant execution support: retry/quarantine policy, the
-//! per-run [`FaultReport`], and the deterministic [`FaultPlan`] injection
-//! harness used by the robustness tests.
+//! Fault-tolerant execution support: the per-run [`FaultReport`] and the
+//! deterministic [`FaultPlan`] injection harness used by the robustness
+//! tests.
 //!
 //! The paper runs over ~30 B proxy events where pathological records are
 //! the norm; production MapReduce systems (Dean & Ghemawat) treat task
 //! failure and bad-record skipping as first-class for exactly that reason.
-//! [`MapReduce::run`](crate::MapReduce::run) follows the same model: every
-//! map chunk and reduce partition runs under
-//! `catch_unwind` with bounded retries, repeated failures are bisected down
-//! to the poison record or key, the poison unit is quarantined (counted and
-//! sampled, not propagated), and the run completes in degraded mode.
+//! [`MapReduce::run`](crate::MapReduce::run) follows their "skipping bad
+//! records" model: every map slice and reduce partition runs under
+//! `catch_unwind`, a failing map slice is bisected down to the poison
+//! record, a failing reduce key is quarantined (counted and sampled, not
+//! propagated), and the run completes in degraded mode. Nothing is
+//! retried: a pure mapper or reducer fails on what it computes, never on
+//! when it runs, so the same unit would fail the same way again.
 
 use std::any::Any;
 #[expect(clippy::disallowed_types, reason = "reasoned on `FaultPlan`")]
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 use std::fmt::Debug;
 #[expect(clippy::disallowed_types, reason = "reasoned on `FaultPlan`")]
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::Mutex;
 
-/// Retry and sampling policy of a run: how hard the engine tries before
-/// it drops a unit. The default is what "plain" execution means.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct FaultPolicy {
-    /// Additional attempts granted to a failing task (map slice or reduce
-    /// key) before it is bisected or quarantined. `0` quarantines on the
-    /// first failure; the default of `2` absorbs transient faults.
-    pub max_task_retries: usize,
-    /// Upper bound on the number of `Debug` samples retained per category
-    /// in the [`FaultReport`] (quarantined inputs, keys, panic messages).
-    /// Counting is always exact; only the samples are bounded.
-    pub sample_limit: usize,
-}
-
-impl Default for FaultPolicy {
-    fn default() -> Self {
-        Self {
-            max_task_retries: 2,
-            sample_limit: 8,
-        }
-    }
-}
+/// Upper bound on the number of `Debug` samples a [`FaultReport`] retains
+/// per category (quarantined inputs, keys, panic messages). Counting is
+/// always exact; only the samples are bounded.
+pub const SAMPLE_LIMIT: usize = 8;
 
 /// What the engine had to do to complete a run.
 ///
 /// Returned alongside the results by
-/// [`MapReduce::run`](crate::MapReduce::run); a clean run has all counters
-/// at zero ([`FaultReport::is_clean`]).
+/// [`MapReduce::run`](crate::MapReduce::run); a clean run had no task
+/// panic ([`FaultReport::is_clean`]).
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct FaultReport {
-    /// Map-side task attempts beyond the first (transient faults absorbed).
-    pub map_retries: usize,
-    /// Reduce-side task attempts beyond the first.
-    pub reduce_retries: usize,
     /// Input records quarantined after bisection isolated them as poison.
     pub quarantined_inputs: usize,
     /// Map-slice bisection splits performed while isolating poison
     /// records (each split re-maps both halves of a slice).
     pub map_bisections: usize,
-    /// Reduce keys quarantined after retries were exhausted.
+    /// Reduce keys quarantined because their reducer panicked.
     pub quarantined_keys: usize,
     /// Shuffled values dropped together with quarantined reduce keys.
     pub lost_values: usize,
@@ -76,7 +55,9 @@ pub struct FaultReport {
     pub input_samples: Vec<String>,
     /// `Debug` renderings of quarantined reduce keys (bounded sample).
     pub key_samples: Vec<String>,
-    /// Panic messages observed (bounded sample, deduplicated).
+    /// Panic messages observed (bounded sample, deduplicated). Every
+    /// task panic leaves at least one, so an empty list means no task
+    /// panicked.
     pub panic_samples: Vec<String>,
 }
 
@@ -84,10 +65,12 @@ pub struct FaultReport {
 // (DESIGN.md §7).
 #[deny(clippy::cast_possible_truncation, clippy::cast_precision_loss)]
 impl FaultReport {
-    /// Whether the run needed no retries and quarantined nothing.
+    /// Whether no task panicked: nothing was bisected or quarantined,
+    /// and no partition fell back to per-key reduces. A one-shot panic
+    /// that bisection absorbs without loss still reads as not clean.
     pub fn is_clean(&self) -> bool {
-        self.map_retries == 0
-            && self.reduce_retries == 0
+        self.panic_samples.is_empty()
+            && self.map_bisections == 0
             && self.quarantined_inputs == 0
             && self.quarantined_keys == 0
     }
@@ -104,10 +87,10 @@ impl FaultReport {
     }
 
     /// Counts one refused checkpoint restore, retaining the description
-    /// while under the sample bound.
-    pub fn note_checkpoint_corruption(&mut self, sample: String, sample_limit: usize) {
+    /// while under [`SAMPLE_LIMIT`].
+    pub fn note_checkpoint_corruption(&mut self, sample: String) {
         self.checkpoint_corruptions += 1;
-        if self.corruption_samples.len() < sample_limit
+        if self.corruption_samples.len() < SAMPLE_LIMIT
             && !self.corruption_samples.contains(&sample)
         {
             self.corruption_samples.push(sample);
@@ -118,8 +101,6 @@ impl FaultReport {
     /// concatenated under the same bound). Used when a pipeline chains
     /// several fault-tolerant jobs and wants one aggregate.
     pub fn absorb(&mut self, other: &FaultReport) {
-        self.map_retries += other.map_retries;
-        self.reduce_retries += other.reduce_retries;
         self.quarantined_inputs += other.quarantined_inputs;
         self.map_bisections += other.map_bisections;
         self.quarantined_keys += other.quarantined_keys;
@@ -160,7 +141,6 @@ pub(crate) fn panic_message(payload: &(dyn Any + Send)) -> String {
 /// Per-phase fault accumulator used inside the engine workers.
 #[derive(Debug, Default)]
 pub(crate) struct PhaseFaults {
-    pub retries: usize,
     pub quarantined: usize,
     pub bisections: usize,
     pub lost_values: usize,
@@ -172,23 +152,22 @@ pub(crate) struct PhaseFaults {
 // (DESIGN.md §7).
 #[deny(clippy::cast_possible_truncation, clippy::cast_precision_loss)]
 impl PhaseFaults {
-    pub fn note_panic(&mut self, payload: Box<dyn Any + Send>, policy: &FaultPolicy) {
+    pub fn note_panic(&mut self, payload: Box<dyn Any + Send>) {
         let msg = panic_message(payload.as_ref());
-        if self.panic_samples.len() < policy.sample_limit && !self.panic_samples.contains(&msg) {
+        if self.panic_samples.len() < SAMPLE_LIMIT && !self.panic_samples.contains(&msg) {
             self.panic_samples.push(msg);
         }
     }
 
-    pub fn quarantine(&mut self, unit: String, lost_values: usize, policy: &FaultPolicy) {
+    pub fn quarantine(&mut self, unit: String, lost_values: usize) {
         self.quarantined += 1;
         self.lost_values += lost_values;
-        if self.unit_samples.len() < policy.sample_limit {
+        if self.unit_samples.len() < SAMPLE_LIMIT {
             self.unit_samples.push(unit);
         }
     }
 
     pub fn merge(&mut self, other: PhaseFaults) {
-        self.retries += other.retries;
         self.quarantined += other.quarantined;
         self.bisections += other.bisections;
         self.lost_values += other.lost_values;
@@ -208,13 +187,15 @@ impl PhaseFaults {
 /// # Example
 ///
 /// ```
-/// use baywatch_mapreduce::fault::{FaultPlan, FaultPolicy};
+/// use baywatch_mapreduce::fault::FaultPlan;
 /// use baywatch_mapreduce::{JobConfig, MapReduce};
 ///
 /// let plan = FaultPlan::new()
-///     .panic_on_map_call(1)      // one transient map fault, absorbed by retry
+///     .panic_on_map_call(1)      // one one-shot map fault, absorbed by bisection
 ///     .poison_key("\"bad\"");    // this key always fails → quarantined
-/// let engine = MapReduce::new(JobConfig { partitions: 4, threads: 2 });
+/// // One worker maps both documents as one slice, which the map fault
+/// // splits in half: both halves map cleanly the second time.
+/// let engine = MapReduce::new(JobConfig { partitions: 4, threads: 1 });
 /// let (out, report) = engine.run(
 ///     &["ok bad ok", "ok"],
 ///     |doc, emit| {
@@ -227,23 +208,22 @@ impl PhaseFaults {
 ///         plan.reduce_checkpoint(word);
 ///         vec![(word.clone(), ones.len())]
 ///     },
-///     &FaultPolicy::default(),
 /// );
 /// assert_eq!(out, vec![("ok".to_owned(), 3)]);
 /// assert_eq!(report.quarantined_keys, 1);
-/// assert!(report.map_retries >= 1);
+/// assert_eq!(report.quarantined_inputs, 0);
+/// assert!(report.map_bisections >= 1);
 /// ```
 #[derive(Debug, Default)]
 #[expect(
     clippy::disallowed_types,
-    reason = "the plan's sets and maps are only probed by exact call number, input or key, so their iteration order never reaches a report; injected/map_calls are stats-and-uniqueness counters whose single-cell RMWs stay atomic at Relaxed and are read after join; the save_fail_* control cells deliberately stay SeqCst (see their fields)"
+    reason = "the plan's sets are only probed by exact call number, input or key, so their iteration order never reaches a report; injected/map_calls are stats-and-uniqueness counters whose single-cell RMWs stay atomic at Relaxed and are read after join; the save_fail_* control cells deliberately stay SeqCst (see their fields)"
 )]
 pub struct FaultPlan {
     map_calls: AtomicUsize,
     map_panic_calls: HashSet<usize>,
     poison_inputs: HashSet<String>,
     poison_keys: HashSet<String>,
-    transient_keys: Mutex<HashMap<String, usize>>,
     // `save_fail_*` are *control* cells: worker threads read them
     // mid-flight to decide whether a checkpoint save fails, and the
     // fault-injection tests assert exact trigger counts across threads.
@@ -262,9 +242,10 @@ impl FaultPlan {
     }
 
     /// Panic on the `n`-th map checkpoint (0-based, counted atomically
-    /// across all workers and attempts). Because the counter advances on
-    /// every call, the fault is transient: the retry of the same slice
-    /// draws a later count and succeeds.
+    /// across all workers and re-executions). Because the counter advances
+    /// on every call, the fault fires once: the bisected halves of the
+    /// failing slice draw later counts and succeed. (A failing slice of a
+    /// single record cannot be split, so that record is quarantined.)
     pub fn panic_on_map_call(mut self, n: usize) -> Self {
         self.map_panic_calls.insert(n);
         self
@@ -279,21 +260,9 @@ impl FaultPlan {
     }
 
     /// Panic whenever the reduce checkpoint sees a key whose `Debug`
-    /// rendering equals `key` — a permanent poison key, quarantined after
-    /// the retry budget is exhausted.
+    /// rendering equals `key` — a permanent poison key, quarantined.
     pub fn poison_key(mut self, key: &str) -> Self {
         self.poison_keys.insert(key.to_owned());
-        self
-    }
-
-    /// Fail the reduce key with `Debug` rendering `key` for the next
-    /// `rounds` checkpoints, then let it succeed (a transient key fault,
-    /// absorbed by the retry budget when `rounds` is small enough).
-    pub fn fail_key(self, key: &str, rounds: usize) -> Self {
-        {
-            let mut map = lock_recovering(&self.transient_keys);
-            map.insert(key.to_owned(), rounds);
-        }
         self
     }
 
@@ -362,36 +331,13 @@ impl FaultPlan {
     }
 
     /// Called by instrumented reducers once per key; panics when the plan
-    /// says this key must fail (permanently or for a remaining round).
+    /// says this key must fail.
     pub fn reduce_checkpoint<K: Debug>(&self, key: &K) {
         let repr = format!("{key:?}");
         if self.poison_keys.contains(&repr) {
             self.injected.fetch_add(1, Ordering::Relaxed);
             panic!("injected fault: poison key {repr}");
         }
-        let fire = {
-            let mut map = lock_recovering(&self.transient_keys);
-            match map.get_mut(&repr) {
-                Some(rounds) if *rounds > 0 => {
-                    *rounds -= 1;
-                    true
-                }
-                _ => false,
-            }
-        };
-        if fire {
-            self.injected.fetch_add(1, Ordering::Relaxed);
-            panic!("injected fault: transient key {repr}");
-        }
-    }
-}
-
-/// Locks a mutex, recovering the guard if a previous holder panicked (the
-/// entire point of this module is surviving panics).
-fn lock_recovering<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
-    match m.lock() {
-        Ok(g) => g,
-        Err(poisoned) => poisoned.into_inner(),
     }
 }
 
@@ -402,29 +348,22 @@ mod tests {
     use super::*;
 
     #[test]
-    fn default_policy_is_sane() {
-        let p = FaultPolicy::default();
-        assert!(p.max_task_retries >= 1);
-        assert!(p.sample_limit >= 1);
-    }
-
-    #[test]
     fn report_absorb_sums_counters() {
         let mut a = FaultReport {
-            map_retries: 1,
+            map_bisections: 1,
             quarantined_inputs: 2,
             input_samples: vec!["x".into()],
             ..Default::default()
         };
         let b = FaultReport {
-            map_retries: 2,
+            map_bisections: 2,
             quarantined_keys: 1,
             lost_values: 3,
             input_samples: vec!["y".into()],
             ..Default::default()
         };
         a.absorb(&b);
-        assert_eq!(a.map_retries, 3);
+        assert_eq!(a.map_bisections, 3);
         assert_eq!(a.quarantined_inputs, 2);
         assert_eq!(a.quarantined_keys, 1);
         assert_eq!(a.lost_values, 3);
@@ -436,6 +375,26 @@ mod tests {
     }
 
     #[test]
+    fn any_panic_makes_a_report_unclean() {
+        let absorbed_one_shot = FaultReport {
+            panic_samples: vec!["injected fault: map call 3".into()],
+            ..Default::default()
+        };
+        assert!(!absorbed_one_shot.is_clean());
+        let bisected = FaultReport {
+            map_bisections: 1,
+            ..Default::default()
+        };
+        assert!(!bisected.is_clean());
+        let resumed_after_corruption = FaultReport {
+            checkpoint_corruptions: 1,
+            corruption_samples: vec!["shard 1".into()],
+            ..Default::default()
+        };
+        assert!(resumed_after_corruption.is_clean());
+    }
+
+    #[test]
     fn plan_fires_on_programmed_map_call_only() {
         let plan = FaultPlan::new().panic_on_map_call(1);
         plan.map_checkpoint(&"a"); // call 0: fine
@@ -443,7 +402,7 @@ mod tests {
             plan.map_checkpoint(&"b") // call 1: fires
         }));
         assert!(err.is_err());
-        plan.map_checkpoint(&"c"); // call 2: fine again (transient)
+        plan.map_checkpoint(&"c"); // call 2: fine again (one-shot)
         assert_eq!(plan.injected_faults(), 1);
     }
 
@@ -460,19 +419,6 @@ mod tests {
         assert_eq!(plan.injected_faults(), 3);
     }
 
-    #[test]
-    fn plan_transient_key_recovers_after_rounds() {
-        let plan = FaultPlan::new().fail_key("\"k\"", 2);
-        for _ in 0..2 {
-            let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                plan.reduce_checkpoint(&"k")
-            }));
-            assert!(err.is_err());
-        }
-        plan.reduce_checkpoint(&"k"); // rounds exhausted: succeeds
-        assert_eq!(plan.injected_faults(), 2);
-    }
-
     fn panics(f: impl FnOnce()) -> bool {
         std::panic::catch_unwind(std::panic::AssertUnwindSafe(f)).is_err()
     }
@@ -484,9 +430,7 @@ mod tests {
     #[test]
     #[cfg_attr(not(debug_assertions), ignore = "release builds do not check overflow")]
     fn ledger_counters_panic_on_overflow() {
-        let report_fields: [fn(&mut FaultReport) -> &mut usize; 7] = [
-            |r| &mut r.map_retries,
-            |r| &mut r.reduce_retries,
+        let report_fields: [fn(&mut FaultReport) -> &mut usize; 5] = [
             |r| &mut r.quarantined_inputs,
             |r| &mut r.map_bisections,
             |r| &mut r.quarantined_keys,
@@ -500,8 +444,7 @@ mod tests {
             assert!(panics(|| full.absorb(&one)), "FaultReport field {i}");
         }
 
-        let phase_fields: [fn(&mut PhaseFaults) -> &mut usize; 4] = [
-            |p| &mut p.retries,
+        let phase_fields: [fn(&mut PhaseFaults) -> &mut usize; 3] = [
             |p| &mut p.quarantined,
             |p| &mut p.bisections,
             |p| &mut p.lost_values,
@@ -517,11 +460,10 @@ mod tests {
             let mut p = full(field);
             assert!(panics(|| p.merge(one)), "PhaseFaults field {i}");
         }
-        let policy = FaultPolicy::default();
         let mut p = full(|p| &mut p.quarantined);
-        assert!(panics(|| p.quarantine("unit".into(), 0, &policy)));
+        assert!(panics(|| p.quarantine("unit".into(), 0)));
         let mut p = full(|p| &mut p.lost_values);
-        assert!(panics(|| p.quarantine("unit".into(), 1, &policy)));
+        assert!(panics(|| p.quarantine("unit".into(), 1)));
     }
 
     #[test]

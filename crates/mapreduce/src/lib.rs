@@ -16,14 +16,15 @@
 //!
 //! There is one execution body, [`MapReduce::run`]. Daily log mining meets
 //! dirty records as a matter of course, so every job runs fault-tolerantly:
-//! a panicking task is retried, bisected and quarantined
-//! (see the [`fault`] module) and the [`FaultReport`] says what was
-//! dropped. "Plain" execution is `&FaultPolicy::default()` on clean input,
-//! not a second function. [`MapReduce::run_sharded_checkpointed`] is the
-//! persistence layer: the same body once per shard, checkpoints between.
+//! a panicking map slice is bisected down to its poison record and a
+//! panicking reduce key is quarantined (see the [`fault`] module), and the
+//! [`FaultReport`] says what was dropped. Nothing is retried: the job is
+//! deterministic, so a unit that failed once fails again.
+//! [`MapReduce::run_sharded_checkpointed`] is the persistence layer: the
+//! same body once per shard, checkpoints between.
 //!
 //! ```
-//! use baywatch_mapreduce::{FaultPolicy, JobConfig, MapReduce};
+//! use baywatch_mapreduce::{JobConfig, MapReduce};
 //!
 //! // Classic word count. Inputs are borrowed, so keys may point into them.
 //! let docs = ["to be or not to be", "be fast"];
@@ -36,7 +37,6 @@
 //!         }
 //!     },
 //!     |word, ones| vec![(*word, ones.len())],
-//!     &FaultPolicy::default(),
 //! );
 //! let be = counts.iter().find(|(w, _)| *w == "be").unwrap();
 //! assert_eq!(be.1, 3);
@@ -64,11 +64,10 @@ use std::hash::{Hash, Hasher};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Arc, Mutex, PoisonError};
 
-use baywatch_obs::{Clock, MetricsRegistry, MonotonicClock};
-use baywatch_resilience::{BreakerConfig, CircuitBreaker};
+use baywatch_obs::MetricsRegistry;
 use fault::PhaseFaults;
 
-pub use fault::{FaultPlan, FaultPolicy, FaultReport};
+pub use fault::{FaultPlan, FaultReport, SAMPLE_LIMIT};
 pub use manifest::{
     fnv1a64, shard_plan_digest, BudgetSnapshot, CheckpointStore, CheckpointedRun, DlqEntry,
     DlqReason, ManifestLoad, RunManifest, ShardCheckpoint, ShardRecord, ShardedOutcome,
@@ -120,7 +119,6 @@ impl JobConfig {
 pub struct MapReduce {
     config: JobConfig,
     metrics: Option<Arc<MetricsRegistry>>,
-    checkpoint_breaker: Option<(BreakerConfig, Arc<dyn Clock>)>,
 }
 
 impl MapReduce {
@@ -135,7 +133,6 @@ impl MapReduce {
         Self {
             config,
             metrics: None,
-            checkpoint_breaker: None,
         }
     }
 
@@ -145,18 +142,6 @@ impl MapReduce {
     #[must_use]
     pub fn with_metrics(mut self, metrics: Arc<MetricsRegistry>) -> Self {
         self.metrics = Some(metrics);
-        self
-    }
-
-    /// Wraps checkpoint-store writes in a circuit breaker during
-    /// [`MapReduce::run_sharded_checkpointed`]: once the breaker opens, a
-    /// run with a failing checkpoint directory degrades to in-memory
-    /// execution (writes skipped, warnings counted) instead of paying the
-    /// failure latency on every shard. Without this builder a default
-    /// breaker on the audited monotonic clock is used.
-    #[must_use]
-    pub fn with_checkpoint_breaker(mut self, config: BreakerConfig, clock: Arc<dyn Clock>) -> Self {
-        self.checkpoint_breaker = Some((config, clock));
         self
     }
 
@@ -172,25 +157,25 @@ impl MapReduce {
     /// are borrowed for the whole run, so keys and values may point into
     /// them instead of copying.
     ///
-    /// Every map slice and reduce key executes under `catch_unwind` with
-    /// the retry budget of `policy`. A map slice that keeps failing is
-    /// bisected down to the single poison record; a reduce key that keeps
-    /// failing is quarantined together with its values. The run always
-    /// completes; the returned [`FaultReport`] says what was retried and
-    /// what was dropped.
+    /// Every map slice and reduce partition executes under
+    /// `catch_unwind`. A map slice that panics is bisected, both halves
+    /// re-mapped, down to the single poison record; a partition that
+    /// panics is re-reduced key by key, and a key whose reducer panics is
+    /// quarantined together with its values. The run always completes;
+    /// the returned [`FaultReport`] says what was bisected and what was
+    /// dropped.
     ///
-    /// Retries shape the signature: the reducer borrows the value group
-    /// (`&[V]`) because a failed attempt must leave the data available for
-    /// the next one, and `I` and `K` must be `Debug` so quarantined units
-    /// can be sampled into the report. Mappers and reducers may run more
-    /// than once for the same unit — they must be idempotent with respect
-    /// to external side effects.
+    /// Isolation shapes the signature: the reducer borrows the value
+    /// group (`&[V]`) because the per-key pass re-reads it after a
+    /// partition failed, and `I` and `K` must be `Debug` so quarantined
+    /// units can be sampled into the report. Mappers and reducers may run
+    /// more than once for the same unit — they must be idempotent with
+    /// respect to external side effects.
     pub fn run<'a, I, K, V, O, M, R>(
         &self,
         inputs: &'a [I],
         mapper: M,
         reducer: R,
-        policy: &FaultPolicy,
     ) -> (Vec<O>, FaultReport)
     where
         I: Sync + Debug,
@@ -213,7 +198,7 @@ impl MapReduce {
                 .into_iter()
                 .map(|chunk| {
                     let mapper = &mapper;
-                    scope.spawn(move || map_chunk(chunk, mapper, policy, n_partitions))
+                    scope.spawn(move || map_chunk(chunk, mapper, n_partitions))
                 })
                 .collect();
             for h in handles {
@@ -226,7 +211,6 @@ impl MapReduce {
                 map_faults.merge(faults);
             }
         });
-        report.map_retries = map_faults.retries;
         report.map_bisections = map_faults.bisections;
         report.quarantined_inputs = map_faults.quarantined;
         report.input_samples = map_faults.unit_samples;
@@ -271,7 +255,7 @@ impl MapReduce {
                             let Some((p, records)) = claimed else {
                                 break done;
                             };
-                            done.push((p, reduce_partition(records, reducer, policy)));
+                            done.push((p, reduce_partition(records, reducer)));
                         }
                     })
                 })
@@ -293,12 +277,11 @@ impl MapReduce {
             output.extend(out);
             reduce_faults.merge(faults);
         }
-        report.reduce_retries = reduce_faults.retries;
         report.quarantined_keys = reduce_faults.quarantined;
         report.lost_values = reduce_faults.lost_values;
         report.key_samples = reduce_faults.unit_samples;
         for msg in reduce_faults.panic_samples {
-            if report.panic_samples.len() >= policy.sample_limit * 2 {
+            if report.panic_samples.len() >= SAMPLE_LIMIT * 2 {
                 break;
             }
             if !report.panic_samples.contains(&msg) {
@@ -335,11 +318,10 @@ impl MapReduce {
     /// produced. `decode` must invert `encode` (`None` signals a corrupt
     /// payload, re-executing the shard).
     ///
-    /// Checkpoint persistence degrades instead of aborting: every write
-    /// goes through a circuit breaker (see
-    /// [`MapReduce::with_checkpoint_breaker`]), a failed or skipped write
-    /// counts into [`ShardedOutcome::write_warnings`], and the run carries
-    /// on in-memory with full output fidelity — only resumability for the
+    /// Checkpoint persistence degrades instead of aborting: every shard
+    /// attempts its writes, a failed write counts into
+    /// [`ShardedOutcome::write_warnings`], and the run carries on
+    /// in-memory with full output fidelity — only resumability for the
     /// affected shards is lost.
     ///
     /// # Errors
@@ -352,7 +334,6 @@ impl MapReduce {
         &self,
         shards: &'a [Vec<I>],
         run: &CheckpointedRun<'_>,
-        policy: &FaultPolicy,
         mapper: M,
         reducer: R,
         encode: Enc,
@@ -373,13 +354,6 @@ impl MapReduce {
         let total_shards = shards.len();
         let mut load_warnings = 0usize;
         let mut write_warnings = 0usize;
-        let mut breaker = match &self.checkpoint_breaker {
-            Some((config, clock)) => CircuitBreaker::new(*config, Arc::clone(clock)),
-            None => CircuitBreaker::new(
-                BreakerConfig::default(),
-                Arc::new(MonotonicClock::new()) as Arc<dyn Clock>,
-            ),
-        };
         let mut faults = FaultReport::default();
         let mut resumed = None;
         if run.resume {
@@ -390,18 +364,12 @@ impl MapReduce {
                     warning: Some(warning),
                 } => {
                     load_warnings += 1;
-                    faults.note_checkpoint_corruption(warning, policy.sample_limit);
+                    faults.note_checkpoint_corruption(warning);
                 }
             }
         }
         let mut manifest = resumed.unwrap_or_else(|| {
-            RunManifest::new(
-                run.fingerprint,
-                total_shards,
-                run.rng_seed,
-                *policy,
-                run.budget,
-            )
+            RunManifest::new(run.fingerprint, total_shards, run.rng_seed, run.budget)
         });
 
         let mut outcome_outputs: Vec<O> = Vec::new();
@@ -424,10 +392,9 @@ impl MapReduce {
                         // drop the stale record (and its DLQ entries) and
                         // fall through to fresh execution.
                         load_warnings += 1;
-                        faults.note_checkpoint_corruption(
-                            format!("shard {shard_id}: checkpoint untrusted, re-executing"),
-                            policy.sample_limit,
-                        );
+                        faults.note_checkpoint_corruption(format!(
+                            "shard {shard_id}: checkpoint untrusted, re-executing"
+                        ));
                         manifest.shards.remove(&shard_id);
                         manifest.dlq.retain(|e| e.shard != shard_id);
                     }
@@ -440,41 +407,35 @@ impl MapReduce {
                 break;
             }
             let before = self.metrics.as_ref().map(|m| m.snapshot());
-            let (outputs, shard_faults) = self.run(inputs, &mapper, &reducer, policy);
+            let (outputs, shard_faults) = self.run(inputs, &mapper, &reducer);
             let metrics_delta = match (&self.metrics, before) {
                 (Some(m), Some(before)) => m.snapshot().delta_since(&before),
                 _ => baywatch_obs::MetricsSnapshot::default(),
             };
-            let payload = encode(&outputs);
             manifest
                 .dlq
                 .extend(dlq_hook(shard_id, inputs, &outputs, &shard_faults));
-            let shard_saved = guarded_checkpoint_write(&mut breaker, run.io_faults, || {
-                run.store.save_shard(
-                    shard_id,
-                    &ShardCheckpoint {
-                        payload: payload.clone(),
-                        faults: shard_faults.clone(),
-                        metrics_delta,
-                    },
-                )
-            });
-            if shard_saved {
-                // Only a persisted payload earns a manifest record: a
+            let checkpoint = ShardCheckpoint {
+                payload: encode(&outputs),
+                faults: shard_faults,
+                metrics_delta,
+            };
+            if checkpoint_write(run.io_faults, || {
+                run.store.save_shard(shard_id, &checkpoint)
+            }) {
+                // Only a persisted checkpoint earns a manifest record: a
                 // shard whose write failed must re-execute on resume.
                 manifest.shards.insert(
                     shard_id,
                     ShardRecord {
-                        digest: fnv1a64(payload.as_bytes()),
+                        digest: checkpoint.digest(),
                         outputs: outputs.len(),
                     },
                 );
                 if let Some(metrics) = &self.metrics {
                     metrics.operational("checkpoint.shards_written").inc();
                 }
-                if guarded_checkpoint_write(&mut breaker, run.io_faults, || {
-                    run.store.save_manifest(&manifest)
-                }) {
+                if checkpoint_write(run.io_faults, || run.store.save_manifest(&manifest)) {
                     if let Some(metrics) = &self.metrics {
                         metrics.operational("checkpoint.manifest_writes").inc();
                     }
@@ -485,7 +446,7 @@ impl MapReduce {
                 write_warnings += 1;
             }
             executed_shards += 1;
-            faults.absorb(&shard_faults);
+            faults.absorb(&checkpoint.faults);
             outcome_outputs.extend(outputs);
         }
 
@@ -499,20 +460,6 @@ impl MapReduce {
             metrics
                 .operational("checkpoint.write_warnings")
                 .add(write_warnings as u64);
-            // The checkpoint breaker runs on a wall clock, so its stats go
-            // to the operational (non-golden) side, gated on activity.
-            let s = breaker.stats();
-            for (name, value) in [
-                ("checkpoint.breaker_failures", s.failures),
-                ("checkpoint.breaker_rejected", s.rejected),
-                ("checkpoint.breaker_opened", s.opened),
-                ("checkpoint.breaker_half_opened", s.half_opened),
-                ("checkpoint.breaker_closed", s.closed),
-            ] {
-                if value > 0 {
-                    metrics.operational(name).add(value);
-                }
-            }
         }
 
         Ok(ShardedOutcome {
@@ -540,7 +487,7 @@ impl MapReduce {
         Dec: Fn(&str) -> Option<Vec<O>>,
     {
         let checkpoint = run.store.load_shard(shard_id)?;
-        if fnv1a64(checkpoint.payload.as_bytes()) != record.digest {
+        if checkpoint.digest() != record.digest {
             return None;
         }
         let outputs = decode(&checkpoint.payload)?;
@@ -560,50 +507,27 @@ impl MapReduce {
     }
 }
 
-/// Runs one checkpoint write under the store breaker: `true` means the
-/// write was attempted and succeeded, `false` that the breaker was open
-/// (write skipped without paying failure latency) or the write failed
-/// (breaker notified). Injected faults from the run's [`FaultPlan`], if
-/// any, fire before the real write.
-fn guarded_checkpoint_write<F>(
-    breaker: &mut CircuitBreaker,
+/// Runs one checkpoint write: `true` means it succeeded. Injected faults
+/// from the run's [`FaultPlan`], if any, fire before the real write.
+fn checkpoint_write(
     io_faults: Option<&FaultPlan>,
-    write: F,
-) -> bool
-where
-    F: FnOnce() -> std::io::Result<()>,
-{
-    if !breaker.allow() {
-        return false;
-    }
-    let injected = io_faults.map_or(Ok(()), FaultPlan::save_checkpoint);
-    match injected.and_then(|()| write()) {
-        Ok(()) => {
-            breaker.record_success();
-            true
-        }
-        Err(_) => {
-            breaker.record_failure();
-            false
-        }
-    }
+    write: impl FnOnce() -> std::io::Result<()>,
+) -> bool {
+    io_faults
+        .map_or(Ok(()), FaultPlan::save_checkpoint)
+        .and_then(|()| write())
+        .is_ok()
 }
 
 /// Folds a fault report's counters into the attached registry.
 fn record_fault_metrics(metrics: &MetricsRegistry, report: &FaultReport) {
     metrics.counter("mapreduce.jobs").inc();
     metrics
-        .counter("mapreduce.map.retries")
-        .add(report.map_retries as u64);
-    metrics
         .counter("mapreduce.map.bisections")
         .add(report.map_bisections as u64);
     metrics
         .counter("mapreduce.map.quarantined")
         .add(report.quarantined_inputs as u64);
-    metrics
-        .counter("mapreduce.reduce.retries")
-        .add(report.reduce_retries as u64);
     metrics
         .counter("mapreduce.reduce.quarantined")
         .add(report.quarantined_keys as u64);
@@ -612,19 +536,20 @@ fn record_fault_metrics(metrics: &MetricsRegistry, report: &FaultReport) {
         .add(report.lost_values as u64);
 }
 
-/// Maps one worker's chunk into per-partition buckets, retrying a failing
-/// slice up to the policy budget and bisecting persistent failures down to
-/// the poison record. A failed attempt is re-run at once, as in Dean &
-/// Ghemawat's MapReduce: a pure mapper fails on what it computes, never on
-/// when it runs.
+/// Maps one worker's chunk into per-partition buckets. A slice that
+/// panics is not retried: it is split in half and both halves are mapped
+/// again, down to the single poison record, which is quarantined — Dean &
+/// Ghemawat's "skipping bad records". A one-shot fault in a slice of more
+/// than one record is absorbed by the first split with nothing lost; a
+/// single record that panics is quarantined, as a deterministic fault
+/// would be.
 ///
-/// Each attempt emits into fresh buckets so a mid-slice panic cannot leave
-/// duplicate partial output behind; only a fully successful attempt is
-/// merged, so faults never reorder or duplicate the surviving records.
+/// Each slice emits into fresh buckets so a mid-slice panic cannot leave
+/// duplicate partial output behind; only a fully mapped slice is merged,
+/// so faults never reorder or duplicate the surviving records.
 fn map_chunk<'a, I, K, V, M>(
     chunk: &'a [I],
     mapper: &M,
-    policy: &FaultPolicy,
     n_partitions: usize,
 ) -> (Vec<Vec<(K, V)>>, PhaseFaults)
 where
@@ -634,58 +559,48 @@ where
 {
     let mut out: Vec<Vec<(K, V)>> = (0..n_partitions).map(|_| Vec::new()).collect();
     let mut faults = PhaseFaults::default();
-    // Slices still to map, the next one last: a slice that keeps failing is
-    // replaced by its halves, so records are always mapped left to right.
+    // Slices still to map, the next one last: a failing slice is replaced
+    // by its halves, so records are always mapped left to right.
     let mut pending = vec![chunk];
-    'slices: while let Some(slice) = pending.pop() {
-        for attempt in 0..=policy.max_task_retries {
-            let result = catch_unwind(AssertUnwindSafe(|| {
-                let mut local: Vec<Vec<(K, V)>> = (0..n_partitions).map(|_| Vec::new()).collect();
-                for input in slice {
-                    let mut emit = |k: K, v: V| {
-                        let p = partition_of(&k, n_partitions);
-                        local[p].push((k, v));
-                    };
-                    mapper(input, &mut emit);
+    while let Some(slice) = pending.pop() {
+        let result = catch_unwind(AssertUnwindSafe(|| {
+            let mut local: Vec<Vec<(K, V)>> = (0..n_partitions).map(|_| Vec::new()).collect();
+            for input in slice {
+                let mut emit = |k: K, v: V| {
+                    let p = partition_of(&k, n_partitions);
+                    local[p].push((k, v));
+                };
+                mapper(input, &mut emit);
+            }
+            local
+        }));
+        match result {
+            Ok(local) => {
+                for (p, bucket) in local.into_iter().enumerate() {
+                    out[p].extend(bucket);
                 }
-                local
-            }));
-            match result {
-                Ok(local) => {
-                    for (p, bucket) in local.into_iter().enumerate() {
-                        out[p].extend(bucket);
-                    }
-                    continue 'slices;
-                }
-                Err(payload) => {
-                    faults.note_panic(payload, policy);
-                    if attempt < policy.max_task_retries {
-                        faults.retries += 1;
-                    }
+            }
+            Err(payload) => {
+                faults.note_panic(payload);
+                if let [unit] = slice {
+                    faults.quarantine(format!("{unit:?}"), 0);
+                } else {
+                    faults.bisections += 1;
+                    let (left, right) = slice.split_at(slice.len() / 2);
+                    pending.extend([right, left]);
                 }
             }
         }
-        // Retries exhausted: isolate the poison record by bisection.
-        if let [unit] = slice {
-            faults.quarantine(format!("{unit:?}"), 0, policy);
-            continue;
-        }
-        faults.bisections += 1;
-        let (left, right) = slice.split_at(slice.len() / 2);
-        pending.extend([right, left]);
     }
     (out, faults)
 }
 
 /// Reduces one partition: a single `catch_unwind` over the whole partition
-/// on the fast path, falling back to per-key attempts (with retries, then
-/// quarantine) only when something in the partition panicked. Output
-/// order — sorted by key, minus dropped keys — is identical either way.
-fn reduce_partition<K, V, O, R>(
-    records: Vec<(K, V)>,
-    reducer: &R,
-    policy: &FaultPolicy,
-) -> (Vec<O>, PhaseFaults)
+/// on the fast path, falling back to one attempt per key only when
+/// something in the partition panicked; a key whose reducer panics there
+/// is quarantined at once. Output order — sorted by key, minus dropped
+/// keys — is identical either way.
+fn reduce_partition<K, V, O, R>(records: Vec<(K, V)>, reducer: &R) -> (Vec<O>, PhaseFaults)
 where
     K: Hash + Eq + Ord + Debug,
     R: Fn(&K, &[V]) -> Vec<O>,
@@ -712,34 +627,15 @@ where
     }));
     match whole {
         Ok(out) => return (out, faults),
-        Err(payload) => {
-            faults.note_panic(payload, policy);
-            // The per-key fallback re-executes the partition, so it counts
-            // as a retry even when every key then succeeds first try (a
-            // transient fault consumed by the fast-path attempt).
-            faults.retries += 1;
-        }
+        Err(payload) => faults.note_panic(payload),
     }
-    // Every key gets its own retry budget; output order stays
-    // sorted-by-key, minus dropped keys.
     let mut out = Vec::new();
     for (k, vs) in &keyed {
-        let mut attempt = 0;
-        loop {
-            match catch_unwind(AssertUnwindSafe(|| reducer(k, vs))) {
-                Ok(mut o) => {
-                    out.append(&mut o);
-                    break;
-                }
-                Err(payload) => {
-                    faults.note_panic(payload, policy);
-                    if attempt == policy.max_task_retries {
-                        faults.quarantine(format!("{k:?}"), vs.len(), policy);
-                        break;
-                    }
-                    attempt += 1;
-                    faults.retries += 1;
-                }
+        match catch_unwind(AssertUnwindSafe(|| reducer(k, vs))) {
+            Ok(mut o) => out.append(&mut o),
+            Err(payload) => {
+                faults.note_panic(payload);
+                faults.quarantine(format!("{k:?}"), vs.len());
             }
         }
     }
@@ -786,7 +682,6 @@ mod tests {
     fn word_count<'a>(
         engine: &MapReduce,
         docs: &'a [&'a str],
-        policy: &FaultPolicy,
     ) -> (Vec<(String, usize)>, FaultReport) {
         engine.run(
             docs,
@@ -796,12 +691,11 @@ mod tests {
                 }
             },
             |k, vs| vec![(k.clone(), vs.len())],
-            policy,
         )
     }
 
     fn plain_word_count(engine: &MapReduce, docs: &[&str]) -> Vec<(String, usize)> {
-        let (out, report) = word_count(engine, docs, &FaultPolicy::default());
+        let (out, report) = word_count(engine, docs);
         assert!(report.is_clean());
         out
     }
@@ -929,7 +823,6 @@ mod tests {
                 v.sort();
                 vec![(*parity, v)]
             },
-            &FaultPolicy::default(),
         );
         let evens = out.iter().find(|(p, _)| *p == 0).unwrap();
         assert_eq!(evens.1, vec![2, 4, 6]);
@@ -952,7 +845,6 @@ mod tests {
                 }
             },
             |word: &&str, docs: &[&str]| vec![(*word, docs.len())],
-            &FaultPolicy::default(),
         );
         out.sort();
         assert_eq!(out, vec![("a", 3), ("b", 2)]);
@@ -969,7 +861,6 @@ mod tests {
             &inputs,
             |n, emit| emit(n % 1000, 1u64),
             |k, vs| vec![(*k, vs.len() as u64)],
-            &FaultPolicy::default(),
         );
         assert!(report.is_clean());
         assert_eq!(out.len(), 1000);
@@ -990,7 +881,6 @@ mod tests {
             &counts,
             |(_, c), emit| emit(if *c >= 3 { "hot" } else { "cold" }, 1usize),
             |k, vs| vec![(*k, vs.len())],
-            &FaultPolicy::default(),
         );
         let hot = buckets.iter().find(|(k, _)| *k == "hot").unwrap().1;
         let cold = buckets.iter().find(|(k, _)| *k == "cold").unwrap().1;
@@ -1008,7 +898,7 @@ mod tests {
             partitions: 8,
             threads: 4,
         });
-        let (out, report) = word_count(&engine, &DOCS, &FaultPolicy::default());
+        let (out, report) = word_count(&engine, &DOCS);
         assert_eq!(out, word_count_by_hand(&DOCS, 8));
         assert!(report.is_clean());
         assert_eq!(report.quarantined_units(), 0);
@@ -1028,19 +918,20 @@ mod tests {
                 emit(n % 2, 1usize);
             },
             |k, vs| vec![(*k, vs.len())],
-            &FaultPolicy::default(),
         );
         // Exactly one record lost; everything else mapped.
         assert_eq!(report.quarantined_inputs, 1);
         assert!(report.input_samples.iter().any(|s| s == "37"));
         let total: usize = out.iter().map(|(_, c)| c).sum();
         assert_eq!(total, 63);
-        assert!(report.map_retries > 0);
+        // 64 records on two workers: 32 per chunk, five splits down to
+        // the poison record.
+        assert_eq!(report.map_bisections, 5);
         assert!(!report.panic_samples.is_empty());
     }
 
     #[test]
-    fn transient_map_panic_retries_without_loss() {
+    fn one_shot_map_panic_is_bisected_without_loss() {
         let engine = MapReduce::new(JobConfig {
             partitions: 4,
             threads: 1,
@@ -1054,12 +945,12 @@ mod tests {
                 emit((), *n)
             },
             |_, vs| vec![vs.iter().sum::<i64>()],
-            &FaultPolicy::default(),
         );
         assert_eq!(plan.injected_faults(), 1);
         assert_eq!(out, vec![(0..16).sum::<i64>()]);
         assert_eq!(report.quarantined_inputs, 0);
-        assert!(report.map_retries >= 1);
+        assert_eq!(report.map_bisections, 1, "the first split absorbs it");
+        assert!(!report.is_clean());
     }
 
     #[test]
@@ -1079,7 +970,6 @@ mod tests {
                 assert!(k != "bad", "poison key");
                 vec![(k.clone(), vs.len())]
             },
-            &FaultPolicy::default(),
         );
         let mut out = out;
         out.sort();
@@ -1087,7 +977,7 @@ mod tests {
         assert_eq!(report.quarantined_keys, 1);
         assert_eq!(report.lost_values, 3);
         assert!(report.key_samples.iter().any(|s| s.contains("bad")));
-        assert!(report.reduce_retries > 0);
+        assert!(!report.is_clean());
     }
 
     #[test]
@@ -1114,9 +1004,9 @@ mod tests {
         let inputs: Vec<u64> = (0..1024).collect();
         let run = |threads| {
             let (in_flight, peak) = (AtomicUsize::new(0), AtomicUsize::new(0));
-            // One poison key and one transient key, so the report has
-            // retries, a quarantine and samples to compare.
-            let plan = FaultPlan::new().poison_key("13").fail_key("77", 1);
+            // One poison key, so the report has a quarantine and samples
+            // to compare.
+            let plan = FaultPlan::new().poison_key("13");
             let engine = MapReduce::new(JobConfig {
                 partitions: 32,
                 threads,
@@ -1132,7 +1022,6 @@ mod tests {
                     in_flight.fetch_sub(1, Relaxed);
                     vec![(*k, vs.iter().sum::<u64>())]
                 },
-                &FaultPolicy::default(),
             );
             (out, report, peak.into_inner())
         };
@@ -1140,7 +1029,7 @@ mod tests {
         assert!(peak <= 2, "{peak} reducers ran at once on 2 threads");
         assert_eq!(out.len(), 255);
         assert_eq!(report.quarantined_keys, 1);
-        assert!(report.reduce_retries >= 2);
+        assert_eq!(report.lost_values, 4);
         for threads in [1, 8] {
             let (other_out, other_report, other_peak) = run(threads);
             assert!(other_peak <= threads, "{other_peak} on {threads} threads");
@@ -1167,38 +1056,10 @@ mod tests {
                 calls.fetch_add(1, Relaxed);
                 vec![*k]
             },
-            &FaultPolicy::default(),
         );
         assert!(out.is_empty());
         assert_eq!(report, FaultReport::default());
         assert_eq!(calls.into_inner(), 0);
-    }
-
-    #[test]
-    fn fault_plan_transient_reduce_key_recovers() {
-        let engine = MapReduce::new(JobConfig {
-            partitions: 2,
-            threads: 1,
-        });
-        let plan = FaultPlan::new().fail_key("\"flaky\"", 1);
-        let (out, report) = engine.run(
-            &["flaky steady flaky"],
-            |doc, emit| {
-                for w in doc.split_whitespace() {
-                    emit(w.to_owned(), 1usize);
-                }
-            },
-            |k: &String, vs: &[usize]| {
-                plan.reduce_checkpoint(k);
-                vec![(k.clone(), vs.len())]
-            },
-            &FaultPolicy::default(),
-        );
-        let mut out = out;
-        out.sort();
-        assert_eq!(out, vec![("flaky".to_owned(), 2), ("steady".to_owned(), 1)]);
-        assert_eq!(report.quarantined_keys, 0);
-        assert!(report.reduce_retries >= 1);
     }
 
     // ---- checkpoint/resume ----
@@ -1220,17 +1081,29 @@ mod tests {
         shards: &[Vec<&'static str>],
         run: &CheckpointedRun<'_>,
     ) -> ShardedOutcome<(String, usize)> {
+        ckpt_run_observing(engine, shards, run, |_, _| {})
+    }
+
+    /// [`ckpt_run`] whose reducer also calls `observe(word, count)`.
+    fn ckpt_run_observing(
+        engine: &MapReduce,
+        shards: &[Vec<&'static str>],
+        run: &CheckpointedRun<'_>,
+        observe: impl Fn(&str, usize) + Sync,
+    ) -> ShardedOutcome<(String, usize)> {
         engine
             .run_sharded_checkpointed(
                 shards,
                 run,
-                &FaultPolicy::default(),
                 |doc: &&str, emit| {
                     for w in doc.split_whitespace() {
                         emit(w.to_owned(), 1usize);
                     }
                 },
-                |k: &String, vs: &[usize]| vec![(k.clone(), vs.len())],
+                |k: &String, vs: &[usize]| {
+                    observe(k, vs.len());
+                    vec![(k.clone(), vs.len())]
+                },
                 |rows: &[(String, usize)]| {
                     let mut out = String::new();
                     for (w, c) in rows {
@@ -1443,20 +1316,79 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
+    /// A shard checkpoint whose second histogram (in name order) has a
+    /// short `counts` array, under a manifest digest that vouches for it:
+    /// the metrics replay is refused, the shard re-executes, and the
+    /// first histogram must not have been counted on the way.
     #[test]
-    fn persistent_save_failure_trips_breaker_and_degrades_to_in_memory() {
-        let clock = Arc::new(baywatch_obs::ManualClock::new());
+    fn refused_metrics_replay_leaves_the_registry_untouched() {
+        let shards = word_shards();
+        let buckets = baywatch_obs::Buckets::new(&[1, 2, 4]).unwrap();
+        let run_with = |dir: &std::path::Path, resume: bool, abort: Option<usize>| {
+            let metrics = Arc::new(MetricsRegistry::new());
+            let engine = MapReduce::new(JobConfig {
+                partitions: 4,
+                threads: 2,
+            })
+            .with_metrics(Arc::clone(&metrics));
+            let store = CheckpointStore::create(dir).unwrap();
+            let run = CheckpointedRun {
+                store: &store,
+                fingerprint: 31,
+                rng_seed: 0,
+                budget: BudgetSnapshot::default(),
+                resume,
+                io_faults: None,
+                abort_after_shards: abort,
+            };
+            let outcome = ckpt_run_observing(&engine, &shards, &run, |word, count| {
+                metrics.histogram("a.count", &buckets).observe(count as u64);
+                metrics
+                    .histogram("b.length", &buckets)
+                    .observe(word.len() as u64);
+            });
+            (outcome, metrics.snapshot())
+        };
+
+        let dir_a = scratch_dir("refused-replay-uninterrupted");
+        let (_, uninterrupted) = run_with(&dir_a, false, None);
+
+        let dir_b = scratch_dir("refused-replay-resumed");
+        let (killed, _) = run_with(&dir_b, false, Some(2));
+        assert!(killed.interrupted);
+        let store = CheckpointStore::create(&dir_b).unwrap();
+        let mut short = store.load_shard(1).unwrap();
+        short
+            .metrics_delta
+            .histograms
+            .get_mut("b.length")
+            .unwrap()
+            .counts
+            .pop();
+        store.save_shard(1, &short).unwrap();
+        let ManifestLoad::Resumed(mut manifest) = store.load_manifest(31, shards.len()) else {
+            panic!("the killed run left a manifest");
+        };
+        manifest.shards.get_mut(&1).unwrap().digest = short.digest();
+        store.save_manifest(&manifest).unwrap();
+
+        let (resumed, resumed_snap) = run_with(&dir_b, true, None);
+        assert_eq!(resumed.load_warnings, 1);
+        assert_eq!(resumed.resumed_shards, 1);
+        assert_eq!(resumed.executed_shards, 2);
+        assert_eq!(resumed_snap.histograms, uninterrupted.histograms);
+        assert_eq!(resumed_snap.to_json(), uninterrupted.to_json());
+
+        let _ = std::fs::remove_dir_all(&dir_a);
+        let _ = std::fs::remove_dir_all(&dir_b);
+    }
+
+    #[test]
+    fn persistent_save_failure_degrades_every_shard_to_in_memory() {
         let engine = MapReduce::new(JobConfig {
             partitions: 4,
             threads: 2,
-        })
-        .with_checkpoint_breaker(
-            BreakerConfig {
-                failure_threshold: 2,
-                ..BreakerConfig::default()
-            },
-            clock,
-        );
+        });
         let dir = scratch_dir("persistent-save-failure");
         let store = CheckpointStore::create(&dir).unwrap();
         let plan = FaultPlan::new().fail_all_saves();
@@ -1495,9 +1427,9 @@ mod tests {
         assert_eq!(outcome.executed_shards, 3);
         assert_eq!(outcome.write_warnings, 3, "one warning per shard");
         assert!(outcome.manifest.shards.is_empty(), "nothing was persisted");
-        // Shards 0 and 1 paid the failure; shard 2 was skipped by the
-        // open breaker without touching the (injected) store at all.
-        assert_eq!(plan.injected_faults(), 2);
+        // Every shard attempted its write; a failed shard write skips
+        // that shard's manifest write.
+        assert_eq!(plan.injected_faults(), 3);
 
         let _ = std::fs::remove_dir_all(&dir);
         let _ = std::fs::remove_dir_all(&baseline_dir);

@@ -5,8 +5,7 @@
 //! This module makes an interruption cheap instead of catastrophic: a
 //! versioned [`RunManifest`] records which shards completed (with result
 //! digests), what landed in the dead-letter queue and why, the RNG seed
-//! the detector streams derive from, and the resolved
-//! [`FaultPolicy`]/budget — everything
+//! the detector streams derive from, and the per-pair budget — everything
 //! [`MapReduce::run_sharded_checkpointed`](crate::MapReduce::run_sharded_checkpointed)
 //! needs to resume a run byte-identically to an uninterrupted one.
 //!
@@ -18,9 +17,10 @@
 //! * **Corruption tolerance.** A manifest that is missing, unparsable,
 //!   version-skewed, or fingerprint-mismatched degrades to a fresh run
 //!   with an explicit warning — resume never guesses.
-//! * **Exactness.** Shard payloads are digest-checked (FNV-1a 64) before
-//!   reuse; a shard whose stored bytes do not match its manifest digest
-//!   is re-executed rather than trusted.
+//! * **Exactness.** Shard checkpoints — payload, fault report and metrics
+//!   delta alike — are digest-checked (FNV-1a 64) before reuse; a shard
+//!   whose stored bytes do not match its manifest digest is re-executed
+//!   rather than trusted.
 //!
 //! Serialization uses the workspace's zero-dependency stable-key-order
 //! JSON conventions ([`baywatch_obs::JsonWriter`] to write,
@@ -36,18 +36,17 @@ use std::path::{Path, PathBuf};
 use baywatch_obs::json::{parse, JsonValue};
 use baywatch_obs::{HistogramSnapshot, JsonWriter, MetricsSnapshot};
 
-use crate::fault::{FaultPlan, FaultPolicy, FaultReport};
+use crate::fault::{FaultPlan, FaultReport};
 
 /// Version tag of the on-disk manifest schema. A manifest written by a
-/// different version is treated as corrupt (fresh run + warning), never
-/// migrated in place.
-pub const MANIFEST_VERSION: u64 = 2;
+/// different version is reported as version skew (fresh run + warning),
+/// never migrated in place.
+pub const MANIFEST_VERSION: u64 = 3;
 
 /// Why a unit of work landed in the dead-letter queue.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum DlqReason {
-    /// The unit panicked deterministically and was quarantined after the
-    /// retry budget was exhausted.
+    /// The unit panicked deterministically and was quarantined.
     Poison,
     /// The unit exhausted its per-pair work budget (`max_ops`).
     BudgetExhausted,
@@ -83,8 +82,6 @@ pub struct DlqEntry {
     pub shard: usize,
     /// Failure classification.
     pub reason: DlqReason,
-    /// How many retry attempts were burned before giving up.
-    pub retries: usize,
     /// Bounded diagnostic samples (panic messages, budget notes).
     pub samples: Vec<String>,
     /// Caller-encoded payload sufficient to re-run the unit (for the
@@ -104,7 +101,9 @@ pub struct BudgetSnapshot {
 /// What the manifest records about one completed shard.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ShardRecord {
-    /// FNV-1a 64 digest of the shard's encoded payload.
+    /// FNV-1a 64 digest of the shard checkpoint as persisted
+    /// ([`ShardCheckpoint::digest`]): payload, fault report and metrics
+    /// delta.
     pub digest: u64,
     /// Number of output rows the shard produced.
     pub outputs: usize,
@@ -116,7 +115,7 @@ pub struct RunManifest {
     /// Schema version ([`MANIFEST_VERSION`]).
     pub version: u64,
     /// Digest binding the manifest to one logical run: input shard plan,
-    /// policy, budget, and seed. A mismatch on load degrades to a fresh
+    /// budget, and seed. A mismatch on load degrades to a fresh
     /// run instead of resuming someone else's checkpoint.
     pub fingerprint: u64,
     /// Total shards in the plan; resume requires an exact match.
@@ -125,8 +124,6 @@ pub struct RunManifest {
     /// per-pair permutation stream from this single seed, so recording it
     /// pins the full RNG stream position for resumed pairs.
     pub rng_seed: u64,
-    /// Resolved fault policy the run executes under.
-    pub policy: FaultPolicy,
     /// Resolved per-pair execution budget.
     pub budget: BudgetSnapshot,
     /// Completed shards by id.
@@ -141,7 +138,6 @@ impl RunManifest {
         fingerprint: u64,
         total_shards: usize,
         rng_seed: u64,
-        policy: FaultPolicy,
         budget: BudgetSnapshot,
     ) -> Self {
         Self {
@@ -149,7 +145,6 @@ impl RunManifest {
             fingerprint,
             total_shards,
             rng_seed,
-            policy,
             budget,
             shards: BTreeMap::new(),
             dlq: Vec::new(),
@@ -175,14 +170,6 @@ impl RunManifest {
         w.end_value();
         w.key("fingerprint");
         w.uint(self.fingerprint);
-        w.key("policy");
-        w.raw("{");
-        w.key("max_task_retries");
-        w.uint(self.policy.max_task_retries as u64);
-        w.key("sample_limit");
-        w.uint(self.policy.sample_limit as u64);
-        w.raw("}");
-        w.end_value();
         w.key("rng_seed");
         w.uint(self.rng_seed);
         w.key("shards");
@@ -209,8 +196,10 @@ impl RunManifest {
 
     /// Parses a manifest; `None` means the document is corrupt.
     pub fn from_json(text: &str) -> Option<Self> {
-        let doc = parse(text).ok()?;
-        let policy = doc.get("policy")?;
+        Self::from_value(&parse(text).ok()?)
+    }
+
+    fn from_value(doc: &JsonValue) -> Option<Self> {
         let budget = doc.get("budget")?;
         let mut shards = BTreeMap::new();
         for (id, record) in doc.get("shards")?.as_object()? {
@@ -231,10 +220,6 @@ impl RunManifest {
             fingerprint: doc.get("fingerprint")?.as_u64()?,
             total_shards: doc.get("total_shards")?.as_u64()? as usize,
             rng_seed: doc.get("rng_seed")?.as_u64()?,
-            policy: FaultPolicy {
-                max_task_retries: policy.get("max_task_retries")?.as_u64()? as usize,
-                sample_limit: policy.get("sample_limit")?.as_u64()? as usize,
-            },
             budget: BudgetSnapshot {
                 max_ops: read_opt_u64(budget.get("max_ops")?),
             },
@@ -275,8 +260,6 @@ fn write_dlq_entry(w: &mut JsonWriter, entry: &DlqEntry) {
     w.string(&entry.payload);
     w.key("reason");
     w.string(entry.reason.as_str());
-    w.key("retries");
-    w.uint(entry.retries as u64);
     w.key("samples");
     w.raw("[");
     for s in &entry.samples {
@@ -298,7 +281,6 @@ fn read_dlq_entry(doc: &JsonValue) -> Option<DlqEntry> {
         key: doc.get("key")?.as_str()?.to_string(),
         shard: doc.get("shard")?.as_u64()? as usize,
         reason: DlqReason::parse(doc.get("reason")?.as_str()?)?,
-        retries: doc.get("retries")?.as_u64()? as usize,
         samples,
         payload: doc.get("payload")?.as_str()?.to_string(),
     })
@@ -320,16 +302,12 @@ pub fn fault_report_to_json(report: &FaultReport) -> String {
     w.uint(report.lost_values as u64);
     w.key("map_bisections");
     w.uint(report.map_bisections as u64);
-    w.key("map_retries");
-    w.uint(report.map_retries as u64);
     w.key("panic_samples");
     write_string_array(&mut w, &report.panic_samples);
     w.key("quarantined_inputs");
     w.uint(report.quarantined_inputs as u64);
     w.key("quarantined_keys");
     w.uint(report.quarantined_keys as u64);
-    w.key("reduce_retries");
-    w.uint(report.reduce_retries as u64);
     w.raw("}");
     w.finish()
 }
@@ -342,8 +320,6 @@ pub fn fault_report_from_json(text: &str) -> Option<FaultReport> {
 
 fn fault_report_from_value(doc: &JsonValue) -> Option<FaultReport> {
     Some(FaultReport {
-        map_retries: doc.get("map_retries")?.as_u64()? as usize,
-        reduce_retries: doc.get("reduce_retries")?.as_u64()? as usize,
         quarantined_inputs: doc.get("quarantined_inputs")?.as_u64()? as usize,
         map_bisections: doc.get("map_bisections")?.as_u64()? as usize,
         quarantined_keys: doc.get("quarantined_keys")?.as_u64()? as usize,
@@ -496,6 +472,14 @@ impl ShardCheckpoint {
             metrics_delta: metrics_delta_from_value(doc.get("metrics")?)?,
         })
     }
+
+    /// FNV-1a 64 digest of [`ShardCheckpoint::to_json`], the bytes the
+    /// store persists: a checkpoint restores only if every byte of it —
+    /// metrics delta and fault report included, not only the payload —
+    /// is the one the manifest recorded.
+    pub fn digest(&self) -> u64 {
+        fnv1a64(self.to_json().as_bytes())
+    }
 }
 
 /// Result of attempting to load a manifest from a checkpoint directory.
@@ -558,6 +542,10 @@ impl CheckpointStore {
     /// Loads the manifest, degrading to a fresh run on anything
     /// untrustworthy. `fingerprint` and `total_shards` must match the
     /// caller's current plan for the manifest to be resumed.
+    ///
+    /// `version` is read before the rest of the document, so a manifest
+    /// of another schema version is reported as version skew even where
+    /// its other fields no longer parse.
     #[expect(
         clippy::disallowed_methods,
         reason = "the checkpoint store is this crate's disk boundary"
@@ -575,23 +563,34 @@ impl CheckpointStore {
                 }
             }
         };
-        let Some(manifest) = RunManifest::from_json(&text) else {
-            return ManifestLoad::Fresh {
-                warning: Some("manifest corrupt: parse failed".to_string()),
-            };
+        let fresh = |warning: String| ManifestLoad::Fresh {
+            warning: Some(warning),
         };
-        if manifest.version != MANIFEST_VERSION {
-            return ManifestLoad::Fresh {
-                warning: Some(format!(
-                    "manifest version {} != supported {MANIFEST_VERSION}",
-                    manifest.version
-                )),
-            };
+        let Ok(doc) = parse(&text) else {
+            return fresh("manifest corrupt: parse failed".to_string());
+        };
+        match doc.get("version").and_then(JsonValue::as_u64) {
+            Some(MANIFEST_VERSION) => {}
+            Some(version) => {
+                return fresh(format!(
+                    "manifest version {version} != supported {MANIFEST_VERSION}"
+                ))
+            }
+            None => return fresh("manifest corrupt: no version".to_string()),
         }
+        let Some(manifest) = RunManifest::from_value(&doc) else {
+            return fresh("manifest corrupt: parse failed".to_string());
+        };
         if manifest.fingerprint != fingerprint || manifest.total_shards != total_shards {
-            return ManifestLoad::Fresh {
-                warning: Some("manifest fingerprint mismatch: different run".to_string()),
-            };
+            return fresh("manifest fingerprint mismatch: different run".to_string());
+        }
+        let in_plan = |shard: usize| shard < total_shards;
+        if !manifest.shards.keys().all(|&id| in_plan(id))
+            || !manifest.dlq.iter().all(|entry| in_plan(entry.shard))
+        {
+            return fresh(format!(
+                "manifest corrupt: a shard id outside the plan of {total_shards}"
+            ));
         }
         ManifestLoad::Resumed(manifest)
     }
@@ -630,8 +629,8 @@ impl CheckpointStore {
 pub struct CheckpointedRun<'a> {
     /// Where manifests and shard checkpoints live.
     pub store: &'a CheckpointStore,
-    /// Digest binding this run to its input plan, policy, budget, and
-    /// seed (see [`RunManifest::fingerprint`]).
+    /// Digest binding this run to its input plan, budget, and seed (see
+    /// [`RunManifest::fingerprint`]).
     pub fingerprint: u64,
     /// Seed the detector's deterministic RNG streams derive from.
     pub rng_seed: u64,
@@ -667,8 +666,8 @@ pub struct ShardedOutcome<O> {
     pub executed_shards: usize,
     /// Checkpoint artifacts that existed but could not be trusted.
     pub load_warnings: usize,
-    /// Checkpoint writes that failed or were skipped by an open breaker;
-    /// the run degraded to in-memory execution for those shards.
+    /// Checkpoint writes that failed; the run degraded to in-memory
+    /// execution for those shards.
     pub write_warnings: usize,
     /// Set when `abort_after_shards` stopped the run early.
     pub interrupted: bool,
@@ -712,10 +711,6 @@ mod tests {
             0xDEAD_BEEF,
             3,
             0xBA9_3A7C4,
-            FaultPolicy {
-                max_task_retries: 2,
-                sample_limit: 8,
-            },
             BudgetSnapshot {
                 max_ops: Some(800_000),
             },
@@ -738,7 +733,6 @@ mod tests {
             key: "pair(\"h1\",\"c2.example\")".to_string(),
             shard: 2,
             reason: DlqReason::BudgetExhausted,
-            retries: 0,
             samples: vec!["budget exhausted after 800000 ops".to_string()],
             payload: "{\"intervals\":[60,60]}".to_string(),
         });
@@ -758,7 +752,7 @@ mod tests {
     #[test]
     fn fault_report_round_trips() {
         let report = FaultReport {
-            map_retries: 3,
+            map_bisections: 3,
             quarantined_keys: 1,
             lost_values: 7,
             key_samples: vec!["\"bad\"".to_string()],
@@ -873,6 +867,9 @@ mod tests {
     /// timeout keys in every shard's fault report.
     const V1_MANIFEST: &str = r#"{"budget":{"max_millis":5000,"max_ops":800000},"dlq":[{"key":"\"slow\"","payload":"","reason":"timed_out","retries":0,"samples":["\"slow\""],"shard":0}],"fingerprint":3735928559,"policy":{"max_task_retries":2,"sample_limit":8,"task_deadline_millis":2000},"rng_seed":7,"shards":{"0":{"digest":42,"outputs":1}},"total_shards":3,"version":1}"#;
     const V1_SHARD: &str = r#"{"faults":{"checkpoint_corruptions":0,"corruption_samples":[],"input_samples":[],"key_samples":["\"bad\""],"lost_values":4,"map_bisections":0,"map_retries":1,"panic_samples":["boom"],"quarantined_inputs":0,"quarantined_keys":1,"reduce_retries":2,"timed_out_inputs":1,"timed_out_keys":1,"timeout_samples":["\"slow\""]},"metrics":{"counters":{"mapreduce.jobs":1},"histograms":{}},"payload":"p"}"#;
+    /// What a version-2 build wrote: the retry policy block and a
+    /// `retries` count on every dead letter.
+    const V2_MANIFEST: &str = r#"{"budget":{"max_ops":800000},"dlq":[{"key":"\"bad\"","payload":"","reason":"poison","retries":2,"samples":["boom"],"shard":0}],"fingerprint":3735928559,"policy":{"max_task_retries":2,"sample_limit":8},"rng_seed":7,"shards":{"0":{"digest":42,"outputs":1}},"total_shards":3,"version":2}"#;
 
     #[test]
     fn version_1_manifest_starts_fresh_and_its_shards_still_restore() {
@@ -883,19 +880,21 @@ mod tests {
         ));
         let _ = fs::remove_dir_all(&dir);
         let store = CheckpointStore::create(&dir).unwrap();
-        fs::write(store.manifest_path(), V1_MANIFEST).unwrap();
-        assert!(matches!(
-            store.load_manifest(3_735_928_559, 3),
-            ManifestLoad::Fresh { warning: Some(_) }
-        ));
-        // Version skew alone is enough, with no deleted reason to trip on.
-        let plain_v1 = V1_MANIFEST.replace("\"timed_out\"", "\"poison\"");
-        assert!(RunManifest::from_json(&plain_v1).is_some_and(|m| m.version == 1));
-        fs::write(store.manifest_path(), plain_v1).unwrap();
-        assert!(matches!(
-            store.load_manifest(3_735_928_559, 3),
-            ManifestLoad::Fresh { warning: Some(_) }
-        ));
+        // Each old manifest reads as version skew, not as corruption,
+        // though the first does not even parse as a current manifest.
+        assert!(RunManifest::from_json(V1_MANIFEST).is_none());
+        for (version, text) in [(1, V1_MANIFEST), (2, V2_MANIFEST)] {
+            fs::write(store.manifest_path(), text).unwrap();
+            assert_eq!(
+                store.load_manifest(3_735_928_559, 3),
+                ManifestLoad::Fresh {
+                    warning: Some(format!(
+                        "manifest version {version} != supported {MANIFEST_VERSION}"
+                    ))
+                },
+                "v{version}"
+            );
+        }
 
         fs::write(store.shard_path(0), V1_SHARD).unwrap();
         let restored = store.load_shard(0).unwrap();
@@ -903,8 +902,6 @@ mod tests {
         assert_eq!(
             restored.faults,
             FaultReport {
-                map_retries: 1,
-                reduce_retries: 2,
                 quarantined_keys: 1,
                 lost_values: 4,
                 key_samples: vec!["\"bad\"".to_string()],
@@ -914,6 +911,49 @@ mod tests {
         );
         assert_eq!(restored.metrics_delta.counters["mapreduce.jobs"], 1);
         let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_shard_id_outside_the_plan_is_refused() {
+        let dir = std::env::temp_dir().join(format!(
+            "baywatch-manifest-test-{}-{:x}",
+            std::process::id(),
+            fnv1a64(b"shard_outside_plan")
+        ));
+        let _ = fs::remove_dir_all(&dir);
+        let store = CheckpointStore::create(&dir).unwrap();
+        let mut m = sample_manifest();
+        m.shards.insert(
+            m.total_shards,
+            ShardRecord {
+                digest: 7,
+                outputs: 1,
+            },
+        );
+        store.save_manifest(&m).unwrap();
+        assert!(matches!(
+            store.load_manifest(m.fingerprint, m.total_shards),
+            ManifestLoad::Fresh {
+                warning: Some(w)
+            } if w.contains("outside the plan")
+        ));
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_checkpoint_digest_covers_more_than_its_payload() {
+        let cp = ShardCheckpoint {
+            payload: "p".to_string(),
+            faults: FaultReport::default(),
+            metrics_delta: MetricsSnapshot::default(),
+        };
+        let mut counted = cp.clone();
+        counted.metrics_delta.counters.insert("c".into(), 1);
+        assert_ne!(cp.digest(), counted.digest());
+        let mut faulted = cp.clone();
+        faulted.faults.quarantined_keys = 1;
+        assert_ne!(cp.digest(), faulted.digest());
+        assert_eq!(cp.digest(), fnv1a64(cp.to_json().as_bytes()));
     }
 
     #[test]

@@ -4,7 +4,7 @@
 use std::collections::BTreeMap;
 use std::hash::Hash;
 
-use baywatch_mapreduce::{partition_of, FaultPolicy, FaultReport, JobConfig, MapReduce};
+use baywatch_mapreduce::{partition_of, FaultReport, JobConfig, MapReduce};
 use baywatch_stats::rng::{forall, Rng};
 
 /// The engine's output contract, computed sequentially by hand: one group
@@ -53,7 +53,6 @@ fn equals_sequential_reference() {
                 }
             },
             |w, ones| vec![(*w, ones.len())],
-            &FaultPolicy::default(),
         );
         assert!(report.is_clean());
         let words = docs.iter().flat_map(|doc| doc.split_whitespace());
@@ -81,7 +80,6 @@ fn thread_count_invariance() {
                 &values,
                 |v, emit| emit(v % 13, u64::from(*v)),
                 |k, vs| vec![(*k, vs.to_vec())],
-                &FaultPolicy::default(),
             )
             .0
         };
@@ -118,7 +116,6 @@ fn no_record_loss() {
             &values,
             |v, emit| emit(v % 31, *v),
             |k, vs| vec![(*k, vs.len())],
-            &FaultPolicy::default(),
         );
         let reduced_total: usize = out.iter().map(|(_, n)| n).sum();
         assert_eq!(reduced_total, values.len());
@@ -143,8 +140,6 @@ fn arb_samples(rng: &mut Rng) -> Vec<String> {
 
 fn arb_fault_report(rng: &mut Rng) -> FaultReport {
     FaultReport {
-        map_retries: rng.random_range(0..100),
-        reduce_retries: rng.random_range(0..100),
         quarantined_inputs: rng.random_range(0..100),
         map_bisections: rng.random_range(0..100),
         quarantined_keys: rng.random_range(0..100),
@@ -180,14 +175,6 @@ fn fault_report_absorb_is_associative_and_count_preserving() {
 
         // Count preservation: numeric tallies sum exactly, nothing
         // saturates or is clamped.
-        assert_eq!(
-            left.map_retries,
-            a.map_retries + b.map_retries + c.map_retries
-        );
-        assert_eq!(
-            left.reduce_retries,
-            a.reduce_retries + b.reduce_retries + c.reduce_retries
-        );
         assert_eq!(
             left.quarantined_inputs,
             a.quarantined_inputs + b.quarantined_inputs + c.quarantined_inputs

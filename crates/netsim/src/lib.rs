@@ -60,7 +60,6 @@ pub mod longtrace;
 pub mod malware;
 pub mod netflow;
 pub mod oracle;
-pub mod resilience;
 pub mod rngutil;
 pub mod synth;
 pub mod types;

@@ -181,26 +181,32 @@ impl MetricsRegistry {
     /// histograms absorbed, creating metrics on first sight. Gauges and
     /// timings are deliberately ignored — gauges are point-in-time (not
     /// additive) and timings are wall-clock-derived, so neither belongs
-    /// in a replayed checkpoint delta. Fails only on a histogram bucket
-    /// layout conflict with an already-registered name.
-    /// The call is all-or-nothing: every histogram layout is validated
-    /// before any value moves, so a refused delta leaves the registry's
-    /// data untouched (at most new empty metrics were registered).
+    /// in a replayed checkpoint delta. Fails on a histogram whose bounds
+    /// are invalid or conflict with an already-registered name, or whose
+    /// `counts` do not have one cell per bucket.
+    /// The call is all-or-nothing: every histogram is validated before
+    /// anything is registered or any value moves, so a refused delta
+    /// leaves the registry exactly as it was.
     pub fn absorb(&self, delta: &MetricsSnapshot) -> Result<(), crate::ObsError> {
         let mut targets = Vec::with_capacity(delta.histograms.len());
-        for (name, snap) in &delta.histograms {
-            let buckets = Buckets::new(&snap.bounds)?;
-            let hist = self.histogram(name, &buckets);
-            if hist.buckets().bounds() != snap.bounds.as_slice() {
-                return Err(crate::ObsError::BucketMismatch {
-                    left: hist.buckets().bounds().to_vec(),
-                    right: snap.bounds.clone(),
-                });
+        {
+            let fam = self.lock();
+            for (name, snap) in &delta.histograms {
+                let buckets = Buckets::new(&snap.bounds)?;
+                let live = fam.histograms.get(name).map(|h| h.buckets().bounds());
+                if live.is_some_and(|bounds| bounds != snap.bounds.as_slice())
+                    || snap.counts.len() != snap.bounds.len() + 1
+                {
+                    return Err(crate::ObsError::BucketMismatch {
+                        left: live.unwrap_or(buckets.bounds()).to_vec(),
+                        right: snap.bounds.clone(),
+                    });
+                }
+                targets.push((name, buckets, snap));
             }
-            targets.push((hist, snap));
         }
-        for (hist, snap) in targets {
-            hist.absorb_snapshot(snap)?;
+        for (name, buckets, snap) in targets {
+            self.histogram(name, &buckets).absorb_snapshot(snap)?;
         }
         for (name, value) in &delta.counters {
             self.counter(name).add(*value);
@@ -277,15 +283,17 @@ impl MetricsSnapshot {
     /// Counters subtract; value histograms subtract bucket-wise when the
     /// layouts match (a layout change mid-run cannot happen — first
     /// registration wins — so a mismatch falls back to the later value
-    /// whole). Zero counters and empty histograms are omitted. Gauges
-    /// and timings are excluded: gauges are point-in-time and timings
-    /// are wall-clock-derived, so neither can be replayed exactly.
+    /// whole). Zero changes are omitted, except for a metric `earlier`
+    /// did not have: it stays in at zero, so a replay registers the
+    /// same names as the run it replays. Gauges and timings are
+    /// excluded: gauges are point-in-time and timings are
+    /// wall-clock-derived, so neither can be replayed exactly.
     pub fn delta_since(&self, earlier: &MetricsSnapshot) -> MetricsSnapshot {
         let mut delta = MetricsSnapshot::default();
         for (name, later) in &self.counters {
             let before = earlier.counters.get(name).copied().unwrap_or(0);
             let diff = later.saturating_sub(before);
-            if diff > 0 {
+            if diff > 0 || !earlier.counters.contains_key(name) {
                 delta.counters.insert(name.clone(), diff);
             }
         }
@@ -300,7 +308,7 @@ impl MetricsSnapshot {
                     diff.sum = diff.sum.saturating_sub(before.sum);
                 }
             }
-            if diff.total > 0 {
+            if diff.total > 0 || !earlier.histograms.contains_key(name) {
                 delta.histograms.insert(name.clone(), diff);
             }
         }
@@ -484,6 +492,28 @@ mod tests {
         assert_eq!(end.histograms, reg.snapshot().histograms);
     }
 
+    /// A metric first registered at zero between the two snapshots
+    /// travels in the delta, so replaying it into a fresh registry
+    /// exports the same names; one already there and unchanged does not.
+    #[test]
+    fn a_delta_keeps_metrics_first_registered_at_zero() {
+        let buckets = Buckets::new(&[10]).unwrap();
+        let reg = MetricsRegistry::new();
+        reg.counter("old.zero");
+        let before = reg.snapshot();
+        reg.counter("new.zero");
+        reg.histogram("new.empty", &buckets);
+        let delta = reg.snapshot().delta_since(&before);
+        assert_eq!(delta.counters.get("new.zero"), Some(&0));
+        assert!(!delta.counters.contains_key("old.zero"));
+        assert_eq!(delta.histograms["new.empty"].total, 0);
+
+        let replayed = MetricsRegistry::new();
+        replayed.counter("old.zero");
+        replayed.absorb(&delta).unwrap();
+        assert_eq!(replayed.snapshot().to_json(), reg.snapshot().to_json());
+    }
+
     #[test]
     fn absorb_refuses_conflicting_histogram_layouts() {
         let reg = MetricsRegistry::new();
@@ -495,5 +525,36 @@ mod tests {
             HistogramSnapshot::empty(&Buckets::new(&[10, 20]).unwrap()),
         );
         assert!(reg.absorb(&delta).is_err());
+    }
+
+    /// A delta whose second histogram (in name order) has the right
+    /// bounds but a short `counts` array is refused before its first
+    /// histogram moves, and registers no new name.
+    #[test]
+    fn a_refused_absorb_leaves_the_registry_untouched() {
+        let buckets = Buckets::new(&[10, 100]).unwrap();
+        let reg = MetricsRegistry::new();
+        reg.histogram("a.first", &buckets).observe(5);
+        reg.histogram("b.second", &buckets).observe(50);
+        reg.counter("c").add(2);
+        let before = reg.snapshot();
+
+        let mut delta = MetricsSnapshot::default();
+        let mut first = HistogramSnapshot::empty(&buckets);
+        first.counts = vec![1, 0, 0];
+        first.total = 1;
+        first.sum = 1;
+        let mut second = first.clone();
+        second.counts.pop();
+        delta.histograms.insert("a.first".into(), first.clone());
+        delta.histograms.insert("b.second".into(), second);
+        delta.counters.insert("c".into(), 1);
+        assert!(reg.absorb(&delta).is_err());
+        assert_eq!(reg.snapshot(), before);
+
+        // A name not yet registered is not created by a refused delta.
+        delta.histograms.insert("a.new".into(), first);
+        assert!(reg.absorb(&delta).is_err());
+        assert_eq!(reg.snapshot(), before);
     }
 }

@@ -9,10 +9,21 @@
 //! instead of spinning, in the spirit of Vlachos et al.'s
 //! O(n log n)-per-series cost bound.
 //!
-//! The one limit is a **work-unit (ops) ceiling**: units are charged in
-//! proportion to the FFT work actually performed, so the same pair is cut
-//! off at the same point on any machine, at any thread count, and on a
-//! resumed run alike.
+//! The one limit is a **work-unit (ops) ceiling**. The charges are a
+//! fixed function of the series, not of the work a stage actually does,
+//! so the same pair is cut off at the same point on any machine, at any
+//! thread count, and on a resumed run alike. A pair over an `n`-bin
+//! series is charged:
+//!
+//! * `n` for the periodogram;
+//! * `n` for each shuffle round, however many events the round places
+//!   (a round over 21 events and one over 10 002 pay the same);
+//! * `n` for the ACF, whether it runs from the events or from the bins;
+//! * the lag span `hi − lo + 1` of the ACF hill scan.
+//!
+//! Nothing else is charged: not the pruning, not the GMM's EM. Whether to
+//! price these units by the work each stage's cost model computes, or to
+//! delete the budget, is ROADMAP item 11.
 //!
 //! A budget with no ceiling is *unlimited*: the guarded code path is
 //! byte-identical to one with no budget plumbing at all — the checkpoints
@@ -80,10 +91,10 @@ impl ExecBudget {
 /// not a live counter: [`start`](Self::start) arms a fresh [`ExecBudget`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct BudgetSpec {
-    /// Work-unit ceiling; `None` = no ceiling. Units approximate FFT/EM
-    /// inner-loop cost: one permutation round over an `n`-bin series
-    /// charges `n`, one EM iteration over `n` intervals with `k` components
-    /// charges `n·k`, and so on.
+    /// Work-unit ceiling; `None` = no ceiling. A pair over an `n`-bin
+    /// series is charged `n` for the periodogram, `n` per shuffle round
+    /// whatever its events, `n` for the ACF and the lag span of the hill
+    /// scan; the GMM's EM is not charged (see the module docs).
     pub max_ops: Option<u64>,
 }
 

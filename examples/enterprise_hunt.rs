@@ -28,16 +28,6 @@
 //! cargo run --release --example enterprise_hunt -- --checkpoint-dir /tmp/hunt --resume --replay-dlq
 //! ```
 //!
-//! Resilience knobs (see DESIGN.md §11):
-//!
-//! * `--breaker-failures N` / `--breaker-rate F` / `--breaker-cooldown-secs S`
-//!   configure the per-source ingest circuit breakers,
-//! * `--flapping` replaces the hunt with a breaker soak: a netsim
-//!   flapping ELFF source (alternating clean / 90%-corrupt windows) is
-//!   driven through the guarded ingest on a manual clock, demonstrating
-//!   the full open → half-open → closed recovery cycle with exact
-//!   per-line accounting; combine with `--json` for the machine export.
-//!
 //! Every flag that takes a value exits with status 2 when the value is
 //! missing or is itself a flag (`--checkpoint-dir --resume`).
 //!
@@ -59,10 +49,8 @@
 #![warn(clippy::unwrap_used)]
 
 use std::collections::BTreeSet;
-use std::sync::Arc;
 
 use baywatch::core::checkpoint::CheckpointSpec;
-use baywatch::core::io::IngestGuard;
 use baywatch::core::pipeline::{Baywatch, BaywatchConfig};
 use baywatch::core::record::LogRecord;
 use baywatch::core::report::export_json;
@@ -70,10 +58,7 @@ use baywatch::core::stream::{StreamConfig, StreamingHunt, TickReport};
 use baywatch::core::ScheduleSpec;
 use baywatch::netsim::enterprise::{EnterpriseConfig, EnterpriseSimulator};
 use baywatch::netsim::longtrace::{LongTraceConfig, LongTraceGenerator};
-use baywatch::netsim::resilience::{flapping_source, FlappingConfig};
-use baywatch::obs::{Clock, ManualClock};
 use baywatch::record_from_event;
-use baywatch::resilience::BreakerConfig;
 use baywatch::timeseries::BudgetSpec;
 
 /// Parses the value following `name`, exiting with a message when the
@@ -103,17 +88,6 @@ fn main() {
     if (resume || replay_dlq) && checkpoint_dir.is_none() {
         eprintln!("--resume / --replay-dlq require --checkpoint-dir DIR");
         std::process::exit(2);
-    }
-    let breaker = BreakerConfig {
-        failure_threshold: flag_value(&args, "--breaker-failures").unwrap_or(5),
-        failure_rate: flag_value(&args, "--breaker-rate").unwrap_or(0.2),
-        cooldown_nanos: flag_value::<u64>(&args, "--breaker-cooldown-secs").unwrap_or(60)
-            * 1_000_000_000,
-        ..BreakerConfig::default()
-    };
-    if args.iter().any(|a| a == "--flapping") {
-        run_flapping_scenario(breaker, emit_json);
-        return;
     }
     if args.iter().any(|a| a == "--stream") {
         run_stream_scenario(&args, emit_json);
@@ -391,79 +365,5 @@ fn run_stream_scenario(args: &[String], emit_json: bool) {
     if emit_json {
         println!("\n--- observability export (--json) ---");
         println!("{}", export_json(&report, &snapshot, 10));
-    }
-}
-
-/// Drives a netsim flapping ELFF source (alternating clean and
-/// 90%-corrupt windows) through the breaker-guarded ingest on a manual
-/// clock, then analyzes the admitted records. The window cadence exceeds
-/// the breaker cooldown, so every bad window trips the source open and
-/// every following clean window walks it through half-open probes back
-/// to closed — the `resilience.ingest.*` counters in the `--json` export
-/// carry the full cycle.
-fn run_flapping_scenario(breaker: BreakerConfig, emit_json: bool) {
-    let flap = FlappingConfig {
-        windows: 8,
-        ..Default::default()
-    };
-    let windows = flapping_source(&flap, 42);
-    let clock = Arc::new(ManualClock::new());
-    let mut guard = IngestGuard::new(breaker, clock.clone() as Arc<dyn Clock>);
-    let mut records = Vec::new();
-    let (mut offered, mut admitted, mut rejected) = (0usize, 0usize, 0usize);
-    println!(
-        "flapping source: {} windows x {} events, corruption {:.0}% on bad windows",
-        flap.windows,
-        flap.events_per_window,
-        flap.bad_corruption_rate * 100.0
-    );
-    for w in &windows {
-        let out = match guard.read_elff_source("flapping-proxy", w.bytes.as_slice()) {
-            Ok(out) => out,
-            Err(err) => {
-                eprintln!("in-memory read cannot fail: {err}");
-                std::process::exit(1);
-            }
-        };
-        println!(
-            "window {} ({}): offered {} admitted {} rejected {} probes {} malformed {} -> {:?}",
-            w.index,
-            if w.bad { "corrupt" } else { "clean" },
-            out.offered_lines,
-            out.admitted_lines,
-            out.rejected_lines,
-            out.probe_lines,
-            out.outcome.malformed_lines,
-            out.final_state
-        );
-        offered += out.offered_lines;
-        admitted += out.admitted_lines;
-        rejected += out.rejected_lines;
-        records.extend(out.outcome.records);
-        clock.advance(flap.window_seconds * 1_000_000_000);
-    }
-    let stats = guard.stats();
-    println!(
-        "breaker cycle: opened {} half-opened {} closed {}",
-        stats.opened, stats.half_opened, stats.closed
-    );
-    println!(
-        "flapping accounting: offered={offered} admitted={admitted} rejected={rejected} exact={}",
-        offered == admitted + rejected
-    );
-    let config = BaywatchConfig {
-        local_tau: 0.05,
-        ..Default::default()
-    };
-    let mut engine = Baywatch::with_clock(config, clock);
-    guard.record_metrics(engine.metrics());
-    let report = engine.analyze(records);
-    println!(
-        "analysis of admitted lines: {} events, {} pairs, {} periodic, {} reported",
-        report.stats.events, report.stats.pairs, report.stats.periodic, report.stats.reported
-    );
-    if emit_json {
-        println!("\n--- observability export (--json) ---");
-        println!("{}", export_json(&report, &engine.metrics_snapshot(), 10));
     }
 }

@@ -11,7 +11,6 @@
 //! * [`mapreduce`] — the in-process MapReduce engine,
 //! * [`netsim`] — the enterprise traffic simulator and noise models,
 //! * [`obs`] — the metrics registry and stage tracer,
-//! * [`resilience`] — circuit breakers and admission control,
 //! * [`stats`] — the statistical substrate.
 //!
 //! See `examples/quickstart.rs` for the five-minute tour and DESIGN.md for
@@ -34,7 +33,6 @@ pub use baywatch_langmodel as langmodel;
 pub use baywatch_mapreduce as mapreduce;
 pub use baywatch_netsim as netsim;
 pub use baywatch_obs as obs;
-pub use baywatch_resilience as resilience;
 pub use baywatch_stats as stats;
 pub use baywatch_timeseries as timeseries;
 

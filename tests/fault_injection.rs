@@ -84,9 +84,9 @@ fn pair_counts(records: &[LogRecord]) -> BTreeMap<(String, String), usize> {
     counts
 }
 
-/// A seeded [`FaultPlan`] — one poison pair plus a transient map panic —
-/// degrades the run (pair quarantined, retry logged, funnel flags it) while
-/// every unaffected pair ranks byte-identically to a fault-free run.
+/// A seeded [`FaultPlan`] — one poison pair plus a one-shot map panic —
+/// degrades the run (pair quarantined, bisection logged, funnel flags it)
+/// while every unaffected pair ranks byte-identically to a fault-free run.
 #[test]
 fn fault_plan_quarantines_poison_pair_and_preserves_the_rest() {
     let mk_records = || {
@@ -123,9 +123,10 @@ fn fault_plan_quarantines_poison_pair_and_preserves_the_rest() {
     assert!(plan.injected_faults() > 0, "the plan never fired");
     assert!(!faulted.faults.is_clean());
     assert!(
-        faulted.faults.map_retries >= 1,
-        "transient panic not retried"
+        faulted.faults.map_bisections >= 1,
+        "one-shot panic not bisected"
     );
+    assert_eq!(faulted.faults.quarantined_inputs, 0, "no record lost to it");
     assert_eq!(faulted.stats.quarantined_pairs, 1);
     assert_eq!(faulted.stats.skipped_events, 60, "poison pair's records");
     let funnel = render_funnel(&faulted);
@@ -153,7 +154,7 @@ fn fault_plan_quarantines_poison_pair_and_preserves_the_rest() {
     }
 }
 
-/// 5% seeded ELFF line corruption (plus a transient task panic) flows
+/// 5% seeded ELFF line corruption (plus a one-shot task panic) flows
 /// through lenient ingest and [`Baywatch::analyze_outcome`]: malformed
 /// lines are counted exactly, analysis completes, and pairs that lost no
 /// events rank byte-identically to the clean run.
@@ -198,17 +199,34 @@ fn corrupted_elff_ingest_degrades_without_losing_untouched_pairs() {
     );
     let corrupt_counts = pair_counts(&outcome.records);
 
+    let unpanicked = quiet_engine().analyze_outcome(read_elff(corrupted.as_slice()).unwrap());
     let mut engine = quiet_engine();
     engine.arm_fault_plan(Arc::new(FaultPlan::new().panic_on_map_call(7)));
     let report = engine.analyze_outcome(outcome);
 
     // Degradation is visible end to end: exact malformed count, bounded
-    // samples, the transient panic retried, nothing quarantined.
+    // samples, the one-shot panic bisected away, nothing quarantined.
     assert_eq!(report.stats.malformed_lines, damaged);
     assert_eq!(report.malformed_samples.len(), damaged.min(64));
-    assert!(report.faults.map_retries >= 1);
+    assert!(!report.faults.is_clean());
+    assert!(report.faults.map_bisections >= 1);
+    assert_eq!(report.faults.quarantined_units(), 0);
     assert_eq!(report.stats.quarantined_pairs, 0);
-    assert!(render_funnel(&report).contains("malformed lines"));
+    let funnel = render_funnel(&report);
+    assert!(funnel.contains("malformed lines"));
+    assert!(funnel.contains("degraded mode"));
+    // The bisection lost nothing: the ranked output is byte-identical to
+    // the same input's run without the panic.
+    let ranked = |r: &AnalysisReport| -> Vec<String> {
+        r.ranked
+            .iter()
+            .enumerate()
+            .map(|(i, rc)| render_case(i + 1, rc, &ReportOptions::default()))
+            .collect()
+    };
+    assert!(unpanicked.faults.is_clean());
+    assert_eq!(ranked(&report), ranked(&unpanicked));
+    assert_eq!(report.report_cutoff, unpanicked.report_cutoff);
 
     // The population itself survives 5% line loss (no source vanishes).
     assert_eq!(
@@ -541,84 +559,6 @@ fn dlq_replay_under_larger_budget_readmits_quarantined_pair() {
     assert!(funnel.contains("dlq pairs recovered"));
 
     std::fs::remove_dir_all(&dir).ok();
-}
-
-/// A flapping ELFF source (clean / 80%-corrupt alternating windows) must
-/// walk its ingest breaker through the full recovery cycle with exact
-/// accounting, and the run must be byte-reproducible: same seed, same
-/// manual clock, same ledger, same transition log.
-#[test]
-fn flapping_source_recovers_with_exact_accounting() {
-    use baywatch::core::io::IngestGuard;
-    use baywatch::netsim::resilience::{flapping_source, FlappingConfig};
-    use baywatch::obs::{Clock, ManualClock};
-    use baywatch::resilience::BreakerConfig;
-
-    let config = FlappingConfig {
-        windows: 8,
-        ..FlappingConfig::default()
-    };
-
-    let run = || {
-        let clock = Arc::new(ManualClock::new());
-        let mut guard = IngestGuard::new(BreakerConfig::default(), clock.clone() as Arc<dyn Clock>);
-        let mut ledger = Vec::new();
-        let mut records = 0usize;
-        for window in flapping_source(&config, 42) {
-            let out = guard
-                .read_elff_source("flapping-proxy", window.bytes.as_slice())
-                .unwrap();
-            // Per-window exactness: every offered line is either admitted
-            // or rejected, and every admitted line either parsed or was
-            // counted malformed.
-            assert_eq!(out.offered_lines, out.admitted_lines + out.rejected_lines);
-            assert_eq!(
-                out.admitted_lines,
-                out.outcome.records.len() + out.outcome.malformed_lines
-            );
-            records += out.outcome.records.len();
-            ledger.push((
-                window.index,
-                window.bad,
-                out.offered_lines,
-                out.admitted_lines,
-                out.rejected_lines,
-                out.probe_lines,
-                out.transitions.len(),
-            ));
-            clock.advance(config.window_seconds * 1_000_000_000);
-        }
-        (ledger, records, guard.stats())
-    };
-
-    let (ledger, records, stats) = run();
-
-    // Every bad window trips the breaker open; every clean window that
-    // follows recovers it through half-open probes. With 8 alternating
-    // windows starting clean that is 4 trips and 3 completed recoveries
-    // (the run ends on a bad window, so the final cycle never closes).
-    assert_eq!(stats.opened, 4);
-    assert_eq!(stats.half_opened, 3);
-    assert_eq!(stats.closed, 3);
-    assert!(stats.probes >= stats.half_opened);
-
-    // Global ledger exactness across the whole run.
-    let offered: usize = ledger.iter().map(|w| w.2).sum();
-    let admitted: usize = ledger.iter().map(|w| w.3).sum();
-    let rejected: usize = ledger.iter().map(|w| w.4).sum();
-    assert_eq!(offered as u64, stats.admitted + stats.rejected);
-    assert_eq!(offered, admitted + rejected);
-    assert!(records > 0 && records <= admitted);
-
-    // Clean windows after recovery admit everything; open-window lines
-    // are rejected unparsed, never counted malformed.
-    assert!(rejected > 0, "open breaker must have shed load");
-
-    // Byte-for-byte reproducibility of the entire admission history.
-    let (ledger2, records2, stats2) = run();
-    assert_eq!(ledger, ledger2);
-    assert_eq!(records, records2);
-    assert_eq!(stats, stats2);
 }
 
 /// The far-line probe: host `10.0.0.66` beacons every 60 s, 120 lines,
