@@ -21,7 +21,7 @@ use std::path::PathBuf;
 use baywatch_mapreduce::fnv1a64;
 use baywatch_obs::json::{parse, JsonValue};
 use baywatch_obs::JsonWriter;
-use baywatch_timeseries::{BudgetSpec, CandidatePeriod};
+use baywatch_timeseries::CandidatePeriod;
 
 use crate::activity::ActivitySummary;
 use crate::jobs::DetectRow;
@@ -43,10 +43,6 @@ pub struct CheckpointSpec {
     /// compatible; a missing/corrupt/mismatched manifest degrades to a
     /// fresh run with a warning counter, never an error.
     pub resume: bool,
-    /// When set, replay dead-letter-queue entries after the shard sweep
-    /// under this (typically larger) budget, re-admitting pairs that now
-    /// complete. `None` leaves the DLQ untouched for a later pass.
-    pub replay_budget: Option<BudgetSpec>,
     /// Pairs per shard (clamped to at least 1).
     pub shard_size: usize,
     /// Test hook: simulate a kill after this many freshly executed shards.
@@ -55,12 +51,11 @@ pub struct CheckpointSpec {
 }
 
 impl CheckpointSpec {
-    /// A fresh (non-resuming, no-replay) spec rooted at `dir`.
+    /// A fresh (non-resuming) spec rooted at `dir`.
     pub fn new(dir: impl Into<PathBuf>) -> Self {
         Self {
             dir: dir.into(),
             resume: false,
-            replay_budget: None,
             shard_size: DEFAULT_SHARD_SIZE,
             abort_after_shards: None,
         }
@@ -84,18 +79,15 @@ pub struct CheckpointOutcome {
     /// Unusable persisted state encountered (corrupt manifest or shard
     /// payload); each warning degraded to re-execution, not failure.
     pub load_warnings: usize,
-    /// Checkpoint writes that failed or were skipped by an open store
-    /// breaker; the run degraded those shards to in-memory execution.
+    /// Checkpoint writes that failed; the run degraded those shards to
+    /// in-memory execution.
     pub write_warnings: usize,
     /// Whether the run stopped early (test-only abort hook); the manifest
     /// on disk is consistent and a `resume` run will finish the plan.
     pub interrupted: bool,
-    /// Dead-letter-queue entries present after the shard sweep.
+    /// Dead-letter-queue entries (quarantined pairs) after the shard
+    /// sweep.
     pub dlq_entries: usize,
-    /// DLQ entries re-executed under the replay budget.
-    pub dlq_replayed: usize,
-    /// Replayed entries that completed and rejoined the funnel.
-    pub dlq_recovered: usize,
 }
 
 fn write_f64_bits(w: &mut JsonWriter, value: f64) {
@@ -239,11 +231,6 @@ pub fn encode_rows(rows: &[DetectRow]) -> String {
                 w.key("pair");
                 write_pair(&mut w, pair);
             }
-            DetectRow::TimedOut(pair) => {
-                w.string("timed_out");
-                w.key("pair");
-                write_pair(&mut w, pair);
-            }
         }
         w.raw("}");
     }
@@ -262,7 +249,6 @@ pub fn decode_rows(text: &str) -> Option<Vec<DetectRow>> {
                 read_candidates(item.get("candidates")?)?,
             )),
             "quiet" => DetectRow::Quiet(read_pair(item.get("pair")?)?),
-            "timed_out" => DetectRow::TimedOut(read_pair(item.get("pair")?)?),
             _ => return None,
         };
         rows.push(row);
@@ -292,20 +278,13 @@ pub fn decode_summaries(text: &str) -> Option<Vec<ActivitySummary>> {
 
 /// Fingerprint binding a manifest to the run configuration that wrote it.
 ///
-/// Covers everything that changes shard outputs: the per-pair detection
-/// budget, the permutation RNG seed, and the shard plan
-/// itself (ids, sizes, and every summary's rendered content). A resume
-/// against a manifest with a different fingerprint degrades to a fresh run.
-pub fn run_fingerprint(budget: &BudgetSpec, rng_seed: u64, shards: &[Vec<ActivitySummary>]) -> u64 {
-    use std::fmt::Write as _;
-    let mut text = String::new();
-    let _ = write!(text, "budget:{:?};seed:{rng_seed};", budget.max_ops);
-    let _ = write!(
-        text,
-        "plan:{};",
-        baywatch_mapreduce::shard_plan_digest(shards)
-    );
-    fnv1a64(text.as_bytes())
+/// Covers everything that changes shard outputs: the permutation RNG seed
+/// and the shard plan itself (ids, sizes, and every summary's rendered
+/// content). A resume against a manifest with a different fingerprint
+/// degrades to a fresh run.
+pub fn run_fingerprint(rng_seed: u64, shards: &[Vec<ActivitySummary>]) -> u64 {
+    let plan = baywatch_mapreduce::shard_plan_digest(shards);
+    fnv1a64(format!("seed:{rng_seed};plan:{plan};").as_bytes())
 }
 
 /// Clamped shard plan: summaries in deterministic order, `shard_size` per
@@ -367,11 +346,10 @@ mod tests {
         let rows = vec![
             DetectRow::Hit((summary("h1", "evil.test", 5), candidates())),
             DetectRow::Quiet(CommunicationPair::new("h2", "quiet.test")),
-            DetectRow::TimedOut(CommunicationPair::new("h3", "slow.test")),
         ];
         let encoded = encode_rows(&rows);
         let decoded = decode_rows(&encoded).expect("payload parses");
-        assert_eq!(decoded.len(), 3);
+        assert_eq!(decoded.len(), 2);
         match &decoded[0] {
             DetectRow::Hit((restored, found)) => {
                 assert_eq!(*restored, summary("h1", "evil.test", 5));
@@ -390,7 +368,6 @@ mod tests {
             other => panic!("row 0 mismatch: {other:?}"),
         }
         assert_eq!(&rows[1], &decoded[1]);
-        assert_eq!(&rows[2], &decoded[2]);
         // Re-encoding the decoded rows is byte-identical.
         assert_eq!(encode_rows(&decoded), encoded);
     }
@@ -418,15 +395,12 @@ mod tests {
 
     #[test]
     fn fingerprint_tracks_every_input() {
-        let budget = BudgetSpec::UNLIMITED;
         let shards = vec![vec![summary("h1", "a.test", 3)]];
-        let base = run_fingerprint(&budget, 7, &shards);
-        assert_eq!(base, run_fingerprint(&budget, 7, &shards));
-        assert_ne!(base, run_fingerprint(&budget, 8, &shards));
-        let tighter = BudgetSpec { max_ops: Some(10) };
-        assert_ne!(base, run_fingerprint(&tighter, 7, &shards));
+        let base = run_fingerprint(7, &shards);
+        assert_eq!(base, run_fingerprint(7, &shards));
+        assert_ne!(base, run_fingerprint(8, &shards));
         let other_plan = vec![vec![summary("h1", "a.test", 4)]];
-        assert_ne!(base, run_fingerprint(&budget, 7, &other_plan));
+        assert_ne!(base, run_fingerprint(7, &other_plan));
     }
 
     #[test]

@@ -28,14 +28,13 @@
 //! outside the harness), and returns its [`FaultReport`] so the caller can
 //! record what was dropped.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 
 use baywatch_mapreduce::{
-    CheckpointedRun, DlqEntry, DlqReason, FaultPlan, FaultReport, MapReduce, ShardedOutcome,
-    SAMPLE_LIMIT,
+    CheckpointedRun, DlqEntry, FaultPlan, FaultReport, MapReduce, ShardedOutcome, SAMPLE_LIMIT,
 };
 use baywatch_timeseries::detector::PeriodicityDetector;
-use baywatch_timeseries::{BudgetSpec, CandidatePeriod, TimeSeriesError};
+use baywatch_timeseries::CandidatePeriod;
 
 use crate::activity::ActivitySummary;
 use crate::pair::CommunicationPair;
@@ -146,7 +145,7 @@ pub fn rescale_and_merge(
     )
 }
 
-/// What one budgeted detection run concluded about a pair's series.
+/// What one detection run concluded about a pair's series.
 #[derive(Debug, Clone)]
 pub(crate) enum Verdict {
     /// At least one verified candidate period, strongest first.
@@ -154,24 +153,16 @@ pub(crate) enum Verdict {
     /// Analyzed and not periodic — including series the detector refuses
     /// outright (too few events, zero span, …): "not a beacon candidate".
     Quiet,
-    /// The per-pair execution budget ran out before a verdict.
-    TimedOut,
 }
 
-/// Runs the detector over one series under a fresh budget armed from
-/// `pair_budget`, through the calling thread's spectral workspace. The one
-/// place a detector outcome becomes a funnel verdict: the batch jobs and
-/// the streaming engine both come through here.
-pub(crate) fn detect_verdict(
-    detector: &PeriodicityDetector,
-    timestamps: &[u64],
-    pair_budget: &BudgetSpec,
-) -> Verdict {
-    match detector.detect_budgeted(timestamps, &pair_budget.start()) {
+/// Runs the detector over one series through the calling thread's
+/// spectral workspace. The one place a detector outcome becomes a funnel
+/// verdict: the batch jobs and the streaming engine both come through
+/// here.
+pub(crate) fn detect_verdict(detector: &PeriodicityDetector, timestamps: &[u64]) -> Verdict {
+    match detector.detect(timestamps) {
         Ok(report) if report.is_periodic() => Verdict::Periodic(report.candidates),
-        Ok(_) => Verdict::Quiet,
-        Err(TimeSeriesError::BudgetExhausted) => Verdict::TimedOut,
-        Err(_) => Verdict::Quiet,
+        Ok(_) | Err(_) => Verdict::Quiet,
     }
 }
 
@@ -181,9 +172,6 @@ pub enum DetectRow {
     /// A pair with at least one verified candidate period: the paper's
     /// `⟨AS, CP⟩` — the activity summary and its candidate periods.
     Hit((ActivitySummary, Vec<CandidatePeriod>)),
-    /// A pair whose detection exhausted its per-pair execution budget
-    /// before completing; no verdict was reached.
-    TimedOut(CommunicationPair),
     /// A pair whose detection completed with no verified period. Emitted so
     /// checkpointed runs can tell "analyzed, found quiet" apart from "never
     /// finished" — a pair with *no* row at all was quarantined by the
@@ -196,7 +184,7 @@ impl DetectRow {
     pub fn pair(&self) -> &CommunicationPair {
         match self {
             DetectRow::Hit((summary, _)) => &summary.pair,
-            DetectRow::TimedOut(pair) | DetectRow::Quiet(pair) => pair,
+            DetectRow::Quiet(pair) => pair,
         }
     }
 }
@@ -215,10 +203,9 @@ fn detect_map<'a>(
 }
 
 /// Detection reduce step, shared like [`detect_map`]: run every summary of
-/// one pair's group under a fresh budget.
+/// one pair's group.
 fn detect_group(
     detector: &PeriodicityDetector,
-    pair_budget: &BudgetSpec,
     plan: Option<&FaultPlan>,
     pair: &CommunicationPair,
     group: &[&ActivitySummary],
@@ -226,22 +213,12 @@ fn detect_group(
     if let Some(plan) = plan {
         plan.reduce_checkpoint(pair);
     }
-    let mut out = Vec::new();
     // A group holds every summary keyed to one pair (several when upstream
-    // produced per-window summaries of the same pair); emit at most one
-    // TimedOut row for the whole group so the funnel counts pairs, not
-    // summaries.
-    let mut timed_out = false;
+    // produced per-window summaries of the same pair).
+    let mut out = Vec::new();
     for summary in group {
-        match detect_verdict(detector, &summary.timestamps(), pair_budget) {
-            Verdict::Periodic(candidates) => {
-                out.push(DetectRow::Hit(((*summary).clone(), candidates)));
-            }
-            Verdict::TimedOut if !timed_out => {
-                out.push(DetectRow::TimedOut(pair.clone()));
-                timed_out = true;
-            }
-            Verdict::TimedOut | Verdict::Quiet => {}
+        if let Verdict::Periodic(candidates) = detect_verdict(detector, &summary.timestamps()) {
+            out.push(DetectRow::Hit(((*summary).clone(), candidates)));
         }
     }
     if out.is_empty() {
@@ -254,13 +231,10 @@ fn detect_group(
 /// in parallel and yields one or more [`DetectRow`]s per pair — a
 /// [`DetectRow::Hit`] carries the paper's `⟨AS, CP⟩` output.
 ///
-/// Each pair runs under a fresh [`ExecBudget`](baywatch_timeseries::ExecBudget)
-/// armed from `pair_budget`, so one pathological series is cut off at a
-/// kernel checkpoint and surfaced as [`DetectRow::TimedOut`] instead of
-/// stalling the window; the budget checkpoints only ever early-return and
-/// never perturb RNG streams or numerical state. A pair whose detection
-/// panics costs that pair, not the window: it is counted in the
-/// [`FaultReport`] and has no row at all.
+/// A pair's work is bounded by its series length, which
+/// [`DetectorConfig::max_bins`](baywatch_timeseries::DetectorConfig::max_bins)
+/// caps. A pair whose detection panics costs that pair, not the window:
+/// it is counted in the [`FaultReport`] and has no row at all.
 ///
 /// The reduce phase runs on at most `engine`'s
 /// [`JobConfig::threads`](baywatch_mapreduce::JobConfig::threads) workers,
@@ -275,13 +249,12 @@ pub fn detect_beaconing(
     engine: &MapReduce,
     summaries: &[ActivitySummary],
     detector: &PeriodicityDetector,
-    pair_budget: BudgetSpec,
     plan: Option<&FaultPlan>,
 ) -> (Vec<DetectRow>, FaultReport) {
     engine.run(
         summaries,
         |summary, emit| detect_map(plan, summary, emit),
-        |pair, group| detect_group(detector, &pair_budget, plan, pair, group),
+        |pair, group| detect_group(detector, plan, pair, group),
     )
 }
 
@@ -289,15 +262,9 @@ pub fn detect_beaconing(
 /// shard-by-shard through [`MapReduce::run_sharded_checkpointed`],
 /// persisting each completed shard (rows, fault report, metric deltas) to
 /// `run`'s [`CheckpointStore`](baywatch_mapreduce::CheckpointStore) and
-/// classifying pairs that never completed into dead-letter-queue entries
-/// with failure provenance.
-///
-/// DLQ classification per input pair of a shard:
-/// * a [`DetectRow::TimedOut`] row → [`DlqReason::BudgetExhausted`] (the
-///   per-pair work budget was exhausted; the pair is replayable under a
-///   larger budget),
-/// * no row at all → [`DlqReason::Poison`] (its reducer panicked and the
-///   engine quarantined it).
+/// recording each input pair of a shard that produced no row at all (its
+/// reducer panicked and the engine quarantined it) as a dead-letter-queue
+/// entry.
 ///
 /// # Errors
 ///
@@ -307,7 +274,6 @@ pub fn detect_beaconing_checkpointed(
     engine: &MapReduce,
     shards: &[Vec<ActivitySummary>],
     detector: &PeriodicityDetector,
-    pair_budget: BudgetSpec,
     plan: Option<&FaultPlan>,
     run: &CheckpointedRun<'_>,
 ) -> std::io::Result<ShardedOutcome<DetectRow>> {
@@ -315,67 +281,52 @@ pub fn detect_beaconing_checkpointed(
         shards,
         run,
         |summary, emit| detect_map(plan, summary, emit),
-        |pair, group| detect_group(detector, &pair_budget, plan, pair, group),
+        |pair, group| detect_group(detector, plan, pair, group),
         crate::checkpoint::encode_rows,
         crate::checkpoint::decode_rows,
         dlq_entries_for_shard,
     )
 }
 
-/// Classifies a completed shard's losses into DLQ entries (see
-/// [`detect_beaconing_checkpointed`] for the provenance rules). Entries
-/// carry the pair's summaries as a replayable payload.
+/// A completed shard's quarantined pairs as DLQ entries (see
+/// [`detect_beaconing_checkpointed`]). Entries carry the pair's summaries
+/// as a payload, the evidence to reproduce the poison pair offline.
 fn dlq_entries_for_shard(
     shard_id: usize,
     inputs: &[ActivitySummary],
     outputs: &[DetectRow],
     faults: &FaultReport,
 ) -> Vec<DlqEntry> {
-    // Pairs that produced a row → whether any of them was verdictless.
-    let mut budget_exhausted: BTreeMap<&CommunicationPair, bool> = BTreeMap::new();
-    for row in outputs {
-        *budget_exhausted.entry(row.pair()).or_default() |= matches!(row, DetectRow::TimedOut(_));
-    }
+    let completed: BTreeSet<&CommunicationPair> = outputs.iter().map(DetectRow::pair).collect();
     let mut by_pair: BTreeMap<&CommunicationPair, Vec<ActivitySummary>> = BTreeMap::new();
     for summary in inputs {
-        by_pair
-            .entry(&summary.pair)
-            .or_default()
-            .push(summary.clone());
+        if !completed.contains(&summary.pair) {
+            by_pair
+                .entry(&summary.pair)
+                .or_default()
+                .push(summary.clone());
+        }
     }
-    let mut entries = Vec::new();
-    for (pair, summaries) in by_pair {
-        let key = format!("{pair:?}");
-        let (reason, samples) = match budget_exhausted.get(pair) {
-            // The pair *completed* the shard with a verdictless row; it is
-            // queued for replay under a larger budget, not lost.
-            Some(true) => (DlqReason::BudgetExhausted, Vec::new()),
-            Some(false) => continue,
-            None => (
-                DlqReason::Poison,
-                faults
-                    .panic_samples
-                    .iter()
-                    .take(SAMPLE_LIMIT)
-                    .cloned()
-                    .collect(),
-            ),
-        };
-        entries.push(DlqEntry {
-            key,
+    by_pair
+        .into_iter()
+        .map(|(pair, summaries)| DlqEntry {
+            key: format!("{pair:?}"),
             shard: shard_id,
-            reason,
-            samples,
+            samples: faults
+                .panic_samples
+                .iter()
+                .take(SAMPLE_LIMIT)
+                .cloned()
+                .collect(),
             payload: crate::checkpoint::encode_summaries(&summaries),
-        });
-    }
-    entries
+        })
+        .collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use baywatch_mapreduce::{partition_of, BudgetSnapshot, CheckpointStore, JobConfig};
+    use baywatch_mapreduce::{partition_of, CheckpointStore, JobConfig};
     use baywatch_stats::rng::{forall, Rng};
     use baywatch_timeseries::detector::DetectorConfig;
 
@@ -400,24 +351,18 @@ mod tests {
         summaries
     }
 
-    /// Detection under the detector's own budget.
+    /// Detection with the default detector.
     fn detect(
         summaries: &[ActivitySummary],
         plan: Option<&FaultPlan>,
     ) -> (crate::funnel::Hits, FaultReport) {
         let detector = PeriodicityDetector::new(DetectorConfig::default());
-        let (rows, report) = detect_beaconing(
-            &engine(),
-            summaries,
-            &detector,
-            detector.config().budget,
-            plan,
-        );
+        let (rows, report) = detect_beaconing(&engine(), summaries, &detector, plan);
         let hits = rows
             .into_iter()
             .filter_map(|row| match row {
                 DetectRow::Hit(hit) => Some(hit),
-                DetectRow::TimedOut(_) | DetectRow::Quiet(_) => None,
+                DetectRow::Quiet(_) => None,
             })
             .collect();
         (hits, report)
@@ -623,19 +568,10 @@ mod tests {
     fn batch_and_stream_share_one_verdict_mapping() {
         let beacon: Vec<u64> = (0..100).map(|i| 10_000 + i * 60).collect();
         let too_few = beacon[..3].to_vec();
-        let one_op = BudgetSpec { max_ops: Some(1) };
-        for (timestamps, budget, expect_periodic, expect_timeout) in [
-            (&beacon, BudgetSpec::UNLIMITED, true, false),
-            (&too_few, BudgetSpec::UNLIMITED, false, false),
-            (&beacon, one_op, false, true),
-        ] {
-            let detector = PeriodicityDetector::new(DetectorConfig {
-                budget,
-                ..Default::default()
-            });
-
+        let detector = PeriodicityDetector::new(DetectorConfig::default());
+        for (timestamps, expect_periodic) in [(&beacon, true), (&too_few, false)] {
             // What a stream tick calls on a stale pair's quantized ring.
-            let direct = detect_verdict(&detector, timestamps, &budget);
+            let direct = detect_verdict(&detector, timestamps);
 
             let records: Vec<LogRecord> = timestamps
                 .iter()
@@ -646,7 +582,6 @@ mod tests {
                 &MapReduce::default(),
                 std::slice::from_ref(&summary),
                 &detector,
-                budget,
                 None,
             );
             assert!(faults.is_clean());
@@ -656,8 +591,7 @@ mod tests {
                 (Verdict::Periodic(candidates), DetectRow::Hit(hit)) if expect_periodic => {
                     assert_eq!(*hit, (summary, candidates));
                 }
-                (Verdict::Quiet, DetectRow::Quiet(_)) if !expect_periodic && !expect_timeout => {}
-                (Verdict::TimedOut, DetectRow::TimedOut(_)) if expect_timeout => {}
+                (Verdict::Quiet, DetectRow::Quiet(_)) if !expect_periodic => {}
                 other => panic!("callers disagree or verdict unexpected: {other:?}"),
             }
         }
@@ -750,70 +684,12 @@ mod tests {
         assert_eq!(report.quarantined_keys, 1);
     }
 
-    /// Rows of an unplanned detection run under `max_ops`.
-    fn rows_under_ops_ceiling(summaries: &[ActivitySummary], max_ops: u64) -> Vec<DetectRow> {
+    /// Rows of an unplanned detection run.
+    fn plain_rows(summaries: &[ActivitySummary]) -> Vec<DetectRow> {
         let detector = PeriodicityDetector::new(DetectorConfig::default());
-        let budget = BudgetSpec {
-            max_ops: Some(max_ops),
-        };
-        let (rows, report) = detect_beaconing(&engine(), summaries, &detector, budget, None);
-        assert!(report.is_clean(), "a timeout is not a fault: {report:?}");
+        let (rows, report) = detect_beaconing(&engine(), summaries, &detector, None);
+        assert!(report.is_clean(), "{report:?}");
         rows
-    }
-
-    #[test]
-    fn budgeted_detection_surfaces_timed_out_pairs() {
-        let mut records = beacon_records("infected", "evil.com", 60, 100);
-        // A sparse strided pair: ~700k bins at time scale 1, so the ops
-        // ceiling below trips at the first kernel checkpoint.
-        records.extend(
-            (0..300u64).map(|i| LogRecord::new(50_000 + i * 2_333, "slowpoke", "weird.biz", "x")),
-        );
-        let mut hits = 0;
-        let mut timed_out = Vec::new();
-        for row in rows_under_ops_ceiling(&extract(&records, 1), 500_000) {
-            match row {
-                DetectRow::Hit((summary, _)) => {
-                    hits += 1;
-                    assert_eq!(summary.pair.destination, "evil.com");
-                }
-                DetectRow::TimedOut(pair) => timed_out.push(pair),
-                DetectRow::Quiet(_) => {}
-            }
-        }
-        assert_eq!(hits, 1);
-        assert_eq!(
-            timed_out,
-            vec![CommunicationPair::new("slowpoke", "weird.biz")]
-        );
-    }
-
-    #[test]
-    fn pair_with_multiple_summaries_times_out_once() {
-        // Two per-window summaries of the SAME sparse pair land in one
-        // reduce group; both exhaust the budget, but the funnel must count
-        // the pair once, not once per summary.
-        let window = |offset: u64| -> Vec<LogRecord> {
-            (0..300u64)
-                .map(|i| LogRecord::new(offset + i * 2_333, "slowpoke", "weird.biz", "x"))
-                .collect()
-        };
-        let summaries = vec![
-            ActivitySummary::from_records(&window(50_000), 1).unwrap(),
-            ActivitySummary::from_records(&window(5_000_000), 1).unwrap(),
-        ];
-        let timed_out: Vec<_> = rows_under_ops_ceiling(&summaries, 500_000)
-            .into_iter()
-            .filter_map(|row| match row {
-                DetectRow::TimedOut(pair) => Some(pair),
-                DetectRow::Hit(_) | DetectRow::Quiet(_) => None,
-            })
-            .collect();
-        assert_eq!(
-            timed_out,
-            vec![CommunicationPair::new("slowpoke", "weird.biz")],
-            "one pair must yield exactly one TimedOut row"
-        );
     }
 
     fn scratch_dir(tag: &str) -> std::path::PathBuf {
@@ -826,7 +702,6 @@ mod tests {
     fn detect_checkpointed(
         dir: &std::path::Path,
         shards: &[Vec<ActivitySummary>],
-        pair_budget: BudgetSpec,
         plan: Option<&FaultPlan>,
     ) -> ShardedOutcome<DetectRow> {
         let store = CheckpointStore::create(dir).unwrap();
@@ -834,19 +709,17 @@ mod tests {
             store: &store,
             fingerprint: 1,
             rng_seed: 0,
-            budget: BudgetSnapshot::default(),
             resume: false,
             io_faults: None,
             abort_after_shards: None,
         };
         let detector = PeriodicityDetector::new(DetectorConfig::default());
-        detect_beaconing_checkpointed(&engine(), shards, &detector, pair_budget, plan, &run)
-            .unwrap()
+        detect_beaconing_checkpointed(&engine(), shards, &detector, plan, &run).unwrap()
     }
 
     #[test]
     fn checkpointed_detection_of_one_shard_matches_plain_detection() {
-        // A hit, a budget-exhausted pair and two quiet pairs.
+        // A hit, the sparse 2 333 s pair and two quiet pairs.
         let mut records = beacon_records("infected", "evil.com", 60, 100);
         records.extend(beacon_records("tiny", "x.com", 60, 3));
         records.extend(
@@ -856,14 +729,11 @@ mod tests {
             (0..50u64).map(|i| LogRecord::new(1_000 + (i * i * 37) % 50_000, "clean", "n.com", "")),
         );
         let summaries = extract(&records, 1);
-        let plain = rows_under_ops_ceiling(&summaries, 500_000);
+        let plain = plain_rows(&summaries);
         assert_eq!(plain.len(), 4);
 
         let dir = scratch_dir("one-shard");
-        let budget = BudgetSpec {
-            max_ops: Some(500_000),
-        };
-        let outcome = detect_checkpointed(&dir, &[summaries], budget, None);
+        let outcome = detect_checkpointed(&dir, &[summaries], None);
         assert_eq!(outcome.outputs, plain);
         assert!(outcome.faults.is_clean());
         assert_eq!(outcome.executed_shards, 1);
@@ -871,35 +741,24 @@ mod tests {
     }
 
     #[test]
-    fn dlq_classification_distinguishes_failure_provenance() {
+    fn dlq_holds_the_pairs_that_produced_no_row() {
         let s = |src: &str, dst: &str| {
             ActivitySummary::from_records(&beacon_records(src, dst, 60, 5), 1).unwrap()
         };
         let ok = s("h", "fine.test");
-        let exhausted = s("h", "slow.test");
         let poisoned = s("h", "poison.test");
-        let inputs = vec![ok.clone(), exhausted.clone(), poisoned.clone()];
-        // `ok` completed quiet, `exhausted` hit its kernel budget; the
-        // poisoned pair produced no row at all.
-        let outputs = vec![
-            DetectRow::Quiet(ok.pair.clone()),
-            DetectRow::TimedOut(exhausted.pair.clone()),
-        ];
+        let inputs = vec![ok.clone(), poisoned.clone()];
+        // `ok` completed quiet; the poisoned pair produced no row at all.
+        let outputs = vec![DetectRow::Quiet(ok.pair.clone())];
         let mut faults = FaultReport::default();
         faults.panic_samples.push("panicked: boom".to_string());
         let entries = dlq_entries_for_shard(3, &inputs, &outputs, &faults);
-        // Entries come out pair-sorted; `fine.test` produced no entry.
-        let by_dst: Vec<(&str, DlqReason)> =
-            entries.iter().map(|e| (e.key.as_str(), e.reason)).collect();
-        assert_eq!(entries.len(), 2);
-        assert!(by_dst[0].0.contains("poison.test"));
-        assert_eq!(by_dst[0].1, DlqReason::Poison);
+        assert_eq!(entries.len(), 1);
+        assert!(entries[0].key.contains("poison.test"));
+        assert_eq!(entries[0].shard, 3);
         assert_eq!(entries[0].samples, vec!["panicked: boom".to_string()]);
-        assert!(by_dst[1].0.contains("slow.test"));
-        assert_eq!(by_dst[1].1, DlqReason::BudgetExhausted);
-        assert!(entries[1].samples.is_empty());
-        // Every payload replays: it decodes back to the pair's summaries.
-        let replayed = crate::checkpoint::decode_summaries(&entries[1].payload).unwrap();
-        assert_eq!(replayed, vec![exhausted]);
+        // The payload decodes back to the pair's summaries.
+        let payload = crate::checkpoint::decode_summaries(&entries[0].payload).unwrap();
+        assert_eq!(payload, vec![poisoned]);
     }
 }

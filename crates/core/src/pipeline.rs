@@ -1,18 +1,15 @@
 //! The end-to-end BAYWATCH engine: all eight filters wired together
 //! (Fig. 3 of the paper).
 
-use std::collections::BTreeSet;
 use std::convert::Infallible;
 use std::sync::Arc;
 
 use baywatch_langmodel::DomainScorer;
 use baywatch_mapreduce::{
-    BudgetSnapshot, CheckpointStore, CheckpointedRun, DlqReason, FaultPlan, FaultReport, JobConfig,
-    MapReduce, RunManifest,
+    CheckpointStore, CheckpointedRun, FaultPlan, FaultReport, JobConfig, MapReduce,
 };
 use baywatch_obs::{Buckets, Clock, MetricsRegistry, MetricsSnapshot, MonotonicClock, StageTracer};
 use baywatch_timeseries::detector::{DetectorConfig, DetectorObs, PeriodicityDetector};
-use baywatch_timeseries::BudgetSpec;
 
 use crate::activity::ActivitySummary;
 use crate::checkpoint::{self, CheckpointOutcome, CheckpointSpec};
@@ -20,7 +17,6 @@ use crate::funnel::{Funnel, Hits};
 use crate::io::ReadOutcome;
 use crate::jobs;
 use crate::novelty::NoveltyStore;
-use crate::pair::CommunicationPair;
 use crate::popularity::PopularityStats;
 use crate::rank::{RankConfig, RankedCase};
 use crate::record::LogRecord;
@@ -91,18 +87,6 @@ pub struct FilterStats {
     /// Communication pairs quarantined after their map/reduce tasks kept
     /// panicking (degraded mode: each costs one pair, not the run).
     pub quarantined_pairs: usize,
-    /// Pairs whose detection exhausted the per-pair work budget
-    /// ([`DetectorConfig::budget`]) and was cut off (degraded mode: each
-    /// costs one pair, not the window). Distinct from `quarantined_pairs`:
-    /// nothing panicked.
-    pub timed_out_pairs: usize,
-    /// Dead-letter-queue entries replayed under a larger budget in a
-    /// checkpointed run (zero outside checkpointed runs).
-    pub dlq_replayed: usize,
-    /// Replayed DLQ entries that completed and rejoined the funnel: each
-    /// recovery decrements `quarantined_pairs` or `timed_out_pairs` and any
-    /// verified hits flow through filters 4–7 like first-pass detections.
-    pub dlq_recovered: usize,
 }
 
 /// The outcome of analyzing one window.
@@ -298,15 +282,12 @@ impl Baywatch {
     ///   manifest are restored instead of re-executed — the resumed run's
     ///   report is **byte-identical** to an uninterrupted one (corrupt or
     ///   mismatched state degrades to re-execution, never failure),
-    /// * pairs the engine lost (quarantined poison, exhausted per-pair
-    ///   budgets) land in a replayable dead-letter queue inside the
-    ///   manifest; with [`CheckpointSpec::replay_budget`] they are re-run
-    ///   under that (typically larger) budget after the shard sweep, and
-    ///   recoveries rejoin the funnel with exact accounting.
+    /// * pairs the engine quarantined (poison) are recorded in the
+    ///   manifest's dead-letter queue with their summaries, the evidence to
+    ///   reproduce them offline.
     ///
-    /// The per-pair work budget ([`DetectorConfig::budget`]) cuts off the
-    /// same pairs here as in [`Baywatch::analyze`], so both report the same
-    /// funnel and ranked list.
+    /// Detection is a function of the input alone, so this reports the
+    /// same funnel and ranked list as [`Baywatch::analyze`].
     ///
     /// Errors only on checkpoint-directory I/O failures (unwritable dir,
     /// disk full); analysis faults are still *degradation*, not errors.
@@ -390,24 +371,18 @@ impl Baywatch {
         // spectral workspaces (buffers recycled across the worker's pairs),
         // and every plan comes from the process-wide tables.
         let input = summaries.len();
-        let timed_out_before = stats.timed_out_pairs;
         let quarantined_before = stats.quarantined_pairs;
         let (detections, checkpoint_outcome) = {
             let _span = tracer.span("detect");
             detect(self, summaries, &mut stats, &mut faults)?
         };
         stats.periodic = detections.len();
-        let timed_out = stats.timed_out_pairs - timed_out_before;
         let quarantined = stats.quarantined_pairs - quarantined_before;
-        let dropped = input.saturating_sub(stats.periodic + timed_out + quarantined);
+        let dropped = input.saturating_sub(stats.periodic + quarantined);
         self.stage_counters(
             "04_periodicity",
             stats.periodic,
-            &[
-                ("dropped", dropped),
-                ("timed_out", timed_out),
-                ("quarantined", quarantined),
-            ],
+            &[("dropped", dropped), ("quarantined", quarantined)],
         );
 
         // ---- Filters 4–7: token filter, novelty, LM score, ranking. ----
@@ -539,7 +514,7 @@ impl Baywatch {
     }
 
     /// Filter 3 without a checkpoint: one detection job over every
-    /// summary, each pair under the detector's work budget. It cannot fail.
+    /// summary. It cannot fail.
     fn detect(
         &self,
         summaries: Vec<ActivitySummary>,
@@ -550,12 +525,9 @@ impl Baywatch {
             &self.engine,
             &summaries,
             &self.detector,
-            self.config.detector.budget,
             self.fault_plan.as_deref(),
         );
-        let mut detected = Detected::default();
-        detected.absorb(job, stats, faults);
-        Ok((detected.hits, None))
+        Ok((absorb(job, stats, faults), None))
     }
 
     /// Runs the detection job through the durable checkpoint machinery
@@ -568,136 +540,43 @@ impl Baywatch {
         spec: &CheckpointSpec,
     ) -> std::io::Result<(Hits, CheckpointOutcome)> {
         let plan = self.fault_plan.as_deref();
-        let pair_budget = self.config.detector.budget;
         let shards = checkpoint::plan_shards(summaries, spec.shard_size);
         let store = CheckpointStore::create(&spec.dir)?;
-        let fingerprint = checkpoint::run_fingerprint(
-            &pair_budget,
-            self.config.detector.permutation.seed,
-            &shards,
-        );
+        let rng_seed = self.config.detector.permutation.seed;
         let run = CheckpointedRun {
             store: &store,
-            fingerprint,
-            rng_seed: self.config.detector.permutation.seed,
-            budget: BudgetSnapshot {
-                max_ops: pair_budget.max_ops,
-            },
+            fingerprint: checkpoint::run_fingerprint(rng_seed, &shards),
+            rng_seed,
             resume: spec.resume,
             io_faults: plan,
             abort_after_shards: spec.abort_after_shards,
         };
-        let outcome = jobs::detect_beaconing_checkpointed(
-            &self.engine,
-            &shards,
-            &self.detector,
-            pair_budget,
-            plan,
-            &run,
-        )?;
-        let mut detected = Detected::default();
-        detected.absorb((outcome.outputs, outcome.faults), stats, faults);
+        let outcome =
+            jobs::detect_beaconing_checkpointed(&self.engine, &shards, &self.detector, plan, &run)?;
+        let hits = absorb((outcome.outputs, outcome.faults), stats, faults);
 
-        let mut manifest = outcome.manifest;
-        let dlq_entries = manifest.dlq.len();
-        let (dlq_replayed, dlq_recovered) = match spec.replay_budget {
-            Some(replay_budget) if !outcome.interrupted && dlq_entries > 0 => {
-                self.replay_dlq(&store, &mut manifest, replay_budget, &mut detected, stats)?
-            }
-            _ => (0, 0),
-        };
-        stats.dlq_replayed = dlq_replayed;
-        stats.dlq_recovered = dlq_recovered;
-        // Final-disposition DLQ counters: recorded once here — after the
+        let dlq_entries = outcome.manifest.dlq.len();
+        // Final-disposition DLQ counter: recorded once here — after the
         // shard sweep, outside any per-shard delta capture window — so a
         // resumed run and an uninterrupted run export identical values.
         // Registered only when the queue saw entries, so a clean
         // checkpointed run exports byte-identically to a plain one.
         if dlq_entries > 0 {
             self.metrics.counter("dlq.entries").add(dlq_entries as u64);
-            self.metrics
-                .counter("dlq.replayed")
-                .add(dlq_replayed as u64);
-            self.metrics
-                .counter("dlq.recovered")
-                .add(dlq_recovered as u64);
         }
 
         Ok((
-            detected.hits,
+            hits,
             CheckpointOutcome {
                 resumed_shards: outcome.resumed_shards,
                 executed_shards: outcome.executed_shards,
-                total_shards: manifest.total_shards,
+                total_shards: outcome.manifest.total_shards,
                 load_warnings: outcome.load_warnings,
                 write_warnings: outcome.write_warnings,
                 interrupted: outcome.interrupted,
                 dlq_entries,
-                dlq_replayed,
-                dlq_recovered,
             },
         ))
-    }
-
-    /// Replays the manifest's dead-letter queue under `replay_budget`.
-    ///
-    /// Each entry's payload (the pair's activity summaries) is re-run
-    /// through the detection job; an entry whose pair now *completes* —
-    /// any row at all, hit or quiet — is recovered: the funnel count its
-    /// failure originally landed in is decremented, verified hits join
-    /// `window.hits`, and the entry leaves the persisted queue. Entries
-    /// that still fail (or whose payload no longer decodes) stay queued for
-    /// a later pass. A replay is accounted against a scratch funnel and
-    /// fault report: the original failure is already counted in the
-    /// window's, and a failed replay changes nothing.
-    fn replay_dlq(
-        &self,
-        store: &CheckpointStore,
-        manifest: &mut RunManifest,
-        replay_budget: BudgetSpec,
-        window: &mut Detected,
-        stats: &mut FilterStats,
-    ) -> std::io::Result<(usize, usize)> {
-        let mut replayed = 0usize;
-        let mut recovered = 0usize;
-        let mut still_failed = Vec::new();
-        for entry in std::mem::take(&mut manifest.dlq) {
-            let Some(summaries) = checkpoint::decode_summaries(&entry.payload) else {
-                still_failed.push(entry);
-                continue;
-            };
-            replayed += 1;
-            let job = jobs::detect_beaconing(
-                &self.engine,
-                &summaries,
-                &self.detector,
-                replay_budget,
-                self.fault_plan.as_deref(),
-            );
-            let mut replay = Detected::default();
-            let verdicts = replay.absorb(
-                job,
-                &mut FilterStats::default(),
-                &mut FaultReport::default(),
-            );
-            if verdicts == 0 {
-                still_failed.push(entry);
-                continue;
-            }
-            recovered += 1;
-            window.hits.append(&mut replay.hits);
-            match entry.reason {
-                DlqReason::Poison => {
-                    stats.quarantined_pairs = stats.quarantined_pairs.saturating_sub(1);
-                }
-                DlqReason::BudgetExhausted => {
-                    stats.timed_out_pairs = stats.timed_out_pairs.saturating_sub(1);
-                }
-            }
-        }
-        manifest.dlq = still_failed;
-        store.save_manifest(manifest)?;
-        Ok((replayed, recovered))
     }
 }
 
@@ -715,45 +594,21 @@ pub(crate) struct Extracted {
     pub(crate) faults: FaultReport,
 }
 
-/// The detection phase's running result across one or more detection jobs.
-#[derive(Default)]
-struct Detected {
-    hits: Hits,
-    /// Pairs already counted in `timed_out_pairs` via a TimedOut row. A
-    /// pair may reach detection through several summaries (one per reduce
-    /// group upstream, or duplicated input); the funnel must count it once.
-    timed_out: BTreeSet<CommunicationPair>,
-}
-
-impl Detected {
-    /// Folds one detection job's rows and fault counts into the window's
-    /// funnel and fault report; returns how many rows reached a verdict
-    /// (hit or quiet).
-    fn absorb(
-        &mut self,
-        (rows, job_faults): (Vec<jobs::DetectRow>, FaultReport),
-        stats: &mut FilterStats,
-        faults: &mut FaultReport,
-    ) -> usize {
-        stats.quarantined_pairs += job_faults.quarantined_keys + job_faults.quarantined_inputs;
-        faults.absorb(&job_faults);
-        let mut verdicts = 0;
-        for row in rows {
-            match row {
-                jobs::DetectRow::Hit(hit) => {
-                    verdicts += 1;
-                    self.hits.push(hit);
-                }
-                jobs::DetectRow::Quiet(_) => verdicts += 1,
-                jobs::DetectRow::TimedOut(pair) => {
-                    if self.timed_out.insert(pair) {
-                        stats.timed_out_pairs += 1;
-                    }
-                }
-            }
-        }
-        verdicts
-    }
+/// Folds one detection job's rows and fault counts into the window's
+/// funnel and fault report; returns the verified hits.
+fn absorb(
+    (rows, job_faults): (Vec<jobs::DetectRow>, FaultReport),
+    stats: &mut FilterStats,
+    faults: &mut FaultReport,
+) -> Hits {
+    stats.quarantined_pairs += job_faults.quarantined_keys + job_faults.quarantined_inputs;
+    faults.absorb(&job_faults);
+    rows.into_iter()
+        .filter_map(|row| match row {
+            jobs::DetectRow::Hit(hit) => Some(hit),
+            jobs::DetectRow::Quiet(_) => None,
+        })
+        .collect()
 }
 
 #[cfg(test)]
@@ -1056,37 +911,6 @@ mod tests {
     }
 
     #[test]
-    fn per_pair_budget_times_out_pathological_pair_only() {
-        let mut records = Vec::new();
-        beacon(&mut records, "victim", "qzkxwv.com", 60, 120);
-        human(&mut records, "bystander", "other-site.net", 30, 7);
-        // A sparse strided series: ~700k bins at scale 1, so the ops
-        // budget trips at the first kernel checkpoint while the normal
-        // beacon (≈7k bins) finishes far under the same ceiling.
-        for i in 0..300u64 {
-            records.push(LogRecord::new(
-                50_000 + i * 2_333,
-                "victim",
-                "pathological-dest.biz",
-                "x",
-            ));
-        }
-        let mut config = quiet_config();
-        config.detector.budget.max_ops = Some(500_000);
-        let mut engine = Baywatch::new(config);
-        let report = engine.analyze(records);
-        assert_eq!(report.stats.timed_out_pairs, 1);
-        assert!(report
-            .ranked
-            .iter()
-            .any(|c| c.case.pair.destination == "qzkxwv.com"));
-        assert!(report
-            .ranked
-            .iter()
-            .all(|c| c.case.pair.destination != "pathological-dest.biz"));
-    }
-
-    #[test]
     fn reported_slice_matches_cutoff() {
         let mut records = Vec::new();
         for i in 0..6 {
@@ -1102,33 +926,6 @@ mod tests {
         let report = engine.analyze(records);
         assert_eq!(report.reported().len(), report.report_cutoff);
         assert!(report.report_cutoff <= report.ranked.len());
-    }
-
-    #[test]
-    fn duplicate_pair_summaries_time_out_once_in_funnel() {
-        // Regression: a pair reaching detection through several summaries
-        // used to be counted once per summary in `timed_out_pairs`,
-        // inflating the funnel banner.
-        let mut config = quiet_config();
-        config.detector.budget.max_ops = Some(500_000);
-        let engine = Baywatch::new(config);
-        let window = |offset: u64| -> Vec<LogRecord> {
-            (0..300u64)
-                .map(|i| LogRecord::new(offset + i * 2_333, "slowpoke", "weird.biz", "x"))
-                .collect()
-        };
-        let summaries = vec![
-            ActivitySummary::from_records(&window(50_000), 1).unwrap(),
-            ActivitySummary::from_records(&window(5_000_000), 1).unwrap(),
-        ];
-        let mut stats = FilterStats::default();
-        let mut faults = FaultReport::default();
-        let Ok((detections, _)) = engine.detect(summaries, &mut stats, &mut faults);
-        assert!(detections.is_empty());
-        assert_eq!(
-            stats.timed_out_pairs, 1,
-            "one pair must be counted once, not per summary"
-        );
     }
 
     #[test]

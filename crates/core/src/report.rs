@@ -51,31 +51,19 @@ pub fn render_funnel(report: &AnalysisReport) -> String {
     row("skipped events (faults)", s.skipped_events);
     row("communication pairs", s.pairs);
     row("quarantined pairs", s.quarantined_pairs);
-    // The budget row only appears when the budget actually fired, so the
-    // funnel of an unbudgeted (or in-budget) run is byte-identical to before.
-    if s.timed_out_pairs > 0 {
-        row("timed-out pairs (budget)", s.timed_out_pairs);
-    }
-    if s.dlq_replayed > 0 {
-        row("dlq pairs replayed", s.dlq_replayed);
-        row("dlq pairs recovered", s.dlq_recovered);
-    }
     row("after global whitelist", s.after_global_whitelist);
     row("after local whitelist", s.after_local_whitelist);
     row("periodic (verified)", s.periodic);
     row("after URL-token filter", s.after_token_filter);
     row("after novelty analysis", s.after_novelty);
     row("reported (percentile)", s.reported);
-    if !report.faults.is_clean() || s.timed_out_pairs > 0 {
-        let mut banner = format!(
+    if !report.faults.is_clean() {
+        let _ = writeln!(
+            out,
             "degraded mode: {} map bisection(s), {} quarantined unit(s)",
             report.faults.map_bisections,
             report.faults.quarantined_units()
         );
-        if s.timed_out_pairs > 0 {
-            let _ = write!(banner, ", {} timed-out pair(s)", s.timed_out_pairs);
-        }
-        let _ = writeln!(out, "{banner}");
     }
     out
 }
@@ -102,9 +90,6 @@ pub fn export_json(report: &AnalysisReport, metrics: &MetricsSnapshot, top_k: us
         ("skipped_events", s.skipped_events),
         ("pairs", s.pairs),
         ("quarantined_pairs", s.quarantined_pairs),
-        ("timed_out_pairs", s.timed_out_pairs),
-        ("dlq_replayed", s.dlq_replayed),
-        ("dlq_recovered", s.dlq_recovered),
         ("after_global_whitelist", s.after_global_whitelist),
         ("after_local_whitelist", s.after_local_whitelist),
         ("periodic", s.periodic),
@@ -372,9 +357,6 @@ mod tests {
                 malformed_lines: 0,
                 skipped_events: 0,
                 quarantined_pairs: 0,
-                timed_out_pairs: 0,
-                dlq_replayed: 0,
-                dlq_recovered: 0,
             },
             report_cutoff: n_cases.min(1),
             ranked,
@@ -427,27 +409,6 @@ mod tests {
         report.faults.panic_samples = vec!["injected fault: map call 7".into()];
         let text = render_funnel(&report);
         assert!(text.contains("degraded mode: 0 map bisection(s), 0 quarantined unit(s)"));
-    }
-
-    #[test]
-    fn budget_rows_hidden_on_clean_runs() {
-        let text = render_funnel(&toy_report(2));
-        assert!(!text.contains("timed-out pairs"));
-        assert!(!text.contains("degraded mode"));
-    }
-
-    #[test]
-    fn funnel_flags_budget_degradation() {
-        let mut report = toy_report(1);
-        report.stats.timed_out_pairs = 3;
-        let text = render_funnel(&report);
-        assert!(text.contains("timed-out pairs (budget)"));
-        // The banner fires on budget degradation even with clean faults,
-        // and keeps its original prefix.
-        assert!(text.contains(
-            "degraded mode: 0 map bisection(s), 0 quarantined unit(s), \
-             3 timed-out pair(s)"
-        ));
     }
 
     #[test]
@@ -520,11 +481,8 @@ mod tests {
     }
 
     #[test]
-    fn export_json_sorts_fault_samples_and_reports_dlq() {
+    fn export_json_sorts_fault_samples() {
         let mut report = toy_report(1);
-        report.stats.timed_out_pairs = 1;
-        report.stats.dlq_replayed = 2;
-        report.stats.dlq_recovered = 1;
         // Samples arrive in engine completion order, which parallel
         // execution scrambles; the export must sort them.
         report.faults.input_samples = vec!["in-b".to_string(), "in-a".to_string()];
@@ -533,8 +491,6 @@ mod tests {
         let snap = baywatch_obs::MetricsRegistry::new().snapshot();
 
         let json = export_json(&report, &snap, 1);
-        assert!(json.contains(r#""dlq_replayed":2"#));
-        assert!(json.contains(r#""dlq_recovered":1"#));
         assert!(json.contains(r#""input_samples":["in-a","in-b"]"#));
         assert!(json.contains(r#""key_samples":["key-a","key-z"]"#));
         assert!(json.contains(r#""panic_samples":["panic-1","panic-2"]"#));
@@ -543,10 +499,6 @@ mod tests {
         scrambled.faults.panic_samples.reverse();
         scrambled.faults.key_samples.reverse();
         assert_eq!(export_json(&scrambled, &snap, 1), json);
-        // The text funnel surfaces the replay outcome too.
-        let funnel = render_funnel(&report);
-        assert!(funnel.contains("dlq pairs replayed"));
-        assert!(funnel.contains("dlq pairs recovered"));
     }
 
     #[test]

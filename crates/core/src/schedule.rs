@@ -23,7 +23,6 @@
 use std::collections::{BTreeSet, VecDeque};
 
 use baywatch_mapreduce::FaultReport;
-use baywatch_timeseries::BudgetSpec;
 
 use crate::activity::ActivitySummary;
 use crate::pipeline::{AnalysisReport, Baywatch, BaywatchConfig, Extracted};
@@ -136,12 +135,6 @@ pub struct Tier {
     /// Time scale (seconds) the tier analyzes at: its engine's
     /// `detector.time_scale`.
     pub scale: u64,
-    /// Per-pair execution budget for this tier's detection runs: its
-    /// engine's `detector.budget` (unlimited by default). Coarser tiers
-    /// aggregate longer series, so operators can cap them independently;
-    /// pairs that exhaust the budget are counted in the tier report's
-    /// `stats.timed_out_pairs`, not detected.
-    pub pair_budget: BudgetSpec,
 }
 
 /// The paper's three standard tiers.
@@ -151,19 +144,16 @@ pub fn standard_tiers() -> Vec<Tier> {
             name: "daily",
             window_days: 1,
             scale: 1,
-            pair_budget: BudgetSpec::UNLIMITED,
         },
         Tier {
             name: "weekly",
             window_days: 7,
             scale: 60,
-            pair_budget: BudgetSpec::UNLIMITED,
         },
         Tier {
             name: "monthly",
             window_days: 30,
             scale: 3600,
-            pair_budget: BudgetSpec::UNLIMITED,
         },
     ]
 }
@@ -197,8 +187,7 @@ pub struct MultiScaleScheduler {
 
 impl MultiScaleScheduler {
     /// Creates a scheduler running `config` at every tier, with the tier's
-    /// `scale` as `detector.time_scale` and its `pair_budget` as
-    /// `detector.budget`.
+    /// `scale` as `detector.time_scale`.
     ///
     /// # Errors
     ///
@@ -221,7 +210,6 @@ impl MultiScaleScheduler {
             .map(|tier| {
                 let mut config = config.clone();
                 config.detector.time_scale = tier.scale;
-                config.detector.budget = tier.pair_budget;
                 (tier, Baywatch::new(config))
             })
             .collect();
@@ -448,37 +436,9 @@ mod tests {
                 name: "bad",
                 window_days,
                 scale,
-                pair_budget: BudgetSpec::UNLIMITED,
             };
             assert!(MultiScaleScheduler::new(vec![tier], BaywatchConfig::default()).is_err());
         }
-    }
-
-    #[test]
-    fn exhausted_tier_budget_times_out_pairs_instead_of_detecting() {
-        let starved = Tier {
-            name: "daily",
-            window_days: 1,
-            scale: 1,
-            pair_budget: BudgetSpec { max_ops: Some(1) },
-        };
-        let fired = run(
-            &mut scheduler(vec![starved]),
-            beacon_days("h", "fast-c2.test", 120, 1),
-        );
-        let (_, report) = &fired[0];
-        assert!(report.ranked.is_empty(), "starved tier must not detect");
-        assert!(report.stats.timed_out_pairs > 0);
-
-        // The same day under an unlimited budget detects normally and
-        // reports no timeouts.
-        let fired = run(
-            &mut scheduler(standard_tiers()),
-            beacon_days("h", "fast-c2.test", 120, 1),
-        );
-        let (_, report) = &fired[0];
-        assert!(ranks(report, "fast-c2.test"));
-        assert_eq!(report.stats.timed_out_pairs, 0);
     }
 
     #[test]

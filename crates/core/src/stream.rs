@@ -992,7 +992,7 @@ impl StreamingHunt {
         let runs = stale.len() as u64;
         let mut refreshed: BTreeMap<CommunicationPair, Verdict> = BTreeMap::new();
         if !stale.is_empty() {
-            let (detector, pair_budget) = (&self.detector, &self.config.pipeline.detector.budget);
+            let detector = &self.detector;
             let started = self.clock.now_nanos();
             let (verdicts, faults) = self.engine.run(
                 &stale,
@@ -1002,7 +1002,7 @@ impl StreamingHunt {
                         .iter()
                         .map(|ring| {
                             let timestamps = quantized(ring, scale);
-                            let verdict = jobs::detect_verdict(detector, &timestamps, pair_budget);
+                            let verdict = jobs::detect_verdict(detector, &timestamps);
                             ((*pair).clone(), verdict)
                         })
                         .collect()
@@ -1033,7 +1033,6 @@ impl StreamingHunt {
                     state.summary(pair, scale, first_window_tick),
                     candidates.clone(),
                 )),
-                Some(Verdict::TimedOut) => stats.timed_out_pairs += 1,
                 Some(Verdict::Quiet) | None => {}
             }
         }

@@ -69,8 +69,8 @@ use fault::PhaseFaults;
 
 pub use fault::{FaultPlan, FaultReport, SAMPLE_LIMIT};
 pub use manifest::{
-    fnv1a64, shard_plan_digest, BudgetSnapshot, CheckpointStore, CheckpointedRun, DlqEntry,
-    DlqReason, ManifestLoad, RunManifest, ShardCheckpoint, ShardRecord, ShardedOutcome,
+    fnv1a64, shard_plan_digest, CheckpointStore, CheckpointedRun, DlqEntry, ManifestLoad,
+    RunManifest, ShardCheckpoint, ShardRecord, ShardedOutcome,
 };
 
 /// Configuration of a MapReduce run.
@@ -314,8 +314,7 @@ impl MapReduce {
     /// metrics delta exact and the checkpoint boundary well-defined.
     ///
     /// `dlq_hook(shard_id, inputs, outputs, faults)` inspects a freshly
-    /// completed shard and returns the replayable dead-letter entries it
-    /// produced. `decode` must invert `encode` (`None` signals a corrupt
+    /// completed shard and returns the dead-letter entries it produced. `decode` must invert `encode` (`None` signals a corrupt
     /// payload, re-executing the shard).
     ///
     /// Checkpoint persistence degrades instead of aborting: every shard
@@ -368,9 +367,8 @@ impl MapReduce {
                 }
             }
         }
-        let mut manifest = resumed.unwrap_or_else(|| {
-            RunManifest::new(run.fingerprint, total_shards, run.rng_seed, run.budget)
-        });
+        let mut manifest = resumed
+            .unwrap_or_else(|| RunManifest::new(run.fingerprint, total_shards, run.rng_seed));
 
         let mut outcome_outputs: Vec<O> = Vec::new();
         let mut resumed_shards = 0usize;
@@ -1144,7 +1142,6 @@ mod tests {
             store: &store_a,
             fingerprint: 77,
             rng_seed: 1,
-            budget: BudgetSnapshot::default(),
             resume: false,
             io_faults: None,
             abort_after_shards: None,
@@ -1221,7 +1218,6 @@ mod tests {
                     store: &store,
                     fingerprint: 5,
                     rng_seed: 0,
-                    budget: BudgetSnapshot::default(),
                     resume,
                     io_faults: None,
                     abort_after_shards: abort,
@@ -1262,7 +1258,6 @@ mod tests {
             store: &store,
             fingerprint: 9,
             rng_seed: 0,
-            budget: BudgetSnapshot::default(),
             resume: false,
             io_faults: None,
             abort_after_shards: None,
@@ -1336,7 +1331,6 @@ mod tests {
                 store: &store,
                 fingerprint: 31,
                 rng_seed: 0,
-                budget: BudgetSnapshot::default(),
                 resume,
                 io_faults: None,
                 abort_after_shards: abort,
@@ -1399,7 +1393,6 @@ mod tests {
                 store: &store,
                 fingerprint: 13,
                 rng_seed: 0,
-                budget: BudgetSnapshot::default(),
                 resume: false,
                 io_faults: Some(&plan),
                 abort_after_shards: None,
@@ -1417,7 +1410,6 @@ mod tests {
                 store: &baseline_store,
                 fingerprint: 13,
                 rng_seed: 0,
-                budget: BudgetSnapshot::default(),
                 resume: false,
                 io_faults: None,
                 abort_after_shards: None,
@@ -1448,7 +1440,6 @@ mod tests {
             store: &store,
             fingerprint: 21,
             rng_seed: 0,
-            budget: BudgetSnapshot::default(),
             resume: false,
             io_faults: Some(&plan),
             abort_after_shards: None,

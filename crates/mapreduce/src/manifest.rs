@@ -4,8 +4,8 @@
 //! scale a hunt is a multi-hour sharded job that *will* be interrupted.
 //! This module makes an interruption cheap instead of catastrophic: a
 //! versioned [`RunManifest`] records which shards completed (with result
-//! digests), what landed in the dead-letter queue and why, the RNG seed
-//! the detector streams derive from, and the per-pair budget — everything
+//! digests), what landed in the dead-letter queue, and the RNG seed the
+//! detector streams derive from — everything
 //! [`MapReduce::run_sharded_checkpointed`](crate::MapReduce::run_sharded_checkpointed)
 //! needs to resume a run byte-identically to an uninterrupted one.
 //!
@@ -41,38 +41,10 @@ use crate::fault::{FaultPlan, FaultReport};
 /// Version tag of the on-disk manifest schema. A manifest written by a
 /// different version is reported as version skew (fresh run + warning),
 /// never migrated in place.
-pub const MANIFEST_VERSION: u64 = 3;
+pub const MANIFEST_VERSION: u64 = 4;
 
-/// Why a unit of work landed in the dead-letter queue.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-pub enum DlqReason {
-    /// The unit panicked deterministically and was quarantined.
-    Poison,
-    /// The unit exhausted its per-pair work budget (`max_ops`).
-    BudgetExhausted,
-}
-
-impl DlqReason {
-    /// Stable string form used in the on-disk manifest.
-    pub fn as_str(self) -> &'static str {
-        match self {
-            DlqReason::Poison => "poison",
-            DlqReason::BudgetExhausted => "budget_exhausted",
-        }
-    }
-
-    /// Inverse of [`DlqReason::as_str`].
-    pub fn parse(s: &str) -> Option<Self> {
-        match s {
-            "poison" => Some(DlqReason::Poison),
-            "budget_exhausted" => Some(DlqReason::BudgetExhausted),
-            _ => None,
-        }
-    }
-}
-
-/// One replayable dead-letter entry: a unit of work that failed, with
-/// enough provenance to re-run it later under a larger budget.
+/// One dead-letter entry: a unit of work the engine quarantined, with the
+/// evidence to reproduce it offline.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DlqEntry {
     /// Stable identity of the failed unit (the `Debug` rendering of its
@@ -80,22 +52,11 @@ pub struct DlqEntry {
     pub key: String,
     /// Which shard the unit failed in.
     pub shard: usize,
-    /// Failure classification.
-    pub reason: DlqReason,
-    /// Bounded diagnostic samples (panic messages, budget notes).
+    /// Bounded panic messages of the shard's quarantines.
     pub samples: Vec<String>,
     /// Caller-encoded payload sufficient to re-run the unit (for the
     /// pipeline: the serialized activity summaries of the pair).
     pub payload: String,
-}
-
-/// Budget fields recorded in the manifest so a resume can verify it is
-/// continuing the same run. Kept as plain values — the mapreduce layer
-/// has no dependency on the timeseries crate's `BudgetSpec`.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct BudgetSnapshot {
-    /// Per-pair operation budget, if armed.
-    pub max_ops: Option<u64>,
 }
 
 /// What the manifest records about one completed shard.
@@ -114,8 +75,8 @@ pub struct ShardRecord {
 pub struct RunManifest {
     /// Schema version ([`MANIFEST_VERSION`]).
     pub version: u64,
-    /// Digest binding the manifest to one logical run: input shard plan,
-    /// budget, and seed. A mismatch on load degrades to a fresh
+    /// Digest binding the manifest to one logical run: input shard plan
+    /// and seed. A mismatch on load degrades to a fresh
     /// run instead of resuming someone else's checkpoint.
     pub fingerprint: u64,
     /// Total shards in the plan; resume requires an exact match.
@@ -124,28 +85,20 @@ pub struct RunManifest {
     /// per-pair permutation stream from this single seed, so recording it
     /// pins the full RNG stream position for resumed pairs.
     pub rng_seed: u64,
-    /// Resolved per-pair execution budget.
-    pub budget: BudgetSnapshot,
     /// Completed shards by id.
     pub shards: BTreeMap<usize, ShardRecord>,
-    /// Replayable dead-letter queue across all completed shards.
+    /// Dead-letter queue across all completed shards.
     pub dlq: Vec<DlqEntry>,
 }
 
 impl RunManifest {
     /// A fresh manifest for a run with `total_shards` shards.
-    pub fn new(
-        fingerprint: u64,
-        total_shards: usize,
-        rng_seed: u64,
-        budget: BudgetSnapshot,
-    ) -> Self {
+    pub fn new(fingerprint: u64, total_shards: usize, rng_seed: u64) -> Self {
         Self {
             version: MANIFEST_VERSION,
             fingerprint,
             total_shards,
             rng_seed,
-            budget,
             shards: BTreeMap::new(),
             dlq: Vec::new(),
         }
@@ -155,9 +108,6 @@ impl RunManifest {
     pub fn to_json(&self) -> String {
         let mut w = JsonWriter::new();
         w.raw("{");
-        w.key("budget");
-        write_budget(&mut w, &self.budget);
-        w.end_value();
         w.key("dlq");
         w.raw("[");
         for (i, entry) in self.dlq.iter().enumerate() {
@@ -200,7 +150,6 @@ impl RunManifest {
     }
 
     fn from_value(doc: &JsonValue) -> Option<Self> {
-        let budget = doc.get("budget")?;
         let mut shards = BTreeMap::new();
         for (id, record) in doc.get("shards")?.as_object()? {
             shards.insert(
@@ -220,36 +169,10 @@ impl RunManifest {
             fingerprint: doc.get("fingerprint")?.as_u64()?,
             total_shards: doc.get("total_shards")?.as_u64()? as usize,
             rng_seed: doc.get("rng_seed")?.as_u64()?,
-            budget: BudgetSnapshot {
-                max_ops: read_opt_u64(budget.get("max_ops")?),
-            },
             shards,
             dlq,
         })
     }
-}
-
-fn write_budget(w: &mut JsonWriter, budget: &BudgetSnapshot) {
-    w.raw("{");
-    w.key("max_ops");
-    write_opt_u64(w, budget.max_ops);
-    w.raw("}");
-}
-
-fn write_opt_u64(w: &mut JsonWriter, value: Option<u64>) {
-    match value {
-        Some(v) => w.uint(v),
-        None => {
-            w.raw("null");
-            w.end_value();
-        }
-    }
-}
-
-fn read_opt_u64(value: &JsonValue) -> Option<u64> {
-    // `null` and an absent/malformed number both read as None; the
-    // fingerprint check is what guards against silent drift.
-    value.as_u64()
 }
 
 fn write_dlq_entry(w: &mut JsonWriter, entry: &DlqEntry) {
@@ -258,8 +181,6 @@ fn write_dlq_entry(w: &mut JsonWriter, entry: &DlqEntry) {
     w.string(&entry.key);
     w.key("payload");
     w.string(&entry.payload);
-    w.key("reason");
-    w.string(entry.reason.as_str());
     w.key("samples");
     w.raw("[");
     for s in &entry.samples {
@@ -280,7 +201,6 @@ fn read_dlq_entry(doc: &JsonValue) -> Option<DlqEntry> {
     Some(DlqEntry {
         key: doc.get("key")?.as_str()?.to_string(),
         shard: doc.get("shard")?.as_u64()? as usize,
-        reason: DlqReason::parse(doc.get("reason")?.as_str()?)?,
         samples,
         payload: doc.get("payload")?.as_str()?.to_string(),
     })
@@ -629,13 +549,11 @@ impl CheckpointStore {
 pub struct CheckpointedRun<'a> {
     /// Where manifests and shard checkpoints live.
     pub store: &'a CheckpointStore,
-    /// Digest binding this run to its input plan, budget, and seed (see
+    /// Digest binding this run to its input plan and seed (see
     /// [`RunManifest::fingerprint`]).
     pub fingerprint: u64,
     /// Seed the detector's deterministic RNG streams derive from.
     pub rng_seed: u64,
-    /// Per-pair execution budget recorded in the manifest.
-    pub budget: BudgetSnapshot,
     /// Whether to resume from an existing manifest. `false` always
     /// starts fresh, overwriting whatever the directory holds.
     pub resume: bool,
@@ -707,14 +625,7 @@ mod tests {
     use super::*;
 
     fn sample_manifest() -> RunManifest {
-        let mut m = RunManifest::new(
-            0xDEAD_BEEF,
-            3,
-            0xBA9_3A7C4,
-            BudgetSnapshot {
-                max_ops: Some(800_000),
-            },
-        );
+        let mut m = RunManifest::new(0xDEAD_BEEF, 3, 0xBA9_3A7C4);
         m.shards.insert(
             0,
             ShardRecord {
@@ -732,8 +643,7 @@ mod tests {
         m.dlq.push(DlqEntry {
             key: "pair(\"h1\",\"c2.example\")".to_string(),
             shard: 2,
-            reason: DlqReason::BudgetExhausted,
-            samples: vec!["budget exhausted after 800000 ops".to_string()],
+            samples: vec!["boom".to_string()],
             payload: "{\"intervals\":[60,60]}".to_string(),
         });
         m
@@ -870,6 +780,9 @@ mod tests {
     /// What a version-2 build wrote: the retry policy block and a
     /// `retries` count on every dead letter.
     const V2_MANIFEST: &str = r#"{"budget":{"max_ops":800000},"dlq":[{"key":"\"bad\"","payload":"","reason":"poison","retries":2,"samples":["boom"],"shard":0}],"fingerprint":3735928559,"policy":{"max_task_retries":2,"sample_limit":8},"rng_seed":7,"shards":{"0":{"digest":42,"outputs":1}},"total_shards":3,"version":2}"#;
+    /// What a version-3 build wrote: the per-pair `budget` block and a
+    /// `reason` on every dead letter, here a budget cut.
+    const V3_MANIFEST: &str = r#"{"budget":{"max_ops":800000},"dlq":[{"key":"\"slow\"","payload":"","reason":"budget_exhausted","samples":[],"shard":0}],"fingerprint":3735928559,"rng_seed":7,"shards":{"0":{"digest":42,"outputs":1}},"total_shards":3,"version":3}"#;
 
     #[test]
     fn version_1_manifest_starts_fresh_and_its_shards_still_restore() {
@@ -880,19 +793,21 @@ mod tests {
         ));
         let _ = fs::remove_dir_all(&dir);
         let store = CheckpointStore::create(&dir).unwrap();
-        // Each old manifest reads as version skew, not as corruption,
-        // though the first does not even parse as a current manifest.
-        assert!(RunManifest::from_json(V1_MANIFEST).is_none());
-        for (version, text) in [(1, V1_MANIFEST), (2, V2_MANIFEST)] {
+        // Each old manifest reads as version skew, never as a resume: the
+        // v3 document holds every key a current manifest reads, so the
+        // version check is all that keeps its budget cut from resuming.
+        assert!(RunManifest::from_json(V3_MANIFEST).is_some());
+        for (text, warning) in [
+            (V1_MANIFEST, "manifest version 1 != supported 4"),
+            (V2_MANIFEST, "manifest version 2 != supported 4"),
+            (V3_MANIFEST, "manifest version 3 != supported 4"),
+        ] {
             fs::write(store.manifest_path(), text).unwrap();
             assert_eq!(
                 store.load_manifest(3_735_928_559, 3),
                 ManifestLoad::Fresh {
-                    warning: Some(format!(
-                        "manifest version {version} != supported {MANIFEST_VERSION}"
-                    ))
+                    warning: Some(warning.to_string())
                 },
-                "v{version}"
             );
         }
 
@@ -970,14 +885,5 @@ mod tests {
         let b = shard_plan_digest(&[vec![1], vec![2, 3]]);
         assert_ne!(a, b, "same items, different boundaries, different plan");
         assert_eq!(a, shard_plan_digest(&[vec![1, 2], vec![3]]));
-    }
-
-    #[test]
-    fn dlq_reason_strings_round_trip() {
-        for reason in [DlqReason::Poison, DlqReason::BudgetExhausted] {
-            assert_eq!(DlqReason::parse(reason.as_str()), Some(reason));
-        }
-        assert_eq!(DlqReason::parse("other"), None);
-        assert_eq!(DlqReason::parse("timed_out"), None, "a version-1 reason");
     }
 }

@@ -1,22 +1,20 @@
-//! Adversarial traces for per-pair work-budget tests.
+//! The slow-beacon fixture: the low-and-slow pairs that cost the detector
+//! the most.
 //!
-//! The deployment constraint of §VIII-B2 (26M pairs must clear the daily
-//! window in ~1.5 h) means the pipeline has to survive *pathological*
-//! pairs: series whose analysis cost is wildly out of proportion to their
-//! event count. This module builds such inputs deterministically — no
-//! RNG — so budget/timeout tests trip at exactly the same checkpoint on
-//! every machine.
+//! A beacon that calls home every forty minutes (Oprea et al., arXiv
+//! 1411.5005, hunt exactly such low-and-slow C&C) holds a few hundred
+//! events but spans hundreds of thousands of one-second bins, and the
+//! detector's work grows with bins, not events. `max_bins` (2²⁰) bounds
+//! that span, and so every pair's work (DESIGN §6.1). This module builds
+//! such pairs deterministically — no RNG — so a test or benchmark sees the
+//! same series on every machine.
 
 /// A sparse strided beacon: `events` timestamps exactly `stride` seconds
 /// apart starting at `start`.
 ///
-/// At time scale 1 the binned series spans `events · stride` bins, so a
-/// modest event count (hundreds) produces a series of hundreds of
-/// thousands of bins — each permutation round then costs that many work
-/// units, which trips an ops-metered
-/// [`ExecBudget`](../../baywatch_timeseries/budget/struct.ExecBudget.html)
-/// deterministically while a normal beacon pair stays far under the same
-/// ceiling.
+/// At time scale 1 the binned series spans `(events − 1) · stride + 1`
+/// bins: `(50_000, 300, 2_333)` is a 39-minute beacon over ~7·10⁵ bins,
+/// which the detector runs in full and reports periodic.
 ///
 /// # Panics
 ///
@@ -36,8 +34,8 @@ mod tests {
         assert_eq!(ts.len(), 300);
         assert_eq!(ts[0], 50_000);
         assert!(ts.windows(2).all(|w| w[1] - w[0] == 2_333));
-        // The property the budget tests rely on: span (≈ bins at scale 1)
-        // is several hundred thousand while the event count stays tiny.
+        // What makes it slow: the span (≈ bins at scale 1) is several
+        // hundred thousand while the event count stays tiny.
         let span = ts[ts.len() - 1] - ts[0];
         assert_eq!(span, 299 * 2_333);
         assert!(span > 500_000);

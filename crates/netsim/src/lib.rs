@@ -23,9 +23,9 @@
 //!   adding-event noise injections of the robustness evaluation (Fig. 10).
 //! * **Ground truth** ([`oracle`]): a VirusTotal-style oracle labeling
 //!   destinations, with a configurable miss rate.
-//! * **Adversarial workloads** ([`adversarial`]): deterministic
-//!   pathological pairs (a few events strided over an extreme span) for
-//!   exercising the per-pair work budget.
+//! * **Adversarial workloads** ([`adversarial`]): the deterministic slow
+//!   beacon (a few events strided over an extreme span), the heaviest
+//!   kind of pair `max_bins` admits.
 //!
 //! ```
 //! use baywatch_netsim::enterprise::{EnterpriseConfig, EnterpriseSimulator};

@@ -26,10 +26,8 @@
 //! squared magnitude, inverse transform — through the workspace's packed
 //! real plans, whose input the workspace writes from the same events.
 
-use crate::budget::ExecBudget;
 use crate::series::TimeSeries;
 use crate::workspace::{padded_len, with_thread_workspace, SpectralWorkspace};
-use crate::TimeSeriesError;
 
 /// The (biased, normalized) autocorrelation function of a series.
 ///
@@ -222,36 +220,12 @@ impl Autocorrelation {
         max_lag: usize,
         params: &HillParams,
     ) -> Option<HillPeak> {
-        self.strongest_hill_budgeted(min_lag, max_lag, params, &ExecBudget::unlimited())
-            .unwrap_or(None)
-    }
-
-    /// Like [`Autocorrelation::strongest_hill`] under an [`ExecBudget`]:
-    /// the scan charges one work unit per lag examined (in batches) and
-    /// aborts with [`TimeSeriesError::BudgetExhausted`] when the budget is
-    /// spent. With an unlimited budget the result is identical to
-    /// [`Autocorrelation::strongest_hill`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TimeSeriesError::BudgetExhausted`] on budget exhaustion.
-    pub fn strongest_hill_budgeted(
-        &self,
-        min_lag: usize,
-        max_lag: usize,
-        params: &HillParams,
-        budget: &ExecBudget,
-    ) -> Result<Option<HillPeak>, TimeSeriesError> {
         let n = self.values.len();
         let lo = min_lag.max(1);
         let hi = max_lag.min(n.saturating_sub(1));
         if lo > hi {
-            return Ok(None);
+            return None;
         }
-        // The scan is a single O(max_lag) pass over prefix sums; charging
-        // its full lag count up front keeps the checkpoint out of the inner
-        // loop without giving up determinism.
-        budget.checkpoint((hi - lo + 1) as u64)?;
         let w_of = |lag: usize| window_of(lag, params.rel_window).min((lag / 3).max(1));
         // Prefix sums for O(1) window/annulus sums, over the lags the scan
         // reads: windows widen with the lag, so the last annulus ends at
@@ -297,11 +271,9 @@ impl Autocorrelation {
                 best = Some((lag, score));
             }
         }
-        let Some((lag, _)) = best else {
-            return Ok(None);
-        };
+        let (lag, _) = best?;
         // Gate and refine with the precise (mass-scored) verifier.
-        Ok(self.verify_candidate(lag as f64 * self.dt, params))
+        self.verify_candidate(lag as f64 * self.dt, params)
     }
 
     /// Net windowed hill mass at `lag`: window sum minus the background
@@ -697,23 +669,6 @@ mod tests {
             .strongest_hill(100, 50, &HillParams::default())
             .is_none());
         assert!(acf.strongest_hill(0, 0, &HillParams::default()).is_none());
-    }
-
-    #[test]
-    fn budgeted_hill_scan_matches_and_aborts() {
-        let acf = Autocorrelation::compute(&beacon_series(150, 45));
-        let params = HillParams::default();
-        let unlimited = acf
-            .strongest_hill_budgeted(2, 2000, &params, &ExecBudget::unlimited())
-            .unwrap();
-        assert_eq!(unlimited, acf.strongest_hill(2, 2000, &params));
-
-        // A one-unit ceiling cannot cover a multi-lag scan.
-        let starved = ExecBudget::new(Some(1));
-        assert_eq!(
-            acf.strongest_hill_budgeted(2, 2000, &params, &starved),
-            Err(TimeSeriesError::BudgetExhausted)
-        );
     }
 
     #[test]

@@ -10,7 +10,6 @@ use std::sync::Arc;
 use baywatch_obs::{Buckets, Clock, Counter, Histogram, MetricsRegistry};
 
 use crate::acf::{Autocorrelation, HillParams};
-use crate::budget::{BudgetSpec, ExecBudget};
 use crate::periodogram::Periodogram;
 use crate::permutation::{permutation_filter, PermutationConfig};
 use crate::prune::{min_plausible_period, prune_candidates, PruneConfig, PruneDecision};
@@ -26,8 +25,9 @@ pub struct DetectorConfig {
     pub time_scale: u64,
     /// Minimum number of events required to attempt detection.
     pub min_events: usize,
-    /// Upper bound on series length in bins (cost guard for very long
-    /// spans; series are cut while binning, not rejected).
+    /// Upper bound on series length in bins, and so on a pair's work:
+    /// every stage is at most `O(max_bins · log max_bins)` (series are
+    /// cut while binning, not rejected).
     pub max_bins: usize,
     /// Permutation-filter settings (Step 1).
     pub permutation: PermutationConfig,
@@ -38,11 +38,6 @@ pub struct DetectorConfig {
     /// Cap on the number of candidates carried from Step 1 into pruning
     /// (strongest-power first).
     pub max_candidates: usize,
-    /// Per-pair work budget (`max_ops` units). The
-    /// default is unlimited; when armed, a pair that exceeds it aborts
-    /// with [`TimeSeriesError::BudgetExhausted`] at the next kernel
-    /// checkpoint instead of stalling a worker.
-    pub budget: BudgetSpec,
 }
 
 impl Default for DetectorConfig {
@@ -55,7 +50,6 @@ impl Default for DetectorConfig {
             prune: PruneConfig::default(),
             hill: HillParams::default(),
             max_candidates: 16,
-            budget: BudgetSpec::UNLIMITED,
         }
     }
 }
@@ -185,7 +179,8 @@ impl PeriodicityDetector {
     /// Like [`PeriodicityDetector::detect`] with an explicit
     /// [`SpectralWorkspace`], so batch callers (the beaconing-detection
     /// MapReduce job) recycle one set of transform buffers across every
-    /// pair a worker thread processes.
+    /// pair a worker thread processes: the periodogram, the m permutation
+    /// rounds and the ACF share its buffers and the process's plan tables.
     ///
     /// # Errors
     ///
@@ -194,43 +189,6 @@ impl PeriodicityDetector {
         &self,
         ws: &SpectralWorkspace,
         timestamps: &[u64],
-    ) -> Result<DetectionReport, TimeSeriesError> {
-        self.detect_budgeted_in(ws, timestamps, &self.config.budget.start())
-    }
-
-    /// Like [`PeriodicityDetector::detect`] under an explicit, already
-    /// armed [`ExecBudget`], whose [`ops_used`](ExecBudget::ops_used) the
-    /// caller can read afterwards. [`DetectorConfig::budget`] is ignored in
-    /// favour of the counter. Work-unit charges approximate the FFT cost in
-    /// observed bins `n` (not padded ones): one unit per series bin for the
-    /// periodogram and the ACF, `n` per permutation round, one per ACF lag
-    /// scanned.
-    /// With an unlimited budget no checkpoint ever fires and the output —
-    /// including every RNG stream — is byte-identical to the unbudgeted
-    /// path.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`PeriodicityDetector::detect`], plus
-    /// [`TimeSeriesError::BudgetExhausted`] when the budget runs out.
-    pub fn detect_budgeted(
-        &self,
-        timestamps: &[u64],
-        budget: &ExecBudget,
-    ) -> Result<DetectionReport, TimeSeriesError> {
-        with_thread_workspace(|ws| self.detect_budgeted_in(ws, timestamps, budget))
-    }
-
-    /// Validates and bins the timestamps, runs the core, and accounts the
-    /// outcome here — outside the core — so `?`-propagated budget
-    /// exhaustion is still counted. All three FFT consumers — the
-    /// periodogram, the m permutation rounds and the ACF — share the
-    /// workspace's buffers and the process's plan tables.
-    fn detect_budgeted_in(
-        &self,
-        ws: &SpectralWorkspace,
-        timestamps: &[u64],
-        budget: &ExecBudget,
     ) -> Result<DetectionReport, TimeSeriesError> {
         if timestamps.len() < self.config.min_events {
             return Err(TimeSeriesError::TooFewEvents {
@@ -248,31 +206,27 @@ impl PeriodicityDetector {
             self.config.time_scale,
             self.config.max_bins,
         )?;
-        let result = self.detect_series_core(ws, &series, intervals, budget);
+        let result = self.detect_series_core(ws, &series, intervals);
         if let Some(obs) = &self.obs {
             obs.pairs_analyzed.inc();
             obs.series_bins.observe(series.len() as u64);
             obs.series_events.observe(series.events().len() as u64);
-            match &result {
-                Ok(report) => {
-                    if report.raw_candidates == 0 {
-                        obs.permutation_rejected.inc();
-                    }
-                    obs.raw_candidates.add(report.raw_candidates as u64);
-                    obs.prune_survivors.add(
-                        report
-                            .prune_decisions
-                            .iter()
-                            .filter(|d| d.survived())
-                            .count() as u64,
-                    );
-                    obs.acf_verified.add(report.candidates.len() as u64);
-                    if report.is_periodic() {
-                        obs.pairs_periodic.inc();
-                    }
+            if let Ok(report) = &result {
+                if report.raw_candidates == 0 {
+                    obs.permutation_rejected.inc();
                 }
-                Err(TimeSeriesError::BudgetExhausted) => obs.budget_exhausted.inc(),
-                Err(_) => {}
+                obs.raw_candidates.add(report.raw_candidates as u64);
+                obs.prune_survivors.add(
+                    report
+                        .prune_decisions
+                        .iter()
+                        .filter(|d| d.survived())
+                        .count() as u64,
+                );
+                obs.acf_verified.add(report.candidates.len() as u64);
+                if report.is_periodic() {
+                    obs.pairs_periodic.inc();
+                }
             }
         }
         result
@@ -284,7 +238,6 @@ impl PeriodicityDetector {
         ws: &SpectralWorkspace,
         series: &TimeSeries,
         intervals: Vec<f64>,
-        budget: &ExecBudget,
     ) -> Result<DetectionReport, TimeSeriesError> {
         // Degenerate-input guard: drop non-finite intervals (NaN/∞ from
         // upstream arithmetic on corrupted timestamps) so every comparator
@@ -293,7 +246,6 @@ impl PeriodicityDetector {
         let intervals: Vec<f64> = intervals.into_iter().filter(|i| i.is_finite()).collect();
 
         // ---- Step 1: periodogram + permutation threshold. ----
-        budget.checkpoint(series.len() as u64)?;
         let t0 = self.obs.as_ref().map(|o| o.clock.now_nanos());
         let periodogram = Periodogram::compute_in(ws, series);
         if let (Some(obs), Some(t0)) = (&self.obs, t0) {
@@ -301,20 +253,16 @@ impl PeriodicityDetector {
                 .observe(obs.clock.now_nanos().saturating_sub(t0));
         }
         let t0 = self.obs.as_ref().map(|o| o.clock.now_nanos());
-        let filtered = permutation_filter(
+        let threshold = permutation_filter(
             ws,
             series,
             &self.config.permutation,
             periodogram.max_power(),
-            budget,
-        );
-        // Observed before `?`: a budget that runs out inside the rounds
-        // still spent that time in this stage, not in "other".
+        )?;
         if let (Some(obs), Some(t0)) = (&self.obs, t0) {
             obs.permutation_nanos
                 .observe(obs.clock.now_nanos().saturating_sub(t0));
         }
-        let threshold = filtered?;
         if let Some(obs) = &self.obs {
             obs.permutation_rounds
                 .add(threshold.shuffled_maxima.len() as u64);
@@ -364,7 +312,6 @@ impl PeriodicityDetector {
         }
 
         let span = series.span_seconds() as f64;
-        budget.checkpoint(series.len() as u64)?;
         let t0 = self.obs.as_ref().map(|o| o.clock.now_nanos());
         let acf = Autocorrelation::compute_in(ws, series);
         if let (Some(obs), Some(t0)) = (&self.obs, t0) {
@@ -385,9 +332,7 @@ impl PeriodicityDetector {
             2
         };
         let max_lag = (series.len() as f64 / self.config.prune.min_cycles) as usize;
-        if let Some(hill) =
-            acf.strongest_hill_budgeted(min_lag, max_lag, &self.config.hill, budget)?
-        {
+        if let Some(hill) = acf.strongest_hill(min_lag, max_lag, &self.config.hill) {
             let already = raw
                 .iter()
                 .any(|l| (l.period - hill.period).abs() <= scale.max(0.02 * hill.period));
@@ -522,7 +467,6 @@ pub struct DetectorObs {
     clock: Arc<dyn Clock>,
     pairs_analyzed: Counter,
     pairs_periodic: Counter,
-    budget_exhausted: Counter,
     permutation_rejected: Counter,
     permutation_rounds: Counter,
     raw_candidates: Counter,
@@ -550,7 +494,6 @@ impl DetectorObs {
             clock,
             pairs_analyzed: registry.counter("detector.pairs_analyzed"),
             pairs_periodic: registry.counter("detector.pairs_periodic"),
-            budget_exhausted: registry.counter("detector.budget_exhausted"),
             permutation_rejected: registry.counter("detector.permutation.rejected"),
             permutation_rounds: registry.counter("detector.permutation.rounds"),
             raw_candidates: registry.counter("detector.periodogram.raw_candidates"),
@@ -894,7 +837,7 @@ mod tests {
         intervals.push(f64::NEG_INFINITY);
         let ws = crate::workspace::SpectralWorkspace::new();
         let r = detector()
-            .detect_series_core(&ws, &series, intervals, &ExecBudget::unlimited())
+            .detect_series_core(&ws, &series, intervals)
             .unwrap();
         assert!(r.is_periodic());
         for c in &r.candidates {
@@ -922,42 +865,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn unlimited_budget_is_byte_identical_to_plain_path() {
-        let ts = jittered_beacon(150, 60.0, 3.0, 9);
-        let d = detector();
-        let plain = d.detect(&ts).unwrap();
-        let budgeted = d.detect_budgeted(&ts, &ExecBudget::unlimited()).unwrap();
-        assert_eq!(plain, budgeted);
-    }
-
-    #[test]
-    fn armed_ops_budget_times_out_pathological_series() {
-        // A few hundred events spread over a huge span: the binned series
-        // is enormous and each permutation round charges its full length,
-        // so a small ops ceiling trips deterministically in Step 1.
-        let ts: Vec<u64> = (0..300).map(|i| i * 2_333).collect();
-        let cfg = DetectorConfig {
-            budget: BudgetSpec {
-                max_ops: Some(1_000_000),
-            },
-            ..Default::default()
-        };
-        let err = PeriodicityDetector::new(cfg).detect(&ts).unwrap_err();
-        assert_eq!(err, TimeSeriesError::BudgetExhausted);
-
-        // A normal beacon sails under the same ceiling.
-        let ok_ts = jittered_beacon(120, 60.0, 0.0, 13);
-        let cfg = DetectorConfig {
-            budget: BudgetSpec {
-                max_ops: Some(1_000_000),
-            },
-            ..Default::default()
-        };
-        let r = PeriodicityDetector::new(cfg).detect(&ok_ts).unwrap();
-        assert!(r.is_periodic());
     }
 
     #[test]
@@ -995,7 +902,6 @@ mod tests {
         let snap = registry.snapshot();
         assert_eq!(snap.counters["detector.pairs_analyzed"], 2);
         assert_eq!(snap.counters["detector.pairs_periodic"], 1);
-        assert_eq!(snap.counters["detector.budget_exhausted"], 0);
         assert!(snap.counters["detector.periodogram.raw_candidates"] >= 1);
         assert_eq!(snap.histograms["detector.series_bins"].total, 2);
         // Non-zero bins: 120 beacon events and 11 browsing ones, no two
@@ -1012,111 +918,41 @@ mod tests {
     }
 
     #[test]
-    fn permutation_timing_covers_rounds_the_budget_cut_short() {
-        // Enough ops for the periodogram and three rounds: the fourth
-        // checkpoint fails inside the filter, after one packed transform.
-        // That time belongs to the permutation stage all the same.
-        let registry = MetricsRegistry::new();
-        let clock = Arc::new(baywatch_obs::ManualClock::new());
-        let det = detector().with_obs(DetectorObs::new(&registry, clock));
-        let ts = jittered_beacon(120, 60.0, 0.0, 1);
-        let n = TimeSeries::from_timestamps(&ts, 1).unwrap().len() as u64;
-        let budget = ExecBudget::new(Some(n + 3 * n));
-        assert_eq!(
-            det.detect_budgeted(&ts, &budget),
-            Err(TimeSeriesError::BudgetExhausted)
-        );
-        let snap = registry.snapshot();
-        assert_eq!(snap.counters["detector.budget_exhausted"], 1);
-        assert_eq!(snap.timings["detector.periodogram.nanos"].total, 1);
-        assert_eq!(snap.timings["detector.permutation.nanos"].total, 1);
-        assert_eq!(snap.counters["detector.permutation.rounds"], 0);
-        assert_eq!(snap.timings["detector.acf.nanos"].total, 0);
-    }
-
-    #[test]
-    fn rejected_pair_stops_after_step_one_and_charges_the_rounds_it_ran() {
+    fn rejected_pair_stops_after_step_one() {
         let registry = MetricsRegistry::new();
         let clock = Arc::new(baywatch_obs::ManualClock::new());
         let det = detector().with_obs(DetectorObs::new(&registry, clock));
         let ts = memoryless(4);
-        let n = TimeSeries::from_timestamps(&ts, 1).unwrap().len() as u64;
 
-        let budget = ExecBudget::new(Some(u64::MAX));
-        let report = det.detect_budgeted(&ts, &budget).unwrap();
+        let report = det.detect(&ts).unwrap();
         assert_eq!(report.raw_candidates, 0);
         assert!(!report.is_periodic());
         assert!(report.prune_decisions.is_empty());
         assert_eq!(report.intervals.len(), ts.len() - 1);
 
+        // The early reject settled it before the 20th round, and no ACF
+        // ran.
         let snap = registry.snapshot();
         let rounds = snap.counters["detector.permutation.rounds"];
         assert!((2..20).contains(&rounds), "rounds = {rounds}");
         assert_eq!(snap.counters["detector.permutation.rejected"], 1);
         assert_eq!(snap.timings["detector.acf.nanos"].total, 0);
-        // One periodogram plus the rounds actually run — no ACF.
-        assert_eq!(budget.ops_used(), n + rounds * n);
-
-        // That charge is also the exact ceiling the pair fits under, and
-        // neither an armed nor an unlimited budget changes the report.
-        let exact = ExecBudget::new(Some(n + rounds * n));
-        assert_eq!(det.detect_budgeted(&ts, &exact).unwrap(), report);
-        let short = ExecBudget::new(Some(n + rounds * n - 1));
-        assert_eq!(
-            det.detect_budgeted(&ts, &short),
-            Err(TimeSeriesError::BudgetExhausted)
-        );
-        let unlimited = det.detect_budgeted(&ts, &ExecBudget::unlimited()).unwrap();
-        assert_eq!(unlimited, report);
-        assert_eq!(det.detect(&ts).unwrap(), report);
     }
 
     #[test]
-    fn accepted_pair_charges_steps_one_to_three_and_nothing_after() {
+    fn accepted_pair_runs_steps_one_to_three() {
         let registry = MetricsRegistry::new();
         let clock = Arc::new(baywatch_obs::ManualClock::new());
         let det = detector().with_obs(DetectorObs::new(&registry, clock));
         let ts = jittered_beacon(120, 60.0, 0.0, 1);
-        let n = TimeSeries::from_timestamps(&ts, 1).unwrap().len() as u64;
 
-        let budget = ExecBudget::new(Some(u64::MAX));
-        let report = det.detect_budgeted(&ts, &budget).unwrap();
+        let report = det.detect(&ts).unwrap();
         assert!(report.is_periodic());
+        // All 20 rounds and one ACF: the record ⟨AS, CP⟩ is complete
+        // after Step 3.
         let snap = registry.snapshot();
         assert_eq!(snap.counters["detector.permutation.rounds"], 20);
-        // The hill scan covers lags from the 60 s minimum interval up to
-        // `n / min_cycles`, both ends included.
-        let max_lag = (n as f64 / det.config().prune.min_cycles) as u64;
-        let lags = max_lag - 60 + 1;
-        // The periodogram, 20 rounds, the ACF and its hill scan: the
-        // record ⟨AS, CP⟩ is complete after Step 3 and nothing else runs.
-        let charged = n + 20 * n + n + lags;
-        assert_eq!(budget.ops_used(), charged);
-
-        let exact = ExecBudget::new(Some(charged));
-        assert_eq!(det.detect_budgeted(&ts, &exact).unwrap(), report);
-        let short = ExecBudget::new(Some(charged - 1));
-        assert_eq!(
-            det.detect_budgeted(&ts, &short),
-            Err(TimeSeriesError::BudgetExhausted)
-        );
-        assert_eq!(det.detect(&ts).unwrap(), report);
-    }
-
-    #[test]
-    fn obs_counts_budget_exhaustion() {
-        let registry = MetricsRegistry::new();
-        let clock = Arc::new(baywatch_obs::ManualClock::new());
-        let det = detector().with_obs(DetectorObs::new(&registry, clock));
-
-        let ts = jittered_beacon(200, 60.0, 3.0, 3);
-        let starved = ExecBudget::new(Some(1));
-        assert!(matches!(
-            det.detect_budgeted(&ts, &starved),
-            Err(TimeSeriesError::BudgetExhausted)
-        ));
-        let snap = registry.snapshot();
-        assert_eq!(snap.counters["detector.budget_exhausted"], 1);
-        assert_eq!(snap.counters["detector.pairs_periodic"], 0);
+        assert_eq!(snap.counters["detector.permutation.rejected"], 0);
+        assert_eq!(snap.timings["detector.acf.nanos"].total, 1);
     }
 }

@@ -447,7 +447,6 @@ mod tests {
 
     #[test]
     fn avx2_and_portable_passes_agree_bit_for_bit() {
-        use crate::budget::ExecBudget;
         use crate::permutation::{permutation_filter, PermutationConfig};
         use crate::series::corpus::round_corpus;
         use crate::workspace::SpectralWorkspace;
@@ -477,7 +476,6 @@ mod tests {
         }
         // The placed rounds of the permutation filter, every row layout.
         let ws = SpectralWorkspace::new();
-        let unlimited = ExecBudget::unlimited();
         for series in round_corpus() {
             for permutations in [5, 20] {
                 let cfg = PermutationConfig {
@@ -485,7 +483,7 @@ mod tests {
                     ..Default::default()
                 };
                 let maxima = || {
-                    let full = permutation_filter(&ws, &series, &cfg, f64::INFINITY, &unlimited);
+                    let full = permutation_filter(&ws, &series, &cfg, f64::INFINITY);
                     full.map(|t| {
                         t.shuffled_maxima
                             .iter()

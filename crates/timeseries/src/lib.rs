@@ -64,7 +64,6 @@
 )]
 
 pub mod acf;
-pub mod budget;
 pub mod detector;
 pub mod fft;
 pub mod gmm;
@@ -76,7 +75,6 @@ pub mod series;
 pub mod symbolize;
 pub mod workspace;
 
-pub use budget::{BudgetSpec, ExecBudget};
 pub use detector::{
     CandidatePeriod, DetectionReport, DetectorConfig, DetectorObs, PeriodicityDetector,
 };
@@ -109,10 +107,6 @@ pub enum TimeSeriesError {
     /// The observation window has zero length (all events share one
     /// timestamp), so no frequency content exists.
     ZeroSpan,
-    /// The execution budget ([`budget::ExecBudget`]) was exhausted before
-    /// the analysis completed; the pair should be recorded as timed out
-    /// rather than non-periodic.
-    BudgetExhausted,
     /// An underlying statistical routine failed.
     Stats(baywatch_stats::StatsError),
 }
@@ -130,9 +124,6 @@ impl std::fmt::Display for TimeSeriesError {
                 write!(f, "invalid config `{name}`: {constraint}")
             }
             TimeSeriesError::ZeroSpan => write!(f, "observation window has zero length"),
-            TimeSeriesError::BudgetExhausted => {
-                write!(f, "execution budget exhausted before analysis completed")
-            }
             TimeSeriesError::Stats(e) => write!(f, "statistics error: {e}"),
         }
     }

@@ -33,7 +33,6 @@
 //! exact as before; only *which* `m` permutations one seed draws differs
 //! from a dense shuffle's.
 
-use crate::budget::ExecBudget;
 use crate::series::TimeSeries;
 use crate::workspace::{with_thread_workspace, Placement, SpectralWorkspace};
 use crate::TimeSeriesError;
@@ -125,9 +124,7 @@ pub fn permutation_threshold(
     series: &TimeSeries,
     config: &PermutationConfig,
 ) -> Result<PermutationThreshold, TimeSeriesError> {
-    with_thread_workspace(|ws| {
-        permutation_filter(ws, series, config, f64::INFINITY, &ExecBudget::unlimited())
-    })
+    with_thread_workspace(|ws| permutation_filter(ws, series, config, f64::INFINITY))
 }
 
 /// The permutation filter with an exact early reject: runs shuffle rounds
@@ -146,35 +143,20 @@ pub fn permutation_threshold(
 /// [`PermutationThreshold`] for what the result carries after an early
 /// reject.
 ///
-/// Each round first charges `n` work units (the series length, whatever
-/// the placed transform then costs) and aborts with
-/// [`TimeSeriesError::BudgetExhausted`] once the budget is spent. With an
-/// unlimited budget the checkpoint never fires and the result — including
-/// the RNG stream — is byte-identical to the unbudgeted entry points.
-///
 /// # Errors
 ///
-/// Propagates configuration validation errors and budget exhaustion.
+/// Propagates configuration validation errors.
 pub fn permutation_filter(
     ws: &SpectralWorkspace,
     series: &TimeSeries,
     config: &PermutationConfig,
     observed_max: f64,
-    budget: &ExecBudget,
 ) -> Result<PermutationThreshold, TimeSeriesError> {
     config.validate()?;
     let m = config.permutations;
     let to_reject = m - quantile_rank(config.confidence, m) + 1;
     let mut maxima = ws.with_placement(|placement| {
-        round_maxima(
-            ws,
-            series,
-            config,
-            observed_max,
-            to_reject,
-            budget,
-            placement,
-        )
+        round_maxima(ws, series, config, observed_max, to_reject, placement)
     })?;
     maxima.sort_by(f64::total_cmp);
     // All m rounds: index m − to_reject = rank − 1, the order statistic.
@@ -195,7 +177,6 @@ fn round_maxima(
     config: &PermutationConfig,
     observed_max: f64,
     to_reject: usize,
-    budget: &ExecBudget,
     placement: &mut Placement,
 ) -> Result<Vec<f64>, TimeSeriesError> {
     let n = series.len();
@@ -223,15 +204,13 @@ fn round_maxima(
     let mut maxima = Vec::with_capacity(m);
     let mut met = 0;
     while maxima.len() < m && met < to_reject {
-        // Two rounds ride one packed transform; each charges its
-        // checkpoint and draws its positions (one RNG stream across all
-        // rounds) by a partial Fisher–Yates: after `c` steps the head of
+        // Two rounds ride one packed transform; each draws its positions
+        // (one RNG stream across all rounds) by a partial Fisher–Yates: after `c` steps the head of
         // `order` is a uniform ordered draw of `c` distinct bins, whatever
         // order the previous round left behind.
         let rounds = (m - maxima.len()).min(2);
         spots.clear();
         for _ in 0..rounds {
-            budget.checkpoint(n as u64)?;
             for j in 0..values.len() {
                 order.swap(j, rng.random_range(j..n));
                 spots.push(order[j]);
@@ -239,8 +218,8 @@ fn round_maxima(
         }
         if n < 4 {
             // Degenerate series have an empty spectrum: max power 0 per
-            // round, matching `Periodogram::compute`; budget and RNG
-            // are still consumed round-by-round.
+            // round, matching `Periodogram::compute`; the RNG is still
+            // consumed round-by-round.
             maxima.resize(maxima.len() + rounds, 0.0);
         } else {
             // One division by n per round. Dividing the unnormalized
@@ -292,15 +271,14 @@ mod tests {
     use crate::periodogram::Periodogram;
     use crate::series::corpus::{exactness_corpus, round_corpus, sparse_series};
 
-    /// The exact `p_T` in `ws` under `budget`: every round, against an
-    /// observed maximum no shuffle meets.
+    /// The exact `p_T` in `ws`: every round, against an observed maximum
+    /// no shuffle meets.
     fn threshold_in(
         ws: &SpectralWorkspace,
         series: &TimeSeries,
         config: &PermutationConfig,
-        budget: &ExecBudget,
     ) -> Result<PermutationThreshold, TimeSeriesError> {
-        permutation_filter(ws, series, config, f64::INFINITY, budget)
+        permutation_filter(ws, series, config, f64::INFINITY)
     }
 
     fn beacon_series(n_events: u64, period: u64) -> TimeSeries {
@@ -379,7 +357,7 @@ mod tests {
         let series = beacon_series(80, 15);
         let cfg = PermutationConfig::default();
         let ws = crate::workspace::SpectralWorkspace::new();
-        let a = threshold_in(&ws, &series, &cfg, &ExecBudget::unlimited()).unwrap();
+        let a = threshold_in(&ws, &series, &cfg).unwrap();
         let b = permutation_threshold(&series, &cfg).unwrap();
         assert_eq!(a, b);
         // The full threshold runs every round, two per packed transform.
@@ -389,11 +367,10 @@ mod tests {
         // rounds again. Against a maximum every shuffle meets, the first
         // packed FFT (2 rounds = m − rank + 1 exceedances) settles it.
         let peak = Periodogram::compute(&series).max_power();
-        let unlimited = ExecBudget::unlimited();
-        let kept = permutation_filter(&ws, &series, &cfg, peak, &unlimited).unwrap();
+        let kept = permutation_filter(&ws, &series, &cfg, peak).unwrap();
         assert_eq!(kept, a);
         let before = ws.transforms_run();
-        let rejected = permutation_filter(&ws, &series, &cfg, 0.0, &unlimited).unwrap();
+        let rejected = permutation_filter(&ws, &series, &cfg, 0.0).unwrap();
         assert_eq!(ws.transforms_run() - before, 1);
         assert_eq!(rejected.shuffled_maxima.len(), 2);
         assert_eq!(rejected.threshold, rejected.shuffled_maxima[0]);
@@ -404,7 +381,7 @@ mod tests {
         let series = beacon_series(80, 15);
         let cfg = PermutationConfig::default();
         let packed = SpectralWorkspace::new();
-        let got = threshold_in(&packed, &series, &cfg, &ExecBudget::unlimited()).unwrap();
+        let got = threshold_in(&packed, &series, &cfg).unwrap();
         let mut want = oracle_maxima(&series, &cfg);
         want.sort_by(f64::total_cmp);
         assert_eq!(got.shuffled_maxima.len(), want.len());
@@ -436,7 +413,7 @@ mod tests {
             let mut want = oracle_maxima(&series, &cfg);
             want.sort_by(f64::total_cmp);
             let ws = SpectralWorkspace::new();
-            let got = threshold_in(&ws, &series, &cfg, &ExecBudget::unlimited()).unwrap();
+            let got = threshold_in(&ws, &series, &cfg).unwrap();
             assert_eq!(got.shuffled_maxima.len(), want.len());
             let scale = want.last().copied().unwrap_or(0.0).max(1e-30);
             for (x, y) in want.iter().zip(&got.shuffled_maxima) {
@@ -459,7 +436,7 @@ mod tests {
                 ..Default::default()
             };
             let ws = SpectralWorkspace::new();
-            let thr = threshold_in(&ws, &series, &cfg, &ExecBudget::unlimited()).unwrap();
+            let thr = threshold_in(&ws, &series, &cfg).unwrap();
             assert_eq!(thr.shuffled_maxima, vec![0.0; 5], "n={n}");
             if n < 4 {
                 assert_eq!(ws.plans_built() + ws.transforms_run(), 0, "n={n}");
@@ -583,35 +560,6 @@ mod tests {
         .is_err());
     }
 
-    #[test]
-    fn budget_stops_rounds_deterministically() {
-        let series = beacon_series(80, 15);
-        let cfg = PermutationConfig::default();
-        let n = series.len() as u64;
-        let ws = crate::workspace::SpectralWorkspace::new();
-
-        // Enough for exactly 3 rounds: the 4th checkpoint exceeds the cap,
-        // after the first two rounds' packed FFT already ran.
-        let budget = ExecBudget::new(Some(3 * n));
-        let err = threshold_in(&ws, &series, &cfg, &budget);
-        assert_eq!(err, Err(TimeSeriesError::BudgetExhausted));
-        assert_eq!(budget.ops_used(), 4 * n, "charged through the 4th round");
-        assert_eq!(ws.transforms_run(), 1);
-
-        // The charge follows the work: an early reject pays for the rounds
-        // it ran, so the same ceiling that starves the full threshold is
-        // ample for a pair rejected after one packed FFT.
-        let budget = ExecBudget::new(Some(3 * n));
-        let rejected = permutation_filter(&ws, &series, &cfg, 0.0, &budget).unwrap();
-        assert_eq!(budget.ops_used(), rejected.shuffled_maxima.len() as u64 * n);
-
-        // Unlimited budget is byte-identical to the unbudgeted entry point.
-        let unlimited = ExecBudget::unlimited();
-        let a = threshold_in(&ws, &series, &cfg, &unlimited).unwrap();
-        let b = threshold_in(&ws, &series, &cfg, &ExecBudget::unlimited()).unwrap();
-        assert_eq!(a, b);
-    }
-
     /// Every round as the dense, centred series it stands for, replayed
     /// from the contract alone: one `Rng` per pair; per round a partial
     /// Fisher–Yates of `c` draws over an index permutation that starts as
@@ -653,7 +601,7 @@ mod tests {
             .collect()
     }
 
-    /// `round_maxima` on the workspace's own placement, unlimited budget.
+    /// `round_maxima` on the workspace's own placement.
     fn rounds_until(
         ws: &SpectralWorkspace,
         series: &TimeSeries,
@@ -661,8 +609,7 @@ mod tests {
         observed: f64,
         to_reject: usize,
     ) -> Vec<f64> {
-        let unlimited = ExecBudget::unlimited();
-        ws.with_placement(|p| round_maxima(ws, series, cfg, observed, to_reject, &unlimited, p))
+        ws.with_placement(|p| round_maxima(ws, series, cfg, observed, to_reject, p))
             .unwrap()
     }
 
@@ -741,7 +688,6 @@ mod tests {
         assert_eq!((a.len(), a.events().len()), (b.len(), b.events().len()));
         assert_ne!(a.mean(), b.mean());
         let ws = SpectralWorkspace::new();
-        let unlimited = ExecBudget::unlimited();
         let full = f64::INFINITY;
         for (series, permutations, observed) in [
             (&a, 20, full),
@@ -756,9 +702,9 @@ mod tests {
                 permutations,
                 ..Default::default()
             };
-            let shared = permutation_filter(&ws, series, &cfg, observed, &unlimited).unwrap();
+            let shared = permutation_filter(&ws, series, &cfg, observed).unwrap();
             let fresh = SpectralWorkspace::new();
-            let alone = permutation_filter(&fresh, series, &cfg, observed, &unlimited).unwrap();
+            let alone = permutation_filter(&fresh, series, &cfg, observed).unwrap();
             let bits = |t: &PermutationThreshold| -> Vec<u64> {
                 t.shuffled_maxima.iter().map(|v| v.to_bits()).collect()
             };
@@ -785,7 +731,6 @@ mod tests {
         // order) and in the second (whatever the first left behind).
         let series = TimeSeries::from_values(0, 1, vec![0.0, 1.0, 0.0, 2.0, 0.0]).unwrap();
         let ws = SpectralWorkspace::new();
-        let unlimited = ExecBudget::unlimited();
         let seeds = 20_000u64;
         let mut seen = [[0u32; 25]; 2];
         for seed in 0..seeds {
@@ -795,7 +740,7 @@ mod tests {
                 ..Default::default()
             };
             ws.with_placement(|p| {
-                round_maxima(&ws, &series, &cfg, f64::INFINITY, 1, &unlimited, p).unwrap();
+                round_maxima(&ws, &series, &cfg, f64::INFINITY, 1, p).unwrap();
                 assert_eq!(p.values, [1.0, 2.0]);
                 assert_eq!(p.spots.len(), 4);
                 for (round, spots) in p.spots.chunks_exact(2).enumerate() {
@@ -822,13 +767,7 @@ mod tests {
         let barrier = std::sync::Barrier::new(2);
         let run = || {
             barrier.wait();
-            threshold_in(
-                &SpectralWorkspace::new(),
-                &series,
-                &cfg,
-                &ExecBudget::unlimited(),
-            )
-            .unwrap()
+            threshold_in(&SpectralWorkspace::new(), &series, &cfg).unwrap()
         };
         let (a, b) = std::thread::scope(|scope| {
             let other = scope.spawn(run);
@@ -841,7 +780,6 @@ mod tests {
     #[test]
     fn early_reject_is_exact_and_a_prefix_of_the_full_run() {
         let ws = crate::workspace::SpectralWorkspace::new();
-        let unlimited = ExecBudget::unlimited();
         for series in exactness_corpus() {
             let own_max = Periodogram::compute(&series).max_power();
             for m in [1usize, 2, 19, 20, 21] {
@@ -855,9 +793,7 @@ mod tests {
                     let rounds = |observed| rounds_until(&ws, &series, &cfg, observed, to_reject);
                     let full = rounds(f64::INFINITY);
                     assert_eq!(full.len(), m);
-                    let p_t = threshold_in(&ws, &series, &cfg, &ExecBudget::unlimited())
-                        .unwrap()
-                        .threshold;
+                    let p_t = threshold_in(&ws, &series, &cfg).unwrap().threshold;
                     // The series' own maximum, plus every shuffle maximum
                     // as an exact tie and its two neighbours.
                     let mut observed = vec![own_max];
@@ -882,7 +818,7 @@ mod tests {
                         for (a, b) in early.iter().zip(&full) {
                             assert_eq!(a.to_bits(), b.to_bits(), "{tag}");
                         }
-                        let result = permutation_filter(&ws, &series, &cfg, x, &unlimited).unwrap();
+                        let result = permutation_filter(&ws, &series, &cfg, x).unwrap();
                         assert_eq!(result.shuffled_maxima.len(), early.len(), "{tag}");
                         // Rejects iff x <= p_T; `lines_above` is the strict
                         // `power > threshold`, so a reject needs x <= the
@@ -911,14 +847,13 @@ mod tests {
             ..Default::default()
         };
         let ws = crate::workspace::SpectralWorkspace::new();
-        let unlimited = ExecBudget::unlimited();
-        let first = permutation_filter(&ws, &series, &cfg, 0.0, &unlimited).unwrap();
+        let first = permutation_filter(&ws, &series, &cfg, 0.0).unwrap();
         assert_eq!(first.shuffled_maxima.len(), 2);
         let tie = first.shuffled_maxima[1];
-        let tied = permutation_filter(&ws, &series, &cfg, tie, &unlimited).unwrap();
+        let tied = permutation_filter(&ws, &series, &cfg, tie).unwrap();
         assert_eq!(tied, first);
         let above = f64::from_bits(tie.to_bits() + 1);
-        let kept = permutation_filter(&ws, &series, &cfg, above, &unlimited).unwrap();
+        let kept = permutation_filter(&ws, &series, &cfg, above).unwrap();
         assert!(kept.shuffled_maxima.len() > 2);
     }
 

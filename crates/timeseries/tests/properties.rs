@@ -9,7 +9,7 @@ use baywatch_timeseries::permutation::{
 };
 use baywatch_timeseries::series::TimeSeries;
 use baywatch_timeseries::symbolize::{match_fraction, ngram_histogram, symbolize};
-use baywatch_timeseries::{ExecBudget, SpectralWorkspace};
+use baywatch_timeseries::SpectralWorkspace;
 
 /// `len` draws from `range`.
 fn draws<T: baywatch_stats::rng::Uniform>(
@@ -85,14 +85,13 @@ fn early_reject_is_exact() {
             seed,
         };
         let ws = SpectralWorkspace::new();
-        let unlimited = ExecBudget::unlimited();
-        let full = permutation_filter(&ws, &series, &cfg, f64::INFINITY, &unlimited).unwrap();
+        let full = permutation_filter(&ws, &series, &cfg, f64::INFINITY).unwrap();
         let periodogram = Periodogram::compute_in(&ws, &series);
         let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
 
         // The series' own maximum, and an exact tie with a shuffle maximum.
         for observed in [periodogram.max_power(), full.threshold] {
-            let early = permutation_filter(&ws, &series, &cfg, observed, &unlimited).unwrap();
+            let early = permutation_filter(&ws, &series, &cfg, observed).unwrap();
             assert_eq!(observed <= early.threshold, observed <= full.threshold);
             assert_eq!(
                 periodogram.lines_above(early.threshold).is_empty(),
@@ -116,7 +115,6 @@ fn early_reject_is_exact() {
                     ..cfg
                 },
                 f64::INFINITY,
-                &unlimited,
             )
             .unwrap();
             assert_eq!(bits(&early.shuffled_maxima), bits(&prefix.shuffled_maxima));

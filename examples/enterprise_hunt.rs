@@ -19,17 +19,17 @@
 //! phase shard-by-shard under `DIR/day_NN`, so an interrupted hunt loses
 //! at most one shard of work. Re-run with `--resume` to pick up where the
 //! interrupted run stopped (the resumed report is byte-identical to an
-//! uninterrupted one), and add `--replay-dlq` to re-run dead-letter-queue
-//! pairs — budget-exhausted or quarantined ones — under 4× the configured
-//! per-pair budget:
+//! uninterrupted one). Pairs the engine quarantined are listed in each
+//! day's manifest dead-letter queue with their summaries:
 //!
 //! ```text
 //! cargo run --release --example enterprise_hunt -- --checkpoint-dir /tmp/hunt
-//! cargo run --release --example enterprise_hunt -- --checkpoint-dir /tmp/hunt --resume --replay-dlq
+//! cargo run --release --example enterprise_hunt -- --checkpoint-dir /tmp/hunt --resume
 //! ```
 //!
-//! Every flag that takes a value exits with status 2 when the value is
-//! missing or is itself a flag (`--checkpoint-dir --resume`).
+//! A flag not listed here exits with status 2 (`unknown flag --resum`), and
+//! so does every flag that takes a value when the value is missing or is
+//! itself a flag (`--checkpoint-dir --resume`).
 //!
 //! Streaming mode (see DESIGN.md §12): `--stream` replaces the daily
 //! batch hunt with the incremental engine — bounded per-pair state,
@@ -59,7 +59,20 @@ use baywatch::core::ScheduleSpec;
 use baywatch::netsim::enterprise::{EnterpriseConfig, EnterpriseSimulator};
 use baywatch::netsim::longtrace::{LongTraceConfig, LongTraceGenerator};
 use baywatch::record_from_event;
-use baywatch::timeseries::BudgetSpec;
+
+/// Every flag this example reads, those taking a value included.
+const FLAGS: [&str; 10] = [
+    "--json",
+    "--checkpoint-dir",
+    "--resume",
+    "--stream",
+    "--stream-stdin",
+    "--stream-ticks",
+    "--tick-seconds",
+    "--window-ticks",
+    "--ring-capacity",
+    "--state-budget-bytes",
+];
 
 /// Parses the value following `name`, exiting with a message when the
 /// flag is present but its value is missing, is another flag, or does not
@@ -81,12 +94,18 @@ fn flag_value<T: std::str::FromStr>(args: &[String], name: &str) -> Option<T> {
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
+    if let Some(unknown) = args[1..]
+        .iter()
+        .find(|a| a.starts_with("--") && !FLAGS.contains(&a.as_str()))
+    {
+        eprintln!("unknown flag {unknown}");
+        std::process::exit(2);
+    }
     let emit_json = args.iter().any(|a| a == "--json");
     let resume = args.iter().any(|a| a == "--resume");
-    let replay_dlq = args.iter().any(|a| a == "--replay-dlq");
     let checkpoint_dir: Option<std::path::PathBuf> = flag_value(&args, "--checkpoint-dir");
-    if (resume || replay_dlq) && checkpoint_dir.is_none() {
-        eprintln!("--resume / --replay-dlq require --checkpoint-dir DIR");
+    if resume && checkpoint_dir.is_none() {
+        eprintln!("--resume requires --checkpoint-dir DIR");
         std::process::exit(2);
     }
     if args.iter().any(|a| a == "--stream") {
@@ -126,11 +145,6 @@ fn main() {
         local_tau: 0.05,
         ..Default::default()
     };
-    // DLQ replay runs under 4× the per-pair detection budget (a limit of
-    // `None` stays unlimited).
-    let replay_budget = BudgetSpec {
-        max_ops: config.detector.budget.max_ops.map(|o| o * 4),
-    };
     let mut engine = Baywatch::new(config);
 
     let mut reported: BTreeSet<String> = BTreeSet::new();
@@ -144,7 +158,6 @@ fn main() {
             Some(base) => {
                 let spec = CheckpointSpec {
                     resume,
-                    replay_budget: replay_dlq.then_some(replay_budget),
                     ..CheckpointSpec::new(base.join(format!("day_{day:02}")))
                 };
                 match engine.analyze_checkpointed(records, &spec) {
@@ -167,13 +180,8 @@ fn main() {
         );
         if let Some(ck) = &report.checkpoint {
             println!(
-                "    checkpoint: {}/{} shards resumed, {} executed, dlq {} entries ({} replayed, {} recovered)",
-                ck.resumed_shards,
-                ck.total_shards,
-                ck.executed_shards,
-                ck.dlq_entries,
-                ck.dlq_replayed,
-                ck.dlq_recovered
+                "    checkpoint: {}/{} shards resumed, {} executed, dlq {} entries",
+                ck.resumed_shards, ck.total_shards, ck.executed_shards, ck.dlq_entries
             );
         }
         for rc in &report.ranked {

@@ -18,8 +18,8 @@ use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 use baywatch::mapreduce::{
-    BudgetSnapshot, CheckpointStore, CheckpointedRun, JobConfig, ManifestLoad, MapReduce,
-    RunManifest, ShardRecord, ShardedOutcome,
+    CheckpointStore, CheckpointedRun, JobConfig, ManifestLoad, MapReduce, RunManifest, ShardRecord,
+    ShardedOutcome,
 };
 use baywatch::obs::{Buckets, MetricsRegistry};
 use baywatch::stats::rng::{forall, Rng};
@@ -64,7 +64,6 @@ fn word_count(
                 store: &store,
                 fingerprint: FINGERPRINT,
                 rng_seed: 0,
-                budget: BudgetSnapshot::default(),
                 resume,
                 io_faults: None,
                 abort_after_shards: abort,

@@ -258,29 +258,39 @@ fn corrupted_elff_ingest_degrades_without_losing_untouched_pairs() {
     assert!(verified >= 1, "no untouched pair was ranked in both runs");
 }
 
-/// The acceptance scenario for the one cut-off, the per-pair work budget: a
-/// netsim pathological pair (sparse strided series, ~700k bins at scale 1)
-/// in the window with `max_ops` armed. The pathological pair lands in the
-/// `timed_out` accounting, every other pair's ranked evidence is
-/// byte-identical to an unbudgeted run, and the cut falls on the same pair
-/// whatever the thread count and whether the window runs plain or
-/// checkpointed — killed and resumed included.
+/// `max_bins` is the one bound on a pair's work. Two slow pairs join the
+/// window under the default detector: netsim's 39-minute beacon (300
+/// events 2 333 s apart, ~7·10⁵ one-second bins) and a pair whose span
+/// passes `max_bins` (cut while binning). Both complete, the slow beacon
+/// is periodic, every other pair's ranked evidence is byte-identical to
+/// the window without them, and the export is the same bytes at any
+/// thread count and whether the window runs plain or checkpointed —
+/// killed after one shard and resumed included.
 #[test]
-fn per_pair_budget_cuts_off_pathological_pair_and_preserves_the_rest() {
+fn max_bins_bounds_slow_pairs_which_complete_and_preserve_the_rest() {
     use baywatch::core::checkpoint::CheckpointSpec;
     use baywatch::core::report::export_json;
+    use baywatch::timeseries::DetectorConfig;
 
-    // The pathological pair reuses host 0's source, so the source
+    // The slow pairs reuse hosts 0 and 1 as sources, so the source
     // population — and with it every popularity value downstream — is
-    // identical whether or not the pair's records are present.
-    let slow_source = HostId(0).to_string();
-    let slow_records: Vec<LogRecord> = pathological_sparse_beacon(50_000, 300, 2_333)
-        .into_iter()
-        .map(|t| LogRecord::new(t, slow_source.clone(), "pathological-dest.biz", "x"))
-        .collect();
+    // identical whether or not their records are present.
+    let slow_beacon = pathological_sparse_beacon(50_000, 300, 2_333);
+    let long_span = pathological_sparse_beacon(50_000, 300, 4_001);
+    let max_bins = DetectorConfig::default().max_bins as u64;
+    assert!(long_span[299] - long_span[0] > max_bins);
+    let slow_records = slow_beacon
+        .iter()
+        .map(|&t| LogRecord::new(t, HostId(0).to_string(), "pathological-dest.biz", "x"))
+        .chain(
+            long_span
+                .iter()
+                .map(|&t| LogRecord::new(t, HostId(1).to_string(), "long-span-dest.biz", "y")),
+        );
 
     let base_records: Vec<LogRecord> = beacon_events().iter().map(record_from_event).collect();
-    let reference = quiet_engine().analyze(base_records.clone());
+    let mut reference_engine = quiet_engine();
+    let reference = reference_engine.analyze(base_records.clone());
     assert!(reference.faults.is_clean());
     assert!(
         reference.ranked.len() >= HOSTS as usize / 2,
@@ -291,71 +301,65 @@ fn per_pair_budget_cuts_off_pathological_pair_and_preserves_the_rest() {
     let mut full = base_records;
     full.extend(slow_records);
 
-    // 800k ops: every normal pair finishes far under it; the pathological
-    // series charges ~697k for its periodogram alone and trips at the
-    // first permutation round's checkpoint.
     let engine = |threads: usize| {
         let mut config = BaywatchConfig {
             local_tau: 0.9,
             ..Default::default()
         };
-        config.detector.budget.max_ops = Some(800_000);
         config.mapreduce.threads = threads;
         Baywatch::new(config)
     };
     let plain = |threads: usize| {
         let mut engine = engine(threads);
         let report = engine.analyze(full.clone());
-        let json = export_json(&report, &engine.metrics_snapshot(), 20);
-        (report, json)
+        let snapshot = engine.metrics_snapshot();
+        let json = export_json(&report, &snapshot, 20);
+        (report, snapshot, json)
     };
-    let (report, json) = plain(2);
+    let (report, snapshot, json) = plain(2);
     for threads in [1, 8] {
-        assert_eq!(plain(threads).1, json, "{threads} threads");
+        assert_eq!(plain(threads).2, json, "{threads} threads");
     }
 
-    // The pathological pair is accounted for as timed out and never
-    // reaches the ranked list.
-    assert_eq!(report.stats.timed_out_pairs, 1);
+    // Both slow pairs reach a verdict; nothing is cut or quarantined.
+    assert!(report.faults.is_clean());
     assert_eq!(report.stats.quarantined_pairs, 0);
-    let funnel = render_funnel(&report);
-    assert!(funnel.contains("timed-out pairs (budget)"));
-    assert!(funnel.contains("degraded mode"));
-    assert!(report
-        .ranked
-        .iter()
-        .all(|rc| rc.case.pair.destination != "pathological-dest.biz"));
+    let analyzed = |snap: &baywatch::obs::MetricsSnapshot| snap.counters["detector.pairs_analyzed"];
+    assert_eq!(
+        analyzed(&snapshot),
+        analyzed(&reference_engine.metrics_snapshot()) + 2
+    );
+    assert_eq!(
+        report.stats.after_local_whitelist,
+        reference.stats.after_local_whitelist + 2
+    );
+    // The 2 333 s beacon is found: one periodic pair more than without
+    // the slow pairs.
+    assert!(report.stats.periodic > reference.stats.periodic);
+    let detector = baywatch::timeseries::PeriodicityDetector::default();
+    let slow = detector.detect(&slow_beacon).unwrap();
+    assert!(slow.is_periodic());
+    assert!((slow.best().unwrap().period - 2_333.0).abs() < 2_333.0 * 0.02);
 
     // Every other pair ranks with byte-identical evidence.
     assert_eq!(
         report.popularity_total_sources,
         reference.popularity_total_sources
     );
-    let dests: BTreeSet<String> = reference
-        .ranked
-        .iter()
-        .map(|rc| rc.case.pair.destination.clone())
-        .collect();
-    assert_eq!(
-        report
-            .ranked
-            .iter()
-            .map(|rc| rc.case.pair.destination.clone())
-            .collect::<BTreeSet<String>>(),
-        dests
-    );
-    for dest in &dests {
+    for rc in &reference.ranked {
+        let dest = &rc.case.pair.destination;
         assert_eq!(
             evidence(&report, dest),
             evidence(&reference, dest),
-            "evidence for {dest} changed under the per-pair budget"
+            "evidence for {dest} changed beside the slow pairs"
         );
     }
 
-    // Checkpointed, the budget cuts the same pair: uninterrupted, and
-    // killed after one shard then resumed by a fresh engine, export the
-    // same bytes, and both report the plain window's funnel and ranking.
-    let base = std::env::temp_dir().join(format!("baywatch-one-cutoff-{}", std::process::id()));
+    // Checkpointed: uninterrupted, and killed after one shard then
+    // resumed by a fresh engine, export the same bytes (one detection job
+    // per shard, so `mapreduce.jobs` differs from the plain export), and
+    // both report the plain window's funnel and ranking.
+    let base = std::env::temp_dir().join(format!("baywatch-max-bins-{}", std::process::id()));
     let checkpointed = |leaf: &str, abort_after_shards: Option<usize>, resume: bool| {
         let mut engine = engine(2);
         let spec = CheckpointSpec {
@@ -376,9 +380,11 @@ fn per_pair_budget_cuts_off_pathological_pair_and_preserves_the_rest() {
     assert_eq!(resumed_outcome.resumed_shards, 1);
     assert!(resumed_outcome.total_shards >= 3, "want a multi-shard plan");
     assert_eq!(resumed_json, whole_json);
-    assert_eq!(whole.checkpoint.unwrap().dlq_entries, 1);
-    assert_eq!(whole.stats, report.stats);
-    assert_eq!(whole.ranked, report.ranked);
+    assert_eq!(whole.checkpoint.unwrap().dlq_entries, 0);
+    for run in [&whole, &resumed] {
+        assert_eq!(run.stats, report.stats);
+        assert_eq!(run.ranked, report.ranked);
+    }
 
     std::fs::remove_dir_all(&base).ok();
 }
@@ -489,76 +495,6 @@ fn interrupted_hunt_resumes_byte_identically() {
     );
 
     std::fs::remove_dir_all(&base).ok();
-}
-
-/// The replayable dead-letter queue: a pair that exhausted its per-pair
-/// budget lands in the DLQ with provenance; a later resume pass replays it
-/// under a larger budget and re-admits it with exact funnel accounting.
-#[test]
-fn dlq_replay_under_larger_budget_readmits_quarantined_pair() {
-    use baywatch::core::checkpoint::CheckpointSpec;
-    use baywatch::timeseries::BudgetSpec;
-
-    let slow_source = HostId(0).to_string();
-    let slow_records: Vec<LogRecord> = pathological_sparse_beacon(50_000, 300, 2_333)
-        .into_iter()
-        .map(|t| LogRecord::new(t, slow_source.clone(), "pathological-dest.biz", "x"))
-        .collect();
-    let mut records: Vec<LogRecord> = beacon_events().iter().map(record_from_event).collect();
-    records.extend(slow_records);
-
-    let dir = std::env::temp_dir().join(format!("baywatch-dlq-{}", std::process::id()));
-    let mut config = BaywatchConfig {
-        local_tau: 0.9,
-        ..Default::default()
-    };
-    // Same ceiling as the budget test above: normal pairs clear it easily,
-    // the pathological series trips its first permutation checkpoint.
-    config.detector.budget.max_ops = Some(800_000);
-
-    // First pass: the pathological pair exhausts its budget → DLQ.
-    let first = Baywatch::new(config.clone())
-        .analyze_checkpointed(
-            records.clone(),
-            &CheckpointSpec {
-                shard_size: 4,
-                ..CheckpointSpec::new(&dir)
-            },
-        )
-        .unwrap();
-    assert_eq!(first.stats.timed_out_pairs, 1);
-    let outcome = first.checkpoint.unwrap();
-    assert_eq!(outcome.dlq_entries, 1);
-    assert_eq!(outcome.dlq_replayed, 0);
-
-    // Second pass in a fresh engine: resume the completed shards, replay
-    // the DLQ without a ceiling.
-    let second = Baywatch::new(config)
-        .analyze_checkpointed(
-            records,
-            &CheckpointSpec {
-                resume: true,
-                replay_budget: Some(BudgetSpec::UNLIMITED),
-                shard_size: 4,
-                ..CheckpointSpec::new(&dir)
-            },
-        )
-        .unwrap();
-    let outcome = second.checkpoint.unwrap();
-    assert_eq!(outcome.resumed_shards, outcome.total_shards);
-    assert_eq!(outcome.executed_shards, 0);
-    assert_eq!(outcome.dlq_entries, 1);
-    assert_eq!(outcome.dlq_replayed, 1);
-    assert_eq!(outcome.dlq_recovered, 1);
-    // Exact funnel accounting: the recovery cancels the original timeout.
-    assert_eq!(second.stats.dlq_replayed, 1);
-    assert_eq!(second.stats.dlq_recovered, 1);
-    assert_eq!(second.stats.timed_out_pairs, 0);
-    let funnel = render_funnel(&second);
-    assert!(funnel.contains("dlq pairs replayed"));
-    assert!(funnel.contains("dlq pairs recovered"));
-
-    std::fs::remove_dir_all(&dir).ok();
 }
 
 /// The far-line probe: host `10.0.0.66` beacons every 60 s, 120 lines,

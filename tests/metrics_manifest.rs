@@ -28,11 +28,9 @@ use baywatch::core::record::LogRecord;
 use baywatch::core::stream::{StreamConfig, StreamingHunt};
 use baywatch::core::ScheduleSpec;
 use baywatch::mapreduce::FaultPlan;
-use baywatch::netsim::adversarial::pathological_sparse_beacon;
 use baywatch::netsim::longtrace::{LongTraceConfig, LongTraceGenerator};
 use baywatch::obs::MetricsSnapshot;
 use baywatch::record_from_event;
-use baywatch::timeseries::BudgetSpec;
 
 /// One row of the manifest table.
 #[derive(Debug)]
@@ -122,30 +120,29 @@ fn clean_window() -> MetricsSnapshot {
     engine.metrics_snapshot()
 }
 
-/// A checkpointed window with a one-shot map panic (bisected), a poison
-/// pair (quarantined) and a pair whose budget runs out (dead-lettered),
-/// then a resume that replays the dead-letter queue.
-fn faulted_window_with_dlq_replay() -> Vec<MetricsSnapshot> {
+/// A checkpointed window with a one-shot map panic (bisected), a pair
+/// poisoned in extraction's reduce (quarantined) and one poisoned in
+/// detection's map (quarantined and dead-lettered), then a resume that
+/// restores its shards.
+fn faulted_window_resumed() -> Vec<MetricsSnapshot> {
     let mut records = beacon_records(12);
-    records.extend(
-        pathological_sparse_beacon(50_000, 300, 2_333)
-            .into_iter()
-            .map(|t| LogRecord::new(t, "10.0.0.0", "pathological-dest.biz", "x")),
-    );
-    records.extend((0..60u64).map(|i| {
-        LogRecord::new(
-            50_000 + i * 45,
-            "patient-zero",
-            "poison-c2.example.net",
-            "p",
+    for (source, destination) in [
+        ("patient-zero", "poison-c2.example.net"),
+        ("patient-one", "poison-c3.example.net"),
+    ] {
+        records
+            .extend((0..60u64).map(|i| LogRecord::new(50_000 + i * 45, source, destination, "p")));
+    }
+    let config = quiet_config();
+    let pair = |source, destination| format!("{:?}", CommunicationPair::new(source, destination));
+    let plan = || {
+        Arc::new(
+            FaultPlan::new()
+                .poison_key(&pair("patient-zero", "poison-c2.example.net"))
+                .poison_input(&pair("patient-one", "poison-c3.example.net"))
+                .panic_on_map_call(3),
         )
-    }));
-    let mut config = quiet_config();
-    config.detector.budget.max_ops = Some(800_000);
-    let poison = format!(
-        "{:?}",
-        CommunicationPair::new("patient-zero", "poison-c2.example.net")
-    );
+    };
     let dir = scratch("dlq");
     let spec = CheckpointSpec {
         shard_size: 4,
@@ -153,21 +150,19 @@ fn faulted_window_with_dlq_replay() -> Vec<MetricsSnapshot> {
     };
 
     let mut first = Baywatch::new(config.clone());
-    first.arm_fault_plan(Arc::new(
-        FaultPlan::new().poison_key(&poison).panic_on_map_call(3),
-    ));
+    first.arm_fault_plan(plan());
     let report = first.analyze_checkpointed(records.clone(), &spec).unwrap();
     assert!(report.faults.map_bisections > 0 && report.stats.quarantined_pairs > 0);
     assert!(report.checkpoint.unwrap().dlq_entries > 0);
 
     let mut second = Baywatch::new(config);
-    let replay = CheckpointSpec {
+    second.arm_fault_plan(plan());
+    let resume = CheckpointSpec {
         resume: true,
-        replay_budget: Some(BudgetSpec::UNLIMITED),
         ..spec
     };
-    let report = second.analyze_checkpointed(records, &replay).unwrap();
-    assert!(report.checkpoint.unwrap().dlq_replayed > 0);
+    let report = second.analyze_checkpointed(records, &resume).unwrap();
+    assert!(report.checkpoint.unwrap().resumed_shards > 0);
     std::fs::remove_dir_all(&dir).ok();
     vec![first.metrics_snapshot(), second.metrics_snapshot()]
 }
@@ -243,9 +238,9 @@ fn every_emitted_name_is_declared_and_every_row_is_emitted() {
     ];
     let mut scenarios = clean.to_vec();
     scenarios.extend(
-        faulted_window_with_dlq_replay()
+        faulted_window_resumed()
             .into_iter()
-            .map(|s| ("faulted window with DLQ replay", s)),
+            .map(|s| ("faulted window, resumed", s)),
     );
     scenarios.push(("stream under pressure", stream_under_pressure()));
 
