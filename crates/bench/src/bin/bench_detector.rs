@@ -452,7 +452,7 @@ fn run_stream_probe(quick: bool) -> Result<StreamProbe, String> {
         pairs_readmitted: ledger.pairs_readmitted,
         detect_runs: count("stream.detect.runs"),
         detect_cached: count("stream.detect.cached"),
-        confirmed: hunt.confirmed_pairs().len() as u64,
+        confirmed: hunt.final_report().0.reported().len() as u64,
     })
 }
 

@@ -3,51 +3,36 @@
 //! The streaming engine in [`crate::stream`] closes one tick at a time
 //! under a state budget. The [`AdmissionController`] turns its *pressure* (a
 //! utilization fraction, 0 = idle, ≥ 1 = exhausted) into one of three
-//! settings: past `degrade_enter`, a tick is admitted **degraded** (the
-//! caller does coarser work); only past `reject_enter` is work rejected
+//! settings: past [`DEGRADE_ENTER`], a tick is admitted **degraded** (the
+//! caller does coarser work); only past [`REJECT_ENTER`] is work rejected
 //! (shed). Each threshold pairs with a lower exit threshold, so a
 //! pressure reading oscillating around a boundary does not flap the
 //! controller between levels every tick:
 //!
 //! ```text
-//!             pressure ≥ degrade_enter        pressure ≥ reject_enter
+//!             pressure ≥ DEGRADE_ENTER        pressure ≥ REJECT_ENTER
 //!   ┌────────┐ ──────────────────────► ┌─────────┐ ───────────────► ┌───────────┐
 //!   │ Normal │                         │ Degraded│                  │ Rejecting │
 //!   └────────┘ ◄────────────────────── └─────────┘ ◄─────────────── └───────────┘
-//!             pressure < degrade_exit        pressure < reject_exit
+//!             pressure < DEGRADE_EXIT        pressure < REJECT_EXIT
 //! ```
+//!
+//! The four thresholds are constants: the pressure is a fraction of the
+//! one settable state budget, so the budget is the knob.
 //!
 //! Decisions are a pure function of the pressure sequence, so a
 //! deterministic pressure (modelled bytes against a byte budget) yields
 //! byte-identical decision streams on every run.
 
-/// Enter/exit pressure thresholds for the two elevated levels.
-///
-/// Invariant (clamped at use): exits sit at or below their enters, and
-/// the reject band sits above the degrade band.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct AdmissionConfig {
-    /// Pressure at or above which admission degrades.
-    pub degrade_enter: f64,
-    /// Pressure below which a degraded controller recovers to normal.
-    pub degrade_exit: f64,
-    /// Pressure at or above which admission rejects outright.
-    pub reject_enter: f64,
-    /// Pressure below which a rejecting controller falls back (to
-    /// degraded or normal, depending on the degrade band).
-    pub reject_exit: f64,
-}
-
-impl Default for AdmissionConfig {
-    fn default() -> Self {
-        AdmissionConfig {
-            degrade_enter: 0.85,
-            degrade_exit: 0.65,
-            reject_enter: 1.0,
-            reject_exit: 0.9,
-        }
-    }
-}
+/// Pressure at or above which admission degrades.
+pub const DEGRADE_ENTER: f64 = 0.85;
+/// Pressure below which a degraded controller recovers to normal.
+pub const DEGRADE_EXIT: f64 = 0.65;
+/// Pressure at or above which admission rejects outright.
+pub const REJECT_ENTER: f64 = 1.0;
+/// Pressure below which a rejecting controller falls back (to degraded
+/// or normal, depending on the degrade band).
+pub const REJECT_EXIT: f64 = 0.9;
 
 /// The verdict for one tick.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -84,8 +69,9 @@ pub struct AdmissionStats {
     pub transitions: u64,
 }
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 enum Level {
+    #[default]
     Normal,
     Degraded,
     Rejecting,
@@ -103,21 +89,16 @@ impl Level {
 
 /// Converts a pressure stream into accept/degrade/reject decisions with
 /// hysteresis.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct AdmissionController {
-    config: AdmissionConfig,
     level: Level,
     stats: AdmissionStats,
 }
 
 impl AdmissionController {
     /// A controller starting at the normal level.
-    pub fn new(config: AdmissionConfig) -> Self {
-        AdmissionController {
-            config,
-            level: Level::Normal,
-            stats: AdmissionStats::default(),
-        }
+    pub fn new() -> Self {
+        Self::default()
     }
 
     /// Decision counters so far.
@@ -132,32 +113,27 @@ impl AdmissionController {
 
     /// Decides the next unit given the current `pressure` reading.
     pub fn decide(&mut self, pressure: f64) -> AdmissionDecision {
-        let c = self.config;
-        // Clamp the bands so a mis-ordered config degenerates to
-        // sane threshold behavior instead of oscillation.
-        let degrade_exit = c.degrade_exit.min(c.degrade_enter);
-        let reject_exit = c.reject_exit.min(c.reject_enter);
-        let next = if pressure >= c.reject_enter {
+        let next = if pressure >= REJECT_ENTER {
             Level::Rejecting
         } else {
             match self.level {
                 Level::Normal => {
-                    if pressure >= c.degrade_enter {
+                    if pressure >= DEGRADE_ENTER {
                         Level::Degraded
                     } else {
                         Level::Normal
                     }
                 }
                 Level::Degraded => {
-                    if pressure < degrade_exit {
+                    if pressure < DEGRADE_EXIT {
                         Level::Normal
                     } else {
                         Level::Degraded
                     }
                 }
                 Level::Rejecting => {
-                    if pressure < reject_exit {
-                        if pressure >= degrade_exit {
+                    if pressure < REJECT_EXIT {
+                        if pressure >= DEGRADE_EXIT {
                             Level::Degraded
                         } else {
                             Level::Normal
@@ -188,7 +164,7 @@ mod tests {
 
     #[test]
     fn low_pressure_accepts() {
-        let mut c = AdmissionController::new(AdmissionConfig::default());
+        let mut c = AdmissionController::new();
         assert_eq!(c.decide(0.0), AdmissionDecision::Accept);
         assert_eq!(c.decide(0.5), AdmissionDecision::Accept);
         assert_eq!(c.stats().accepted, 2);
@@ -197,7 +173,7 @@ mod tests {
 
     #[test]
     fn degrade_band_has_hysteresis() {
-        let mut c = AdmissionController::new(AdmissionConfig::default());
+        let mut c = AdmissionController::new();
         assert_eq!(c.decide(0.86), AdmissionDecision::Degrade);
         // Dipping below enter but above exit stays degraded.
         assert_eq!(c.decide(0.7), AdmissionDecision::Degrade);
@@ -207,7 +183,7 @@ mod tests {
 
     #[test]
     fn overload_rejects_and_recovers_straight_to_normal() {
-        let mut c = AdmissionController::new(AdmissionConfig::default());
+        let mut c = AdmissionController::new();
         assert_eq!(c.decide(1.0), AdmissionDecision::Reject);
         assert!(c.is_elevated());
         // Recovery falls straight back to normal at low pressure.
@@ -216,7 +192,7 @@ mod tests {
 
     #[test]
     fn reject_recovery_passes_through_degraded() {
-        let mut c = AdmissionController::new(AdmissionConfig::default());
+        let mut c = AdmissionController::new();
         assert_eq!(c.decide(1.2), AdmissionDecision::Reject);
         assert_eq!(
             c.decide(0.95),

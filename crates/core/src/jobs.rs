@@ -31,7 +31,7 @@
 use std::collections::{BTreeMap, BTreeSet};
 
 use baywatch_mapreduce::{
-    CheckpointedRun, DlqEntry, FaultPlan, FaultReport, MapReduce, ShardedOutcome, SAMPLE_LIMIT,
+    CheckpointedRun, DlqEntry, FaultPlan, FaultReport, MapReduce, ShardedOutcome,
 };
 use baywatch_timeseries::detector::PeriodicityDetector;
 use baywatch_timeseries::CandidatePeriod;
@@ -295,7 +295,6 @@ fn dlq_entries_for_shard(
     shard_id: usize,
     inputs: &[ActivitySummary],
     outputs: &[DetectRow],
-    faults: &FaultReport,
 ) -> Vec<DlqEntry> {
     let completed: BTreeSet<&CommunicationPair> = outputs.iter().map(DetectRow::pair).collect();
     let mut by_pair: BTreeMap<&CommunicationPair, Vec<ActivitySummary>> = BTreeMap::new();
@@ -312,12 +311,6 @@ fn dlq_entries_for_shard(
         .map(|(pair, summaries)| DlqEntry {
             key: format!("{pair:?}"),
             shard: shard_id,
-            samples: faults
-                .panic_samples
-                .iter()
-                .take(SAMPLE_LIMIT)
-                .cloned()
-                .collect(),
             payload: crate::checkpoint::encode_summaries(&summaries),
         })
         .collect()
@@ -750,13 +743,10 @@ mod tests {
         let inputs = vec![ok.clone(), poisoned.clone()];
         // `ok` completed quiet; the poisoned pair produced no row at all.
         let outputs = vec![DetectRow::Quiet(ok.pair.clone())];
-        let mut faults = FaultReport::default();
-        faults.panic_samples.push("panicked: boom".to_string());
-        let entries = dlq_entries_for_shard(3, &inputs, &outputs, &faults);
+        let entries = dlq_entries_for_shard(3, &inputs, &outputs);
         assert_eq!(entries.len(), 1);
         assert!(entries[0].key.contains("poison.test"));
         assert_eq!(entries[0].shard, 3);
-        assert_eq!(entries[0].samples, vec!["panicked: boom".to_string()]);
         // The payload decodes back to the pair's summaries.
         let payload = crate::checkpoint::decode_summaries(&entries[0].payload).unwrap();
         assert_eq!(payload, vec![poisoned]);

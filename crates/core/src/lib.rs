@@ -84,7 +84,7 @@ pub use pair::CommunicationPair;
 pub use pipeline::{AnalysisReport, Baywatch, BaywatchConfig};
 pub use record::LogRecord;
 pub use schedule::ScheduleSpec;
-pub use stream::{StreamConfig, StreamLedger, StreamingHunt, TickDelta, TickReport};
+pub use stream::{StreamConfig, StreamLedger, StreamingHunt, TickReport};
 
 /// Errors from the pipeline.
 #[derive(Debug, Clone, PartialEq)]

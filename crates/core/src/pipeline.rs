@@ -90,7 +90,7 @@ pub struct FilterStats {
 }
 
 /// The outcome of analyzing one window.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct AnalysisReport {
     /// Survivor counts per filter.
     pub stats: FilterStats,

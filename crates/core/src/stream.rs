@@ -45,12 +45,16 @@
 //!   verdict (`jobs::detect_verdict`); still policed by tests for the
 //!   funnel's inputs, which each engine produces itself: popularity (live
 //!   pair keys here, a pass over the lines in batch) and the window's events
-//!   (ring retention here, extraction in batch). While nothing was shed,
+//!   (ring retention here, extraction in batch). The stream answers for
+//!   itself: every closed tick leaves its funnel, ranked cases and
+//!   detection faults as an [`AnalysisReport`], and
+//!   [`StreamingHunt::final_report`] hands out the last one with the
+//!   stream's own metrics — nothing is re-analysed. While nothing was shed,
 //!   dropped by ring capacity, or evicted with in-window events the state
-//!   is *lossless*: [`StreamingHunt::final_report`] rebuilds the final
-//!   window's records and its [`crate::report::export_json`] is
-//!   **byte-identical** to a batch run over that window, and the per-tick
-//!   funnel levels telescope to the batch funnel (`tests/stream_*.rs`).
+//!   is *lossless*, and that report, exported through
+//!   [`crate::report::export_json`] with the same metrics snapshot as a
+//!   batch run over the final window, is **byte-identical** to it
+//!   (`tests/stream_*.rs`).
 //!
 //! Every [`StreamLedger`] movement is exact integer arithmetic (its
 //! overflow test fails on a wrap or clamp): offered events equal admitted +
@@ -61,18 +65,18 @@ use std::collections::btree_map::Entry;
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
-use baywatch_mapreduce::{fnv1a64, MapReduce};
-use baywatch_obs::{Buckets, Clock, ManualClock, MetricsRegistry, MetricsSnapshot, MonotonicClock};
+use baywatch_mapreduce::{fnv1a64, FaultReport, MapReduce};
+use baywatch_obs::{Buckets, Clock, MetricsRegistry, MetricsSnapshot, MonotonicClock};
 use baywatch_timeseries::detector::PeriodicityDetector;
 use baywatch_timeseries::TimestampRing;
 
 use crate::activity::ActivitySummary;
-use crate::admission::{AdmissionConfig, AdmissionController, AdmissionDecision};
+use crate::admission::{AdmissionController, AdmissionDecision};
 use crate::funnel::{Funnel, Hits};
 use crate::jobs::{self, Verdict};
 use crate::novelty::NoveltyStore;
 use crate::pair::CommunicationPair;
-use crate::pipeline::{AnalysisReport, Baywatch, BaywatchConfig, FilterStats};
+use crate::pipeline::{AnalysisReport, BaywatchConfig, FilterStats};
 use crate::record::LogRecord;
 use crate::schedule::ScheduleSpec;
 use crate::CoreError;
@@ -103,8 +107,6 @@ pub struct StreamConfig {
     /// Global budget (bytes, under the model constants above) for all
     /// resident pair state. `u64::MAX` disables eviction pressure.
     pub state_budget_bytes: u64,
-    /// Hysteresis thresholds for the pressure controller.
-    pub admission: AdmissionConfig,
     /// The batch-pipeline configuration the stream must stay equivalent
     /// to: detector settings, whitelists, token filter, ranking.
     pub pipeline: BaywatchConfig,
@@ -118,7 +120,6 @@ impl StreamConfig {
             schedule,
             ring_capacity: 4096,
             state_budget_bytes: u64::MAX,
-            admission: AdmissionConfig::default(),
             pipeline: BaywatchConfig::default(),
         }
     }
@@ -311,57 +312,6 @@ impl PairState {
     }
 }
 
-/// Signed per-tick change of every funnel level. Summing any field's
-/// deltas over all ticks telescopes exactly to that field's final level
-/// (each tick's delta is the difference against the previous tick).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct TickDelta {
-    /// Change in raw in-window events.
-    pub events: i64,
-    /// Change in live communication pairs.
-    pub pairs: i64,
-    /// Change in pairs surviving the global whitelist.
-    pub after_global_whitelist: i64,
-    /// Change in pairs surviving the local whitelist.
-    pub after_local_whitelist: i64,
-    /// Change in verified-periodic pairs.
-    pub periodic: i64,
-    /// Change in cases surviving the URL-token filter.
-    pub after_token_filter: i64,
-    /// Change in cases surviving novelty analysis.
-    pub after_novelty: i64,
-    /// Change in cases above the report percentile.
-    pub reported: i64,
-}
-
-impl TickDelta {
-    fn between(prev: &FilterStats, next: &FilterStats) -> Self {
-        let d = |a: usize, b: usize| b as i64 - a as i64;
-        Self {
-            events: d(prev.events, next.events),
-            pairs: d(prev.pairs, next.pairs),
-            after_global_whitelist: d(prev.after_global_whitelist, next.after_global_whitelist),
-            after_local_whitelist: d(prev.after_local_whitelist, next.after_local_whitelist),
-            periodic: d(prev.periodic, next.periodic),
-            after_token_filter: d(prev.after_token_filter, next.after_token_filter),
-            after_novelty: d(prev.after_novelty, next.after_novelty),
-            reported: d(prev.reported, next.reported),
-        }
-    }
-
-    /// Adds `self` into a running accumulator (for telescoping checks).
-    pub fn accumulate(&self, into: &mut [i64; 8]) {
-        into[0] += self.events;
-        into[1] += self.pairs;
-        into[2] += self.after_global_whitelist;
-        into[3] += self.after_local_whitelist;
-        into[4] += self.periodic;
-        into[5] += self.after_token_filter;
-        into[6] += self.after_novelty;
-        into[7] += self.reported;
-    }
-}
-
 /// The outcome of closing one tick.
 #[derive(Debug, Clone)]
 pub struct TickReport {
@@ -371,8 +321,6 @@ pub struct TickReport {
     pub window_start: u64,
     /// Full funnel levels over the current window state.
     pub stats: FilterStats,
-    /// Signed change against the previous tick's levels.
-    pub delta: TickDelta,
     /// Pairs removed this tick, in removal order: window expiries first
     /// (pair-key ascending), then budget evictions (LRU order).
     pub evicted: Vec<CommunicationPair>,
@@ -415,7 +363,9 @@ pub struct StreamingHunt {
     novelty: NoveltyStore,
     current_tick: Option<u64>,
     tick_buffer: Vec<LogRecord>,
-    prev_stats: FilterStats,
+    /// The last closed tick's report: funnel, ranked cases, detection
+    /// faults. [`StreamingHunt::final_report`] hands it out.
+    report: AnalysisReport,
     ledger: StreamLedger,
     resident_bytes: u64,
     /// Pre-eviction peak of the previous tick: eviction always pulls
@@ -462,7 +412,7 @@ impl StreamingHunt {
             clock: MonotonicClock::new(),
             detector: PeriodicityDetector::new(config.pipeline.detector.clone()),
             funnel: Funnel::new(&config.pipeline),
-            admission: AdmissionController::new(config.admission),
+            admission: AdmissionController::new(),
             config,
             pairs: BTreeMap::new(),
             lru: BTreeSet::new(),
@@ -470,7 +420,7 @@ impl StreamingHunt {
             novelty: NoveltyStore::new(),
             current_tick: None,
             tick_buffer: Vec::new(),
-            prev_stats: FilterStats::default(),
+            report: AnalysisReport::default(),
             ledger: StreamLedger::default(),
             resident_bytes: 0,
             peak_resident_bytes: 0,
@@ -580,66 +530,21 @@ impl StreamingHunt {
         Some(report)
     }
 
-    /// Reconstructs the final window's records from resident state, in
-    /// deterministic order (pair key ascending, timestamps ascending).
-    /// When [`StreamLedger::is_lossless`] holds, this is exactly the
-    /// multiset of in-window records a batch run would have seen: every
-    /// distinct timestamp with its multiplicity, and every in-window URL
-    /// token carried by at least one record.
-    pub fn final_window_records(&self) -> Vec<LogRecord> {
-        let current = self.current_tick.unwrap_or(0);
-        let first_window_tick = self.config.schedule.first_window_tick(current);
-        let mut out = Vec::new();
-        for (pair, state) in &self.pairs {
-            let tokens: Vec<String> = state.window_tokens(first_window_tick).into_iter().collect();
-            let mut token_iter = tokens.iter();
-            for entry in state.ring.entries() {
-                for _ in 0..entry.multiplicity {
-                    let token = token_iter.next().map(String::as_str).unwrap_or("");
-                    out.push(LogRecord::new(
-                        entry.timestamp,
-                        &pair.source,
-                        &pair.destination,
-                        token,
-                    ));
-                }
-            }
-        }
-        out
-    }
-
-    /// Runs the full batch pipeline over [`final_window_records`]
-    /// (fresh engine, fresh novelty store — matching a fresh batch run
-    /// over the same window) and returns its report together with that
-    /// engine's metrics snapshot. In lossless mode the pair's
-    /// [`crate::report::export_json`] is byte-identical to the batch
-    /// pipeline's on the same window.
-    ///
-    /// [`final_window_records`]: StreamingHunt::final_window_records
+    /// The last closed tick's report — its funnel, ranked cases and
+    /// detection faults, as [`StreamingHunt::finish`] left them for the
+    /// final window — together with the stream's own metrics snapshot.
+    /// Novelty honours [`StreamingHunt::commit_reported`], as every tick
+    /// does. In lossless mode the report's [`crate::report::export_json`]
+    /// is byte-identical to the batch pipeline's on the same window under
+    /// the same snapshot.
     pub fn final_report(&self) -> (AnalysisReport, MetricsSnapshot) {
-        let clock: Arc<dyn Clock> = Arc::new(ManualClock::new());
-        let mut engine = Baywatch::with_clock(self.config.pipeline.clone(), clock);
-        let report = engine.analyze(self.final_window_records());
-        let snapshot = engine.metrics_snapshot();
-        (report, snapshot)
+        (self.report.clone(), self.metrics_snapshot())
     }
 
     /// [`final_report`](StreamingHunt::final_report) exported through
     /// [`crate::report::export_json`] with the given `top_k`.
     pub fn final_export(&self, top_k: usize) -> String {
-        let (report, snapshot) = self.final_report();
-        crate::report::export_json(&report, &snapshot, top_k)
-    }
-
-    /// The ranked cases above the report percentile at the final window,
-    /// by pair — the stream's confirmed-beacon set.
-    pub fn confirmed_pairs(&self) -> Vec<CommunicationPair> {
-        let (report, _) = self.final_report();
-        report
-            .reported()
-            .iter()
-            .map(|c| c.case.pair.clone())
-            .collect()
+        crate::report::export_json(&self.report, &self.metrics_snapshot(), top_k)
     }
 
     fn pressure(&self) -> f64 {
@@ -898,30 +803,31 @@ impl StreamingHunt {
             || !self.admission.is_elevated()
             || self.ticks_closed.is_multiple_of(DEGRADE_DETECT_STRIDE);
 
-        let stats = self.window_stats(tick, detect_this_tick);
-        let delta = TickDelta::between(&self.prev_stats, &stats.0);
-        self.prev_stats = stats.0;
+        let (report, detect_runs, detect_cached) = self.window_stats(tick, detect_this_tick);
+        let stats = report.stats;
+        self.report = report;
         self.ticks_closed += 1;
         self.metrics.counter("stream.ticks").inc();
-        self.metrics.counter("stream.detect.runs").add(stats.1);
-        self.metrics.counter("stream.detect.cached").add(stats.2);
+        self.metrics.counter("stream.detect.runs").add(detect_runs);
+        self.metrics
+            .counter("stream.detect.cached")
+            .add(detect_cached);
         self.metrics
             .gauge("stream.pairs.live")
             .set(self.pairs.len() as i64);
         self.metrics
             .gauge("stream.state.resident_bytes")
             .set(self.resident_bytes.min(i64::MAX as u64) as i64);
-        self.funnel_gauges(&self.prev_stats);
+        self.funnel_gauges(&stats);
 
         TickReport {
             tick,
             window_start: self.config.schedule.window_start(tick),
-            stats: self.prev_stats,
-            delta,
+            stats,
             evicted: removed,
             decision,
-            detect_runs: stats.1,
-            detect_cached: stats.2,
+            detect_runs,
+            detect_cached,
             resident_bytes: self.resident_bytes,
             live_pairs: self.pairs.len() as u64,
         }
@@ -929,15 +835,17 @@ impl StreamingHunt {
 
     /// Computes the full funnel over current window state, re-running
     /// detection only where the cached verdict's ring version is stale
-    /// (and only if `detect` allows). Returns (stats, runs, cache hits).
+    /// (and only if `detect` allows). Returns the tick's report, its
+    /// detection runs and its cache hits.
     ///
     /// Four steps: filters 1–2 and the staleness check; one MapReduce job
     /// over the stale pairs, whose reducer is the batch jobs' verdict
     /// mapping; filters 4–7 over the periodic pairs; the write-back of the
     /// fresh verdicts. A pair the job quarantines keeps its previous
-    /// verdict and counts in `quarantined_pairs`. The job is timed into
+    /// verdict and counts in `quarantined_pairs`; the job's fault report
+    /// is the tick report's. The job is timed into
     /// the operational `stream.detect.nanos` on ticks that run it.
-    fn window_stats(&mut self, tick: u64, detect: bool) -> (FilterStats, u64, u64) {
+    fn window_stats(&mut self, tick: u64, detect: bool) -> (AnalysisReport, u64, u64) {
         let first_window_tick = self.config.schedule.first_window_tick(tick);
         let scale = self.config.pipeline.detector.time_scale;
 
@@ -991,10 +899,11 @@ impl StreamingHunt {
         //    mapping on the timestamps extraction would produce.
         let runs = stale.len() as u64;
         let mut refreshed: BTreeMap<CommunicationPair, Verdict> = BTreeMap::new();
+        let mut faults = FaultReport::default();
         if !stale.is_empty() {
             let detector = &self.detector;
             let started = self.clock.now_nanos();
-            let (verdicts, faults) = self.engine.run(
+            let (verdicts, job_faults) = self.engine.run(
                 &stale,
                 |&(pair, ring), emit| emit(pair, ring),
                 |pair: &&CommunicationPair, rings: &[&TimestampRing]| {
@@ -1016,7 +925,8 @@ impl StreamingHunt {
             self.metrics
                 .timing("stream.detect.nanos", &nanos)
                 .observe(self.clock.now_nanos().saturating_sub(started));
-            stats.quarantined_pairs = faults.quarantined_units();
+            stats.quarantined_pairs = job_faults.quarantined_units();
+            faults = job_faults;
             refreshed.extend(verdicts);
         }
 
@@ -1038,7 +948,7 @@ impl StreamingHunt {
         }
         stats.periodic = hits.len();
         let novelty = &self.novelty;
-        let (after_token_filter, after_novelty, _ranked, report_cutoff) =
+        let (after_token_filter, after_novelty, ranked, report_cutoff) =
             funnel.rank(hits, popularity, |pair| !novelty.is_reported(pair), None);
         stats.after_token_filter = after_token_filter;
         stats.after_novelty = after_novelty;
@@ -1051,7 +961,15 @@ impl StreamingHunt {
                 state.verdict = Some((state.version, verdict));
             }
         }
-        (stats, runs, cached)
+        let report = AnalysisReport {
+            stats,
+            ranked,
+            report_cutoff,
+            popularity_total_sources: total_sources,
+            faults,
+            ..AnalysisReport::default()
+        };
+        (report, runs, cached)
     }
 }
 
@@ -1262,13 +1180,13 @@ mod tests {
         let ticks: Vec<u64> = reports.iter().map(|r| r.tick).collect();
         assert_eq!(ticks, [1, 2, 3, 4, 5, 6]);
         assert_eq!(reports[4].evicted.len(), 1);
+        assert_eq!(reports[4].stats.events, 0);
         assert_eq!(reports[5].stats, FilterStats::default());
-        assert_eq!(reports[5].delta, TickDelta::default());
         assert_eq!(hunt.current_tick(), Some(1 + gap_ticks));
         assert!(hunt.ledger().is_balanced());
         let last = hunt.finish().unwrap();
         assert_eq!(last.tick, 1 + gap_ticks);
-        assert_eq!((last.stats.events, last.delta.events), (1, 1));
+        assert_eq!((last.stats.events, last.stats.pairs), (1, 1));
         assert_eq!(hunt.ledger().events_retired, 1);
         assert!(hunt.ledger().is_balanced() && hunt.ledger().is_lossless());
     }
@@ -1366,19 +1284,11 @@ mod tests {
     fn evicted_pair_readmits_with_a_fresh_ring() {
         let mut c = config(100, 8);
         // 519 bytes per pair (base 192 + 9 key bytes + 16×16 ring + one
-        // 62-byte token): six pairs fit (3114), seven do not (3633), so
-        // exactly one eviction happens per over-budget tick — always the
-        // coldest pair, ties broken by key order.
+        // 62-byte token). Six pairs (3114) fit the budget but press it
+        // past the degrade threshold (0.92), and a degraded tick evicts
+        // coldest-first, ties broken by key order, down to 0.7 of it (2380).
         c.ring_capacity = 16;
         c.state_budget_bytes = 3_400;
-        // Keep admission out of the way: this test is about eviction
-        // only, and degradation would widen the eviction target.
-        c.admission = AdmissionConfig {
-            degrade_enter: 10.0,
-            degrade_exit: 9.0,
-            reject_enter: 20.0,
-            reject_exit: 19.0,
-        };
         let mut hunt = StreamingHunt::new(c).unwrap();
         // Tick 0: pair A (smallest key, so it loses LRU ties) plus five
         // others — six pairs, under budget.
@@ -1386,25 +1296,26 @@ mod tests {
         for p in 0..5 {
             records.push(record(10 + p, &format!("h{p}"), &format!("d{p}.test")));
         }
-        // Tick 1: the five stay warm and a sixth pair joins; seven pairs
-        // exceed the budget and the coldest — A, at tick 0 — is evicted.
-        for p in 0..6 {
+        // Tick 1 (degraded): the five stay warm; the coldest — A, at tick
+        // 0 — is evicted, then h0.
+        for p in 0..5 {
             records.push(record(110 + p, &format!("h{p}"), &format!("d{p}.test")));
         }
-        // Tick 2: A returns (readmission); now h5 is the coldest and is
-        // evicted in its turn, never to return.
+        // Tick 2 (degraded, the peak still 0.92 of the budget): A returns
+        // (readmission) and h1, now the coldest, is evicted in its turn.
         records.push(record(205, "a0", "aa.test"));
-        for p in 0..5 {
-            records.push(record(210 + p, &format!("h{p}"), &format!("d{p}.test")));
-        }
         // Tick 3: closes tick 2.
-        records.push(record(305, "h0", "d0.test"));
+        records.push(record(305, "h2", "d2.test"));
         let reports = hunt.ingest(&records);
         let a = CommunicationPair::new("a0", "aa.test");
+        assert_eq!(reports[1].decision, AdmissionDecision::Degrade);
         assert!(
-            reports.iter().any(|r| r.evicted.contains(&a)),
+            reports[1].evicted.contains(&a),
             "pair A must be evicted while cold: {reports:?}"
         );
+        assert!(reports
+            .iter()
+            .all(|r| r.decision != AdmissionDecision::Reject));
         assert_eq!(hunt.ledger().pairs_readmitted, 1);
         let state = hunt.pairs.get(&a).expect("A is live again");
         assert_eq!(
@@ -1423,12 +1334,6 @@ mod tests {
     fn reject_sheds_the_buffered_tick() {
         let mut c = config(100, 4);
         c.state_budget_bytes = 1; // any state at all overflows
-        c.admission = AdmissionConfig {
-            degrade_enter: 0.5,
-            degrade_exit: 0.25,
-            reject_enter: 1.0,
-            reject_exit: 0.75,
-        };
         let mut hunt = StreamingHunt::new(c).unwrap();
         let mut records = Vec::new();
         for tick in 0u64..4 {
@@ -1451,37 +1356,40 @@ mod tests {
         assert!(hunt.ledger().is_balanced());
     }
 
+    /// The final report is the finish tick's: a pair whose ring dropped
+    /// events still carries every in-window token. Its ring of 16 keeps
+    /// the last 16 of 40 beacon events, but the pair holds all 40
+    /// tokens; the twelve benign ones sort first, so a report rebuilt
+    /// from one token per ring event would see 12 of 16 benign and drop
+    /// the pair at filter 4, while the whole set is 12 of 40.
     #[test]
-    fn deltas_telescope_to_final_levels() {
-        let mut hunt = StreamingHunt::new(config(60, 4)).unwrap();
-        let mut records = Vec::new();
-        for i in 0..40u64 {
-            records.push(record(i * 30, "beacon", "qwzkrvbplm.test"));
-        }
-        for i in 0..25u64 {
-            records.push(record((i * i * 13) % 1200, "human", "news.test"));
-        }
-        records.sort_by_key(|r| r.timestamp);
-        let mut reports = hunt.ingest(&records);
-        reports.extend(hunt.finish());
-        let mut acc = [0i64; 8];
-        for r in &reports {
-            r.delta.accumulate(&mut acc);
-        }
-        let last = &reports[reports.len() - 1].stats;
-        assert_eq!(
-            acc,
-            [
-                last.events as i64,
-                last.pairs as i64,
-                last.after_global_whitelist as i64,
-                last.after_local_whitelist as i64,
-                last.periodic as i64,
-                last.after_token_filter as i64,
-                last.after_novelty as i64,
-                last.reported as i64,
-            ]
-        );
+    fn lossy_final_report_is_the_finish_tick() {
+        let mut c = config(300, 4);
+        c.ring_capacity = 16;
+        let mut hunt = StreamingHunt::new(c).unwrap();
+        let tokens: BTreeSet<String> = crate::tokens::DEFAULT_BENIGN_TOKENS[..12]
+            .iter()
+            .map(|t| (*t).to_owned())
+            .chain((12..40).map(|i| format!("z{i:02}")))
+            .collect();
+        assert_eq!(tokens.len(), 40);
+        let records: Vec<LogRecord> = tokens
+            .iter()
+            .enumerate()
+            .map(|(i, token)| LogRecord::new(i as u64 * 30, "h", "qwzkrvbplm.test", token))
+            .collect();
+        hunt.ingest(&records);
+        let last = hunt.finish().unwrap();
+        assert_eq!(hunt.ledger().events_dropped_capacity, 24);
+        let (report, _) = hunt.final_report();
+        assert_eq!(report.stats, last.stats);
+        let beacon = CommunicationPair::new("h", "qwzkrvbplm.test");
+        let case = report
+            .ranked
+            .iter()
+            .find(|c| c.case.pair == beacon)
+            .expect("the beacon is ranked");
+        assert_eq!(case.case.url_tokens, tokens);
     }
 
     #[test]

@@ -4,25 +4,26 @@
 //!
 //! `AdmissionController` is a `&mut self` state machine — its caller, the
 //! streaming engine, owns it. The script model pins the hysteresis band:
-//! inside `[degrade_exit, degrade_enter)` the level is sticky, at or above
-//! `reject_enter` rejection is unconditional, and the stats ledger
+//! inside `[DEGRADE_EXIT, DEGRADE_ENTER)` the level is sticky, at or above
+//! `REJECT_ENTER` rejection is unconditional, and the stats ledger
 //! conserves decisions.
 
 use std::sync::{Arc, Mutex};
 
-use baywatch_core::admission::{AdmissionConfig, AdmissionController, AdmissionDecision};
+use baywatch_core::admission::{
+    AdmissionController, AdmissionDecision, DEGRADE_ENTER, DEGRADE_EXIT, REJECT_ENTER,
+};
 
 #[test]
 fn admission_hysteresis_holds_for_every_pressure_script() {
-    // A pressure alphabet spanning all bands of the default config: calm,
+    // A pressure alphabet spanning all bands of the thresholds: calm,
     // inside the degrade hysteresis band, degraded, inside the reject
     // hysteresis band, and rejecting.
     let alphabet: [f64; 5] = [0.2, 0.7, 0.9, 0.95, 1.0];
-    let config = AdmissionConfig::default();
     let len = 5usize;
     let scripts = alphabet.len().pow(len as u32);
     for script_id in 0..scripts {
-        let mut controller = AdmissionController::new(config);
+        let mut controller = AdmissionController::new();
         let mut id = script_id;
         let mut decisions = 0u64;
         let mut prev = AdmissionDecision::Accept;
@@ -32,17 +33,16 @@ fn admission_hysteresis_holds_for_every_pressure_script() {
             let decision = controller.decide(pressure);
             decisions += 1;
 
-            if pressure >= config.reject_enter {
+            if pressure >= REJECT_ENTER {
                 assert_eq!(
                     decision,
                     AdmissionDecision::Reject,
                     "script {script_id} step {step}: overload must reject"
                 );
             }
-            // Hysteresis: inside [degrade_exit, degrade_enter) the level
+            // Hysteresis: inside [DEGRADE_EXIT, DEGRADE_ENTER) the level
             // is sticky — an elevated controller must not relax there.
-            if pressure >= config.degrade_exit
-                && pressure < config.degrade_enter
+            if (DEGRADE_EXIT..DEGRADE_ENTER).contains(&pressure)
                 && prev != AdmissionDecision::Accept
             {
                 assert_ne!(
@@ -52,7 +52,7 @@ fn admission_hysteresis_holds_for_every_pressure_script() {
                 );
             }
             // Below every band a non-rejecting controller runs normally.
-            if pressure < config.degrade_exit && prev != AdmissionDecision::Reject {
+            if pressure < DEGRADE_EXIT && prev != AdmissionDecision::Reject {
                 assert_eq!(decision, AdmissionDecision::Accept);
             }
             prev = decision;
@@ -73,9 +73,7 @@ fn admission_hysteresis_holds_for_every_pressure_script() {
 fn admission_conservation_survives_real_threads() {
     const THREADS: u64 = 4;
     const OPS: u64 = 250;
-    let controller = Arc::new(Mutex::new(AdmissionController::new(
-        AdmissionConfig::default(),
-    )));
+    let controller = Arc::new(Mutex::new(AdmissionController::new()));
 
     let workers: Vec<_> = (0..THREADS)
         .map(|t| {

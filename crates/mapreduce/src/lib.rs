@@ -185,6 +185,28 @@ impl MapReduce {
         M: Fn(&'a I, &mut dyn FnMut(K, V)) + Sync,
         R: Fn(&K, &[V]) -> Vec<O> + Sync,
     {
+        if let Some(metrics) = &self.metrics {
+            metrics.counter("mapreduce.jobs").inc();
+        }
+        self.run_uncounted(inputs, mapper, reducer)
+    }
+
+    /// [`MapReduce::run`] without counting a job: one shard of a sharded
+    /// sweep, which counts as one job however many shards it runs.
+    fn run_uncounted<'a, I, K, V, O, M, R>(
+        &self,
+        inputs: &'a [I],
+        mapper: M,
+        reducer: R,
+    ) -> (Vec<O>, FaultReport)
+    where
+        I: Sync + Debug,
+        K: Hash + Eq + Ord + Send + Debug,
+        V: Send,
+        O: Send,
+        M: Fn(&'a I, &mut dyn FnMut(K, V)) + Sync,
+        R: Fn(&K, &[V]) -> Vec<O> + Sync,
+    {
         let mut report = FaultReport::default();
         let n_partitions = self.config.partitions;
 
@@ -307,13 +329,15 @@ impl MapReduce {
     /// restored (payload digest-checked, metrics delta replayed into the
     /// attached registry, faults absorbed in shard order) instead of
     /// re-executed, which makes a resumed run's aggregate output
-    /// byte-identical to an uninterrupted one.
+    /// byte-identical to an uninterrupted one. The sweep counts as one
+    /// `mapreduce.jobs`, outside every shard's delta, as a plain
+    /// [`MapReduce::run`] over the same inputs would.
     ///
     /// Shards execute *sequentially* (parallelism lives inside each
     /// shard's map/reduce phases) — that is what makes the per-shard
     /// metrics delta exact and the checkpoint boundary well-defined.
     ///
-    /// `dlq_hook(shard_id, inputs, outputs, faults)` inspects a freshly
+    /// `dlq_hook(shard_id, inputs, outputs)` inspects a freshly
     /// completed shard and returns the dead-letter entries it produced. `decode` must invert `encode` (`None` signals a corrupt
     /// payload, re-executing the shard).
     ///
@@ -348,7 +372,7 @@ impl MapReduce {
         R: Fn(&K, &[V]) -> Vec<O> + Sync,
         Enc: Fn(&[O]) -> String,
         Dec: Fn(&str) -> Option<Vec<O>>,
-        DlqF: Fn(usize, &[I], &[O], &FaultReport) -> Vec<DlqEntry>,
+        DlqF: Fn(usize, &[I], &[O]) -> Vec<DlqEntry>,
     {
         let total_shards = shards.len();
         let mut load_warnings = 0usize;
@@ -369,6 +393,11 @@ impl MapReduce {
         }
         let mut manifest = resumed
             .unwrap_or_else(|| RunManifest::new(run.fingerprint, total_shards, run.rng_seed));
+        // One job per sweep, outside every shard's metrics delta: a
+        // checkpointed run counts what a plain run does at any shard size.
+        if let Some(metrics) = &self.metrics {
+            metrics.counter("mapreduce.jobs").inc();
+        }
 
         let mut outcome_outputs: Vec<O> = Vec::new();
         let mut resumed_shards = 0usize;
@@ -405,14 +434,12 @@ impl MapReduce {
                 break;
             }
             let before = self.metrics.as_ref().map(|m| m.snapshot());
-            let (outputs, shard_faults) = self.run(inputs, &mapper, &reducer);
+            let (outputs, shard_faults) = self.run_uncounted(inputs, &mapper, &reducer);
             let metrics_delta = match (&self.metrics, before) {
                 (Some(m), Some(before)) => m.snapshot().delta_since(&before),
                 _ => baywatch_obs::MetricsSnapshot::default(),
             };
-            manifest
-                .dlq
-                .extend(dlq_hook(shard_id, inputs, &outputs, &shard_faults));
+            manifest.dlq.extend(dlq_hook(shard_id, inputs, &outputs));
             let checkpoint = ShardCheckpoint {
                 payload: encode(&outputs),
                 faults: shard_faults,
@@ -519,7 +546,6 @@ fn checkpoint_write(
 
 /// Folds a fault report's counters into the attached registry.
 fn record_fault_metrics(metrics: &MetricsRegistry, report: &FaultReport) {
-    metrics.counter("mapreduce.jobs").inc();
     metrics
         .counter("mapreduce.map.bisections")
         .add(report.map_bisections as u64);
@@ -1117,7 +1143,7 @@ mod tests {
                     }
                     Some(rows)
                 },
-                |_, _, _, _| Vec::new(),
+                |_, _, _| Vec::new(),
             )
             .expect("checkpoint I/O")
     }

@@ -41,7 +41,7 @@ use crate::fault::{FaultPlan, FaultReport};
 /// Version tag of the on-disk manifest schema. A manifest written by a
 /// different version is reported as version skew (fresh run + warning),
 /// never migrated in place.
-pub const MANIFEST_VERSION: u64 = 4;
+pub const MANIFEST_VERSION: u64 = 5;
 
 /// One dead-letter entry: a unit of work the engine quarantined, with the
 /// evidence to reproduce it offline.
@@ -50,10 +50,9 @@ pub struct DlqEntry {
     /// Stable identity of the failed unit (the `Debug` rendering of its
     /// key, matching the `FaultReport` sample convention).
     pub key: String,
-    /// Which shard the unit failed in.
+    /// Which shard the unit failed in; that shard's persisted
+    /// [`FaultReport`] holds the panic messages.
     pub shard: usize,
-    /// Bounded panic messages of the shard's quarantines.
-    pub samples: Vec<String>,
     /// Caller-encoded payload sufficient to re-run the unit (for the
     /// pipeline: the serialized activity summaries of the pair).
     pub payload: String,
@@ -181,27 +180,15 @@ fn write_dlq_entry(w: &mut JsonWriter, entry: &DlqEntry) {
     w.string(&entry.key);
     w.key("payload");
     w.string(&entry.payload);
-    w.key("samples");
-    w.raw("[");
-    for s in &entry.samples {
-        w.string(s);
-    }
-    w.raw("]");
-    w.end_value();
     w.key("shard");
     w.uint(entry.shard as u64);
     w.raw("}");
 }
 
 fn read_dlq_entry(doc: &JsonValue) -> Option<DlqEntry> {
-    let mut samples = Vec::new();
-    for s in doc.get("samples")?.as_array()? {
-        samples.push(s.as_str()?.to_string());
-    }
     Some(DlqEntry {
         key: doc.get("key")?.as_str()?.to_string(),
         shard: doc.get("shard")?.as_u64()? as usize,
-        samples,
         payload: doc.get("payload")?.as_str()?.to_string(),
     })
 }
@@ -643,7 +630,6 @@ mod tests {
         m.dlq.push(DlqEntry {
             key: "pair(\"h1\",\"c2.example\")".to_string(),
             shard: 2,
-            samples: vec!["boom".to_string()],
             payload: "{\"intervals\":[60,60]}".to_string(),
         });
         m
@@ -783,6 +769,9 @@ mod tests {
     /// What a version-3 build wrote: the per-pair `budget` block and a
     /// `reason` on every dead letter, here a budget cut.
     const V3_MANIFEST: &str = r#"{"budget":{"max_ops":800000},"dlq":[{"key":"\"slow\"","payload":"","reason":"budget_exhausted","samples":[],"shard":0}],"fingerprint":3735928559,"rng_seed":7,"shards":{"0":{"digest":42,"outputs":1}},"total_shards":3,"version":3}"#;
+    /// What a version-4 build wrote: every dead letter carried the first
+    /// panic messages of its whole shard, whichever pair they came from.
+    const V4_MANIFEST: &str = r#"{"dlq":[{"key":"\"bad\"","payload":"","samples":["boom","other pair's panic"],"shard":0}],"fingerprint":3735928559,"rng_seed":7,"shards":{"0":{"digest":42,"outputs":1}},"total_shards":3,"version":4}"#;
 
     #[test]
     fn version_1_manifest_starts_fresh_and_its_shards_still_restore() {
@@ -794,13 +783,16 @@ mod tests {
         let _ = fs::remove_dir_all(&dir);
         let store = CheckpointStore::create(&dir).unwrap();
         // Each old manifest reads as version skew, never as a resume: the
-        // v3 document holds every key a current manifest reads, so the
-        // version check is all that keeps its budget cut from resuming.
+        // v3 and v4 documents hold every key a current manifest reads, so
+        // the version check is all that keeps their shards — and the v4
+        // entries' misattributed panic samples — from resuming.
         assert!(RunManifest::from_json(V3_MANIFEST).is_some());
+        assert!(RunManifest::from_json(V4_MANIFEST).is_some());
         for (text, warning) in [
-            (V1_MANIFEST, "manifest version 1 != supported 4"),
-            (V2_MANIFEST, "manifest version 2 != supported 4"),
-            (V3_MANIFEST, "manifest version 3 != supported 4"),
+            (V1_MANIFEST, "manifest version 1 != supported 5"),
+            (V2_MANIFEST, "manifest version 2 != supported 5"),
+            (V3_MANIFEST, "manifest version 3 != supported 5"),
+            (V4_MANIFEST, "manifest version 4 != supported 5"),
         ] {
             fs::write(store.manifest_path(), text).unwrap();
             assert_eq!(

@@ -19,8 +19,10 @@
 //! phase shard-by-shard under `DIR/day_NN`, so an interrupted hunt loses
 //! at most one shard of work. Re-run with `--resume` to pick up where the
 //! interrupted run stopped (the resumed report is byte-identical to an
-//! uninterrupted one). Pairs the engine quarantined are listed in each
-//! day's manifest dead-letter queue with their summaries:
+//! uninterrupted one), and its `--json` export equals a plain run's. Pairs
+//! the engine quarantined are listed in each day's manifest dead-letter
+//! queue with their shard and summaries; the shard's persisted fault
+//! report holds the panic messages:
 //!
 //! ```text
 //! cargo run --release --example enterprise_hunt -- --checkpoint-dir /tmp/hunt
@@ -33,7 +35,7 @@
 //!
 //! Streaming mode (see DESIGN.md §12): `--stream` replaces the daily
 //! batch hunt with the incremental engine — bounded per-pair state,
-//! budget-driven eviction, per-tick funnel deltas — fed either from the
+//! budget-driven eviction, a funnel per tick — fed either from the
 //! infinite netsim long trace (default) or from newline-delimited
 //! `timestamp source domain [token]` shards on stdin (`--stream-stdin`):
 //!
@@ -240,8 +242,8 @@ fn main() {
 }
 
 /// Runs the streaming engine: continuous ingestion with bounded
-/// per-pair state under a global memory budget, per-tick funnel deltas,
-/// and a final window report equivalent to a batch run. Fed from the
+/// per-pair state under a global memory budget, a funnel per tick, and
+/// the finish tick's report as the final window's. Fed from the
 /// infinite netsim long trace by default, or from stdin shards
 /// (`--stream-stdin`, one `timestamp source domain [token]` per line).
 fn run_stream_scenario(args: &[String], emit_json: bool) {
@@ -364,7 +366,7 @@ fn run_stream_scenario(args: &[String], emit_json: bool) {
         ledger.is_balanced(),
         ledger.is_lossless(),
     );
-    // One batch re-analysis of the final window serves both printouts.
+    // The finish tick's report serves both printouts.
     let (report, snapshot) = hunt.final_report();
     println!("confirmed beacons at the final window:");
     for case in report.reported() {

@@ -92,7 +92,7 @@ fn word_count(
                     })
                     .collect()
             },
-            |_, _, _, _| Vec::new(),
+            |_, _, _| Vec::new(),
         )
         .unwrap();
     (outcome, metrics.snapshot().to_json())

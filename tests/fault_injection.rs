@@ -356,9 +356,8 @@ fn max_bins_bounds_slow_pairs_which_complete_and_preserve_the_rest() {
     }
 
     // Checkpointed: uninterrupted, and killed after one shard then
-    // resumed by a fresh engine, export the same bytes (one detection job
-    // per shard, so `mapreduce.jobs` differs from the plain export), and
-    // both report the plain window's funnel and ranking.
+    // resumed by a fresh engine, export the plain window's bytes and
+    // report its funnel and ranking.
     let base = std::env::temp_dir().join(format!("baywatch-max-bins-{}", std::process::id()));
     let checkpointed = |leaf: &str, abort_after_shards: Option<usize>, resume: bool| {
         let mut engine = engine(2);
@@ -379,6 +378,7 @@ fn max_bins_bounds_slow_pairs_which_complete_and_preserve_the_rest() {
     let resumed_outcome = resumed.checkpoint.unwrap();
     assert_eq!(resumed_outcome.resumed_shards, 1);
     assert!(resumed_outcome.total_shards >= 3, "want a multi-shard plan");
+    assert_eq!(whole_json, json);
     assert_eq!(resumed_json, whole_json);
     assert_eq!(whole.checkpoint.unwrap().dlq_entries, 0);
     for run in [&whole, &resumed] {

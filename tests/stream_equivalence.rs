@@ -3,23 +3,23 @@
 //!
 //! The contract under test: a [`StreamingHunt`] in lossless mode, fed a
 //! whole trace, must end in exactly the state a batch [`Baywatch`] run
-//! over the final window would compute — byte-identical `export_json`,
-//! identical confirmed-beacon sets — and the per-tick funnel deltas must
-//! telescope exactly to the batch funnel totals. Chunk boundaries and
-//! intra-tick arrival order must be invisible.
+//! over the final window would compute — its own final report, exported
+//! under the batch run's metrics snapshot, is byte-identical to the batch
+//! export, with identical confirmed-beacon sets and funnel levels. Chunk
+//! boundaries and intra-tick arrival order must be invisible.
 //!
 //! [`StreamingHunt`]: baywatch::core::stream::StreamingHunt
 //! [`Baywatch`]: baywatch::core::pipeline::Baywatch
 
 use std::sync::Arc;
 
-use baywatch::core::pipeline::{Baywatch, BaywatchConfig};
+use baywatch::core::pipeline::{AnalysisReport, Baywatch, BaywatchConfig, FilterStats};
 use baywatch::core::record::LogRecord;
 use baywatch::core::report::export_json;
 use baywatch::core::stream::{StreamConfig, StreamingHunt, TickReport};
 use baywatch::core::ScheduleSpec;
 use baywatch::netsim::longtrace::{LongTraceConfig, LongTraceGenerator};
-use baywatch::obs::ManualClock;
+use baywatch::obs::{ManualClock, MetricsSnapshot};
 use baywatch::record_from_event;
 use baywatch::stats::rng::Rng;
 
@@ -72,8 +72,9 @@ fn stream_chunks(chunks: Vec<Vec<LogRecord>>) -> (StreamingHunt, Vec<TickReport>
     (hunt, reports)
 }
 
-/// The batch pipeline over the records inside the final window.
-fn batch_on_final_window(records: &[LogRecord]) -> (String, Vec<String>, [i64; 8]) {
+/// The batch pipeline over the records inside the final window, with the
+/// engine's metrics snapshot.
+fn batch_on_final_window(records: &[LogRecord]) -> (AnalysisReport, MetricsSnapshot) {
     let schedule = ScheduleSpec::new(TICK_SECONDS, WINDOW_TICKS).expect("valid schedule");
     let final_tick = TICKS - 1;
     let window: Vec<LogRecord> = records
@@ -83,23 +84,30 @@ fn batch_on_final_window(records: &[LogRecord]) -> (String, Vec<String>, [i64; 8
         .collect();
     let mut engine = Baywatch::with_clock(pipeline_config(), Arc::new(ManualClock::new()));
     let report = engine.analyze(window);
-    let export = export_json(&report, &engine.metrics_snapshot(), TOP_K);
-    let confirmed: Vec<String> = report
+    (report, engine.metrics_snapshot())
+}
+
+/// A report's confirmed beacons, as `source→destination`.
+fn confirmed(report: &AnalysisReport) -> Vec<String> {
+    report
         .reported()
         .iter()
         .map(|c| format!("{}→{}", c.case.pair.source, c.case.pair.destination))
-        .collect();
-    let funnel = [
-        report.stats.events as i64,
-        report.stats.pairs as i64,
-        report.stats.after_global_whitelist as i64,
-        report.stats.after_local_whitelist as i64,
-        report.stats.periodic as i64,
-        report.stats.after_token_filter as i64,
-        report.stats.after_novelty as i64,
-        report.stats.reported as i64,
-    ];
-    (export, confirmed, funnel)
+        .collect()
+}
+
+/// The eight funnel levels a tick and a batch window share.
+fn levels(stats: &FilterStats) -> [usize; 8] {
+    [
+        stats.events,
+        stats.pairs,
+        stats.after_global_whitelist,
+        stats.after_local_whitelist,
+        stats.periodic,
+        stats.after_token_filter,
+        stats.after_novelty,
+        stats.reported,
+    ]
 }
 
 #[test]
@@ -112,19 +120,18 @@ fn streaming_final_export_is_byte_identical_to_batch() {
         hunt.ledger()
     );
 
-    let (batch_export, batch_confirmed, _) = batch_on_final_window(&records);
-    let stream_export = hunt.final_export(TOP_K);
+    // Both reports go through one export under the batch engine's
+    // snapshot, so every funnel, fault and case byte is compared.
+    let (batch, batch_snapshot) = batch_on_final_window(&records);
+    let (stream, _) = hunt.final_report();
     assert_eq!(
-        stream_export, batch_export,
-        "streaming export deviates from the batch pipeline on the final window"
+        export_json(&stream, &batch_snapshot, TOP_K),
+        export_json(&batch, &batch_snapshot, TOP_K),
+        "streaming report deviates from the batch pipeline on the final window"
     );
 
-    let stream_confirmed: Vec<String> = hunt
-        .confirmed_pairs()
-        .iter()
-        .map(|p| format!("{}→{}", p.source, p.destination))
-        .collect();
-    assert_eq!(stream_confirmed, batch_confirmed);
+    let stream_confirmed = confirmed(&stream);
+    assert_eq!(stream_confirmed, confirmed(&batch));
     assert!(
         !stream_confirmed.is_empty(),
         "the trace carries persistent beacons; something must be confirmed"
@@ -193,34 +200,15 @@ fn chunk_boundaries_and_intra_tick_order_are_invisible() {
 }
 
 #[test]
-fn per_tick_deltas_telescope_to_the_batch_funnel() {
+fn final_tick_levels_match_the_batch_funnel() {
     let records = trace(44);
     let (hunt, reports) = stream_chunks(vec![records.clone()]);
     assert!(hunt.ledger().is_lossless());
 
-    let mut acc = [0i64; 8];
-    for report in &reports {
-        report.delta.accumulate(&mut acc);
-    }
-    let (_, _, batch_funnel) = batch_on_final_window(&records);
-    assert_eq!(
-        acc, batch_funnel,
-        "summed per-tick deltas must telescope exactly to the batch funnel"
-    );
-
-    // And the last tick's absolute levels agree with the batch, too.
+    let (batch, _) = batch_on_final_window(&records);
     let last = reports.last().expect("at least one tick closed");
-    let levels = [
-        last.stats.events as i64,
-        last.stats.pairs as i64,
-        last.stats.after_global_whitelist as i64,
-        last.stats.after_local_whitelist as i64,
-        last.stats.periodic as i64,
-        last.stats.after_token_filter as i64,
-        last.stats.after_novelty as i64,
-        last.stats.reported as i64,
-    ];
-    assert_eq!(levels, batch_funnel);
+    assert_eq!(levels(&last.stats), levels(&batch.stats));
+    assert_eq!(hunt.final_report().0.stats, last.stats);
 }
 
 /// The one comparison the suites above never make: a batch engine that
@@ -268,4 +256,6 @@ fn committed_reports_match_a_batch_engine_with_memory() {
             b.stats.reported
         )
     );
+    // The final report honours the committed pairs as the tick did.
+    assert_eq!(hunt.final_report().0.ranked, b.ranked);
 }

@@ -4,8 +4,8 @@
 //! For random long-trace seeds, random chunk sizes, and random
 //! intra-tick shuffles, a lossless [`StreamingHunt`] must be a pure
 //! function of the trace content: identical `export_json` bytes and
-//! ledgers however the trace is split, and byte-identical to the batch
-//! pipeline on the final window.
+//! ledgers however the trace is split, and a final report byte-identical
+//! to the batch pipeline's on the final window.
 //!
 //! [`StreamingHunt`]: baywatch::core::stream::StreamingHunt
 
@@ -52,14 +52,20 @@ fn trace(seed: u64) -> Vec<LogRecord> {
     .collect()
 }
 
-/// Streams the records in `chunk`-sized pieces and returns the final
-/// export plus the ledger debug form.
-fn stream_in_chunks(records: &[LogRecord], chunk: usize) -> (String, String) {
+/// Streams the records in `chunk`-sized pieces to the end.
+fn stream(records: &[LogRecord], chunk: usize) -> StreamingHunt {
     let mut hunt = StreamingHunt::new(stream_config()).expect("valid stream config");
     for piece in records.chunks(chunk.max(1)) {
         hunt.ingest(piece);
     }
     hunt.finish();
+    hunt
+}
+
+/// Streams the records in `chunk`-sized pieces and returns the final
+/// export plus the ledger debug form.
+fn stream_in_chunks(records: &[LogRecord], chunk: usize) -> (String, String) {
+    let hunt = stream(records, chunk);
     (hunt.final_export(TOP_K), format!("{:?}", hunt.ledger()))
 }
 
@@ -102,13 +108,14 @@ fn chunked_and_shuffled_streams_are_identical() {
     });
 }
 
-/// The streaming final export is byte-identical to the batch
-/// pipeline run over the final window of the same trace.
+/// The stream's final report, exported under the batch engine's metrics
+/// snapshot, is byte-identical to the batch pipeline run over the final
+/// window of the same trace.
 #[test]
 fn streaming_always_matches_batch_on_final_window() {
     forall(6, 2, |rng| {
         let records = trace(rng.random_range(0u64..1_000));
-        let (stream_export, _) = stream_in_chunks(&records, 13);
+        let (stream_report, _) = stream(&records, 13).final_report();
 
         let schedule = ScheduleSpec::new(TICK_SECONDS, WINDOW_TICKS).expect("valid schedule");
         let window: Vec<LogRecord> = records
@@ -118,7 +125,10 @@ fn streaming_always_matches_batch_on_final_window() {
             .collect();
         let mut engine = Baywatch::with_clock(pipeline_config(), Arc::new(ManualClock::new()));
         let report = engine.analyze(window);
-        let batch_export = export_json(&report, &engine.metrics_snapshot(), TOP_K);
-        assert_eq!(stream_export, batch_export);
+        let snapshot = engine.metrics_snapshot();
+        assert_eq!(
+            export_json(&stream_report, &snapshot, TOP_K),
+            export_json(&report, &snapshot, TOP_K)
+        );
     });
 }
