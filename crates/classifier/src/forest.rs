@@ -188,15 +188,6 @@ impl RandomForest {
         }
         acc
     }
-
-    /// Ranks case indices by descending uncertainty (most uncertain first) —
-    /// the order in which the paper's analysts examine residual cases.
-    pub fn rank_by_uncertainty(&self, cases: &[Vec<f64>]) -> Vec<usize> {
-        let mut order: Vec<usize> = (0..cases.len()).collect();
-        let u: Vec<f64> = cases.iter().map(|x| self.uncertainty(x)).collect();
-        order.sort_by(|&a, &b| u[b].total_cmp(&u[a]).then(a.cmp(&b)));
-        order
-    }
 }
 
 #[cfg(test)]
@@ -266,19 +257,6 @@ mod tests {
         let boundary = rf.uncertainty(&[50.0, 1.0, 1.0]);
         let deep = rf.uncertainty(&[95.0, 1.0, 1.0]);
         assert!(boundary >= deep);
-    }
-
-    #[test]
-    fn rank_by_uncertainty_orders_descending() {
-        let (xs, ys) = linear_data(200);
-        let rf = RandomForest::fit(&xs, &ys, &small_forest()).unwrap();
-        let cases: Vec<Vec<f64>> = (0..20).map(|i| vec![i as f64 * 5.0, 1.0, 1.0]).collect();
-        let order = rf.rank_by_uncertainty(&cases);
-        let us: Vec<f64> = order.iter().map(|&i| rf.uncertainty(&cases[i])).collect();
-        for w in us.windows(2) {
-            assert!(w[0] >= w[1]);
-        }
-        assert_eq!(order.len(), 20);
     }
 
     #[test]

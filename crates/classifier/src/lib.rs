@@ -11,7 +11,7 @@
 //!   score, popularity),
 //! * [`tree`] / [`forest`] — from-scratch CART decision trees and the
 //!   200-tree random-forest ensemble with out-of-bag estimates and
-//!   uncertainty ranking,
+//!   per-case uncertainty (the triage order is `core::investigate`'s),
 //! * [`compress`] — an LZ77 + Huffman compressor standing in for gzip in
 //!   the compressibility feature (see DESIGN.md for the substitution).
 //!

@@ -196,7 +196,7 @@ impl Investigator {
         CaseVerdict {
             malicious: probability >= 0.5,
             probability,
-            uncertainty: 1.0 - (2.0 * probability - 1.0).abs(),
+            uncertainty: self.forest.uncertainty(&x),
         }
     }
 

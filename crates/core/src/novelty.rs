@@ -78,11 +78,6 @@ impl NoveltyStore {
             .is_some_and(|sources| sources.contains(&pair.source))
     }
 
-    /// Whether a destination has been reported before (read-only).
-    pub fn destination_known(&self, destination: &str) -> bool {
-        self.reported.contains_key(destination)
-    }
-
     /// Number of distinct destinations ever reported.
     pub fn known_destinations(&self) -> usize {
         self.reported.len()
@@ -107,7 +102,6 @@ mod tests {
     fn first_sighting_is_new_destination() {
         let mut store = NoveltyStore::new();
         assert_eq!(store.observe(&pair("a", "x.com")), Novelty::NewDestination);
-        assert!(store.destination_known("x.com"));
         assert_eq!(store.known_destinations(), 1);
     }
 

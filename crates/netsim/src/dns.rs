@@ -84,18 +84,6 @@ pub fn aggregate_behind_resolver(
     out
 }
 
-/// Produces the per-client (non-aggregated) DNS events for a schedule.
-pub fn client_events(client: HostId, schedule: &[u64], qname: &str) -> Vec<DnsEvent> {
-    schedule
-        .iter()
-        .map(|&t| DnsEvent {
-            timestamp: t,
-            client,
-            qname: qname.to_owned(),
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -153,12 +141,5 @@ mod tests {
         let logged = cache_filter(&requests, 300);
         let intervals: Vec<u64> = logged.windows(2).map(|w| w[1] - w[0]).collect();
         assert!(intervals.iter().all(|&i| i == 300));
-    }
-
-    #[test]
-    fn client_events_shape() {
-        let ev = client_events(HostId(5), &[10, 20], "x.com");
-        assert_eq!(ev.len(), 2);
-        assert_eq!(ev[0].client, HostId(5));
     }
 }

@@ -163,22 +163,6 @@ impl JsonValue {
         }
     }
 
-    /// The number token parsed as `i64`, if it is one.
-    pub fn as_i64(&self) -> Option<i64> {
-        match self {
-            JsonValue::Number(raw) => raw.parse().ok(),
-            _ => None,
-        }
-    }
-
-    /// The number token parsed as `f64`, if it is one.
-    pub fn as_f64(&self) -> Option<f64> {
-        match self {
-            JsonValue::Number(raw) => raw.parse().ok(),
-            _ => None,
-        }
-    }
-
     /// The bool payload, if this is a bool.
     pub fn as_bool(&self) -> Option<bool> {
         match self {
@@ -581,8 +565,9 @@ mod tests {
         );
         let items = doc.get("items").and_then(JsonValue::as_array).unwrap();
         assert_eq!(items[0].as_u64(), Some(1));
-        assert_eq!(items[1].as_i64(), Some(-2));
-        assert_eq!(items[2].as_f64(), Some(1.5));
+        // The parser keeps a number's token as written.
+        assert_eq!(items[1], JsonValue::Number("-2".to_string()));
+        assert_eq!(items[2], JsonValue::Number("1.500".to_string()));
         assert_eq!(doc.get("none"), Some(&JsonValue::Null));
     }
 

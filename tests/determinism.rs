@@ -16,6 +16,7 @@ use baywatch::core::stream::{StreamConfig, StreamingHunt};
 use baywatch::core::ScheduleSpec;
 use baywatch::mapreduce::JobConfig;
 use baywatch::netsim::longtrace::{LongTraceConfig, LongTraceGenerator};
+use baywatch::netsim::synth::{multi_period_burst, SyntheticBeacon};
 use baywatch::record_from_event;
 use baywatch::timeseries::detector::{DetectorConfig, PeriodicityDetector};
 use baywatch::timeseries::workspace::SpectralWorkspace;
@@ -210,9 +211,46 @@ fn analyze_is_deterministic_across_partition_counts() {
     }
 }
 
+/// The detector corpus: for each of five periods, three seeds of a clean
+/// beacon and of a jittered, lossy, noisy one, plus four Conficker-style
+/// two-scale bursts. Periods repeat across seeds, so a workspace that runs
+/// it sees both cold plan builds and warm hits.
+fn detector_corpus() -> Vec<Vec<u64>> {
+    let mut pairs = Vec::new();
+    for (i, period) in [30.0, 60.0, 120.0, 300.0, 600.0].into_iter().enumerate() {
+        for seed in 0..3u64 {
+            pairs.push(
+                SyntheticBeacon {
+                    period,
+                    count: 240,
+                    ..Default::default()
+                }
+                .generate(1 + seed),
+            );
+            pairs.push(
+                SyntheticBeacon {
+                    period,
+                    gaussian_sigma: period * 0.05,
+                    p_miss: 0.2,
+                    add_rate: 0.1,
+                    count: 300,
+                    ..Default::default()
+                }
+                .generate(100 + 10 * i as u64 + seed),
+            );
+        }
+    }
+    for seed in 0..4 {
+        pairs.push(multi_period_burst(0, 20, 16, 7.5, 600.0, 0.4, seed));
+    }
+    pairs
+}
+
 /// A detection report must not depend on which thread (with whatever
 /// already-grown buffers) runs it: cold workspace, warm workspace and
-/// foreign-thread workspace all agree bit-for-bit.
+/// foreign-thread workspace all agree bit-for-bit. The workspace is warmed
+/// on the detector corpus, whose verdicts are pinned exactly and whose
+/// second pass must find every plan built.
 #[test]
 fn detection_report_is_workspace_independent() {
     let timestamps: Vec<u64> = (0..150u64).map(|i| 1_000_000 + i * 83).collect();
@@ -223,9 +261,37 @@ fn detection_report_is_workspace_independent() {
         .unwrap();
 
     let warm_ws = SpectralWorkspace::new();
-    // Grow the buffers on unrelated lengths first.
-    let other: Vec<u64> = (0..80u64).map(|i| i * 61).collect();
-    detector.detect_in(&warm_ws, &other).unwrap();
+    let corpus = detector_corpus();
+    let pass = || -> Vec<_> {
+        corpus
+            .iter()
+            .map(|ts| detector.detect_in(&warm_ws, ts))
+            .collect()
+    };
+    let first = pass();
+    let plans_built = warm_ws.plans_built();
+    assert_eq!(pass(), first, "a second pass changed a verdict");
+    assert_eq!(
+        warm_ws.plans_built(),
+        plans_built,
+        "a second pass on the same workspace built a plan"
+    );
+    let reports: Vec<_> = first.iter().filter_map(|r| r.as_ref().ok()).collect();
+    assert_eq!(
+        (reports.len(), first.len() - reports.len()),
+        (34, 0),
+        "detections ok, err"
+    );
+    assert_eq!(reports.iter().filter(|r| r.is_periodic()).count(), 34);
+    // Σ round(1000 · best period) over the corpus: flips if any verdict's
+    // period moves by a millisecond.
+    let period_checksum: u64 = reports
+        .iter()
+        .filter_map(|r| r.best())
+        .map(|best| (best.period * 1000.0).round() as u64)
+        .sum();
+    assert_eq!(period_checksum, 8_523_307);
+
     let warm = detector.detect_in(&warm_ws, &timestamps).unwrap();
 
     let foreign = std::thread::spawn({

@@ -368,19 +368,30 @@ fn max_bins_bounds_slow_pairs_which_complete_and_preserve_the_rest() {
             ..CheckpointSpec::new(base.join(leaf))
         };
         let report = engine.analyze_checkpointed(full.clone(), &spec).unwrap();
-        let json = export_json(&report, &engine.metrics_snapshot(), 20);
-        (report, json)
+        let snapshot = engine.metrics_snapshot();
+        let json = export_json(&report, &snapshot, 20);
+        (report, json, snapshot.operational)
     };
-    let (whole, whole_json) = checkpointed("whole", None, false);
-    let (killed, _) = checkpointed("killed", Some(1), false);
+    let (whole, whole_json, whole_ops) = checkpointed("whole", None, false);
+    let (killed, _, _) = checkpointed("killed", Some(1), false);
     assert!(killed.checkpoint.unwrap().interrupted);
-    let (resumed, resumed_json) = checkpointed("killed", None, true);
+    let (resumed, resumed_json, _) = checkpointed("killed", None, true);
     let resumed_outcome = resumed.checkpoint.unwrap();
     assert_eq!(resumed_outcome.resumed_shards, 1);
     assert!(resumed_outcome.total_shards >= 3, "want a multi-shard plan");
     assert_eq!(whole_json, json);
     assert_eq!(resumed_json, whole_json);
-    assert_eq!(whole.checkpoint.unwrap().dlq_entries, 0);
+    // The uninterrupted run writes each shard once and the manifest once
+    // per shard, and quarantines nothing.
+    let whole_outcome = whole.checkpoint.unwrap();
+    assert_eq!(whole_outcome.total_shards, 4);
+    for written in ["checkpoint.shards_written", "checkpoint.manifest_writes"] {
+        assert_eq!(
+            whole_ops[written], whole_outcome.total_shards as u64,
+            "{written}"
+        );
+    }
+    assert_eq!(whole_outcome.dlq_entries, 0);
     for run in [&whole, &resumed] {
         assert_eq!(run.stats, report.stats);
         assert_eq!(run.ranked, report.ranked);

@@ -2,7 +2,8 @@
 //! [`longtrace`] feed under a deliberately tight memory budget, asserting
 //! on every closed tick that resident state stays under the budget and
 //! that the event/pair ledger balances exactly — plus a committed golden
-//! snapshot of the per-tick streaming funnel.
+//! snapshot of the per-tick streaming funnel, and exact ledger and
+//! verdict-cache counts of a seeded run that sheds under its budget.
 //!
 //! The soak length defaults to a few seconds so the default test profile
 //! stays fast; CI sets `BAYWATCH_SOAK_SECS=120` for the full two-minute
@@ -185,14 +186,13 @@ fn funnel_export(reports: &[TickReport], hunt: &StreamingHunt) -> String {
     out
 }
 
-/// Runs the fixed 12-tick streaming window under a moderate budget and
-/// returns the deterministic funnel export.
-fn golden_run() -> String {
-    const TICKS: u64 = 12;
-    let generator = generator(7);
-    let mut hunt = StreamingHunt::new(stream_config(256 * 1024)).expect("valid stream config");
+/// Feeds `ticks` ticks of the seeded long trace under `budget` bytes,
+/// then finishes the stream; returns every closed tick and the engine.
+fn seeded_run(seed: u64, ticks: u64, budget: u64) -> (Vec<TickReport>, StreamingHunt) {
+    let generator = generator(seed);
+    let mut hunt = StreamingHunt::new(stream_config(budget)).expect("valid stream config");
     let mut reports = Vec::new();
-    for tick in 0..TICKS {
+    for tick in 0..ticks {
         let records: Vec<_> = generator
             .tick_events(tick)
             .iter()
@@ -201,6 +201,13 @@ fn golden_run() -> String {
         reports.extend(hunt.ingest(&records));
     }
     reports.extend(hunt.finish());
+    (reports, hunt)
+}
+
+/// Runs the fixed 12-tick streaming window under a moderate budget and
+/// returns the deterministic funnel export.
+fn golden_run() -> String {
+    let (reports, hunt) = seeded_run(7, 12, 256 * 1024);
     funnel_export(&reports, &hunt)
 }
 
@@ -231,4 +238,37 @@ fn streaming_funnel_golden_snapshot() {
          BAYWATCH_BLESS=1 cargo test --test stream_soak",
         path.display()
     );
+}
+
+/// A 24-tick run under half the golden's budget: the working set does not
+/// fit, so admission sheds and pairs are evicted and readmitted (the
+/// golden run sheds nothing). Its ledger and verdict-cache counts are a
+/// function of the seeded trace and are pinned exactly.
+#[test]
+fn tight_budget_ledger_and_verdict_cache_are_pinned() {
+    let (reports, hunt) = seeded_run(21, 24, 128 * 1024);
+    let ledger = *hunt.ledger();
+    assert!(ledger.is_balanced(), "final ledger: {ledger:?}");
+    assert_eq!(reports.len(), 24, "ticks closed");
+    assert_eq!(
+        (
+            ledger.events_offered,
+            ledger.events_admitted,
+            ledger.pairs_admitted,
+            ledger.pairs_evicted,
+            ledger.pairs_readmitted,
+        ),
+        (3_228, 1_748, 642, 572, 58),
+        "events offered, admitted; pairs admitted, evicted, readmitted"
+    );
+    let (report, snapshot) = hunt.final_report();
+    assert_eq!(
+        (
+            snapshot.counters["stream.detect.runs"],
+            snapshot.counters["stream.detect.cached"],
+        ),
+        (311, 232),
+        "detector runs, verdicts served from the cache"
+    );
+    assert_eq!(report.reported().len(), 1, "confirmed");
 }
