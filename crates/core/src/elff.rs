@@ -71,11 +71,6 @@ impl ElffParser {
         self.roles = Some(fields.split_whitespace().map(role_of).collect());
     }
 
-    /// Whether a `#Fields:` directive has been seen.
-    pub fn has_schema(&self) -> bool {
-        self.roles.is_some()
-    }
-
     /// Parses one data line (already known to be non-blank and not a
     /// directive) under the current schema.
     ///
@@ -412,13 +407,11 @@ mod tests {
     #[test]
     fn incremental_parser_matches_streaming_reader() {
         let mut parser = ElffParser::new();
-        assert!(!parser.has_schema());
         let err = parser
             .parse_data_line("1000 10.0.0.1 a.com", 1)
             .unwrap_err();
         assert!(err.reason.contains("#Fields"));
         parser.set_schema(" x-timestamp c-ip cs-host");
-        assert!(parser.has_schema());
         let r = parser.parse_data_line("1000 10.0.0.1 a.com", 2).unwrap();
         assert_eq!(r.timestamp, 1000);
         assert_eq!(r.domain, "a.com");

@@ -29,7 +29,7 @@ pub(crate) type Hits = Vec<(ActivitySummary, Vec<CandidatePeriod>)>;
 #[derive(Debug)]
 pub(crate) struct Funnel {
     pub(crate) scorer: DomainScorer,
-    pub(crate) global_whitelist: GlobalWhitelist,
+    global_whitelist: GlobalWhitelist,
     local_whitelist: LocalWhitelist,
     token_filter: TokenFilter,
     rank: RankConfig,

@@ -11,10 +11,9 @@
 //!   `String` and a pair is owned once, in the reducer,
 //! * **Rescaling & merging** (§VII-B), [`rescale_and_merge`]: coarsen
 //!   summaries and merge per-pair histories,
-//! * **Beaconing detection** (§VII-D), [`detect_beaconing`] and its
-//!   durable form [`detect_beaconing_checkpointed`]: run the periodicity
-//!   detector per pair in the reduce step; summaries are shuffled by
-//!   reference and cloned only into a [`DetectRow::Hit`], the paper's
+//! * **Beaconing detection** (§VII-D), [`detect_beaconing`]: run the
+//!   periodicity detector per pair in the reduce step; summaries are
+//!   shuffled by reference and cloned only into a hit, the paper's
 //!   `⟨AS, CP⟩` record.
 //!
 //! (Destination popularity, §VII-C, is a pass in [`crate::popularity`], not
@@ -28,11 +27,7 @@
 //! outside the harness), and returns its [`FaultReport`] so the caller can
 //! record what was dropped.
 
-use std::collections::{BTreeMap, BTreeSet};
-
-use baywatch_mapreduce::{
-    CheckpointedRun, DlqEntry, FaultPlan, FaultReport, MapReduce, ShardedOutcome,
-};
+use baywatch_mapreduce::{FaultPlan, FaultReport, MapReduce};
 use baywatch_timeseries::detector::PeriodicityDetector;
 use baywatch_timeseries::CandidatePeriod;
 
@@ -166,75 +161,14 @@ pub(crate) fn detect_verdict(detector: &PeriodicityDetector, timestamps: &[u64])
     }
 }
 
-/// One output row of the detection jobs.
-#[derive(Debug, Clone, PartialEq)]
-pub enum DetectRow {
-    /// A pair with at least one verified candidate period: the paper's
-    /// `⟨AS, CP⟩` — the activity summary and its candidate periods.
-    Hit((ActivitySummary, Vec<CandidatePeriod>)),
-    /// A pair whose detection completed with no verified period. Emitted so
-    /// checkpointed runs can tell "analyzed, found quiet" apart from "never
-    /// finished" — a pair with *no* row at all was quarantined by the
-    /// engine and belongs in the dead-letter queue.
-    Quiet(CommunicationPair),
-}
-
-impl DetectRow {
-    /// The communication pair this row is about.
-    pub fn pair(&self) -> &CommunicationPair {
-        match self {
-            DetectRow::Hit((summary, _)) => &summary.pair,
-            DetectRow::Quiet(pair) => pair,
-        }
-    }
-}
-
-/// Detection map step, shared by [`detect_beaconing`] and
-/// [`detect_beaconing_checkpointed`]: key each summary by its pair.
-fn detect_map<'a>(
-    plan: Option<&FaultPlan>,
-    summary: &'a ActivitySummary,
-    emit: &mut dyn FnMut(&'a CommunicationPair, &'a ActivitySummary),
-) {
-    if let Some(plan) = plan {
-        plan.map_checkpoint(&summary.pair);
-    }
-    emit(&summary.pair, summary);
-}
-
-/// Detection reduce step, shared like [`detect_map`]: run every summary of
-/// one pair's group.
-fn detect_group(
-    detector: &PeriodicityDetector,
-    plan: Option<&FaultPlan>,
-    pair: &CommunicationPair,
-    group: &[&ActivitySummary],
-) -> Vec<DetectRow> {
-    if let Some(plan) = plan {
-        plan.reduce_checkpoint(pair);
-    }
-    // A group holds every summary keyed to one pair (several when upstream
-    // produced per-window summaries of the same pair).
-    let mut out = Vec::new();
-    for summary in group {
-        if let Verdict::Periodic(candidates) = detect_verdict(detector, &summary.timestamps()) {
-            out.push(DetectRow::Hit(((*summary).clone(), candidates)));
-        }
-    }
-    if out.is_empty() {
-        out.push(DetectRow::Quiet(pair.clone()));
-    }
-    out
-}
-
 /// Beaconing-detection job: runs the periodicity detector on each summary
-/// in parallel and yields one or more [`DetectRow`]s per pair — a
-/// [`DetectRow::Hit`] carries the paper's `⟨AS, CP⟩` output.
+/// in parallel and yields one hit per verified-periodic summary — the
+/// paper's `⟨AS, CP⟩`: the activity summary and its candidate periods.
 ///
 /// A pair's work is bounded by its series length, which
 /// [`DetectorConfig::max_bins`](baywatch_timeseries::DetectorConfig::max_bins)
 /// caps. A pair whose detection panics costs that pair, not the window:
-/// it is counted in the [`FaultReport`] and has no row at all.
+/// it is counted in the [`FaultReport`] and yields no hit.
 ///
 /// The reduce phase runs on at most `engine`'s
 /// [`JobConfig::threads`](baywatch_mapreduce::JobConfig::threads) workers,
@@ -250,76 +184,38 @@ pub fn detect_beaconing(
     summaries: &[ActivitySummary],
     detector: &PeriodicityDetector,
     plan: Option<&FaultPlan>,
-) -> (Vec<DetectRow>, FaultReport) {
+) -> (Vec<(ActivitySummary, Vec<CandidatePeriod>)>, FaultReport) {
     engine.run(
         summaries,
-        |summary, emit| detect_map(plan, summary, emit),
-        |pair, group| detect_group(detector, plan, pair, group),
+        |summary, emit| {
+            if let Some(plan) = plan {
+                plan.map_checkpoint(&summary.pair);
+            }
+            emit(&summary.pair, summary);
+        },
+        |pair, group: &[&ActivitySummary]| {
+            if let Some(plan) = plan {
+                plan.reduce_checkpoint(pair);
+            }
+            // A group holds every summary keyed to one pair (several when
+            // upstream produced per-window summaries of the same pair).
+            let mut hits = Vec::new();
+            for summary in group {
+                if let Verdict::Periodic(candidates) =
+                    detect_verdict(detector, &summary.timestamps())
+                {
+                    hits.push(((*summary).clone(), candidates));
+                }
+            }
+            hits
+        },
     )
-}
-
-/// Checkpointed beaconing detection: [`detect_beaconing`] run
-/// shard-by-shard through [`MapReduce::run_sharded_checkpointed`],
-/// persisting each completed shard (rows, fault report, metric deltas) to
-/// `run`'s [`CheckpointStore`](baywatch_mapreduce::CheckpointStore) and
-/// recording each input pair of a shard that produced no row at all (its
-/// reducer panicked and the engine quarantined it) as a dead-letter-queue
-/// entry.
-///
-/// # Errors
-///
-/// Propagates checkpoint-store I/O errors from
-/// [`MapReduce::run_sharded_checkpointed`].
-pub fn detect_beaconing_checkpointed(
-    engine: &MapReduce,
-    shards: &[Vec<ActivitySummary>],
-    detector: &PeriodicityDetector,
-    plan: Option<&FaultPlan>,
-    run: &CheckpointedRun<'_>,
-) -> std::io::Result<ShardedOutcome<DetectRow>> {
-    engine.run_sharded_checkpointed(
-        shards,
-        run,
-        |summary, emit| detect_map(plan, summary, emit),
-        |pair, group| detect_group(detector, plan, pair, group),
-        crate::checkpoint::encode_rows,
-        crate::checkpoint::decode_rows,
-        dlq_entries_for_shard,
-    )
-}
-
-/// A completed shard's quarantined pairs as DLQ entries (see
-/// [`detect_beaconing_checkpointed`]). Entries carry the pair's summaries
-/// as a payload, the evidence to reproduce the poison pair offline.
-fn dlq_entries_for_shard(
-    shard_id: usize,
-    inputs: &[ActivitySummary],
-    outputs: &[DetectRow],
-) -> Vec<DlqEntry> {
-    let completed: BTreeSet<&CommunicationPair> = outputs.iter().map(DetectRow::pair).collect();
-    let mut by_pair: BTreeMap<&CommunicationPair, Vec<ActivitySummary>> = BTreeMap::new();
-    for summary in inputs {
-        if !completed.contains(&summary.pair) {
-            by_pair
-                .entry(&summary.pair)
-                .or_default()
-                .push(summary.clone());
-        }
-    }
-    by_pair
-        .into_iter()
-        .map(|(pair, summaries)| DlqEntry {
-            key: format!("{pair:?}"),
-            shard: shard_id,
-            payload: crate::checkpoint::encode_summaries(&summaries),
-        })
-        .collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use baywatch_mapreduce::{partition_of, CheckpointStore, JobConfig};
+    use baywatch_mapreduce::{partition_of, JobConfig};
     use baywatch_stats::rng::{forall, Rng};
     use baywatch_timeseries::detector::DetectorConfig;
 
@@ -350,15 +246,7 @@ mod tests {
         plan: Option<&FaultPlan>,
     ) -> (crate::funnel::Hits, FaultReport) {
         let detector = PeriodicityDetector::new(DetectorConfig::default());
-        let (rows, report) = detect_beaconing(&engine(), summaries, &detector, plan);
-        let hits = rows
-            .into_iter()
-            .filter_map(|row| match row {
-                DetectRow::Hit(hit) => Some(hit),
-                DetectRow::Quiet(_) => None,
-            })
-            .collect();
-        (hits, report)
+        detect_beaconing(&engine(), summaries, &detector, plan)
     }
 
     #[test]
@@ -571,20 +459,19 @@ mod tests {
                 .map(|&t| LogRecord::new(t, "h", "d.test", "a1b2c3"))
                 .collect();
             let summary = ActivitySummary::from_records(&records, 1).unwrap();
-            let (rows, faults) = detect_beaconing(
+            let (hits, faults) = detect_beaconing(
                 &MapReduce::default(),
                 std::slice::from_ref(&summary),
                 &detector,
                 None,
             );
             assert!(faults.is_clean());
-            assert_eq!(rows.len(), 1);
 
-            match (direct, &rows[0]) {
-                (Verdict::Periodic(candidates), DetectRow::Hit(hit)) if expect_periodic => {
+            match (direct, hits.as_slice()) {
+                (Verdict::Periodic(candidates), [hit]) if expect_periodic => {
                     assert_eq!(*hit, (summary, candidates));
                 }
-                (Verdict::Quiet, DetectRow::Quiet(_)) if !expect_periodic => {}
+                (Verdict::Quiet, []) if !expect_periodic => {}
                 other => panic!("callers disagree or verdict unexpected: {other:?}"),
             }
         }
@@ -675,80 +562,5 @@ mod tests {
         assert_eq!(hits.len(), 1);
         assert_eq!(hits[0].0.pair.destination, "evil.com");
         assert_eq!(report.quarantined_keys, 1);
-    }
-
-    /// Rows of an unplanned detection run.
-    fn plain_rows(summaries: &[ActivitySummary]) -> Vec<DetectRow> {
-        let detector = PeriodicityDetector::new(DetectorConfig::default());
-        let (rows, report) = detect_beaconing(&engine(), summaries, &detector, None);
-        assert!(report.is_clean(), "{report:?}");
-        rows
-    }
-
-    fn scratch_dir(tag: &str) -> std::path::PathBuf {
-        let dir = std::env::temp_dir().join(format!("baywatch-jobs-{tag}-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        dir
-    }
-
-    /// The checkpointed job over `shards` with a fresh store under `dir`.
-    fn detect_checkpointed(
-        dir: &std::path::Path,
-        shards: &[Vec<ActivitySummary>],
-        plan: Option<&FaultPlan>,
-    ) -> ShardedOutcome<DetectRow> {
-        let store = CheckpointStore::create(dir).unwrap();
-        let run = CheckpointedRun {
-            store: &store,
-            fingerprint: 1,
-            rng_seed: 0,
-            resume: false,
-            io_faults: None,
-            abort_after_shards: None,
-        };
-        let detector = PeriodicityDetector::new(DetectorConfig::default());
-        detect_beaconing_checkpointed(&engine(), shards, &detector, plan, &run).unwrap()
-    }
-
-    #[test]
-    fn checkpointed_detection_of_one_shard_matches_plain_detection() {
-        // A hit, the sparse 2 333 s pair and two quiet pairs.
-        let mut records = beacon_records("infected", "evil.com", 60, 100);
-        records.extend(beacon_records("tiny", "x.com", 60, 3));
-        records.extend(
-            (0..300u64).map(|i| LogRecord::new(50_000 + i * 2_333, "slowpoke", "weird.biz", "x")),
-        );
-        records.extend(
-            (0..50u64).map(|i| LogRecord::new(1_000 + (i * i * 37) % 50_000, "clean", "n.com", "")),
-        );
-        let summaries = extract(&records, 1);
-        let plain = plain_rows(&summaries);
-        assert_eq!(plain.len(), 4);
-
-        let dir = scratch_dir("one-shard");
-        let outcome = detect_checkpointed(&dir, &[summaries], None);
-        assert_eq!(outcome.outputs, plain);
-        assert!(outcome.faults.is_clean());
-        assert_eq!(outcome.executed_shards, 1);
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn dlq_holds_the_pairs_that_produced_no_row() {
-        let s = |src: &str, dst: &str| {
-            ActivitySummary::from_records(&beacon_records(src, dst, 60, 5), 1).unwrap()
-        };
-        let ok = s("h", "fine.test");
-        let poisoned = s("h", "poison.test");
-        let inputs = vec![ok.clone(), poisoned.clone()];
-        // `ok` completed quiet; the poisoned pair produced no row at all.
-        let outputs = vec![DetectRow::Quiet(ok.pair.clone())];
-        let entries = dlq_entries_for_shard(3, &inputs, &outputs);
-        assert_eq!(entries.len(), 1);
-        assert!(entries[0].key.contains("poison.test"));
-        assert_eq!(entries[0].shard, 3);
-        // The payload decodes back to the pair's summaries.
-        let payload = crate::checkpoint::decode_summaries(&entries[0].payload).unwrap();
-        assert_eq!(payload, vec![poisoned]);
     }
 }

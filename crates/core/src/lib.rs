@@ -61,7 +61,6 @@
 
 pub mod activity;
 pub mod admission;
-pub mod checkpoint;
 pub mod elff;
 mod funnel;
 pub mod investigate;
@@ -79,7 +78,6 @@ pub mod stream;
 pub mod tokens;
 pub mod whitelist;
 
-pub use checkpoint::{CheckpointOutcome, CheckpointSpec};
 pub use pair::CommunicationPair;
 pub use pipeline::{AnalysisReport, Baywatch, BaywatchConfig};
 pub use record::LogRecord;

@@ -1,18 +1,14 @@
 //! The end-to-end BAYWATCH engine: all eight filters wired together
 //! (Fig. 3 of the paper).
 
-use std::convert::Infallible;
 use std::sync::Arc;
 
 use baywatch_langmodel::DomainScorer;
-use baywatch_mapreduce::{
-    CheckpointStore, CheckpointedRun, FaultPlan, FaultReport, JobConfig, MapReduce,
-};
+use baywatch_mapreduce::{FaultPlan, FaultReport, JobConfig, MapReduce};
 use baywatch_obs::{Buckets, Clock, MetricsRegistry, MetricsSnapshot, MonotonicClock, StageTracer};
 use baywatch_timeseries::detector::{DetectorConfig, DetectorObs, PeriodicityDetector};
 
 use crate::activity::ActivitySummary;
-use crate::checkpoint::{self, CheckpointOutcome, CheckpointSpec};
 use crate::funnel::{Funnel, Hits};
 use crate::io::ReadOutcome;
 use crate::jobs;
@@ -21,7 +17,6 @@ use crate::popularity::PopularityStats;
 use crate::rank::{RankConfig, RankedCase};
 use crate::record::LogRecord;
 use crate::tokens::TokenFilter;
-use crate::whitelist::GlobalWhitelist;
 
 /// Configuration of the full pipeline.
 #[derive(Debug, Clone)]
@@ -109,11 +104,6 @@ pub struct AnalysisReport {
     /// [`Baywatch::analyze_outcome`] (bounded; `stats.malformed_lines` is
     /// the exact count).
     pub malformed_samples: Vec<String>,
-    /// Checkpoint machinery outcome for runs started through
-    /// [`Baywatch::analyze_checkpointed`]; `None` otherwise. These are
-    /// process facts (resumed/re-executed work), not data facts, and never
-    /// appear in the deterministic JSON export.
-    pub checkpoint: Option<CheckpointOutcome>,
 }
 
 impl AnalysisReport {
@@ -204,20 +194,9 @@ impl Baywatch {
         self.fault_plan = Some(plan);
     }
 
-    /// Disarms any armed fault-injection plan.
-    pub fn disarm_fault_plan(&mut self) {
-        self.fault_plan = None;
-    }
-
     /// The active configuration.
     pub fn config(&self) -> &BaywatchConfig {
         &self.config
-    }
-
-    /// Mutable access to the global whitelist (e.g. to add
-    /// organization-specific entries).
-    pub fn global_whitelist_mut(&mut self) -> &mut GlobalWhitelist {
-        &mut self.funnel.global_whitelist
     }
 
     /// The novelty store (persists across [`Baywatch::analyze`] calls —
@@ -256,66 +235,23 @@ impl Baywatch {
     ///
     /// Filter 8 (bootstrap classification) is separate — see
     /// [`crate::investigate`] — because it needs manual labels.
+    ///
+    /// A window is re-run, not resumed: nothing of it is persisted, and
+    /// the same window analyzed again on a fresh engine gives the same
+    /// report.
     pub fn analyze(&mut self, records: Vec<LogRecord>) -> AnalysisReport {
-        // Without a checkpoint the detection step touches no file, so the
-        // analysis cannot fail — and the type says so.
-        let Ok(report) = self.analyze_with(|this| this.extract_window(records), Self::detect);
-        report
+        self.analyze_with(|this| this.extract_window(records))
     }
 
     /// The back half of [`Baywatch::analyze`], filters 2–7, over a window
     /// already summarised: a multi-scale tier's merged days.
     pub(crate) fn analyze_summaries(&mut self, window: Extracted) -> AnalysisReport {
-        let Ok(report) = self.analyze_with(|_| window, Self::detect);
-        report
+        self.analyze_with(|_| window)
     }
 
-    /// Analyzes one window like [`Baywatch::analyze`], but runs the
-    /// detection phase (filter 3 — by far the dominant cost at enterprise
-    /// scale) through a durable checkpoint under `spec.dir`:
-    ///
-    /// * detection is sharded ([`CheckpointSpec::shard_size`] pairs per
-    ///   shard, heaviest pairs first) and every completed shard is
-    ///   persisted atomically (rows, fault report, metric deltas) together
-    ///   with a versioned run manifest,
-    /// * with [`CheckpointSpec::resume`], shards recorded in a compatible
-    ///   manifest are restored instead of re-executed — the resumed run's
-    ///   report is **byte-identical** to an uninterrupted one (corrupt or
-    ///   mismatched state degrades to re-execution, never failure),
-    /// * pairs the engine quarantined (poison) are recorded in the
-    ///   manifest's dead-letter queue with their summaries, the evidence to
-    ///   reproduce them offline.
-    ///
-    /// Detection is a function of the input alone, so this reports the
-    /// same funnel and ranked list as [`Baywatch::analyze`].
-    ///
-    /// Errors only on checkpoint-directory I/O failures (unwritable dir,
-    /// disk full); analysis faults are still *degradation*, not errors.
-    pub fn analyze_checkpointed(
-        &mut self,
-        records: Vec<LogRecord>,
-        spec: &CheckpointSpec,
-    ) -> std::io::Result<AnalysisReport> {
-        let window = |this: &Self| this.extract_window(records);
-        self.analyze_with(window, |this, pairs, stats, faults| {
-            this.detect_checkpointed(pairs, stats, faults, spec)
-                .map(|(hits, outcome)| (hits, Some(outcome)))
-        })
-    }
-
-    /// One window through the whole funnel: `window` is its front half,
-    /// `detect` is filter 3 — plain or checkpointed — and the only step
-    /// that can fail.
-    fn analyze_with<E>(
-        &mut self,
-        window: impl FnOnce(&Self) -> Extracted,
-        detect: impl FnOnce(
-            &Self,
-            Vec<ActivitySummary>,
-            &mut FilterStats,
-            &mut FaultReport,
-        ) -> Result<(Hits, Option<CheckpointOutcome>), E>,
-    ) -> Result<AnalysisReport, E> {
+    /// One window through the whole funnel; `window` is its front half,
+    /// built inside the window's span.
+    fn analyze_with(&mut self, window: impl FnOnce(&Self) -> Extracted) -> AnalysisReport {
         let tracer = self.tracer.clone();
         let window_span = tracer.span("analyze");
         let Extracted {
@@ -369,15 +305,17 @@ impl Baywatch {
         // The detector is built once per pipeline; inside the job at most
         // `mapreduce.threads` workers route their FFTs through thread-local
         // spectral workspaces (buffers recycled across the worker's pairs),
-        // and every plan comes from the process-wide tables.
+        // and every plan comes from the process-wide tables. A pair whose
+        // detection panics is quarantined and yields no hit.
         let input = summaries.len();
-        let quarantined_before = stats.quarantined_pairs;
-        let (detections, checkpoint_outcome) = {
+        let (detections, detect_faults) = {
             let _span = tracer.span("detect");
-            detect(self, summaries, &mut stats, &mut faults)?
+            self.detect(summaries)
         };
         stats.periodic = detections.len();
-        let quarantined = stats.quarantined_pairs - quarantined_before;
+        let quarantined = detect_faults.quarantined_keys + detect_faults.quarantined_inputs;
+        stats.quarantined_pairs += quarantined;
+        faults.absorb(&detect_faults);
         let dropped = input.saturating_sub(stats.periodic + quarantined);
         self.stage_counters(
             "04_periodicity",
@@ -419,15 +357,14 @@ impl Baywatch {
                 .observe(record.duration_nanos);
         }
 
-        Ok(AnalysisReport {
+        AnalysisReport {
             stats,
             ranked,
             report_cutoff,
             popularity_total_sources: popularity.total_sources(),
             faults,
             malformed_samples: Vec::new(),
-            checkpoint: checkpoint_outcome,
-        })
+        }
     }
 
     /// The front half of [`Baywatch::analyze`]: popularity and filter 1 in
@@ -513,70 +450,15 @@ impl Baywatch {
         );
     }
 
-    /// Filter 3 without a checkpoint: one detection job over every
-    /// summary. It cannot fail.
-    fn detect(
-        &self,
-        summaries: Vec<ActivitySummary>,
-        stats: &mut FilterStats,
-        faults: &mut FaultReport,
-    ) -> Result<(Hits, Option<CheckpointOutcome>), Infallible> {
-        let job = jobs::detect_beaconing(
+    /// Filter 3: one detection job over every summary, which are freed
+    /// with it.
+    fn detect(&self, summaries: Vec<ActivitySummary>) -> (Hits, FaultReport) {
+        jobs::detect_beaconing(
             &self.engine,
             &summaries,
             &self.detector,
             self.fault_plan.as_deref(),
-        );
-        Ok((absorb(job, stats, faults), None))
-    }
-
-    /// Runs the detection job through the durable checkpoint machinery
-    /// (see [`Baywatch::analyze_checkpointed`] for the contract).
-    fn detect_checkpointed(
-        &self,
-        summaries: Vec<ActivitySummary>,
-        stats: &mut FilterStats,
-        faults: &mut FaultReport,
-        spec: &CheckpointSpec,
-    ) -> std::io::Result<(Hits, CheckpointOutcome)> {
-        let plan = self.fault_plan.as_deref();
-        let shards = checkpoint::plan_shards(summaries, spec.shard_size);
-        let store = CheckpointStore::create(&spec.dir)?;
-        let rng_seed = self.config.detector.permutation.seed;
-        let run = CheckpointedRun {
-            store: &store,
-            fingerprint: checkpoint::run_fingerprint(rng_seed, &shards),
-            rng_seed,
-            resume: spec.resume,
-            io_faults: plan,
-            abort_after_shards: spec.abort_after_shards,
-        };
-        let outcome =
-            jobs::detect_beaconing_checkpointed(&self.engine, &shards, &self.detector, plan, &run)?;
-        let hits = absorb((outcome.outputs, outcome.faults), stats, faults);
-
-        let dlq_entries = outcome.manifest.dlq.len();
-        // Final-disposition DLQ counter: recorded once here — after the
-        // shard sweep, outside any per-shard delta capture window — so a
-        // resumed run and an uninterrupted run export identical values.
-        // Registered only when the queue saw entries, so a clean
-        // checkpointed run exports byte-identically to a plain one.
-        if dlq_entries > 0 {
-            self.metrics.counter("dlq.entries").add(dlq_entries as u64);
-        }
-
-        Ok((
-            hits,
-            CheckpointOutcome {
-                resumed_shards: outcome.resumed_shards,
-                executed_shards: outcome.executed_shards,
-                total_shards: outcome.manifest.total_shards,
-                load_warnings: outcome.load_warnings,
-                write_warnings: outcome.write_warnings,
-                interrupted: outcome.interrupted,
-                dlq_entries,
-            },
-        ))
+        )
     }
 }
 
@@ -592,23 +474,6 @@ pub(crate) struct Extracted {
     pub(crate) summaries: Vec<ActivitySummary>,
     /// What the jobs that built `summaries` dropped.
     pub(crate) faults: FaultReport,
-}
-
-/// Folds one detection job's rows and fault counts into the window's
-/// funnel and fault report; returns the verified hits.
-fn absorb(
-    (rows, job_faults): (Vec<jobs::DetectRow>, FaultReport),
-    stats: &mut FilterStats,
-    faults: &mut FaultReport,
-) -> Hits {
-    stats.quarantined_pairs += job_faults.quarantined_keys + job_faults.quarantined_inputs;
-    faults.absorb(&job_faults);
-    rows.into_iter()
-        .filter_map(|row| match row {
-            jobs::DetectRow::Hit(hit) => Some(hit),
-            jobs::DetectRow::Quiet(_) => None,
-        })
-        .collect()
 }
 
 #[cfg(test)]
@@ -678,20 +543,13 @@ mod tests {
         let mut records = Vec::new();
         beacon(&mut records, "host", "google.com", 60, 100); // whitelisted
         beacon(&mut records, "host", "qzkxwv.com", 60, 100);
-        let mut engine = Baywatch::new(quiet_config());
-        let report = engine.analyze(records.clone());
+        let report = Baywatch::new(quiet_config()).analyze(records);
         assert_eq!(report.stats.pairs, 2);
         assert_eq!(report.stats.after_global_whitelist, 1);
         assert!(report
             .ranked
             .iter()
             .all(|c| c.case.pair.destination != "google.com"));
-
-        // An organisation's own entry takes the other pair out as well.
-        engine.global_whitelist_mut().insert("qzkxwv.com");
-        let report = engine.analyze(records);
-        assert_eq!(report.stats.pairs, 2);
-        assert_eq!(report.stats.after_global_whitelist, 0);
     }
 
     #[test]
@@ -842,8 +700,7 @@ mod tests {
             .iter()
             .all(|c| c.case.pair.destination != "poison.example.net"));
 
-        // Disarmed, the same window runs clean again.
-        engine.disarm_fault_plan();
+        // Without the plan, the same window runs clean.
         let clean = Baywatch::new(quiet_config()).analyze(mk());
         assert!(clean.faults.is_clean());
     }

@@ -114,30 +114,9 @@ pub fn export_json(report: &AnalysisReport, metrics: &MetricsSnapshot, top_k: us
         w.key(key);
         w.uint(value as u64);
     }
-    // Checkpoint corruption downgrades: surfaced (with bounded samples)
-    // only when a restore was actually refused, so runs that never resume
-    // — and clean resumes — export byte-identically to earlier releases.
-    if report.faults.checkpoint_corruptions > 0 {
-        w.key("checkpoint_corruptions");
-        w.uint(report.faults.checkpoint_corruptions as u64);
-        let mut sorted: Vec<&str> = report
-            .faults
-            .corruption_samples
-            .iter()
-            .map(String::as_str)
-            .collect();
-        sorted.sort_unstable();
-        w.key("corruption_samples");
-        w.raw("[");
-        for sample in sorted {
-            w.string(sample);
-        }
-        w.raw("]");
-        w.end_value();
-    }
     // Bounded provenance samples. The engine collects them in completion
     // order, which parallel execution does not fix — sort each list so the
-    // export stays byte-identical across runs and across resume.
+    // export stays byte-identical across runs.
     for (key, samples) in [
         ("input_samples", &report.faults.input_samples),
         ("key_samples", &report.faults.key_samples),
@@ -363,7 +342,6 @@ mod tests {
             popularity_total_sources: 20,
             faults: Default::default(),
             malformed_samples: Vec::new(),
-            checkpoint: None,
         }
     }
 
@@ -499,31 +477,6 @@ mod tests {
         scrambled.faults.panic_samples.reverse();
         scrambled.faults.key_samples.reverse();
         assert_eq!(export_json(&scrambled, &snap, 1), json);
-    }
-
-    #[test]
-    fn export_json_surfaces_checkpoint_corruptions_when_present() {
-        let snap = baywatch_obs::MetricsRegistry::new().snapshot();
-        // Regression: corruption downgrades used to be counted (in
-        // `load_warnings`) but invisible in the export's faults section.
-        let mut report = toy_report(1);
-        report.faults.checkpoint_corruptions = 2;
-        report.faults.corruption_samples = vec![
-            "shard 1: checkpoint untrusted, re-executing".to_string(),
-            "shard 0: checkpoint untrusted, re-executing".to_string(),
-        ];
-        let json = export_json(&report, &snap, 1);
-        assert!(json.contains(r#""checkpoint_corruptions":2"#));
-        // Samples are sorted for byte-stable output.
-        assert!(json.contains(
-            r#""corruption_samples":["shard 0: checkpoint untrusted, re-executing","shard 1: checkpoint untrusted, re-executing"]"#
-        ));
-
-        // A clean report exports without either key — byte-identical to
-        // the pre-resilience format.
-        let clean = export_json(&toy_report(1), &snap, 1);
-        assert!(!clean.contains("checkpoint_corruptions"));
-        assert!(!clean.contains("corruption_samples"));
     }
 
     #[test]

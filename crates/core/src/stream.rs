@@ -65,7 +65,7 @@ use std::collections::btree_map::Entry;
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
-use baywatch_mapreduce::{fnv1a64, FaultReport, MapReduce};
+use baywatch_mapreduce::{FaultReport, MapReduce};
 use baywatch_obs::{Buckets, Clock, MetricsRegistry, MetricsSnapshot, MonotonicClock};
 use baywatch_timeseries::detector::PeriodicityDetector;
 use baywatch_timeseries::TimestampRing;
@@ -345,7 +345,7 @@ pub struct StreamingHunt {
     /// workers. No registry is attached: the stream's metrics stay
     /// `stream.*`.
     engine: MapReduce,
-    /// Times the detection job (`stream.detect.nanos`, operational).
+    /// Times the detection job (the `stream.detect.nanos` timing).
     clock: MonotonicClock,
     detector: PeriodicityDetector,
     funnel: Funnel,
@@ -844,7 +844,7 @@ impl StreamingHunt {
     /// fresh verdicts. A pair the job quarantines keeps its previous
     /// verdict and counts in `quarantined_pairs`; the job's fault report
     /// is the tick report's. The job is timed into
-    /// the operational `stream.detect.nanos` on ticks that run it.
+    /// the `stream.detect.nanos` timing on ticks that run it.
     fn window_stats(&mut self, tick: u64, detect: bool) -> (AnalysisReport, u64, u64) {
         let first_window_tick = self.config.schedule.first_window_tick(tick);
         let scale = self.config.pipeline.detector.time_scale;
@@ -982,13 +982,14 @@ fn quantized(ring: &TimestampRing, scale: u64) -> Vec<u64> {
 
 /// FNV-1a 64-bit fingerprint of a pair key (source NUL destination).
 fn fingerprint(pair: &CommunicationPair) -> u64 {
-    fnv1a64(
-        pair.source
-            .as_bytes()
-            .iter()
-            .chain(&[0])
-            .chain(pair.destination.as_bytes()),
-    )
+    let key = pair
+        .source
+        .bytes()
+        .chain([0])
+        .chain(pair.destination.bytes());
+    key.fold(0xcbf2_9ce4_8422_2325, |hash, b| {
+        (hash ^ u64::from(b)).wrapping_mul(0x100_0000_01b3)
+    })
 }
 
 #[cfg(test)]
@@ -1434,5 +1435,8 @@ mod tests {
         let a = fingerprint(&CommunicationPair::new("ab", "c"));
         let b = fingerprint(&CommunicationPair::new("a", "bc"));
         assert_ne!(a, b);
+        // FNV-1a 64 of the bytes "a\0b".
+        let ab = fingerprint(&CommunicationPair::new("a", "b"));
+        assert_eq!(ab, 0xe5d2_9919_0426_66b2);
     }
 }

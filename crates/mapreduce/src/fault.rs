@@ -18,7 +18,7 @@ use std::any::Any;
 use std::collections::HashSet;
 use std::fmt::Debug;
 #[expect(clippy::disallowed_types, reason = "reasoned on `FaultPlan`")]
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Upper bound on the number of `Debug` samples a [`FaultReport`] retains
 /// per category (quarantined inputs, keys, panic messages). Counting is
@@ -41,16 +41,6 @@ pub struct FaultReport {
     pub quarantined_keys: usize,
     /// Shuffled values dropped together with quarantined reduce keys.
     pub lost_values: usize,
-    /// Checkpoint restores refused during a resumed sharded run — a
-    /// missing, corrupt, digest-mismatched or truncated shard
-    /// checkpoint, or an untrusted manifest, each downgraded to fresh
-    /// re-execution. A *process* fact, not a data fact: the affected
-    /// shards re-executed correctly, so this does not flip
-    /// [`FaultReport::is_clean`].
-    pub checkpoint_corruptions: usize,
-    /// Human-readable descriptions of the refused restores (bounded
-    /// sample).
-    pub corruption_samples: Vec<String>,
     /// `Debug` renderings of quarantined inputs (bounded sample).
     pub input_samples: Vec<String>,
     /// `Debug` renderings of quarantined reduce keys (bounded sample).
@@ -86,17 +76,6 @@ impl FaultReport {
         self.quarantined_inputs + self.lost_values
     }
 
-    /// Counts one refused checkpoint restore, retaining the description
-    /// while under [`SAMPLE_LIMIT`].
-    pub fn note_checkpoint_corruption(&mut self, sample: String) {
-        self.checkpoint_corruptions += 1;
-        if self.corruption_samples.len() < SAMPLE_LIMIT
-            && !self.corruption_samples.contains(&sample)
-        {
-            self.corruption_samples.push(sample);
-        }
-    }
-
     /// Folds another report into this one (counters summed, sample lists
     /// concatenated under the same bound). Used when a pipeline chains
     /// several fault-tolerant jobs and wants one aggregate.
@@ -105,8 +84,6 @@ impl FaultReport {
         self.map_bisections += other.map_bisections;
         self.quarantined_keys += other.quarantined_keys;
         self.lost_values += other.lost_values;
-        self.checkpoint_corruptions += other.checkpoint_corruptions;
-        extend_bounded(&mut self.corruption_samples, &other.corruption_samples);
         extend_bounded(&mut self.input_samples, &other.input_samples);
         extend_bounded(&mut self.key_samples, &other.key_samples);
         extend_bounded(&mut self.panic_samples, &other.panic_samples);
@@ -217,21 +194,13 @@ impl PhaseFaults {
 #[derive(Debug, Default)]
 #[expect(
     clippy::disallowed_types,
-    reason = "the plan's sets are only probed by exact call number, input or key, so their iteration order never reaches a report; injected/map_calls are stats-and-uniqueness counters whose single-cell RMWs stay atomic at Relaxed and are read after join; the save_fail_* control cells deliberately stay SeqCst (see their fields)"
+    reason = "the plan's sets are only probed by exact call number, input or key, so their iteration order never reaches a report; injected/map_calls are stats-and-uniqueness counters whose single-cell RMWs stay atomic at Relaxed and are read after join"
 )]
 pub struct FaultPlan {
     map_calls: AtomicUsize,
     map_panic_calls: HashSet<usize>,
     poison_inputs: HashSet<String>,
     poison_keys: HashSet<String>,
-    // `save_fail_*` are *control* cells: worker threads read them
-    // mid-flight to decide whether a checkpoint save fails, and the
-    // fault-injection tests assert exact trigger counts across threads.
-    // `SeqCst` keeps each trigger decision totally ordered with the
-    // injection bookkeeping, and on both of the countdown's
-    // `fetch_update` orderings every decrement is observed exactly once.
-    save_fail_next: AtomicUsize,
-    save_fail_all: AtomicBool,
     injected: AtomicUsize,
 }
 
@@ -264,48 +233,6 @@ impl FaultPlan {
     pub fn poison_key(mut self, key: &str) -> Self {
         self.poison_keys.insert(key.to_owned());
         self
-    }
-
-    /// Fail the next `n` checkpoint writes with an injected I/O error,
-    /// then let writes succeed again — a *transient* storage fault (a
-    /// briefly full disk, an NFS hiccup).
-    pub fn fail_next_saves(self, n: usize) -> Self {
-        self.save_fail_next.store(n, Ordering::SeqCst);
-        self
-    }
-
-    /// Fail every checkpoint write from now on — a *persistent* storage
-    /// fault (checkpoint directory unwritable for the rest of the run).
-    pub fn fail_all_saves(self) -> Self {
-        self.save_fail_all.store(true, Ordering::SeqCst);
-        self
-    }
-
-    /// Called by the sharded engine before each checkpoint write; returns
-    /// the injected I/O error when the plan says this write must fail.
-    ///
-    /// # Errors
-    ///
-    /// Returns an [`std::io::ErrorKind::Other`] error when a transient or
-    /// persistent save fault is armed for this write.
-    pub fn save_checkpoint(&self) -> std::io::Result<()> {
-        if self.save_fail_all.load(Ordering::SeqCst) {
-            self.injected.fetch_add(1, Ordering::Relaxed);
-            return Err(std::io::Error::other(
-                "injected fault: persistent checkpoint write failure",
-            ));
-        }
-        let fired = self
-            .save_fail_next
-            .fetch_update(Ordering::SeqCst, Ordering::SeqCst, |n| n.checked_sub(1))
-            .is_ok();
-        if fired {
-            self.injected.fetch_add(1, Ordering::Relaxed);
-            return Err(std::io::Error::other(
-                "injected fault: transient checkpoint write failure",
-            ));
-        }
-        Ok(())
     }
 
     /// How many faults the plan has fired so far.
@@ -386,12 +313,6 @@ mod tests {
             ..Default::default()
         };
         assert!(!bisected.is_clean());
-        let resumed_after_corruption = FaultReport {
-            checkpoint_corruptions: 1,
-            corruption_samples: vec!["shard 1".into()],
-            ..Default::default()
-        };
-        assert!(resumed_after_corruption.is_clean());
     }
 
     #[test]
@@ -430,12 +351,11 @@ mod tests {
     #[test]
     #[cfg_attr(not(debug_assertions), ignore = "release builds do not check overflow")]
     fn ledger_counters_panic_on_overflow() {
-        let report_fields: [fn(&mut FaultReport) -> &mut usize; 5] = [
+        let report_fields: [fn(&mut FaultReport) -> &mut usize; 4] = [
             |r| &mut r.quarantined_inputs,
             |r| &mut r.map_bisections,
             |r| &mut r.quarantined_keys,
             |r| &mut r.lost_values,
-            |r| &mut r.checkpoint_corruptions,
         ];
         for (i, field) in report_fields.into_iter().enumerate() {
             let (mut full, mut one) = (FaultReport::default(), FaultReport::default());

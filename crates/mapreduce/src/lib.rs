@@ -19,9 +19,8 @@
 //! a panicking map slice is bisected down to its poison record and a
 //! panicking reduce key is quarantined (see the [`fault`] module), and the
 //! [`FaultReport`] says what was dropped. Nothing is retried: the job is
-//! deterministic, so a unit that failed once fails again.
-//! [`MapReduce::run_sharded_checkpointed`] is the persistence layer: the
-//! same body once per shard, checkpoints between.
+//! deterministic, so a unit that failed once fails again. Nothing is
+//! persisted either: a job is re-run, not resumed.
 //!
 //! ```
 //! use baywatch_mapreduce::{JobConfig, MapReduce};
@@ -46,16 +45,10 @@
 #![warn(clippy::unwrap_used, clippy::expect_used)]
 #![cfg_attr(
     test,
-    allow(
-        clippy::unwrap_used,
-        clippy::expect_used,
-        clippy::disallowed_types,
-        clippy::disallowed_methods
-    )
+    allow(clippy::unwrap_used, clippy::expect_used, clippy::disallowed_types)
 )]
 
 pub mod fault;
-pub mod manifest;
 
 use std::cmp::Reverse;
 use std::collections::hash_map::DefaultHasher;
@@ -68,17 +61,12 @@ use baywatch_obs::MetricsRegistry;
 use fault::PhaseFaults;
 
 pub use fault::{FaultPlan, FaultReport, SAMPLE_LIMIT};
-pub use manifest::{
-    fnv1a64, shard_plan_digest, CheckpointStore, CheckpointedRun, DlqEntry, ManifestLoad,
-    RunManifest, ShardCheckpoint, ShardRecord, ShardedOutcome,
-};
 
 /// Configuration of a MapReduce run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct JobConfig {
     /// Number of hash partitions (= reduce tasks). The paper uses a k-bit
-    /// hash, e.g. 5 bits → 32 reduce tasks; [`JobConfig::with_hash_bits`]
-    /// mirrors that.
+    /// hash, e.g. 5 bits → 32 reduce tasks, the default.
     pub partitions: usize,
     /// Number of workers in each phase. The map phase splits the input
     /// into at most `threads` contiguous chunks, one OS thread each; the
@@ -97,20 +85,6 @@ impl Default for JobConfig {
             partitions: 32,
             threads,
         }
-    }
-}
-
-impl JobConfig {
-    /// Sets the partition count from a hash bit-width, like the paper's
-    /// "a 5-bit hash results in 32 reduce tasks".
-    ///
-    /// # Panics
-    ///
-    /// Panics if `bits` is 0 or greater than 16.
-    pub fn with_hash_bits(mut self, bits: u32) -> Self {
-        assert!((1..=16).contains(&bits), "hash bits must be in 1..=16");
-        self.partitions = 1usize << bits;
-        self
     }
 }
 
@@ -172,28 +146,6 @@ impl MapReduce {
     /// more than once for the same unit — they must be idempotent with
     /// respect to external side effects.
     pub fn run<'a, I, K, V, O, M, R>(
-        &self,
-        inputs: &'a [I],
-        mapper: M,
-        reducer: R,
-    ) -> (Vec<O>, FaultReport)
-    where
-        I: Sync + Debug,
-        K: Hash + Eq + Ord + Send + Debug,
-        V: Send,
-        O: Send,
-        M: Fn(&'a I, &mut dyn FnMut(K, V)) + Sync,
-        R: Fn(&K, &[V]) -> Vec<O> + Sync,
-    {
-        if let Some(metrics) = &self.metrics {
-            metrics.counter("mapreduce.jobs").inc();
-        }
-        self.run_uncounted(inputs, mapper, reducer)
-    }
-
-    /// [`MapReduce::run`] without counting a job: one shard of a sharded
-    /// sweep, which counts as one job however many shards it runs.
-    fn run_uncounted<'a, I, K, V, O, M, R>(
         &self,
         inputs: &'a [I],
         mapper: M,
@@ -312,236 +264,12 @@ impl MapReduce {
         }
 
         if let Some(metrics) = &self.metrics {
+            metrics.counter("mapreduce.jobs").inc();
             record_fault_metrics(metrics, &report);
         }
 
         (output, report)
     }
-
-    /// Runs a shard plan under durable checkpoint/resume.
-    ///
-    /// Each shard executes through [`MapReduce::run`]; after every shard
-    /// the outputs (via `encode`), the shard's [`FaultReport`], and the
-    /// deterministic metrics delta it contributed are persisted
-    /// atomically, and the [`RunManifest`] — completed shard digests plus
-    /// the dead-letter queue assembled by `dlq_hook` — is rewritten. On
-    /// `run.resume`, shards already recorded in a trusted manifest are
-    /// restored (payload digest-checked, metrics delta replayed into the
-    /// attached registry, faults absorbed in shard order) instead of
-    /// re-executed, which makes a resumed run's aggregate output
-    /// byte-identical to an uninterrupted one. The sweep counts as one
-    /// `mapreduce.jobs`, outside every shard's delta, as a plain
-    /// [`MapReduce::run`] over the same inputs would.
-    ///
-    /// Shards execute *sequentially* (parallelism lives inside each
-    /// shard's map/reduce phases) — that is what makes the per-shard
-    /// metrics delta exact and the checkpoint boundary well-defined.
-    ///
-    /// `dlq_hook(shard_id, inputs, outputs)` inspects a freshly
-    /// completed shard and returns the dead-letter entries it produced. `decode` must invert `encode` (`None` signals a corrupt
-    /// payload, re-executing the shard).
-    ///
-    /// Checkpoint persistence degrades instead of aborting: every shard
-    /// attempts its writes, a failed write counts into
-    /// [`ShardedOutcome::write_warnings`], and the run carries on
-    /// in-memory with full output fidelity — only resumability for the
-    /// affected shards is lost.
-    ///
-    /// # Errors
-    ///
-    /// Reserved for I/O failures outside the degradable write path; the
-    /// current implementation completes with warnings instead of
-    /// returning `Err`.
-    #[allow(clippy::too_many_arguments)]
-    pub fn run_sharded_checkpointed<'a, I, K, V, O, M, R, Enc, Dec, DlqF>(
-        &self,
-        shards: &'a [Vec<I>],
-        run: &CheckpointedRun<'_>,
-        mapper: M,
-        reducer: R,
-        encode: Enc,
-        decode: Dec,
-        dlq_hook: DlqF,
-    ) -> std::io::Result<ShardedOutcome<O>>
-    where
-        I: Sync + Debug,
-        K: Hash + Eq + Ord + Send + Debug,
-        V: Send,
-        O: Send,
-        M: Fn(&'a I, &mut dyn FnMut(K, V)) + Sync,
-        R: Fn(&K, &[V]) -> Vec<O> + Sync,
-        Enc: Fn(&[O]) -> String,
-        Dec: Fn(&str) -> Option<Vec<O>>,
-        DlqF: Fn(usize, &[I], &[O]) -> Vec<DlqEntry>,
-    {
-        let total_shards = shards.len();
-        let mut load_warnings = 0usize;
-        let mut write_warnings = 0usize;
-        let mut faults = FaultReport::default();
-        let mut resumed = None;
-        if run.resume {
-            match run.store.load_manifest(run.fingerprint, total_shards) {
-                ManifestLoad::Resumed(manifest) => resumed = Some(manifest),
-                ManifestLoad::Fresh { warning: None } => {}
-                ManifestLoad::Fresh {
-                    warning: Some(warning),
-                } => {
-                    load_warnings += 1;
-                    faults.note_checkpoint_corruption(warning);
-                }
-            }
-        }
-        let mut manifest = resumed
-            .unwrap_or_else(|| RunManifest::new(run.fingerprint, total_shards, run.rng_seed));
-        // One job per sweep, outside every shard's metrics delta: a
-        // checkpointed run counts what a plain run does at any shard size.
-        if let Some(metrics) = &self.metrics {
-            metrics.counter("mapreduce.jobs").inc();
-        }
-
-        let mut outcome_outputs: Vec<O> = Vec::new();
-        let mut resumed_shards = 0usize;
-        let mut executed_shards = 0usize;
-        let mut interrupted = false;
-
-        for (shard_id, inputs) in shards.iter().enumerate() {
-            // ---- Resume path: restore the shard from its checkpoint. ----
-            if let Some(record) = manifest.shards.get(&shard_id).copied() {
-                match self.restore_shard(run, shard_id, record, &decode) {
-                    Some((outputs, shard_faults)) => {
-                        faults.absorb(&shard_faults);
-                        outcome_outputs.extend(outputs);
-                        resumed_shards += 1;
-                        continue;
-                    }
-                    None => {
-                        // Missing/corrupt/digest-mismatched checkpoint:
-                        // drop the stale record (and its DLQ entries) and
-                        // fall through to fresh execution.
-                        load_warnings += 1;
-                        faults.note_checkpoint_corruption(format!(
-                            "shard {shard_id}: checkpoint untrusted, re-executing"
-                        ));
-                        manifest.shards.remove(&shard_id);
-                        manifest.dlq.retain(|e| e.shard != shard_id);
-                    }
-                }
-            }
-
-            // ---- Fresh path: execute, then persist atomically. ----
-            if run.abort_after_shards == Some(executed_shards) {
-                interrupted = true;
-                break;
-            }
-            let before = self.metrics.as_ref().map(|m| m.snapshot());
-            let (outputs, shard_faults) = self.run_uncounted(inputs, &mapper, &reducer);
-            let metrics_delta = match (&self.metrics, before) {
-                (Some(m), Some(before)) => m.snapshot().delta_since(&before),
-                _ => baywatch_obs::MetricsSnapshot::default(),
-            };
-            manifest.dlq.extend(dlq_hook(shard_id, inputs, &outputs));
-            let checkpoint = ShardCheckpoint {
-                payload: encode(&outputs),
-                faults: shard_faults,
-                metrics_delta,
-            };
-            if checkpoint_write(run.io_faults, || {
-                run.store.save_shard(shard_id, &checkpoint)
-            }) {
-                // Only a persisted checkpoint earns a manifest record: a
-                // shard whose write failed must re-execute on resume.
-                manifest.shards.insert(
-                    shard_id,
-                    ShardRecord {
-                        digest: checkpoint.digest(),
-                        outputs: outputs.len(),
-                    },
-                );
-                if let Some(metrics) = &self.metrics {
-                    metrics.operational("checkpoint.shards_written").inc();
-                }
-                if checkpoint_write(run.io_faults, || run.store.save_manifest(&manifest)) {
-                    if let Some(metrics) = &self.metrics {
-                        metrics.operational("checkpoint.manifest_writes").inc();
-                    }
-                } else {
-                    write_warnings += 1;
-                }
-            } else {
-                write_warnings += 1;
-            }
-            executed_shards += 1;
-            faults.absorb(&checkpoint.faults);
-            outcome_outputs.extend(outputs);
-        }
-
-        if let Some(metrics) = &self.metrics {
-            metrics
-                .operational("checkpoint.shards_resumed")
-                .add(resumed_shards as u64);
-            metrics
-                .operational("checkpoint.load_warnings")
-                .add(load_warnings as u64);
-            metrics
-                .operational("checkpoint.write_warnings")
-                .add(write_warnings as u64);
-        }
-
-        Ok(ShardedOutcome {
-            outputs: outcome_outputs,
-            faults,
-            manifest,
-            resumed_shards,
-            executed_shards,
-            load_warnings,
-            write_warnings,
-            interrupted,
-        })
-    }
-
-    /// Restores one shard from its checkpoint file; `None` means the
-    /// checkpoint cannot be trusted and the shard must re-execute.
-    fn restore_shard<O, Dec>(
-        &self,
-        run: &CheckpointedRun<'_>,
-        shard_id: usize,
-        record: ShardRecord,
-        decode: &Dec,
-    ) -> Option<(Vec<O>, FaultReport)>
-    where
-        Dec: Fn(&str) -> Option<Vec<O>>,
-    {
-        let checkpoint = run.store.load_shard(shard_id)?;
-        if checkpoint.digest() != record.digest {
-            return None;
-        }
-        let outputs = decode(&checkpoint.payload)?;
-        if outputs.len() != record.outputs {
-            return None;
-        }
-        if let Some(metrics) = &self.metrics {
-            // Replay the shard's deterministic metrics contribution so
-            // counters after a resume match an uninterrupted run. A
-            // bucket-layout conflict would mean the code changed under
-            // the checkpoint; refuse the restore and re-execute.
-            if metrics.absorb(&checkpoint.metrics_delta).is_err() {
-                return None;
-            }
-        }
-        Some((outputs, checkpoint.faults))
-    }
-}
-
-/// Runs one checkpoint write: `true` means it succeeded. Injected faults
-/// from the run's [`FaultPlan`], if any, fire before the real write.
-fn checkpoint_write(
-    io_faults: Option<&FaultPlan>,
-    write: impl FnOnce() -> std::io::Result<()>,
-) -> bool {
-    io_faults
-        .map_or(Ok(()), FaultPlan::save_checkpoint)
-        .and_then(|()| write())
-        .is_ok()
 }
 
 /// Folds a fault report's counters into the attached registry.
@@ -791,18 +519,6 @@ mod tests {
             assert!(p < 32);
             assert_eq!(p, partition_of(&k, 32));
         }
-    }
-
-    #[test]
-    fn hash_bits_config() {
-        let cfg = JobConfig::default().with_hash_bits(5);
-        assert_eq!(cfg.partitions, 32);
-    }
-
-    #[test]
-    #[should_panic]
-    fn hash_bits_zero_panics() {
-        JobConfig::default().with_hash_bits(0);
     }
 
     #[test]
@@ -1084,412 +800,5 @@ mod tests {
         assert!(out.is_empty());
         assert_eq!(report, FaultReport::default());
         assert_eq!(calls.into_inner(), 0);
-    }
-
-    // ---- checkpoint/resume ----
-
-    fn scratch_dir(tag: &str) -> std::path::PathBuf {
-        let dir = std::env::temp_dir().join(format!(
-            "baywatch-ckpt-test-{}-{:x}",
-            std::process::id(),
-            fnv1a64(tag.as_bytes())
-        ));
-        let _ = std::fs::remove_dir_all(&dir);
-        dir
-    }
-
-    /// Word-count shards with a stable numeric encoding, so payloads
-    /// round-trip exactly through the checkpoint store.
-    fn ckpt_run(
-        engine: &MapReduce,
-        shards: &[Vec<&'static str>],
-        run: &CheckpointedRun<'_>,
-    ) -> ShardedOutcome<(String, usize)> {
-        ckpt_run_observing(engine, shards, run, |_, _| {})
-    }
-
-    /// [`ckpt_run`] whose reducer also calls `observe(word, count)`.
-    fn ckpt_run_observing(
-        engine: &MapReduce,
-        shards: &[Vec<&'static str>],
-        run: &CheckpointedRun<'_>,
-        observe: impl Fn(&str, usize) + Sync,
-    ) -> ShardedOutcome<(String, usize)> {
-        engine
-            .run_sharded_checkpointed(
-                shards,
-                run,
-                |doc: &&str, emit| {
-                    for w in doc.split_whitespace() {
-                        emit(w.to_owned(), 1usize);
-                    }
-                },
-                |k: &String, vs: &[usize]| {
-                    observe(k, vs.len());
-                    vec![(k.clone(), vs.len())]
-                },
-                |rows: &[(String, usize)]| {
-                    let mut out = String::new();
-                    for (w, c) in rows {
-                        out.push_str(&format!("{w}={c}\n"));
-                    }
-                    out
-                },
-                |payload: &str| {
-                    let mut rows = Vec::new();
-                    for line in payload.lines() {
-                        let (w, c) = line.rsplit_once('=')?;
-                        rows.push((w.to_string(), c.parse().ok()?));
-                    }
-                    Some(rows)
-                },
-                |_, _, _| Vec::new(),
-            )
-            .expect("checkpoint I/O")
-    }
-
-    fn word_shards() -> Vec<Vec<&'static str>> {
-        vec![
-            vec!["alpha beta alpha", "gamma"],
-            vec!["beta beta delta"],
-            vec!["alpha epsilon", "zeta zeta zeta"],
-        ]
-    }
-
-    #[test]
-    fn interrupted_then_resumed_matches_uninterrupted() {
-        let engine = MapReduce::new(JobConfig {
-            partitions: 4,
-            threads: 2,
-        });
-        let dir_a = scratch_dir("uninterrupted");
-        let store_a = CheckpointStore::create(&dir_a).unwrap();
-        let base = CheckpointedRun {
-            store: &store_a,
-            fingerprint: 77,
-            rng_seed: 1,
-            resume: false,
-            io_faults: None,
-            abort_after_shards: None,
-        };
-        let full = ckpt_run(&engine, &word_shards(), &base);
-        assert!(!full.interrupted);
-        assert_eq!(full.executed_shards, 3);
-        assert_eq!(full.manifest.shards.len(), 3);
-
-        // Same plan, killed after one shard, then resumed in a "new
-        // process": outputs and manifest must match the uninterrupted run
-        // exactly.
-        let dir_b = scratch_dir("interrupted");
-        let store_b = CheckpointStore::create(&dir_b).unwrap();
-        let killed = ckpt_run(
-            &engine,
-            &word_shards(),
-            &CheckpointedRun {
-                store: &store_b,
-                abort_after_shards: Some(1),
-                ..base.clone()
-            },
-        );
-        assert!(killed.interrupted);
-        assert_eq!(killed.executed_shards, 1);
-
-        let resumed = ckpt_run(
-            &engine,
-            &word_shards(),
-            &CheckpointedRun {
-                store: &store_b,
-                resume: true,
-                abort_after_shards: None,
-                ..base.clone()
-            },
-        );
-        assert!(!resumed.interrupted);
-        assert_eq!(resumed.resumed_shards, 1);
-        assert_eq!(resumed.executed_shards, 2);
-        assert_eq!(resumed.load_warnings, 0);
-        assert_eq!(resumed.outputs, full.outputs);
-        // Durations are process facts, not data — compare the persisted
-        // (deterministic) rendering of the aggregate fault report.
-        assert_eq!(
-            manifest::fault_report_to_json(&resumed.faults),
-            manifest::fault_report_to_json(&full.faults)
-        );
-        assert_eq!(resumed.manifest, full.manifest);
-        // The persisted manifests are byte-identical too.
-        assert_eq!(
-            std::fs::read_to_string(store_b.manifest_path()).unwrap(),
-            std::fs::read_to_string(store_a.manifest_path()).unwrap()
-        );
-
-        let _ = std::fs::remove_dir_all(&dir_a);
-        let _ = std::fs::remove_dir_all(&dir_b);
-    }
-
-    #[test]
-    fn resume_replays_metrics_deltas_exactly() {
-        let shards = word_shards();
-        let run_with = |dir: &std::path::Path, resume: bool, abort: Option<usize>| {
-            let metrics = Arc::new(MetricsRegistry::new());
-            let engine = MapReduce::new(JobConfig {
-                partitions: 4,
-                threads: 2,
-            })
-            .with_metrics(Arc::clone(&metrics));
-            let store = CheckpointStore::create(dir).unwrap();
-            let outcome = ckpt_run(
-                &engine,
-                &shards,
-                &CheckpointedRun {
-                    store: &store,
-                    fingerprint: 5,
-                    rng_seed: 0,
-                    resume,
-                    io_faults: None,
-                    abort_after_shards: abort,
-                },
-            );
-            (outcome, metrics.snapshot())
-        };
-
-        let dir_a = scratch_dir("metrics-uninterrupted");
-        let (_, uninterrupted) = run_with(&dir_a, false, None);
-
-        let dir_b = scratch_dir("metrics-resumed");
-        let (killed, _) = run_with(&dir_b, false, Some(2));
-        assert!(killed.interrupted);
-        let (resumed, resumed_snap) = run_with(&dir_b, true, None);
-        assert_eq!(resumed.resumed_shards, 2);
-
-        // Deterministic sections match; only operational counters (and
-        // the full export) may differ between the two histories.
-        assert_eq!(resumed_snap.counters, uninterrupted.counters);
-        assert_eq!(resumed_snap.histograms, uninterrupted.histograms);
-        assert_eq!(resumed_snap.to_json(), uninterrupted.to_json());
-        assert_eq!(resumed_snap.operational["checkpoint.shards_resumed"], 2);
-
-        let _ = std::fs::remove_dir_all(&dir_a);
-        let _ = std::fs::remove_dir_all(&dir_b);
-    }
-
-    #[test]
-    fn corrupt_shard_checkpoint_is_reexecuted_not_trusted() {
-        let engine = MapReduce::new(JobConfig {
-            partitions: 4,
-            threads: 2,
-        });
-        let dir = scratch_dir("corrupt-shard");
-        let store = CheckpointStore::create(&dir).unwrap();
-        let base = CheckpointedRun {
-            store: &store,
-            fingerprint: 9,
-            rng_seed: 0,
-            resume: false,
-            io_faults: None,
-            abort_after_shards: None,
-        };
-        let full = ckpt_run(&engine, &word_shards(), &base);
-
-        // Tamper with shard 1's payload on disk; its digest no longer
-        // matches the manifest, so resume must re-execute it.
-        let tampered = store.load_shard(1).unwrap();
-        std::fs::write(
-            store.shard_path(1),
-            ShardCheckpoint {
-                payload: format!("{}tampered=1\n", tampered.payload),
-                ..tampered
-            }
-            .to_json(),
-        )
-        .unwrap();
-
-        let resumed = ckpt_run(
-            &engine,
-            &word_shards(),
-            &CheckpointedRun {
-                resume: true,
-                ..base.clone()
-            },
-        );
-        assert_eq!(resumed.load_warnings, 1);
-        assert_eq!(resumed.resumed_shards, 2);
-        assert_eq!(resumed.executed_shards, 1);
-        assert_eq!(resumed.outputs, full.outputs);
-        // Regression: the downgrade must be *surfaced*, not just counted —
-        // the fault report carries the corruption and a bounded sample,
-        // and both survive the persisted-report round trip.
-        assert_eq!(resumed.faults.checkpoint_corruptions, 1);
-        assert_eq!(resumed.faults.corruption_samples.len(), 1);
-        assert!(resumed.faults.corruption_samples[0].contains("shard 1"));
-        let round_tripped =
-            manifest::fault_report_from_json(&manifest::fault_report_to_json(&resumed.faults))
-                .unwrap();
-        assert_eq!(round_tripped.checkpoint_corruptions, 1);
-        assert_eq!(
-            round_tripped.corruption_samples,
-            resumed.faults.corruption_samples
-        );
-        assert!(
-            resumed.faults.is_clean(),
-            "a re-executed shard is a process fact, not a data fault"
-        );
-
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    /// A shard checkpoint whose second histogram (in name order) has a
-    /// short `counts` array, under a manifest digest that vouches for it:
-    /// the metrics replay is refused, the shard re-executes, and the
-    /// first histogram must not have been counted on the way.
-    #[test]
-    fn refused_metrics_replay_leaves_the_registry_untouched() {
-        let shards = word_shards();
-        let buckets = baywatch_obs::Buckets::new(&[1, 2, 4]).unwrap();
-        let run_with = |dir: &std::path::Path, resume: bool, abort: Option<usize>| {
-            let metrics = Arc::new(MetricsRegistry::new());
-            let engine = MapReduce::new(JobConfig {
-                partitions: 4,
-                threads: 2,
-            })
-            .with_metrics(Arc::clone(&metrics));
-            let store = CheckpointStore::create(dir).unwrap();
-            let run = CheckpointedRun {
-                store: &store,
-                fingerprint: 31,
-                rng_seed: 0,
-                resume,
-                io_faults: None,
-                abort_after_shards: abort,
-            };
-            let outcome = ckpt_run_observing(&engine, &shards, &run, |word, count| {
-                metrics.histogram("a.count", &buckets).observe(count as u64);
-                metrics
-                    .histogram("b.length", &buckets)
-                    .observe(word.len() as u64);
-            });
-            (outcome, metrics.snapshot())
-        };
-
-        let dir_a = scratch_dir("refused-replay-uninterrupted");
-        let (_, uninterrupted) = run_with(&dir_a, false, None);
-
-        let dir_b = scratch_dir("refused-replay-resumed");
-        let (killed, _) = run_with(&dir_b, false, Some(2));
-        assert!(killed.interrupted);
-        let store = CheckpointStore::create(&dir_b).unwrap();
-        let mut short = store.load_shard(1).unwrap();
-        short
-            .metrics_delta
-            .histograms
-            .get_mut("b.length")
-            .unwrap()
-            .counts
-            .pop();
-        store.save_shard(1, &short).unwrap();
-        let ManifestLoad::Resumed(mut manifest) = store.load_manifest(31, shards.len()) else {
-            panic!("the killed run left a manifest");
-        };
-        manifest.shards.get_mut(&1).unwrap().digest = short.digest();
-        store.save_manifest(&manifest).unwrap();
-
-        let (resumed, resumed_snap) = run_with(&dir_b, true, None);
-        assert_eq!(resumed.load_warnings, 1);
-        assert_eq!(resumed.resumed_shards, 1);
-        assert_eq!(resumed.executed_shards, 2);
-        assert_eq!(resumed_snap.histograms, uninterrupted.histograms);
-        assert_eq!(resumed_snap.to_json(), uninterrupted.to_json());
-
-        let _ = std::fs::remove_dir_all(&dir_a);
-        let _ = std::fs::remove_dir_all(&dir_b);
-    }
-
-    #[test]
-    fn persistent_save_failure_degrades_every_shard_to_in_memory() {
-        let engine = MapReduce::new(JobConfig {
-            partitions: 4,
-            threads: 2,
-        });
-        let dir = scratch_dir("persistent-save-failure");
-        let store = CheckpointStore::create(&dir).unwrap();
-        let plan = FaultPlan::new().fail_all_saves();
-        let outcome = ckpt_run(
-            &engine,
-            &word_shards(),
-            &CheckpointedRun {
-                store: &store,
-                fingerprint: 13,
-                rng_seed: 0,
-                resume: false,
-                io_faults: Some(&plan),
-                abort_after_shards: None,
-            },
-        );
-
-        // Every shard still executed and produced output — only
-        // durability was lost.
-        let baseline_dir = scratch_dir("persistent-save-baseline");
-        let baseline_store = CheckpointStore::create(&baseline_dir).unwrap();
-        let baseline = ckpt_run(
-            &engine,
-            &word_shards(),
-            &CheckpointedRun {
-                store: &baseline_store,
-                fingerprint: 13,
-                rng_seed: 0,
-                resume: false,
-                io_faults: None,
-                abort_after_shards: None,
-            },
-        );
-        assert_eq!(outcome.outputs, baseline.outputs);
-        assert_eq!(outcome.executed_shards, 3);
-        assert_eq!(outcome.write_warnings, 3, "one warning per shard");
-        assert!(outcome.manifest.shards.is_empty(), "nothing was persisted");
-        // Every shard attempted its write; a failed shard write skips
-        // that shard's manifest write.
-        assert_eq!(plan.injected_faults(), 3);
-
-        let _ = std::fs::remove_dir_all(&dir);
-        let _ = std::fs::remove_dir_all(&baseline_dir);
-    }
-
-    #[test]
-    fn transient_save_failure_skips_one_shard_record() {
-        let engine = MapReduce::new(JobConfig {
-            partitions: 4,
-            threads: 2,
-        });
-        let dir = scratch_dir("transient-save-failure");
-        let store = CheckpointStore::create(&dir).unwrap();
-        let plan = FaultPlan::new().fail_next_saves(1);
-        let base = CheckpointedRun {
-            store: &store,
-            fingerprint: 21,
-            rng_seed: 0,
-            resume: false,
-            io_faults: Some(&plan),
-            abort_after_shards: None,
-        };
-        let outcome = ckpt_run(&engine, &word_shards(), &base);
-        assert_eq!(outcome.write_warnings, 1);
-        assert_eq!(outcome.executed_shards, 3);
-        // Shard 0's write failed, so only shards 1 and 2 earned manifest
-        // records; a resume re-executes exactly the unpersisted shard.
-        assert_eq!(outcome.manifest.shards.len(), 2);
-        let resumed = ckpt_run(
-            &engine,
-            &word_shards(),
-            &CheckpointedRun {
-                resume: true,
-                io_faults: None,
-                ..base.clone()
-            },
-        );
-        assert_eq!(resumed.resumed_shards, 2);
-        assert_eq!(resumed.executed_shards, 1);
-        assert_eq!(resumed.write_warnings, 0);
-        assert_eq!(resumed.outputs, outcome.outputs);
-
-        let _ = std::fs::remove_dir_all(&dir);
     }
 }

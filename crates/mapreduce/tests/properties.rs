@@ -147,15 +147,13 @@ fn arb_fault_report(rng: &mut Rng) -> FaultReport {
         input_samples: arb_samples(rng),
         key_samples: arb_samples(rng),
         panic_samples: arb_samples(rng),
-        ..FaultReport::default()
     }
 }
 
 /// `FaultReport::absorb` is associative over engine-reachable reports
 /// (deduplicated, bounded sample lists) and preserves every numeric
-/// tally exactly — the property the checkpoint machinery relies on
-/// when it folds per-shard reports into a window report in resume
-/// order rather than execution order.
+/// tally exactly — the property the multi-scale scheduler relies on
+/// when it folds its days' reports into one tier report.
 #[test]
 fn fault_report_absorb_is_associative_and_count_preserving() {
     forall(256, 5, |rng| {

@@ -130,35 +130,6 @@ impl Histogram {
         self.inner.sum.fetch_add(value, Ordering::Relaxed);
     }
 
-    /// The bucket layout.
-    pub fn buckets(&self) -> &Buckets {
-        &self.buckets
-    }
-
-    /// Bulk-adds a snapshot's counters into this live histogram.
-    ///
-    /// This is the resume path's inverse of [`Histogram::snapshot`]: a
-    /// per-shard delta persisted at checkpoint time is replayed into the
-    /// live registry so counters after a resume match an uninterrupted
-    /// run exactly. Refused with [`ObsError::BucketMismatch`] when the
-    /// layouts differ, like [`HistogramSnapshot::merge`].
-    pub fn absorb_snapshot(&self, snap: &HistogramSnapshot) -> Result<(), ObsError> {
-        if self.buckets.bounds() != snap.bounds.as_slice()
-            || snap.counts.len() != self.inner.counts.len()
-        {
-            return Err(ObsError::BucketMismatch {
-                left: self.buckets.bounds().to_vec(),
-                right: snap.bounds.clone(),
-            });
-        }
-        for (cell, add) in self.inner.counts.iter().zip(&snap.counts) {
-            cell.fetch_add(*add, Ordering::Relaxed);
-        }
-        self.inner.total.fetch_add(snap.total, Ordering::Relaxed);
-        self.inner.sum.fetch_add(snap.sum, Ordering::Relaxed);
-        Ok(())
-    }
-
     /// A point-in-time copy of the counters.
     ///
     /// The snapshot is internally consistent for any quiescent histogram;
@@ -286,28 +257,6 @@ mod tests {
         let mut merged = a.snapshot();
         merged.merge(&b.snapshot()).unwrap();
         assert_eq!(merged, union.snapshot());
-    }
-
-    #[test]
-    fn absorb_snapshot_replays_a_delta_exactly() {
-        let buckets = Buckets::new(&[10, 100]).unwrap();
-        let live = Histogram::new(buckets.clone());
-        live.observe(5);
-        let mut delta = HistogramSnapshot::empty(&buckets);
-        delta.counts = vec![1, 2, 3];
-        delta.total = 6;
-        delta.sum = 999;
-        live.absorb_snapshot(&delta).unwrap();
-        let s = live.snapshot();
-        assert_eq!(s.counts, vec![2, 2, 3]);
-        assert_eq!(s.total, 7);
-        assert_eq!(s.sum, 1_004);
-
-        let other = HistogramSnapshot::empty(&Buckets::new(&[7]).unwrap());
-        assert!(matches!(
-            live.absorb_snapshot(&other),
-            Err(ObsError::BucketMismatch { .. })
-        ));
     }
 
     #[test]

@@ -6,12 +6,13 @@
 //! throughout), and this module guarantees stable escaping and number
 //! formatting on top of that.
 //!
-//! The reader ([`parse`]) is the inverse half used by the checkpoint
-//! layer: run manifests and shard files written with [`JsonWriter`] are
-//! loaded back through it on resume. Numbers are kept as their raw
-//! source tokens ([`JsonValue::Number`]) so `u64` values — FNV digests,
-//! bit-patterns of `f64`s — round-trip exactly instead of passing
-//! through an `f64` that only holds 53 bits of integer precision.
+//! The reader ([`parse`]) is the inverse half. Its only callers are the
+//! `pipebench` harness (its stream workload reads the final export back,
+//! its smoke test reads `BENCHMARK.json` and its own result lines) and
+//! this module's tests. Numbers are kept as their raw source tokens
+//! ([`JsonValue::Number`]) so full-range `u64` values round-trip exactly
+//! instead of passing through an `f64` that only holds 53 bits of
+//! integer precision.
 
 /// Incremental JSON writer. Values are appended through the `push_*`
 /// methods; object/array framing is the caller's responsibility via
@@ -118,9 +119,9 @@ pub fn push_json_string(out: &mut String, s: &str) {
 
 /// A parsed JSON document.
 ///
-/// Objects preserve source order as a `Vec` of pairs — the checkpoint
-/// files this parser exists for are written in stable key order already,
-/// and keeping a `Vec` avoids imposing a map type on callers.
+/// Objects preserve source order as a `Vec` of pairs — the documents
+/// this parser reads are written in stable key order already, and
+/// keeping a `Vec` avoids imposing a map type on callers.
 #[derive(Debug, Clone, PartialEq)]
 pub enum JsonValue {
     /// `null`.
@@ -128,7 +129,7 @@ pub enum JsonValue {
     /// `true` / `false`.
     Bool(bool),
     /// A number, kept as its raw source token so full-range `u64`
-    /// values (digests, `f64::to_bits` payloads) round-trip exactly.
+    /// values round-trip exactly.
     Number(String),
     /// A string with escapes resolved.
     String(String),
@@ -190,9 +191,8 @@ impl JsonValue {
 
 /// A parse failure with the byte offset it was detected at.
 ///
-/// Checkpoint loading treats any parse error as corruption and degrades
-/// to a fresh run, so the error only needs to be descriptive, not
-/// recoverable.
+/// Callers treat any parse error as a bad document, so the error only
+/// needs to be descriptive, not recoverable.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct JsonParseError {
     /// Byte offset into the input where parsing failed.
@@ -213,9 +213,10 @@ impl std::fmt::Display for JsonParseError {
 
 impl std::error::Error for JsonParseError {}
 
-/// Nesting deeper than this is rejected: checkpoint documents are a few
-/// levels deep, and a bound keeps a corrupted (or adversarial) file from
-/// overflowing the stack through recursion.
+/// Nesting deeper than this is rejected: the documents read here (an
+/// export, `BENCHMARK.json`, a result line) are a few levels deep, and a
+/// bound keeps a corrupted (or adversarial) file from overflowing the
+/// stack through recursion.
 const MAX_PARSE_DEPTH: usize = 128;
 
 /// Parses a complete JSON document, rejecting trailing garbage.

@@ -15,23 +15,12 @@
 //! cargo run --release --example enterprise_hunt -- --json
 //! ```
 //!
-//! Durable hunts: `--checkpoint-dir DIR` persists each day's detection
-//! phase shard-by-shard under `DIR/day_NN`, so an interrupted hunt loses
-//! at most one shard of work. Re-run with `--resume` to pick up where the
-//! interrupted run stopped (the resumed report is byte-identical to an
-//! uninterrupted one), and its `--json` export equals a plain run's. Pairs
-//! the engine quarantined are listed in each day's manifest dead-letter
-//! queue with their shard and summaries; the shard's persisted fault
-//! report holds the panic messages:
+//! An interrupted hunt is re-run, not resumed: nothing is persisted, and
+//! a rerun prints the same report.
 //!
-//! ```text
-//! cargo run --release --example enterprise_hunt -- --checkpoint-dir /tmp/hunt
-//! cargo run --release --example enterprise_hunt -- --checkpoint-dir /tmp/hunt --resume
-//! ```
-//!
-//! A flag not listed here exits with status 2 (`unknown flag --resum`), and
+//! A flag not listed here exits with status 2 (`unknown flag --jsn`), and
 //! so does every flag that takes a value when the value is missing or is
-//! itself a flag (`--checkpoint-dir --resume`).
+//! itself a flag (`--tick-seconds --json`).
 //!
 //! Streaming mode (see DESIGN.md §12): `--stream` replaces the daily
 //! batch hunt with the incremental engine — bounded per-pair state,
@@ -52,7 +41,6 @@
 
 use std::collections::BTreeSet;
 
-use baywatch::core::checkpoint::CheckpointSpec;
 use baywatch::core::pipeline::{Baywatch, BaywatchConfig};
 use baywatch::core::record::LogRecord;
 use baywatch::core::report::export_json;
@@ -63,10 +51,8 @@ use baywatch::netsim::longtrace::{LongTraceConfig, LongTraceGenerator};
 use baywatch::record_from_event;
 
 /// Every flag this example reads, those taking a value included.
-const FLAGS: [&str; 10] = [
+const FLAGS: [&str; 8] = [
     "--json",
-    "--checkpoint-dir",
-    "--resume",
     "--stream",
     "--stream-stdin",
     "--stream-ticks",
@@ -104,12 +90,6 @@ fn main() {
         std::process::exit(2);
     }
     let emit_json = args.iter().any(|a| a == "--json");
-    let resume = args.iter().any(|a| a == "--resume");
-    let checkpoint_dir: Option<std::path::PathBuf> = flag_value(&args, "--checkpoint-dir");
-    if resume && checkpoint_dir.is_none() {
-        eprintln!("--resume requires --checkpoint-dir DIR");
-        std::process::exit(2);
-    }
     if args.iter().any(|a| a == "--stream") {
         run_stream_scenario(&args, emit_json);
         return;
@@ -155,22 +135,7 @@ fn main() {
     for day in 0..sim.config().days {
         let events = sim.generate_day(day);
         let records = events.iter().map(record_from_event).collect();
-        let report = match &checkpoint_dir {
-            None => engine.analyze(records),
-            Some(base) => {
-                let spec = CheckpointSpec {
-                    resume,
-                    ..CheckpointSpec::new(base.join(format!("day_{day:02}")))
-                };
-                match engine.analyze_checkpointed(records, &spec) {
-                    Ok(report) => report,
-                    Err(err) => {
-                        eprintln!("checkpoint I/O failed under {}: {err}", spec.dir.display());
-                        std::process::exit(1);
-                    }
-                }
-            }
-        };
+        let report = engine.analyze(records);
         let day_kind = if sim.is_weekend(day) {
             "weekend"
         } else {
@@ -180,12 +145,6 @@ fn main() {
             "day {day} ({day_kind}): {} events, {} pairs, {} periodic, {} reported",
             report.stats.events, report.stats.pairs, report.stats.periodic, report.stats.reported
         );
-        if let Some(ck) = &report.checkpoint {
-            println!(
-                "    checkpoint: {}/{} shards resumed, {} executed, dlq {} entries",
-                ck.resumed_shards, ck.total_shards, ck.executed_shards, ck.dlq_entries
-            );
-        }
         for rc in &report.ranked {
             flagged.insert(rc.case.pair.destination.clone());
         }

@@ -5,11 +5,6 @@
 //! (quarantined pairs, skipped events, malformed lines), and pairs the
 //! faults did not touch rank byte-identically to a fault-free run.
 
-#![allow(
-    clippy::disallowed_methods,
-    reason = "checkpoint tests make and remove scratch dirs"
-)]
-
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
@@ -264,11 +259,9 @@ fn corrupted_elff_ingest_degrades_without_losing_untouched_pairs() {
 /// passes `max_bins` (cut while binning). Both complete, the slow beacon
 /// is periodic, every other pair's ranked evidence is byte-identical to
 /// the window without them, and the export is the same bytes at any
-/// thread count and whether the window runs plain or checkpointed —
-/// killed after one shard and resumed included.
+/// thread count.
 #[test]
 fn max_bins_bounds_slow_pairs_which_complete_and_preserve_the_rest() {
-    use baywatch::core::checkpoint::CheckpointSpec;
     use baywatch::core::report::export_json;
     use baywatch::timeseries::DetectorConfig;
 
@@ -354,50 +347,6 @@ fn max_bins_bounds_slow_pairs_which_complete_and_preserve_the_rest() {
             "evidence for {dest} changed beside the slow pairs"
         );
     }
-
-    // Checkpointed: uninterrupted, and killed after one shard then
-    // resumed by a fresh engine, export the plain window's bytes and
-    // report its funnel and ranking.
-    let base = std::env::temp_dir().join(format!("baywatch-max-bins-{}", std::process::id()));
-    let checkpointed = |leaf: &str, abort_after_shards: Option<usize>, resume: bool| {
-        let mut engine = engine(2);
-        let spec = CheckpointSpec {
-            shard_size: 4,
-            abort_after_shards,
-            resume,
-            ..CheckpointSpec::new(base.join(leaf))
-        };
-        let report = engine.analyze_checkpointed(full.clone(), &spec).unwrap();
-        let snapshot = engine.metrics_snapshot();
-        let json = export_json(&report, &snapshot, 20);
-        (report, json, snapshot.operational)
-    };
-    let (whole, whole_json, whole_ops) = checkpointed("whole", None, false);
-    let (killed, _, _) = checkpointed("killed", Some(1), false);
-    assert!(killed.checkpoint.unwrap().interrupted);
-    let (resumed, resumed_json, _) = checkpointed("killed", None, true);
-    let resumed_outcome = resumed.checkpoint.unwrap();
-    assert_eq!(resumed_outcome.resumed_shards, 1);
-    assert!(resumed_outcome.total_shards >= 3, "want a multi-shard plan");
-    assert_eq!(whole_json, json);
-    assert_eq!(resumed_json, whole_json);
-    // The uninterrupted run writes each shard once and the manifest once
-    // per shard, and quarantines nothing.
-    let whole_outcome = whole.checkpoint.unwrap();
-    assert_eq!(whole_outcome.total_shards, 4);
-    for written in ["checkpoint.shards_written", "checkpoint.manifest_writes"] {
-        assert_eq!(
-            whole_ops[written], whole_outcome.total_shards as u64,
-            "{written}"
-        );
-    }
-    assert_eq!(whole_outcome.dlq_entries, 0);
-    for run in [&whole, &resumed] {
-        assert_eq!(run.stats, report.stats);
-        assert_eq!(run.ranked, report.ranked);
-    }
-
-    std::fs::remove_dir_all(&base).ok();
 }
 
 /// Timestamp skew, duplicated events, and out-of-order delivery — the
@@ -436,76 +385,6 @@ fn skewed_duplicated_out_of_order_events_are_absorbed() {
         detected >= HOSTS as usize / 2,
         "only {detected}/{HOSTS} skewed beacons still detected"
     );
-}
-
-/// The checkpoint/resume contract (durable hunts): a run killed mid-window
-/// and resumed by a fresh engine — a new process, as far as the pipeline
-/// can tell — produces a report *byte-identical* to an uninterrupted run:
-/// same funnel, same fault tallies, same metrics export, same top-K JSON.
-#[test]
-fn interrupted_hunt_resumes_byte_identically() {
-    use baywatch::core::checkpoint::CheckpointSpec;
-    use baywatch::core::report::export_json;
-
-    let records: Vec<LogRecord> = beacon_events().iter().map(record_from_event).collect();
-    let base = std::env::temp_dir().join(format!("baywatch-resume-{}", std::process::id()));
-    let spec = |leaf: &str| CheckpointSpec {
-        shard_size: 4,
-        ..CheckpointSpec::new(base.join(leaf))
-    };
-
-    // Reference: an uninterrupted checkpointed run.
-    let mut full_engine = quiet_engine();
-    let full = full_engine
-        .analyze_checkpointed(records.clone(), &spec("full"))
-        .unwrap();
-    let outcome = full.checkpoint.unwrap();
-    assert_eq!(outcome.executed_shards, outcome.total_shards);
-    assert!(outcome.total_shards >= 3, "want a multi-shard plan");
-    assert!(!outcome.interrupted);
-
-    // Kill a second run after one shard…
-    let killed_spec = CheckpointSpec {
-        abort_after_shards: Some(1),
-        ..spec("killed")
-    };
-    let killed = quiet_engine()
-        .analyze_checkpointed(records.clone(), &killed_spec)
-        .unwrap();
-    let killed_outcome = killed.checkpoint.unwrap();
-    assert!(killed_outcome.interrupted);
-    assert_eq!(killed_outcome.executed_shards, 1);
-    assert!(
-        killed.stats.periodic < full.stats.periodic,
-        "the kill must actually cut the window short"
-    );
-
-    // …and resume it with a fresh engine.
-    let resume_spec = CheckpointSpec {
-        resume: true,
-        ..spec("killed")
-    };
-    let mut resumed_engine = quiet_engine();
-    let resumed = resumed_engine
-        .analyze_checkpointed(records, &resume_spec)
-        .unwrap();
-    let resumed_outcome = resumed.checkpoint.unwrap();
-    assert!(!resumed_outcome.interrupted);
-    assert_eq!(resumed_outcome.resumed_shards, 1);
-    assert_eq!(
-        resumed_outcome.executed_shards,
-        resumed_outcome.total_shards - 1
-    );
-    assert_eq!(resumed_outcome.load_warnings, 0);
-
-    assert_eq!(render_funnel(&resumed), render_funnel(&full));
-    assert_eq!(
-        export_json(&resumed, &resumed_engine.metrics_snapshot(), 10),
-        export_json(&full, &full_engine.metrics_snapshot(), 10),
-        "resumed run must export byte-identically to the uninterrupted run"
-    );
-
-    std::fs::remove_dir_all(&base).ok();
 }
 
 /// The far-line probe: host `10.0.0.66` beacons every 60 s, 120 lines,
